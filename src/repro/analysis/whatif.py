@@ -289,26 +289,11 @@ def evaluate_mitigations(
     before_unexpected = len(
         unexpected_risk_groups(baseline_groups, expected_size=redundancy)
     )
-    pool = getattr(engine, "pool", None) if engine is not None else None
-    fanout = (
-        pool.workers
-        if pool is not None and pool.workers > 1
-        else (engine.n_workers if engine is not None else 1)
-    )
-    if engine is not None and fanout > 1 and len(mitigations) > 1:
-        from repro.engine.parallel import map_jobs
-
-        measurements = map_jobs(
-            _evaluate_one_mitigation,
-            [(weighted, m, redundancy, method) for m in mitigations],
-            engine.n_workers,
-            pool=pool,
-        )
+    jobs = [(weighted, m, redundancy, method) for m in mitigations]
+    if engine is not None:
+        measurements = engine.map_jobs(_evaluate_one_mitigation, jobs)
     else:
-        measurements = [
-            _evaluate_one_mitigation(weighted, m, redundancy, method)
-            for m in mitigations
-        ]
+        measurements = [_evaluate_one_mitigation(*job) for job in jobs]
     outcomes = [
         MitigationOutcome(
             mitigation=mitigation,

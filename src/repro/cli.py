@@ -515,8 +515,8 @@ def _run_audit(args: argparse.Namespace) -> int:
     else:
         from repro.engine import AuditEngine
 
-        engine = AuditEngine(n_workers=args.workers) if args.workers else None
-        result = api.execute_request(request, engine=engine)
+        with AuditEngine(n_workers=args.workers) as engine:
+            result = api.execute_request(request, engine=engine)
         report = api.report_for_request(
             request, result.audit, result.structural_hash
         )
@@ -668,9 +668,7 @@ def _run_db(args: argparse.Namespace) -> int:
 def _run_audit_many(args: argparse.Namespace) -> int:
     from repro.engine import AuditEngine
 
-    # One persistent pool for the whole sweep: every job ships through
-    # warm workers instead of spinning a process pool per audit.
-    with AuditEngine(n_workers=args.workers, pool=True) as engine:
+    with AuditEngine(n_workers=args.workers) as engine:
         report = engine.audit_many(args.specs, title=args.title)
     if args.json:
         print(report.to_json())
@@ -695,9 +693,7 @@ def _run_watch(args: argparse.Namespace) -> int:
 
     from repro.engine.incremental import DeltaAuditEngine, WatchService
 
-    engine = DeltaAuditEngine(
-        n_workers=args.workers, block_size=args.block_size, pool=True
-    )
+    engine = DeltaAuditEngine(n_workers=args.workers, block_size=args.block_size)
     service = WatchService(
         args.specs,
         engine=engine,
@@ -792,16 +788,16 @@ def _run_plan(args: argparse.Namespace) -> int:
 
     depdb = DepDB.loads(_load_depdb_text(args.depdb))
     servers = _parse_servers(args.servers)
-    engine = AuditEngine(n_workers=args.workers) if args.workers else None
-    auditor = SIAAuditor(
-        depdb, weigher=uniform_weigher(args.probability), engine=engine
-    )
-    plan = auditor.mitigation_plan(
-        AuditSpec(deployment=" & ".join(servers), servers=servers),
-        top_k=args.top_k,
-        budget=args.budget,
-        method=args.method,
-    )
+    with AuditEngine(n_workers=args.workers) as engine:
+        auditor = SIAAuditor(
+            depdb, weigher=uniform_weigher(args.probability), engine=engine
+        )
+        plan = auditor.mitigation_plan(
+            AuditSpec(deployment=" & ".join(servers), servers=servers),
+            top_k=args.top_k,
+            budget=args.budget,
+            method=args.method,
+        )
     if args.json:
         print(json.dumps(plan.to_dict()))
     else:
@@ -880,11 +876,12 @@ def _run_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
             flush=True,
         )
+    engine = DeltaAuditEngine(
+        n_workers=getattr(args, "engine_workers", 0),
+        block_size=args.block_size,
+    )
     manager = JobManager(
-        DeltaAuditEngine(
-            n_workers=getattr(args, "engine_workers", 0),
-            block_size=args.block_size,
-        ),
+        engine,
         workers=args.workers,
         per_tenant_limit=args.per_tenant,
         total_limit=args.queue_limit,
@@ -929,6 +926,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:  # signal raced the handler install
         pass
     finally:
+        engine.close()
         if injector is not None:
             injector.__exit__(None, None, None)
     return 0

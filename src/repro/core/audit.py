@@ -290,28 +290,18 @@ class SIAAuditor:
         case we quietly run serially — same results, one process.
         """
         engine = self.engine
-        pool = getattr(engine, "pool", None) if engine is not None else None
-        fanout = (
-            pool.workers
-            if pool is not None and pool.workers > 1
-            else (engine.n_workers if engine is not None else 1)
-        )
-        if engine is None or fanout <= 1 or len(specs) <= 1:
+        if engine is None or engine.fanout <= 1 or len(specs) <= 1:
             return [self.audit_deployment(spec) for spec in specs]
         try:
             pickle.dumps((self.depdb, self.weigher))
         except Exception:
             return [self.audit_deployment(spec) for spec in specs]
-        from repro.engine.parallel import map_jobs
-
-        return map_jobs(
+        return engine.map_jobs(
             _audit_spec_worker,
             [
                 (self.depdb, self.weigher, spec, engine.block_size)
                 for spec in specs
             ],
-            engine.n_workers,
-            pool=pool,
         )
 
     def compare_combinations(

@@ -22,7 +22,8 @@ sketch, all documented in DESIGN.md:
   ``SeedSequence.spawn`` child, so the result of a run is a pure function
   of ``(graph, parameters, seed, run_index)`` and is bit-identical whether
   the blocks execute inline or across the worker processes of
-  :class:`~repro.engine.AuditEngine`.  The run index counts ``run()``
+  :class:`~repro.engine.AuditEngine`, whose ``sample`` is the one plan →
+  run → merge this module's sampler fronts.  The run index counts ``run()``
   calls on one sampler instance (recorded in
   ``SamplingResult.metadata["run_index"]``): repeated calls draw fresh,
   disjoint streams by design, and the k-th call on a fresh sampler with
@@ -31,19 +32,18 @@ sketch, all documented in DESIGN.md:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.compile import CompiledGraph
 from repro.core.faultgraph import FaultGraph
 from repro.core.minimal_rg import minimise_family
-from repro.engine.batch import BlockOutcome
-from repro.engine.adaptive import AdaptiveConfig, AdaptiveStopper
-from repro.engine.parallel import plan_blocks, run_plan_serial
 from repro.errors import AnalysisError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, core stays below engine
+    from repro.engine.adaptive import AdaptiveConfig
+    from repro.engine.batch import BlockOutcome
 
 __all__ = ["FailureSampler", "SamplingResult", "merge_block_outcomes"]
 
@@ -149,9 +149,6 @@ class FailureSampler:
             stream definition: changing it changes which random numbers
             each round sees (the worker *count* of a parallel run, by
             contrast, never does).
-        compiled: Optional pre-compiled form of ``graph`` (e.g. from an
-            engine's :class:`~repro.engine.cache.GraphCache`) to skip
-            recompilation.
         adaptive: Stop early once the top-event estimate and the
             risk-group discovery curve stabilise (see
             :mod:`repro.engine.adaptive`).  ``rounds`` becomes a budget
@@ -159,9 +156,6 @@ class FailureSampler:
         adaptive_config: Stopping-rule parameters; implies a default
             :class:`~repro.engine.adaptive.AdaptiveConfig` when
             ``adaptive=True`` and left ``None``.
-        packed: Evaluate blocks through the bit-packed uint64 kernel
-            (default).  ``False`` selects the boolean reference path;
-            both produce bit-identical results.
     """
 
     def __init__(
@@ -172,31 +166,34 @@ class FailureSampler:
         minimise: bool = True,
         seed: Optional[int] = None,
         batch_size: int = 4096,
-        compiled: Optional[CompiledGraph] = None,
         adaptive: bool = False,
         adaptive_config: Optional[AdaptiveConfig] = None,
-        packed: bool = True,
     ) -> None:
+        from repro.engine.facade import AuditEngine
+
         if not 0.0 < sample_probability < 1.0:
             raise AnalysisError(
                 f"sample_probability must be in (0,1), got {sample_probability}"
             )
         if batch_size < 1:
             raise AnalysisError(f"batch_size must be >= 1, got {batch_size}")
-        self.compiled = compiled if compiled is not None else CompiledGraph(graph)
         self.graph = graph
         self.sample_probability = sample_probability
+        self.use_weights = use_weights
         self.minimise = minimise
         self.batch_size = batch_size
         self.adaptive = adaptive
         self.adaptive_config = adaptive_config
-        self.packed = packed
         self._entropy = np.random.SeedSequence(seed).entropy
         self._run_count = 0
-        self._weights: Optional[Sequence[float]] = None
+        # An inline engine of this sampler's own: its cache holds the
+        # compiled graph across runs.  Compiling (and reading the
+        # weights) now keeps a malformed or unweighted graph failing at
+        # construction rather than on the first run.
+        self._engine = AuditEngine(n_workers=1, block_size=batch_size)
+        self._engine.compile(graph)
         if use_weights:
-            probs = graph.probabilities()
-            self._weights = [probs[n] for n in self.compiled.basic_names]
+            graph.probabilities()
 
     def _next_run_root(self) -> tuple[np.random.SeedSequence, int]:
         """Fresh per-run seed root, keyed by an explicit run counter.
@@ -227,35 +224,16 @@ class FailureSampler:
         """
         if rounds < 1:
             raise AnalysisError(f"rounds must be >= 1, got {rounds}")
-        started = time.perf_counter()
         root, run_index = self._next_run_root()
-        plan = plan_blocks(rounds, self.batch_size, root)
-        stopper = (
-            AdaptiveStopper(self.adaptive_config) if self.adaptive else None
-        )
-        outcomes = run_plan_serial(
-            self.compiled,
-            plan,
-            probabilities=self._weights,
-            default_probability=self.sample_probability,
+        result = self._engine.sample(
+            self.graph,
+            rounds,
+            sample_probability=self.sample_probability,
+            use_weights=self.use_weights,
             minimise=self.minimise,
-            packed=self.packed,
-            stopper=stopper,
+            seed=root,
+            adaptive=self.adaptive,
+            adaptive_config=self.adaptive_config,
         )
-        metadata = {
-            "blocks": len(outcomes),
-            "planned_blocks": len(plan),
-            "batch_size": self.batch_size,
-            "run_index": run_index,
-        }
-        if stopper is not None:
-            metadata.update(stopper.summary())
-        return merge_block_outcomes(
-            outcomes,
-            minimised=self.minimise,
-            sample_probability=(
-                None if self._weights is not None else self.sample_probability
-            ),
-            elapsed_seconds=time.perf_counter() - started,
-            metadata=metadata,
-        )
+        result.metadata["run_index"] = run_index
+        return result

@@ -6,7 +6,9 @@ This package is the scaling layer on top of the §4.1 analysis core:
 * :mod:`repro.engine.batch` — whole-block NumPy witness extraction and
   greedy cut minimisation (no per-round Python on the hot path);
 * :mod:`repro.engine.parallel` — deterministic block sharding with
-  ``SeedSequence.spawn`` and process fan-out;
+  ``SeedSequence.spawn``, the inline block and job loops, cancellation;
+* :mod:`repro.engine.pool` — the worker processes: one persistent pool
+  with content-addressed graph shipping;
 * :mod:`repro.engine.facade` — the :class:`AuditEngine` facade consumed
   by :class:`~repro.core.audit.SIAAuditor`, the what-if analysis and the
   ``indaas audit-many`` CLI verb;
@@ -14,10 +16,8 @@ This package is the scaling layer on top of the §4.1 analysis core:
   block-outcome / audit result caches, :class:`DeltaAuditEngine` and
   the ``indaas watch`` service.
 
-``facade`` is re-exported lazily: :mod:`repro.core.sampling` imports the
-batch/parallel layers at module load, so pulling the facade (which
-imports back into :mod:`repro.core`) eagerly here would create an import
-cycle.
+The package sits above :mod:`repro.core` and imports it freely;
+``core`` reaches back up only from inside functions.
 """
 
 from repro.engine.batch import (
@@ -32,12 +32,20 @@ from repro.engine.cache import (
     default_cache,
     structural_hash,
 )
+from repro.engine.facade import AuditEngine, AuditJob, load_audit_job
+from repro.engine.incremental import (
+    DeltaAuditEngine,
+    DeltaAuditReport,
+    GraphDelta,
+    WatchService,
+    graph_delta,
+    load_spec_set,
+)
 from repro.engine.parallel import (
     BlockPlan,
     map_jobs,
     plan_blocks,
     resolve_workers,
-    run_plan_parallel,
     run_plan_serial,
 )
 from repro.engine.pool import PersistentPool
@@ -64,29 +72,6 @@ __all__ = [
     "plan_blocks",
     "resolve_workers",
     "run_block",
-    "run_plan_parallel",
     "run_plan_serial",
     "structural_hash",
 ]
-
-_LAZY_FACADE = {"AuditEngine", "AuditJob", "load_audit_job"}
-_LAZY_INCREMENTAL = {
-    "DeltaAuditEngine",
-    "DeltaAuditReport",
-    "GraphDelta",
-    "WatchService",
-    "graph_delta",
-    "load_spec_set",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY_FACADE:
-        from repro.engine import facade
-
-        return getattr(facade, name)
-    if name in _LAZY_INCREMENTAL:
-        from repro.engine import incremental
-
-        return getattr(incremental, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

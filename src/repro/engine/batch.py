@@ -197,17 +197,18 @@ def run_block(
 ) -> BlockOutcome:
     """Sample and post-process one block of rounds.
 
-    This is the shared unit of work: the serial
-    :class:`~repro.core.sampling.FailureSampler` runs blocks inline, the
-    parallel engine ships them to worker processes; both call exactly
-    this function with per-block generators spawned from the run seed.
+    This is the shared unit of work: the inline loop
+    (:func:`~repro.engine.parallel.run_plan_serial`) and the pool's
+    worker processes both call exactly this function with per-block
+    generators spawned from the run seed.
 
     ``packed=True`` (the default) evaluates the graph over uint64 round
     bitsets — 64 rounds per bitwise gate op — and unpacks only the
     failing rounds for witness extraction.  The packed and boolean paths
     consume the same random stream and therefore produce bit-identical
-    outcomes; ``packed=False`` keeps the boolean reference path for
-    parity tests and benchmarks.
+    outcomes; ``packed=False`` is the boolean reference path, kept for
+    the parity tests and ``bench_engine_scaling.py`` — no caller above
+    this function chooses a kernel.
     """
     if packed:
         words = compiled.sample_failures_packed(

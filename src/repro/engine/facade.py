@@ -5,10 +5,13 @@ hands them to the rest of the system behind a small API:
 
 * a :class:`~repro.engine.cache.GraphCache` so repeated audits and
   what-if sweeps stop recompiling identical graphs;
-* block-planned sampling (:func:`~repro.engine.parallel.plan_blocks`)
-  that runs inline or across worker processes with bit-identical results;
-* generic fan-out of independent audit jobs — many deployments, many
-  DepDBs — via :func:`~repro.engine.parallel.map_jobs`.
+* the one plan → run → merge of failure sampling
+  (:func:`~repro.engine.parallel.plan_blocks`, inline or through the
+  pool, :func:`~repro.core.sampling.merge_block_outcomes`) — bit-identical
+  results either way;
+* the decision *where* a block or a fan-out job runs: an engine with
+  more than one worker owns a :class:`~repro.engine.pool.PersistentPool`
+  (or shares an injected one) and everything else runs inline.
 
 Consumers: :class:`~repro.core.audit.SIAAuditor` (pass ``engine=``),
 :func:`~repro.analysis.whatif.evaluate_mitigations` (ditto), and the
@@ -37,7 +40,6 @@ from repro.engine.parallel import (
     map_jobs,
     plan_blocks,
     resolve_workers,
-    run_plan_parallel,
     run_plan_serial,
 )
 from repro.engine.pool import PersistentPool
@@ -212,15 +214,11 @@ class AuditEngine:
             to workers and the granularity of seeded streams.
         cache: Optional shared :class:`GraphCache` (a private one is
             created otherwise).
-        pool: Opt-in persistent worker pool.  ``True`` makes the engine
-            own a lazily spawned
-            :class:`~repro.engine.pool.PersistentPool` sized
-            ``n_workers`` (closed by :meth:`close`); an existing
-            :class:`PersistentPool` is shared, not owned.  ``None``
-            keeps the legacy per-call executors — unless
-            ``REPRO_POOL_DEFAULT`` is set in the environment, which
-            flips the default to ``True`` (the ``pool-fast`` CI job).
-            Either way the pool never changes results, only wall-clock.
+        pool: A shared :class:`~repro.engine.pool.PersistentPool` to
+            run on (the caller keeps ownership).  Without one, an
+            engine with more than one worker owns a pool of its own —
+            processes spawn lazily on first parallel use and
+            :meth:`close` (or the ``with`` block) brings them home.
     """
 
     def __init__(
@@ -228,29 +226,21 @@ class AuditEngine:
         n_workers: Optional[int] = None,
         block_size: int = 4096,
         cache: Optional[GraphCache] = None,
-        pool: Union[PersistentPool, bool, None] = None,
+        pool: Optional[PersistentPool] = None,
     ) -> None:
         if block_size < 1:
             raise AnalysisError(f"block_size must be >= 1, got {block_size}")
         self.n_workers = resolve_workers(n_workers)
         self.block_size = block_size
         self.cache = cache if cache is not None else GraphCache()
-        if pool is None and os.environ.get("REPRO_POOL_DEFAULT", "") not in (
-            "",
-            "0",
-        ):
-            pool = True
-        self._owns_pool = False
-        if pool is True:
-            pool = (
-                PersistentPool(self.n_workers) if self.n_workers > 1 else None
-            )
-            self._owns_pool = pool is not None
-        self.pool: Optional[PersistentPool] = pool or None
+        self._owns_pool = pool is None and self.n_workers > 1
+        self.pool: Optional[PersistentPool] = (
+            PersistentPool(self.n_workers) if self._owns_pool else pool
+        )
 
     def close(self) -> None:
-        """Release owned resources (the persistent pool, when owned)."""
-        if self._owns_pool and self.pool is not None:
+        """Shut down the worker pool this engine owns, if any."""
+        if self._owns_pool:
             self.pool.close()
 
     def __enter__(self) -> "AuditEngine":
@@ -272,6 +262,24 @@ class AuditEngine:
         return self.cache.compile_bdd(graph)
 
     # ------------------------------------------------------------------ #
+    # Where work runs
+    # ------------------------------------------------------------------ #
+
+    @property
+    def fanout(self) -> int:
+        """Processes a block plan or job sweep spreads over (1: inline)."""
+        return self.pool.workers if self.pool is not None else 1
+
+    def map_jobs(self, fn, argument_tuples: Sequence[tuple]) -> list:
+        """Run ``fn(*args)`` per tuple, in order, wherever this engine runs work.
+
+        With :attr:`fanout` above one the jobs go through the pool, so
+        ``fn`` must be a module-level function and the arguments
+        picklable; otherwise they run inline.
+        """
+        return map_jobs(fn, argument_tuples, self.pool)
+
+    # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
 
@@ -283,25 +291,25 @@ class AuditEngine:
         sample_probability: float = 0.5,
         use_weights: bool = False,
         minimise: bool = True,
-        seed: Optional[int] = None,
+        seed: Union[int, np.random.SeedSequence, None] = None,
         adaptive: bool = False,
         adaptive_config: Optional[AdaptiveConfig] = None,
-        packed: bool = True,
     ) -> SamplingResult:
         """Run a failure-sampling audit of ``graph``.
 
-        Exactly equivalent to ``FailureSampler(graph, ...).run(rounds)``
-        with ``batch_size=block_size`` — same blocks, same spawned seeds,
-        same merged result — but compiled through the cache and, when the
-        engine has workers, executed across processes.
+        The one plan → run → merge in the package
+        (:class:`~repro.core.sampling.FailureSampler` is a front over
+        it): ``rounds`` are cut into ``block_size`` blocks with seeds
+        spawned from ``seed`` — an integer, ``None`` for fresh OS
+        entropy, or a ready :class:`numpy.random.SeedSequence` root —
+        the blocks run inline or through the pool, and the outcomes
+        merge order-insensitively.
 
         ``adaptive=True`` turns ``rounds`` into a budget ceiling and
         stops at the first block boundary where the estimate and the RG
         discovery curve have stabilised (see
         :mod:`repro.engine.adaptive`); the stopping point is decided in
-        plan order, so it too is worker-count invariant.  ``packed``
-        selects the uint64 kernel (default) or the boolean reference
-        path — bit-identical either way.
+        plan order, so it too is worker-count invariant.
         """
         if rounds < 1:
             raise AnalysisError(f"rounds must be >= 1, got {rounds}")
@@ -310,9 +318,12 @@ class AuditEngine:
                 f"sample_probability must be in (0,1), got {sample_probability}"
             )
         started = time.perf_counter()
-        plan = plan_blocks(
-            rounds, self.block_size, np.random.SeedSequence(seed)
+        root = (
+            seed
+            if isinstance(seed, np.random.SeedSequence)
+            else np.random.SeedSequence(seed)
         )
+        plan = plan_blocks(rounds, self.block_size, root)
         weights = None
         if use_weights:
             probs = graph.probabilities()
@@ -329,7 +340,6 @@ class AuditEngine:
             default_probability=sample_probability,
             minimise=minimise,
             reusable_stream=seed is not None,
-            packed=packed,
             stopper=stopper,
         )
         metadata = {
@@ -360,7 +370,6 @@ class AuditEngine:
         default_probability: float,
         minimise: bool,
         reusable_stream: bool = True,
-        packed: bool = True,
         stopper=None,
     ):
         """Execute a block plan; the single overridable step of ``sample``.
@@ -375,40 +384,26 @@ class AuditEngine:
         stopping point (observed in plan order on every path).
         Returns ``(outcomes, extra result metadata)``.
         """
-        if self.pool is not None and self.pool.workers > 1 and len(plan) > 1:
+        if self.fanout > 1 and len(plan) > 1:
+            # Workers compile through their process-local caches; don't
+            # pay for an unused parent-side compilation here.
             outcomes = self.pool.run_plan(
                 graph,
                 plan,
                 probabilities=probabilities,
                 default_probability=default_probability,
                 minimise=minimise,
-                packed=packed,
                 stopper=stopper,
             )
             return outcomes, {"pool": self.pool.stats()}
-        if self.n_workers > 1 and len(plan) > 1:
-            # Workers compile through their process-local caches; don't
-            # pay for an unused parent-side compilation here.
-            outcomes = run_plan_parallel(
-                graph,
-                plan,
-                self.n_workers,
-                probabilities=probabilities,
-                default_probability=default_probability,
-                minimise=minimise,
-                packed=packed,
-                stopper=stopper,
-            )
-        else:
-            outcomes = run_plan_serial(
-                self.compile(graph),
-                plan,
-                probabilities=probabilities,
-                default_probability=default_probability,
-                minimise=minimise,
-                packed=packed,
-                stopper=stopper,
-            )
+        outcomes = run_plan_serial(
+            self.compile(graph),
+            plan,
+            probabilities=probabilities,
+            default_probability=default_probability,
+            minimise=minimise,
+            stopper=stopper,
+        )
         return outcomes, {}
 
     def sample_spec(self, graph, spec: AuditSpec) -> SamplingResult:
@@ -448,11 +443,9 @@ class AuditEngine:
         """Audit independent deployment jobs, fanning out across workers."""
         if not jobs:
             raise SpecificationError("no audit jobs given")
-        return map_jobs(
+        return self.map_jobs(
             _run_audit_job,
             [(job.depdb, job.spec, job.probability) for job in jobs],
-            self.n_workers,
-            pool=self.pool,
         )
 
     def audit_many(
@@ -502,10 +495,10 @@ class AuditEngine:
         """The lazily created incremental companion engine.
 
         A :class:`~repro.engine.incremental.DeltaAuditEngine` sharing
-        this engine's :class:`GraphCache`, block size and persistent
-        pool (when one is attached); repeated calls return the same
-        instance, so its block/audit caches stay warm across
-        :meth:`audit_delta` calls.
+        this engine's :class:`GraphCache`, block size and worker pool
+        (shared, never owned); repeated calls return the same instance,
+        so its block/audit caches stay warm across :meth:`audit_delta`
+        calls.
         """
         from repro.engine.incremental import DeltaAuditEngine
 

@@ -77,7 +77,7 @@ from repro.engine.facade import (
     check_cancelled,
     load_audit_job,
 )
-from repro.engine.parallel import BlockPlan, run_plan_parallel
+from repro.engine.parallel import BlockPlan
 from repro.errors import AnalysisError, IndaasError, SpecificationError
 
 __all__ = [
@@ -499,6 +499,7 @@ class DeltaAuditEngine(AuditEngine):
         cache: Optional shared :class:`GraphCache`.
         max_cached_blocks: LRU capacity of the block-outcome cache.
         max_cached_audits: LRU capacity of the deployment-audit cache.
+        pool: Optional shared worker pool, as for the base engine.
 
     Sampling and auditing share this process's warm caches across
     repeated calls; results are bit-identical to the base engine (and
@@ -535,7 +536,6 @@ class DeltaAuditEngine(AuditEngine):
         default_probability: float,
         minimise: bool,
         reusable_stream: bool = True,
-        packed: bool = True,
         stopper=None,
     ):
         """Block execution through the outcome cache.
@@ -545,10 +545,9 @@ class DeltaAuditEngine(AuditEngine):
         sampling parameters, block rounds, block seed)``; a hit
         substitutes the stored outcome for re-running
         :func:`~repro.engine.batch.run_block` on identical inputs, which
-        is the definition of bit-identical reuse (the packed and boolean
-        kernels produce identical outcomes, so ``packed`` is not part of
-        the key).  Blocks carry independent generators, so skipping some
-        never perturbs the others.
+        is the definition of bit-identical reuse.  Blocks carry
+        independent generators, so skipping some never perturbs the
+        others.
 
         With workers and no ``stopper``, cache-miss blocks fan out
         across processes; adaptive runs stay inline so the stopper sees
@@ -563,7 +562,6 @@ class DeltaAuditEngine(AuditEngine):
                 probabilities=probabilities,
                 default_probability=default_probability,
                 minimise=minimise,
-                packed=packed,
                 stopper=stopper,
             )[0]
             return outcomes, {
@@ -588,12 +586,7 @@ class DeltaAuditEngine(AuditEngine):
         missing = [i for i, outcome in enumerate(cached) if outcome is None]
         reused = len(plan) - len(missing)
 
-        fanout = (
-            self.pool.workers
-            if self.pool is not None and self.pool.workers > 1
-            else self.n_workers
-        )
-        if stopper is None and fanout > 1 and len(missing) > 1:
+        if stopper is None and self.fanout > 1 and len(missing) > 1:
             # Fan the misses out as their own sub-plan; worker-side
             # run_block calls are identical to the inline ones, so the
             # cached entries they produce are too.
@@ -602,28 +595,23 @@ class DeltaAuditEngine(AuditEngine):
                 rounds=tuple(plan.rounds[i] for i in missing),
                 seeds=tuple(plan.seeds[i] for i in missing),
             )
-            computed = run_plan_parallel(
+            computed = self.pool.run_plan(
                 graph,
                 sub_plan,
-                self.n_workers,
                 probabilities=probabilities,
                 default_probability=default_probability,
                 minimise=minimise,
-                packed=packed,
-                pool=self.pool,
             )
             for i, outcome in zip(missing, computed):
                 self._blocks.put(keys[i], outcome)
                 cached[i] = outcome
-            execution_metadata = {
+            return list(cached), {
                 "incremental": {
                     "blocks_reused": reused,
                     "blocks_computed": len(missing),
-                }
+                },
+                "pool": self.pool.stats(),
             }
-            if self.pool is not None:
-                execution_metadata["pool"] = self.pool.stats()
-            return list(cached), execution_metadata
 
         compiled = self.compile(graph)
         outcomes: list[BlockOutcome] = []
@@ -642,7 +630,6 @@ class DeltaAuditEngine(AuditEngine):
                     probabilities=probabilities,
                     default_probability=default_probability,
                     minimise=minimise,
-                    packed=packed,
                 )
                 self._blocks.put(keys[index], outcome)
                 computed_count += 1

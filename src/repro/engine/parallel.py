@@ -1,4 +1,4 @@
-"""Process fan-out for sampling blocks and independent audit jobs.
+"""Block plans, the inline loops, and cooperative cancellation.
 
 Sharding model (DESIGN.md): a run of ``rounds`` rounds is cut into
 fixed-size *blocks* (the sampler's ``batch_size``), and every block gets
@@ -7,36 +7,31 @@ block plan depends only on ``(rounds, block_size, seed)`` — never on the
 worker count — so any number of workers (including zero, i.e. inline
 execution) produces bit-identical merged results.
 
-Workers are plain ``concurrent.futures`` process-pool workers.  Each
-worker unpickles the fault graph once (pool initializer), compiles it
-through its process-local :func:`~repro.engine.cache.compile_cached`, and
-then serves any number of blocks without further graph traffic.
+This module holds what every execution substrate shares: the plan, the
+one inline block loop (:func:`run_plan_serial`), the one inline job loop
+(:func:`map_jobs` without a pool) and the thread-local cancel scope.
+Worker processes live in :mod:`repro.engine.pool` and nowhere else.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.engine.batch import BlockOutcome, run_block
-from repro.engine.cache import compile_cached
 from repro.errors import AnalysisError, AuditCancelled
-from repro.testing.faults import worker_kill_indices
 
 __all__ = [
     "BlockPlan",
     "plan_blocks",
     "resolve_workers",
     "run_plan_serial",
-    "run_plan_parallel",
+    "map_jobs",
     "cancel_scope",
     "check_cancelled",
 ]
@@ -146,7 +141,6 @@ def run_plan_serial(
     probabilities: Optional[Sequence[float]] = None,
     default_probability: float = 0.5,
     minimise: bool = True,
-    packed: bool = True,
     stopper=None,
 ) -> list[BlockOutcome]:
     """Execute blocks of ``plan`` inline, in plan order.
@@ -168,218 +162,6 @@ def run_plan_serial(
             probabilities=probabilities,
             default_probability=default_probability,
             minimise=minimise,
-            packed=packed,
-        )
-        outcomes.append(outcome)
-        if stopper is not None and stopper.observe(outcome):
-            break
-    return outcomes
-
-
-_WORKER_STATE: dict = {}
-
-
-def _init_sampling_worker(payload: bytes) -> None:
-    (
-        graph,
-        probabilities,
-        default_probability,
-        minimise,
-        packed,
-        kills,
-    ) = pickle.loads(payload)
-    _WORKER_STATE["compiled"] = compile_cached(graph)
-    _WORKER_STATE["probabilities"] = probabilities
-    _WORKER_STATE["default_probability"] = default_probability
-    _WORKER_STATE["minimise"] = minimise
-    _WORKER_STATE["packed"] = packed
-    _WORKER_STATE["kills"] = kills
-
-
-def _run_block_task(
-    task: tuple[int, int, np.random.SeedSequence]
-) -> BlockOutcome:
-    index, block_rounds, seed = task
-    kills = _WORKER_STATE["kills"]
-    if kills and index in kills:
-        # Injected worker crash (repro.testing.faults): die the way a
-        # real segfault/OOM-kill would, taking the whole process down
-        # mid-plan.  The parent's recovery path retries the block
-        # inline, where no kill set applies.
-        os._exit(23)  # faults.KILL_EXIT_CODE
-    return run_block(
-        _WORKER_STATE["compiled"],
-        block_rounds,
-        np.random.default_rng(seed),
-        probabilities=_WORKER_STATE["probabilities"],
-        default_probability=_WORKER_STATE["default_probability"],
-        minimise=_WORKER_STATE["minimise"],
-        packed=_WORKER_STATE["packed"],
-    )
-
-
-# How long to wait on the next plan-order future before re-checking the
-# thread's cancel scope.  Bounds cancellation latency for a served job
-# whose blocks run in worker processes.
-_CANCEL_POLL_SECONDS = 0.05
-
-
-def run_plan_parallel(
-    graph,
-    plan: BlockPlan,
-    n_workers: int,
-    *,
-    probabilities: Optional[Sequence[float]] = None,
-    default_probability: float = 0.5,
-    minimise: bool = True,
-    packed: bool = True,
-    stopper=None,
-    pool=None,
-) -> list[BlockOutcome]:
-    """Execute ``plan`` across ``n_workers`` processes.
-
-    With a ``pool`` (a :class:`~repro.engine.pool.PersistentPool`), the
-    plan runs on the long-lived shared pool instead of a per-call
-    executor: no process spawn, and the graph ships to each worker at
-    most once per structural hash (``n_workers`` is ignored — the pool
-    owns its worker count; the results are bit-identical either way).
-
-    Otherwise blocks are submitted to a fresh per-call executor as
-    individual futures and collected strictly in plan order, with the
-    thread's :func:`cancel_scope` polled between completions — so
-    cancelling a served job takes effect within roughly one block's
-    wall-clock even on the multi-process path, instead of after the
-    whole plan.  On cancellation (or early stop) the per-call pool is
-    shut down with ``cancel_futures=True`` *without waiting*: queued
-    blocks never start, the at-most-``n_workers`` in-flight blocks
-    finish in the background, and the caller returns immediately
-    (speculative results are discarded by construction).
-
-    With a ``stopper``, outcomes are observed in plan order and the
-    returned list is the stopped prefix — bit-identical to what
-    :func:`run_plan_serial` returns for the same plan and stopper
-    config, regardless of worker count (speculatively computed blocks
-    past the stopping point are discarded, not merged).
-
-    **Worker-crash recovery:** a worker process that dies mid-plan
-    (segfault, OOM kill, injected ``worker-kill`` fault) breaks the
-    whole ``ProcessPoolExecutor`` — every unfinished future raises
-    ``BrokenProcessPool``.  Instead of poisoning the run, the remaining
-    blocks (the dead worker's included) are executed inline in the
-    parent, in plan order.  Each block is a pure function of
-    ``(graph, rounds, seed)``, so the merged result stays bit-identical
-    to an undisturbed run, whatever the worker count.
-    """
-    if pool is not None:
-        return pool.run_plan(
-            graph,
-            plan,
-            probabilities=probabilities,
-            default_probability=default_probability,
-            minimise=minimise,
-            packed=packed,
-            stopper=stopper,
-        )
-    kills = worker_kill_indices("parallel.block")
-    payload = pickle.dumps(
-        # The kill set rides along only while a fault schedule is armed;
-        # steady-state payloads ship None instead of an empty set.
-        (
-            graph,
-            probabilities,
-            default_probability,
-            minimise,
-            packed,
-            kills or None,
-        ),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    tasks = [
-        (index, block_rounds, seed)
-        for index, (block_rounds, seed) in enumerate(
-            zip(plan.rounds, plan.seeds)
-        )
-    ]
-    workers = min(n_workers, len(tasks))
-    outcomes: list[BlockOutcome] = []
-    executor = ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_sampling_worker,
-        initargs=(payload,),
-    )
-    broken_at: Optional[int] = None
-    try:
-        futures = []
-        try:
-            # Submission is O(plan length) itself; poll cancellation here
-            # too so a huge plan never has to finish queueing first.
-            for task in tasks:
-                check_cancelled()
-                futures.append(executor.submit(_run_block_task, task))
-        except BrokenExecutor:
-            broken_at = 0
-            futures = []
-        for index, future in enumerate(futures):
-            if broken_at is not None:
-                break
-            while True:
-                check_cancelled()
-                try:
-                    outcome = future.result(timeout=_CANCEL_POLL_SECONDS)
-                except FuturesTimeoutError:
-                    continue
-                except BrokenExecutor:
-                    broken_at = index
-                    break
-                break
-            if broken_at is not None:
-                break
-            outcomes.append(outcome)
-            if stopper is not None and stopper.observe(outcome):
-                break
-        if broken_at is not None:
-            outcomes.extend(
-                _finish_plan_inline(
-                    graph,
-                    tasks[broken_at:],
-                    probabilities=probabilities,
-                    default_probability=default_probability,
-                    minimise=minimise,
-                    packed=packed,
-                    stopper=stopper,
-                )
-            )
-        return outcomes
-    finally:
-        # Never stall the caller on in-flight speculative blocks: on the
-        # cancel/early-stop paths their results are discarded anyway, so
-        # the workers finish (or exit) in the background.
-        executor.shutdown(wait=False, cancel_futures=True)
-
-
-def _finish_plan_inline(
-    graph,
-    tasks: Sequence[tuple],
-    *,
-    probabilities,
-    default_probability,
-    minimise,
-    packed,
-    stopper,
-) -> list[BlockOutcome]:
-    """Run the tail of a plan inline after a pool broke mid-run."""
-    compiled = compile_cached(graph)
-    outcomes = []
-    for _, block_rounds, seed in tasks:
-        check_cancelled()
-        outcome = run_block(
-            compiled,
-            block_rounds,
-            np.random.default_rng(seed),
-            probabilities=probabilities,
-            default_probability=default_probability,
-            minimise=minimise,
-            packed=packed,
         )
         outcomes.append(outcome)
         if stopper is not None and stopper.observe(outcome):
@@ -392,53 +174,25 @@ def _finish_plan_inline(
 # --------------------------------------------------------------------- #
 
 
-def _call_job(task: tuple):
-    fn, args = task
-    return fn(*args)
+def map_jobs(fn, argument_tuples: Sequence[tuple], pool=None) -> list:
+    """Run ``fn(*args)`` for each argument tuple, results in order.
 
+    With a ``pool`` (a :class:`~repro.engine.pool.PersistentPool`) that
+    has workers, jobs fan out over its processes — ``fn`` must then be
+    a module-level function and every argument picklable.  Otherwise
+    (no pool, one worker, one job) everything runs inline, with zero
+    IPC.
 
-def map_jobs(
-    fn, argument_tuples: Sequence[tuple], n_workers: int, pool=None
-) -> list:
-    """Run ``fn(*args)`` for each argument tuple, fanning out when asked.
-
-    ``fn`` must be a module-level function and every argument picklable
-    (the executor serialises each task exactly once for IPC); with one
-    worker (or one job) everything runs inline, with zero IPC.  With a
-    ``pool`` (a :class:`~repro.engine.pool.PersistentPool`), jobs run on
-    the shared long-lived pool instead of a per-call executor.
-
-    Futures are collected in submission order with the thread's
-    :func:`cancel_scope` polled between completions, so a cancelled
-    service job that fans out here (planner pricing, multi-spec audits)
-    stops within roughly one job's wall-clock instead of blocking until
-    the whole sweep drains; remaining jobs are abandoned, never awaited.
+    Either way the thread's :func:`cancel_scope` is polled between
+    jobs, so a cancelled service job that fans out here (planner
+    pricing, multi-spec audits) stops within roughly one job's
+    wall-clock; remaining jobs are abandoned, never awaited.
     """
     jobs = list(argument_tuples)
     if pool is not None and pool.workers > 1 and len(jobs) > 1:
         return pool.map_jobs(fn, jobs)
-    workers = min(resolve_workers(n_workers), len(jobs))
-    if workers <= 1:
-        results = []
-        for args in jobs:
-            check_cancelled()
-            results.append(fn(*args))
-        return results
-    executor = ProcessPoolExecutor(max_workers=workers)
-    try:
-        futures = []
-        for args in jobs:
-            check_cancelled()
-            futures.append(executor.submit(_call_job, (fn, args)))
-        results = []
-        for future in futures:
-            while True:
-                check_cancelled()
-                try:
-                    results.append(future.result(timeout=_CANCEL_POLL_SECONDS))
-                except FuturesTimeoutError:
-                    continue
-                break
-        return results
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+    results = []
+    for args in jobs:
+        check_cancelled()
+        results.append(fn(*args))
+    return results

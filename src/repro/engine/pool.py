@@ -1,13 +1,11 @@
-"""A long-lived worker pool with content-addressed graph shipping.
+"""The worker processes: one long-lived pool, content-addressed graphs.
 
-Every ``run_plan_parallel`` and ``map_jobs`` call used to build a brand
-new ``ProcessPoolExecutor``, pickle the entire fault graph into each
-worker's initializer, compile it there, run a handful of blocks and
-throw the whole apparatus away.  For the small-to-medium graphs a
-multi-tenant audit server mostly sees, that fixed cost — process spawn,
-graph ship, compile — dwarfs the actual sampling time.
-
-:class:`PersistentPool` amortises all three:
+:class:`PersistentPool` is the only process substrate in the package —
+every sampling plan and every fan-out job that leaves the calling
+process runs here.  Spawning workers, shipping a fault graph and
+compiling it are fixed costs that dwarf the sampling itself on the
+small-to-medium graphs a multi-tenant audit server mostly sees, so the
+pool pays each of them as rarely as it can:
 
 * **One pool, many audits.**  The executor (and a companion
   ``multiprocessing`` manager process holding the shared graph store)
@@ -19,7 +17,7 @@ graph ship, compile — dwarfs the actual sampling time.
   time and publishes it in the shared store under its structural hash
   (:func:`~repro.engine.cache.structural_hash`, extended with a weights
   digest when per-event probabilities are in play).  Steady-state tasks
-  carry only ``(key, index, block_rounds, seed)`` plus three scalars.
+  carry only ``(key, index, block_rounds, seed)`` plus two scalars.
 
 * **Worker-side compiled-graph LRU.**  Each worker process keeps an LRU
   of compiled graphs keyed by the same hash.  A warm task touches no
@@ -28,12 +26,12 @@ graph ship, compile — dwarfs the actual sampling time.
   resident), after which the worker compiles through its process-local
   :func:`~repro.engine.cache.compile_cached`.
 
-Every existing engine contract is preserved:
+The engine contracts it carries:
 
 * **Bit-identity.**  Blocks are pure functions of
   ``(graph, rounds, seed)`` and outcomes are collected strictly in plan
-  order, so pooled results are bit-identical to serial, legacy
-  per-call-pool and any-worker-count runs.
+  order, so pooled results are bit-identical to inline runs for any
+  worker count.
 * **Cooperative cancellation.**  The collection loop polls the thread's
   :func:`~repro.engine.parallel.cancel_scope` between completions; on
   cancellation the remaining futures are *abandoned* (best-effort
@@ -42,13 +40,15 @@ Every existing engine contract is preserved:
 * **Adaptive early stopping.**  The stopper observes outcomes in plan
   order; speculative blocks past the stopping point are abandoned and
   their results discarded by construction.
-* **Self-repair.**  A worker death breaks the executor; the pool
-  retires it (``respawns`` counts up), finishes the interrupted plan
-  inline in the parent — bit-identical, the blocks are pure — and
-  respawns a fresh executor on next use.  The published graph store
-  lives in the manager process and survives the respawn.
+* **Self-repair.**  A worker death breaks the executor, a manager death
+  takes the graph store with it.  Either way the pool retires what
+  broke (``respawns`` counts up), finishes the interrupted plan inline
+  in the parent — bit-identical, the blocks are pure — and respawns
+  lazily on next use.  The store outlives a lost executor; a lost
+  store takes its executor along, because those workers can no longer
+  pull from it.
 
-:meth:`stats` exposes the win — warm/cold worker cache hits, tasks
+:meth:`stats` exposes the economics — warm/cold worker cache hits, tasks
 executed, respawn count, shipped bytes — and is surfaced in audit
 metadata and the service ``/v1/healthz`` payload.
 """
@@ -71,14 +71,27 @@ import numpy as np
 
 from repro.engine.batch import BlockOutcome, run_block
 from repro.engine.cache import compile_cached, structural_hash
+from repro.engine.parallel import (
+    BlockPlan,
+    check_cancelled,
+    map_jobs,
+    resolve_workers,
+    run_plan_serial,
+)
 from repro.errors import AnalysisError
 from repro.testing.faults import KILL_EXIT_CODE, worker_kill_indices
 
 __all__ = ["PersistentPool", "task_key"]
 
-# Poll interval while waiting on the next plan-order future; bounds the
-# cancellation latency exactly like the legacy per-call pool path.
+# How long to wait on the next plan-order future before re-checking the
+# thread's cancel scope; bounds the cancellation latency of a served job
+# whose blocks run in worker processes.
 _CANCEL_POLL_SECONDS = 0.05
+
+# What a manager proxy raises, in the parent or in a worker, once the
+# manager process holding the graph store is gone (the refused, reset
+# and broken-pipe errors are all ConnectionError).
+_STORE_LOST = (ConnectionError, EOFError)
 
 
 def task_key(graph, probabilities: Optional[Sequence[float]] = None) -> str:
@@ -104,9 +117,8 @@ def task_key(graph, probabilities: Optional[Sequence[float]] = None) -> str:
 # --------------------------------------------------------------------- #
 
 # Process-local state of a pool worker: the shared-store proxy plus the
-# LRU of pulled-and-compiled graphs.  Distinct from the legacy
-# ``parallel._WORKER_STATE`` initializer payload — pool workers receive
-# graphs on demand, never at init time.
+# LRU of pulled-and-compiled graphs.  Workers receive graphs on demand,
+# never at init time.
 _POOL_STATE: dict = {}
 
 
@@ -139,7 +151,7 @@ def _compiled_for(key: str):
 
 
 def _pool_block_task(task: tuple):
-    key, index, block_rounds, seed, default_probability, minimise, packed, kill = task
+    key, index, block_rounds, seed, default_probability, minimise, kill = task
     if kill:
         # Injected worker crash (repro.testing.faults): die the way a
         # real segfault/OOM kill would; the parent retires the broken
@@ -153,7 +165,6 @@ def _pool_block_task(task: tuple):
         probabilities=probabilities,
         default_probability=default_probability,
         minimise=minimise,
-        packed=packed,
     )
     return outcome, warm, pulled
 
@@ -202,8 +213,6 @@ class PersistentPool:
         worker_cache_size: int = 32,
         store_size: int = 128,
     ) -> None:
-        from repro.engine.parallel import resolve_workers
-
         if worker_cache_size < 1:
             raise AnalysisError(
                 f"worker_cache_size must be >= 1, got {worker_cache_size}"
@@ -242,7 +251,12 @@ class PersistentPool:
         with self._lock:
             return self._resources["executor"] is not None
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
+    def _ensure_started(self) -> tuple:
+        """The live ``(executor, store)`` pair, spawning what is missing.
+
+        Callers keep the pair together: those workers pull from that
+        store, even if another thread retires either in the meantime.
+        """
         with self._lock:
             if self._closed:
                 raise AnalysisError("persistent pool is closed")
@@ -258,20 +272,37 @@ class PersistentPool:
                     initargs=(self._store, self.worker_cache_size),
                 )
                 self._resources["executor"] = executor
-            return executor
+            return executor, self._store
 
-    def _retire(self, executor: ProcessPoolExecutor) -> None:
+    def _retire(self, executor, store_lost: bool = False) -> None:
         """Drop a broken executor; the next use spawns a fresh one.
 
-        The manager (and with it every published graph) survives, so
-        repaired workers re-pull graphs on demand instead of forcing a
-        re-publish.
+        After a worker death the manager (and with it every published
+        graph) survives, so repaired workers re-pull graphs on demand
+        instead of forcing a re-publish.  With ``store_lost`` the
+        manager died: it goes too, together with the published index,
+        and graphs republish into a fresh store on next use.  A pair
+        another thread already retired is left alone.
         """
+        manager = None
         with self._lock:
-            if self._resources["executor"] is executor:
-                self._resources["executor"] = None
-                self._respawns += 1
-        executor.shutdown(wait=False, cancel_futures=True)
+            if self._resources["executor"] is not executor:
+                return
+            self._resources["executor"] = None
+            self._respawns += 1
+            if store_lost:
+                manager = self._resources["manager"]
+                self._resources["manager"] = None
+                self._store = None
+                self._published.clear()
+        # A broken executor has already failed every queued block.  One
+        # that only lost its store may be serving other threads' plans:
+        # their warm blocks still finish, their cold ones report the
+        # loss themselves.
+        executor.shutdown(wait=False, cancel_futures=not store_lost)
+        if manager is not None:
+            with contextlib.suppress(Exception):
+                manager.shutdown()
 
     def close(self) -> None:
         """Shut the pool down (idempotent, never blocks on stragglers)."""
@@ -289,14 +320,16 @@ class PersistentPool:
     # Graph publication
     # ------------------------------------------------------------------ #
 
-    def _publish(self, graph, probabilities) -> str:
-        """Pin ``graph`` in the shared store, shipping it at most once."""
-        key = task_key(graph, probabilities)
+    def _publish(self, store, key: str, graph, probabilities) -> None:
+        """Put ``key``'s payload into ``store``, shipping it at most once.
+
+        The caller holds a pin on ``key``.  Raises one of
+        ``_STORE_LOST`` when the manager behind ``store`` is gone.
+        """
         with self._lock:
-            self._pins[key] += 1
-            if key in self._published:
+            if self._store is store and key in self._published:
                 self._published.move_to_end(key)
-                return key
+                return
         payload = pickle.dumps(
             (
                 graph,
@@ -304,10 +337,11 @@ class PersistentPool:
             ),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        self._ensure_executor()  # the store must exist before use
-        self._store[key] = payload
+        store[key] = payload
         evicted: list[str] = []
         with self._lock:
+            if self._store is not store:
+                return  # retired meanwhile; its index is gone with it
             if key not in self._published:
                 self._published[key] = len(payload)
                 self._shipped_bytes += len(payload)
@@ -327,8 +361,7 @@ class PersistentPool:
                 evicted.append(victim)
         for victim in evicted:
             with contextlib.suppress(KeyError):
-                del self._store[victim]
-        return key
+                del store[victim]
 
     def _unpin(self, key: str) -> None:
         with self._lock:
@@ -340,6 +373,16 @@ class PersistentPool:
     # Plan execution
     # ------------------------------------------------------------------ #
 
+    def _run_inline(self, graph, plan, **block_options) -> list[BlockOutcome]:
+        """Blocks the parent runs itself (small plans, broken-pool tails)."""
+        outcomes = run_plan_serial(
+            compile_cached(graph), plan, **block_options
+        )
+        with self._lock:
+            self._tasks += len(outcomes)
+            self._inline_blocks += len(outcomes)
+        return outcomes
+
     def run_plan(
         self,
         graph,
@@ -348,78 +391,57 @@ class PersistentPool:
         probabilities: Optional[Sequence[float]] = None,
         default_probability: float = 0.5,
         minimise: bool = True,
-        packed: bool = True,
         stopper=None,
     ) -> list[BlockOutcome]:
         """Execute a block plan through the pool, in plan order.
 
-        The drop-in counterpart of
-        :func:`~repro.engine.parallel.run_plan_parallel` (same contract:
-        bit-identical outcomes, cancel within ~one block, stopper
-        observed in plan order, worker-kill recovery) — minus the
-        per-call pool spin-up and graph ship.
+        Same contract as :func:`~repro.engine.parallel.run_plan_serial`
+        on the compiled graph — bit-identical outcomes, cancel within
+        ~one block, stopper observed in plan order — with the blocks
+        computed in worker processes.  A worker or manager death
+        mid-plan is repaired here: the remaining blocks (the dead
+        worker's included) run inline in the parent, in plan order.
         """
-        from repro.engine.parallel import (
-            _finish_plan_inline,
-            check_cancelled,
-        )
-
+        block_options = {
+            "probabilities": probabilities,
+            "default_probability": default_probability,
+            "minimise": minimise,
+            "stopper": stopper,
+        }
+        with self._lock:
+            self._plans += 1
         if self.workers <= 1 or len(plan) <= 1:
-            outcomes = _finish_plan_inline(
-                graph,
-                [(i, r, s) for i, (r, s) in enumerate(zip(plan.rounds, plan.seeds))],
-                probabilities=probabilities,
-                default_probability=default_probability,
-                minimise=minimise,
-                packed=packed,
-                stopper=stopper,
-            )
-            with self._lock:
-                self._plans += 1
-                self._tasks += len(outcomes)
-                self._inline_blocks += len(outcomes)
-            return outcomes
+            return self._run_inline(graph, plan, **block_options)
 
         kills = worker_kill_indices("parallel.block")
-        key = self._publish(graph, probabilities)
+        key = task_key(graph, probabilities)
+        with self._lock:
+            self._pins[key] += 1
         try:
-            with self._lock:
-                self._plans += 1
-            executor = self._ensure_executor()
-            tasks = [
-                (
-                    key,
-                    index,
-                    block_rounds,
-                    seed,
-                    default_probability,
-                    minimise,
-                    packed,
-                    index in kills,
-                )
-                for index, (block_rounds, seed) in enumerate(
-                    zip(plan.rounds, plan.seeds)
-                )
-            ]
-            broken = False
+            executor, store = self._ensure_started()
             futures: list = []
             outcomes: list[BlockOutcome] = []
-            collected = 0
+            broken = False
             try:
+                self._publish(store, key, graph, probabilities)
                 # Submission is itself O(plan length); poll cancellation
                 # here too so a huge plan can be cancelled before its
                 # last block ever reaches the queue.
-                try:
-                    for task in tasks:
-                        check_cancelled()
-                        futures.append(
-                            executor.submit(_pool_block_task, task)
-                        )
-                except BrokenExecutor:
-                    broken = True
+                for index, (block_rounds, seed) in enumerate(
+                    zip(plan.rounds, plan.seeds)
+                ):
+                    check_cancelled()
+                    task = (
+                        key,
+                        index,
+                        block_rounds,
+                        seed,
+                        default_probability,
+                        minimise,
+                        index in kills,
+                    )
+                    futures.append(executor.submit(_pool_block_task, task))
                 for future in futures:
-                    if broken:
-                        break
                     while True:
                         check_cancelled()
                         try:
@@ -428,12 +450,7 @@ class PersistentPool:
                             )
                         except FuturesTimeoutError:
                             continue
-                        except BrokenExecutor:
-                            broken = True
                         break
-                    if broken:
-                        break
-                    collected += 1
                     with self._lock:
                         self._tasks += 1
                         if warm:
@@ -444,31 +461,24 @@ class PersistentPool:
                     outcomes.append(outcome)
                     if stopper is not None and stopper.observe(outcome):
                         break
-            except BaseException:
-                # Cancellation (or a task bug): abandon the speculative
-                # futures — never wait on them; results are discarded by
-                # construction and the pool stays up for the next plan.
-                self._abandon(futures[collected:])
-                raise
-            if broken:
-                self._abandon(futures[collected:])
+            except BrokenExecutor:
+                broken = True
                 self._retire(executor)
-                tail = _finish_plan_inline(
-                    graph,
-                    [(t[1], t[2], t[3]) for t in tasks[collected:]],
-                    probabilities=probabilities,
-                    default_probability=default_probability,
-                    minimise=minimise,
-                    packed=packed,
-                    stopper=stopper,
+            except _STORE_LOST:
+                broken = True
+                self._retire(executor, store_lost=True)
+            finally:
+                # Early stop, cancellation, a broken pool or a task bug:
+                # abandon the speculative futures — never wait on them;
+                # their results are discarded by construction and the
+                # pool stays up for the next plan.
+                self._abandon(futures[len(outcomes):])
+            if broken:
+                done = len(outcomes)
+                tail = BlockPlan(plan.rounds[done:], plan.seeds[done:])
+                outcomes.extend(
+                    self._run_inline(graph, tail, **block_options)
                 )
-                with self._lock:
-                    self._tasks += len(tail)
-                    self._inline_blocks += len(tail)
-                outcomes.extend(tail)
-            elif collected < len(futures):
-                # Early stop: discard the speculative tail immediately.
-                self._abandon(futures[collected:])
             return outcomes
         finally:
             self._unpin(key)
@@ -485,62 +495,44 @@ class PersistentPool:
     def map_jobs(self, fn: Callable, argument_tuples: Sequence[tuple]) -> list:
         """Run ``fn(*args)`` per tuple through the pool, results in order.
 
-        The persistent counterpart of
-        :func:`~repro.engine.parallel.map_jobs`: same ordering and
-        pickling contract, plus cancel polling between completions and
-        broken-pool repair (remaining jobs run inline in the parent —
-        job functions are pure, so results are unchanged).
+        The multi-process half of
+        :func:`~repro.engine.parallel.map_jobs`: same ordering, cancel
+        polling between completions, and broken-pool repair (remaining
+        jobs run inline in the parent — job functions are pure, so
+        results are unchanged).
         """
-        from repro.engine.parallel import check_cancelled
-
         jobs = list(argument_tuples)
-        if not jobs:
-            return []
-        if self.workers <= 1 or len(jobs) == 1:
+        if self.workers <= 1 or len(jobs) <= 1:
+            results = map_jobs(fn, jobs)
+        else:
+            executor, _ = self._ensure_started()
+            futures: list = []
             results = []
-            for args in jobs:
-                check_cancelled()
-                results.append(fn(*args))
-            with self._lock:
-                self._jobs += len(results)
-            return results
-        executor = self._ensure_executor()
-        broken = False
-        futures: list = []
-        results: list = []
-        try:
+            broken = False
             try:
                 for args in jobs:
                     check_cancelled()
                     futures.append(
                         executor.submit(_pool_call_job, (fn, args))
                     )
+                for future in futures:
+                    while True:
+                        check_cancelled()
+                        try:
+                            result = future.result(
+                                timeout=_CANCEL_POLL_SECONDS
+                            )
+                        except FuturesTimeoutError:
+                            continue
+                        break
+                    results.append(result)
             except BrokenExecutor:
                 broken = True
-            for future in futures:
-                if broken:
-                    break
-                while True:
-                    check_cancelled()
-                    try:
-                        result = future.result(timeout=_CANCEL_POLL_SECONDS)
-                    except FuturesTimeoutError:
-                        continue
-                    except BrokenExecutor:
-                        broken = True
-                    break
-                if broken:
-                    break
-                results.append(result)
-        except BaseException:
-            self._abandon(futures[len(results):])
-            raise
-        if broken:
-            self._abandon(futures[len(results):])
-            self._retire(executor)
-            for args in jobs[len(results):]:
-                check_cancelled()
-                results.append(fn(*args))
+                self._retire(executor)
+            finally:
+                self._abandon(futures[len(results):])
+            if broken:
+                results.extend(map_jobs(fn, jobs[len(results):]))
         with self._lock:
             self._jobs += len(results)
         return results

@@ -26,10 +26,12 @@ differ from the serial transcript in their *noise component* because
 multi-exponentiation reduces exponents mod n — every plaintext, count
 and byte total still matches exactly.)
 
-Exponentiation batches optionally fan out over the existing
-:func:`repro.engine.parallel.map_jobs` process pool.  Chunking is fixed
-(never a function of the worker count) and merging is positional, so any
-worker count — including zero — produces the same results.
+Exponentiation batches optionally fan out through
+:func:`repro.engine.parallel.map_jobs` over one
+:class:`~repro.engine.pool.PersistentPool` per protocol run, shared by
+all of its stages.  Chunking is fixed (never a function of the worker
+count) and merging is positional, so any worker count — including zero
+— produces the same results.
 
 :class:`PIAPipeline` is the whole-audit driver: it enumerates candidate
 deployments like :class:`repro.privacy.pia.PIAAuditor`, derives
@@ -40,6 +42,7 @@ measurements out over the pool.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from collections import Counter
 from typing import Mapping, Optional, Sequence
@@ -57,6 +60,7 @@ from repro.crypto.fastexp import (
 )
 from repro.crypto.hashing import HashFamily
 from repro.engine.parallel import map_jobs, resolve_workers
+from repro.engine.pool import PersistentPool
 from repro.errors import ProtocolError
 from repro.privacy.jaccard import jaccard
 from repro.privacy.ks import KSProtocol, KSResult, _hash_element
@@ -71,11 +75,21 @@ __all__ = ["run_psop_fast", "run_ks_fast", "PIAPipeline"]
 POW_CHUNK = 192
 
 
+def _open_pool(n_workers: int):
+    """Context manager for one run's fan-out: a pool, or ``None`` inline.
+
+    The pool spawns nothing until a stage actually fans out, and the
+    ``with`` block brings its processes home.
+    """
+    workers = resolve_workers(n_workers)
+    return PersistentPool(workers) if workers > 1 else contextlib.nullcontext()
+
+
 def _batched_pows(
     bases: Sequence[int],
     exponent: int,
     modulus: int,
-    n_workers: int,
+    pool: Optional[PersistentPool],
     *,
     dedupe: bool = False,
 ) -> list[int]:
@@ -87,8 +101,7 @@ def _batched_pows(
     :func:`repro.crypto.fastexp.batch_pow`, or by extracting the
     distinct bases before chunking so workers never repeat work.
     """
-    workers = resolve_workers(n_workers)
-    if workers <= 1 or len(bases) <= POW_CHUNK:
+    if pool is None or len(bases) <= POW_CHUNK:
         if dedupe:
             return batch_pow(bases, exponent, modulus)
         return [pow(b, exponent, modulus) for b in bases]
@@ -104,7 +117,7 @@ def _batched_pows(
         (chunk, exponent, modulus) for chunk in chunked(targets, POW_CHUNK)
     ]
     flat: list[int] = []
-    for chunk_result in map_jobs(pow_chunk, jobs, workers):
+    for chunk_result in map_jobs(pow_chunk, jobs, pool):
         flat.extend(chunk_result)
     if not dedupe:
         return flat
@@ -115,20 +128,19 @@ def _batched_pows(
 def _batched_pow_pairs(
     pairs: Sequence[tuple[int, int]],
     modulus: int,
-    n_workers: int,
+    pool: Optional[PersistentPool],
 ) -> list[int]:
     """``pow(base, exp, modulus)`` per pair, fanning out chunks.
 
     One call covers work with per-item exponents (the KS threshold-
-    decryption shares of every party), so a protocol run pays for at
-    most one pool per stage rather than one per party.
+    decryption shares of every party), so the stage is one sweep
+    rather than one per party.
     """
-    workers = resolve_workers(n_workers)
-    if workers <= 1 or len(pairs) <= POW_CHUNK:
+    if pool is None or len(pairs) <= POW_CHUNK:
         return pow_pairs_chunk(pairs, modulus)
     jobs = [(chunk, modulus) for chunk in chunked(pairs, POW_CHUNK)]
     flat: list[int] = []
-    for chunk_result in map_jobs(pow_pairs_chunk, jobs, workers):
+    for chunk_result in map_jobs(pow_pairs_chunk, jobs, pool):
         flat.extend(chunk_result)
     return flat
 
@@ -197,9 +209,8 @@ def run_psop_fast(
     for party in parties:
         exponent = exponent * party.key.exponent % q
     flat = [value for values in hashed for value in values]
-    powers = _batched_pows(
-        flat, exponent, group.prime, n_workers, dedupe=True
-    )
+    with _open_pool(n_workers) as pool:
+        powers = _batched_pows(flat, exponent, group.prime, pool, dedupe=True)
     counters = []
     position = 0
     for size in sizes:
@@ -254,6 +265,11 @@ def run_ks_fast(protocol: KSProtocol, *, n_workers: int = 0) -> KSResult:
     party.  Encryption noise and threshold-decryption shares run as
     whole-dataset batches.
     """
+    with _open_pool(n_workers) as pool:
+        return _run_ks(protocol, pool)
+
+
+def _run_ks(protocol: KSProtocol, pool: Optional[PersistentPool]) -> KSResult:
     started = time.perf_counter()
     public = protocol.public
     network = protocol.network
@@ -261,7 +277,6 @@ def run_ks_fast(protocol: KSProtocol, *, n_workers: int = 0) -> KSResult:
     n, nsq = public.n, public.nsq
     width = public.ciphertext_bytes
     k = len(parties)
-    workers = resolve_workers(n_workers)
 
     # Step 2: masked polynomials.  Mask coefficients and encryption
     # noise are drawn in the exact serial order (per party: mask poly
@@ -273,7 +288,7 @@ def run_ks_fast(protocol: KSProtocol, *, n_workers: int = 0) -> KSResult:
         coeffs = party.masked_polynomial(n)
         coeff_lists.append(coeffs)
         noises.extend(public.draw_noise(party._rng) for _ in coeffs)
-    noise_powers = _batched_pows(noises, n, nsq, n_workers)
+    noise_powers = _batched_pows(noises, n, nsq, pool)
 
     aggregated: list[Optional[int]] = []
     position = 0
@@ -315,11 +330,11 @@ def run_ks_fast(protocol: KSProtocol, *, n_workers: int = 0) -> KSResult:
         [party._rng.randrange(1, n) for _ in party.elements]
         for party in parties
     ]
-    if workers > 1 and k > 1:
+    if pool is not None and k > 1:
         raw_evals = map_jobs(
             _eval_party_job,
             [(aggregated, xs[i], blinds[i], n, nsq) for i in range(k)],
-            workers,
+            pool,
         )
     else:
         tables = [digit_table(c, nsq) for c in aggregated]
@@ -349,13 +364,13 @@ def run_ks_fast(protocol: KSProtocol, *, n_workers: int = 0) -> KSResult:
             )
 
     # Step 4: threshold-decryption shares — every party's partials over
-    # every evaluation ciphertext as one flat pair batch (one pool, not
+    # every evaluation ciphertext as one flat pair batch (one sweep, not
     # one per party; shares may be negative, pow inverts modularly).
     all_ciphertexts = [c for batch in batches for c in batch]
     pairs = [
         (c, party._lam_share) for party in parties for c in all_ciphertexts
     ]
-    flat_partials = _batched_pow_pairs(pairs, nsq, n_workers)
+    flat_partials = _batched_pow_pairs(pairs, nsq, pool)
     partials_by_party = []
     for i, party in enumerate(parties):
         partials = flat_partials[
@@ -415,12 +430,8 @@ class PIAPipeline:
         group_bits: Commutative-group modulus size (paper: 1024).
         minhash_size: Signature length m for the MinHash variant.
         seed: Root of the per-deployment/per-party seed tree.
-        n_workers: Deployment fan-out (0/1 = inline).
-        pool: Optional shared
-            :class:`~repro.engine.pool.PersistentPool` — repeated
-            audits (the service, ``compare_combinations`` sweeps) reuse
-            its worker processes instead of spawning a pool per call.
-            Results are bit-identical either way.
+        n_workers: Deployment fan-out (0/1 = inline); each
+            :meth:`audit` opens one pool for its sweep and closes it.
     """
 
     def __init__(
@@ -431,7 +442,6 @@ class PIAPipeline:
         minhash_size: int = 256,
         seed: int = 0,
         n_workers: int = 0,
-        pool=None,
     ) -> None:
         if len(component_sets) < 2:
             raise ProtocolError("PIA needs at least two providers")
@@ -447,7 +457,6 @@ class PIAPipeline:
         self.minhash_size = minhash_size
         self.seed = seed
         self.n_workers = n_workers
-        self.pool = pool
         self._group_bits = group_bits
         self._family = HashFamily(size=minhash_size, seed=seed)
 
@@ -504,12 +513,8 @@ class PIAPipeline:
                         seeds,
                     )
                 )
-            outcomes = map_jobs(
-                _measure_psop_job,
-                jobs,
-                resolve_workers(self.n_workers),
-                pool=self.pool,
-            )
+            with _open_pool(self.n_workers) as pool:
+                outcomes = map_jobs(_measure_psop_job, jobs, pool)
             estimated = self.protocol == "psop-minhash"
             measured = []
             total_bytes = 0

@@ -34,7 +34,6 @@ from typing import Iterator, Optional, Union
 from repro import api
 from repro.engine.incremental import DeltaAuditEngine, LRUCache
 from repro.engine.parallel import cancel_scope
-from repro.engine.pool import PersistentPool
 from repro.errors import AuditCancelled, IndaasError, ServiceError
 from repro.service.admission import AdmissionQueue
 from repro.service.journal import JobJournal
@@ -104,17 +103,12 @@ class JobManager:
         state_dir: Optional[Union[str, Path]] = None,
         resume: bool = True,
     ) -> None:
+        # An engine the manager constructs is the manager's to close;
+        # an injected one (and its worker pool) stays the caller's.
+        self._owns_engine = engine is None
         if engine is None:
             engine = DeltaAuditEngine()
         self.engine = engine.delta()
-        # One persistent pool per server: when the engine samples across
-        # processes but nobody attached a pool yet, the manager owns one
-        # for its lifetime, so every served audit (and fan-out job)
-        # shares warm workers instead of spawning a pool per call.
-        self._owns_pool = False
-        if self.engine.pool is None and self.engine.n_workers > 1:
-            self.engine.pool = PersistentPool(self.engine.n_workers)
-            self._owns_pool = True
         self.admission = AdmissionQueue(
             per_tenant_limit=per_tenant_limit, total_limit=total_limit
         )
@@ -692,11 +686,7 @@ class JobManager:
                     "durable": self.stores.durable,
                     "tenants": self.stores.tenants(),
                 },
-                "pool": (
-                    self.engine.pool.stats()
-                    if self.engine.pool is not None
-                    else {"enabled": False}
-                ),
+                "pool": self.engine.info()["pool"],
             }
 
     # ---------------------------- shutdown ---------------------------- #
@@ -726,5 +716,5 @@ class JobManager:
         if self.journal is not None:
             self.journal.close()
         self.stores.close()
-        if self._owns_pool and self.engine.pool is not None:
-            self.engine.pool.close()
+        if self._owns_engine:
+            self.engine.close()

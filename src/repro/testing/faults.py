@@ -15,7 +15,7 @@ Fault kinds (:data:`FAULT_KINDS`):
 * ``slow`` — the point sleeps ``delay`` seconds, then proceeds.
 * ``worker-kill`` — a sampling worker process ``os._exit``\\ s mid-plan;
   shipped to workers by block index (see
-  :func:`repro.engine.parallel.run_plan_parallel`), so the same block
+  :meth:`repro.engine.pool.PersistentPool.run_plan`), so the same block
   dies whatever the worker count.
 * ``disk-full`` — the point raises ``OSError(ENOSPC)`` (journal
   appends).

@@ -82,8 +82,8 @@ class TestAdaptiveSampling:
         assert meta["adaptive"] is True
         assert meta["stopped_early"] is True
         assert result.rounds == meta["blocks_observed"] * 256
-        assert meta["blocks"] == meta["blocks_observed"]
-        assert meta["blocks"] < meta["planned_blocks"]
+        assert meta["engine"]["blocks"] == meta["blocks_observed"]
+        assert meta["engine"]["blocks"] < meta["engine"]["planned_blocks"]
         assert (
             result.top_probability_estimate
             == result.top_failures / result.rounds

@@ -4,8 +4,8 @@ The serial loop always honoured :func:`cancel_scope` at block
 boundaries, but the multi-process path used to hand the whole plan to
 ``pool.map`` and only notice cancellation after every block had run.
 These tests pin the fixed behaviour: cancellation takes effect within
-roughly one block's wall-clock on every path, and a cancelled run
-produces no result at all.
+roughly one block's wall-clock whether the engine owns its pool or
+shares one, and a cancelled run produces no result at all.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ CANCEL_LATENCY_SECONDS = 20.0
 
 def test_parallel_run_cancels_within_one_block():
     event = threading.Event()
-    engine = AuditEngine(n_workers=2)
     timer = threading.Timer(0.3, event.set)
     timer.start()
     started = time.monotonic()
     try:
-        with cancel_scope(event):
+        with AuditEngine(n_workers=2) as engine, cancel_scope(event):
             with pytest.raises(AuditCancelled):
                 engine.sample(GRAPH, 50_000_000, seed=1)
     finally:
@@ -51,32 +50,34 @@ def test_parallel_run_cancels_within_one_block():
 def test_pre_cancelled_scope_produces_no_result():
     event = threading.Event()
     event.set()
-    with cancel_scope(event):
+    with AuditEngine(n_workers=2) as engine, cancel_scope(event):
         with pytest.raises(AuditCancelled):
-            AuditEngine(n_workers=2).sample(GRAPH, 100_000, seed=1)
+            engine.sample(GRAPH, 100_000, seed=1)
 
 
 def test_cancel_abandons_speculative_blocks_immediately():
     """The cancel path must never wait out in-flight speculation.
 
-    The per-call pool used to be shut down with ``wait=True``, so a
-    cancelled 50M-round plan stalled until every queued block had run.
-    Speculative futures are now abandoned: latency stays bounded by
-    one block plus the poll interval even though far more rounds than
-    the bound could execute were queued at cancel time.
+    A cancelled 50M-round plan has thousands of blocks queued behind
+    the two in flight.  They are abandoned, not awaited: latency stays
+    bounded by one block plus the poll interval even though far more
+    rounds than the bound could execute were queued at cancel time —
+    and closing the engine right after does not wait for them either.
     """
     event = threading.Event()
-    engine = AuditEngine(n_workers=2)
     timer = threading.Timer(0.2, event.set)
     timer.start()
     started = time.monotonic()
     try:
-        with cancel_scope(event):
+        with AuditEngine(n_workers=2) as engine, cancel_scope(event):
             with pytest.raises(AuditCancelled):
                 engine.sample(GRAPH, 50_000_000, seed=1)
+            abandoned = engine.pool.stats()
     finally:
         timer.cancel()
     assert time.monotonic() - started < CANCEL_LATENCY_SECONDS
+    # Far fewer blocks were collected than the 12 000 the plan held.
+    assert abandoned["tasks"] < 50_000_000 // 4096
 
 
 def test_pooled_engine_cancels_within_one_block():

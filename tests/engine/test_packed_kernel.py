@@ -3,8 +3,11 @@
 The uint64 kernel evaluates 64 rounds per bitwise gate op but must stay
 *bit-identical* to the boolean reference path: both draw the same random
 stream, so every `BlockOutcome` field (rounds, top_failures, groups,
-raw_keys) and every merged `SamplingResult` must match exactly — for any
-graph, probability, block size, round count and worker count.
+raw_keys) must match exactly — for any graph, probability, block size
+and round count.  The boolean evaluator is reachable only through
+``run_block(packed=False)``; everything above a block is a
+deterministic composition of blocks, so block parity is the whole
+contract.
 """
 
 from __future__ import annotations
@@ -12,15 +15,12 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro import FailureSampler
 from repro.core.compile import (
     CompiledGraph,
     _threshold_words,
     pack_rounds,
     unpack_rounds,
 )
-from repro.core.componentset import ComponentSets
-from repro.engine import AuditEngine
 from repro.engine.batch import run_block
 
 from tests.core.test_property_core import fault_graphs
@@ -111,57 +111,3 @@ def test_run_block_packed_is_bit_identical(
         for packed in (True, False)
     ]
     assert outcomes[0] == outcomes[1]
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    fault_graphs(),
-    st.integers(1, 1000),             # rounds
-    st.sampled_from((64, 100, 256)),  # batch_size
-    st.integers(0, 2**31 - 1),
-)
-def test_sampler_packed_is_bit_identical(graph, rounds, batch_size, seed):
-    results = [
-        FailureSampler(
-            graph, seed=seed, batch_size=batch_size, packed=packed
-        ).run(rounds)
-        for packed in (True, False)
-    ]
-    packed_result, boolean_result = results
-    assert packed_result.rounds == boolean_result.rounds
-    assert packed_result.top_failures == boolean_result.top_failures
-    assert packed_result.risk_groups == boolean_result.risk_groups
-    assert packed_result.unique_failure_sets == boolean_result.unique_failure_sets
-    assert (
-        packed_result.top_probability_estimate
-        == boolean_result.top_probability_estimate
-    )
-
-
-# --------------------------------------------------------------------- #
-# Engine-level parity: kernel choice and worker count are invisible
-# --------------------------------------------------------------------- #
-
-SETS = {
-    "P0": ["shared-0", "shared-1", "p0-0", "p0-1", "p0-2"],
-    "P1": ["shared-0", "p1-0", "p1-1"],
-    "P2": ["shared-1", "p2-0", "p2-1", "p2-2"],
-}
-GRAPH = ComponentSets.from_mapping(SETS).to_fault_graph("packed-parity")
-
-
-def test_engine_packed_matches_boolean_for_any_worker_count():
-    reference = AuditEngine(block_size=512).sample(
-        GRAPH, 4000, seed=17, packed=False
-    )
-    for n_workers in (1, 2):
-        result = AuditEngine(n_workers=n_workers, block_size=512).sample(
-            GRAPH, 4000, seed=17
-        )
-        assert result.risk_groups == reference.risk_groups
-        assert result.top_failures == reference.top_failures
-        assert result.unique_failure_sets == reference.unique_failure_sets
-        assert (
-            result.top_probability_estimate
-            == reference.top_probability_estimate
-        )

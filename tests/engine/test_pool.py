@@ -1,10 +1,10 @@
 """Persistent worker pool: parity, reuse, repair, cancellation (ISSUE 10).
 
 The :class:`~repro.engine.pool.PersistentPool` must be invisible in the
-results: pooled audits are bit-identical to legacy per-call-pool and
-serial runs for any worker count, across interleaved audits of
-different graphs, worker-side LRU evictions, adaptive early stopping
-and injected worker kills.  The pool only changes the economics —
+results: pooled audits are bit-identical to serial runs for any worker
+count, across interleaved audits of different graphs, worker-side LRU
+evictions, adaptive early stopping, injected worker kills and a dead
+graph-store manager.  The pool only changes the economics —
 graphs ship once, workers stay warm — which :meth:`PersistentPool.stats`
 makes observable and these tests pin.
 
@@ -14,6 +14,8 @@ that reuse across many unrelated audits *is* the feature under test.
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 
@@ -85,18 +87,16 @@ def pools():
 
 
 class TestParity:
-    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "bool"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_pooled_fresh_and_serial_agree(self, pools, workers, packed):
+    def test_owned_shared_and_serial_agree(self, pools, workers):
         serial = serial_reference(GRAPH_A, 3000, seed=11)
-        legacy = AuditEngine(n_workers=workers, block_size=BLOCK).sample(
-            GRAPH_A, 3000, seed=11, packed=packed
-        )
-        pooled = AuditEngine(
+        with AuditEngine(n_workers=workers, block_size=BLOCK) as engine:
+            owned = engine.sample(GRAPH_A, 3000, seed=11)
+        shared = AuditEngine(
             n_workers=workers, block_size=BLOCK, pool=pools(workers)
-        ).sample(GRAPH_A, 3000, seed=11, packed=packed)
-        assert_same(legacy, serial)
-        assert_same(pooled, serial)
+        ).sample(GRAPH_A, 3000, seed=11)
+        assert_same(owned, serial)
+        assert_same(shared, serial)
 
     def test_fresh_single_use_pool_matches_shared_pool(self, pools):
         shared = AuditEngine(
@@ -214,6 +214,86 @@ class TestRepair:
             assert_same(engine.sample(GRAPH_A, 4000, seed=5), serial)
 
 
+    @pytest.mark.parametrize("when", ["after-publish", "between-plans"])
+    def test_dead_manager_recovers_and_pool_stays_usable(
+        self, monkeypatch, when
+    ):
+        """The graph store's manager process is a failure domain too.
+
+        Killed right after the graph is published, the workers' pulls
+        fail mid-plan; killed between plans, the parent's next publish
+        does.  Either way the plan finishes inline, bit-identically,
+        and the pool respawns a manager for the plan after it.
+        """
+        serial = serial_reference(GRAPH_A, 4000, seed=5)
+
+        def kill_manager(pool):
+            process = pool._resources["manager"]._process
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=10)
+            assert not process.is_alive()
+
+        with PersistentPool(2) as pool:
+            engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
+            if when == "between-plans":
+                assert_same(
+                    engine.sample(GRAPH_B, 2000, seed=4),
+                    serial_reference(GRAPH_B, 2000, seed=4),
+                )
+                kill_manager(pool)
+            else:
+                publish = pool._publish
+
+                def publish_then_die(*args):
+                    publish(*args)
+                    kill_manager(pool)
+
+                monkeypatch.setattr(pool, "_publish", publish_then_die)
+            assert_same(engine.sample(GRAPH_A, 4000, seed=5), serial)
+            monkeypatch.undo()
+            stats = pool.stats()
+            assert stats["respawns"] == 1
+            assert stats["inline_blocks"] == 4000 // BLOCK + 1
+            assert stats["published_graphs"] == 0
+            assert not pool._pins, "the interrupted plan leaked its pin"
+            # A second plan on the same pool: fresh manager, fresh
+            # workers, graphs republished, nothing run inline.
+            assert_same(engine.sample(GRAPH_A, 4000, seed=5), serial)
+            stats = pool.stats()
+            assert stats["respawns"] == 1
+            assert stats["inline_blocks"] == 4000 // BLOCK + 1
+            assert stats["published_graphs"] == 1
+
+    def test_failed_publish_releases_its_pin(self):
+        # Regression: the pin used to be taken before the try/finally
+        # that releases it, so a publish that raised leaked it forever.
+        pool = PersistentPool(2)
+        engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
+        pool.close()
+        with pytest.raises(AnalysisError):
+            engine.sample(GRAPH_A, 2000, seed=1)
+        assert not pool._pins
+
+    def test_map_jobs_repairs_a_broken_pool(self):
+        parent = os.getpid()
+        jobs = [(value, parent) for value in range(6)]
+        with PersistentPool(2) as pool:
+            doubled = pool.map_jobs(_double_or_die_in_worker, jobs)
+            assert doubled == [0, 2, 4, 6, 8, 10]
+            assert pool.stats()["respawns"] == 1
+            assert pool.stats()["jobs"] == 6
+            # The respawned executor serves the next sweep normally.
+            assert pool.map_jobs(_sleep_job, [(0.0,), (0.0,)]) == [0.0, 0.0]
+            assert pool.stats()["respawns"] == 1
+
+
+def _double_or_die_in_worker(value: int, parent_pid: int) -> int:
+    """Pure for the caller, fatal for any worker process that runs it."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return 2 * value
+
+
 # --------------------------------------------------------------------- #
 # Cancellation
 # --------------------------------------------------------------------- #
@@ -232,34 +312,25 @@ def _cancel_after(delay: float):
 
 
 class TestCancellation:
-    def test_map_jobs_honours_cancel_scope(self):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pooled"])
+    def test_map_jobs_honours_cancel_scope(self, pools, workers):
         # Regression (ISSUE 10 satellite): map_jobs used to hand the
         # whole batch to Executor.map and only return once every job
         # had run; ~15 s of queued sleep must now cancel within the
-        # block-latency bound.
+        # block-latency bound — between jobs inline, between polls of
+        # the next future through the pool.
+        pool = pools(workers)
         event, timer = _cancel_after(0.3)
         started = time.monotonic()
         try:
             with cancel_scope(event):
                 with pytest.raises(AuditCancelled):
-                    map_jobs(_sleep_job, [(3.0,)] * 10, 2)
-        finally:
-            timer.cancel()
-        assert time.monotonic() - started < CANCEL_LATENCY_SECONDS
-
-    def test_pool_map_jobs_honours_cancel_scope(self, pools):
-        pool = pools(2)
-        event, timer = _cancel_after(0.3)
-        started = time.monotonic()
-        try:
-            with cancel_scope(event):
-                with pytest.raises(AuditCancelled):
-                    pool.map_jobs(_sleep_job, [(3.0,)] * 10)
+                    map_jobs(_sleep_job, [(1.5,)] * 10, pool)
         finally:
             timer.cancel()
         assert time.monotonic() - started < CANCEL_LATENCY_SECONDS
         # Abandoned futures never poison later calls.
-        assert pool.map_jobs(_sleep_job, [(0.0,), (0.0,)]) == [0.0, 0.0]
+        assert map_jobs(_sleep_job, [(0.0,), (0.0,)], pool) == [0.0, 0.0]
 
     def test_pooled_sample_cancels_and_pool_survives(self, pools):
         pool = pools(2)
@@ -293,36 +364,34 @@ class TestPlumbing:
         assert task_key(GRAPH_A, [0.1, 0.2]) == task_key(GRAPH_A, [0.1, 0.2])
         assert task_key(GRAPH_A, [0.1, 0.2]) != task_key(GRAPH_A, [0.2, 0.1])
 
-    def test_pool_stats_surface_in_metadata_and_info(self, pools, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_DEFAULT", raising=False)
+    def test_pool_stats_surface_in_metadata_and_info(self, pools):
         pool = pools(2)
         engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
         result = engine.sample(GRAPH_A, 2000, seed=9)
         assert result.metadata["pool"]["enabled"] is True
         assert result.metadata["pool"]["workers"] == 2
         assert engine.info()["pool"]["enabled"] is True
-        plain = AuditEngine(n_workers=2, block_size=BLOCK)
-        assert plain.info()["pool"] == {"enabled": False}
+        inline = AuditEngine(n_workers=1, block_size=BLOCK)
+        assert inline.info()["pool"] == {"enabled": False}
 
-    def test_engine_owns_pool_with_pool_true(self):
-        with AuditEngine(n_workers=2, pool=True) as engine:
-            assert engine.pool is not None
-            assert engine.pool.workers == 2
-            shared = engine.pool
-        assert shared.stats()["closed"] is True
+    def test_multi_worker_engine_owns_a_lazy_pool(self):
+        with AuditEngine(n_workers=2) as engine:
+            owned = engine.pool
+            assert owned.workers == engine.fanout == 2
+            assert not owned.started
+        assert owned.stats()["closed"] is True
 
-    def test_pool_default_env_flips_engine_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_DEFAULT", "1")
-        engine = AuditEngine(n_workers=2)
-        try:
-            assert engine.pool is not None
-        finally:
-            engine.close()
-        monkeypatch.setenv("REPRO_POOL_DEFAULT", "0")
-        assert AuditEngine(n_workers=2).pool is None
+    def test_injected_pool_stays_the_callers(self, pools):
+        pool = pools(2)
+        with AuditEngine(n_workers=2, pool=pool) as engine:
+            assert engine.pool is pool
+            assert engine.delta().pool is pool
+        assert pool.stats()["closed"] is False
 
     def test_serial_engines_never_grow_a_pool(self):
-        assert AuditEngine(n_workers=1, pool=True).pool is None
+        engine = AuditEngine(n_workers=1)
+        assert engine.pool is None
+        assert engine.fanout == 1
 
     def test_delta_engine_inherits_pool(self, pools):
         pool = pools(2)
@@ -331,18 +400,31 @@ class TestPlumbing:
         assert_same(result, serial_reference(GRAPH_B, 2000, seed=13))
         assert result.metadata["pool"]["enabled"] is True
 
-    def test_job_manager_owns_a_server_pool(self, monkeypatch):
+    def test_job_manager_leaves_an_injected_engine_open(self):
         from repro.service.jobs import JobManager
 
-        monkeypatch.delenv("REPRO_POOL_DEFAULT", raising=False)
-        manager = JobManager(
-            DeltaAuditEngine(n_workers=2), workers=0, resume=False
-        )
-        pool = manager.engine.pool
-        assert pool is not None
-        assert manager.stats()["pool"]["enabled"] is True
+        with DeltaAuditEngine(n_workers=2) as engine:
+            manager = JobManager(engine, workers=0, resume=False)
+            assert manager.engine is engine
+            assert manager.stats()["pool"]["enabled"] is True
+            manager.shutdown(drain=False)
+            assert engine.pool.stats()["closed"] is False
+        assert engine.pool.stats()["closed"] is True
+
+    def test_job_manager_closes_the_engine_it_built(self, monkeypatch):
+        from repro.service import jobs
+
+        built = []
+
+        class Recording(DeltaAuditEngine):
+            def close(self):
+                built.append(self)
+                super().close()
+
+        monkeypatch.setattr(jobs, "DeltaAuditEngine", Recording)
+        manager = jobs.JobManager(workers=0, resume=False)
         manager.shutdown(drain=False)
-        assert pool.stats()["closed"] is True
+        assert built == [manager.engine]
 
     def test_closed_pool_refuses_new_plans(self):
         pool = PersistentPool(2)
