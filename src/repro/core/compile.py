@@ -87,6 +87,28 @@ def _threshold_words(child_words: np.ndarray, threshold: int) -> np.ndarray:
     return ge | eq
 
 
+def _threshold_bits(child_bits: Sequence[int], threshold: int) -> int:
+    """:func:`_threshold_words` over arbitrary-precision ``int`` bitsets:
+    the bits set in at least ``threshold`` of ``child_bits``.
+
+    Only called with ``2 <= threshold < len(child_bits)``, so the
+    comparator's ``eq`` (all ones, ``-1``) is always masked by a plane.
+    """
+    planes = [0] * len(child_bits).bit_length()
+    for carry in child_bits:
+        for p, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[p], carry = plane ^ carry, plane & carry
+    ge, eq = 0, -1
+    for p in reversed(range(len(planes))):
+        if (threshold >> p) & 1:
+            eq &= planes[p]
+        else:
+            ge |= eq & planes[p]
+    return ge | eq
+
+
 class CompiledGraph:
     """Flattened topological representation of a fault graph.
 
@@ -136,6 +158,7 @@ class CompiledGraph:
         ]
         self._thresholds_py: list[int] = thresholds.tolist()
         self._basic_set: set[int] = set(self.basic_index.tolist())
+        self._cones: Optional[tuple[tuple[int, ...], ...]] = None
 
     # ------------------------------------------------------------------ #
     # Batch evaluation
@@ -260,6 +283,57 @@ class CompiledGraph:
                 default_probability=default_probability,
             )
         )
+
+    # ------------------------------------------------------------------ #
+    # Row-bitset evaluation (one int per node, bit r = row r)
+    # ------------------------------------------------------------------ #
+
+    @property
+    def cones(self) -> tuple[tuple[int, ...], ...]:
+        """Per basic event (in :attr:`basic_names` order), the gates above
+        it — its ancestor cone — as node indices in topological order.
+
+        Changing one basic event's value can only change the gates in its
+        cone, so re-evaluating those (in this order) brings a full set of
+        node values up to date.  Derived from the child arrays on first
+        use and kept on the instance, so it shares the lifetime of
+        whatever cache holds the compiled graph.
+        """
+        if self._cones is None:
+            # above[n]: bitmask of n's strict ancestors.  Parents come
+            # after children in node order, so by the time a gate is
+            # visited (descending) its own mask is complete.
+            above = [0] * self.n_nodes
+            for gate in reversed(self.gate_order):
+                mask = above[gate] | (1 << gate)
+                for child in self._children_py[gate]:
+                    above[child] |= mask
+            self._cones = tuple(
+                tuple(g for g in self.gate_order if above[i] >> g & 1)
+                for i in self.basic_index.tolist()
+            )
+        return self._cones
+
+    def evaluate_gate_bits(self, gate: int, bits: Sequence[int]) -> int:
+        """Value of one gate from its children's row bitsets.
+
+        ``bits[n]`` is node ``n``'s value as an arbitrary-precision int
+        whose bit ``r`` is row ``r``; the same OR / AND / bit-sliced
+        k-of-n split as :meth:`evaluate_batch_packed`, one gate at a time.
+        """
+        kids = self._children_py[gate]
+        k = self._thresholds_py[gate]
+        if k <= 1:
+            value = 0
+            for child in kids:
+                value |= bits[child]
+            return value
+        if k >= len(kids):
+            value = -1
+            for child in kids:
+                value &= bits[child]
+            return value
+        return _threshold_bits([bits[child] for child in kids], k)
 
     # ------------------------------------------------------------------ #
     # Single-assignment evaluation

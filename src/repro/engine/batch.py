@@ -4,14 +4,20 @@ The seed implementation of :class:`~repro.core.sampling.FailureSampler`
 evaluated rounds in NumPy batches but then fell back into a per-failing-row
 Python loop for witness extraction and greedy cut minimisation.  On dense
 graphs most rounds fail, so that loop dominated the runtime.  This module
-moves both steps to whole-block NumPy operations:
+moves both steps to whole-block operations:
 
 * :func:`extract_witnesses_batch` walks the gate array once per gate (not
   once per round), selecting each failing gate's required children for all
   rounds simultaneously;
 * :func:`minimise_cuts_batch` greedily shrinks a whole block of witnesses
-  by batch-evaluating one candidate-event removal across every witness
-  that still contains it;
+  over row bitsets (one int per node, bit ``r`` = witness ``r``): the
+  graph is evaluated once, and trying to drop one candidate event from
+  every witness that still contains it re-evaluates only that event's
+  ancestor cone.  A gate outside the cone cannot see the change, and on a
+  monotone graph clearing an input only clears bits, so OR-ing the old
+  cone values back for the rows whose top stopped failing undoes exactly
+  their trial — the result equals trial-evaluating each candidate
+  against the whole graph;
 * :func:`run_block` ties sampling, evaluation and both steps together
   into the unit of work the serial sampler and the parallel engine share.
 
@@ -26,6 +32,8 @@ this is what makes serial/parallel parity exact (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,6 +128,30 @@ def extract_witnesses_batch(
     return witnesses
 
 
+def _rows_to_bits(columns: np.ndarray) -> list[int]:
+    """One int per row of a boolean ``(n, m)`` matrix: bit ``r`` of
+    ``result[i]`` is ``columns[i, r]``.
+
+    Same bit order as :func:`~repro.core.compile.pack_rounds`, minus its
+    padding to whole uint64 words — ``np.pad`` alone costs more than the
+    rest of a small block's minimisation.
+    """
+    packed = np.packbits(columns, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _bits_to_rows(bits: Sequence[int], m: int) -> np.ndarray:
+    """Inverse of :func:`_rows_to_bits` for ``m``-bit ints."""
+    width = (m + 7) // 8
+    packed = np.frombuffer(
+        b"".join(value.to_bytes(width, "little") for value in bits),
+        dtype=np.uint8,
+    ).reshape(len(bits), width)
+    return np.unpackbits(packed, axis=1, count=m, bitorder="little").astype(
+        bool
+    )
+
+
 def minimise_cuts_batch(
     compiled: CompiledGraph,
     cuts: np.ndarray,
@@ -130,10 +162,19 @@ def minimise_cuts_batch(
     The scalar algorithm tries to drop each event of one cut in turn,
     keeping a drop whenever the top event still fails.  Here the loop is
     inverted: for each candidate event (in one shuffled order shared by
-    the block) every cut still containing it is trial-evaluated in a
-    single batch.  One pass suffices — the graph is monotone, so an event
-    that could not be dropped against a superset can never be dropped
-    against the final subset.
+    the block) the drop is tried for every cut still containing it at
+    once.  One pass suffices — the graph is monotone, so an event that
+    could not be dropped against a superset can never be dropped against
+    the final subset.
+
+    Node values are kept as one row bitset per node (bit ``r`` = cut
+    ``r``) and are always the evaluation of the current cuts.  Trying a
+    candidate clears its bit for the rows holding it and re-evaluates
+    only the gates above it (:attr:`CompiledGraph.cones`); every other
+    node cannot change.  Rows whose top stopped failing get the cone's
+    previous values back — by monotonicity the new values are a subset
+    of the old, so OR-ing the old bits of exactly those rows restores
+    them.  The whole graph is evaluated once, not once per candidate.
 
     Args:
         cuts: ``(m, n_basic)`` boolean matrix; every row must be a risk
@@ -141,26 +182,61 @@ def minimise_cuts_batch(
 
     Returns:
         A new ``(m, n_basic)`` matrix of row-wise minimal risk groups.
+
+    Raises:
+        FaultGraphError: on a shape mismatch, or when some row is not a
+            risk group.
     """
-    current = np.array(cuts, dtype=bool)
-    if current.ndim != 2 or current.shape[1] != compiled.n_basic:
+    cuts = np.asarray(cuts, dtype=bool)
+    if cuts.ndim != 2 or cuts.shape[1] != compiled.n_basic:
         raise FaultGraphError(
-            f"expected shape (m, {compiled.n_basic}), got {current.shape}"
+            f"expected shape (m, {compiled.n_basic}), got {cuts.shape}"
         )
-    sizes = current.sum(axis=1)
-    candidates = np.flatnonzero(current.any(axis=0))
-    order = rng.permutation(candidates)
-    for position in order:
-        rows = np.flatnonzero(current[:, position] & (sizes > 1))
-        if rows.size == 0:
+    m = cuts.shape[0]
+    evaluate = compiled.evaluate_gate_bits
+    bits = [0] * compiled.n_nodes
+    basic_nodes = compiled.basic_index.tolist()
+    for node, value in zip(basic_nodes, _rows_to_bits(cuts.T)):
+        bits[node] = value
+    for gate in compiled.gate_order:
+        bits[gate] = evaluate(gate, bits)
+    top = compiled.top_index
+    if bits[top] != (1 << m) - 1:
+        raise FaultGraphError("cannot minimise: some rows are not risk groups")
+
+    # Row sizes as a bit-sliced counter (planes[p] = bit p of every row's
+    # size), so "size > 1" and "size -= 1" stay bitset operations.
+    sizes = cuts.sum(axis=1)
+    shifts = np.arange(int(sizes.max(initial=0)).bit_length())
+    planes = _rows_to_bits((sizes >> shifts[:, None] & 1).astype(bool))
+    multi = reduce(or_, planes[1:], 0)
+    candidates = np.flatnonzero(cuts.any(axis=0))
+    cones = compiled.cones
+    for position in rng.permutation(candidates).tolist():
+        node = basic_nodes[position]
+        live = bits[node] & multi
+        if not live:
             continue
-        trial = current[rows]
-        trial[:, position] = False
-        still_failing = compiled.evaluate_batch(trial)
-        dropped = rows[still_failing]
-        current[dropped, position] = False
-        sizes[dropped] -= 1
-    return current
+        cone = cones[position]
+        before = [bits[gate] for gate in cone]
+        bits[node] ^= live
+        for gate in cone:
+            bits[gate] = evaluate(gate, bits)
+        kept = live & ~bits[top]
+        if kept:
+            bits[node] |= kept
+            for gate, old in zip(cone, before):
+                bits[gate] |= old & kept
+        borrow = live ^ kept
+        if borrow:
+            for p, plane in enumerate(planes):
+                planes[p], borrow = plane ^ borrow, borrow & ~plane
+                if not borrow:
+                    break
+            multi = reduce(or_, planes[1:], 0)
+    return np.ascontiguousarray(
+        _bits_to_rows([bits[node] for node in basic_nodes], m).T
+    )
 
 
 def _unique_rows(rows: np.ndarray, width: int) -> np.ndarray:
