@@ -6,8 +6,12 @@ protocols — same counts, same transfer log, same per-party RNG end
 states — for any worker count.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro import api
 from repro.crypto import SharedGroup, generate_keypair
 from repro.errors import ProtocolError
 from repro.privacy import (
@@ -180,6 +184,42 @@ SETS = {
     "CloudC": ["d", "e", "s"],
     "CloudD": ["f", "s", "a"],
 }
+
+
+#: ``pia_report`` documents (minus ``elapsed_seconds``) for ``SETS`` at
+#: ``group_bits=768, minhash_size=32``, generated before the two PIA
+#: drivers were merged and reproduced by both of them.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "pia_reports.json").read_text()
+)
+PROTOCOLS = ["plaintext", "psop", "psop-minhash"]
+
+
+def report_bytes(report) -> str:
+    document = report.to_dict()
+    del document["elapsed_seconds"]
+    return api.canonical_json(document)
+
+
+class TestPIAGolden:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("driver", [PIAAuditor, PIAPipeline])
+    def test_audit(self, driver, protocol):
+        report = driver(
+            SETS, protocol=protocol, group_bits=768, minhash_size=32
+        ).audit(ways=2)
+        assert report_bytes(report) == api.canonical_json(
+            GOLDEN["audit"][protocol]
+        )
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_audit_n_of_m(self, protocol):
+        report = PIAAuditor(
+            SETS, protocol=protocol, group_bits=768, minhash_size=32
+        ).audit_n_of_m(2, list(SETS))
+        assert report_bytes(report) == api.canonical_json(
+            GOLDEN["audit_n_of_m"][protocol]
+        )
 
 
 class TestPIAPipeline:
