@@ -147,7 +147,7 @@ def test_fig8_psop_fast_path_speedup(emit, scale):
     params = PARAMS[scale]
     group = SharedGroup.with_bits(params["group_bits"])
 
-    def sweep(fast: bool, n_workers: int = 0):
+    def sweep(run):
         total = 0.0
         results = {}
         for k in (2, 3, 4):
@@ -156,16 +156,14 @@ def test_fig8_psop_fast_path_speedup(emit, scale):
                     PSOPParty(f"P{i}", dataset(i, n), group, seed=i)
                     for i in range(k)
                 ]
-                protocol = PSOPProtocol(
-                    parties, fast=fast, n_workers=n_workers
-                )
+                protocol = PSOPProtocol(parties)
                 started = time.perf_counter()
-                results[(k, n)] = protocol.run()
+                results[(k, n)] = run(protocol)
                 total += time.perf_counter() - started
         return total, results
 
-    serial_seconds, serial_results = sweep(fast=False)
-    fast_seconds, fast_results = sweep(fast=True)
+    serial_seconds, serial_results = sweep(PSOPProtocol.run_serial)
+    fast_seconds, fast_results = sweep(PSOPProtocol.run)
 
     # Bit-identical protocol outputs for every configuration.
     for key, serial in serial_results.items():
@@ -183,7 +181,7 @@ def test_fig8_psop_fast_path_speedup(emit, scale):
     parties = [
         PSOPParty(f"P{i}", dataset(i, n), group, seed=i) for i in range(k)
     ]
-    fanned = PSOPProtocol(parties, fast=True, n_workers=2).run()
+    fanned = PSOPProtocol(parties, n_workers=2).run()
     assert fanned.intersection == fast_results[(k, n)].intersection
     assert fanned.union == fast_results[(k, n)].union
     assert fanned.total_bytes == fast_results[(k, n)].total_bytes

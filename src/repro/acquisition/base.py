@@ -33,31 +33,19 @@ class DependencyAcquisitionModule(abc.ABC):
     """Base class for all DAMs.
 
     Subclasses set :attr:`kind` (``"network"``, ``"hardware"`` or
-    ``"software"``) and implement either :meth:`stream` (preferred — a
-    generator, so arbitrarily large sources never materialise a record
-    list) or the legacy list-returning :meth:`collect`; each default
-    implementation falls back to the other.
+    ``"software"``) and implement :meth:`stream` — a generator, so
+    arbitrarily large sources never materialise a record list.
     """
 
     #: Record category this module produces.
     kind: str = ""
 
+    @abc.abstractmethod
     def stream(self) -> Iterator[DependencyRecord]:
         """Yield dependency records from this module's data source."""
-        if type(self).collect is DependencyAcquisitionModule.collect:
-            raise AcquisitionError(
-                f"{type(self).__name__} implements neither stream() "
-                f"nor collect()"
-            )
-        yield from self.collect()
 
     def collect(self) -> list[DependencyRecord]:
-        """Gather dependency records as a list (legacy adapter shape)."""
-        if type(self).stream is DependencyAcquisitionModule.stream:
-            raise AcquisitionError(
-                f"{type(self).__name__} implements neither stream() "
-                f"nor collect()"
-            )
+        """Every record of :meth:`stream`, as a list."""
         return list(self.stream())
 
     def adapt_into(self, depdb: DepDB, batch_size: int = 1024) -> int:

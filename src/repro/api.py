@@ -22,17 +22,12 @@ The three transport dataclasses:
   (sorted keys, fixed separators), which is what lets the server cache
   and serve reports content-addressed by structural hash.
 * :class:`JobStatus` — lifecycle of one server-side audit job.
-
-Old ad-hoc report dicts (pre-``schema_version``) are still accepted by
-:meth:`AuditReport.from_dict` behind a :class:`DeprecationWarning` — a
-shim, not a break.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -449,14 +444,10 @@ class AuditReport:
         if not isinstance(payload, Mapping):
             raise SpecificationError("audit_report must be a JSON object")
         if "schema_version" not in payload:
-            warnings.warn(
-                "parsing a pre-schema_version report dict; emit the "
-                "canonical repro.api.AuditReport schema instead",
-                DeprecationWarning,
-                stacklevel=2,
+            raise SpecificationError(
+                "audit_report.schema_version is required"
             )
-        else:
-            _check_schema_version(payload, "audit_report")
+        _check_schema_version(payload, "audit_report")
         deployments = payload.get("deployments")
         if not isinstance(deployments, list):
             raise SpecificationError(

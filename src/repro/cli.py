@@ -338,13 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     pia.add_argument(
-        "--serial", action="store_true",
-        help=(
-            "run the serial reference protocols instead of the batched "
-            "fast path (same results, for timing comparisons)"
-        ),
-    )
-    pia.add_argument(
         "--timings", action="store_true",
         help="append protocol wall-clock and wire-byte totals",
     )
@@ -820,38 +813,20 @@ def _run_pia(args: argparse.Namespace) -> int:
         raise SpecificationError(
             "component-set file must map provider names to lists"
         )
-    if args.serial and args.workers:
-        raise SpecificationError(
-            "--serial and --workers are mutually exclusive: the serial "
-            "reference runs in-process"
-        )
-    if args.workers:
-        from repro.privacy.pipeline import PIAPipeline
-
-        auditor = PIAPipeline(
-            payload,
-            protocol=args.protocol,
-            group_bits=args.group_bits,
-            n_workers=args.workers,
-        )
-    else:
-        auditor = PIAAuditor(
-            payload,
-            protocol=args.protocol,
-            group_bits=args.group_bits,
-            fast=not args.serial,
-        )
-    report = auditor.audit(ways=args.ways)
+    report = PIAAuditor(
+        payload,
+        protocol=args.protocol,
+        group_bits=args.group_bits,
+        n_workers=args.workers,
+    ).audit(ways=args.ways)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
         return 0
     print(report.render_text())
     if args.timings:
-        mode = "serial" if args.serial else "fast"
         print(
             f"timings: {report.elapsed_seconds:.3f} s wall clock, "
-            f"{report.total_bytes} wire bytes "
-            f"({mode}, workers={args.workers})"
+            f"{report.total_bytes} wire bytes (workers={args.workers})"
         )
     return 0
 

@@ -964,8 +964,7 @@ class WatchService:
     Each emitted line is a canonical ``repro.api`` event (the same field
     names as the audit server's job event stream): ``kind="event"``,
     ``event="iteration"`` (or ``"error"``), ``seq``, ``elapsed_seconds``
-    and the iteration payload.  ``iteration`` is kept as a deprecated
-    alias of ``seq`` for pre-schema consumers.
+    and the iteration payload.
 
     Args:
         directory: Directory of ``audit-many``-style spec files.
@@ -1126,7 +1125,6 @@ class WatchService:
             return api.job_event(
                 "error",
                 seq=self.iterations,
-                iteration=self.iterations,
                 directory=str(self.directory),
                 error=str(exc),
                 elapsed_seconds=time.perf_counter() - started,
@@ -1143,7 +1141,6 @@ class WatchService:
         return api.job_event(
             "iteration",
             seq=self.iterations,
-            iteration=self.iterations,
             directory=str(self.directory),
             deployments=len(jobs),
             delta=outcome.delta.to_dict(),

@@ -27,7 +27,6 @@ from repro.privacy.normalize import (
     normalize_router,
 )
 from repro.privacy.pia import PIAAuditor, PIAEntry, PIAReport
-from repro.privacy.pipeline import PIAPipeline, run_ks_fast, run_psop_fast
 from repro.privacy.psop import PSOPParty, PSOPProtocol, PSOPResult
 from repro.privacy.smpc import SMPCResult, smpc_intersection_cardinality
 
@@ -40,7 +39,6 @@ __all__ = [
     "NormalizedComponent",
     "PIAAuditor",
     "PIAEntry",
-    "PIAPipeline",
     "PIAReport",
     "PSOPParty",
     "PSOPProtocol",
@@ -61,7 +59,5 @@ __all__ = [
     "normalize_component_set",
     "normalize_package",
     "normalize_router",
-    "run_ks_fast",
-    "run_psop_fast",
     "smpc_intersection_cardinality",
 ]

@@ -28,6 +28,18 @@ single party — and no agent — can decrypt alone:
 The encrypted Horner step costs O(n) ciphertext exponentiations per
 element — O(n²) big-modexps total — which is why Figure 8b shows KS
 orders of magnitude slower than P-SOP.
+
+Two executions produce the same counts, transfer log and per-party RNG
+end states for the same seeds: the *serial* reference
+(:meth:`KSProtocol.run_serial`) performs one exponentiation at a time;
+the *batched* execution (:meth:`KSProtocol.run`) draws encryption noise
+in serial order but exponentiates ``r^n mod n^2`` in one batch, turns
+the encrypted Horner evaluation into a simultaneous
+multi-exponentiation against fixed-base digit tables of the aggregated
+coefficients, and batches the threshold-decryption shares.  (Evaluation
+ciphertexts may differ from the serial transcript in their *noise
+component* because multi-exponentiation reduces exponents mod n — every
+plaintext, count and byte total still matches exactly.)
 """
 
 from __future__ import annotations
@@ -38,14 +50,21 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from repro.crypto.fastexp import digit_table, multi_exp
 from repro.crypto.paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
     generate_keypair,
 )
 from repro.crypto.permutation import Permuter
+from repro.engine.parallel import map_jobs
 from repro.errors import ProtocolError
 from repro.privacy.network_sim import ProtocolNetwork
+from repro.privacy.pipeline import (
+    _batched_pow_pairs,
+    _batched_pows,
+    _open_pool,
+)
 
 __all__ = ["KSParty", "KSResult", "KSProtocol"]
 
@@ -90,6 +109,37 @@ def _poly_multiply(a: Sequence[int], b: Sequence[int], modulus: int) -> list[int
             continue
         for j, cb in enumerate(b):
             out[i + j] = (out[i + j] + ca * cb) % modulus
+    return out
+
+
+def _power_vector(x: int, count: int, modulus: int) -> list[int]:
+    """``[x^0, x^1, ..., x^(count-1)] mod modulus``."""
+    ys = [1] * count
+    acc = 1
+    for j in range(1, count):
+        acc = acc * x % modulus
+        ys[j] = acc
+    return ys
+
+
+def _eval_party_job(
+    aggregated: Sequence[int],
+    xs: Sequence[int],
+    blinds: Sequence[int],
+    n: int,
+    nsq: int,
+) -> list[int]:
+    """Worker kernel: one party's blinded encrypted evaluations.
+
+    Rebuilds the coefficient digit tables locally (cheaper than
+    pickling them) — a pure function of its arguments, so results are
+    identical wherever it runs.
+    """
+    tables = [digit_table(c, nsq) for c in aggregated]
+    out = []
+    for x, blind in zip(xs, blinds):
+        value = multi_exp(tables, _power_vector(x, len(tables), n), nsq)
+        out.append(pow(value, blind, nsq))
     return out
 
 
@@ -172,10 +222,7 @@ class KSProtocol:
         key_bits: Paillier modulus size (paper: 1024).
         keypair: Pre-generated keypair (key generation dominates small
             runs; benchmarks share one across configurations).
-        fast: Run the batched fast path (default).  The serial reference
-            remains available via ``fast=False`` / :meth:`run_serial`;
-            both produce bit-identical results for the same seeds.
-        n_workers: Process fan-out for the fast path's exponentiation
+        n_workers: Process fan-out for :meth:`run`'s exponentiation
             batches (0/1 = inline; results are identical for any count).
     """
 
@@ -189,7 +236,6 @@ class KSProtocol:
             tuple[PaillierPublicKey, PaillierPrivateKey]
         ] = None,
         *,
-        fast: bool = True,
         n_workers: int = 0,
     ) -> None:
         if len(parties) < 2:
@@ -198,7 +244,6 @@ class KSProtocol:
         if len(set(names)) != len(names):
             raise ProtocolError(f"duplicate party names: {names}")
         self.parties = list(parties)
-        self.fast = fast
         self.n_workers = n_workers
         self.network = network if network is not None else ProtocolNetwork()
         self.network.register(names)
@@ -234,15 +279,146 @@ class KSProtocol:
         return (l_value * self.private.mu) % public.n
 
     def run(self) -> KSResult:
-        """Execute the protocol (fast path unless ``fast=False``)."""
-        if self.fast:
-            from repro.privacy.pipeline import run_ks_fast
+        """Batched execution, bit-identical to :meth:`run_serial`.
 
-            return run_ks_fast(self, n_workers=self.n_workers)
-        return self.run_serial()
+        The encrypted Horner rule costs ``d`` full exponentiations per
+        element; the simultaneous multi-exponentiation against the fixed
+        aggregated-coefficient tables shares one squaring chain per
+        element instead, and the same digit tables serve every element
+        of every party.  Encryption noise and threshold-decryption
+        shares run as whole-dataset batches, over one pool shared by
+        all stages.
+        """
+        with _open_pool(self.n_workers) as pool:
+            return self._run_batched(pool)
+
+    def _run_batched(self, pool) -> KSResult:
+        started = time.perf_counter()
+        public = self.public
+        network = self.network
+        parties = self.parties
+        n, nsq = public.n, public.nsq
+        width = public.ciphertext_bytes
+        k = len(parties)
+
+        # Step 2: masked polynomials.  Mask coefficients and encryption
+        # noise are drawn in the exact serial order (per party: mask poly
+        # first, then one noise draw per coefficient); only the ``r^n``
+        # exponentiations are batched.
+        coeff_lists: list[list[int]] = []
+        noises: list[int] = []
+        for party in parties:
+            coeffs = party.masked_polynomial(n)
+            coeff_lists.append(coeffs)
+            noises.extend(public.draw_noise(party._rng) for _ in coeffs)
+        noise_powers = _batched_pows(noises, n, nsq, pool)
+
+        aggregated: list[Optional[int]] = []
+        position = 0
+        for i, (party, coeffs) in enumerate(zip(parties, coeff_lists)):
+            encrypted = [
+                public.raw_encrypt(c, rn)
+                for c, rn in zip(
+                    coeffs, noise_powers[position : position + len(coeffs)]
+                )
+            ]
+            position += len(coeffs)
+            if len(encrypted) > len(aggregated):
+                aggregated.extend([None] * (len(encrypted) - len(aggregated)))
+            for j, coeff in enumerate(encrypted):
+                aggregated[j] = (
+                    coeff
+                    if aggregated[j] is None
+                    else public.add(aggregated[j], coeff)
+                )
+            if i < k - 1:
+                network.send_elements(
+                    party.name,
+                    parties[i + 1].name,
+                    [c for c in aggregated if c is not None],
+                    width,
+                    phase="ring",
+                )
+        last = parties[-1]
+        for party in parties[:-1]:
+            network.send_elements(
+                last.name, party.name, aggregated, width, phase="broadcast"
+            )
+
+        # Step 3: blinded encrypted evaluations.  Per party and element the
+        # serial path draws exactly one blind (Horner draws nothing), so
+        # pre-drawing the blinds preserves the RNG streams.
+        xs = [[_hash_element(e, n) for e in party.elements] for party in parties]
+        blinds = [
+            [party._rng.randrange(1, n) for _ in party.elements]
+            for party in parties
+        ]
+        if pool is not None and k > 1:
+            raw_evals = map_jobs(
+                _eval_party_job,
+                [(aggregated, xs[i], blinds[i], n, nsq) for i in range(k)],
+                pool,
+            )
+        else:
+            # Inline, one set of digit tables serves every party.
+            tables = [digit_table(c, nsq) for c in aggregated]
+            raw_evals = [
+                [
+                    pow(
+                        multi_exp(
+                            tables, _power_vector(x, len(tables), n), nsq
+                        ),
+                        blind,
+                        nsq,
+                    )
+                    for x, blind in zip(xs[i], blinds[i])
+                ]
+                for i in range(k)
+            ]
+        batches: list[list[int]] = []
+        for party, evals in zip(parties, raw_evals):
+            shuffled = party.permuter.shuffle(evals)
+            batches.append(shuffled)
+            for receiver in parties:
+                if receiver is party:
+                    continue
+                network.send_elements(
+                    party.name, receiver.name, shuffled, width,
+                    phase="evaluations",
+                )
+
+        # Step 4: threshold-decryption shares — every party's partials over
+        # every evaluation ciphertext as one flat pair batch (one sweep, not
+        # one per party; shares may be negative, pow inverts modularly).
+        all_ciphertexts = [c for batch in batches for c in batch]
+        pairs = [
+            (c, party._lam_share) for party in parties for c in all_ciphertexts
+        ]
+        flat_partials = _batched_pow_pairs(pairs, nsq, pool)
+        partials_by_party = []
+        for i, party in enumerate(parties):
+            partials = flat_partials[
+                i * len(all_ciphertexts) : (i + 1) * len(all_ciphertexts)
+            ]
+            partials_by_party.append(partials)
+            for receiver in parties:
+                if receiver is party:
+                    continue
+                network.send_elements(
+                    party.name, receiver.name, partials, width,
+                    phase="decryption-shares",
+                )
+
+        return self._result(
+            batches, partials_by_party, len(aggregated) - 1, width, started
+        )
 
     def run_serial(self) -> KSResult:
-        """Reference execution: one exponentiation at a time."""
+        """Reference execution: one exponentiation at a time.
+
+        The specification :meth:`run` is held to (parity tests, the
+        Figure-8 bench); nothing in ``src/`` calls it.
+        """
         started = time.perf_counter()
         public = self.public
         width = public.ciphertext_bytes

@@ -25,10 +25,12 @@ from typing import Mapping, Optional, Sequence
 from repro.cloud.deployment import enumerate_deployments
 from repro.crypto.commutative import SharedGroup
 from repro.crypto.hashing import HashFamily
+from repro.engine.parallel import map_jobs
 from repro.errors import ProtocolError
 from repro.privacy.jaccard import is_significantly_correlated, jaccard
 from repro.privacy.minhash import minhash_signature
 from repro.privacy.network_sim import ProtocolNetwork
+from repro.privacy.pipeline import _open_pool
 from repro.privacy.psop import PSOPParty, PSOPProtocol
 
 __all__ = ["PIAEntry", "PIAReport", "PIAAuditor"]
@@ -102,8 +104,32 @@ class PIAReport:
         return "\n".join(lines)
 
 
+def _psop_job(
+    names: Sequence[str],
+    inputs: Sequence[Sequence[str]],
+    group: SharedGroup,
+    seeds: Sequence[Optional[int]],
+    network: Optional[ProtocolNetwork] = None,
+) -> tuple[int, float, int]:
+    """Worker kernel: one deployment's P-SOP measurement.
+
+    Returns ``(intersection, jaccard, wire bytes moved)``.
+    """
+    parties = [
+        PSOPParty(name, elements, group, seed=seed)
+        for name, elements, seed in zip(names, inputs, seeds)
+    ]
+    result = PSOPProtocol(parties, network=network).run()
+    return result.intersection, result.jaccard, result.total_bytes
+
+
 class PIAAuditor:
     """Agent-side PIA driver.
+
+    Measurements for candidate deployments are independent, so
+    :meth:`audit` and :meth:`audit_n_of_m` fan them out over a process
+    pool; party seeds depend only on the position inside a deployment,
+    making reports identical for any worker count.
 
     Args:
         component_sets: ``{provider: normalised component identifiers}``.
@@ -111,8 +137,8 @@ class PIAAuditor:
         group_bits: Commutative-group modulus size (paper: 1024).
         minhash_size: Signature length m for the MinHash variant.
         seed: Base seed for party keys/permutations (reproducibility).
-        fast: Run protocols through the batched fast path (default);
-            ``fast=False`` selects the serial reference execution.
+        n_workers: Deployment fan-out (0/1 = inline); each report opens
+            one pool for its sweep and closes it.
     """
 
     def __init__(
@@ -122,7 +148,7 @@ class PIAAuditor:
         group_bits: int = 1024,
         minhash_size: int = 256,
         seed: Optional[int] = 0,
-        fast: bool = True,
+        n_workers: int = 0,
     ) -> None:
         if len(component_sets) < 2:
             raise ProtocolError("PIA needs at least two providers")
@@ -137,8 +163,7 @@ class PIAAuditor:
         self.protocol = protocol
         self.minhash_size = minhash_size
         self.seed = seed
-        self.fast = fast
-        self._group: Optional[SharedGroup] = None
+        self.n_workers = n_workers
         self._group_bits = group_bits
         self._family = HashFamily(size=minhash_size, seed=0 if seed is None else seed)
 
@@ -146,10 +171,57 @@ class PIAAuditor:
     def providers(self) -> list[str]:
         return list(self.sets)
 
-    def _shared_group(self) -> SharedGroup:
-        if self._group is None:
-            self._group = SharedGroup.with_bits(self._group_bits)
-        return self._group
+    def _check_known(self, names: Sequence[str]) -> None:
+        missing = [n for n in names if n not in self.sets]
+        if missing:
+            raise ProtocolError(f"unknown providers: {missing}")
+
+    def _inputs(self, name: str) -> list[str]:
+        """One provider's protocol input (sorted set or MinHash slots)."""
+        if self.protocol == "psop-minhash":
+            return minhash_signature(
+                self.sets[name], self._family
+            ).slot_elements()
+        return sorted(self.sets[name])
+
+    def _measure(
+        self,
+        subsets: Sequence[tuple[str, ...]],
+        network: Optional[ProtocolNetwork] = None,
+    ) -> tuple[list[float], int]:
+        """Similarity of every subset, in order, and the wire bytes moved."""
+        if self.protocol == "plaintext":
+            return [
+                jaccard([self.sets[n] for n in members]) for members in subsets
+            ], 0
+        inputs = {
+            name: self._inputs(name)
+            for name in {n for members in subsets for n in members}
+        }
+        group = SharedGroup.with_bits(self._group_bits)
+        jobs = [
+            (
+                members,
+                [inputs[n] for n in members],
+                group,
+                [
+                    None if self.seed is None else self.seed + 17 * i
+                    for i in range(len(members))
+                ],
+                network,
+            )
+            for members in subsets
+        ]
+        with _open_pool(self.n_workers) as workers:
+            outcomes = map_jobs(_psop_job, jobs, workers)
+        # psop-minhash estimates delta/m: agreeing slots over signature
+        # size (§4.2.4).
+        estimated = self.protocol == "psop-minhash"
+        values = [
+            intersection / self.minhash_size if estimated else value
+            for intersection, value, _ in outcomes
+        ]
+        return values, sum(n_bytes for _, _, n_bytes in outcomes)
 
     # ------------------------------------------------------------------ #
     # Single-deployment measurement
@@ -165,42 +237,44 @@ class PIAAuditor:
         Returns:
             (jaccard, estimated?, wire bytes moved)
         """
-        names = list(deployment)
-        missing = [n for n in names if n not in self.sets]
-        if missing:
-            raise ProtocolError(f"unknown providers: {missing}")
+        names = tuple(deployment)
+        self._check_known(names)
         if len(names) < 2:
             raise ProtocolError("a deployment needs at least two providers")
-        if self.protocol == "plaintext":
-            return jaccard([self.sets[n] for n in names]), False, 0
-        group = self._shared_group()
-        if self.protocol == "psop":
-            inputs = {n: sorted(self.sets[n]) for n in names}
-            estimated = False
-        else:  # psop-minhash
-            inputs = {
-                n: minhash_signature(self.sets[n], self._family).slot_elements()
-                for n in names
-            }
-            estimated = True
-        parties = [
-            PSOPParty(
-                name,
-                inputs[name],
-                group,
-                seed=None if self.seed is None else self.seed + 17 * i,
-            )
-            for i, name in enumerate(names)
-        ]
-        result = PSOPProtocol(parties, network=network, fast=self.fast).run()
-        if self.protocol == "psop-minhash":
-            # delta/m: agreeing slots over signature size (§4.2.4).
-            return result.intersection / self.minhash_size, True, result.total_bytes
-        return result.jaccard, estimated, result.total_bytes
+        values, n_bytes = self._measure([names], network)
+        return values[0], self.protocol == "psop-minhash", n_bytes
 
     # ------------------------------------------------------------------ #
     # Reports
     # ------------------------------------------------------------------ #
+
+    def _report(
+        self,
+        pool: Sequence[str],
+        subsets: Sequence[tuple[str, ...]],
+        title: str,
+        metadata: dict,
+    ) -> PIAReport:
+        """Measure every subset of ``pool`` and rank them ascending."""
+        started = time.perf_counter()
+        values, total_bytes = self._measure(subsets)
+        entries = [
+            PIAEntry(
+                rank=i + 1,
+                deployment=members,
+                jaccard=value,
+                estimated=self.protocol == "psop-minhash",
+            )
+            for i, (value, members) in enumerate(sorted(zip(values, subsets)))
+        ]
+        return PIAReport(
+            title=title,
+            entries=entries,
+            protocol=self.protocol,
+            total_bytes=total_bytes,
+            elapsed_seconds=time.perf_counter() - started,
+            metadata={"providers": list(pool), **metadata},
+        )
 
     def audit_n_of_m(
         self,
@@ -218,37 +292,17 @@ class PIAAuditor:
         correlated the full pool is.
         """
         pool = list(providers)
+        self._check_known(pool)
         if not 2 <= n <= len(pool):
             raise ProtocolError(f"n={n} outside 2..{len(pool)}")
-        started = time.perf_counter()
-        measured = []
-        total_bytes = 0
-        estimated_any = False
         subsets = [d.members for d in enumerate_deployments(pool, n)]
         if len(pool) > n:
             subsets.append(tuple(pool))
-        for members in subsets:
-            value, estimated, n_bytes = self.measure(members)
-            measured.append((value, members))
-            total_bytes += n_bytes
-            estimated_any = estimated_any or estimated
-        measured.sort(key=lambda t: (t[0], t[1]))
-        entries = [
-            PIAEntry(
-                rank=i + 1,
-                deployment=members,
-                jaccard=value,
-                estimated=estimated_any,
-            )
-            for i, (value, members) in enumerate(measured)
-        ]
-        return PIAReport(
-            title=title or f"{n}-of-{len(pool)} redundancy deployment",
-            entries=entries,
-            protocol=self.protocol,
-            total_bytes=total_bytes,
-            elapsed_seconds=time.perf_counter() - started,
-            metadata={"providers": pool, "n": n, "m": len(pool)},
+        return self._report(
+            pool,
+            subsets,
+            title or f"{n}-of-{len(pool)} redundancy deployment",
+            {"n": n, "m": len(pool)},
         )
 
     def audit(
@@ -259,32 +313,10 @@ class PIAAuditor:
     ) -> PIAReport:
         """Measure every ``ways``-way deployment and rank them."""
         pool = list(providers) if providers is not None else self.providers
-        deployments = enumerate_deployments(pool, ways)
-        started = time.perf_counter()
-        measured = []
-        total_bytes = 0
-        estimated_any = False
-        for deployment in deployments:
-            value, estimated, n_bytes = self.measure(deployment.members)
-            measured.append((value, deployment.members))
-            total_bytes += n_bytes
-            estimated_any = estimated_any or estimated
-        measured.sort(key=lambda t: (t[0], t[1]))
-        entries = [
-            PIAEntry(
-                rank=i + 1,
-                deployment=members,
-                jaccard=value,
-                estimated=estimated_any,
-            )
-            for i, (value, members) in enumerate(measured)
-        ]
-        elapsed = time.perf_counter() - started
-        return PIAReport(
-            title=title or f"all {ways}-way redundancy deployments",
-            entries=entries,
-            protocol=self.protocol,
-            total_bytes=total_bytes,
-            elapsed_seconds=elapsed,
-            metadata={"providers": pool, "ways": ways},
+        self._check_known(pool)
+        return self._report(
+            pool,
+            [d.members for d in enumerate_deployments(pool, ways)],
+            title or f"all {ways}-way redundancy deployments",
+            {"ways": ways},
         )

@@ -19,8 +19,8 @@ Two executions produce bit-identical results for the same seeds:
 
 * the *serial* reference (:meth:`PSOPProtocol.run_serial`) walks the
   ring hop by hop, one exponentiation per element per hop;
-* the *fast* path (default; :mod:`repro.privacy.pipeline`) collapses the
-  ring algebraically — ``(((h^{e_0})^{e_1})...)^{e_{k-1}} =
+* the *batched* execution (:meth:`PSOPProtocol.run`) collapses the ring
+  algebraically — ``(((h^{e_0})^{e_1})...)^{e_{k-1}} =
   h^{e_0 e_1 ... e_{k-1} mod q}`` — into one exponentiation per distinct
   hashed element, replaying permuter draws and wire accounting exactly.
 """
@@ -37,6 +37,7 @@ from repro.crypto.commutative import CommutativeKey, SharedGroup, hash_to_group
 from repro.crypto.permutation import Permuter
 from repro.errors import ProtocolError
 from repro.privacy.network_sim import ProtocolNetwork
+from repro.privacy.pipeline import _batched_pows, _open_pool
 
 __all__ = ["PSOPParty", "PSOPResult", "PSOPProtocol"]
 
@@ -144,11 +145,8 @@ class PSOPProtocol:
         seed: Protocol seed used to deterministically reseed any party
             constructed without one (``None`` opts out and leaves those
             parties nondeterministic).
-        fast: Run the batched fast path (default).  The serial reference
-            remains available via ``fast=False`` / :meth:`run_serial`;
-            both produce bit-identical results for the same seeds.
-        n_workers: Process fan-out for the fast path's exponentiation
-            batches (0/1 = inline; results are identical for any count).
+        n_workers: Process fan-out for :meth:`run`'s exponentiation
+            batch (0/1 = inline; results are identical for any count).
     """
 
     def __init__(
@@ -157,7 +155,6 @@ class PSOPProtocol:
         network: Optional[ProtocolNetwork] = None,
         *,
         seed: Optional[int] = 0,
-        fast: bool = True,
         n_workers: int = 0,
     ) -> None:
         if len(parties) < 2:
@@ -168,7 +165,6 @@ class PSOPProtocol:
         if len({p.group.prime for p in parties}) != 1:
             raise ProtocolError("all parties must share one group")
         self.parties = list(parties)
-        self.fast = fast
         self.n_workers = n_workers
         if seed is not None:
             seeder = random.Random(seed)
@@ -180,15 +176,80 @@ class PSOPProtocol:
         self.network.register(names)
 
     def run(self) -> PSOPResult:
-        """Execute the protocol (fast path unless ``fast=False``)."""
-        if self.fast:
-            from repro.privacy.pipeline import run_psop_fast
+        """Batched execution, bit-identical to :meth:`run_serial`.
 
-            return run_psop_fast(self, n_workers=self.n_workers)
-        return self.run_serial()
+        The serial schedule costs ``k^2 * n`` exponentiations (every
+        party re-encrypts every dataset).  Collapsing the ring to the
+        composed exponent ``E = prod e_i mod q`` and deduplicating
+        hashed elements across parties costs one exponentiation per
+        distinct element — the Figure-8 overheads workload drops by
+        ``~2k^2/(k+1)``.
+        """
+        started = time.perf_counter()
+        parties = self.parties
+        network = self.network
+        k = len(parties)
+        group = parties[0].group
+        width = group.element_bytes
+
+        hashed = [party.hashed_elements() for party in parties]
+        sizes = [len(h) for h in hashed]
+
+        # Replay each party's private permuter draws: one shuffle per round,
+        # over a dataset of the same length as in the serial schedule.  The
+        # protocol result only exposes multiset counts, but the RNG end
+        # state must match so party objects stay interchangeable.
+        for i, party in enumerate(parties):
+            party.permuter.shuffle(range(sizes[i]))
+            for hop in range(1, k):
+                party.permuter.shuffle(range(sizes[(i - hop) % k]))
+
+        # Replay the wire schedule (ciphertexts always occupy exactly
+        # ``element_bytes``, so byte counts depend only on dataset sizes).
+        for hop in range(1, k):
+            for slot in range(k):
+                holder = (slot + hop - 1) % k
+                network.send(
+                    parties[holder].name,
+                    parties[(holder + 1) % k].name,
+                    sizes[slot] * width,
+                    phase=f"ring-hop-{hop}",
+                )
+        for slot in range(k):
+            holder = (slot + k - 1) % k
+            for receiver in range(k):
+                if receiver == holder:
+                    continue
+                network.send(
+                    parties[holder].name,
+                    parties[receiver].name,
+                    sizes[slot] * width,
+                    phase="share",
+                )
+
+        # Collapse the ring: one exponentiation per distinct hashed element.
+        exponent = 1
+        q = group.subgroup_order
+        for party in parties:
+            exponent = exponent * party.key.exponent % q
+        flat = [value for values in hashed for value in values]
+        with _open_pool(self.n_workers) as pool:
+            powers = _batched_pows(
+                flat, exponent, group.prime, pool, dedupe=True
+            )
+        counters = []
+        position = 0
+        for size in sizes:
+            counters.append(Counter(powers[position : position + size]))
+            position += size
+        return self._result(counters, width, started)
 
     def run_serial(self) -> PSOPResult:
-        """Reference execution: walk the ring hop by hop."""
+        """Reference execution: walk the ring hop by hop.
+
+        The specification :meth:`run` is held to (parity tests, the
+        Figure-8 bench); nothing in ``src/`` calls it.
+        """
         started = time.perf_counter()
         k = len(self.parties)
         group = self.parties[0].group

@@ -21,8 +21,8 @@ class FakeModule(DependencyAcquisitionModule):
             HardwareDependency("S1", "CPU", "X")
         ]
 
-    def collect(self):
-        return list(self.records)
+    def stream(self):
+        yield from self.records
 
 
 class TestRegistry:

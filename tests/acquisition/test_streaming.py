@@ -1,4 +1,4 @@
-"""Streaming ingestion: stream()/collect() fallbacks and adapt_into."""
+"""Streaming ingestion: stream() is the one DAM method; adapt_into."""
 
 import pytest
 
@@ -37,18 +37,14 @@ class Neither(DependencyAcquisitionModule):
     kind = "hardware"
 
 
-class TestFallbacks:
-    def test_collect_only_module_streams(self):
-        assert list(CollectOnly().stream()) == RECORDS
-
-    def test_stream_only_module_collects(self):
+class TestStreamIsTheOneMethod:
+    def test_collect_is_the_streamed_list(self):
         assert StreamOnly().collect() == RECORDS
 
-    def test_neither_implemented_is_a_clean_error(self):
-        with pytest.raises(AcquisitionError, match="neither stream"):
-            list(Neither().stream())
-        with pytest.raises(AcquisitionError, match="neither stream"):
-            Neither().collect()
+    @pytest.mark.parametrize("module", [CollectOnly, Neither])
+    def test_module_without_stream_cannot_be_instantiated(self, module):
+        with pytest.raises(TypeError, match="stream"):
+            module()
 
 
 class TestAdaptInto:

@@ -165,7 +165,7 @@ class TestAuditReportRoundTrip:
             == report.to_json()
         )
 
-    def test_pre_schema_dict_accepted_with_deprecation(self):
+    def test_pre_schema_dict_rejected(self):
         legacy = {
             "title": "t",
             "deployments": [],
@@ -173,9 +173,8 @@ class TestAuditReportRoundTrip:
             "client": "",
             "metadata": {},
         }
-        with pytest.warns(DeprecationWarning):
-            report = api.AuditReport.from_dict(legacy)
-        assert report.title == "t"
+        with pytest.raises(SpecificationError, match="schema_version"):
+            api.AuditReport.from_dict(legacy)
 
     def test_rejects_non_list_deployments(self):
         with pytest.raises(SpecificationError, match="deployments"):

@@ -396,7 +396,7 @@ class TestWatchService:
         write_watch_dir(tmp_path)
         service = WatchService(tmp_path, interval=0)
         first = service.run_once()
-        assert first["iteration"] == 1
+        assert first["seq"] == 1
         assert set(first["delta"]["added"]) == {"db-tier", "web-tier"}
         assert first["recomputed"] and not first["reused"]
         assert set(first["scores"]) == {"db-tier", "web-tier"}
@@ -430,11 +430,11 @@ class TestWatchService:
     def test_spec_errors_are_reported_not_fatal(self, tmp_path):
         service = WatchService(tmp_path / "missing", interval=0)
         report = service.run_once()
-        assert "error" in report and report["iteration"] == 1
+        assert "error" in report and report["seq"] == 1
         # The loop keeps going after an error iteration.
         seen = []
         service.run(iterations=2, emit=seen.append)
-        assert [r["iteration"] for r in seen] == [2, 3]
+        assert [r["seq"] for r in seen] == [2, 3]
         assert all("error" in r for r in seen)
 
     def test_mistyped_spec_field_is_survivable(self, tmp_path):
@@ -456,7 +456,7 @@ class TestWatchService:
         assert "error" not in service.run_once()
         (tmp_path / "net.depdb").write_text('<src="S1" dst="Int')
         broken = service.run_once()
-        assert "error" in broken and broken["iteration"] == 2
+        assert "error" in broken and broken["seq"] == 2
         (tmp_path / "net.depdb").write_text(WATCH_DEPDB)
         recovered = service.run_once()
         assert "error" not in recovered

@@ -44,6 +44,13 @@ class TestPlaintextProtocol:
         # intersection {shared}; union {a,b,c,d,e,f,shared} -> 1/7
         assert report.entries[0].jaccard == pytest.approx(1 / 7)
 
+    def test_subset_of_providers(self):
+        report = PIAAuditor(SMALL_SETS, protocol="plaintext").audit(
+            ways=2, providers=["P1", "P2"]
+        )
+        assert [e.deployment for e in report.entries] == [("P1", "P2")]
+        assert report.metadata == {"providers": ["P1", "P2"], "ways": 2}
+
     def test_report_serialisation(self):
         report = PIAAuditor(SMALL_SETS, protocol="plaintext").audit(ways=2)
         payload = json.loads(report.to_json())
@@ -54,11 +61,16 @@ class TestPlaintextProtocol:
 
 
 class TestPSOPProtocol:
-    def test_psop_matches_plaintext(self):
-        psop = PIAAuditor(SMALL_SETS, protocol="psop", group_bits=768, seed=0)
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    @pytest.mark.parametrize("ways", [2, 3])
+    def test_psop_matches_plaintext(self, ways, n_workers):
+        psop = PIAAuditor(
+            SMALL_SETS, protocol="psop", group_bits=768, seed=0,
+            n_workers=n_workers,
+        )
         plain = PIAAuditor(SMALL_SETS, protocol="plaintext")
-        p_report = psop.audit(ways=2)
-        t_report = plain.audit(ways=2)
+        p_report = psop.audit(ways=ways)
+        t_report = plain.audit(ways=ways)
         assert [e.deployment for e in p_report.entries] == [
             e.deployment for e in t_report.entries
         ]
@@ -117,6 +129,29 @@ class TestValidation:
         auditor = PIAAuditor(SMALL_SETS, protocol="plaintext")
         with pytest.raises(ProtocolError, match="unknown providers"):
             auditor.measure(("P1", "ghost"))
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            lambda auditor, pool: auditor.audit(ways=2, providers=pool),
+            lambda auditor, pool: auditor.audit_n_of_m(2, pool),
+        ],
+        ids=["audit", "audit_n_of_m"],
+    )
+    def test_unknown_provider_rejected_before_any_measurement(
+        self, report, monkeypatch
+    ):
+        """The whole pool is checked up front: no protocol runs (and no
+        pool opens) for the valid pairs ahead of the unknown name."""
+
+        def no_protocol(*args, **kwargs):
+            raise AssertionError("PSOPProtocol constructed")
+
+        monkeypatch.setattr("repro.privacy.pia.PSOPProtocol", no_protocol)
+        monkeypatch.setattr("repro.privacy.pia._open_pool", no_protocol)
+        auditor = PIAAuditor(SMALL_SETS, group_bits=768, n_workers=2)
+        with pytest.raises(ProtocolError, match="unknown providers.*ghost"):
+            report(auditor, ["P1", "P2", "ghost"])
 
     def test_measure_single_provider(self):
         auditor = PIAAuditor(SMALL_SETS, protocol="plaintext")

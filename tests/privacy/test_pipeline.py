@@ -1,9 +1,10 @@
-"""End-to-end parity tests for the batched PIA fast path.
+"""End-to-end parity tests for the batched PIA protocols.
 
-The contract (DESIGN.md "PIA fast path"): for the same seeds the
-batched drivers produce results bit-identical to the serial reference
-protocols — same counts, same transfer log, same per-party RNG end
-states — for any worker count.
+The contract (DESIGN.md "PIA fast path"): for the same seeds ``run()``
+produces results bit-identical to the ``run_serial()`` reference —
+same counts, same transfer log, same per-party RNG end states — for
+any worker count, and ``PIAAuditor`` reports are byte-identical for
+any worker count.
 """
 
 import json
@@ -18,7 +19,6 @@ from repro.privacy import (
     KSParty,
     KSProtocol,
     PIAAuditor,
-    PIAPipeline,
     PSOPParty,
     PSOPProtocol,
 )
@@ -42,13 +42,13 @@ DATASETS = {
 }
 
 
-def make_psop(group, fast, n_workers=0, seeds=(0, 1, 2)):
+def make_psop(group, n_workers=0, seeds=(0, 1, 2)):
     parties = [
         PSOPParty(name, elements, group, seed=seed)
         for (name, elements), seed in zip(DATASETS.items(), seeds)
     ]
     protocol = PSOPProtocol(
-        parties, network=ProtocolNetwork(), fast=fast, n_workers=n_workers
+        parties, network=ProtocolNetwork(), n_workers=n_workers
     )
     return protocol, parties
 
@@ -69,8 +69,8 @@ def assert_psop_equal(left, right):
 
 class TestPSOPFastPath:
     def test_bit_identical_to_serial(self, group):
-        serial_protocol, serial_parties = make_psop(group, fast=False)
-        fast_protocol, fast_parties = make_psop(group, fast=True)
+        serial_protocol, serial_parties = make_psop(group)
+        fast_protocol, fast_parties = make_psop(group)
         serial = serial_protocol.run_serial()
         fast = fast_protocol.run()
         assert_psop_equal(serial, fast)
@@ -81,8 +81,8 @@ class TestPSOPFastPath:
             assert a.permuter.permutation(16) == b.permuter.permutation(16)
 
     def test_worker_count_does_not_affect_results(self, group):
-        inline = make_psop(group, fast=True, n_workers=0)[0].run()
-        fanned = make_psop(group, fast=True, n_workers=2)[0].run()
+        inline = make_psop(group, n_workers=0)[0].run()
+        fanned = make_psop(group, n_workers=2)[0].run()
         assert_psop_equal(inline, fanned)
 
     def test_unseeded_parties_are_reseeded_reproducibly(self, group):
@@ -111,7 +111,7 @@ class TestPSOPFastPath:
         assert result.total_bytes == 4 * group.element_bytes
 
 
-def make_ks(keypair, fast, n_workers=0, seeds=(3, 4, 5)):
+def make_ks(keypair, n_workers=0, seeds=(3, 4, 5)):
     datasets = {
         "A": ["x", "y", "z", "common"],
         "B": ["common", "y", "q"],
@@ -125,7 +125,6 @@ def make_ks(keypair, fast, n_workers=0, seeds=(3, 4, 5)):
         parties,
         keypair=keypair,
         network=ProtocolNetwork(),
-        fast=fast,
         n_workers=n_workers,
     )
     return protocol, parties
@@ -145,8 +144,8 @@ def assert_ks_equal(left, right):
 
 class TestKSFastPath:
     def test_bit_identical_to_serial(self, keypair):
-        serial_protocol, serial_parties = make_ks(keypair, fast=False)
-        fast_protocol, fast_parties = make_ks(keypair, fast=True)
+        serial_protocol, serial_parties = make_ks(keypair)
+        fast_protocol, fast_parties = make_ks(keypair)
         serial = serial_protocol.run_serial()
         fast = fast_protocol.run()
         assert_ks_equal(serial, fast)
@@ -157,8 +156,8 @@ class TestKSFastPath:
             assert a.permuter.permutation(8) == b.permuter.permutation(8)
 
     def test_worker_count_does_not_affect_results(self, keypair):
-        inline_protocol, _ = make_ks(keypair, fast=True, n_workers=0)
-        fanned_protocol, _ = make_ks(keypair, fast=True, n_workers=2)
+        inline_protocol, _ = make_ks(keypair, n_workers=0)
+        fanned_protocol, _ = make_ks(keypair, n_workers=2)
         inline, fanned = inline_protocol.run(), fanned_protocol.run()
         assert_ks_equal(inline, fanned)
         assert inline_protocol.network.transfers == fanned_protocol.network.transfers
@@ -186,9 +185,8 @@ SETS = {
 }
 
 
-#: ``pia_report`` documents (minus ``elapsed_seconds``) for ``SETS`` at
-#: ``group_bits=768, minhash_size=32``, generated before the two PIA
-#: drivers were merged and reproduced by both of them.
+#: Pinned ``pia_report`` documents (minus ``elapsed_seconds``) for
+#: ``SETS`` at ``group_bits=768, minhash_size=32``.
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "pia_reports.json").read_text()
 )
@@ -201,73 +199,28 @@ def report_bytes(report) -> str:
     return api.canonical_json(document)
 
 
+@pytest.mark.parametrize("n_workers", [0, 2])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 class TestPIAGolden:
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    @pytest.mark.parametrize("driver", [PIAAuditor, PIAPipeline])
-    def test_audit(self, driver, protocol):
-        report = driver(
-            SETS, protocol=protocol, group_bits=768, minhash_size=32
-        ).audit(ways=2)
+    def auditor(self, protocol, n_workers):
+        return PIAAuditor(
+            SETS,
+            protocol=protocol,
+            group_bits=768,
+            minhash_size=32,
+            n_workers=n_workers,
+        )
+
+    def test_audit(self, protocol, n_workers):
+        report = self.auditor(protocol, n_workers).audit(ways=2)
         assert report_bytes(report) == api.canonical_json(
             GOLDEN["audit"][protocol]
         )
 
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_audit_n_of_m(self, protocol):
-        report = PIAAuditor(
-            SETS, protocol=protocol, group_bits=768, minhash_size=32
-        ).audit_n_of_m(2, list(SETS))
+    def test_audit_n_of_m(self, protocol, n_workers):
+        report = self.auditor(protocol, n_workers).audit_n_of_m(
+            2, list(SETS)
+        )
         assert report_bytes(report) == api.canonical_json(
             GOLDEN["audit_n_of_m"][protocol]
         )
-
-
-class TestPIAPipeline:
-    @pytest.mark.parametrize("protocol", ["plaintext", "psop", "psop-minhash"])
-    def test_matches_auditor(self, protocol):
-        auditor = PIAAuditor(
-            SETS, protocol=protocol, group_bits=768, minhash_size=32
-        ).audit(ways=2)
-        pipeline = PIAPipeline(
-            SETS, protocol=protocol, group_bits=768, minhash_size=32
-        ).audit(ways=2)
-        assert pipeline.entries == auditor.entries
-        assert pipeline.total_bytes == auditor.total_bytes
-        assert pipeline.protocol == auditor.protocol
-
-    def test_worker_count_does_not_affect_report(self):
-        reports = [
-            PIAPipeline(
-                SETS, protocol="psop", group_bits=768, n_workers=n
-            ).audit(ways=2)
-            for n in (0, 2)
-        ]
-        assert reports[0].entries == reports[1].entries
-        assert reports[0].total_bytes == reports[1].total_bytes
-
-    def test_three_way(self):
-        report = PIAPipeline(SETS, protocol="plaintext").audit(ways=3)
-        assert len(report.entries) == 4  # C(4, 3)
-        assert report.entries[0].rank == 1
-
-    def test_subset_of_providers(self):
-        report = PIAPipeline(SETS, protocol="plaintext").audit(
-            ways=2, providers=["CloudA", "CloudB"]
-        )
-        assert len(report.entries) == 1
-
-    def test_unknown_provider_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown providers"):
-            PIAPipeline(SETS).audit(ways=2, providers=["CloudA", "Nope"])
-
-    def test_needs_two_providers(self):
-        with pytest.raises(ProtocolError):
-            PIAPipeline({"only": ["x"]})
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ProtocolError):
-            PIAPipeline({"A": ["x"], "B": []})
-
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(ProtocolError):
-            PIAPipeline(SETS, protocol="magic")

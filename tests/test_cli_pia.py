@@ -57,27 +57,21 @@ class TestPiaCommand:
         assert "timings:" in out
         assert "wire bytes" in out
 
-    def test_serial_matches_fast_ranking(self, sets_file, capsys):
-        assert main(
-            [
-                "pia", sets_file, "--protocol", "psop",
-                "--group-bits", "768", "--serial",
-            ]
-        ) == 0
-        serial_out = capsys.readouterr().out
-        assert main(
-            ["pia", sets_file, "--protocol", "psop", "--group-bits", "768"]
-        ) == 0
-        fast_out = capsys.readouterr().out
-        assert serial_out == fast_out
+    def test_workers_do_not_change_json(self, sets_file, capsys):
+        outputs = []
+        for workers in ("0", "2"):
+            assert main(
+                [
+                    "pia", sets_file, "--protocol", "psop",
+                    "--group-bits", "768", "--workers", workers, "--json",
+                ]
+            ) == 0
+            document = json.loads(capsys.readouterr().out)
+            del document["elapsed_seconds"]
+            outputs.append(document)
+        assert outputs[0] == outputs[1]
 
-    def test_serial_with_workers_rejected(self, sets_file, capsys):
-        assert main(
-            ["pia", sets_file, "--serial", "--workers", "2"]
-        ) == 1
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_workers_pipeline(self, sets_file, capsys):
+    def test_workers_timings_line(self, sets_file, capsys):
         assert main(
             [
                 "pia", sets_file, "--protocol", "psop",

@@ -50,13 +50,12 @@ def test_watch_emits_one_json_line_per_iteration(watch_dir, capsys):
         json.loads(line)
         for line in capsys.readouterr().out.strip().splitlines()
     ]
-    assert [entry["iteration"] for entry in lines] == [1, 2]
-    # Canonical event envelope, shared with the serve job stream
-    # (`iteration` is kept as a deprecated alias of `seq`).
+    assert [entry["seq"] for entry in lines] == [1, 2]
+    # Canonical event envelope, shared with the serve job stream.
     for entry in lines:
         assert entry["kind"] == "event"
         assert entry["event"] == "iteration"
-        assert entry["seq"] == entry["iteration"]
+        assert "iteration" not in entry
         assert "schema_version" in entry
         assert "elapsed_seconds" in entry
     first, second = lines
