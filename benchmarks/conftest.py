@@ -19,21 +19,12 @@ in ``bench_output.txt``) and appended to ``benchmarks/results/``.
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
-
-#: module name -> {metric name -> value}, collected by SeriesEmitter.metric
-#: and flushed to ``BENCH_<module>.json`` at the repo root on session
-#: finish, so the perf trajectory (speedups, percentiles, rounds saved)
-#: is diffable across PRs instead of buried in free-text tables.
-_METRICS: dict[str, dict] = {}
 
 
 def bench_scale() -> str:
@@ -53,11 +44,10 @@ def scale() -> str:
 class SeriesEmitter:
     """Writes result tables to the terminal and a per-module result file."""
 
-    def __init__(self, capmanager, module: str, metrics: dict | None = None) -> None:
+    def __init__(self, capmanager, module: str) -> None:
         self._capmanager = capmanager
         RESULTS_DIR.mkdir(exist_ok=True)
         self._path = RESULTS_DIR / f"{module}.txt"
-        self._module_metrics = metrics if metrics is not None else {}
 
     def __call__(self, *lines: str) -> None:
         text = "\n".join(lines)
@@ -79,45 +69,8 @@ class SeriesEmitter:
             )
         self(*lines)
 
-    def metric(self, name: str, value) -> None:
-        """Record one machine-readable number for ``BENCH_<module>.json``.
-
-        Use for the headline quantities a human would eyeball across
-        PRs: speedups, p50/p99 latencies, rounds saved.  Values must be
-        JSON-serialisable (numbers, strings, small lists/dicts).
-        """
-        self._module_metrics[name] = value
-
 
 @pytest.fixture
 def emit(request) -> SeriesEmitter:
     capmanager = request.config.pluginmanager.getplugin("capturemanager")
-    return SeriesEmitter(
-        capmanager,
-        request.module.__name__,
-        metrics=_METRICS.setdefault(request.module.__name__, {}),
-    )
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    """Flush collected metrics as ``BENCH_<name>.json`` at the repo root.
-
-    One file per bench module (``bench_engine_scaling`` →
-    ``BENCH_engine_scaling.json``); the bench-smoke CI job uploads them
-    so perf regressions are visible as plain JSON diffs across PRs.
-    """
-    for module, metrics in _METRICS.items():
-        if not metrics:
-            continue
-        short = module.rsplit(".", 1)[-1].removeprefix("bench_")
-        payload = {
-            "bench": module,
-            "scale": bench_scale(),
-            "generated_unix": int(time.time()),
-            "metrics": metrics,
-        }
-        path = REPO_ROOT / f"BENCH_{short}.json"
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+    return SeriesEmitter(capmanager, request.module.__name__)

@@ -18,8 +18,7 @@ failures the service itself is audited against:
   whose original response was lost re-attaches to the job the first
   attempt created instead of enqueuing a duplicate.
 * **Long-poll waiting**: :meth:`ServiceClient.wait` blocks on the
-  server's ``events/poll`` endpoint instead of busy-polling job status,
-  with a bounded-interval polling fallback for servers without it.
+  server's ``events/poll`` endpoint instead of busy-polling job status.
 * **Typed stream truncation**: a connection dropped mid-way through a
   chunked JSONL event stream surfaces as a retryable
   :class:`~repro.errors.ServiceError` with ``code="stream-truncated"``,
@@ -140,7 +139,6 @@ class ServiceClient:
         self.retry_count = 0  # of which were retries
         self._conn: Optional[http.client.HTTPConnection] = None
         self._delays = list(retry.delays()) if retry is not None else []
-        self._long_poll_supported = True
 
     # --------------------------- plumbing ----------------------------- #
 
@@ -356,65 +354,40 @@ class ServiceClient:
         return events, terminal
 
     def wait(
-        self,
-        job_id: str,
-        timeout: Optional[float] = None,
-        poll: float = 0.1,
+        self, job_id: str, timeout: Optional[float] = None
     ) -> api.JobStatus:
         """Block until the job is terminal; raises on timeout.
 
         Long-polls the server's ``events/poll`` endpoint — one
         outstanding HTTP request per ~:data:`_LONG_POLL_SECONDS` of
-        waiting, not one per ``poll`` interval.  Servers without the
-        endpoint (404/405) get a bounded polling fallback whose
-        interval starts at ``poll`` and doubles to a 1 s ceiling.
+        waiting.  A 404 is the server's unknown-job error and propagates
+        as such; it says nothing about the next job.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         after = 0
-        while self._long_poll_supported:
-            remaining = (
-                None if deadline is None else deadline - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
-                break
+        while deadline is None or time.monotonic() < deadline:
             chunk = _LONG_POLL_SECONDS
-            if remaining is not None:
-                chunk = min(chunk, remaining)
-            try:
-                events, terminal = self.events_after(
-                    job_id, after=after, wait=chunk
-                )
-            except ServiceError as exc:
-                if exc.status in (404, 405) and exc.code in (
-                    "not-found",
-                    "method-not-allowed",
-                ):
-                    self._long_poll_supported = False
-                    break
-                raise
+            if deadline is not None:
+                chunk = min(chunk, deadline - time.monotonic())
+            events, terminal = self.events_after(
+                job_id, after=after, wait=chunk
+            )
             if events:
                 after = events[-1].get("seq", after + len(events))
             if terminal:
                 return self.status(job_id)
-        return self._wait_polling(job_id, deadline, poll)
+        return self._wait_polling(job_id)
 
-    def _wait_polling(
-        self, job_id: str, deadline: Optional[float], poll: float
-    ) -> api.JobStatus:
-        """Bounded-interval status polling (fallback / deadline path)."""
-        interval = max(0.01, poll)
-        while True:
-            status = self.status(job_id)
-            if status.is_terminal:
-                return status
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} still {status.state} after its deadline",
-                    status=504,
-                    code="timeout",
-                )
-            self._sleep(interval)
-            interval = min(1.0, interval * 2)
+    def _wait_polling(self, job_id: str) -> api.JobStatus:
+        """The after-deadline check: one last status, else ``timeout``."""
+        status = self.status(job_id)
+        if status.is_terminal:
+            return status
+        raise ServiceError(
+            f"job {job_id} still {status.state} after its deadline",
+            status=504,
+            code="timeout",
+        )
 
     def events(self, job_id: str) -> Iterator[dict]:
         """Stream a job's canonical events (ends at the terminal one).

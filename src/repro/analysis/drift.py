@@ -12,7 +12,7 @@ evolution might introduce".  This module makes that concrete:
 
 A drift event is exactly a delta-audit request: pass an ``engine``
 (ideally a :class:`~repro.engine.incremental.DeltaAuditEngine`, e.g.
-the one a :class:`~repro.engine.incremental.WatchService` keeps warm)
+the one a :class:`~repro.service.watch.WatchService` keeps warm)
 and the "before" audit is served from its result cache instead of being
 recomputed on every period — same report, a fraction of the work.
 """

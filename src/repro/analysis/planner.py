@@ -39,6 +39,7 @@ from repro.core.faultgraph import FaultGraph
 from repro.core.importance import component_importance_ranking
 from repro.core.minimal_rg import DEFAULT_MAX_GROUPS, node_budget
 from repro.errors import AnalysisError
+from repro.schema import envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.facade import AuditEngine
@@ -78,9 +79,7 @@ class MitigationPlan:
 
     def to_dict(self) -> dict:
         """Full-precision JSON form (the worker-invariance witness)."""
-        from repro import api
-
-        return api.envelope("mitigation_plan", self._payload())
+        return envelope("mitigation_plan", self._payload())
 
     def _payload(self) -> dict:
         return {

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.errors import SpecificationError
+from repro.schema import SCHEMA_VERSION, envelope
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -54,9 +55,6 @@ __all__ = [
     "plan",
 ]
 
-#: Version of every JSON document this module emits.
-SCHEMA_VERSION = 1
-
 #: Sentinel ``depdb`` value: audit against the tenant's server-side
 #: dependency store (ingested via the ``/v1/tenants/<t>/depdb`` route)
 #: instead of shipping dependency text in the request.
@@ -66,11 +64,6 @@ STORE_DEPDB = "@store"
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
-
-
-def envelope(kind: str, payload: dict) -> dict:
-    """Wrap ``payload`` in the canonical schema envelope."""
-    return {"schema_version": SCHEMA_VERSION, "kind": kind, **payload}
 
 
 def job_event(event: str, **extra) -> dict:
@@ -272,7 +265,7 @@ class AuditRequest:
     def to_job(self):
         """Parse the inline DepDB and build an executable AuditJob."""
         from repro.depdb.database import DepDB
-        from repro.engine.facade import AuditJob
+        from repro.engine.specset import AuditJob
 
         return AuditJob(
             depdb=DepDB.loads(self.depdb),
@@ -621,18 +614,11 @@ def execute_request(
             server resolves :attr:`AuditRequest.base` to this); the
             delta is reported, never applied — results don't change.
     """
-    from repro.core.audit import SIAAuditor
     from repro.engine.cache import structural_hash as graph_hash
     from repro.engine.incremental import DeltaAuditEngine, graph_delta
-    from repro.failures import uniform_weigher
 
     job = request.to_job()
-    weigher = (
-        uniform_weigher(job.probability)
-        if job.probability is not None
-        else None
-    )
-    auditor = SIAAuditor(job.depdb, weigher=weigher, engine=engine)
+    auditor = job.auditor(engine)
     graph = auditor.build_graph(job.spec)
     digest = graph_hash(graph)
     delta = None
@@ -755,7 +741,7 @@ def audit_delta(
     """Delta-audit a spec set against a previous one, canonically.
 
     ``old``/``new`` are spec directories or
-    :class:`~repro.engine.facade.AuditJob` sequences (``old`` may be
+    :class:`~repro.engine.specset.AuditJob` sequences (``old`` may be
     ``None`` for a first run).  Reuse accounting and the deployment-level
     delta land in the report's metadata; the deployments themselves are
     bit-identical to a cold audit of ``new``.

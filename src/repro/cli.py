@@ -684,7 +684,8 @@ def _run_watch(args: argparse.Namespace) -> int:
     import json
     import signal
 
-    from repro.engine.incremental import DeltaAuditEngine, WatchService
+    from repro.engine.incremental import DeltaAuditEngine
+    from repro.service import WatchService
 
     engine = DeltaAuditEngine(n_workers=args.workers, block_size=args.block_size)
     service = WatchService(

@@ -13,7 +13,6 @@ into a ranked :class:`~repro.core.report.AuditReport`:
 from __future__ import annotations
 
 import itertools
-import pickle
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.builder import Weigher, build_dependency_graph
@@ -38,19 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
 __all__ = ["SIAAuditor"]
 
 
-def _audit_spec_worker(depdb, weigher, spec, block_size):
-    """Module-level job body for the engine's multi-deployment fan-out.
-
-    Each worker audits with a serial engine of the same block size, so
-    results are identical whether specs fan out or run in-process.
-    """
-    from repro.engine.facade import AuditEngine
-
-    worker_engine = AuditEngine(n_workers=1, block_size=block_size)
-    auditor = SIAAuditor(depdb, weigher=weigher, engine=worker_engine)
-    return auditor.audit_deployment(spec)
-
-
 class SIAAuditor:
     """Auditing agent logic for the trusted, full-data scenario (§4.1).
 
@@ -59,10 +45,8 @@ class SIAAuditor:
         weigher: Optional failure-probability source for leaf events
             (see :mod:`repro.failures` for realistic models).
         engine: Optional :class:`~repro.engine.AuditEngine`.  When given,
-            sampling audits run through its compilation cache and worker
-            pool, and multi-spec :meth:`audit` calls fan deployments out
-            across processes (falling back to serial execution when the
-            weigher cannot be shipped to workers, e.g. a closure).
+            sampling audits run through its compilation cache and fan
+            their blocks out over its worker pool.
     """
 
     def __init__(
@@ -272,36 +256,11 @@ class SIAAuditor:
             raise SpecificationError(
                 "all specs in one report must share a ranking method"
             )
-        audits = self._run_audits(specs)
         return AuditReport(
             title=title,
-            audits=audits,
+            audits=[self.audit_deployment(spec) for spec in specs],
             ranking_method=specs[0].ranking,
             client=client,
-        )
-
-    def _run_audits(self, specs: Sequence[AuditSpec]) -> list[DeploymentAudit]:
-        """Audit each spec, fanning out across the engine's workers.
-
-        Deployments are independent, so with an engine holding more than
-        one worker they run in separate processes.  The DepDB and weigher
-        must survive pickling for that; a weigher closure (the common
-        :func:`~repro.failures.uniform_weigher` shape) cannot, in which
-        case we quietly run serially — same results, one process.
-        """
-        engine = self.engine
-        if engine is None or engine.fanout <= 1 or len(specs) <= 1:
-            return [self.audit_deployment(spec) for spec in specs]
-        try:
-            pickle.dumps((self.depdb, self.weigher))
-        except Exception:
-            return [self.audit_deployment(spec) for spec in specs]
-        return engine.map_jobs(
-            _audit_spec_worker,
-            [
-                (self.depdb, self.weigher, spec, engine.block_size)
-                for spec in specs
-            ],
         )
 
     def compare_combinations(

@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.core.ranking import RankedRiskGroup, RankingMethod
 from repro.errors import AnalysisError
+from repro.schema import envelope
 
 __all__ = ["DeploymentAudit", "AuditReport"]
 
@@ -130,9 +131,7 @@ class AuditReport:
         return [a for a in self.audits if not a.has_unexpected_risk_groups]
 
     def to_dict(self) -> dict:
-        from repro import api
-
-        return api.envelope(
+        return envelope(
             "audit_report",
             {
                 "title": self.title,

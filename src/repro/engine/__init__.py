@@ -2,19 +2,22 @@
 
 This package is the scaling layer on top of the §4.1 analysis core:
 
-* :mod:`repro.engine.cache` — structural-hash keyed compilation cache;
+* :mod:`repro.engine.cache` — structural-hash keyed compilation cache
+  and the plain :class:`LRUCache` the result caches are made of;
 * :mod:`repro.engine.batch` — whole-block NumPy witness extraction and
   greedy cut minimisation (no per-round Python on the hot path);
 * :mod:`repro.engine.parallel` — deterministic block sharding with
   ``SeedSequence.spawn``, the inline block and job loops, cancellation;
 * :mod:`repro.engine.pool` — the worker processes: one persistent pool
   with content-addressed graph shipping;
+* :mod:`repro.engine.specset` — loading and validating deployment spec
+  sets (:class:`AuditJob`), shared by both engines;
 * :mod:`repro.engine.facade` — the :class:`AuditEngine` facade consumed
   by :class:`~repro.core.audit.SIAAuditor`, the what-if analysis and the
   ``indaas audit-many`` CLI verb;
 * :mod:`repro.engine.incremental` — delta audits: graph diffing, the
-  block-outcome / audit result caches, :class:`DeltaAuditEngine` and
-  the ``indaas watch`` service.
+  block-outcome / audit result caches and :class:`DeltaAuditEngine`
+  (the ``indaas watch`` loop over it is :mod:`repro.service.watch`).
 
 The package sits above :mod:`repro.core` and imports it freely;
 ``core`` reaches back up only from inside functions.
@@ -28,18 +31,17 @@ from repro.engine.batch import (
 )
 from repro.engine.cache import (
     GraphCache,
+    LRUCache,
     compile_cached,
     default_cache,
     structural_hash,
 )
-from repro.engine.facade import AuditEngine, AuditJob, load_audit_job
+from repro.engine.facade import AuditEngine
 from repro.engine.incremental import (
     DeltaAuditEngine,
     DeltaAuditReport,
     GraphDelta,
-    WatchService,
     graph_delta,
-    load_spec_set,
 )
 from repro.engine.parallel import (
     BlockPlan,
@@ -49,6 +51,7 @@ from repro.engine.parallel import (
     run_plan_serial,
 )
 from repro.engine.pool import PersistentPool
+from repro.engine.specset import AuditJob, load_audit_job, load_spec_set
 
 __all__ = [
     "AuditEngine",
@@ -59,8 +62,8 @@ __all__ = [
     "DeltaAuditReport",
     "GraphCache",
     "GraphDelta",
+    "LRUCache",
     "PersistentPool",
-    "WatchService",
     "compile_cached",
     "default_cache",
     "extract_witnesses_batch",

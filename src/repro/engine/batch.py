@@ -269,7 +269,6 @@ def run_block(
     probabilities: Optional[Sequence[float]] = None,
     default_probability: float = 0.5,
     minimise: bool = True,
-    packed: bool = True,
 ) -> BlockOutcome:
     """Sample and post-process one block of rounds.
 
@@ -278,37 +277,34 @@ def run_block(
     worker processes both call exactly this function with per-block
     generators spawned from the run seed.
 
-    ``packed=True`` (the default) evaluates the graph over uint64 round
-    bitsets — 64 rounds per bitwise gate op — and unpacks only the
-    failing rounds for witness extraction.  The packed and boolean paths
-    consume the same random stream and therefore produce bit-identical
-    outcomes; ``packed=False`` is the boolean reference path, kept for
-    the parity tests and ``bench_engine_scaling.py`` — no caller above
-    this function chooses a kernel.
+    The graph is evaluated over uint64 round bitsets — 64 rounds per
+    bitwise gate op — and only the failing rounds are unpacked for
+    witness extraction.  The draw is the one the boolean evaluator
+    (``sample_failures`` + ``evaluate_batch``) would make, so outcomes
+    are bit-identical to it; ``tests/engine/test_packed_kernel.py``
+    keeps that evaluator as the oracle.
     """
-    if packed:
-        words = compiled.sample_failures_packed(
-            rounds, probabilities, rng, default_probability=default_probability
-        )
-        node_words = compiled.evaluate_batch_packed(words)
-        top_row = node_words[compiled.top_index:compiled.top_index + 1]
-        failing = np.flatnonzero(unpack_rounds(top_row, rounds)[:, 0])
-        values_failing = (
-            compiled.unpack_assignments(node_words, failing)
-            if failing.size
-            else None
-        )
-    else:
-        failures = compiled.sample_failures(
-            rounds, probabilities, rng, default_probability=default_probability
-        )
-        values = compiled.evaluate_batch(failures, return_all=True)
-        failing = np.flatnonzero(values[:, compiled.top_index])
-        values_failing = values[failing] if failing.size else None
+    words = compiled.sample_failures_packed(
+        rounds, probabilities, rng, default_probability=default_probability
+    )
+    node_words = compiled.evaluate_batch_packed(words)
+    top_row = node_words[compiled.top_index:compiled.top_index + 1]
+    failing = np.flatnonzero(unpack_rounds(top_row, rounds)[:, 0])
     outcome = BlockOutcome(rounds=rounds, top_failures=int(failing.size))
     if failing.size == 0:
         return outcome
+    values_failing = compiled.unpack_assignments(node_words, failing)
+    return _finish_block(compiled, outcome, values_failing, rng, minimise)
 
+
+def _finish_block(
+    compiled: CompiledGraph,
+    outcome: BlockOutcome,
+    values_failing: np.ndarray,
+    rng: np.random.Generator,
+    minimise: bool,
+) -> BlockOutcome:
+    """Fill ``outcome`` from the node values of a block's failing rounds."""
     raw = values_failing[:, compiled.basic_index]
     # Unique raw failing assignments, fingerprinted for cross-block union.
     packed_raw = np.packbits(raw, axis=1)

@@ -25,10 +25,12 @@ from repro.core.bdd import BDD, compile_graph
 from repro.core.compile import CompiledGraph
 from repro.core.faultgraph import FaultGraph
 from repro.core.minimal_rg import DEFAULT_MAX_GROUPS, node_budget
+from repro.errors import AnalysisError
 
 __all__ = [
     "structural_hash",
     "GraphCache",
+    "LRUCache",
     "DEFAULT_BDD_NODE_BUDGET",
     "default_cache",
     "compile_cached",
@@ -148,6 +150,52 @@ class GraphCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
+
+    def info(self) -> dict:
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "maxsize": self.maxsize,
+                "hits": self.hits,
+                "misses": self.misses,
+            }
+
+
+class LRUCache:
+    """Minimal thread-safe LRU map with hit/miss accounting.
+
+    Shared by the delta engine's block/audit caches and the audit
+    service's content-addressed report store.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        if maxsize < 1:
+            raise AnalysisError(f"maxsize must be >= 1, got {maxsize}")
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return self._entries[key]
+            self.misses += 1
+            return None
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
     def info(self) -> dict:
         with self._lock:

@@ -20,20 +20,17 @@ Consumers: :class:`~repro.core.audit.SIAAuditor` (pass ``engine=``),
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.report import AuditReport, DeploymentAudit
 from repro.core.sampling import SamplingResult, merge_block_outcomes
-from repro.core.spec import AuditSpec, RGAlgorithm
+from repro.core.spec import AuditSpec
 from repro.engine.adaptive import AdaptiveConfig, AdaptiveStopper
-from repro.engine.cache import GraphCache
+from repro.engine.cache import GraphCache, default_cache
 from repro.engine.parallel import (
     cancel_scope,
     check_cancelled,
@@ -43,162 +40,23 @@ from repro.engine.parallel import (
     run_plan_serial,
 )
 from repro.engine.pool import PersistentPool
+from repro.engine.specset import AuditJob, SpecSource, load_report_jobs
 from repro.errors import AnalysisError, SpecificationError
 
-__all__ = [
-    "AuditEngine",
-    "AuditJob",
-    "load_audit_job",
-    "cancel_scope",
-    "check_cancelled",
-]
+__all__ = ["AuditEngine", "cancel_scope", "check_cancelled"]
 
 
-@dataclass
-class AuditJob:
-    """One self-contained deployment audit (spec + its own DepDB).
+def _run_audit_job(job: AuditJob, block_size: int) -> DeploymentAudit:
+    """The one fan-out kernel: audit ``job`` in whatever process runs it.
 
-    ``probability`` is an optional uniform component failure probability;
-    it travels as a plain float (weigher closures don't pickle) and each
-    worker builds its weigher locally.
+    Module-level so it survives pickling into pool processes.  Every
+    call audits at the dispatching engine's block size (the block plan,
+    hence the result, depends on it) and compiles through the process's
+    :func:`~repro.engine.cache.default_cache`, so one worker compiles a
+    structure once however many jobs it serves.
     """
-
-    depdb: object
-    spec: AuditSpec
-    probability: Optional[float] = None
-    metadata: dict = field(default_factory=dict)
-
-
-_JOB_ENGINE: Optional["AuditEngine"] = None
-
-
-def _run_audit_job(depdb, spec, probability):
-    """Module-level worker so jobs survive pickling into pool processes.
-
-    Each process keeps one serial engine so its compilation cache spans
-    all the jobs it serves.
-    """
-    from repro.core.audit import SIAAuditor
-    from repro.failures import uniform_weigher
-
-    global _JOB_ENGINE
-    if _JOB_ENGINE is None:
-        _JOB_ENGINE = AuditEngine(n_workers=1)
-    weigher = uniform_weigher(probability) if probability is not None else None
-    auditor = SIAAuditor(depdb, weigher=weigher, engine=_JOB_ENGINE)
-    return auditor.audit_deployment(spec)
-
-
-#: ``audit-many`` spec fields with their JSON types.  Booleans pass
-#: ``isinstance(..., int)``, so they are rejected explicitly where an
-#: int is expected.  Validated up front so a mistyped hand-edited file
-#: surfaces as a clean SpecificationError (which long-running consumers
-#: like ``indaas watch`` survive), never as a TypeError from deep inside
-#: AuditSpec.
-_SPEC_FIELD_TYPES = {
-    "depdb": (str,),
-    "name": (str,),
-    "algorithm": (str,),
-    "rounds": (int,),
-    "required": (int,),
-    "seed": (int, type(None)),
-    "sample_probability": (int, float),
-    "probability": (int, float, type(None)),
-}
-
-
-def _check_spec_types(path, payload: dict) -> None:
-    servers = payload["servers"]
-    if not isinstance(servers, list) or not all(
-        isinstance(s, str) for s in servers
-    ):
-        raise SpecificationError(
-            f"{path}: servers must be a list of strings"
-        )
-    for key, types in _SPEC_FIELD_TYPES.items():
-        if key not in payload:
-            continue
-        value = payload[key]
-        if not isinstance(value, types) or isinstance(value, bool):
-            wanted = "/".join(
-                t.__name__ for t in types if t is not type(None)
-            )
-            raise SpecificationError(
-                f"{path}: {key} must be {wanted}, "
-                f"got {type(value).__name__}"
-            )
-
-
-def load_audit_job(
-    path: Union[str, Path], payload: Optional[dict] = None
-) -> AuditJob:
-    """Parse one ``audit-many`` deployment spec file.
-
-    ``payload``, when given, is the file's already-parsed JSON object —
-    callers that must inspect the JSON before loading (the watch
-    service stats the referenced DepDB first) avoid a second read and
-    parse this way.
-
-    The JSON schema (all paths relative to the spec file)::
-
-        {
-          "depdb": "web.depdb",          // required: DepDB dump to audit
-          "servers": ["S1", "S2"],       // required: redundant servers
-          "name": "web-tier",            // optional deployment name
-          "algorithm": "minimal",        // or "sampling"
-          "rounds": 100000,              // sampling rounds
-          "sample_probability": 0.5,     // sampling coin bias
-          "required": 1,                 // n of n-of-m redundancy
-          "seed": 0,                     // sampling seed
-          "probability": 0.1             // uniform component weigher
-        }
-    """
-    from repro.depdb import DepDB
-
-    path = Path(path)
-    if payload is None:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise SpecificationError(f"{path}: cannot read spec: {exc}")
-        except json.JSONDecodeError as exc:
-            raise SpecificationError(f"{path}: invalid JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise SpecificationError(f"{path}: spec must be a JSON object")
-    for key in ("depdb", "servers"):
-        if key not in payload:
-            raise SpecificationError(f"{path}: missing required key {key!r}")
-    _check_spec_types(path, payload)
-    depdb_path = path.parent / payload["depdb"]
-    try:
-        depdb = DepDB.loads(depdb_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SpecificationError(f"{path}: cannot read DepDB: {exc}")
-    servers = tuple(payload["servers"])
-    algorithm = payload.get("algorithm", "minimal")
-    if algorithm not in ("minimal", "sampling"):
-        raise SpecificationError(
-            f"{path}: algorithm must be minimal|sampling, got {algorithm!r}"
-        )
-    spec = AuditSpec(
-        deployment=payload.get("name") or " & ".join(servers),
-        servers=servers,
-        required=payload.get("required", 1),
-        algorithm=(
-            RGAlgorithm.SAMPLING
-            if algorithm == "sampling"
-            else RGAlgorithm.MINIMAL
-        ),
-        sampling_rounds=payload.get("rounds", 100_000),
-        sampling_probability=payload.get("sample_probability", 0.5),
-        seed=payload.get("seed", 0),
-    )
-    return AuditJob(
-        depdb=depdb,
-        spec=spec,
-        probability=payload.get("probability"),
-        metadata={"source": str(path), "depdb": str(depdb_path)},
-    )
+    engine = AuditEngine(block_size=block_size, cache=default_cache())
+    return job.auditor(engine).audit_deployment(job.spec)
 
 
 class AuditEngine:
@@ -417,66 +275,40 @@ class AuditEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Canonical-request auditing (the ``repro.api`` hook)
-    # ------------------------------------------------------------------ #
-
-    def audit_request(self, request):
-        """Execute one :class:`repro.api.AuditRequest` on this engine.
-
-        The submission hook the audit service (and any other
-        schema-speaking caller) uses: returns the canonical
-        :class:`repro.api.AuditReport`, bit-identical for any worker
-        count and to every other executor of the same request.
-        """
-        from repro import api
-
-        result = api.execute_request(request, engine=self)
-        return api.report_for_request(
-            request, result.audit, structural_digest=result.structural_hash
-        )
-
-    # ------------------------------------------------------------------ #
     # Multi-deployment auditing
     # ------------------------------------------------------------------ #
 
     def audit_jobs(self, jobs: Sequence[AuditJob]) -> list[DeploymentAudit]:
-        """Audit independent deployment jobs, fanning out across workers."""
+        """Audit independent deployment jobs, fanning out across workers.
+
+        *The* process fan-out of multi-deployment auditing: results are
+        those of ``SIAAuditor(..., engine=<inline engine of this block
+        size>).audit_deployment(spec)`` per job, for any worker count.
+        """
         if not jobs:
             raise SpecificationError("no audit jobs given")
         return self.map_jobs(
-            _run_audit_job,
-            [(job.depdb, job.spec, job.probability) for job in jobs],
+            _run_audit_job, [(job, self.block_size) for job in jobs]
         )
 
     def audit_many(
         self,
-        specs: Union[str, Path, Sequence[Union[str, Path]]],
+        specs: SpecSource,
         title: str = "multi-deployment audit",
         client: str = "",
     ) -> AuditReport:
         """Audit a directory (or list) of deployment spec files concurrently.
 
         ``specs`` is either a directory containing ``*.json`` spec files
-        (see :func:`load_audit_job`) or an explicit list of file paths.
-        Loading and validation are shared with the incremental layer
-        (one copy, one behavior — including the duplicate-deployment
-        rejection).
+        (see :func:`~repro.engine.specset.load_audit_job`) or an explicit
+        list of file paths.  Loading and validation are shared with the
+        incremental layer (one copy, one behavior — including the
+        duplicate-deployment rejection).
         """
-        from repro.engine.incremental import (
-            _require_single_ranking,
-            load_spec_set,
-        )
-
-        if not isinstance(specs, (str, Path)):
-            specs = [load_audit_job(Path(p)) for p in specs]
-        jobs = load_spec_set(specs)
-        if not jobs:
-            raise SpecificationError("no audit jobs given")
-        _require_single_ranking(jobs)
-        audits = self.audit_jobs(list(jobs))
+        jobs = load_report_jobs(specs)
         return AuditReport(
             title=title,
-            audits=audits,
+            audits=self.audit_jobs(jobs),
             ranking_method=jobs[0].spec.ranking,
             client=client,
             metadata={

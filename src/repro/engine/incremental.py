@@ -23,9 +23,6 @@ PR-1 engine without ever bending its determinism contract:
   re-audit only deployments whose fault graph (or audit parameters)
   actually changed, and serve the untouched ones from cache, reporting
   exactly what was reused and why.
-* :class:`WatchService` — the long-running ``indaas watch`` loop:
-  poll a spec directory, keep the caches warm across iterations, and
-  emit one JSON report per iteration.
 
 What is (and is not) reusable, bit-identically
 ----------------------------------------------
@@ -48,37 +45,34 @@ reused, and is:
 * compiled array/BDD forms for any graph structure seen before (the
   shared :class:`~repro.engine.cache.GraphCache`).
 
-The delta engine runs blocks and audit jobs in-process (fanning out to
-worker processes would bypass the warm caches, which is the opposite of
-what a long-running service wants).  Worker counts never change results
-anyway — see DESIGN.md.
+The caches live in this process: deployments of a set are audited one
+after another through them (the uncached process fan-out is
+:meth:`AuditEngine.audit_jobs`), and only the *blocks* a cache lookup
+misses go wherever the base engine runs blocks — inline or its pool.
+Worker counts never change results — see DESIGN.md.
 """
 
 from __future__ import annotations
 
-import json
-import threading
 import time
-from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.audit import SIAAuditor
 from repro.core.faultgraph import FaultGraph
 from repro.core.report import AuditReport, DeploymentAudit
-from repro.core.spec import AuditSpec
-from repro.engine.batch import BlockOutcome, run_block
-from repro.engine.cache import GraphCache, structural_hash
-from repro.engine.facade import (
-    AuditEngine,
+from repro.core.spec import AuditSpec, RGAlgorithm
+from repro.engine.cache import GraphCache, LRUCache, structural_hash
+from repro.engine.facade import AuditEngine, check_cancelled
+from repro.engine.parallel import BlockPlan, run_plan_serial
+from repro.engine.specset import (
     AuditJob,
-    check_cancelled,
-    load_audit_job,
+    SpecSource,
+    load_report_jobs,
+    load_spec_set,
 )
-from repro.engine.parallel import BlockPlan
-from repro.errors import AnalysisError, IndaasError, SpecificationError
 
 __all__ = [
     "GraphDelta",
@@ -87,10 +81,7 @@ __all__ = [
     "SpecSetDelta",
     "DeltaAuditReport",
     "DeltaAuditEngine",
-    "LRUCache",
     "StoreAuditOutcome",
-    "WatchService",
-    "load_spec_set",
 ]
 
 
@@ -181,7 +172,7 @@ def graph_delta(old: FaultGraph, new: FaultGraph) -> GraphDelta:
     """
     if old is new:
         # Same object: trivially a no-op.  This is the steady-state path
-        # of WatchService, which recycles unchanged files' graphs.
+        # of the watch service, which recycles unchanged files' graphs.
         return GraphDelta(
             added=(),
             removed=(),
@@ -229,58 +220,20 @@ def graph_delta(old: FaultGraph, new: FaultGraph) -> GraphDelta:
 # --------------------------------------------------------------------- #
 
 
-class LRUCache:
-    """Minimal thread-safe LRU map with hit/miss accounting.
-
-    Shared by the delta engine's block/audit caches and the audit
-    service's content-addressed report store.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise AnalysisError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return self._entries[key]
-            self.misses += 1
-            return None
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def info(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
-
 def _seed_key(seed_sequence: np.random.SeedSequence):
     """Hashable identity of a block's seeded stream."""
     entropy = seed_sequence.entropy
     if isinstance(entropy, (list, tuple, np.ndarray)):
         entropy = tuple(int(x) for x in entropy)
     return (entropy, tuple(seed_sequence.spawn_key), seed_sequence.pool_size)
+
+
+def _sub_plan(plan: BlockPlan, indices: Sequence[int]) -> BlockPlan:
+    """The blocks of ``plan`` at ``indices``, seeds and all."""
+    return BlockPlan(
+        rounds=tuple(plan.rounds[i] for i in indices),
+        seeds=tuple(plan.seeds[i] for i in indices),
+    )
 
 
 def _spec_audit_key(spec: AuditSpec) -> tuple:
@@ -299,6 +252,7 @@ def _spec_audit_key(spec: AuditSpec) -> tuple:
         spec.sampling_rounds,
         repr(spec.sampling_probability),
         spec.seed,
+        spec.adaptive,
         spec.ranking.value,
         spec.top_n,
         spec.max_order,
@@ -353,43 +307,6 @@ class StoreAuditOutcome:
 # --------------------------------------------------------------------- #
 # Spec sets and their diffs
 # --------------------------------------------------------------------- #
-
-
-SpecSource = Union[str, Path, Sequence[AuditJob]]
-
-
-def load_spec_set(specs: SpecSource) -> tuple[AuditJob, ...]:
-    """Normalise a spec-set source into a tuple of :class:`AuditJob`.
-
-    ``specs`` is either a directory of ``audit-many`` JSON spec files
-    (see :func:`~repro.engine.facade.load_audit_job`) or an already
-    materialised sequence of jobs.  Deployment names must be unique —
-    they are the identity the delta layer diffs by.
-    """
-    if isinstance(specs, (str, Path)):
-        root = Path(specs)
-        if not root.is_dir():
-            raise SpecificationError(f"{root} is not a directory")
-        paths = sorted(p for p in root.glob("*.json") if p.is_file())
-        if not paths:
-            raise SpecificationError("no deployment spec files found")
-        jobs = tuple(load_audit_job(p) for p in paths)
-    else:
-        jobs = tuple(specs)
-    counts = Counter(job.spec.deployment for job in jobs)
-    duplicates = sorted(n for n, count in counts.items() if count > 1)
-    if duplicates:
-        raise SpecificationError(
-            f"duplicate deployment names in spec set: {duplicates}"
-        )
-    return jobs
-
-
-def _require_single_ranking(jobs: Sequence[AuditJob]) -> None:
-    if len({job.spec.ranking for job in jobs}) != 1:
-        raise SpecificationError(
-            "all specs in one report must share a ranking method"
-        )
 
 
 @dataclass(frozen=True)
@@ -455,7 +372,7 @@ class DeltaAuditReport:
     metadata: dict = field(default_factory=dict)
     #: Built fault graphs by deployment name — feed back into the next
     #: ``audit_delta(old_graphs=...)`` call to skip rebuilding the old
-    #: side of the diff (what :class:`WatchService` does every poll).
+    #: side of the diff (what ``indaas watch`` does every poll).
     new_graphs: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -549,27 +466,24 @@ class DeltaAuditEngine(AuditEngine):
         independent generators, so skipping some never perturbs the
         others.
 
-        With workers and no ``stopper``, cache-miss blocks fan out
-        across processes; adaptive runs stay inline so the stopper sees
-        each outcome (cached or computed) in strict plan order.
+        Without a ``stopper`` the cache misses go to the base engine as
+        one sub-plan — it decides pool or inline, exactly as for an
+        uncached run.  Adaptive runs walk the plan in order instead, so
+        the stopper sees each outcome (cached or computed) in strict
+        plan order.
         """
+        params = dict(
+            probabilities=probabilities,
+            default_probability=default_probability,
+            minimise=minimise,
+        )
         if not reusable_stream:
             # Fresh-entropy seeds can never hit again; storing their
             # outcomes would only churn warm entries out of the LRU.
-            outcomes = super()._run_plan(
-                graph,
-                plan,
-                probabilities=probabilities,
-                default_probability=default_probability,
-                minimise=minimise,
-                stopper=stopper,
-            )[0]
-            return outcomes, {
-                "incremental": {
-                    "blocks_reused": 0,
-                    "blocks_computed": len(outcomes),
-                }
-            }
+            outcomes, extra = super()._run_plan(
+                graph, plan, stopper=stopper, **params
+            )
+            return outcomes, self._reuse_metadata(0, len(outcomes), extra)
         graph_key = structural_hash(graph)
         params_key = (
             None if probabilities is None else tuple(probabilities),
@@ -580,69 +494,46 @@ class DeltaAuditEngine(AuditEngine):
             (graph_key, params_key, block_rounds, _seed_key(block_seed))
             for block_rounds, block_seed in zip(plan.rounds, plan.seeds)
         ]
-        cached: list[Optional[BlockOutcome]] = [
-            self._blocks.get(key) for key in keys
-        ]
-        missing = [i for i, outcome in enumerate(cached) if outcome is None]
-        reused = len(plan) - len(missing)
-
-        if stopper is None and self.fanout > 1 and len(missing) > 1:
-            # Fan the misses out as their own sub-plan; worker-side
-            # run_block calls are identical to the inline ones, so the
-            # cached entries they produce are too.
-            check_cancelled()
-            sub_plan = BlockPlan(
-                rounds=tuple(plan.rounds[i] for i in missing),
-                seeds=tuple(plan.seeds[i] for i in missing),
+        outcomes = [self._blocks.get(key) for key in keys]
+        missing = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        if stopper is None:
+            extra = {}
+            if missing:
+                computed, extra = super()._run_plan(
+                    graph, _sub_plan(plan, missing), **params
+                )
+                for i, outcome in zip(missing, computed):
+                    self._blocks.put(keys[i], outcome)
+                    outcomes[i] = outcome
+            return outcomes, self._reuse_metadata(
+                len(plan) - len(missing), len(missing), extra
             )
-            computed = self.pool.run_plan(
-                graph,
-                sub_plan,
-                probabilities=probabilities,
-                default_probability=default_probability,
-                minimise=minimise,
-            )
-            for i, outcome in zip(missing, computed):
-                self._blocks.put(keys[i], outcome)
-                cached[i] = outcome
-            return list(cached), {
-                "incremental": {
-                    "blocks_reused": reused,
-                    "blocks_computed": len(missing),
-                },
-                "pool": self.pool.stats(),
-            }
 
-        compiled = self.compile(graph)
-        outcomes: list[BlockOutcome] = []
-        computed_count = 0
-        reused_count = 0
-        for index, (block_rounds, block_seed) in enumerate(
-            zip(plan.rounds, plan.seeds)
-        ):
-            check_cancelled()
-            outcome = cached[index]
+        compiled = self.compile(graph) if missing else None
+        computed = 0
+        for index, outcome in enumerate(outcomes):
             if outcome is None:
-                outcome = run_block(
-                    compiled,
-                    block_rounds,
-                    np.random.default_rng(block_seed),
-                    probabilities=probabilities,
-                    default_probability=default_probability,
-                    minimise=minimise,
+                [outcome] = run_plan_serial(
+                    compiled, _sub_plan(plan, [index]), **params
                 )
                 self._blocks.put(keys[index], outcome)
-                computed_count += 1
-            else:
-                reused_count += 1
-            outcomes.append(outcome)
-            if stopper is not None and stopper.observe(outcome):
+                outcomes[index] = outcome
+                computed += 1
+            if stopper.observe(outcome):
                 break
-        return outcomes, {
+        return outcomes[: index + 1], self._reuse_metadata(
+            index + 1 - computed, computed, {}
+        )
+
+    @staticmethod
+    def _reuse_metadata(reused: int, computed: int, extra: dict) -> dict:
+        """``extra`` (the base engine's run metadata) plus reuse counts."""
+        return {
+            **extra,
             "incremental": {
-                "blocks_reused": reused_count,
-                "blocks_computed": computed_count,
-            }
+                "blocks_reused": reused,
+                "blocks_computed": computed,
+            },
         }
 
     # ------------------------------------------------------------------ #
@@ -664,8 +555,6 @@ class DeltaAuditEngine(AuditEngine):
         bit-identical.  Cached audits are returned as-is — treat them as
         read-only.
         """
-        from repro.core.audit import SIAAuditor
-
         auditor = SIAAuditor(depdb, weigher=weigher, engine=self)
         graph = auditor.build_graph(spec)
         audit, _hit = self.audit_built(auditor, graph, spec)
@@ -680,8 +569,6 @@ class DeltaAuditEngine(AuditEngine):
         :func:`repro.api.execute_request` uses, so the audit service's
         repeat executions of one request become result-cache hits.
         """
-        from repro.core.spec import RGAlgorithm
-
         if spec.algorithm is RGAlgorithm.SAMPLING and spec.seed is None:
             # A seedless sampling audit draws fresh OS entropy on every
             # cold run, so no cached result is "bit-identical to a cold
@@ -717,8 +604,6 @@ class DeltaAuditEngine(AuditEngine):
         unless ``label`` is given) so the *next* call diffs against this
         audit, and so a later request can name the label as its ``base``.
         """
-        from repro.core.audit import SIAAuditor
-
         content = depdb.content_hash()
         last = depdb.last_snapshot()
         previous = None if last is None else last.digest
@@ -739,76 +624,12 @@ class DeltaAuditEngine(AuditEngine):
             snapshot=snapshot,
         )
 
-    @staticmethod
-    def _job_weigher(job: AuditJob):
-        from repro.failures import uniform_weigher
-
-        if job.probability is None:
-            return None
-        return uniform_weigher(job.probability)
-
-    def _audit_jobs_cached(
-        self, jobs: Sequence[AuditJob], graphs: Optional[dict] = None
-    ) -> tuple[list[DeploymentAudit], list[str], list[str]]:
-        """Audit jobs in-process through the caches, tracking reuse."""
-        from repro.core.audit import SIAAuditor
-
-        audits: list[DeploymentAudit] = []
-        reused: list[str] = []
-        recomputed: list[str] = []
-        for job in jobs:
-            auditor = SIAAuditor(
-                job.depdb, weigher=self._job_weigher(job), engine=self
-            )
-            graph = (
-                graphs[job.spec.deployment]
-                if graphs is not None
-                else auditor.build_graph(job.spec)
-            )
-            check_cancelled()
-            audit, hit = self.audit_built(auditor, graph, job.spec)
-            audits.append(audit)
-            (reused if hit else recomputed).append(job.spec.deployment)
-        return audits, reused, recomputed
-
-    def audit_full(
-        self,
-        specs: SpecSource,
-        title: str = "incremental audit",
-        client: str = "",
-    ) -> AuditReport:
-        """Audit a whole spec set (cold or warm) into one report.
-
-        The report's ``deployments`` are bit-identical to
-        :meth:`AuditEngine.audit_many` over the same specs.
-        """
-        jobs = load_spec_set(specs)
-        if not jobs:
-            raise SpecificationError("no audit jobs given")
-        _require_single_ranking(jobs)
-        audits, reused, recomputed = self._audit_jobs_cached(jobs)
-        return AuditReport(
-            title=title,
-            audits=audits,
-            ranking_method=jobs[0].spec.ranking,
-            client=client,
-            metadata={
-                "engine": {"workers": self.n_workers, "incremental": True},
-                "reused": reused,
-                "recomputed": recomputed,
-            },
-        )
-
     # ------------------------------------------------------------------ #
     # Delta auditing
     # ------------------------------------------------------------------ #
 
     def _build_graph(self, job: AuditJob) -> FaultGraph:
-        from repro.core.audit import SIAAuditor
-
-        return SIAAuditor(
-            job.depdb, weigher=self._job_weigher(job), engine=self
-        ).build_graph(job.spec)
+        return job.auditor(self).build_graph(job.spec)
 
     def diff_spec_sets(
         self,
@@ -884,15 +705,13 @@ class DeltaAuditEngine(AuditEngine):
         built graphs (``outcome.new_graphs``) so steady-state polls skip
         rebuilding the old side of the diff; ``prebuilt_graphs`` does
         the same for the *new* side — the caller asserts each entry is
-        the built graph of the same-named job in ``new`` (WatchService
-        proves this with file snapshots).  The returned report is
-        bit-identical to a cold :meth:`audit_full` of ``new``.
+        the built graph of the same-named job in ``new`` (the watch
+        service proves this with file snapshots).  The returned report's
+        deployments are bit-identical to an uncached
+        :meth:`AuditEngine.audit_jobs` over ``new``.
         """
         started = time.perf_counter()
-        new_jobs = load_spec_set(new)
-        if not new_jobs:
-            raise SpecificationError("no audit jobs given")
-        _require_single_ranking(new_jobs)
+        new_jobs = load_report_jobs(new)
         prebuilt = prebuilt_graphs or {}
         new_graphs = {
             job.spec.deployment: (
@@ -904,9 +723,18 @@ class DeltaAuditEngine(AuditEngine):
         delta = self.diff_spec_sets(
             old, new_jobs, new_graphs=new_graphs, old_graphs=old_graphs
         )
-        audits, reused, recomputed = self._audit_jobs_cached(
-            new_jobs, graphs=new_graphs
-        )
+        # The one cached loop: every deployment of the set goes through
+        # the result cache of this process, in order.
+        audits: list[DeploymentAudit] = []
+        reused: list[str] = []
+        recomputed: list[str] = []
+        for job in new_jobs:
+            check_cancelled()
+            audit, hit = self.audit_built(
+                job.auditor(self), new_graphs[job.spec.deployment], job.spec
+            )
+            audits.append(audit)
+            (reused if hit else recomputed).append(job.spec.deployment)
         report = AuditReport(
             title=title,
             audits=audits,
@@ -914,8 +742,8 @@ class DeltaAuditEngine(AuditEngine):
             client=client,
             metadata={
                 "engine": {"workers": self.n_workers, "incremental": True},
-                "reused": list(reused),
-                "recomputed": list(recomputed),
+                "reused": reused,
+                "recomputed": recomputed,
                 "delta": delta.to_dict(),
             },
         )
@@ -944,251 +772,3 @@ class DeltaAuditEngine(AuditEngine):
         info = super().info()
         info["incremental"] = self.cache_info()
         return info
-
-
-# --------------------------------------------------------------------- #
-# The watch service
-# --------------------------------------------------------------------- #
-
-
-class WatchService:
-    """Long-running incremental auditor over a spec directory.
-
-    Each iteration reloads the directory's ``*.json`` deployment specs,
-    delta-audits them against the previous iteration's set (the caches
-    stay warm inside the shared :class:`DeltaAuditEngine`), and produces
-    one JSON-serialisable report dict.  Spec errors (half-written files,
-    an emptied directory) are reported, not fatal — the service keeps
-    polling.
-
-    Each emitted line is a canonical ``repro.api`` event (the same field
-    names as the audit server's job event stream): ``kind="event"``,
-    ``event="iteration"`` (or ``"error"``), ``seq``, ``elapsed_seconds``
-    and the iteration payload.
-
-    Args:
-        directory: Directory of ``audit-many``-style spec files.
-        engine: Shared delta engine (a private one is created otherwise).
-        interval: Seconds to sleep between polls in :meth:`run`.
-        title: Report title used for every iteration.
-        include_report: Embed the full audit report dict in every
-            iteration (the compact stream of ``indaas watch`` turns this
-            off — in the warm steady state, serialising the report is
-            most of a poll's work).
-        sleep: Injectable sleep function (tests pass a no-op).  The
-            default sleeps on the stop event, so :meth:`request_stop`
-            interrupts an in-progress interval immediately.
-    """
-
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        engine: Optional[DeltaAuditEngine] = None,
-        interval: float = 2.0,
-        title: str = "indaas watch",
-        include_report: bool = True,
-        sleep: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        if interval < 0:
-            raise SpecificationError(f"interval must be >= 0, got {interval}")
-        self.directory = Path(directory)
-        if engine is None:
-            engine = DeltaAuditEngine()
-        # A base AuditEngine is welcome too: .delta() hands back its
-        # incremental companion (and is a no-op on a DeltaAuditEngine).
-        self.engine = engine.delta()
-        self.interval = interval
-        self.title = title
-        self.include_report = include_report
-        self.iterations = 0
-        self._stop = threading.Event()
-        self._sleep = sleep
-        self._previous: Optional[tuple[AuditJob, ...]] = None
-        self._previous_graphs: dict = {}
-        #: Per spec file: {"snapshot": ((mtime_ns, size) of the spec and
-        #: its DepDB), "job": parsed AuditJob, "graph": built FaultGraph
-        #: or None} — the steady-state poll's proof that re-parsing (and
-        #: re-building the graph) can be skipped for files that did not
-        #: move on disk.  The graph is written only after a *successful*
-        #: audit of exactly that job (see :meth:`run_once`), so an
-        #: errored iteration can never pair a file with a graph built
-        #: from different content.
-        self._file_cache: dict = {}
-
-    @staticmethod
-    def _snapshot(path: Path) -> Optional[tuple[int, int]]:
-        try:
-            stat = path.stat()
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
-
-    def _load_jobs(self) -> tuple[tuple[AuditJob, ...], dict]:
-        """Load the directory, re-parsing only files that changed.
-
-        Returns the job tuple plus ``{deployment: graph}`` for jobs
-        whose spec *and* DepDB files are byte-stable since the previous
-        iteration — safe to hand to ``audit_delta(prebuilt_graphs=...)``.
-        """
-        if not self.directory.is_dir():
-            raise SpecificationError(f"{self.directory} is not a directory")
-        paths = sorted(
-            p for p in self.directory.glob("*.json") if p.is_file()
-        )
-        jobs: list[AuditJob] = []
-        stable_graphs: dict = {}
-        fresh_cache: dict = {}
-        for path in paths:
-            # Snapshots are taken *before* parsing: a write racing the
-            # parse leaves a pre-write snapshot behind, so the next poll
-            # re-parses instead of trusting a torn read.
-            spec_snap = self._snapshot(path)
-            cached = self._file_cache.get(path)
-            if (
-                cached is not None
-                and spec_snap is not None
-                and cached["snapshot"][0] == spec_snap
-                and self._snapshot(Path(cached["job"].metadata["depdb"]))
-                == cached["snapshot"][1]
-            ):
-                job = cached["job"]
-                snapshot = cached["snapshot"]
-                graph = cached["graph"]
-                if graph is not None:
-                    # Built from this exact job after a successful audit
-                    # — the only pairing that is safe to hand back.
-                    stable_graphs[job.spec.deployment] = graph
-            else:
-                # Read and parse once; stat the DepDB *before*
-                # load_audit_job consumes the same payload, for the same
-                # torn-read reason as the spec snapshot above.
-                depdb_snap, payload = None, None
-                try:
-                    parsed = json.loads(path.read_text(encoding="utf-8"))
-                    if isinstance(parsed, dict):
-                        payload = parsed
-                        if isinstance(parsed.get("depdb"), str):
-                            depdb_snap = self._snapshot(
-                                path.parent / parsed["depdb"]
-                            )
-                except (OSError, json.JSONDecodeError):
-                    pass  # load_audit_job raises the clean error below
-                job = load_audit_job(path, payload=payload)
-                snapshot = (spec_snap, depdb_snap)
-                graph = None
-            if snapshot[0] is not None and snapshot[1] is not None:
-                fresh_cache[path] = {
-                    "snapshot": snapshot,
-                    "job": job,
-                    "graph": graph,
-                }
-            jobs.append(job)
-        self._file_cache = fresh_cache
-        if not jobs:
-            raise SpecificationError("no deployment spec files found")
-        return load_spec_set(jobs), stable_graphs
-
-    def request_stop(self) -> None:
-        """Ask :meth:`run` to exit after the current iteration.
-
-        Thread- and signal-safe; with the default sleeper it also wakes
-        a loop that is mid-interval, so shutdown latency is bounded by
-        one poll, not ``interval``.
-        """
-        self._stop.set()
-
-    @property
-    def stopping(self) -> bool:
-        """Whether :meth:`request_stop` has been called."""
-        return self._stop.is_set()
-
-    def run_once(self) -> dict:
-        """Poll the directory once and return the iteration event."""
-        from repro import api
-
-        self.iterations += 1
-        started = time.perf_counter()
-        try:
-            jobs, stable_graphs = self._load_jobs()
-            outcome = self.engine.audit_delta(
-                self._previous,
-                jobs,
-                title=self.title,
-                old_graphs=self._previous_graphs,
-                prebuilt_graphs=stable_graphs,
-            )
-        except IndaasError as exc:
-            # A half-written spec/DepDB or an emptied directory is an
-            # iteration-level event, not a reason to die; the next poll
-            # retries.  (IndaasError covers every domain error here:
-            # spec, dependency-data, graph and analysis failures.)
-            return api.job_event(
-                "error",
-                seq=self.iterations,
-                directory=str(self.directory),
-                error=str(exc),
-                elapsed_seconds=time.perf_counter() - started,
-            )
-        self._previous = jobs
-        self._previous_graphs = outcome.new_graphs
-        # Only now — after the audit of exactly these jobs succeeded —
-        # may each file's cache entry adopt its graph for reuse.
-        for entry in self._file_cache.values():
-            entry["graph"] = outcome.new_graphs.get(
-                entry["job"].spec.deployment
-            )
-        ranked = outcome.report.ranked_deployments()
-        return api.job_event(
-            "iteration",
-            seq=self.iterations,
-            directory=str(self.directory),
-            deployments=len(jobs),
-            delta=outcome.delta.to_dict(),
-            reused=list(outcome.reused),
-            recomputed=list(outcome.recomputed),
-            regressions=[
-                audit.deployment
-                for audit in ranked
-                if audit.has_unexpected_risk_groups
-            ],
-            scores={audit.deployment: audit.score for audit in ranked},
-            best=ranked[0].deployment,
-            elapsed_seconds=outcome.elapsed_seconds,
-            **(
-                {"report": outcome.report.to_dict()}
-                if self.include_report
-                else {}
-            ),
-        )
-
-    def run(
-        self,
-        iterations: Optional[int] = None,
-        emit: Optional[Callable[[dict], None]] = None,
-    ) -> int:
-        """Run the poll loop; returns the number of iterations executed.
-
-        Args:
-            iterations: Stop after this many polls (None = run until
-                interrupted or :meth:`request_stop` is called).
-            emit: Callback receiving each iteration's event dict.
-        """
-        if iterations is not None and iterations < 1:
-            raise SpecificationError(
-                f"iterations must be >= 1, got {iterations}"
-            )
-        done = 0
-        while iterations is None or done < iterations:
-            if self._stop.is_set():
-                break
-            report = self.run_once()
-            done += 1
-            if emit is not None:
-                emit(report)
-            is_last = iterations is not None and done >= iterations
-            if not is_last and self.interval > 0 and not self._stop.is_set():
-                if self._sleep is not None:
-                    self._sleep(self.interval)
-                else:
-                    self._stop.wait(self.interval)
-        return done

@@ -32,6 +32,7 @@ from repro.privacy.minhash import minhash_signature
 from repro.privacy.network_sim import ProtocolNetwork
 from repro.privacy.pipeline import _open_pool
 from repro.privacy.psop import PSOPParty, PSOPProtocol
+from repro.schema import envelope
 
 __all__ = ["PIAEntry", "PIAReport", "PIAAuditor"]
 
@@ -69,9 +70,7 @@ class PIAReport:
         return self.entries[0]
 
     def to_dict(self) -> dict:
-        from repro import api
-
-        return api.envelope("pia_report", self._payload())
+        return envelope("pia_report", self._payload())
 
     def _payload(self) -> dict:
         return {

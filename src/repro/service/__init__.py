@@ -11,6 +11,8 @@ Layers, bottom-up:
   to canonical :mod:`repro.api` documents.
 * :mod:`repro.service.server` — the stdlib asyncio HTTP/1.1 front-end
   plus :class:`ServiceThread` for in-process embedding.
+* :mod:`repro.service.watch` — :class:`WatchService`, the
+  ``indaas watch`` file-polling loop emitting the same events.
 
 The determinism contract extends over the wire: a report served by the
 HTTP service is byte-identical to the one :func:`repro.audit` returns
@@ -22,6 +24,7 @@ from repro.service.jobs import Job, JobManager
 from repro.service.router import Response, Router
 from repro.service.server import AuditServer, ServiceThread
 from repro.service.stores import TenantStores
+from repro.service.watch import WatchService
 
 __all__ = [
     "AdmissionQueue",
@@ -32,4 +35,5 @@ __all__ = [
     "Router",
     "ServiceThread",
     "TenantStores",
+    "WatchService",
 ]

@@ -32,7 +32,8 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro import api
-from repro.engine.incremental import DeltaAuditEngine, LRUCache
+from repro.engine.cache import LRUCache
+from repro.engine.incremental import DeltaAuditEngine
 from repro.engine.parallel import cancel_scope
 from repro.errors import AuditCancelled, IndaasError, ServiceError
 from repro.service.admission import AdmissionQueue

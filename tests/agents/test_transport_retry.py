@@ -156,17 +156,33 @@ class TestLongPollWait:
         # poller burned ~10 requests per second of runtime.
         assert used <= 4, f"wait() made {used} HTTP requests"
 
-    def test_wait_falls_back_to_bounded_polling(self, client, monkeypatch):
-        request = make_request(seed=103)
+    def test_unknown_job_does_not_degrade_later_waits(
+        self, client, monkeypatch
+    ):
+        """A 404 from ``wait()`` is the unknown-*job* error: it says
+        nothing about the server's routes, so the next ``wait()`` on the
+        same client must still long-poll."""
+        with pytest.raises(ServiceError) as excinfo:
+            client.wait("no-such-job", timeout=5)
+        assert (excinfo.value.status, excinfo.value.code) == (
+            404,
+            "not-found",
+        )
+        long_polls = []
+        events_after = client.events_after
+        monkeypatch.setattr(
+            client,
+            "events_after",
+            lambda *args, **kwargs: long_polls.append(args)
+            or events_after(*args, **kwargs),
+        )
+        request = make_request(algorithm="sampling", rounds=60_000, seed=103)
         submitted = client.submit(request)
-
-        def gone(*args, **kwargs):
-            raise ServiceError("no such endpoint", status=404, code="not-found")
-
-        monkeypatch.setattr(client, "events_after", gone)
-        status = client.wait(submitted.job_id, timeout=60)
-        assert status.state == "done"
-        assert client._long_poll_supported is False
+        before = client.request_count
+        assert client.wait(submitted.job_id, timeout=60).state == "done"
+        used = client.request_count - before
+        assert long_polls, "the next wait() fell back to status polling"
+        assert used <= 4, f"wait() made {used} HTTP requests"
 
     def test_wait_timeout_raises_typed_error(self, service):
         stalled = ServiceThread(JobManager(workers=0)).start()

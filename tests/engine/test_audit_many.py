@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.engine import AuditEngine
-from repro.engine.facade import load_audit_job
+from repro.engine import load_audit_job
 from repro.errors import SpecificationError
 
 WEB_DEPDB = (

@@ -21,6 +21,8 @@ from repro.depdb import DepDB
 from repro.engine import AuditEngine, GraphCache
 from repro.errors import AnalysisError, SpecificationError
 
+from tests.engine.test_incremental import SETS, jobs_for
+
 
 @pytest.fixture
 def provider_graph():
@@ -163,53 +165,6 @@ class TestAuditorIntegration:
         # details, or worker count would change serialized output.
         assert engineered.notes == plain.notes
 
-    def test_multi_spec_audit_fans_out(self):
-        auditor = self.make_auditor(workers=2)
-        specs = [self.spec(("S1", "S2")), self.spec(("S1", "S3"))]
-        report = auditor.audit(specs, title="fanout")
-        assert len(report.audits) == 2
-        serial = SIAAuditor(auditor.depdb).audit(specs, title="serial")
-        assert [a.deployment for a in report.ranked_deployments()] == [
-            a.deployment for a in serial.ranked_deployments()
-        ]
-        assert {a.deployment: a.score for a in report.audits} == {
-            a.deployment: a.score for a in serial.audits
-        }
-
-    def test_unpicklable_weigher_falls_back_to_serial(self):
-        """A closure weigher can't ship to workers: the multi-spec
-        fan-out must quietly run serially — no exception, and output
-        identical to a plain serial auditor with the same weigher."""
-        depdb = DepDB.loads(NETWORK_DEPDB)
-        captured = object()  # force a real closure cell
-
-        def weigher(kind, identifier):  # a closure: not picklable
-            assert captured is not None
-            return 0.1
-
-        specs = [self.spec(("S1", "S2")), self.spec(("S1", "S3"))]
-        auditor = SIAAuditor(
-            depdb, weigher=weigher, engine=AuditEngine(n_workers=2)
-        )
-        report = auditor.audit(specs)
-        assert len(report.audits) == 2
-
-        import pickle
-
-        with pytest.raises(Exception):
-            pickle.dumps(weigher)  # precondition: the fallback really fired
-
-        serial = SIAAuditor(depdb, weigher=weigher).audit(specs)
-        by_name = {a.deployment: a for a in report.audits}
-        for reference in serial.audits:
-            ours = by_name[reference.deployment]
-            assert [e.events for e in ours.ranking] == [
-                e.events for e in reference.ranking
-            ]
-            assert ours.score == reference.score
-            assert ours.failure_probability == reference.failure_probability
-            assert ours.notes == reference.notes
-
 
 class TestWhatIfIntegration:
     def test_engine_matches_serial_whatif(self, figure_4b):
@@ -258,6 +213,25 @@ class TestEngineInfo:
     def test_none_workers_means_inline(self):
         assert AuditEngine(n_workers=None).n_workers == 1
         assert AuditEngine(n_workers=0).n_workers == 1
+
+
+class TestAuditJobs:
+    """``audit_jobs`` is the one process fan-out of spec-set auditing."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_jobs_are_audited_at_the_engines_block_size(self, workers):
+        """The block plan, hence the sampled result, depends on the
+        block size: the kernel must audit at the dispatching engine's,
+        in whatever process it runs — not at a worker-side default."""
+        jobs = jobs_for(SETS)  # 3 000 sampling rounds each, seed 0
+        reference = SIAAuditor(
+            jobs[0].depdb, engine=AuditEngine(block_size=512)
+        )
+        with AuditEngine(block_size=512, n_workers=workers) as engine:
+            audits = engine.audit_jobs(jobs)
+        assert [audit.to_dict() for audit in audits] == [
+            reference.audit_deployment(job.spec).to_dict() for job in jobs
+        ]
 
 
 class TestAuditManyErrors:

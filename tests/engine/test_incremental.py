@@ -1,11 +1,10 @@
 """The incremental delta-audit layer (ISSUE 2 tentpole).
 
 Covers the graph diff (and its equivalence with the structural hash),
-bit-identical block/audit reuse in :class:`DeltaAuditEngine`, the
-``audit_delta`` spec-set workflow, and the ``WatchService`` poll loop.
+bit-identical block/audit reuse in :class:`DeltaAuditEngine` and the
+``audit_delta`` spec-set workflow (the ``indaas watch`` poll loop over
+it is covered in ``tests/service/test_watch.py``).
 """
-
-import json
 
 import pytest
 
@@ -15,13 +14,12 @@ from repro.depdb import DepDB
 from repro.depdb.records import HardwareDependency
 from repro.engine import (
     AuditEngine,
+    AuditJob,
     DeltaAuditEngine,
-    WatchService,
     graph_delta,
     load_spec_set,
     structural_hash,
 )
-from repro.engine.facade import AuditJob
 from repro.errors import SpecificationError
 
 
@@ -226,7 +224,7 @@ class TestAuditDelta:
         new_jobs = jobs_for(new_sets)
 
         engine = DeltaAuditEngine()
-        engine.audit_full(old_jobs, title="t")
+        engine.audit_delta(None, old_jobs, title="t")
         outcome = engine.audit_delta(old_jobs, new_jobs, title="t")
         assert set(outcome.recomputed) == {"P0 & P1", "P0 & P2"}
         assert outcome.reused == ("P1 & P2",)
@@ -239,11 +237,12 @@ class TestAuditDelta:
             assert "hw:p0-1" in change.delta.removed
             assert not change.spec_changed
 
-        cold = DeltaAuditEngine().audit_full(new_jobs, title="t")
-        assert (
-            outcome.report.to_dict()["deployments"]
-            == cold.to_dict()["deployments"]
-        )
+        # The cold reference is the *other* path: the uncached fan-out
+        # kernel of a base engine, not the delta engine against itself.
+        cold = AuditEngine().audit_jobs(new_jobs)
+        assert [a.to_dict() for a in outcome.report.audits] == [
+            a.to_dict() for a in cold
+        ]
 
     def test_first_run_treats_everything_as_added(self):
         outcome = DeltaAuditEngine().audit_delta(None, jobs_for(SETS))
@@ -263,7 +262,7 @@ class TestAuditDelta:
             spec=sampling_spec("P0", "P1", rounds=5_000),
         )
         engine = DeltaAuditEngine()
-        engine.audit_full(old_jobs)
+        engine.audit_delta(None, old_jobs)
         outcome = engine.audit_delta(old_jobs, new_jobs)
         assert outcome.recomputed == ("P0 & P1",)
         changed = outcome.delta.changed[0]
@@ -272,7 +271,7 @@ class TestAuditDelta:
     def test_added_and_removed_deployments(self):
         old_jobs = jobs_for(SETS)
         engine = DeltaAuditEngine()
-        engine.audit_full(old_jobs)
+        engine.audit_delta(None, old_jobs)
         outcome = engine.audit_delta(old_jobs, old_jobs[:2] )
         assert outcome.delta.removed == ("P1 & P2",)
         assert outcome.reused == ("P0 & P1", "P0 & P2")
@@ -354,212 +353,25 @@ class TestAuditDelta:
         assert first.score == plain.score
         assert first.notes == plain.notes
 
+    @pytest.mark.parametrize("first", [False, True])
+    def test_adaptive_is_part_of_the_result_cache_key(self, first):
+        """An adaptive audit stops early and says so in its notes; it is
+        not interchangeable with the exact-rounds audit of the same
+        request — on a warm engine (the one ``JobManager`` serves from)
+        neither may be answered with the other's report, in either
+        order."""
+        import repro
 
-WATCH_DEPDB = (
-    '<src="S1" dst="Internet" route="ToR1,Core1"/>\n'
-    '<src="S2" dst="Internet" route="ToR1,Core1"/>\n'
-    '<src="S3" dst="Internet" route="ToR2,Core2"/>\n'
-)
+        text = provider_depdb(SETS).dumps()
+        params = dict(algorithm="sampling", rounds=100_000, seed=3)
 
+        def audit(engine, adaptive):
+            return repro.audit(
+                text, ("P0", "P1"), engine=engine, adaptive=adaptive, **params
+            ).to_json()
 
-def write_watch_dir(tmp_path):
-    (tmp_path / "net.depdb").write_text(WATCH_DEPDB)
-    (tmp_path / "web.json").write_text(
-        json.dumps(
-            {
-                "name": "web-tier",
-                "depdb": "net.depdb",
-                "servers": ["S1", "S2"],
-                "algorithm": "sampling",
-                "rounds": 2000,
-                "seed": 0,
-            }
-        )
-    )
-    (tmp_path / "db.json").write_text(
-        json.dumps(
-            {
-                "name": "db-tier",
-                "depdb": "net.depdb",
-                "servers": ["S1", "S3"],
-                "algorithm": "sampling",
-                "rounds": 2000,
-                "seed": 0,
-            }
-        )
-    )
-    return tmp_path
-
-
-class TestWatchService:
-    def test_warm_iterations_reuse_everything(self, tmp_path):
-        write_watch_dir(tmp_path)
-        service = WatchService(tmp_path, interval=0)
-        first = service.run_once()
-        assert first["seq"] == 1
-        assert set(first["delta"]["added"]) == {"db-tier", "web-tier"}
-        assert first["recomputed"] and not first["reused"]
-        assert set(first["scores"]) == {"db-tier", "web-tier"}
-        assert first["best"] == "db-tier"
-        assert first["regressions"] == ["web-tier"]
-
-        second = service.run_once()
-        assert second["delta"]["noop"] is True
-        assert set(second["reused"]) == {"db-tier", "web-tier"}
-        assert not second["recomputed"]
-        # Identical audit payload; only the reuse metadata moves.
-        assert (
-            second["report"]["deployments"] == first["report"]["deployments"]
-        )
-
-    def test_file_change_recomputes_only_affected(self, tmp_path):
-        write_watch_dir(tmp_path)
-        service = WatchService(tmp_path, interval=0)
-        service.run_once()
-        # Re-route S3: only db-tier depends on it.
-        (tmp_path / "net.depdb").write_text(
-            WATCH_DEPDB.replace("ToR2,Core2", "ToR9,Core2")
-        )
-        report = service.run_once()
-        assert report["recomputed"] == ["db-tier"]
-        assert report["reused"] == ["web-tier"]
-        changed = report["delta"]["changed"]
-        assert [c["deployment"] for c in changed] == ["db-tier"]
-        assert "device:ToR9" in changed[0]["graph"]["added"]
-
-    def test_spec_errors_are_reported_not_fatal(self, tmp_path):
-        service = WatchService(tmp_path / "missing", interval=0)
-        report = service.run_once()
-        assert "error" in report and report["seq"] == 1
-        # The loop keeps going after an error iteration.
-        seen = []
-        service.run(iterations=2, emit=seen.append)
-        assert [r["seq"] for r in seen] == [2, 3]
-        assert all("error" in r for r in seen)
-
-    def test_mistyped_spec_field_is_survivable(self, tmp_path):
-        write_watch_dir(tmp_path)
-        service = WatchService(tmp_path, interval=0)
-        assert "error" not in service.run_once()
-        payload = json.loads((tmp_path / "db.json").read_text())
-        payload["required"] = "1"  # wrong JSON type, valid JSON
-        (tmp_path / "db.json").write_text(json.dumps(payload))
-        broken = service.run_once()
-        assert "error" in broken and "required" in broken["error"]
-
-    def test_half_written_depdb_is_survivable(self, tmp_path):
-        """Any IndaasError mid-poll (here: DependencyDataError from a
-        truncated DepDB being rewritten) must yield an error line, and
-        the service must recover on the next poll."""
-        write_watch_dir(tmp_path)
-        service = WatchService(tmp_path, interval=0)
-        assert "error" not in service.run_once()
-        (tmp_path / "net.depdb").write_text('<src="S1" dst="Int')
-        broken = service.run_once()
-        assert "error" in broken and broken["seq"] == 2
-        (tmp_path / "net.depdb").write_text(WATCH_DEPDB)
-        recovered = service.run_once()
-        assert "error" not in recovered
-        assert set(recovered["reused"]) == {"db-tier", "web-tier"}
-
-    def test_steady_state_rebuilds_nothing(self, tmp_path, monkeypatch):
-        """Warm polls with byte-stable files recycle the previous
-        iteration's parsed jobs *and* built graphs: no re-parse, no
-        rebuild — just stat calls, hash checks and cache hits."""
-        from repro.core.audit import SIAAuditor
-        from repro.engine import incremental
-
-        write_watch_dir(tmp_path)
-        service = WatchService(tmp_path, interval=0)
-        service.run_once()
-        builds, parses = [], []
-        original_build = SIAAuditor.build_graph
-        monkeypatch.setattr(
-            SIAAuditor,
-            "build_graph",
-            lambda self, spec: builds.append(spec.deployment)
-            or original_build(self, spec),
-        )
-        original_load = incremental.load_audit_job
-        monkeypatch.setattr(
-            incremental,
-            "load_audit_job",
-            lambda path, payload=None: parses.append(str(path))
-            or original_load(path, payload=payload),
-        )
-        steady = service.run_once()
-        assert set(steady["reused"]) == {"db-tier", "web-tier"}
-        assert builds == [] and parses == []
-        # A touched spec file re-parses and rebuilds only itself.
-        payload = json.loads((tmp_path / "db.json").read_text())
-        (tmp_path / "db.json").write_text(json.dumps(payload))
-        after_touch = service.run_once()
-        assert [p.endswith("db.json") for p in parses] == [True]
-        assert builds == ["db-tier"]
-        # Byte-identical content => same structural hash => still reused.
-        assert set(after_touch["reused"]) == {"db-tier", "web-tier"}
-
-    def test_errored_poll_cannot_pin_a_stale_graph(self, tmp_path):
-        """A file changed during an *errored* iteration must not be
-        paired with its pre-change graph once the error clears."""
-        write_watch_dir(tmp_path)
-        service = WatchService(tmp_path, interval=0)
-        assert "error" not in service.run_once()
-        # db.json changes content, and the same poll errors because a
-        # sibling file duplicates a deployment name.
-        payload = json.loads((tmp_path / "db.json").read_text())
-        payload["servers"] = ["S2", "S3"]
-        (tmp_path / "db.json").write_text(json.dumps(payload))
-        (tmp_path / "dup.json").write_text(
-            (tmp_path / "web.json").read_text()
-        )
-        broken = service.run_once()
-        assert "error" in broken and "duplicate" in broken["error"]
-        (tmp_path / "dup.json").unlink()
-        # db.json is byte-stable since the errored poll; the service
-        # must audit its NEW content, not replay the pre-change graph.
-        recovered = service.run_once()
-        assert "error" not in recovered
-        assert "db-tier" in recovered["recomputed"]
-        cold = DeltaAuditEngine().audit_full(
-            load_spec_set(tmp_path), title=service.title
-        )
-        assert (
-            recovered["report"]["deployments"]
-            == cold.to_dict()["deployments"]
-        )
-
-    def test_compact_mode_skips_report_serialisation(self, tmp_path):
-        write_watch_dir(tmp_path)
-        service = WatchService(tmp_path, interval=0, include_report=False)
-        report = service.run_once()
-        assert "report" not in report
-        assert set(report["scores"]) == {"db-tier", "web-tier"}
-
-    def test_run_sleeps_between_but_not_after(self, tmp_path):
-        write_watch_dir(tmp_path)
-        naps = []
-        service = WatchService(
-            tmp_path, interval=1.5, sleep=naps.append
-        )
-        count = service.run(iterations=3)
-        assert count == 3
-        assert naps == [1.5, 1.5]
-
-    def test_accepts_a_base_audit_engine(self, tmp_path):
-        """Handing a plain AuditEngine must not crash the service: the
-        engine's delta companion (sharing its GraphCache) is used."""
-        write_watch_dir(tmp_path)
-        base = AuditEngine()
-        service = WatchService(tmp_path, engine=base, interval=0)
-        assert service.engine is base.delta()
-        first = service.run_once()
-        assert "error" not in first
-        second = service.run_once()
-        assert set(second["reused"]) == {"db-tier", "web-tier"}
-
-    def test_invalid_parameters(self, tmp_path):
-        with pytest.raises(SpecificationError):
-            WatchService(tmp_path, interval=-1)
-        with pytest.raises(SpecificationError):
-            WatchService(tmp_path).run(iterations=0)
+        cold = {flag: audit(DeltaAuditEngine(), flag) for flag in (False, True)}
+        assert cold[False] != cold[True]  # the early stop is visible
+        warm = DeltaAuditEngine()
+        assert audit(warm, first) == cold[first]
+        assert audit(warm, not first) == cold[not first]

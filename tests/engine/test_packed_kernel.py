@@ -4,8 +4,9 @@ The uint64 kernel evaluates 64 rounds per bitwise gate op but must stay
 *bit-identical* to the boolean reference path: both draw the same random
 stream, so every `BlockOutcome` field (rounds, top_failures, groups,
 raw_keys) must match exactly — for any graph, probability, block size
-and round count.  The boolean evaluator is reachable only through
-``run_block(packed=False)``; everything above a block is a
+and round count.  ``src/`` runs only the packed kernel; the block
+built on the boolean evaluator lives here as the oracle
+:func:`run_block_boolean`.  Everything above a block is a
 deterministic composition of blocks, so block parity is the whole
 contract.
 """
@@ -21,9 +22,31 @@ from repro.core.compile import (
     pack_rounds,
     unpack_rounds,
 )
-from repro.engine.batch import run_block
+from repro.engine.batch import BlockOutcome, _finish_block, run_block
 
 from tests.core.test_property_core import fault_graphs
+
+
+def run_block_boolean(
+    compiled,
+    rounds,
+    rng,
+    *,
+    probabilities=None,
+    default_probability=0.5,
+    minimise=True,
+):
+    """The boolean reference path of ``run_block`` (one byte per round)."""
+    failures = compiled.sample_failures(
+        rounds, probabilities, rng, default_probability=default_probability
+    )
+    values = compiled.evaluate_batch(failures, return_all=True)
+    failing = np.flatnonzero(values[:, compiled.top_index])
+    values_failing = values[failing] if failing.size else None
+    outcome = BlockOutcome(rounds=rounds, top_failures=int(failing.size))
+    if failing.size == 0:
+        return outcome
+    return _finish_block(compiled, outcome, values_failing, rng, minimise)
 
 
 # --------------------------------------------------------------------- #
@@ -100,14 +123,13 @@ def test_run_block_packed_is_bit_identical(
 ):
     compiled = CompiledGraph(graph)
     outcomes = [
-        run_block(
+        kernel(
             compiled,
             rounds,
             np.random.default_rng(seed),
             default_probability=probability,
             minimise=minimise,
-            packed=packed,
         )
-        for packed in (True, False)
+        for kernel in (run_block, run_block_boolean)
     ]
     assert outcomes[0] == outcomes[1]

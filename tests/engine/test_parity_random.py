@@ -17,7 +17,7 @@ from repro.core.componentset import ComponentSets
 from repro.depdb import DepDB
 from repro.depdb.records import HardwareDependency
 from repro.engine import AuditEngine, DeltaAuditEngine
-from repro.engine.facade import AuditJob
+from repro.engine import AuditJob
 
 MASTER_SEED = 0xC0FFEE
 SPEC_COUNT = 20

@@ -23,9 +23,15 @@ RECORDS = [
 SPEC = AuditSpec(deployment="riak", servers=("S1", "S2"))
 
 
-@pytest.fixture
-def db():
-    return DepDB(RECORDS)
+@pytest.fixture(params=["memory", "sqlite"])
+def db(request, tmp_path):
+    """The audited store, in memory and as the durable SQLite backend."""
+    if request.param == "memory":
+        yield DepDB(RECORDS)
+        return
+    with DepDB.sqlite(tmp_path / "store.sqlite") as store:
+        assert store.ingest(iter(RECORDS)) == len(RECORDS)
+        yield store
 
 
 class TestFirstAudit:

@@ -260,7 +260,7 @@ class TestWatchParity:
         stream are the same schema: kind, event, seq, elapsed_seconds."""
         import json
 
-        from repro.engine.incremental import WatchService
+        from repro.service import WatchService
 
         (tmp_path / "net.depdb").write_text(DEPDB)
         (tmp_path / "web.json").write_text(
