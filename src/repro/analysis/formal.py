@@ -134,11 +134,7 @@ def formal_analysis(
         probability = None
         if weigher is not None:
             probs = graph.probabilities()
-            probability = top_event_probability(
-                groups,
-                probs,
-                method="auto" if len(groups) <= 20 else "monte-carlo",
-            )
+            probability = top_event_probability(groups, probs)
         result.deployments.append(
             DeploymentAnalysis(
                 members=combo,

@@ -178,12 +178,7 @@ class SIAAuditor:
             probabilities = graph.probabilities()
         except FaultGraphError:
             return None
-        try:
-            return top_event_probability(groups, probabilities)
-        except AnalysisError:
-            return top_event_probability(
-                groups, probabilities, method="monte-carlo"
-            )
+        return top_event_probability(groups, probabilities)
 
     def component_importance(self, spec: AuditSpec, top: int = 10):
         """Per-component hardening priorities for one deployment.

@@ -230,7 +230,8 @@ class BDD:
             cache[node_id] = value
             return value
 
-        return walk(self.root)
+        with self._recursion_headroom():
+            return walk(self.root)
 
     def count_failure_states(self) -> int:
         """Number of assignments that fail the top event (model count).
@@ -262,13 +263,15 @@ class BDD:
         if self.is_terminal(self.root):
             return 0 if self.root == ZERO else 1 << n
         root_var = self.node(self.root).var
-        return walk(self.root) * (1 << root_var)
+        with self._recursion_headroom():
+            return walk(self.root) * (1 << root_var)
 
     @contextmanager
     def _recursion_headroom(self):
-        """Recursion depth here is bounded by the variable count (the
-        ``without`` pair descends at most one level per operand), so big
-        graphs need more stack than CPython's default 1000 frames."""
+        """Recursion depth here is bounded by the variable count (``apply``
+        and the walks descend one level per variable, ``without`` at most
+        one per operand), so big graphs need more stack than CPython's
+        default 1000 frames: ``compile_graph`` and every analysis run in it."""
         wanted = 4 * len(self.variables) + 200
         previous = sys.getrecursionlimit()
         sys.setrecursionlimit(max(previous, wanted))
@@ -422,17 +425,18 @@ def compile_graph(
         )
     bdd = BDD(leaves, max_nodes=max_nodes)
     node_bdds: dict[str, int] = {}
-    for name in graph.topological_order():
-        event = graph.event(name)
-        if event.is_basic:
-            node_bdds[name] = bdd.literal(name)
-            continue
-        children = [node_bdds[c] for c in graph.children(name)]
-        if event.gate is GateType.OR:
-            node_bdds[name] = bdd.apply_many("or", children)
-        elif event.gate is GateType.AND:
-            node_bdds[name] = bdd.apply_many("and", children)
-        else:
-            node_bdds[name] = bdd.at_least(graph.threshold(name), children)
+    with bdd._recursion_headroom():
+        for name in graph.topological_order():
+            event = graph.event(name)
+            if event.is_basic:
+                node_bdds[name] = bdd.literal(name)
+                continue
+            children = [node_bdds[c] for c in graph.children(name)]
+            if event.gate is GateType.OR:
+                node_bdds[name] = bdd.apply_many("or", children)
+            elif event.gate is GateType.AND:
+                node_bdds[name] = bdd.apply_many("and", children)
+            else:
+                node_bdds[name] = bdd.at_least(graph.threshold(name), children)
     bdd.root = node_bdds[graph.top]
     return bdd

@@ -42,6 +42,19 @@ class TestFormalAnalysis:
         assert best.is_safe
         assert best.failure_probability is not None
 
+    def test_failure_probability_is_exact_beyond_twenty_groups(
+        self, two_wide_hosts
+    ):
+        """Disjoint 7-event servers: 49 RGs, closed form ``(1 - 0.9^7)^2``."""
+        result = formal_analysis(
+            two_wide_hosts, ["H1", "H2"], weigher=lambda kind, ident: 0.1
+        )
+        (deployment,) = result.deployments
+        assert len(deployment.minimal_rgs) == 49
+        assert deployment.failure_probability == pytest.approx(
+            (1 - 0.9**7) ** 2, abs=1e-12
+        )
+
     def test_probability_requires_weigher(self, depdb):
         result = formal_analysis(depdb, ["RackA", "RackB"], ways=2)
         with pytest.raises(AnalysisError, match="weigher"):

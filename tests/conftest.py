@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import ComponentSets, FaultGraph, FaultSets, GateType
+from repro.depdb import DepDB
+from repro.depdb.records import HardwareDependency
 
 
 @pytest.fixture
@@ -45,3 +47,15 @@ def deep_graph() -> FaultGraph:
     g.add_gate("S2", GateType.OR, ["net2", "libc6"])
     g.add_gate("top", GateType.AND, ["S1", "S2"], top=True)
     return g
+
+
+@pytest.fixture
+def two_wide_hosts() -> DepDB:
+    """Hosts H1 and H2 with six private components each: the 2-way
+    deployment has 7 x 7 = 49 two-event minimal RGs, past every limit at
+    which ``Pr(T)`` was ever estimated instead of computed."""
+    return DepDB(
+        HardwareDependency(hw=host, type="component", dep=f"{host}-c{i}")
+        for host in ("H1", "H2")
+        for i in range(6)
+    )

@@ -108,6 +108,23 @@ class TestAuditDeployment:
         importances = [e.importance for e in audit.ranking]
         assert importances == sorted(importances, reverse=True)
 
+    @pytest.mark.parametrize("ranking", list(RankingMethod))
+    def test_failure_probability_is_exact_beyond_twenty_groups(
+        self, two_wide_hosts, ranking
+    ):
+        """Both rankings report the graph diagram's ``Pr(T)`` for the 49
+        RGs, not an estimate of it."""
+        from repro.core.bdd import compile_graph
+
+        auditor = SIAAuditor(two_wide_hosts, weigher=lambda kind, ident: 0.07)
+        spec = AuditSpec(deployment="d", servers=("H1", "H2"), ranking=ranking)
+        audit = auditor.audit_deployment(spec)
+        assert len(audit.ranking) == 49
+        graph = auditor.build_graph(spec)
+        assert audit.failure_probability == pytest.approx(
+            compile_graph(graph).probability(graph.probabilities()), abs=1e-12
+        )
+
     def test_graph_stats_recorded(self, depdb):
         audit = SIAAuditor(depdb).audit_deployment(
             AuditSpec(deployment="d", servers=("S1",))

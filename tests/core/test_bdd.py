@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import FaultGraph, GateType, minimal_risk_groups
+from repro import ComponentSets, FaultGraph, GateType, minimal_risk_groups
 from repro.core.bdd import BDD, ONE, ZERO, compile_graph
 from repro.core.minimal_rg import CutSetExplosion
 from repro.core.probability import top_event_probability
@@ -116,6 +116,28 @@ class TestCompileGraph:
 
     def test_size_reported(self, deep_graph):
         assert compile_graph(deep_graph).size() >= 1
+
+    def test_wide_graph_needs_no_caller_side_recursion_limit(self):
+        """One frame per variable: 1 102 leaves used to overflow CPython's
+        default stack inside ``compile_graph`` on the default audit path."""
+        wide = ComponentSets.from_mapping(
+            {"A": [f"a{i}" for i in range(1100)], "B": ["b0", "b1"]}
+        ).to_fault_graph("wide")
+        groups = minimal_risk_groups(wide)  # auto -> bdd
+        assert len(groups) == 2200
+        assert groups == minimal_risk_groups(wide, method="mocus")
+
+    def test_walks_of_a_deep_diagram(self):
+        """``probability`` and ``count_failure_states`` on 1 500 levels."""
+        names = [f"v{i}" for i in range(1500)]
+        bdd = BDD(names)
+        bdd.root = ONE
+        for var in reversed(range(len(names))):
+            bdd.root = bdd.make(var, ZERO, bdd.root)  # AND of every variable
+        assert bdd.probability(dict.fromkeys(names, 0.999)) == pytest.approx(
+            0.999**1500
+        )
+        assert bdd.count_failure_states() == 1
 
 
 class TestMinimalSolutions:

@@ -1,8 +1,15 @@
 """Unit tests for probability computations (§4.1.3 worked example)."""
 
+import math
+import random
+from itertools import combinations
+
 import pytest
 
-from repro import FaultGraph, GateType
+from repro import AuditSpec, FaultGraph, GateType, SIAAuditor, minimal_risk_groups
+from repro.acquisition import NetworkDependencyCollector
+from repro.core import probability
+from repro.core.bdd import compile_graph
 from repro.core.probability import (
     cut_probability,
     expected_error_minhash,
@@ -12,7 +19,12 @@ from repro.core.probability import (
     tree_probability,
     union_probability,
 )
+from repro.depdb import DepDB
 from repro.errors import AnalysisError
+from repro.failures import uniform_weigher
+from repro.topology import FatTreeConfig, fat_tree
+from tests.analysis.test_golden_figures import fig7_graph, fig9_sets
+from tests.core.evaluators import bn_top_probability, brute_force_union
 
 CUTS_4B = [frozenset({"A2"}), frozenset({"A1", "A3"})]
 
@@ -69,12 +81,19 @@ class TestUnionProbability:
         with pytest.raises(AnalysisError, match="exceed"):
             union_probability(cuts, probs, method="exact")
 
-    def test_auto_switches_to_monte_carlo(self):
+    def test_auto_is_exact_beyond_the_limit(self):
         probs = {f"e{i}": 0.01 for i in range(30)}
         cuts = [frozenset({f"e{i}"}) for i in range(30)]
         value = union_probability(cuts, probs, mc_rounds=50_000, seed=1)
         exact = 1 - 0.99**30
-        assert value == pytest.approx(exact, abs=0.01)
+        assert value == pytest.approx(exact, abs=1e-12)
+
+    def test_small_families_are_stable_under_order_and_duplicates(
+        self, figure_4b_probs
+    ):
+        # The bit-level laws of larger families: test_property_core.py.
+        value = union_probability(CUTS_4B, figure_4b_probs)
+        assert union_probability(CUTS_4B[::-1] * 6, figure_4b_probs) == value
 
     def test_empty_cuts_rejected(self):
         with pytest.raises(AnalysisError):
@@ -83,6 +102,170 @@ class TestUnionProbability:
     def test_unknown_method(self, figure_4b_probs):
         with pytest.raises(AnalysisError, match="unknown method"):
             union_probability(CUTS_4B, figure_4b_probs, method="zzz")
+
+
+def random_family(rng: random.Random, n_sets: int, n_events: int = 14):
+    """``n_sets`` distinct 1..4-event cuts over ``n_events`` weighted events."""
+    names = [f"e{i:02d}" for i in range(n_events)]
+    family = set()
+    while len(family) < n_sets:
+        family.add(frozenset(rng.sample(names, rng.randint(1, 4))))
+    probs = {name: rng.uniform(0.01, 0.6) for name in names}
+    return sorted(family, key=lambda c: (len(c), sorted(c))), probs
+
+
+@pytest.fixture(scope="module")
+def fat_tree_pairs():
+    """The ledger's ``exact_structural`` shape: every 2-way deployment of
+    four servers in four pods of a k=12 fat tree, every device at 0.1."""
+    servers = [f"srv-p{pod}-t{pod % 6}-{(pod + 1) % 6}" for pod in (0, 3, 7, 10)]
+    depdb = DepDB()
+    NetworkDependencyCollector(
+        fat_tree(FatTreeConfig(ports=12)), servers=servers
+    ).adapt_into(depdb)
+    auditor = SIAAuditor(depdb, weigher=uniform_weigher(0.1))
+    return [
+        auditor.build_graph(AuditSpec(deployment=" & ".join(pair), servers=pair))
+        for pair in combinations(servers, 2)
+    ]
+
+
+class TestExactAuto:
+    """``auto`` against evaluators that share no code with it."""
+
+    @pytest.mark.parametrize("n_sets", range(1, 21))
+    def test_bdd_pass_matches_inclusion_exclusion(self, n_sets):
+        cuts, probs = random_family(random.Random(4130 + n_sets), n_sets)
+        reference = probability._inclusion_exclusion(cuts, probs)
+        assert probability._bdd_union(cuts, probs) == pytest.approx(
+            reference, abs=1e-12
+        )
+        assert union_probability(cuts, probs) == pytest.approx(
+            reference, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("n_sets", (1, 7, 11, 25, 60))
+    def test_matches_enumeration_of_every_event_state(self, n_sets):
+        cuts, probs = random_family(random.Random(n_sets), n_sets, 16)
+        assert union_probability(cuts, probs) == pytest.approx(
+            brute_force_union(cuts, probs), abs=1e-12
+        )
+
+    def test_fat_tree_families_match_the_graph_diagram(self, fat_tree_pairs):
+        for graph in fat_tree_pairs:
+            groups = minimal_risk_groups(graph)
+            probs = graph.probabilities()
+            assert len(groups) == 320
+            assert union_probability(groups, probs) == pytest.approx(
+                compile_graph(graph).probability(probs), abs=1e-12
+            )
+
+    def test_wide_family_needs_no_caller_side_recursion_limit(self):
+        """Twelve disjoint 100-event cuts: the diagram is 1 200 variables
+        deep, and for disjoint cuts Esary-Proschan is the closed form."""
+        cuts = [
+            frozenset(f"c{i:02d}-{j:03d}" for j in range(100)) for i in range(12)
+        ]
+        probs = {event: 0.99 for cut in cuts for event in cut}
+        assert union_probability(cuts, probs) == pytest.approx(
+            union_probability(cuts, probs, method="esary-proschan"), abs=1e-12
+        )
+
+    def test_old_estimator_brackets_the_exact_value(self, fat_tree_pairs):
+        """The 200 000-round estimate ``auto`` used to return lies within
+        its own 99% interval of the value ``auto`` returns now."""
+        fig9 = fig9_sets()
+        families = {
+            "fat-tree k=12": minimal_risk_groups(fat_tree_pairs[0]),
+            "fig7": minimal_risk_groups(fig7_graph()),
+            "fig9": [
+                frozenset({a, b}) for a in fig9["P0"] for b in fig9["P1"]
+            ],
+        }
+        for name, cuts in families.items():
+            assert len(cuts) > probability.EXACT_LIMIT, name
+            probs = {e: 0.1 for cut in cuts for e in cut}
+            exact = union_probability(cuts, probs)
+            estimate = union_probability(cuts, probs, method="monte-carlo")
+            half_width = 2.58 * math.sqrt(exact * (1.0 - exact) / 200_000)
+            assert abs(estimate - exact) <= half_width, name
+
+    def test_node_budget_falls_back_to_the_named_estimator(self, monkeypatch):
+        cuts, probs = random_family(random.Random(5), 40)
+        monkeypatch.setattr(probability, "BDD_NODE_BUDGET", 8)
+        assert union_probability(
+            cuts, probs, mc_rounds=3_000, seed=11
+        ) == union_probability(
+            cuts, probs, method="monte-carlo", mc_rounds=3_000, seed=11
+        )
+
+    @pytest.mark.parametrize("n_sets", (3, 40))
+    def test_missing_probability_names_the_event(self, n_sets):
+        cuts, probs = random_family(random.Random(6), n_sets)
+        # Only a superset of the first cut mentions the unweighted event.
+        cuts.append(cuts[0] | {"unweighted"})
+        with pytest.raises(AnalysisError, match="'unweighted'"):
+            union_probability(cuts, probs)
+
+
+class TestBayesianNetworkEvaluator:
+    """Replicated and k-of-n services (arXiv:2306.13334) three ways: the
+    cut-set route, the graph's own diagram and the network enumeration."""
+
+    @staticmethod
+    def service(replicas: int, needed: int) -> FaultGraph:
+        """``replicas`` hosts over two racks and one shared image; the
+        service needs ``needed`` of them up."""
+        rng = random.Random(replicas * 10 + needed)
+        g = FaultGraph(f"{needed}-of-{replicas}")
+        g.add_basic_event("image", probability=0.01)
+        for rack in range(2):
+            g.add_basic_event(f"rack{rack}", probability=rng.uniform(0.01, 0.1))
+        for i in range(replicas):
+            g.add_basic_event(f"host{i}", probability=rng.uniform(0.05, 0.3))
+            g.add_gate(
+                f"replica{i}", GateType.OR, [f"host{i}", f"rack{i % 2}", "image"]
+            )
+        g.add_gate(
+            "service",
+            GateType.K_OF_N,
+            [f"replica{i}" for i in range(replicas)],
+            k=replicas - needed + 1,
+            top=True,
+        )
+        return g
+
+    @pytest.mark.parametrize(
+        "replicas, needed", [(2, 1), (3, 1), (3, 2), (5, 3), (6, 3), (7, 2)]
+    )
+    def test_three_evaluators_agree(self, replicas, needed):
+        graph = self.service(replicas, needed)
+        probs = graph.probabilities()
+        network = bn_top_probability(graph, probs)
+        groups = minimal_risk_groups(graph)
+        assert top_event_probability(groups, probs) == pytest.approx(
+            network, abs=1e-12
+        )
+        assert compile_graph(graph).probability(probs) == pytest.approx(
+            network, abs=1e-12
+        )
+
+    def test_plain_replication_closed_form(self):
+        """Three replicas on private hosts behind one shared switch."""
+        g = FaultGraph("replicated")
+        g.add_basic_event("switch", probability=0.02)
+        for i in range(3):
+            g.add_basic_event(f"host{i}", probability=0.1)
+            g.add_gate(f"replica{i}", GateType.OR, [f"host{i}", "switch"])
+        g.add_gate(
+            "service", GateType.AND, [f"replica{i}" for i in range(3)], top=True
+        )
+        closed_form = 0.02 + 0.98 * 0.1**3
+        probs = g.probabilities()
+        assert bn_top_probability(g, probs) == pytest.approx(closed_form, abs=1e-15)
+        assert top_event_probability(
+            minimal_risk_groups(g), probs
+        ) == pytest.approx(closed_form, abs=1e-15)
 
 
 class TestRelativeImportance:

@@ -6,7 +6,10 @@ Invariants checked on randomly generated fault graphs:
 * the sampler only reports risk groups, and (minimised) only minimal ones;
 * fault graphs are monotone: adding failures never un-fails the top;
 * absorption (minimise_family) yields an antichain covering the input;
-* exact inclusion-exclusion matches Monte-Carlo estimation.
+* exact inclusion-exclusion matches Monte-Carlo estimation;
+* ``Pr(T)`` from the minimal RGs equals ``Pr(T)`` from the graph's own BDD;
+* the union is monotone in the family, and its bits do not depend on
+  order, duplicates or absorbed supersets.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import FailureSampler, FaultGraph, GateType, minimal_risk_groups
+from repro.core import probability
+from repro.core.bdd import compile_graph
 from repro.core.compile import CompiledGraph
 from repro.core.minimal_rg import is_minimal_risk_group, minimise_family
-from repro.core.probability import union_probability
+from repro.core.probability import top_event_probability, union_probability
 
 
 @st.composite
@@ -162,3 +167,49 @@ def test_inclusion_exclusion_matches_monte_carlo(cuts, probs):
         cuts, probs, method="monte-carlo", mc_rounds=60_000, seed=3
     )
     assert abs(exact - estimate) < 0.02
+
+
+@settings(max_examples=60, deadline=None)
+@given(fault_graphs(), st.data())
+def test_cut_set_probability_equals_graph_diagram(graph, data):
+    """Three exact routes: ``auto`` (inclusion-exclusion on families this
+    small), the cut-set diagram by name, and the graph's own diagram."""
+    weight = st.floats(0.01, 0.99)
+    probs = {leaf: data.draw(weight) for leaf in graph.basic_events()}
+    groups = minimal_risk_groups(graph)
+    from_graph = compile_graph(graph).probability(probs)
+    assert abs(top_event_probability(groups, probs) - from_graph) <= 1e-12
+    assert abs(probability._bdd_union(groups, probs) - from_graph) <= 1e-12
+
+
+#: Families of 11+ distinct cuts, i.e. on the BDD side of ``IE_CROSSOVER``.
+large_families = st.lists(
+    st.sets(st.sampled_from("abcdefghij"), min_size=1, max_size=4).map(
+        frozenset
+    ),
+    min_size=probability.IE_CROSSOVER + 1,
+    max_size=40,
+    unique=True,
+)
+weights = st.fixed_dictionaries(
+    {event: st.floats(0.01, 0.99) for event in "abcdefghij"}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_families, weights)
+def test_adding_a_cut_set_never_lowers_the_union(cuts, probs):
+    assert union_probability(cuts, probs) >= (
+        union_probability(cuts[:-1], probs) - 1e-12
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_families, weights, st.randoms(use_true_random=False))
+def test_union_bits_ignore_order_duplicates_and_supersets(cuts, probs, rng):
+    value = union_probability(cuts, probs)
+    shuffled = rng.sample(cuts, len(cuts))
+    assert union_probability(shuffled, probs) == value
+    assert union_probability(cuts + rng.sample(cuts, 3), probs) == value
+    supersets = [cut | {rng.choice("abcdefghij")} for cut in rng.sample(cuts, 3)]
+    assert union_probability(supersets + cuts, probs) == value

@@ -5,7 +5,8 @@ to the exact structural layer: for a corpus of random fault graphs
 (AND / OR / k-of-n gates, shared subtrees), the BDD minimal-cut-set
 extraction, the MOCUS traversal and the ``auto`` front door must return
 bit-identical sorted families, every member must pass the
-:func:`is_minimal_risk_group` oracle, and the mitigation planner must
+:func:`is_minimal_risk_group` oracle, ``Pr(T)`` from that family must equal
+``Pr(T)`` from the graph's own diagram, and the mitigation planner must
 emit identical plans for any worker count.
 
 Everything derives from one master seed so a failure reproduces
@@ -21,6 +22,7 @@ from repro import FaultGraph, GateType, minimal_risk_groups
 from repro.analysis.planner import MitigationPlanner
 from repro.core.bdd import compile_graph
 from repro.core.minimal_rg import is_minimal_risk_group, is_risk_group
+from repro.core.probability import _bdd_union, top_event_probability
 from repro.engine import AuditEngine
 
 MASTER_SEED = 0xBDD5EED
@@ -89,6 +91,18 @@ def test_families_pass_the_minimality_oracle(graph):
         enlarged = set(group) | {extra[0]}
         assert is_risk_group(graph, enlarged)
         assert not is_minimal_risk_group(graph, enlarged)
+
+
+@pytest.mark.parametrize("graph", random_cases())
+def test_cut_set_probability_equals_the_graph_diagram(graph):
+    rng = random.Random(f"{MASTER_SEED}/{graph.name}")
+    probs = {leaf: rng.uniform(0.01, 0.9) for leaf in graph.basic_events()}
+    groups = minimal_risk_groups(graph)
+    from_graph = compile_graph(graph).probability(probs)
+    assert top_event_probability(groups, probs) == pytest.approx(
+        from_graph, abs=1e-12
+    )
+    assert _bdd_union(groups, probs) == pytest.approx(from_graph, abs=1e-12)
 
 
 @pytest.mark.parametrize("graph", random_cases()[:8])
