@@ -17,8 +17,7 @@ The plan is deterministic: candidate generation orders by the importance
 ranking (itself sorted with explicit tie-breaks), evaluation preserves
 candidate order, and the final sort is stable — so the emitted plan is
 bit-identical for any worker count, including none.  Surfaced as the
-``indaas plan`` CLI verb and
-:meth:`~repro.core.audit.SIAAuditor.mitigation_plan`.
+``indaas plan`` CLI verb and :func:`repro.plan`.
 """
 
 from __future__ import annotations
@@ -32,12 +31,11 @@ from repro.analysis.whatif import (
     Mitigation,
     MitigationOutcome,
     evaluate_mitigations,
-    groups_for,
 )
 from repro.core.bdd import BDD, compile_graph
 from repro.core.faultgraph import FaultGraph
 from repro.core.importance import component_importance_ranking
-from repro.core.minimal_rg import DEFAULT_MAX_GROUPS, node_budget
+from repro.core.minimal_rg import DEFAULT_MAX_GROUPS
 from repro.errors import AnalysisError
 from repro.schema import envelope
 
@@ -126,9 +124,6 @@ class MitigationPlanner:
             evaluations fan out over its workers and baseline
             compilations come from its cache.  The plan is bit-identical
             with or without one.
-        method: Minimal-RG route (``auto``/``bdd``/``mocus``) used for
-            the unexpected-RG counts, threaded through to
-            :func:`~repro.analysis.whatif.evaluate_mitigations`.
     """
 
     def __init__(
@@ -137,12 +132,7 @@ class MitigationPlanner:
         probabilities: Optional[Mapping[str, float]] = None,
         redundancy: int = 2,
         engine: Optional["AuditEngine"] = None,
-        method: str = "auto",
     ) -> None:
-        if method not in ("auto", "bdd", "mocus"):
-            raise AnalysisError(
-                f"method must be auto|bdd|mocus, got {method!r}"
-            )
         base = dict(probabilities) if probabilities else graph.probabilities()
         self.graph = graph.map_probabilities(
             lambda e: base.get(e.name, e.probability)
@@ -150,15 +140,14 @@ class MitigationPlanner:
         self.graph.probabilities()  # fail fast on unweighted events
         self.redundancy = redundancy
         self.engine = engine
-        self.method = method
         self._baseline_bdd: Optional[BDD] = None
         self._baseline_groups: Optional[list[frozenset[str]]] = None
 
     def baseline_bdd(self) -> BDD:
         """The baseline graph's BDD, compiled exactly once.
 
-        Importance ranking, cut-set extraction (on the BDD routes) and
-        the evaluation baseline all share this one diagram; with an
+        Importance ranking, cut-set extraction and the evaluation
+        baseline all share this one diagram; with an
         engine it additionally lands in the engine's
         :class:`~repro.engine.cache.GraphCache`.
         """
@@ -166,21 +155,16 @@ class MitigationPlanner:
             self._baseline_bdd = (
                 self.engine.compile_bdd(self.graph)
                 if self.engine is not None
-                else compile_graph(
-                    self.graph, max_nodes=node_budget(DEFAULT_MAX_GROUPS)
-                )
+                else compile_graph(self.graph)
             )
         return self._baseline_bdd
 
     def baseline_groups(self) -> list[frozenset[str]]:
-        """The unmitigated graph's minimal RGs, computed exactly once.
-
-        Candidate generation (Fussell–Vesely needs the family) and the
-        evaluation baseline share this one extraction.
-        """
+        """The unmitigated graph's minimal RGs (Fussell–Vesely needs the
+        family), read off the baseline diagram exactly once."""
         if self._baseline_groups is None:
-            self._baseline_groups = groups_for(
-                self.baseline_bdd(), self.graph, self.method
+            self._baseline_groups = self.baseline_bdd().minimal_cut_sets(
+                max_groups=DEFAULT_MAX_GROUPS
             )
         return self._baseline_groups
 
@@ -251,8 +235,6 @@ class MitigationPlanner:
             candidates,
             redundancy=self.redundancy,
             engine=self.engine,
-            method=self.method,
-            baseline_groups=self.baseline_groups(),
             baseline_bdd=self.baseline_bdd(),
         )
         kept = outcomes if budget is None else outcomes[:budget]
@@ -263,9 +245,5 @@ class MitigationPlanner:
             outcomes=kept,
             considered=len(candidates),
             budget=budget,
-            metadata={
-                "method": self.method,
-                "top_k": top_k,
-                "harden_factor": harden_factor,
-            },
+            metadata={"top_k": top_k, "harden_factor": harden_factor},
         )

@@ -30,12 +30,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 from repro.core.bdd import BDD, compile_graph
 from repro.core.events import GateType, validate_probability
 from repro.core.faultgraph import FaultGraph
-from repro.core.minimal_rg import (
-    DEFAULT_MAX_GROUPS,
-    minimal_risk_groups,
-    node_budget,
-    unexpected_risk_groups,
-)
+from repro.core.minimal_rg import DEFAULT_MAX_GROUPS, unexpected_risk_groups
 from repro.errors import AnalysisError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -192,42 +187,28 @@ class MitigationOutcome:
         )
 
 
-def groups_for(bdd: BDD, graph: FaultGraph, method: str):
-    """The one cut-set dispatch for every what-if/planner call site.
-
-    BDD routes (``auto``/``bdd``) reuse the already-compiled diagram —
-    the probability query needed it anyway — under the shared
-    ``DEFAULT_MAX_GROUPS`` valve; ``mocus`` re-traverses the graph so
-    explicit-MOCUS runs exercise the reference algorithm end to end.
-    """
-    if method == "mocus":
-        return minimal_risk_groups(graph, method="mocus")
-    return bdd.minimal_cut_sets(max_groups=DEFAULT_MAX_GROUPS)
+def _unexpected_count(bdd: BDD, redundancy: int) -> int:
+    """Unexpected-RG count read off a diagram the caller already holds
+    (the probability query compiled it), under the shared family valve."""
+    groups = bdd.minimal_cut_sets(max_groups=DEFAULT_MAX_GROUPS)
+    return len(unexpected_risk_groups(groups, expected_size=redundancy))
 
 
 def _evaluate_one_mitigation(
     weighted: FaultGraph,
     mitigation: Mitigation,
     redundancy: int,
-    method: str = "auto",
 ) -> tuple[float, int]:
     """Apply one mitigation and measure Pr(top) + unexpected-RG count.
 
     Module-level so an engine can ship it to worker processes.
     """
     mitigated = mitigation.apply(weighted)
-    probs = mitigated.probabilities()
-    # The cut-set valve must bound the compile too: an adversarial
-    # variable ordering makes the diagram itself exponential.
-    bdd = compile_graph(
-        mitigated, max_nodes=node_budget(DEFAULT_MAX_GROUPS)
+    bdd = compile_graph(mitigated)
+    return (
+        bdd.probability(mitigated.probabilities()),
+        _unexpected_count(bdd, redundancy),
     )
-    after_probability = bdd.probability(probs)
-    groups = groups_for(bdd, mitigated, method)
-    after_unexpected = len(
-        unexpected_risk_groups(groups, expected_size=redundancy)
-    )
-    return after_probability, after_unexpected
 
 
 def evaluate_mitigations(
@@ -236,8 +217,6 @@ def evaluate_mitigations(
     probabilities: Optional[Mapping[str, float]] = None,
     redundancy: int = 2,
     engine: Optional["AuditEngine"] = None,
-    method: str = "auto",
-    baseline_groups: Optional[Sequence[frozenset[str]]] = None,
     baseline_bdd: Optional[BDD] = None,
 ) -> list[MitigationOutcome]:
     """Rank candidate mitigations by top-event probability reduction.
@@ -245,51 +224,34 @@ def evaluate_mitigations(
     Args:
         graph: The deployment's weighted fault graph.
         mitigations: Candidates to evaluate (each applied in isolation).
-        probabilities: Weights (read from the graph if omitted).
+        probabilities: Weight overrides (graph weights otherwise).
         redundancy: Expected minimal-RG size for unexpected-RG counting.
         engine: Optional :class:`~repro.engine.AuditEngine`; candidates
             are evaluated across its worker processes and the baseline
             graph's BDD comes from its cache.  Results are identical with
             or without an engine, for any worker count.
-        method: Minimal-RG route for the unexpected-RG counts (see
-            :func:`~repro.core.minimal_rg.minimal_risk_groups`).  The
-            default reuses each candidate's already-compiled BDD, since
-            the probability query needs the diagram anyway.
-        baseline_groups: The unmitigated graph's minimal RGs, if the
-            caller already has them (the planner computes them for
-            candidate generation); must be exactly what the chosen
-            ``method`` would return, or the before/after counts skew.
         baseline_bdd: A compiled BDD of the unmitigated weighted graph,
-            if the caller already has one (same proof obligation: it
-            must be structurally identical to ``graph`` under the given
-            weights).
+            if the caller already has one (it must be structurally
+            identical to ``graph`` under the given weights).
 
     Returns:
         Outcomes sorted best-first (largest probability reduction).
     """
     if not mitigations:
         raise AnalysisError("no mitigations to evaluate")
-    base_probs = (
-        dict(probabilities) if probabilities else graph.probabilities()
-    )
+    overrides = probabilities or {}
     weighted = graph.map_probabilities(
-        lambda e: base_probs.get(e.name, e.probability)
+        lambda e: overrides.get(e.name, e.probability)
     )
     if baseline_bdd is None:
         baseline_bdd = (
             engine.compile_bdd(weighted)
             if engine is not None
-            else compile_graph(
-                weighted, max_nodes=node_budget(DEFAULT_MAX_GROUPS)
-            )
+            else compile_graph(weighted)
         )
-    before_probability = baseline_bdd.probability(base_probs)
-    if baseline_groups is None:
-        baseline_groups = groups_for(baseline_bdd, weighted, method)
-    before_unexpected = len(
-        unexpected_risk_groups(baseline_groups, expected_size=redundancy)
-    )
-    jobs = [(weighted, m, redundancy, method) for m in mitigations]
+    before_probability = baseline_bdd.probability(weighted.probabilities())
+    before_unexpected = _unexpected_count(baseline_bdd, redundancy)
+    jobs = [(weighted, m, redundancy) for m in mitigations]
     if engine is not None:
         measurements = engine.map_jobs(_evaluate_one_mitigation, jobs)
     else:

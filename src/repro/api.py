@@ -769,27 +769,32 @@ def plan(
     engine=None,
     top_k: int = 5,
     budget: Optional[int] = None,
-    method: str = "auto",
     deployment: str = "",
 ):
     """Ranked mitigation plan for one deployment (library front door).
 
-    Returns a :class:`~repro.analysis.planner.MitigationPlan`; its
-    ``to_dict()`` emits the canonical ``mitigation_plan`` schema.
+    Builds the deployment graph under a uniform ``probability`` and
+    hands it to a :class:`~repro.analysis.planner.MitigationPlanner`;
+    with an ``engine``, candidate evaluations fan out across its
+    workers.  Returns a :class:`~repro.analysis.planner.MitigationPlan`;
+    its ``to_dict()`` emits the canonical ``mitigation_plan`` schema.
     """
+    from repro.analysis.planner import MitigationPlanner
     from repro.core.audit import SIAAuditor
     from repro.core.spec import AuditSpec
     from repro.depdb.database import DepDB
     from repro.failures import uniform_weigher
 
-    database = DepDB.loads(_depdb_text(depdb))
     servers = tuple(servers)
     spec = AuditSpec(
         deployment=deployment or " & ".join(servers), servers=servers
     )
-    auditor = SIAAuditor(
-        database, weigher=uniform_weigher(probability), engine=engine
+    graph = SIAAuditor(
+        DepDB.loads(_depdb_text(depdb)), weigher=uniform_weigher(probability)
+    ).build_graph(spec)
+    planner = MitigationPlanner(
+        graph, redundancy=spec.redundancy, engine=engine
     )
-    return auditor.mitigation_plan(
-        spec, top_k=top_k, budget=budget, method=method
-    )
+    plan = planner.plan(top_k=top_k, budget=budget)
+    plan.deployment = spec.deployment
+    return plan

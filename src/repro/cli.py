@@ -286,13 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="uniform component failure probability (default 0.1)",
     )
     plan.add_argument(
-        "--method", choices=("auto", "bdd", "mocus"), default="auto",
-        help=(
-            "minimal risk-group route (auto picks the BDD fast path on "
-            "product-forming graphs; families are identical either way)"
-        ),
-    )
-    plan.add_argument(
         "--workers", type=int, default=0,
         help=(
             "evaluate mitigation candidates across a process pool "
@@ -497,10 +490,9 @@ def _run_audit(args: argparse.Namespace) -> int:
     if args.remote:
         from repro.agents.transport import RetryPolicy, ServiceClient
 
-        retries = getattr(args, "retries", 4)
         policy = (
-            RetryPolicy(retries=retries, seed=request.seed or 0)
-            if retries > 0
+            RetryPolicy(retries=args.retries, seed=request.seed or 0)
+            if args.retries > 0
             else None
         )
         with ServiceClient(args.remote, retry=policy) as client:
@@ -753,7 +745,6 @@ def _run_drift(args: argparse.Namespace) -> int:
 
 def _run_importance(args: argparse.Namespace) -> int:
     from repro.core.audit import SIAAuditor
-    from repro.core.importance import component_importance_ranking
     from repro.core.spec import AuditSpec
     from repro.depdb.database import DepDB
     from repro.failures import uniform_weigher
@@ -761,12 +752,11 @@ def _run_importance(args: argparse.Namespace) -> int:
     depdb = DepDB.loads(_load_depdb_text(args.depdb))
     servers = _parse_servers(args.servers)
     auditor = SIAAuditor(depdb, weigher=uniform_weigher(args.probability))
-    graph = auditor.build_graph(
-        AuditSpec(deployment=" & ".join(servers), servers=servers)
-    )
-    print(f"component importance for {' & '.join(servers)} "
+    spec = AuditSpec(deployment=" & ".join(servers), servers=servers)
+    entries = auditor.component_importance(spec, top=args.top)
+    print(f"component importance for {spec.deployment} "
           f"(uniform p={args.probability}):")
-    for entry in component_importance_ranking(graph)[: args.top]:
+    for entry in entries:
         print("  ", entry.describe())
     return 0
 
@@ -774,23 +764,17 @@ def _run_importance(args: argparse.Namespace) -> int:
 def _run_plan(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.audit import SIAAuditor
-    from repro.core.spec import AuditSpec
-    from repro.depdb.database import DepDB
+    from repro import api
     from repro.engine import AuditEngine
-    from repro.failures import uniform_weigher
 
-    depdb = DepDB.loads(_load_depdb_text(args.depdb))
-    servers = _parse_servers(args.servers)
     with AuditEngine(n_workers=args.workers) as engine:
-        auditor = SIAAuditor(
-            depdb, weigher=uniform_weigher(args.probability), engine=engine
-        )
-        plan = auditor.mitigation_plan(
-            AuditSpec(deployment=" & ".join(servers), servers=servers),
+        plan = api.plan(
+            _load_depdb_text(args.depdb),
+            _parse_servers(args.servers),
+            probability=args.probability,
+            engine=engine,
             top_k=args.top_k,
             budget=args.budget,
-            method=args.method,
         )
     if args.json:
         print(json.dumps(plan.to_dict()))
@@ -840,7 +824,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.service import AuditServer, JobManager
 
     injector = None
-    if getattr(args, "inject", None):
+    if args.inject:
         from repro.testing.faults import FaultInjector, FaultSchedule
 
         schedule = FaultSchedule.from_path(args.inject)
@@ -853,7 +837,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     engine = DeltaAuditEngine(
-        n_workers=getattr(args, "engine_workers", 0),
+        n_workers=args.engine_workers,
         block_size=args.block_size,
     )
     manager = JobManager(
@@ -861,8 +845,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         per_tenant_limit=args.per_tenant,
         total_limit=args.queue_limit,
-        state_dir=getattr(args, "state_dir", None),
-        resume=getattr(args, "resume", True),
+        state_dir=args.state_dir,
+        resume=args.resume,
     )
     server = AuditServer(manager, host=args.host, port=args.port)
 
@@ -871,7 +855,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         recovered = manager.stats()["journal"]["recovered_jobs"]
         durability = (
             f", journal at {args.state_dir} ({recovered} jobs recovered)"
-            if getattr(args, "state_dir", None)
+            if args.state_dir
             else ""
         )
         print(

@@ -198,45 +198,6 @@ class SIAAuditor:
         graph = self.build_graph(spec)
         return component_importance_ranking(graph)[:top]
 
-    def mitigation_plan(
-        self,
-        spec: AuditSpec,
-        top_k: int = 5,
-        budget: Optional[int] = None,
-        harden_factor: Optional[float] = None,
-        method: str = "auto",
-    ):
-        """Ranked mitigation plan for one deployment (which fix first).
-
-        Builds the deployment graph and hands it to a
-        :class:`~repro.analysis.planner.MitigationPlanner` sharing this
-        auditor's engine, so candidate evaluations fan out across its
-        workers.  The spec's redundancy sets the expected minimal-RG
-        size for unexpected-RG counting.  Requires a weigher (planning
-        is a probabilistic notion).  ``harden_factor=None`` defers to
-        the planner's own default, the single source of that constant.
-        """
-        from repro.analysis.planner import MitigationPlanner
-
-        if self.weigher is None:
-            raise AnalysisError(
-                "mitigation planning needs failure probabilities; "
-                "construct the auditor with a weigher"
-            )
-        graph = self.build_graph(spec)
-        planner = MitigationPlanner(
-            graph,
-            redundancy=spec.redundancy,
-            engine=self.engine,
-            method=method,
-        )
-        kwargs = (
-            {} if harden_factor is None else {"harden_factor": harden_factor}
-        )
-        plan = planner.plan(top_k=top_k, budget=budget, **kwargs)
-        plan.deployment = spec.deployment
-        return plan
-
     def audit(
         self,
         specs: Sequence[AuditSpec],

@@ -24,10 +24,18 @@ from typing import Mapping, Optional
 
 from repro.core.events import GateType
 from repro.core.faultgraph import FaultGraph
-from repro.core.minimal_rg import CutSetExplosion
+from repro.core.minimal_rg import (
+    DEFAULT_MAX_GROUPS,
+    CutSetExplosion,
+    node_budget,
+)
 from repro.errors import AnalysisError
 
-__all__ = ["BDD", "compile_graph"]
+__all__ = ["BDD", "DEFAULT_BDD_NODE_BUDGET", "compile_graph"]
+
+#: Decision-node valve every :func:`compile_graph` carries unless told
+#: otherwise — the one place the family cap becomes a diagram cap.
+DEFAULT_BDD_NODE_BUDGET = node_budget(DEFAULT_MAX_GROUPS)
 
 #: Terminal node ids.
 ZERO = 0
@@ -158,11 +166,20 @@ class BDD:
         return result
 
     def apply_many(self, op: str, operands: list[int]) -> int:
+        """N-ary AND/OR, folded from the last operand down.
+
+        A gate's children mostly arrive in variable order, so each step
+        puts a higher variable on top of the finished tail: an n-wide OR
+        of leaves allocates 2n-1 nodes, where a fold from the first
+        operand rebuilds the whole chain per operand (n²/2).  The diagram
+        is canonical for its variable order, so the fold direction
+        changes neither the result nor a bit of :meth:`probability`.
+        """
         if not operands:
             raise AnalysisError("apply_many needs at least one operand")
-        result = operands[0]
-        for operand in operands[1:]:
-            result = self.apply(op, result, operand)
+        result = operands[-1]
+        for operand in reversed(operands[:-1]):
+            result = self.apply(op, operand, result)
         return result
 
     def at_least(self, k: int, operands: list[int]) -> int:
@@ -401,7 +418,7 @@ class BDD:
 def compile_graph(
     graph: FaultGraph,
     ordering: Optional[list[str]] = None,
-    max_nodes: Optional[int] = None,
+    max_nodes: Optional[int] = DEFAULT_BDD_NODE_BUDGET,
 ) -> BDD:
     """Compile a fault graph's structure function into a BDD.
 
@@ -410,10 +427,12 @@ def compile_graph(
         ordering: Optional variable ordering (basic-event names); the
             default uses the graph's topological leaf order, which keeps
             related components adjacent and the BDD small.
-        max_nodes: Optional safety valve — raise
+        max_nodes: Safety valve — raise
             :class:`~repro.core.minimal_rg.CutSetExplosion` if the
             diagram (including later extraction work) grows beyond this
-            many decision nodes.
+            many decision nodes.  An adversarial ordering makes the
+            diagram exponential, so every compile carries the shared
+            budget by default; pass ``None`` for an unbounded one.
     """
     graph.validate()
     leaves = (

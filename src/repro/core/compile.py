@@ -11,7 +11,7 @@ The compiled form is immutable and safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -150,14 +150,13 @@ class CompiledGraph:
         self.thresholds = thresholds
         self.child_offsets = child_offsets
         self.flat_children = np.array(flat_children, dtype=np.int64)
-        # Pure-Python mirrors for the scalar fast path (small graphs pay
-        # more in NumPy call overhead than in actual evaluation work).
+        # Pure-Python mirrors for the row-bitset path (``cones``,
+        # ``evaluate_gate_bits``), which indexes per gate, not per batch.
         self._children_py: list[list[int]] = [
             flat_children[child_offsets[i]:child_offsets[i + 1]]
             for i in range(self.n_nodes)
         ]
         self._thresholds_py: list[int] = thresholds.tolist()
-        self._basic_set: set[int] = set(self.basic_index.tolist())
         self._cones: Optional[tuple[tuple[int, ...], ...]] = None
 
     # ------------------------------------------------------------------ #
@@ -334,143 +333,6 @@ class CompiledGraph:
                 value &= bits[child]
             return value
         return _threshold_bits([bits[child] for child in kids], k)
-
-    # ------------------------------------------------------------------ #
-    # Single-assignment evaluation
-    # ------------------------------------------------------------------ #
-
-    def evaluate_assignment(self, failed_positions: Iterable[int]) -> np.ndarray:
-        """Evaluate one assignment given *positions* into ``basic_names``.
-
-        Returns the full node-value vector (shape ``(n_nodes,)``).
-        """
-        fails = np.zeros((1, self.n_basic), dtype=bool)
-        idx = list(failed_positions)
-        if idx:
-            fails[0, idx] = True
-        return self.evaluate_batch(fails, return_all=True)[0]
-
-    def top_fails(self, failed_events: Iterable[str]) -> bool:
-        """Whether the top event fails when the named basic events fail."""
-        positions = [self.basic_position[e] for e in failed_events]
-        return self._top_fails_scalar(positions)
-
-    def _top_fails_scalar(self, failed_positions: Iterable[int]) -> bool:
-        """Single-assignment evaluation without NumPy call overhead."""
-        values = [False] * self.n_nodes
-        basic_index = self.basic_index
-        for pos in failed_positions:
-            values[basic_index[pos]] = True
-        children = self._children_py
-        thresholds = self._thresholds_py
-        for i in self.gate_order:
-            count = 0
-            for child in children[i]:
-                if values[child]:
-                    count += 1
-            values[i] = count >= thresholds[i]
-        return values[self.top_index]
-
-    # ------------------------------------------------------------------ #
-    # Witness extraction
-    # ------------------------------------------------------------------ #
-
-    def extract_witness(
-        self,
-        values: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> frozenset[str]:
-        """Extract a small failing set from a failing assignment.
-
-        ``values`` is a full node-value vector (from
-        :meth:`evaluate_assignment` / :meth:`evaluate_batch` with
-        ``return_all``) for which the top event fails.  Walking top-down,
-        each failing gate keeps only ``threshold`` failing children, which
-        yields a *sufficient* failure set far smaller than the raw sampled
-        set.  The result is a risk group, though not necessarily minimal;
-        pair with :meth:`minimise_cut` for true minimal RGs.
-
-        Args:
-            rng: When given, failing children are chosen uniformly at
-                random, so repeated extractions explore *different* risk
-                groups hidden in one assignment.  Without it, children
-                with the cheapest failure witnesses are preferred, which
-                finds the smallest cuts first but is biased towards them.
-        """
-        if not values[self.top_index]:
-            raise FaultGraphError("cannot extract a witness: top did not fail")
-        if rng is None:
-            size = self._witness_sizes(values)
-
-            def pick(failing: list[int], need: int) -> list[int]:
-                failing.sort(key=lambda k: size[k])
-                return failing[:need]
-
-        else:
-
-            def pick(failing: list[int], need: int) -> list[int]:
-                if need >= len(failing):
-                    return failing
-                chosen = rng.choice(len(failing), size=need, replace=False)
-                return [failing[int(i)] for i in chosen]
-
-        chosen_leaves: set[int] = set()
-        stack = [self.top_index]
-        visited: set[int] = set()
-        while stack:
-            node = stack.pop()
-            if node in visited:
-                continue
-            visited.add(node)
-            lo, hi = self.child_offsets[node], self.child_offsets[node + 1]
-            if lo == hi:
-                chosen_leaves.add(node)
-                continue
-            kids = self.flat_children[lo:hi]
-            failing = [int(k) for k in kids if values[k]]
-            stack.extend(pick(failing, int(self.thresholds[node])))
-        return frozenset(self.order[i] for i in chosen_leaves)
-
-    def _witness_sizes(self, values: np.ndarray) -> np.ndarray:
-        """Bottom-up witness-size estimates for failing nodes."""
-        size = np.full(self.n_nodes, np.iinfo(np.int64).max, dtype=np.int64)
-        for i in range(self.n_nodes):
-            if not values[i]:
-                continue
-            lo, hi = self.child_offsets[i], self.child_offsets[i + 1]
-            if lo == hi:
-                size[i] = 1
-                continue
-            kids = self.flat_children[lo:hi]
-            failing = sorted((k for k in kids if values[k]), key=lambda k: size[k])
-            need = int(self.thresholds[i])
-            size[i] = int(sum(size[k] for k in failing[:need]))
-        return size
-
-    def minimise_cut(
-        self,
-        cut: Iterable[str],
-        rng: Optional[np.random.Generator] = None,
-    ) -> frozenset[str]:
-        """Greedily shrink a failing set to a minimal risk group.
-
-        Repeatedly tries to drop each event; a drop is kept whenever the
-        top event still fails without it.  The result is minimal in the
-        sense of §4.1.2: removing any remaining event stops the failure.
-        A seeded ``rng`` randomises the removal order, so different calls
-        can land on different minimal RGs inside the same cut.
-        """
-        current = {self.basic_position[e] for e in cut}
-        if not self._top_fails_scalar(current):
-            raise FaultGraphError("set is not a risk group; nothing to minimise")
-        order = sorted(current)
-        if rng is not None:
-            rng.shuffle(order)
-        for pos in order:
-            trial = current - {pos}
-            if trial and self._top_fails_scalar(trial):
-                current = trial
-        return frozenset(self.basic_names[p] for p in current)
 
     def sample_failures(
         self,

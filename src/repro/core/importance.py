@@ -60,13 +60,28 @@ def _conditioned_probability(
     return bdd.probability(pinned)
 
 
+def _merged_probabilities(
+    graph: FaultGraph, overrides: Optional[Mapping[str, float]]
+) -> dict[str, float]:
+    """Every basic event's weight: ``overrides`` first, the graph's own
+    otherwise (a partial override leaves the other events as weighted)."""
+    if not overrides:
+        return graph.probabilities()
+    return graph.map_probabilities(
+        lambda e: overrides.get(e.name, e.probability)
+    ).probabilities()
+
+
 def birnbaum_importance(
     graph: FaultGraph,
     probabilities: Optional[Mapping[str, float]] = None,
     bdd: Optional[BDD] = None,
 ) -> dict[str, float]:
-    """Exact Birnbaum importance of every basic event (via the BDD)."""
-    probs = dict(probabilities) if probabilities else graph.probabilities()
+    """Exact Birnbaum importance of every basic event (via the BDD).
+
+    ``probabilities`` are weight overrides (graph weights otherwise).
+    """
+    probs = _merged_probabilities(graph, probabilities)
     compiled = bdd if bdd is not None else compile_graph(graph)
     out = {}
     for component in graph.basic_events():
@@ -119,13 +134,13 @@ def component_importance_ranking(
     Args:
         graph: A weighted fault graph.
         minimal_rgs: Pre-computed minimal RGs (computed if omitted).
-        probabilities: Per-event weights (from the graph if omitted).
+        probabilities: Weight overrides (graph weights otherwise).
         bdd: A pre-compiled BDD of ``graph`` (compiled if omitted), so
             callers that already hold the diagram skip a recompile.
     """
     from repro.core.minimal_rg import minimal_risk_groups  # avoid cycle
 
-    probs = dict(probabilities) if probabilities else graph.probabilities()
+    probs = _merged_probabilities(graph, probabilities)
     groups = (
         list(minimal_rgs)
         if minimal_rgs is not None

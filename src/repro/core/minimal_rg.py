@@ -3,29 +3,30 @@
 A *risk group* is a set of basic failure events whose simultaneous failure
 fails the top event; it is *minimal* when no proper subset is still a risk
 group.  Minimal RGs are the classic "minimal cut sets" of fault tree
-analysis [Vesely et al. 1981], computed here MOCUS-style: traverse the graph
-bottom-up, combining children's cut-set families through each gate —
+analysis [Vesely et al. 1981].  The problem is NP-hard in general (Valiant
+1979), which is exactly why the paper pairs this precise algorithm with
+the cheaper failure-sampling alternative.
+
+:func:`minimal_risk_groups` runs one exact algorithm on every graph: it
+compiles the structure function into a reduced ordered BDD and extracts
+the cut sets with Rauzy's minimal-solutions recursion
+(:meth:`~repro.core.bdd.BDD.minimal_cut_sets`) — absorption on the shared
+diagram instead of on exploded set families.  That is ``method="auto"``;
+``"bdd"`` is its explicit name.
+
+``method="mocus"`` is the paper's algorithm as written, kept by name as
+the *specification* the diagram is tested against (the parity suites in
+``tests/core`` and the perf ledger's ``core.minimal_rg.mocus_s`` span):
+traverse the graph bottom-up, combining children's cut-set families
+through each gate —
 
 * ``OR``  — union of the children's families,
 * ``AND`` — cartesian products across children,
 * ``K_OF_N`` — cartesian products across every ``k``-subset of children,
 
 with *absorption* (dropping supersets) applied aggressively after each
-combination step so intermediate families stay small.  The problem is
-NP-hard in general (Valiant 1979), which is exactly why the paper pairs
-this precise algorithm with the cheaper failure-sampling alternative.
-
-:func:`minimal_risk_groups` is the front door for *both* exact routes:
-``method="mocus"`` runs the family-combination traversal above, while
-``method="bdd"`` compiles the graph's structure function into a reduced
-ordered BDD and extracts the cut sets with Rauzy's minimal-solutions
-recursion (:meth:`~repro.core.bdd.BDD.minimal_cut_sets`) — absorption on
-the shared diagram instead of on exploded set families, which is the
-structural fast path on product-heavy graphs.  The default ``"auto"``
-picks the BDD route whenever some gate actually multiplies families
-(any threshold above one) and MOCUS for pure-OR graphs, where the union
-traversal is already linear.  Both routes return bit-identical sorted
-families.
+combination step so intermediate families stay small.  Both return
+bit-identical sorted families; nothing selects between them.
 
 ``max_order`` implements standard fault-tree truncation: cut sets larger
 than the given order are discarded during the traversal.  Truncated results
@@ -151,20 +152,6 @@ def _product(
     return minimise_family(out)
 
 
-def _pick_method(graph: FaultGraph, root: str) -> str:
-    """``auto`` resolution: BDD wherever some gate multiplies families.
-
-    A gate with threshold 1 (OR, or 1-of-n) only unions its children's
-    families; MOCUS handles those in linear time and skips the BDD
-    compilation overhead.  Any threshold above one forms cartesian
-    products — exactly where the diagram-based absorption wins.
-    """
-    for name in graph.descendants(root) | {root}:
-        if not graph.is_basic(name) and graph.threshold(name) > 1:
-            return "bdd"
-    return "mocus"
-
-
 def _bdd_minimal_risk_groups(
     graph: FaultGraph,
     root: str,
@@ -199,10 +186,11 @@ def minimal_risk_groups(
             this many events.  ``None`` computes the complete family.
         max_groups: Safety valve; if any intermediate family grows beyond
             this many sets a :class:`CutSetExplosion` is raised.
-        method: ``"mocus"`` (family combination), ``"bdd"`` (compile and
-            extract via Rauzy's minimal-solutions recursion) or ``"auto"``
-            (BDD when any gate threshold exceeds one).  The routes return
-            bit-identical sorted families; only speed differs.
+        method: ``"auto"`` — equivalently ``"bdd"`` — compiles the graph
+            and extracts via Rauzy's minimal-solutions recursion;
+            ``"mocus"`` runs the paper's family-combination traversal,
+            kept by name as the specification the diagram is tested
+            against.  Both return bit-identical sorted families.
 
     Returns:
         Minimal RGs sorted by (size, lexicographic members) so results are
@@ -213,9 +201,7 @@ def minimal_risk_groups(
             f"method must be auto|bdd|mocus, got {method!r}"
         )
     root = graph.top if top is None else top
-    if method == "auto":
-        method = _pick_method(graph, root)
-    if method == "bdd":
+    if method != "mocus":
         return _bdd_minimal_risk_groups(graph, root, max_order, max_groups)
     families: dict[str, list[frozenset[str]]] = {}
     needed = graph.descendants(root) | {root}

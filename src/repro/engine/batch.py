@@ -82,8 +82,7 @@ def extract_witnesses_batch(
             restricted to failing rounds).
         rng: Source for the per-row random child choices; each failing
             gate keeps ``threshold`` failing children chosen uniformly at
-            random, mirroring the scalar
-            :meth:`~repro.core.compile.CompiledGraph.extract_witness`.
+            random.
 
     Returns:
         ``(m, n_basic)`` boolean witness matrix in :attr:`basic_names`
@@ -159,8 +158,8 @@ def minimise_cuts_batch(
 ) -> np.ndarray:
     """Greedily shrink a block of failing sets to minimal risk groups.
 
-    The scalar algorithm tries to drop each event of one cut in turn,
-    keeping a drop whenever the top event still fails.  Here the loop is
+    One cut at a time, greedy minimisation tries to drop each event in
+    turn, keeping a drop whenever the top event still fails.  Here the loop is
     inverted: for each candidate event (in one shuffled order shared by
     the block) the drop is tried for every cut still containing it at
     once.  One pass suffices — the graph is monotone, so an event that

@@ -21,10 +21,9 @@ import threading
 from collections import OrderedDict
 from typing import Optional
 
-from repro.core.bdd import BDD, compile_graph
+from repro.core.bdd import BDD, DEFAULT_BDD_NODE_BUDGET, compile_graph
 from repro.core.compile import CompiledGraph
 from repro.core.faultgraph import FaultGraph
-from repro.core.minimal_rg import DEFAULT_MAX_GROUPS, node_budget
 from repro.errors import AnalysisError
 
 __all__ = [
@@ -35,10 +34,6 @@ __all__ = [
     "default_cache",
     "compile_cached",
 ]
-
-#: Decision-node valve for cached BDD compiles — same derivation as the
-#: uncached exact-RG routes, so the engine path cannot out-grow them.
-DEFAULT_BDD_NODE_BUDGET = node_budget(DEFAULT_MAX_GROUPS)
 
 
 def structural_hash(graph: FaultGraph) -> str:

@@ -1,19 +1,17 @@
 """Unit tests for the mitigation planner."""
 
+import inspect
 import json
 
 import pytest
 
+import repro
 from repro import ComponentSets
 from repro.analysis.planner import MitigationPlan, MitigationPlanner
-from repro.analysis.whatif import Duplicate, Harden
+from repro.analysis.whatif import Duplicate, Harden, evaluate_mitigations
 from repro.core.audit import SIAAuditor
-from repro.core.spec import AuditSpec
-from repro.depdb import DepDB
-from repro.depdb.records import HardwareDependency
 from repro.engine import AuditEngine
 from repro.errors import AnalysisError
-from repro.failures import uniform_weigher
 
 
 @pytest.fixture
@@ -91,8 +89,6 @@ class TestCandidates:
             planner.candidates(top_k=0)
         with pytest.raises(AnalysisError):
             planner.candidates(top_k=1, harden_factor=1.5)
-        with pytest.raises(AnalysisError):
-            MitigationPlanner(weighted_graph, method="magic")
 
 
 class TestPlan:
@@ -134,18 +130,6 @@ class TestPlan:
         assert payload["plan"][0]["mitigation"]["component"] == "shared-agg"
         json.dumps(payload)  # JSON-serialisable end to end
 
-    def test_method_invariant(self, weighted_graph):
-        reference = MitigationPlanner(
-            weighted_graph, method="mocus"
-        ).plan(top_k=2)
-        for method in ("auto", "bdd"):
-            plan = MitigationPlanner(weighted_graph, method=method).plan(
-                top_k=2
-            )
-            assert (
-                plan.to_dict()["plan"] == reference.to_dict()["plan"]
-            )
-
     def test_worker_invariance(self, weighted_graph):
         """The determinism contract: identical plans for any worker count."""
         serial = MitigationPlanner(weighted_graph).plan(top_k=3)
@@ -159,30 +143,17 @@ class TestPlan:
             )
 
 
-class TestAuditorWiring:
-    @staticmethod
-    def depdb():
-        sets = {
-            "S1": ["tor1", "shared-agg"],
-            "S2": ["tor2", "shared-agg"],
-        }
-        return DepDB(
-            HardwareDependency(hw=server, type="component", dep=component)
-            for server, components in sets.items()
-            for component in components
-        )
+class TestOneExactRoute:
+    def test_route_is_not_selectable_above_minimal_risk_groups(self):
+        """``method=`` picked between routes that return identical
+        families; the planner, what-if and ``repro.plan`` read them off
+        the diagram they already hold for ``probability()``."""
+        for front_door in (repro.plan, MitigationPlanner, evaluate_mitigations):
+            parameters = inspect.signature(front_door).parameters
+            assert "method" not in parameters
+            assert "baseline_groups" not in parameters
 
-    def test_mitigation_plan_through_auditor(self):
-        auditor = SIAAuditor(self.depdb(), weigher=uniform_weigher(0.1))
-        spec = AuditSpec(deployment="web & db", servers=("S1", "S2"))
-        plan = auditor.mitigation_plan(spec, top_k=2, budget=3)
-        assert plan.deployment == "web & db"
-        assert len(plan.outcomes) == 3
-        # The builder prefixes hardware components with their record kind.
-        assert plan.outcomes[0].mitigation.component == "hw:shared-agg"
-
-    def test_weigher_required(self):
-        auditor = SIAAuditor(self.depdb())
-        spec = AuditSpec(deployment="web & db", servers=("S1", "S2"))
-        with pytest.raises(AnalysisError, match="weigher"):
-            auditor.mitigation_plan(spec)
+    def test_core_has_no_door_to_the_planner(self):
+        """``repro.plan`` builds the planner; ``core`` stays below
+        ``analysis`` (see ``tests/test_layering.py``)."""
+        assert not hasattr(SIAAuditor, "mitigation_plan")

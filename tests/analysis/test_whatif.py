@@ -1,11 +1,15 @@
 """Unit tests for what-if mitigation analysis."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ComponentSets, minimal_risk_groups
+from repro.analysis.planner import MitigationPlanner
 from repro.analysis.whatif import Duplicate, Harden, evaluate_mitigations
 from repro.core.bdd import compile_graph
 from repro.errors import AnalysisError
+from tests.core.evaluators import bn_top_probability
+from tests.core.test_property_core import fault_graphs
 
 
 @pytest.fixture
@@ -172,21 +176,23 @@ class TestEvaluateMitigations:
         assert outcome.probability_before == 0.0
         assert outcome.relative_reduction == 0.0
 
-    def test_method_parameter_is_result_invariant(self, weighted_graph):
-        mitigations = [Duplicate("shared-agg"), Harden("tor1", 0.01)]
-        reference = evaluate_mitigations(
-            weighted_graph, mitigations, method="mocus"
+    def test_partial_weight_override_keeps_graph_weights(self, weighted_graph):
+        """Regression: the baseline was evaluated from the override dict
+        alone (``no failure probability for 'tor1'``) although the merged
+        graph it was compiled from carried every weight."""
+        override = {"shared-agg": 0.5}
+        (outcome,) = evaluate_mitigations(
+            weighted_graph, [Harden("shared-agg", 0.01)], probabilities=override
         )
-        for method in ("auto", "bdd"):
-            outcomes = evaluate_mitigations(
-                weighted_graph, mitigations, method=method
-            )
-            assert [o.probability_after for o in outcomes] == [
-                o.probability_after for o in reference
-            ]
-            assert [o.unexpected_after for o in outcomes] == [
-                o.unexpected_after for o in reference
-            ]
+        merged = weighted_graph.map_probabilities(
+            lambda e: override.get(e.name, e.probability)
+        )
+        assert outcome.probability_before == compile_graph(merged).probability(
+            merged.probabilities()
+        )
+        plan = MitigationPlanner(weighted_graph, probabilities=override).plan()
+        assert outcome.probability_before == plan.baseline_probability
+        assert outcome.unexpected_before == plan.baseline_unexpected
 
     def test_graph_never_mutated(self, weighted_graph):
         before = weighted_graph.stats()
@@ -195,3 +201,49 @@ class TestEvaluateMitigations:
             [Duplicate("shared-agg"), Harden("tor1", 0.01)],
         )
         assert weighted_graph.stats() == before
+
+
+# Graph-level metamorphic laws on random weighted graphs (the replicated-
+# service availability model of arXiv:2306.13334: a replica or a better
+# component can only help), each value cross-checked against 2^n state
+# enumeration, which shares no code with the diagram.
+
+
+def weighted(graph, data):
+    weight = st.floats(0.01, 0.99)
+    weights = {leaf: data.draw(weight) for leaf in graph.basic_events()}
+    return graph.map_probabilities(lambda e: weights[e.name])
+
+
+def diagram_probability(graph) -> float:
+    """``Pr(T)`` from the graph's diagram, held to state enumeration."""
+    probs = graph.probabilities()
+    value = compile_graph(graph).probability(probs)
+    assert abs(value - bn_top_probability(graph, probs)) <= 1e-12
+    return value
+
+
+@settings(max_examples=40, deadline=None)
+@given(fault_graphs(), st.data())
+def test_adding_a_replica_never_raises_failure_probability(graph, data):
+    graph = weighted(graph, data)
+    component = data.draw(st.sampled_from(graph.basic_events()))
+    replicated = Duplicate(component).apply(graph)
+    assert diagram_probability(replicated) <= (
+        diagram_probability(graph) + 1e-12
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(fault_graphs(), st.data())
+def test_hardening_is_monotone(graph, data):
+    graph = weighted(graph, data)
+    component = data.draw(st.sampled_from(graph.basic_events()))
+    current = graph.probability_of(component)
+    low, high = sorted(data.draw(st.floats(0.0, current)) for _ in range(2))
+    at_low, at_high = (
+        diagram_probability(Harden(component, q).apply(graph))
+        for q in (low, high)
+    )
+    assert at_low <= at_high + 1e-12
+    assert at_high <= diagram_probability(graph) + 1e-12

@@ -179,6 +179,12 @@ class TestPlanFrontDoor:
         assert payload["schema_version"] == api.SCHEMA_VERSION
         assert payload["deployment"] == "S1 & S2"
         assert payload["plan"]
+        # The label is the caller's; it names the plan, not the graph.
+        labelled = repro.plan(
+            DEPDB, ["S1", "S2"], top_k=3, deployment="web & db"
+        ).to_dict()
+        assert labelled["deployment"] == "web & db"
+        assert labelled["plan"] == payload["plan"]
 
 
 class TestCoreEnvelopes:

@@ -50,47 +50,21 @@ class TestBatchEvaluation:
         with pytest.raises(FaultGraphError, match="expected shape"):
             compiled.evaluate_batch(np.zeros((2, 99), dtype=bool))
 
-    def test_top_fails_helper(self, compiled):
-        assert compiled.top_fails(["libc6"])
-        assert not compiled.top_fails(["tor1"])
-
-
-class TestWitnessExtraction:
-    def test_witness_is_a_risk_group(self, compiled, deep_graph):
-        values = compiled.evaluate_assignment(range(compiled.n_basic))
-        witness = compiled.extract_witness(values)
-        assert deep_graph.evaluate(witness)
-        # prefers the cheapest path: the shared libc6 singleton
-        assert witness == frozenset({"libc6"})
-
-    def test_witness_requires_failure(self, compiled):
-        values = compiled.evaluate_assignment([])
-        with pytest.raises(FaultGraphError, match="did not fail"):
-            compiled.extract_witness(values)
-
-    def test_witness_without_shortcut(self, compiled, deep_graph):
-        # Fail everything except libc6: witness must use the tor/core cut.
-        positions = [
-            i for i, n in enumerate(compiled.basic_names) if n != "libc6"
-        ]
-        values = compiled.evaluate_assignment(positions)
-        witness = compiled.extract_witness(values)
-        assert "libc6" not in witness
-        assert deep_graph.evaluate(witness)
-
-
-class TestMinimiseCut:
-    def test_minimises_to_minimal_rg(self, compiled, deep_graph):
-        minimal = compiled.minimise_cut(
-            ["libc6", "tor1", "tor2", "core"]
-        )
-        assert deep_graph.evaluate(minimal)
-        for event in minimal:
-            assert not deep_graph.evaluate(set(minimal) - {event})
-
-    def test_rejects_non_risk_group(self, compiled):
-        with pytest.raises(FaultGraphError, match="not a risk group"):
-            compiled.minimise_cut(["tor1"])
+    def test_no_scalar_witness_kernel(self, compiled):
+        """Witness extraction and minimisation live in ``engine.batch``
+        (oracles: ``FaultGraph.evaluate``, ``is_minimal_risk_group``,
+        ``minimise_cuts_boolean``); the compiled graph carries no second,
+        one-assignment-at-a-time copy of them."""
+        for name in (
+            "evaluate_assignment",
+            "top_fails",
+            "_top_fails_scalar",
+            "extract_witness",
+            "_witness_sizes",
+            "minimise_cut",
+            "_basic_set",
+        ):
+            assert not hasattr(compiled, name)
 
 
 class TestSampling:

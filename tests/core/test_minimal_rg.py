@@ -3,6 +3,7 @@
 import pytest
 
 from repro import FaultGraph, GateType, minimal_risk_groups
+from repro.core.bdd import compile_graph
 from repro.core.minimal_rg import (
     CutSetExplosion,
     is_minimal_risk_group,
@@ -11,6 +12,13 @@ from repro.core.minimal_rg import (
     unexpected_risk_groups,
 )
 from repro.errors import AnalysisError
+
+
+def wide_or(width: int) -> FaultGraph:
+    g = FaultGraph()
+    leaves = [g.add_basic_event(f"e{i}") for i in range(width)]
+    g.add_gate("top", GateType.OR, leaves, top=True)
+    return g
 
 
 class TestMinimiseFamily:
@@ -155,20 +163,22 @@ class TestMethodFrontDoor:
             == reference
         )
 
-    def test_auto_picks_mocus_for_pure_or(self):
-        """Pure-OR graphs skip BDD compilation (unions are linear)."""
-        from repro.core.minimal_rg import _pick_method
+    def test_routes_agree_on_pure_or(self):
+        """``auto`` is the diagram on every graph; pure-OR ones, where
+        the family-combination traversal is linear, are no exception."""
+        for width in (3, 200, 1100):
+            g = wide_or(width)
+            reference = minimal_risk_groups(g, method="mocus")
+            assert len(reference) == width
+            assert minimal_risk_groups(g) == reference
+            assert minimal_risk_groups(g, method="bdd") == reference
 
-        g = FaultGraph()
-        for name in "abc":
-            g.add_basic_event(name)
-        g.add_gate("top", GateType.OR, list("abc"), top=True)
-        assert _pick_method(g, "top") == "mocus"
-
-    def test_auto_picks_bdd_for_products(self, deep_graph):
-        from repro.core.minimal_rg import _pick_method
-
-        assert _pick_method(deep_graph, deep_graph.top) == "bdd"
+    def test_wide_or_compiles_in_linear_nodes(self):
+        """A gate's children fold from the last operand down: 2n-1
+        decision nodes for an n-wide OR, where a fold from the first
+        operand allocates n(n+1)/2 (605 550 at this width)."""
+        bdd = compile_graph(wide_or(1100), max_nodes=2200)
+        assert bdd.size() == 1100
 
     def test_unknown_method_rejected(self, figure_4a):
         with pytest.raises(AnalysisError, match="method"):

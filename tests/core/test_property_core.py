@@ -3,6 +3,8 @@
 Invariants checked on randomly generated fault graphs:
 
 * every reported minimal RG is a risk group and is minimal;
+* the diagram route (``auto``, ``bdd``) returns the family of the paper's
+  family-combination traversal (``mocus``, kept by name as the specification);
 * the sampler only reports risk groups, and (minimised) only minimal ones;
 * fault graphs are monotone: adding failures never un-fails the top;
 * absorption (minimise_family) yields an antichain covering the input;
@@ -77,6 +79,14 @@ def test_minimal_rg_family_is_antichain(graph):
         for b in groups:
             if a is not b:
                 assert not a <= b
+
+
+@settings(max_examples=60, deadline=None)
+@given(fault_graphs())
+def test_diagram_route_equals_the_mocus_specification(graph):
+    reference = minimal_risk_groups(graph, method="mocus")
+    assert minimal_risk_groups(graph) == reference
+    assert minimal_risk_groups(graph, method="bdd") == reference
 
 
 @settings(max_examples=30, deadline=None)

@@ -20,7 +20,7 @@ import pytest
 
 from repro import FaultGraph, GateType, minimal_risk_groups
 from repro.analysis.planner import MitigationPlanner
-from repro.core.bdd import compile_graph
+from repro.core.bdd import BDD, compile_graph
 from repro.core.minimal_rg import is_minimal_risk_group, is_risk_group
 from repro.core.probability import _bdd_union, top_event_probability
 from repro.engine import AuditEngine
@@ -103,6 +103,29 @@ def test_cut_set_probability_equals_the_graph_diagram(graph):
         from_graph, abs=1e-12
     )
     assert _bdd_union(groups, probs) == pytest.approx(from_graph, abs=1e-12)
+
+
+@pytest.mark.parametrize("graph", random_cases())
+def test_fold_direction_changes_no_bit(graph, monkeypatch):
+    """A reduced ordered BDD is canonical for its variable order, so
+    folding a gate's children from the first operand (quadratic on wide
+    gates) instead of the last yields the same diagram: equal families
+    and ``==`` on the ``Pr(T)`` floats."""
+    rng = random.Random(f"{MASTER_SEED}/{graph.name}")
+    probs = {leaf: rng.uniform(0.01, 0.9) for leaf in graph.basic_events()}
+    from_last = compile_graph(graph)
+
+    def fold_from_first(self, op, operands):
+        result = operands[0]
+        for operand in operands[1:]:
+            result = self.apply(op, result, operand)
+        return result
+
+    monkeypatch.setattr(BDD, "apply_many", fold_from_first)
+    from_first = compile_graph(graph)
+    assert from_first.size() == from_last.size()
+    assert from_first.probability(probs) == from_last.probability(probs)
+    assert from_first.minimal_cut_sets() == from_last.minimal_cut_sets()
 
 
 @pytest.mark.parametrize("graph", random_cases()[:8])

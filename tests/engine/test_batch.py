@@ -50,27 +50,20 @@ class TestExtractWitnessesBatch:
             )
 
     def test_matches_scalar_witness_semantics(self, deep_graph):
-        """Batch witnesses obey the same contract as the scalar path:
-        a sufficient set where each failing gate keeps `threshold`
-        failing children."""
+        """The witness contract, one assignment at a time: every batch
+        witness, on its own, fails the top event per the reference
+        evaluator ``FaultGraph.evaluate``."""
         compiled = CompiledGraph(deep_graph)
         rng = np.random.default_rng(1)
         _failures, values = failing_values(compiled, rng, rounds=256)
         witnesses = extract_witnesses_batch(compiled, values, rng)
-        scalar = {
-            compiled.extract_witness(row, rng=np.random.default_rng(2))
-            for row in values
-        }
         names = compiled.basic_names
         batch = {
             frozenset(names[i] for i in np.flatnonzero(w)) for w in witnesses
         }
-        # Not necessarily equal (different random choices), but both draw
-        # from the same witness space: every batch witness is a superset
-        # of some minimal RG and a valid failing set.
+        assert batch
         for witness in batch:
             assert deep_graph.evaluate(witness)
-        assert scalar  # the scalar path still works alongside
 
 
 class TestMinimiseCutsBatch:

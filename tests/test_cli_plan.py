@@ -38,28 +38,23 @@ class TestPlanCommand:
         assert payload["plan"][0]["mitigation"]["component"] == "device:agg1"
         assert payload["baseline_probability"] > 0
 
-    def test_method_and_top_k(self, depdb_file, capsys):
-        reference = None
-        for method in ("mocus", "bdd", "auto"):
-            code = main(
-                [
-                    "plan",
-                    depdb_file,
-                    "--servers",
-                    "S1,S2",
-                    "--method",
-                    method,
-                    "--top-k",
-                    "3",
-                    "--json",
-                ]
+    def test_top_k(self, depdb_file, capsys):
+        code = main(
+            ["plan", depdb_file, "--servers", "S1,S2", "--top-k", "3", "--json"]
+        )
+        assert code == 0
+        # One Harden and one Duplicate candidate per component.
+        assert json.loads(capsys.readouterr().out)["considered"] == 6
+
+    def test_method_flag_is_gone(self, depdb_file, capsys):
+        """There is one exact route; ``--method`` selected nothing a
+        plan could show ("identical families, different speed")."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["plan", depdb_file, "--servers", "S1,S2", "--method", "bdd"]
             )
-            assert code == 0
-            payload = capsys.readouterr().out
-            if reference is None:
-                reference = payload
-            else:
-                assert payload == reference
+        assert exit_info.value.code == 2
+        assert "--method" in capsys.readouterr().err
 
     def test_missing_servers_rejected(self, depdb_file, capsys):
         code = main(["plan", depdb_file, "--servers", " , "])

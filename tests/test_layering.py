@@ -48,8 +48,6 @@ LAYERS = {
 
 #: Function-local imports that point up or sideways: (file, target).
 UPWARD_LOCAL_IMPORTS = {
-    # SIAAuditor.mitigation_plan is a convenience door to the planner.
-    ("core/audit.py", "analysis"),
     # FailureSampler fronts the engine's plan -> run -> merge.
     ("core/sampling.py", "engine"),
 }
