@@ -16,7 +16,7 @@ This package is the scaling layer on top of the §4.1 analysis core:
   by :class:`~repro.core.audit.SIAAuditor`, the what-if analysis and the
   ``indaas audit-many`` CLI verb;
 * :mod:`repro.engine.incremental` — delta audits: graph diffing, the
-  block-outcome / audit result caches and :class:`DeltaAuditEngine`
+  audit result cache and :class:`DeltaAuditEngine`
   (the ``indaas watch`` loop over it is :mod:`repro.service.watch`).
 
 The package sits above :mod:`repro.core` and imports it freely;

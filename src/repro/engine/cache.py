@@ -159,8 +159,8 @@ class GraphCache:
 class LRUCache:
     """Minimal thread-safe LRU map with hit/miss accounting.
 
-    Shared by the delta engine's block/audit caches and the audit
-    service's content-addressed report store.
+    Shared by the delta engine's result cache and the audit service's
+    content-addressed report store.
     """
 
     def __init__(self, maxsize: int) -> None:

@@ -197,7 +197,6 @@ class AuditEngine:
             probabilities=weights,
             default_probability=sample_probability,
             minimise=minimise,
-            reusable_stream=seed is not None,
             stopper=stopper,
         )
         metadata = {
@@ -227,19 +226,14 @@ class AuditEngine:
         probabilities,
         default_probability: float,
         minimise: bool,
-        reusable_stream: bool = True,
         stopper=None,
     ):
-        """Execute a block plan; the single overridable step of ``sample``.
+        """Execute a block plan — the one "where do blocks run" step.
 
-        Subclasses (the delta engine) replace only this, so the plan
-        construction, weights extraction and merge above stay one copy —
-        which is what keeps the bit-parity contract a single point of
-        truth.  ``reusable_stream`` is False when the plan's seeds come
-        from fresh OS entropy (``seed=None``) — such blocks can never
-        legitimately be served from (or usefully stored in) a cache.
+        Through the pool when this engine fans out and the plan has
+        more than one block, inline otherwise; no subclass replaces it.
         ``stopper``, when given, truncates the plan at the adaptive
-        stopping point (observed in plan order on every path).
+        stopping point (observed in plan order on either path).
         Returns ``(outcomes, extra result metadata)``.
         """
         if self.fanout > 1 and len(plan) > 1:
@@ -312,7 +306,6 @@ class AuditEngine:
             ranking_method=jobs[0].spec.ranking,
             client=client,
             metadata={
-                "engine": {"workers": self.n_workers},
                 "spec_files": [
                     job.metadata.get("source", "") for job in jobs
                 ],
@@ -329,8 +322,7 @@ class AuditEngine:
         A :class:`~repro.engine.incremental.DeltaAuditEngine` sharing
         this engine's :class:`GraphCache`, block size and worker pool
         (shared, never owned); repeated calls return the same instance,
-        so its block/audit caches stay warm across :meth:`audit_delta`
-        calls.
+        so its result cache stays warm across :meth:`audit_delta` calls.
         """
         from repro.engine.incremental import DeltaAuditEngine
 

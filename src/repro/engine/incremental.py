@@ -12,13 +12,12 @@ PR-1 engine without ever bending its determinism contract:
   the top event.  An empty delta is exactly equivalent to an unchanged
   :func:`~repro.engine.cache.structural_hash`.
 * :class:`DeltaAuditEngine` — an :class:`~repro.engine.AuditEngine`
-  whose sampling path runs through a content-addressed
-  *block-outcome cache* and whose auditing path runs through a
-  *result cache*, both keyed by structural hash + audit parameters.
-  Cached artefacts are reused **only** when the key proves the cold
-  computation would be bit-identical, so every result the delta engine
-  returns equals a cold full audit of the same input — reuse can change
-  wall-clock time, never bytes.
+  whose auditing path runs through a content-addressed *result cache*
+  keyed by structural hash + audit parameters.  A cached audit is
+  reused **only** when the key proves the cold computation would be
+  bit-identical, so every result the delta engine returns equals a cold
+  full audit of the same input — reuse can change wall-clock time,
+  never bytes.
 * :meth:`DeltaAuditEngine.audit_delta` — diff two deployment spec sets,
   re-audit only deployments whose fault graph (or audit parameters)
   actually changed, and serve the untouched ones from cache, reporting
@@ -32,23 +31,22 @@ block seed, block rounds, sampling parameters)`` — the per-block RNG
 stream starts from the block's own ``SeedSequence`` child and its
 consumption depends on the graph's basic-event layout.  Any structural
 change therefore changes the stream, so a changed graph can never reuse
-the old graph's blocks and still match a cold audit.  What *can* be
+the old graph's blocks and still match a cold audit — which is why
+there is no block-level cache here: it could only hit where the graph
+did *not* drift, and that is a result-cache hit already.  What *can* be
 reused, and is:
 
 * whole deployments whose graph hash and audit parameters are unchanged
   (the dominant win: drift touches a few components, which touches the
-  deployments that depend on them and no others);
-* every block of a no-op diff, a reverted graph (config flap back to a
-  previously audited structure), or a rounds *extension* — blocks are
-  seeded with ``SeedSequence.spawn`` children, so the first N blocks of
-  a longer run are bit-identical to the N blocks of a shorter one;
+  deployments that depend on them and no others) — including a reverted
+  graph (config flap back to a previously audited structure);
 * compiled array/BDD forms for any graph structure seen before (the
   shared :class:`~repro.engine.cache.GraphCache`).
 
-The caches live in this process: deployments of a set are audited one
-after another through them (the uncached process fan-out is
-:meth:`AuditEngine.audit_jobs`), and only the *blocks* a cache lookup
-misses go wherever the base engine runs blocks — inline or its pool.
+The result cache lives in this process: deployments of a set are audited
+one after another through it (the uncached process fan-out is
+:meth:`AuditEngine.audit_jobs`), and a miss samples exactly as the base
+engine does — :meth:`AuditEngine.sample`, inline or through its pool.
 Worker counts never change results — see DESIGN.md.
 """
 
@@ -56,9 +54,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from repro.core.audit import SIAAuditor
 from repro.core.faultgraph import FaultGraph
@@ -66,7 +62,6 @@ from repro.core.report import AuditReport, DeploymentAudit
 from repro.core.spec import AuditSpec, RGAlgorithm
 from repro.engine.cache import GraphCache, LRUCache, structural_hash
 from repro.engine.facade import AuditEngine, check_cancelled
-from repro.engine.parallel import BlockPlan, run_plan_serial
 from repro.engine.specset import (
     AuditJob,
     SpecSource,
@@ -216,24 +211,8 @@ def graph_delta(old: FaultGraph, new: FaultGraph) -> GraphDelta:
 
 
 # --------------------------------------------------------------------- #
-# Content-addressed caches
+# The result-cache key
 # --------------------------------------------------------------------- #
-
-
-def _seed_key(seed_sequence: np.random.SeedSequence):
-    """Hashable identity of a block's seeded stream."""
-    entropy = seed_sequence.entropy
-    if isinstance(entropy, (list, tuple, np.ndarray)):
-        entropy = tuple(int(x) for x in entropy)
-    return (entropy, tuple(seed_sequence.spawn_key), seed_sequence.pool_size)
-
-
-def _sub_plan(plan: BlockPlan, indices: Sequence[int]) -> BlockPlan:
-    """The blocks of ``plan`` at ``indices``, seeds and all."""
-    return BlockPlan(
-        rounds=tuple(plan.rounds[i] for i in indices),
-        seeds=tuple(plan.seeds[i] for i in indices),
-    )
 
 
 def _spec_audit_key(spec: AuditSpec) -> tuple:
@@ -404,25 +383,22 @@ class DeltaAuditReport:
 
 
 class DeltaAuditEngine(AuditEngine):
-    """An :class:`AuditEngine` with incremental, content-addressed reuse.
+    """An :class:`AuditEngine` with one content-addressed result cache.
 
     Args:
-        n_workers: Worker processes for computing cache-miss blocks
-            (``None``/``0``/``1`` compute them inline; the cache itself
-            always lives in this process).  As everywhere, the worker
-            count never changes results.
+        n_workers: Worker processes, exactly as for the base engine
+            (the result cache itself always lives in this process).  As
+            everywhere, the worker count never changes results.
         block_size: Sampling rounds per block (part of the stream
             definition, exactly as for the base engine).
         cache: Optional shared :class:`GraphCache`.
-        max_cached_blocks: LRU capacity of the block-outcome cache.
         max_cached_audits: LRU capacity of the deployment-audit cache.
         pool: Optional shared worker pool, as for the base engine.
 
-    Sampling and auditing share this process's warm caches across
-    repeated calls; results are bit-identical to the base engine (and
-    the serial :class:`~repro.core.sampling.FailureSampler`) for the
-    same seed and block size, whether a block came from the cache, was
-    computed inline, or was computed in a worker process.
+    Sampling *is* the base engine's (:meth:`AuditEngine.sample`, not
+    overridden); auditing shares this process's warm result cache across
+    repeated calls, and a cached audit is bit-identical to the base
+    engine's cold one for the same seed and block size.
     """
 
     def __init__(
@@ -430,111 +406,13 @@ class DeltaAuditEngine(AuditEngine):
         n_workers: Optional[int] = None,
         block_size: int = 4096,
         cache: Optional[GraphCache] = None,
-        max_cached_blocks: int = 8192,
         max_cached_audits: int = 1024,
         pool=None,
     ) -> None:
         super().__init__(
             n_workers=n_workers, block_size=block_size, cache=cache, pool=pool
         )
-        self._blocks = LRUCache(max_cached_blocks)
         self._audits = LRUCache(max_cached_audits)
-
-    # ------------------------------------------------------------------ #
-    # Cached sampling
-    # ------------------------------------------------------------------ #
-
-    def _run_plan(
-        self,
-        graph,
-        plan,
-        *,
-        probabilities,
-        default_probability: float,
-        minimise: bool,
-        reusable_stream: bool = True,
-        stopper=None,
-    ):
-        """Block execution through the outcome cache.
-
-        The only step of :meth:`AuditEngine.sample` this engine
-        replaces: each block's outcome is keyed by ``(structural hash,
-        sampling parameters, block rounds, block seed)``; a hit
-        substitutes the stored outcome for re-running
-        :func:`~repro.engine.batch.run_block` on identical inputs, which
-        is the definition of bit-identical reuse.  Blocks carry
-        independent generators, so skipping some never perturbs the
-        others.
-
-        Without a ``stopper`` the cache misses go to the base engine as
-        one sub-plan — it decides pool or inline, exactly as for an
-        uncached run.  Adaptive runs walk the plan in order instead, so
-        the stopper sees each outcome (cached or computed) in strict
-        plan order.
-        """
-        params = dict(
-            probabilities=probabilities,
-            default_probability=default_probability,
-            minimise=minimise,
-        )
-        if not reusable_stream:
-            # Fresh-entropy seeds can never hit again; storing their
-            # outcomes would only churn warm entries out of the LRU.
-            outcomes, extra = super()._run_plan(
-                graph, plan, stopper=stopper, **params
-            )
-            return outcomes, self._reuse_metadata(0, len(outcomes), extra)
-        graph_key = structural_hash(graph)
-        params_key = (
-            None if probabilities is None else tuple(probabilities),
-            default_probability,
-            minimise,
-        )
-        keys = [
-            (graph_key, params_key, block_rounds, _seed_key(block_seed))
-            for block_rounds, block_seed in zip(plan.rounds, plan.seeds)
-        ]
-        outcomes = [self._blocks.get(key) for key in keys]
-        missing = [i for i, outcome in enumerate(outcomes) if outcome is None]
-        if stopper is None:
-            extra = {}
-            if missing:
-                computed, extra = super()._run_plan(
-                    graph, _sub_plan(plan, missing), **params
-                )
-                for i, outcome in zip(missing, computed):
-                    self._blocks.put(keys[i], outcome)
-                    outcomes[i] = outcome
-            return outcomes, self._reuse_metadata(
-                len(plan) - len(missing), len(missing), extra
-            )
-
-        compiled = self.compile(graph) if missing else None
-        computed = 0
-        for index, outcome in enumerate(outcomes):
-            if outcome is None:
-                [outcome] = run_plan_serial(
-                    compiled, _sub_plan(plan, [index]), **params
-                )
-                self._blocks.put(keys[index], outcome)
-                outcomes[index] = outcome
-                computed += 1
-            if stopper.observe(outcome):
-                break
-        return outcomes[: index + 1], self._reuse_metadata(
-            index + 1 - computed, computed, {}
-        )
-
-    @staticmethod
-    def _reuse_metadata(reused: int, computed: int, extra: dict) -> dict:
-        """``extra`` (the base engine's run metadata) plus reuse counts."""
-        return {
-            **extra,
-            "incremental": {
-                "blocks_reused": reused,
-                "blocks_computed": computed,
-            },
-        }
 
     # ------------------------------------------------------------------ #
     # Cached auditing
@@ -741,7 +619,6 @@ class DeltaAuditEngine(AuditEngine):
             ranking_method=new_jobs[0].spec.ranking,
             client=client,
             metadata={
-                "engine": {"workers": self.n_workers, "incremental": True},
                 "reused": reused,
                 "recomputed": recomputed,
                 "delta": delta.to_dict(),
@@ -764,7 +641,6 @@ class DeltaAuditEngine(AuditEngine):
     def cache_info(self) -> dict:
         return {
             "graphs": self.cache.info(),
-            "blocks": self._blocks.info(),
             "audits": self._audits.info(),
         }
 

@@ -132,11 +132,12 @@ class TestAuditMany:
         assert ranked[1].has_unexpected_risk_groups
 
     def test_worker_count_does_not_change_report(self, spec_dir):
+        """Byte-for-byte: the worker count is not in the report."""
         serial = AuditEngine(n_workers=1).audit_many(spec_dir)
-        parallel = AuditEngine(n_workers=2).audit_many(spec_dir)
-        assert {a.deployment: a.score for a in serial.audits} == {
-            a.deployment: a.score for a in parallel.audits
-        }
+        with AuditEngine(n_workers=2) as engine:
+            parallel = engine.audit_many(spec_dir)
+        assert serial.to_json() == parallel.to_json()
+        assert "engine" not in serial.metadata
 
     def test_explicit_file_list(self, spec_dir):
         report = AuditEngine().audit_many([spec_dir / "db.json"])

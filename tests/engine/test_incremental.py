@@ -1,14 +1,21 @@
 """The incremental delta-audit layer (ISSUE 2 tentpole).
 
 Covers the graph diff (and its equivalence with the structural hash),
-bit-identical block/audit reuse in :class:`DeltaAuditEngine` and the
-``audit_delta`` spec-set workflow (the ``indaas watch`` poll loop over
-it is covered in ``tests/service/test_watch.py``).
+bit-identical audit reuse in :class:`DeltaAuditEngine`, the guards that
+its sampling is the base engine's, and the ``audit_delta`` spec-set
+workflow (the ``indaas watch`` poll loop over it is covered in
+``tests/service/test_watch.py``).
 """
 
+import gc
+import inspect
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro import AuditSpec, FailureSampler, GateType, RGAlgorithm, SIAAuditor
+from repro.core.componentset import ComponentSets
 from repro.core.faultgraph import FaultGraph
 from repro.depdb import DepDB
 from repro.depdb.records import HardwareDependency
@@ -20,6 +27,7 @@ from repro.engine import (
     load_spec_set,
     structural_hash,
 )
+from repro.engine.parallel import plan_blocks, run_plan_serial
 from repro.errors import SpecificationError
 
 
@@ -103,6 +111,9 @@ class TestGraphDelta:
 
 
 class TestCachedSampling:
+    """Sampling on a delta engine *is* the base engine's: no block-level
+    cache sits under the result cache (ISSUE 19)."""
+
     def test_parity_with_serial_and_base_engine(self, deep_graph):
         serial = FailureSampler(deep_graph, seed=21).run(9_000)
         base = AuditEngine().sample(deep_graph, 9_000, seed=21)
@@ -111,42 +122,6 @@ class TestCachedSampling:
             assert other.risk_groups == serial.risk_groups
             assert other.top_failures == serial.top_failures
             assert other.unique_failure_sets == serial.unique_failure_sets
-
-    def test_repeat_sample_is_a_full_cache_hit(self, deep_graph):
-        engine = DeltaAuditEngine(block_size=1024)
-        first = engine.sample(deep_graph, 5_000, seed=3)
-        second = engine.sample(deep_graph, 5_000, seed=3)
-        assert second.risk_groups == first.risk_groups
-        assert second.top_failures == first.top_failures
-        assert second.metadata["incremental"] == {
-            "blocks_reused": 5,
-            "blocks_computed": 0,
-        }
-
-    def test_rounds_extension_reuses_prefix_blocks(self, deep_graph):
-        engine = DeltaAuditEngine(block_size=1024)
-        engine.sample(deep_graph, 2_048, seed=8)
-        extended = engine.sample(deep_graph, 3_072, seed=8)
-        # The first two SeedSequence.spawn children are identical, so
-        # only the new third block is computed ...
-        assert extended.metadata["incremental"] == {
-            "blocks_reused": 2,
-            "blocks_computed": 1,
-        }
-        # ... and the merged result still equals a cold run.
-        cold = DeltaAuditEngine(block_size=1024).sample(
-            deep_graph, 3_072, seed=8
-        )
-        assert extended.risk_groups == cold.risk_groups
-        assert extended.top_failures == cold.top_failures
-
-    def test_structural_change_invalidates_blocks(self, deep_graph):
-        engine = DeltaAuditEngine()
-        engine.sample(deep_graph, 4_000, seed=0)
-        changed = deep_graph.copy()
-        changed.set_probability("core", 0.5)
-        result = engine.sample(changed, 4_000, seed=0)
-        assert result.metadata["incremental"]["blocks_reused"] == 0
 
     def test_block_size_is_part_of_the_key(self, deep_graph):
         engine_a = DeltaAuditEngine(block_size=1000)
@@ -163,14 +138,6 @@ class TestCachedSampling:
             assert serial.risk_groups == result.risk_groups
             assert serial.top_failures == result.top_failures
 
-    def test_seedless_sampling_skips_the_block_cache(self, deep_graph):
-        """seed=None blocks can never hit again — storing them would
-        only churn warm reusable entries out of the LRU."""
-        engine = DeltaAuditEngine()
-        result = engine.sample(deep_graph, 4_000, seed=None)
-        assert result.metadata["incremental"]["blocks_computed"] == 1
-        assert engine.cache_info()["blocks"]["entries"] == 0
-
     def test_weighted_sampling_through_the_cache(self, figure_4b):
         serial = FailureSampler(figure_4b, use_weights=True, seed=11).run(
             8_192
@@ -180,7 +147,92 @@ class TestCachedSampling:
         again = engine.sample(figure_4b, 8_192, use_weights=True, seed=11)
         assert warm.risk_groups == serial.risk_groups
         assert again.risk_groups == serial.risk_groups
-        assert again.metadata["incremental"]["blocks_computed"] == 0
+
+    def test_one_sampling_body(self, deep_graph):
+        """Surface guards: the delta engine forks nothing of sampling."""
+        assert "_run_plan" not in vars(DeltaAuditEngine)
+        assert DeltaAuditEngine.sample is AuditEngine.sample
+        assert "max_cached_blocks" not in inspect.signature(
+            DeltaAuditEngine
+        ).parameters
+        assert "reusable_stream" not in inspect.signature(
+            AuditEngine._run_plan
+        ).parameters
+        engine = DeltaAuditEngine()
+        assert set(engine.cache_info()) == {"graphs", "audits"}
+        result = engine.sample(deep_graph, 2_000, seed=0)
+        assert "incremental" not in result.metadata
+
+    def test_sampling_retains_no_block_outcomes(self):
+        """Twenty distinct-seed ``sample()`` calls on a warm engine keep
+        less than one call's block outcomes alive.
+
+        Measured on this graph (4 096 rounds, ≈4 k distinct raw keys per
+        block): one call's outcomes weigh 515 017 B; the 20 calls retain
+        176 B here and 10 293 552 B (19.99 × one call) with the block
+        cache of the parent commit.
+        """
+        sets = {
+            f"P{i}": ["shared-0", "shared-1"]
+            + [f"p{i}-{j}" for j in range(10)]
+            for i in range(3)
+        }
+        graph = ComponentSets.from_mapping(sets).to_fault_graph("wide")
+        engine = DeltaAuditEngine()
+        engine.sample(graph, 4_096, seed=0)  # warm-up: compile, imports
+
+        def traced() -> int:
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            base = traced()
+            held = run_plan_serial(
+                engine.compile(graph),
+                plan_blocks(
+                    4_096, engine.block_size, np.random.SeedSequence(99)
+                ),
+                probabilities=None,
+                default_probability=0.5,
+                minimise=True,
+            )
+            one_call = traced() - base
+            del held
+            base = traced()
+            for seed in range(1, 21):
+                engine.sample(graph, 4_096, seed=seed)
+            retained = traced() - base
+        finally:
+            tracemalloc.stop()
+        assert one_call > 100_000  # the yardstick is not trivially small
+        assert retained < one_call
+
+
+def test_adaptive_delta_sampling_fans_out(deep_graph):
+    """An adaptive audit on a delta engine uses its workers (at the
+    parent it ran every block inline: ``tasks == 0``), and where blocks
+    run changes nothing."""
+
+    def fields(result):
+        return (
+            result.risk_groups,
+            result.top_failures,
+            result.rounds,
+            result.metadata["stopped_early"],
+        )
+
+    call = dict(seed=1, adaptive=True)
+    with DeltaAuditEngine(n_workers=2, block_size=256) as engine:
+        pooled = engine.sample(deep_graph, 20_000, **call)
+        assert engine.pool.stats()["tasks"] > 0
+    inline = DeltaAuditEngine(block_size=256).sample(
+        deep_graph, 20_000, **call
+    )
+    with AuditEngine(n_workers=2, block_size=256) as engine:
+        base = engine.sample(deep_graph, 20_000, **call)
+    assert fields(pooled) == fields(inline) == fields(base)
+    assert pooled.metadata["stopped_early"]
 
 
 def provider_depdb(sets):
@@ -253,6 +305,14 @@ class TestAuditDelta:
             "P1 & P2",
         }
         assert outcome.reuse_fraction == 0.0
+
+    def test_worker_count_does_not_change_report_bytes(self):
+        jobs = jobs_for(SETS)
+        serial = DeltaAuditEngine(n_workers=1).audit_delta(None, jobs)
+        with DeltaAuditEngine(n_workers=2) as engine:
+            parallel = engine.audit_delta(None, jobs)
+        assert serial.report.to_json() == parallel.report.to_json()
+        assert "engine" not in serial.report.metadata
 
     def test_spec_parameter_change_forces_recompute(self):
         old_jobs = jobs_for(SETS)
