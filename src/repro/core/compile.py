@@ -158,6 +158,7 @@ class CompiledGraph:
         ]
         self._thresholds_py: list[int] = thresholds.tolist()
         self._cones: Optional[tuple[tuple[int, ...], ...]] = None
+        self._witness_plan: Optional[tuple[tuple, ...]] = None
 
     # ------------------------------------------------------------------ #
     # Batch evaluation
@@ -239,7 +240,7 @@ class CompiledGraph:
                 words[i] = _threshold_words(child_words, k)
         return words
 
-    def unpack_assignments(
+    def unpack_node_major(
         self, node_words: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
         """Unpack selected rounds of a packed node-value matrix.
@@ -247,18 +248,28 @@ class CompiledGraph:
         Args:
             node_words: ``(n_nodes, W)`` words from
                 :meth:`evaluate_batch_packed`.
-            rows: Round indices to extract.
+            rows: Round indices to extract; one outside ``[0, 64 * W)``
+                is a :class:`FaultGraphError`.
 
         Returns:
-            ``(len(rows), n_nodes)`` boolean matrix, row ``r`` being the
-            full node-value vector of round ``rows[r]`` — the exact shape
-            witness extraction consumes.
+            C-contiguous ``(n_nodes, len(rows))`` boolean matrix, column
+            ``r`` being the node values of round ``rows[r]`` — the layout
+            witness extraction works on.
         """
+        node_words = np.ascontiguousarray(node_words, dtype=_WORD)
         rows = np.asarray(rows, dtype=np.int64)
-        word_index = rows >> 6
-        bit_index = (rows & 63).astype(_WORD)
-        columns = node_words[:, word_index]  # (n_nodes, len(rows))
-        return ((columns >> bit_index[None, :]) & np.uint64(1)).T.astype(bool)
+        limit = 64 * node_words.shape[1]
+        if ((rows < 0) | (rows >= limit)).any():
+            raise FaultGraphError(f"round indices must lie in [0, {limit})")
+        bits = np.unpackbits(node_words.view(np.uint8), axis=1, bitorder="little")
+        return bits.take(rows, axis=1).view(bool)
+
+    def unpack_assignments(
+        self, node_words: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`unpack_node_major`, rounds-major: its transposed view,
+        ``(len(rows), n_nodes)``, row ``r`` being round ``rows[r]``."""
+        return self.unpack_node_major(node_words, rows).T
 
     def sample_failures_packed(
         self,
@@ -312,6 +323,37 @@ class CompiledGraph:
                 for i in self.basic_index.tolist()
             )
         return self._cones
+
+    @property
+    def witness_plan(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """``reversed(gate_order)`` cut into runs of like gates, each a
+        ``(threshold, (G,) gates, (G, arity) children)``; memoised like
+        :attr:`cones`.
+
+        A run is a maximal stretch of *consecutive* gates with equal
+        ``(arity, threshold)`` none of which is a child of an earlier
+        gate of the run: parents come first in this order, so when a run
+        starts the demand on each of its gates is final and witness
+        extraction resolves the run in one array pass.  Gates are never
+        reordered — the runs concatenate to ``reversed(gate_order)`` —
+        which keeps the random stream of a gate-at-a-time walk.
+        """
+        if self._witness_plan is None:
+            runs: list[tuple[int, list[int], list[list[int]]]] = []
+            shape = None  # (threshold, arity) of the current run
+            claimed: set[int] = set()  # children of the current run's gates
+            for gate in reversed(self.gate_order):
+                kids, k = self._children_py[gate], self._thresholds_py[gate]
+                if (k, len(kids)) != shape or gate in claimed:
+                    runs.append((k, [], []))
+                    shape, claimed = (k, len(kids)), set()
+                runs[-1][1].append(gate)
+                runs[-1][2].append(kids)
+                claimed.update(kids)
+            self._witness_plan = tuple(
+                (k, np.array(gates), np.array(kids)) for k, gates, kids in runs
+            )
+        return self._witness_plan
 
     def evaluate_gate_bits(self, gate: int, bits: Sequence[int]) -> int:
         """Value of one gate from its children's row bitsets.

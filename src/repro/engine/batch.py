@@ -6,9 +6,11 @@ Python loop for witness extraction and greedy cut minimisation.  On dense
 graphs most rounds fail, so that loop dominated the runtime.  This module
 moves both steps to whole-block operations:
 
-* :func:`extract_witnesses_batch` walks the gate array once per gate (not
-  once per round), selecting each failing gate's required children for all
-  rounds simultaneously;
+* :func:`extract_witnesses_batch` walks the gates one *run* of like gates
+  at a time (:attr:`CompiledGraph.witness_plan`, not once per gate, let
+  alone per round) over node-major arrays, selecting the required
+  children of every failing gate of the run for all rounds at once — on
+  the random stream a gate-at-a-time walk would consume;
 * :func:`minimise_cuts_batch` greedily shrinks a whole block of witnesses
   over row bitsets (one int per node, bit ``r`` = witness ``r``): the
   graph is evaluated once, and trying to drop one candidate event from
@@ -68,6 +70,12 @@ class BlockOutcome:
     raw_keys: set[bytes] = field(default_factory=set)
 
 
+#: Cells (needed rows x children) one slice of a run scores at once: half
+#: a MB of doubles, cache-resident, and what keeps a block's peak memory
+#: from growing with the length of its runs (DESIGN.md, "Sampling pipeline").
+_SLICE_CELLS = 1 << 16
+
+
 def extract_witnesses_batch(
     compiled: CompiledGraph,
     values: np.ndarray,
@@ -79,7 +87,9 @@ def extract_witnesses_batch(
         compiled: The compiled graph the assignments were evaluated on.
         values: ``(m, n_nodes)`` boolean node-value matrix whose every row
             has a failing top event (from ``evaluate_batch(return_all=True)``
-            restricted to failing rounds).
+            restricted to failing rounds).  The kernel works node-major:
+            the transposed view ``unpack_assignments`` returns is used in
+            place, any other layout is copied once.
         rng: Source for the per-row random child choices; each failing
             gate keeps ``threshold`` failing children chosen uniformly at
             random.
@@ -94,37 +104,55 @@ def extract_witnesses_batch(
         raise FaultGraphError(
             f"expected shape (m, {compiled.n_nodes}), got {values.shape}"
         )
-    if not values[:, compiled.top_index].all():
+    return _witnesses_node_major(compiled, values.T, rng)
+
+
+def _witnesses_node_major(
+    compiled: CompiledGraph, values: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """:func:`extract_witnesses_batch` on ``(n_nodes, m)`` values, a run
+    of :attr:`CompiledGraph.witness_plan` at a time.  A run's needed
+    ``(gate, row)`` cells are taken gate by gate, rows ascending, and
+    ``Generator.random`` fills sequentially, so one draw per slice of a
+    run is the concatenation of a gate-at-a-time walk's draws."""
+    values = np.ascontiguousarray(values)
+    m = values.shape[1]
+    if not values[compiled.top_index].all():
         raise FaultGraphError("cannot extract witnesses: some top rows pass")
-    m = values.shape[0]
-    needed = np.zeros_like(values)
-    needed[:, compiled.top_index] = True
-    offs = compiled.child_offsets
-    flat = compiled.flat_children
-    # Parents sit after children in topological order, so walking gates in
-    # reverse order resolves every gate's demand before its children's.
-    for i in reversed(compiled.gate_order):
-        rows = np.flatnonzero(needed[:, i])
-        if rows.size == 0:
-            continue
-        kids = flat[offs[i]:offs[i + 1]]
-        child_vals = values[np.ix_(rows, kids)]
-        k = int(compiled.thresholds[i])
-        if k >= kids.size:
-            # AND gate: every child is required (and fails, since i fails).
-            needed[np.ix_(rows, kids)] |= child_vals
+    # Not zeros_like: a flat scatter into anything but C order is lost.
+    needed = np.zeros(values.shape, dtype=bool)
+    needed[compiled.top_index] = True
+    flat_values, flat_needed = values.reshape(-1), needed.reshape(-1)
+    for k, gates, children in compiled.witness_plan:
+        arity = children.shape[1]
+        if k >= arity:
+            # AND: every child is required (and fails, since the gate
+            # does).  One gate at a time: a run's gates may share children.
+            for gate, kids in zip(gates, children):
+                needed[kids] |= needed[gate] & values[kids]
             continue
         # OR / k-of-n: keep k failing children per row, chosen at random.
-        scores = rng.random((rows.size, kids.size))
-        scores[~child_vals] = np.inf
-        chosen = np.argpartition(scores, k - 1, axis=1)[:, :k]
-        selection = np.zeros_like(child_vals)
-        np.put_along_axis(selection, chosen, True, axis=1)
-        selection &= child_vals
-        needed[np.ix_(rows, kids)] |= selection
-    witnesses = needed[:, compiled.basic_index]
-    assert witnesses.shape == (m, compiled.n_basic)
-    return witnesses
+        step = max(1, _SLICE_CELLS // max(1, m * arity))
+        for lo in range(0, len(gates), step):
+            demand = np.flatnonzero(needed[gates[lo:lo + step]])
+            if demand.size == 0:
+                continue
+            which, rows = np.divmod(demand, m)
+            cells = (children[lo:lo + step] * m).take(which, axis=0)
+            cells += rows[:, None]
+            child_vals = flat_values[cells]
+            # Failing children keep their draw (+ 0.0); passing ones score
+            # past all of them, and are masked out again below.
+            scores = rng.random(cells.shape)
+            scores += ~child_vals
+            if k == 1:
+                chosen = scores.argmin(axis=1)
+            else:
+                chosen = np.argpartition(scores, k - 1, axis=1)[:, :k].T
+            chosen += np.arange(0, cells.size, arity)
+            picked = cells.reshape(-1)[chosen]
+            flat_needed[picked[child_vals.reshape(-1)[chosen]]] = True
+    return np.ascontiguousarray(needed[compiled.basic_index].T)
 
 
 def _rows_to_bits(columns: np.ndarray) -> list[int]:
@@ -292,7 +320,7 @@ def run_block(
     outcome = BlockOutcome(rounds=rounds, top_failures=int(failing.size))
     if failing.size == 0:
         return outcome
-    values_failing = compiled.unpack_assignments(node_words, failing)
+    values_failing = compiled.unpack_node_major(node_words, failing)
     return _finish_block(compiled, outcome, values_failing, rng, minimise)
 
 
@@ -303,8 +331,9 @@ def _finish_block(
     rng: np.random.Generator,
     minimise: bool,
 ) -> BlockOutcome:
-    """Fill ``outcome`` from the node values of a block's failing rounds."""
-    raw = values_failing[:, compiled.basic_index]
+    """Fill ``outcome`` from the ``(n_nodes, m)`` node values of a block's
+    failing rounds."""
+    raw = np.ascontiguousarray(values_failing[compiled.basic_index].T)
     # Unique raw failing assignments, fingerprinted for cross-block union.
     packed_raw = np.packbits(raw, axis=1)
     unique_packed = np.unique(packed_raw, axis=0)
@@ -317,7 +346,7 @@ def _finish_block(
         outcome.groups = _rows_to_groups(compiled, unpacked)
         return outcome
 
-    witnesses = extract_witnesses_batch(compiled, values_failing, rng)
+    witnesses = _witnesses_node_major(compiled, values_failing, rng)
     # Many rounds land on the same witness; minimise each only once
     # (np.unique's lexicographic order keeps RNG consumption deterministic).
     unique_witnesses = _unique_rows(witnesses, compiled.n_basic)

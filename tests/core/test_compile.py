@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import FaultGraph
-from repro.core.compile import CompiledGraph
+from repro import FaultGraph, GateType
+from repro.core.compile import CompiledGraph, pack_rounds
 from repro.errors import FaultGraphError
 
 
@@ -85,3 +85,56 @@ class TestSampling:
         rng = np.random.default_rng(3)
         with pytest.raises(FaultGraphError):
             compiled.sample_failures(10, [0.5], rng)
+
+
+class TestUnpackAssignments:
+    """Selected rounds of a packed block, rounds-major and node-major."""
+
+    @pytest.fixture
+    def or_block(self):
+        """An OR-of-3 graph with 70 all-failing rounds: two words, the
+        last 58 bits of the second being padding."""
+        g = FaultGraph("or3")
+        for leaf in "abc":
+            g.add_basic_event(leaf)
+        g.add_gate("top", GateType.OR, list("abc"), top=True)
+        compiled = CompiledGraph(g)
+        words = compiled.evaluate_batch_packed(
+            pack_rounds(np.ones((70, 3), dtype=bool))
+        )
+        assert words.shape == (4, 2)
+        return compiled, words
+
+    def test_both_forms_are_one_matrix(self, or_block):
+        compiled, words = or_block
+        rows = np.array([0, 63, 64, 69, 70, 127])
+        node_major = compiled.unpack_node_major(words, rows)
+        assert node_major.shape == (4, 6) and node_major.flags.c_contiguous
+        assert node_major.dtype == np.bool_
+        np.testing.assert_array_equal(
+            node_major, [[True] * 4 + [False] * 2] * 4  # 70, 127: padding
+        )
+        rounds_major = compiled.unpack_assignments(words, rows)
+        assert rounds_major.shape == (6, 4)
+        np.testing.assert_array_equal(rounds_major, node_major.T)
+        assert compiled.unpack_assignments(words, []).shape == (0, 4)
+
+    @pytest.mark.parametrize("form", ["unpack_assignments", "unpack_node_major"])
+    def test_negative_round_is_rejected_not_read_from_padding(
+        self, or_block, form
+    ):
+        # Was: all False, read from padding bit 63 of the last word.
+        compiled, words = or_block
+        with pytest.raises(FaultGraphError, match=r"\[0, 128\)"):
+            getattr(compiled, form)(words, [-1])
+        with pytest.raises(FaultGraphError, match=r"\[0, 128\)"):
+            getattr(compiled, form)(words, [5, -128, 7])
+
+    @pytest.mark.parametrize("form", ["unpack_assignments", "unpack_node_major"])
+    def test_round_past_the_last_word_is_a_typed_error(self, or_block, form):
+        # Was: IndexError: index 2 is out of bounds.
+        compiled, words = or_block
+        with pytest.raises(FaultGraphError, match=r"\[0, 128\)"):
+            getattr(compiled, form)(words, [128])
+        with pytest.raises(FaultGraphError, match=r"\[0, 128\)"):
+            getattr(compiled, form)(words, np.array([0, 4096]))

@@ -42,7 +42,7 @@ def run_block_boolean(
     )
     values = compiled.evaluate_batch(failures, return_all=True)
     failing = np.flatnonzero(values[:, compiled.top_index])
-    values_failing = values[failing] if failing.size else None
+    values_failing = values[failing].T if failing.size else None
     outcome = BlockOutcome(rounds=rounds, top_failures=int(failing.size))
     if failing.size == 0:
         return outcome
