@@ -1,16 +1,21 @@
 """SQLite DepDB backend: durability, dedup, snapshots, lifecycle."""
 
 import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.depdb import (
     DepDB,
     HardwareDependency,
+    MemoryBackend,
     NetworkDependency,
     SoftwareDependency,
     SQLiteBackend,
 )
+from repro.depdb.backend import records_digest
 from repro.errors import DependencyDataError
 
 RECORDS = [
@@ -165,3 +170,160 @@ class TestLifecycle:
         assert clone.records() == db.records()
         assert clone.content_hash() == db.content_hash()
         clone.add(HardwareDependency("S9", "Disk", "WD"))  # writable
+
+
+# --------------------------------------------------------------------- #
+# Content-hash pin: whatever SQLiteBackend.content_hash() does inside,
+# its value is records_digest of the rows on file, which is what a
+# MemoryBackend holding the same records computes in full.
+# --------------------------------------------------------------------- #
+
+_NAME = st.text("ab1,\"é", min_size=1, max_size=3)
+_record = st.one_of(
+    st.builds(
+        NetworkDependency,
+        src=_NAME,
+        dst=_NAME,
+        route=st.lists(_NAME, min_size=1, max_size=2).map(tuple),
+    ),
+    st.builds(HardwareDependency, hw=_NAME, type=_NAME, dep=_NAME),
+    st.builds(
+        SoftwareDependency,
+        pgm=_NAME,
+        hw=_NAME,
+        dep=st.lists(_NAME, min_size=1, max_size=2).map(tuple),
+    ),
+)
+_batch = st.lists(_record, max_size=6)
+_step = st.one_of(
+    st.tuples(st.just("ingest"), _batch),
+    st.tuples(st.just("other"), _batch),  # a second backend, same file
+    st.tuples(st.just("replay"), st.just(None)),  # duplicates only
+    st.tuples(st.just("hash"), st.just(None)),
+    st.tuples(st.just("snapshot"), st.just(None)),
+    st.tuples(st.just("reopen"), st.just(None)),
+)
+
+
+def _assert_hash_pinned(backend):
+    """The three-way equality every step of the pin suite must keep."""
+    stored = list(backend.iter_records())
+    oracle = MemoryBackend()
+    oracle.add_many(stored)
+    assert (
+        backend.content_hash()
+        == records_digest(stored)
+        == oracle.content_hash()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(_step, max_size=12))
+def test_content_hash_pinned_under_interleaving(steps):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "dep.sqlite"
+        backend = SQLiteBackend(path)
+        other = SQLiteBackend(path)
+        ingested = []
+        try:
+            _assert_hash_pinned(backend)
+            for kind, batch in steps:
+                if kind == "ingest":
+                    backend.add_many(batch)
+                    ingested.extend(batch)
+                elif kind == "other":
+                    other.add_many(batch)
+                    ingested.extend(batch)
+                elif kind == "replay":
+                    assert backend.add_many(ingested) == 0
+                elif kind == "hash":
+                    assert backend.content_hash() == other.content_hash()
+                elif kind == "snapshot":
+                    snap = backend.snapshot("pin")
+                    assert snap.digest == records_digest(backend.records())
+                    assert other.last_snapshot().digest == snap.digest
+                else:
+                    backend.close()
+                    backend = SQLiteBackend(path)
+                _assert_hash_pinned(backend)
+                _assert_hash_pinned(other)
+            assert backend.content_hash() == records_digest(set(ingested))
+        finally:
+            backend.close()
+            other.close()
+
+
+class TestContentHashPin:
+    def test_every_kind_of_step_in_one_fixed_run(self, tmp_path):
+        # The hypothesis suite above, unrolled once over all three
+        # record types so a failure here names the step.
+        path = tmp_path / "dep.sqlite"
+        backend = SQLiteBackend(path)
+        other = SQLiteBackend(path)
+        try:
+            empty = backend.content_hash()
+            assert empty == records_digest([])
+            backend.add_many(RECORDS[:2])
+            _assert_hash_pinned(backend)
+            first = backend.content_hash()
+            assert first != empty
+            # A second connection writes all three types in between.
+            other.add_many([RECORDS[2], RECORDS[3], RECORDS[4]])
+            _assert_hash_pinned(backend)
+            assert backend.content_hash() == other.content_hash() != first
+            # Duplicates change nothing.
+            before = backend.content_hash()
+            assert backend.add_many(RECORDS[:5]) == 0
+            assert not backend.add(RECORDS[0])
+            assert backend.content_hash() == before
+            # snapshot() records the digest of what is on file *now*.
+            other.add(RECORDS[5])
+            snap = backend.snapshot("v1")
+            assert snap.digest == records_digest(RECORDS)
+            assert snap.counts == (3, 1, 2)
+            _assert_hash_pinned(backend)
+            # Close and reopen: same file, same value.
+            backend.close()
+            backend = SQLiteBackend(path)
+            assert backend.content_hash() == snap.digest
+            backend.add(HardwareDependency("S9", "Disk", "WD"))
+            _assert_hash_pinned(backend)
+            _assert_hash_pinned(other)
+        finally:
+            backend.close()
+            other.close()
+
+    def test_known_answers(self, tmp_path):
+        # The value itself, not only agreement between routes to it:
+        # the digest is in snapshot tables already on disk.
+        with DepDB.sqlite(tmp_path / "dep.sqlite") as db:
+            assert db.content_hash() == records_digest([]) == (
+                "d8323293ae24818c21c0e3429b568e19"
+                "31910a698415bf58cd23adcc733fbd4f"
+            )
+            db.add_all(RECORDS)
+            assert db.content_hash() == records_digest(RECORDS) == (
+                "076d1db18108ce3aec550ad79d82ca09"
+                "bab02e277bae6e457459d641c07f3915"
+            )
+
+    def test_order_of_ingest_does_not_matter(self, tmp_path):
+        forward = SQLiteBackend(tmp_path / "a.sqlite")
+        backward = SQLiteBackend(tmp_path / "b.sqlite")
+        try:
+            for record in RECORDS:
+                forward.add(record)
+                forward.content_hash()  # hashed at every size on the way
+            backward.add_many(reversed(RECORDS))
+            assert forward.content_hash() == backward.content_hash()
+        finally:
+            forward.close()
+            backward.close()
+
+    def test_hash_of_a_closed_store_raises(self, tmp_path):
+        backend = SQLiteBackend(tmp_path / "dep.sqlite")
+        backend.add_many(RECORDS)
+        backend.content_hash()
+        backend.close()
+        with pytest.raises(DependencyDataError, match="closed"):
+            backend.content_hash()
