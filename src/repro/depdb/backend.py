@@ -21,7 +21,15 @@ The contract every backend honours (the parity property suite in
 * query results are lists in the same insertion order;
 * :meth:`~DepDBBackend.content_hash` is an *order-independent* digest
   of the record set, so two stores holding the same records hash
-  identically regardless of ingest order or backing storage.
+  identically regardless of ingest order or backing storage.  Its byte
+  format is defined once, in :func:`sorted_keys_digest`;
+  :func:`records_digest` is that function over the sorted
+  :func:`record_key` of every record, and the inherited
+  ``content_hash`` recomputes it in full on every call — which is what
+  the memory backend does and why it is the oracle.  A backend may
+  override ``content_hash`` to do less work
+  (:class:`~repro.depdb.sqlite.SQLiteBackend` keeps its sorted keys
+  between calls), never to return another value.
 
 Snapshots tie the store to the incremental audit layer: recording one
 after an audit lets the next :meth:`~repro.engine.incremental.
@@ -45,7 +53,13 @@ from repro.depdb.records import (
 )
 from repro.errors import DependencyDataError
 
-__all__ = ["DepDBBackend", "Snapshot", "record_key", "records_digest"]
+__all__ = [
+    "DepDBBackend",
+    "Snapshot",
+    "record_key",
+    "records_digest",
+    "sorted_keys_digest",
+]
 
 #: Domain separator of the record-set content hash (bump on format change).
 _DIGEST_DOMAIN = b"indaas-depdb-v1\0"
@@ -72,13 +86,23 @@ def record_key(record: DependencyRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def sorted_keys_digest(keys: Iterable[str]) -> str:
+    """The content hash's byte format, over already-sorted record keys.
+
+    Domain prefix, then each key followed by ``\\n``.  The one
+    definition of the format: :func:`records_digest` sorts and calls
+    this, and so does a backend that keeps its keys sorted between
+    calls (:meth:`SQLiteBackend.content_hash
+    <repro.depdb.sqlite.SQLiteBackend.content_hash>`).
+    """
+    digest = hashlib.sha256(_DIGEST_DOMAIN)
+    digest.update("\n".join([*keys, ""]).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def records_digest(records: Iterable[DependencyRecord]) -> str:
     """Order-independent content hash of a record set."""
-    digest = hashlib.sha256(_DIGEST_DOMAIN)
-    for key in sorted(record_key(record) for record in records):
-        digest.update(key.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+    return sorted_keys_digest(sorted(map(record_key, records)))
 
 
 @dataclass(frozen=True)

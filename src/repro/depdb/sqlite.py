@@ -12,8 +12,10 @@ record types in indexed per-type tables:
 Each table carries a UNIQUE constraint over its payload columns, so
 dedup is ``INSERT OR IGNORE`` — the same exact-equality semantics as
 the in-memory store.  ``id`` (the rowid) preserves insertion order;
-records are never deleted, so id order *is* first-insertion order and
-every query replays the memory backend's ordering contract exactly.
+records are never updated or deleted (``BEFORE UPDATE`` / ``BEFORE
+DELETE`` triggers abort, whichever connection tries), so id order *is*
+first-insertion order and every query replays the memory backend's
+ordering contract exactly.
 
 The ``snapshots`` table is content-addressed by the record-set hash
 (:func:`~repro.depdb.backend.records_digest`): one row per distinct
@@ -22,6 +24,19 @@ is snapshotted again.  :meth:`~repro.engine.incremental.
 DeltaAuditEngine.audit_store` compares the live hash against
 ``last_snapshot`` to prove whether anything drifted since the last
 audit.
+
+That live hash costs the store's drift, not its size.
+:meth:`SQLiteBackend.content_hash` keeps, per backend instance, the
+sorted record keys it last hashed and the ``(row count, max id)`` per
+table they cover; a call keys only the rows ``WHERE id >`` that
+maximum, merges them in and re-hashes the joined keys
+(:func:`~repro.depdb.backend.sorted_keys_digest`, so the value is the
+full recomputation's, bit for bit).  Freshness is read from the tables
+rather than pushed by ``add`` / ``add_many``, because another
+connection or process writing the same file must be seen too; if the
+covered rows are no longer all there (a truncated or replaced file) the
+memo is dropped and the store rescanned in full.  About 140 B per
+record, held while the backend is open.
 
 Writes run in WAL mode with batched transactions
 (:meth:`SQLiteBackend.add_many` wraps a whole batch in one commit); a
@@ -35,10 +50,16 @@ import json
 import sqlite3
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from repro.depdb.backend import DepDBBackend, Snapshot
+from repro.depdb.backend import (
+    DepDBBackend,
+    Snapshot,
+    record_key,
+    sorted_keys_digest,
+)
 from repro.depdb.records import (
     DependencyRecord,
     HardwareDependency,
@@ -94,6 +115,21 @@ CREATE TABLE IF NOT EXISTS meta (
 );
 """
 
+#: The record tables, in ``records()`` order.
+_TABLES = ("network", "hardware", "software")
+
+# Append-only, enforced: the records-order contract and the content-hash
+# memo both rest on a record row never changing or disappearing.
+# ``INSERT OR IGNORE`` fires neither kind of trigger.
+_SCHEMA += "".join(
+    f"CREATE TRIGGER IF NOT EXISTS {table}_no_{verb.lower()} "
+    f"BEFORE {verb} ON {table} BEGIN "
+    f"SELECT RAISE(ABORT, 'DepDB records are append-only: "
+    f"{verb} on {table} refused'); END;\n"
+    for table in _TABLES
+    for verb in ("UPDATE", "DELETE")
+)
+
 
 def _pack(items: Iterable[str]) -> str:
     return json.dumps(list(items), separators=(",", ":"))
@@ -101,6 +137,22 @@ def _pack(items: Iterable[str]) -> str:
 
 def _unpack(text: str) -> tuple[str, ...]:
     return tuple(json.loads(text))
+
+
+@dataclass
+class _HashMemo:
+    """What one backend instance has already hashed.
+
+    Attributes:
+        keys: Sorted ``record_key`` of every covered row.
+        covered: Per table, the ``(row count, max id)`` of the rows
+            whose keys are in ``keys``; rows past ``max id`` are new.
+        digest: ``sorted_keys_digest(keys)``.
+    """
+
+    keys: list[str]
+    covered: dict[str, tuple[int, int]]
+    digest: str
 
 
 class SQLiteBackend(DepDBBackend):
@@ -121,6 +173,7 @@ class SQLiteBackend(DepDBBackend):
         self.path = str(path)
         self._lock = threading.RLock()
         self._closed = False
+        self._hashed: Optional[_HashMemo] = None
         try:
             self._conn = sqlite3.connect(
                 self.path, timeout=timeout, check_same_thread=False
@@ -257,7 +310,7 @@ class SQLiteBackend(DepDBBackend):
                 table: self._execute(
                     f"SELECT COUNT(*) FROM {table}"
                 ).fetchone()[0]
-                for table in ("network", "hardware", "software")
+                for table in _TABLES
             }
 
     def network_paths(
@@ -300,6 +353,65 @@ class SQLiteBackend(DepDBBackend):
             ):
                 names.extend(name for (name,) in self._execute(sql))
         return list(dict.fromkeys(names))
+
+    # --------------------------- content address ----------------------- #
+
+    def content_hash(self) -> str:
+        """:func:`~repro.depdb.backend.records_digest` of the rows on
+        file, for the cost of the rows added since the last call.
+
+        The value is the inherited full recomputation's, bit for bit.
+        Freshness is read from the tables (``id`` past the covered
+        maximum), never pushed by the write path, so rows written
+        through another connection or process are seen too.
+        """
+        with self._lock:
+            memo = self._hashed
+            if memo is None or not self._still_covers(memo):
+                memo = _HashMemo(
+                    [], dict.fromkeys(_TABLES, (0, 0)), sorted_keys_digest(())
+                )
+            # Keys and coverage move together, after every read is in.
+            covered = dict(memo.covered)
+            fresh: list[str] = []
+            for table, select in (
+                ("network", self._select_network),
+                ("hardware", self._select_hardware),
+                ("software", self._select_software),
+            ):
+                count, top = covered[table]
+                # Bounded above as well: the watermark must be the id
+                # of a row that was read, whatever commits meanwhile.
+                newest = self._execute(
+                    f"SELECT COALESCE(MAX(id), 0) FROM {table}"
+                ).fetchone()[0]
+                if newest > top:
+                    rows = select("WHERE id > ? AND id <= ?", (top, newest))
+                    fresh.extend(map(record_key, rows))
+                    covered[table] = (count + len(rows), newest)
+            if fresh:
+                memo.keys.extend(fresh)
+                memo.keys.sort()  # a sorted run plus a short tail
+                memo.digest = sorted_keys_digest(memo.keys)
+                memo.covered = covered
+            self._hashed = memo
+            return memo.digest
+
+    def _still_covers(self, memo: _HashMemo) -> bool:
+        """Tripwire: are the rows ``memo`` covers all still there?
+
+        False for a truncated or replaced file (the triggers stop
+        everything short of that); the caller then rescans in full.
+        """
+        return all(
+            self._execute(
+                f"SELECT COUNT(*), COALESCE(MAX(id), 0) FROM {table} "
+                "WHERE id <= ?",
+                (top,),
+            ).fetchone()
+            == (count, top)
+            for table, (count, top) in memo.covered.items()
+        )
 
     # ------------------------------ snapshots -------------------------- #
 
@@ -370,3 +482,4 @@ class SQLiteBackend(DepDBBackend):
             if not self._closed:
                 self._conn.close()
                 self._closed = True
+                self._hashed = None

@@ -259,7 +259,8 @@ class StoreAuditOutcome:
         cache_hit: Whether the audit came from the engine's result
             cache rather than being recomputed.
         snapshot: The snapshot recorded after the audit (None when
-            ``record_snapshot=False``).
+            ``record_snapshot=False``, or when the store drifted while
+            the audit ran).
     """
 
     audit: DeploymentAudit
@@ -481,6 +482,10 @@ class DeltaAuditEngine(AuditEngine):
         state is recorded (labelled with the graph's structural hash
         unless ``label`` is given) so the *next* call diffs against this
         audit, and so a later request can name the label as its ``base``.
+        A store that drifted while it was being audited (another thread
+        or process ingested) is left unsnapshotted — the state that was
+        audited is gone, and marking the new one audited would make the
+        next call report ``changed=False`` for records nobody audited.
         """
         content = depdb.content_hash()
         last = depdb.last_snapshot()
@@ -490,7 +495,7 @@ class DeltaAuditEngine(AuditEngine):
         digest = structural_hash(graph)
         audit, hit = self.audit_built(auditor, graph, spec)
         snapshot = None
-        if record_snapshot:
+        if record_snapshot and depdb.content_hash() == content:
             snapshot = depdb.snapshot(label or digest)
         return StoreAuditOutcome(
             audit=audit,

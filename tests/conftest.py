@@ -6,6 +6,7 @@ import pytest
 
 from repro import ComponentSets, FaultGraph, FaultSets, GateType
 from repro.depdb import DepDB
+from repro.depdb.backend import record_key
 from repro.depdb.records import HardwareDependency
 
 
@@ -59,3 +60,18 @@ def two_wide_hosts() -> DepDB:
         for host in ("H1", "H2")
         for i in range(6)
     )
+
+
+@pytest.fixture
+def sqlite_keyed(monkeypatch) -> list:
+    """Every record the SQLite backend keys from here on, in call order
+    — ``record_key`` is the unit of content-hash work, so its call count
+    says whether a hash cost the store's drift or the whole store."""
+    keyed = []
+
+    def counting(record):
+        keyed.append(record)
+        return record_key(record)
+
+    monkeypatch.setattr("repro.depdb.sqlite.record_key", counting)
+    return keyed

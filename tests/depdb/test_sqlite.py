@@ -1,7 +1,10 @@
 """SQLite DepDB backend: durability, dedup, snapshots, lifecycle."""
 
 import pickle
+import sqlite3
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -327,3 +330,157 @@ class TestContentHashPin:
         backend.close()
         with pytest.raises(DependencyDataError, match="closed"):
             backend.content_hash()
+
+
+class TestAppendOnly:
+    """Record rows never change or go away; the schema says so."""
+
+    @pytest.mark.parametrize("table", ["network", "hardware", "software"])
+    def test_raw_update_and_delete_refused(self, tmp_path, table):
+        path = tmp_path / "dep.sqlite"
+        with DepDB.sqlite(path, records=RECORDS) as db:
+            before = db.records()
+        column = {"network": "src", "hardware": "hw", "software": "pgm"}[table]
+        conn = sqlite3.connect(path)
+        try:
+            with pytest.raises(sqlite3.IntegrityError, match="append-only"):
+                conn.execute(f"UPDATE {table} SET {column} = 'x'")
+            with pytest.raises(sqlite3.IntegrityError, match="append-only"):
+                conn.execute(f"DELETE FROM {table}")
+        finally:
+            conn.close()
+        with DepDB.sqlite(path) as db:
+            assert db.records() == before
+            assert db.add_all(RECORDS) == 0  # INSERT OR IGNORE is not an UPDATE
+
+    def test_store_written_before_the_triggers_gains_them_on_open(
+        self, tmp_path
+    ):
+        path = tmp_path / "dep.sqlite"
+        with DepDB.sqlite(path, records=RECORDS):
+            pass
+        conn = sqlite3.connect(path)
+        with conn:
+            for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'trigger'"
+            ).fetchall():
+                conn.execute(f"DROP TRIGGER {name}")
+        with DepDB.sqlite(path):
+            pass
+        with pytest.raises(sqlite3.IntegrityError, match="append-only"):
+            conn.execute("DELETE FROM hardware")
+        conn.close()
+
+    def test_out_of_band_delete_trips_a_full_rescan(self, tmp_path, sqlite_keyed):
+        path = tmp_path / "dep.sqlite"
+        backend = SQLiteBackend(path)
+        try:
+            backend.add_many(RECORDS)
+            stale = backend.content_hash()
+            conn = sqlite3.connect(path)
+            with conn:
+                conn.execute("DROP TRIGGER network_no_delete")
+                conn.execute("DELETE FROM network WHERE id = 1")
+            conn.close()
+            del sqlite_keyed[:]
+            assert backend.content_hash() == records_digest(RECORDS[1:]) != stale
+            assert len(sqlite_keyed) == len(RECORDS) - 1  # every remaining row
+            del sqlite_keyed[:]
+            assert backend.content_hash() == records_digest(RECORDS[1:])
+            assert sqlite_keyed == []  # and the memo is rebuilt
+        finally:
+            backend.close()
+
+
+class TestHashWorkIsTheDrift:
+    """``content_hash`` keys the rows added since it last ran, no more."""
+
+    def test_record_key_calls(self, db, sqlite_keyed):
+        keyed = sqlite_keyed
+        db.content_hash()
+        assert len(keyed) == len(RECORDS)  # the one full scan
+        del keyed[:]
+        db.content_hash()
+        assert keyed == []
+        batch = [
+            NetworkDependency("S2", "Internet", ("ToR2", "Core1")),
+            HardwareDependency("S2", "CPU", "X5550"),
+            SoftwareDependency("Riak", "S2", ("libc6",)),
+            RECORDS[0],  # a duplicate is not a new row
+        ]
+        db.add_all(batch)
+        db.content_hash()
+        assert keyed == batch[:3]
+        del keyed[:]
+        snap = db.snapshot("v1")
+        assert keyed == []
+        assert snap.digest == records_digest(RECORDS + batch[:3])
+
+    def test_rows_of_another_connection_are_keyed_once(self, tmp_path, sqlite_keyed):
+        path = tmp_path / "dep.sqlite"
+        backend = SQLiteBackend(path)
+        other = SQLiteBackend(path)
+        try:
+            backend.add_many(RECORDS[:4])
+            backend.content_hash()
+            del sqlite_keyed[:]
+            other.add_many(RECORDS[3:])
+            assert backend.content_hash() == records_digest(RECORDS)
+            assert sqlite_keyed == RECORDS[4:]
+        finally:
+            backend.close()
+            other.close()
+
+    def test_close_drops_the_memo(self, tmp_path, sqlite_keyed):
+        path = tmp_path / "dep.sqlite"
+        with DepDB.sqlite(path, records=RECORDS) as db:
+            db.content_hash()
+            backend = db.backend
+        assert backend._hashed is None
+        del sqlite_keyed[:]
+        with DepDB.sqlite(path) as reopened:  # a fresh process, in effect
+            reopened.content_hash()
+        assert len(sqlite_keyed) == len(RECORDS)
+
+
+def test_hashing_and_ingesting_threads_share_one_backend(tmp_path):
+    # The memo is state shared by the service's worker threads; a lost
+    # update to it would leave keys out of (or twice in) the list.
+    backend = SQLiteBackend(tmp_path / "dep.sqlite")
+    batches = [
+        [
+            HardwareDependency(f"S{worker}", "Disk", f"WD-{worker}-{i}-{j}")
+            for j in range(3)
+        ]
+        for worker in range(4)
+        for i in range(10)
+    ]
+    errors = []
+
+    def work(mine):
+        try:
+            for batch in mine:
+                backend.add_many(batch)
+                backend.content_hash()
+        except Exception as exc:  # surfaced below, in the main thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=work, args=(batches[k::4],)) for k in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(backend) == 120
+        _assert_hash_pinned(backend)
+    finally:
+        backend.close()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.audit import SIAAuditor
 from repro.core.spec import AuditSpec
 from repro.depdb import (
     DepDB,
@@ -106,3 +107,68 @@ class TestReaudit:
         payload = outcome.to_dict()
         assert payload["changed"] is True
         assert payload["snapshot"]["digest"] == outcome.content_hash
+
+
+class TestDriftDuringAudit:
+    """A record that lands while the audit runs was not audited."""
+
+    def test_state_ingested_mid_audit_is_not_marked_audited(
+        self, db, monkeypatch
+    ):
+        late = HardwareDependency("S1", "Disk", "WD-1TB")
+        build = SIAAuditor.build_graph
+
+        def build_then_drift(auditor, spec):
+            graph = build(auditor, spec)
+            db.add(late)  # another thread or process, in effect
+            return graph
+
+        engine = DeltaAuditEngine()
+        monkeypatch.setattr(SIAAuditor, "build_graph", build_then_drift)
+        first = engine.audit_store(db, SPEC)
+        monkeypatch.undo()
+        assert first.changed is True
+        assert first.snapshot is None
+        assert first.content_hash != db.content_hash()
+        assert db.last_snapshot() is None
+        # The next audit sees the late record, and says so.
+        second = engine.audit_store(db, SPEC)
+        assert (second.changed, second.cache_hit) == (True, False)
+        assert second.structural_hash != first.structural_hash
+        assert second.snapshot.digest == db.content_hash()
+        third = engine.audit_store(db, SPEC)
+        assert (third.changed, third.cache_hit) == (False, True)
+
+    def test_ingest_from_inside_a_weigher(self, db):
+        late = HardwareDependency("S9", "Disk", "WD-1TB")  # not audited
+
+        def weigher(kind, identifier):
+            db.add(late)
+            return None
+
+        engine = DeltaAuditEngine()
+        first = engine.audit_store(db, SPEC, weigher=weigher)
+        assert first.snapshot is None
+        second = engine.audit_store(db, SPEC)
+        assert second.changed is True
+        assert second.previous is None
+
+
+class TestUnchangedStoreIsNotRekeyed:
+    def test_second_audit_keys_no_record(self, tmp_path, sqlite_keyed):
+        keyed = sqlite_keyed
+        with DepDB.sqlite(tmp_path / "store.sqlite") as store:
+            store.ingest(iter(RECORDS))
+            engine = DeltaAuditEngine()
+            first = engine.audit_store(store, SPEC)
+            assert len(keyed) == len(RECORDS)  # once, not once per hash
+            del keyed[:]
+            second = engine.audit_store(store, SPEC)
+            assert keyed == []
+            assert second.changed is False
+            assert second.snapshot.digest == first.content_hash
+            drift = HardwareDependency("S1", "Disk", "WD-1TB")
+            store.add(drift)
+            third = engine.audit_store(store, SPEC)
+            assert keyed == [drift]
+            assert third.changed is True

@@ -92,6 +92,29 @@ class TestTenantStores:
         finally:
             second.close()
 
+    def test_small_posts_key_each_record_once(self, tmp_path, sqlite_keyed):
+        # Every ingest document carries the store's content hash; N
+        # small posts cost N records of keying, not the sum of the
+        # store's sizes on the way up.
+        stores = TenantStores(tmp_path)
+        try:
+            posts = 12
+            for i in range(posts):
+                outcome = stores.ingest(
+                    "acme", f'<src="S{i}" dst="Internet" route="ToR{i}"/>\n'
+                )
+                assert outcome["total"] == i + 1
+                assert stores.stats("acme")["content_hash"] == (
+                    outcome["content_hash"]
+                )
+            assert len(sqlite_keyed) == posts  # not 1 + 2 + ... + 12
+            store = stores.get("acme")
+            assert outcome["content_hash"] == DepDB(
+                store.iter_records()
+            ).content_hash()
+        finally:
+            stores.close()
+
     def test_closed_stores_raise_503(self):
         stores = TenantStores()
         stores.close()
