@@ -2,43 +2,8 @@
 
 import pytest
 
-from repro.acquisition import (
-    HardwareInventoryCollector,
-    NetworkDependencyCollector,
-)
-from repro.agents import AuditingAgent, AuditingClient, DataSource
+from repro.agents import AuditingAgent, AuditingClient
 from repro.errors import SpecificationError
-from repro.swinventory import software_records
-from repro.topology import lab_cloud
-from repro.topology.lab import LAB_HARDWARE, LabCloudPlan
-
-
-@pytest.fixture
-def lab_source() -> DataSource:
-    plan = LabCloudPlan()
-    topo = lab_cloud(plan)
-    static = {s: list(plan.routes(s)) for s in plan.servers}
-    return DataSource(
-        "lab",
-        modules=[
-            NetworkDependencyCollector(
-                topo, servers=list(plan.servers), static_routes=static
-            ),
-            HardwareInventoryCollector(LAB_HARDWARE),
-        ],
-    )
-
-
-@pytest.fixture
-def software_sources() -> dict:
-    """Four single-provider sources with the Table-2 software stacks."""
-    sources = {}
-    for record in software_records():
-        source = DataSource(f"{record.hw}")
-        source.depdb.add(record)
-        source._collected = True  # records injected directly
-        sources[record.hw] = source
-    return sources
 
 
 class TestSIAWorkflow:

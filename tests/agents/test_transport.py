@@ -5,29 +5,14 @@ import pytest
 from repro import api
 from repro.agents import (
     AuditingAgent,
-    DataSource,
     RemoteAuditingAgent,
     ServiceClient,
 )
 from repro.agents.messages import AuditRequest as AgentAuditRequest
-from repro.depdb.database import DepDB
 from repro.errors import ServiceError, SpecificationError
 from repro.service import JobManager, ServiceThread
 
-from tests.service.conftest import DEPDB, make_request
-
-
-@pytest.fixture(scope="module")
-def service():
-    handle = ServiceThread(JobManager(workers=2)).start()
-    yield handle
-    handle.stop()
-
-
-@pytest.fixture
-def client(service):
-    with ServiceClient(service.url) as remote:
-        yield remote
+from tests.service.conftest import make_request
 
 
 def direct_bytes(request: api.AuditRequest) -> bytes:
@@ -125,15 +110,6 @@ class TestServiceClient:
         health = client.health()
         assert health["kind"] == "health"
         assert health["status"] == "ok"
-
-
-@pytest.fixture
-def lab_sources():
-    """One pre-collected data source holding the shared-ToR topology."""
-    source = DataSource("lab")
-    source.depdb = DepDB.loads(DEPDB)
-    source._collected = True
-    return {"lab": source}
 
 
 class TestRemoteAuditingAgent:
