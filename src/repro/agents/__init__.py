@@ -1,7 +1,7 @@
-"""Workflow roles: auditing client, agent, data sources, HTTP transport."""
+"""Workflow roles of Figure 1: the Step-1 messages, data sources, the one
+auditing agent, and the HTTP client whose ``audit`` it can be handed."""
 
 from repro.agents.agent import AuditingAgent
-from repro.agents.client import AuditingClient
 from repro.agents.datasource import DataSource
 from repro.agents.messages import (
     AuditRequest,
@@ -9,16 +9,14 @@ from repro.agents.messages import (
     DependencyDataRequest,
     DependencyDataResponse,
 )
-from repro.agents.transport import RemoteAuditingAgent, ServiceClient
+from repro.agents.transport import ServiceClient
 
 __all__ = [
     "AuditRequest",
     "AuditResponse",
     "AuditingAgent",
-    "AuditingClient",
     "DataSource",
     "DependencyDataRequest",
     "DependencyDataResponse",
-    "RemoteAuditingAgent",
     "ServiceClient",
 ]

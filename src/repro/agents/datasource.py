@@ -3,8 +3,8 @@
 A :class:`DataSource` owns a set of dependency acquisition modules and a
 local DepDB.  On a Step-2 request it runs its DAMs (Step 3) and returns
 records in the uniform line format (Step 5).  For PIA it instead exposes
-a normalised component-set to its local P-SOP proxy, never shipping raw
-records anywhere.
+a component-set to its local P-SOP proxy, never shipping raw records
+anywhere.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class DataSource:
     def as_provider(
         self, include_kinds: tuple[str, ...] = ("network", "software")
     ) -> CloudProvider:
-        """PIA view: this source as a provider with a normalised
-        component-set (raw records never leave the source)."""
+        """PIA view: this source as a provider with a component-set
+        (raw records never leave the source)."""
         self.collect()
         return CloudProvider(
             name=self.name, depdb=self.depdb, include_kinds=include_kinds

@@ -26,14 +26,25 @@ __all__ = [
 class AuditRequest:
     """Step 1: the client's audit specification to the agent.
 
+    Deliberately not :class:`repro.api.AuditRequest`: data sources,
+    dependency types, metric and mode are Figure-1 notions the canonical
+    one-deployment request has no field for.  The agent turns one of
+    these into one canonical request per deployment.
+
     Attributes:
         client: Requesting identity.
         data_sources: Names of the data sources to involve.
-        deployments: Candidate deployments (tuples of server names).
+        deployments: Candidate deployments — tuples of server names
+            (SIA) or of data-source names, all of one arity (PIA).
         redundancy: Required live servers (n of n-of-m).
-        dependency_types: Record categories to consider.
+        dependency_types: Record categories to consider.  PIA compares
+            only ``network`` and ``software`` components (§4.2.3):
+            ``hardware`` is dropped from a mixed list, and a list that
+            leaves neither is rejected.
         metric: ``"size"`` or ``"probability"`` ranking.
         mode: ``"sia"`` or ``"pia"``.
+        programs: Software components of interest (§3); a program no
+            source reports for a deployment's server is rejected.
     """
 
     client: str

@@ -24,13 +24,11 @@ failures the service itself is audited against:
   :class:`~repro.errors.ServiceError` with ``code="stream-truncated"``,
   never a raw ``json.JSONDecodeError``.
 
-:class:`RemoteAuditingAgent` lifts the Figure-1 agent role onto that
-transport: it still merges dependency data from its local sources
-(Steps 2–5), but delegates the per-deployment audits to a remote
-service and reassembles the ranked report with
-:func:`repro.api.merge_reports` — bit-identical to what a local
-:class:`~repro.agents.agent.AuditingAgent` would have produced for the
-same seeds, by the determinism contract.
+:meth:`ServiceClient.audit` has the signature of
+:func:`repro.api.run_request` — one request in, its canonical report
+out, the same bytes by the determinism contract — so it is what the
+Figure-1 :class:`~repro.agents.agent.AuditingAgent` takes as its
+executor to audit remotely.  This module knows nothing of the roles.
 """
 
 from __future__ import annotations
@@ -45,17 +43,10 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from repro import api
-from repro.agents.datasource import DataSource
-from repro.agents.messages import (
-    AuditRequest as AgentAuditRequest,
-    AuditResponse,
-    DependencyDataRequest,
-)
-from repro.depdb.database import DepDB
 from repro.errors import ServiceError, SpecificationError
 from repro.testing.faults import fault_point
 
-__all__ = ["RetryPolicy", "ServiceClient", "RemoteAuditingAgent"]
+__all__ = ["RetryPolicy", "ServiceClient"]
 
 #: Backoff used when a 429 carries no (or an unparseable) Retry-After.
 _DEFAULT_RETRY_AFTER = 1.0
@@ -553,90 +544,3 @@ def _truncated(job_id: str, last_seq: int, cause) -> ServiceError:
         code="stream-truncated",
         retryable=True,
     )
-
-
-class RemoteAuditingAgent:
-    """Figure-1 agent whose SIA audits run on a remote service.
-
-    Merges dependency data from local sources exactly like
-    :class:`~repro.agents.agent.AuditingAgent`, then submits one
-    canonical :class:`~repro.api.AuditRequest` per candidate deployment
-    and merges the returned reports.  PIA stays local-only: shipping
-    raw component sets to a third party would defeat its purpose.
-
-    Waiting rides :meth:`ServiceClient.wait`'s long-poll path, so a
-    slow remote audit costs a handful of HTTP requests, not a request
-    per poll interval.
-    """
-
-    def __init__(
-        self,
-        sources: Mapping[str, DataSource],
-        client: ServiceClient,
-        *,
-        sampling_rounds: int = 100_000,
-        top_n: Optional[int] = 5,
-        seed: Optional[int] = 0,
-        timeout: Optional[float] = 120.0,
-    ) -> None:
-        if not sources:
-            raise SpecificationError("agent needs at least one data source")
-        self.sources = dict(sources)
-        self.client = client
-        self.sampling_rounds = sampling_rounds
-        self.top_n = top_n  # §4.1.4 score width; AuditingAgent uses 5
-        self.seed = seed
-        self.timeout = timeout
-
-    def _merged_depdb(self, request: AgentAuditRequest) -> DepDB:
-        merged = DepDB()
-        for source_name in request.data_sources:
-            response = self.sources[source_name].handle(
-                DependencyDataRequest(
-                    source=source_name,
-                    dependency_types=request.dependency_types,
-                    programs=request.programs,
-                )
-            )
-            merged.merge(DepDB.loads(response.payload))
-        return merged
-
-    def handle(self, request: AgentAuditRequest) -> AuditResponse:
-        missing = [s for s in request.data_sources if s not in self.sources]
-        if missing:
-            raise SpecificationError(f"unknown data sources: {missing}")
-        if request.mode != "sia":
-            raise SpecificationError(
-                "RemoteAuditingAgent only handles SIA audits; "
-                "PIA is local-only by design"
-            )
-        depdb_text = self._merged_depdb(request).dumps()
-        reports = []
-        for servers in request.deployments:
-            reports.append(
-                self.client.audit(
-                    api.AuditRequest(
-                        servers=tuple(servers),
-                        depdb=depdb_text,
-                        required=min(request.redundancy, len(servers)),
-                        ranking=request.metric,
-                        rounds=self.sampling_rounds,
-                        top_n=self.top_n,
-                        seed=self.seed,
-                        tenant=request.client,
-                        metadata={"client": request.client},
-                    ),
-                    timeout=self.timeout,
-                )
-            )
-        merged = api.merge_reports(
-            reports,
-            title=f"SIA audit for {request.client}",
-            client=request.client,
-        )
-        return AuditResponse(
-            client=request.client,
-            report_json=merged.to_json(indent=2),
-            mode="sia",
-            notes=(f"{len(reports)} deployments audited remotely",),
-        )

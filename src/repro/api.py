@@ -48,6 +48,7 @@ __all__ = [
     "error_body",
     "execute_request",
     "report_for_request",
+    "run_request",
     "report_key",
     "merge_reports",
     "audit",
@@ -693,6 +694,18 @@ def report_for_request(
     )
 
 
+def run_request(request: AuditRequest, engine=None) -> AuditReport:
+    """Execute one request and return its canonical report.
+
+    The local twin of :meth:`repro.agents.transport.ServiceClient.audit`:
+    same argument, same report bytes, no service in between.
+    """
+    result = execute_request(request, engine=engine)
+    return report_for_request(
+        request, result.audit, structural_digest=result.structural_hash
+    )
+
+
 # --------------------------------------------------------------------- #
 # Library front doors (re-exported as repro.audit / audit_delta / plan)
 # --------------------------------------------------------------------- #
@@ -724,10 +737,7 @@ def audit(depdb, servers: Sequence[str], *, engine=None, **params) -> AuditRepor
     request = AuditRequest(
         servers=tuple(servers), depdb=_depdb_text(depdb), **params
     )
-    result = execute_request(request, engine=engine)
-    return report_for_request(
-        request, result.audit, structural_digest=result.structural_hash
-    )
+    return run_request(request, engine=engine)
 
 
 def audit_delta(

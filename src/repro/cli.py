@@ -505,10 +505,7 @@ def _run_audit(args: argparse.Namespace) -> int:
         from repro.engine import AuditEngine
 
         with AuditEngine(n_workers=args.workers) as engine:
-            result = api.execute_request(request, engine=engine)
-        report = api.report_for_request(
-            request, result.audit, result.structural_hash
-        )
+            report = api.run_request(request, engine=engine)
     if args.json:
         print(report.to_json())
         return 0
@@ -798,10 +795,6 @@ def _run_pia(args: argparse.Namespace) -> int:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SpecificationError(f"invalid component-set JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise SpecificationError(
-            "component-set file must map provider names to lists"
-        )
     report = PIAAuditor(
         payload,
         protocol=args.protocol,

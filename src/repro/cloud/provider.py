@@ -1,9 +1,9 @@
 """Cloud providers as dependency data sources (§2, §4.2).
 
 A :class:`CloudProvider` owns a DepDB filled by its local acquisition
-modules and can derive the *normalised component-set* that private
-auditing operates on (§4.2.3): third-party routing elements identified by
-IP/name, software packages by ``name@version``.
+modules and can derive the component-set that private auditing
+operates on (§4.2.3): third-party routing elements and software packages,
+under the identifiers the records carry.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ class CloudProvider:
             raise SpecificationError(f"unknown record kinds: {bad}")
 
     def component_set(self, hosts: Optional[list[str]] = None) -> frozenset[str]:
-        """Normalised components backing this provider's service.
+        """Components backing this provider's service, under the
+        identifiers its DepDB records carry (the §4.2.3 normal form is
+        :mod:`repro.privacy.normalize`; it is not applied here).
 
         Args:
             hosts: Restrict to these hosts (default: every host in the
@@ -65,23 +67,3 @@ class CloudProvider:
                 f"provider {self.name!r} produced an empty component-set"
             )
         return frozenset(components)
-
-    def component_multiset(
-        self, hosts: Optional[list[str]] = None
-    ) -> dict[str, int]:
-        """Component multiplicities (P-SOP supports multisets, §4.2.2)."""
-        selected = hosts if hosts is not None else self.depdb.hosts()
-        counts: dict[str, int] = {}
-        for host in selected:
-            if "network" in self.include_kinds:
-                for record in self.depdb.network_paths(host):
-                    for device in record.route:
-                        counts[device] = counts.get(device, 0) + 1
-            if "hardware" in self.include_kinds:
-                for record in self.depdb.hardware_of(host):
-                    counts[record.dep] = counts.get(record.dep, 0) + 1
-            if "software" in self.include_kinds:
-                for record in self.depdb.software_on(host):
-                    for pkg in record.dep:
-                        counts[pkg] = counts.get(pkg, 0) + 1
-        return counts

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.cloud.deployment import enumerate_deployments
 from repro.crypto.commutative import SharedGroup
@@ -149,16 +149,30 @@ class PIAAuditor:
         seed: Optional[int] = 0,
         n_workers: int = 0,
     ) -> None:
+        if not isinstance(component_sets, Mapping):
+            raise ProtocolError(
+                "component sets must map provider names to lists"
+            )
         if len(component_sets) < 2:
             raise ProtocolError("PIA needs at least two providers")
         if protocol not in ("psop", "psop-minhash", "plaintext"):
             raise ProtocolError(f"unknown protocol {protocol!r}")
-        self.sets = {
-            name: frozenset(items) for name, items in component_sets.items()
-        }
-        for name, items in self.sets.items():
-            if not items:
+        self.sets = {}
+        for name, items in component_sets.items():
+            # A bare string would pass for the set of its characters.
+            if isinstance(items, str) or not isinstance(items, Iterable):
+                raise ProtocolError(
+                    f"provider {name!r}: components must be a list, "
+                    f"got {type(items).__name__}"
+                )
+            members = list(items)
+            if not members:
                 raise ProtocolError(f"provider {name!r} has no components")
+            if not all(isinstance(c, str) and c for c in members):
+                raise ProtocolError(
+                    f"provider {name!r}: components must be non-empty strings"
+                )
+            self.sets[name] = frozenset(members)
         self.protocol = protocol
         self.minhash_size = minhash_size
         self.seed = seed
@@ -309,13 +323,23 @@ class PIAAuditor:
         ways: int = 2,
         providers: Optional[Sequence[str]] = None,
         title: Optional[str] = None,
+        deployments: Optional[Sequence[Sequence[str]]] = None,
     ) -> PIAReport:
-        """Measure every ``ways``-way deployment and rank them."""
+        """Measure ``deployments`` and rank them; by default every
+        ``ways``-way deployment over ``providers``."""
         pool = list(providers) if providers is not None else self.providers
         self._check_known(pool)
-        return self._report(
-            pool,
-            [d.members for d in enumerate_deployments(pool, ways)],
-            title or f"all {ways}-way redundancy deployments",
-            {"ways": ways},
-        )
+        if deployments is None:
+            subsets = [d.members for d in enumerate_deployments(pool, ways)]
+            title = title or f"all {ways}-way redundancy deployments"
+        else:
+            subsets = list(dict.fromkeys(tuple(d) for d in deployments))
+            for members in subsets:
+                picked = set(members)
+                if not len(members) == len(picked) == ways or picked - set(pool):
+                    raise ProtocolError(
+                        f"deployment {list(members)} is not {ways} distinct "
+                        f"providers out of {pool}"
+                    )
+            title = title or f"{len(subsets)} requested {ways}-way deployments"
+        return self._report(pool, subsets, title, {"ways": ways})

@@ -12,7 +12,7 @@ from repro.acquisition import (
     HardwareInventoryCollector,
     NetworkDependencyCollector,
 )
-from repro.agents import DataSource, ServiceClient
+from repro.agents import AuditRequest, DataSource, ServiceClient
 from repro.depdb.database import DepDB
 from repro.service import JobManager, ServiceThread
 from repro.swinventory import software_records
@@ -20,6 +20,17 @@ from repro.topology import lab_cloud
 from repro.topology.lab import LAB_HARDWARE, LabCloudPlan
 
 from tests.service.conftest import DEPDB
+
+
+LAB_DEPLOYMENTS = (("S1", "S2"), ("S1", "S3"), ("S2", "S3"))
+
+
+def lab_request(**fields) -> AuditRequest:
+    """Alice's Step-1 message over the ``lab_sources`` topology."""
+    fields.setdefault("data_sources", ("lab",))
+    fields.setdefault("deployments", LAB_DEPLOYMENTS)
+    fields.setdefault("dependency_types", ("network",))
+    return AuditRequest(client="alice", **fields)
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ import json
 from itertools import combinations
 from pathlib import Path
 
-from repro.agents import AuditingAgent, RemoteAuditingAgent
+from repro.agents import AuditingAgent
 from repro.agents.messages import AuditRequest
 
 GOLDEN = json.loads(
@@ -38,7 +38,7 @@ def local_agent(sources, **options):
 
 
 def remote_agent(sources, client):
-    return RemoteAuditingAgent(sources, client, seed=0)
+    return AuditingAgent(sources, audit=client.audit, seed=0)
 
 
 def lab_request() -> AuditRequest:

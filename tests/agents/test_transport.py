@@ -1,17 +1,13 @@
-"""ServiceClient + RemoteAuditingAgent against a live in-process service."""
+"""ServiceClient, and the agent over it, against a live in-process service."""
 
 import pytest
 
 from repro import api
-from repro.agents import (
-    AuditingAgent,
-    RemoteAuditingAgent,
-    ServiceClient,
-)
-from repro.agents.messages import AuditRequest as AgentAuditRequest
+from repro.agents import AuditingAgent, ServiceClient
 from repro.errors import ServiceError, SpecificationError
 from repro.service import JobManager, ServiceThread
 
+from tests.agents.conftest import lab_request
 from tests.service.conftest import make_request
 
 
@@ -113,54 +109,45 @@ class TestServiceClient:
 
 
 class TestRemoteAuditingAgent:
-    def agent_request(self):
-        return AgentAuditRequest(
-            client="alice",
-            data_sources=("lab",),
-            deployments=(("S1", "S2"), ("S1", "S3"), ("S2", "S3")),
-            dependency_types=("network",),
-        )
+    """The one :class:`AuditingAgent` with ``audit=client.audit``."""
 
     def test_remote_ranking_matches_local_agent(self, client, lab_sources):
-        remote = RemoteAuditingAgent(lab_sources, client, seed=0)
-        local = AuditingAgent(lab_sources, seed=0)
-        remote_report = remote.handle(self.agent_request()).report_dict()
-        local_report = local.handle(self.agent_request()).report_dict()
-        pick = lambda r: [  # noqa: E731
-            (d["deployment"], d["score"]) for d in r["deployments"]
-        ]
-        assert pick(remote_report) == pick(local_report)
-        # S1 & S2 share ToR1/Core1: ranked least independent by both.
-        assert remote_report["deployments"][-1]["deployment"] == "S1 & S2"
+        remote = AuditingAgent(lab_sources, audit=client.audit)
+        local = AuditingAgent(lab_sources)
+        remote_response = remote.handle(lab_request())
+        assert remote_response == local.handle(lab_request())
+        # S1 & S2 share ToR1/Core1: ranked least independent.
+        report = remote_response.report_dict()
+        assert report["deployments"][-1]["deployment"] == "S1 & S2"
 
     def test_remote_report_is_canonical(self, client, lab_sources):
-        remote = RemoteAuditingAgent(lab_sources, client, seed=0)
-        report = remote.handle(self.agent_request()).report_dict()
+        remote = AuditingAgent(lab_sources, audit=client.audit)
+        report = remote.handle(lab_request()).report_dict()
         assert report["kind"] == "audit_report"
         assert report["schema_version"] == api.SCHEMA_VERSION
         assert report["metadata"]["merged_from"] == 3
 
-    def test_pia_mode_is_local_only(self, client, lab_sources):
-        remote = RemoteAuditingAgent(lab_sources, client)
-        request = AgentAuditRequest(
-            client="alice",
-            data_sources=("lab",),
-            deployments=(("S1", "S2"),),
-            mode="pia",
+    def test_pia_mode_is_local_only(self, lab_sources):
+        # The P-SOP rounds run between the sources' proxies: a PIA
+        # request never reaches the executor, served or not.
+        calls = []
+        sources = {"lab": lab_sources["lab"], "lab2": lab_sources["lab"]}
+        agent = AuditingAgent(sources, audit=calls.append, pia_group_bits=768)
+        response = agent.handle(
+            lab_request(
+                data_sources=("lab", "lab2"),
+                deployments=(("lab", "lab2"),),
+                mode="pia",
+            )
         )
-        with pytest.raises(SpecificationError, match="local-only"):
-            remote.handle(request)
+        assert response.mode == "pia"
+        assert calls == []
 
     def test_unknown_sources_rejected(self, client, lab_sources):
-        remote = RemoteAuditingAgent(lab_sources, client)
-        request = AgentAuditRequest(
-            client="alice",
-            data_sources=("ghost",),
-            deployments=(("S1", "S2"),),
-        )
+        remote = AuditingAgent(lab_sources, audit=client.audit)
         with pytest.raises(SpecificationError, match="unknown data sources"):
-            remote.handle(request)
+            remote.handle(lab_request(data_sources=("ghost",)))
 
     def test_needs_sources(self, client):
         with pytest.raises(SpecificationError):
-            RemoteAuditingAgent({}, client)
+            AuditingAgent({}, audit=client.audit)

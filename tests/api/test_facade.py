@@ -31,6 +31,19 @@ class TestAuditFrontDoor:
         second = repro.audit(DEPDB, ["S1", "S3"], seed=9)
         assert first.to_json() == second.to_json()
 
+    def test_audit_is_run_request_of_the_equivalent_request(self):
+        params = dict(algorithm="sampling", rounds=2000, seed=5, top_n=3)
+        request = api.AuditRequest(servers=("S1", "S3"), depdb=DEPDB, **params)
+        by_request = api.run_request(request)
+        assert repro.audit(DEPDB, ["S1", "S3"], **params).to_json() == (
+            by_request.to_json()
+        )
+        # ... which is execute_request + report_for_request, spelled once.
+        result = api.execute_request(request)
+        assert by_request == api.report_for_request(
+            request, result.audit, result.structural_hash
+        )
+
     def test_sampling_identical_for_any_worker_count(self):
         from repro.engine import AuditEngine
 

@@ -41,11 +41,6 @@ class TestComponentSet:
         with pytest.raises(SpecificationError, match="empty"):
             provider.component_set(hosts=["ghost"])
 
-    def test_multiset_counts_shared_packages(self, provider):
-        counts = provider.component_multiset()
-        assert counts["libc6@2.19"] == 2  # used by Riak and Nginx
-        assert counts["pcre@8.35"] == 1
-
     def test_invalid_kinds_rejected(self):
         with pytest.raises(SpecificationError):
             CloudProvider(name="X", include_kinds=("quantum",))

@@ -51,6 +51,18 @@ class TestPlaintextProtocol:
         assert [e.deployment for e in report.entries] == [("P1", "P2")]
         assert report.metadata == {"providers": ["P1", "P2"], "ways": 2}
 
+    def test_explicit_deployments_are_the_only_ones_measured(self):
+        auditor = PIAAuditor(SMALL_SETS, protocol="plaintext")
+        report = auditor.audit(
+            ways=2, deployments=[("P2", "P3"), ("P1", "P2"), ("P2", "P3")]
+        )
+        assert [e.deployment for e in report.entries] == [
+            ("P1", "P2"),  # 1/6
+            ("P2", "P3"),  # 1/5
+        ]
+        every = {e.deployment: e.jaccard for e in auditor.audit(ways=2).entries}
+        assert all(every[e.deployment] == e.jaccard for e in report.entries)
+
     def test_report_serialisation(self):
         report = PIAAuditor(SMALL_SETS, protocol="plaintext").audit(ways=2)
         payload = json.loads(report.to_json())
@@ -124,6 +136,48 @@ class TestValidation:
     def test_empty_provider_set(self):
         with pytest.raises(ProtocolError):
             PIAAuditor({"A": [], "B": ["x"]})
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            [("A", ["x"]), ("B", ["x"])],
+            {"A": "abc", "B": "bcd"},
+            {"A": 5, "B": ["x"]},
+            {"A": ["x", 7], "B": ["x"]},
+            {"A": ["x", ""], "B": ["x"]},
+            {"A": [["x"]], "B": ["x"]},
+        ],
+        ids=["pairs", "string", "number", "number-inside", "empty-name",
+             "nested"],
+    )
+    def test_malformed_component_sets(self, sets):
+        with pytest.raises(ProtocolError, match="must"):
+            PIAAuditor(sets, protocol="plaintext")
+
+    def test_any_iterable_of_names_is_a_component_set(self):
+        auditor = PIAAuditor(
+            {"A": frozenset({"x", "y"}), "B": (c for c in "xz")},
+            protocol="plaintext",
+        )
+        assert auditor.measure(("A", "B"))[0] == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize(
+        "deployments, message",
+        [
+            ([("P1", "ghost")], r"\['P1', 'ghost'\] is not 2 distinct"),
+            ([("P1", "P3")], r"'P3'\] is not .* out of \['P1', 'P2'\]"),
+            ([("P1", "P2", "P1")], "is not 2 distinct providers"),
+            ([("P1", "P1")], "is not 2 distinct providers"),
+            ([("P1",)], "is not 2 distinct providers"),
+        ],
+        ids=["unknown", "outside-pool", "three-way", "repeated", "one-way"],
+    )
+    def test_explicit_deployments_checked(self, deployments, message):
+        auditor = PIAAuditor(SMALL_SETS, protocol="plaintext")
+        with pytest.raises(ProtocolError, match=message):
+            auditor.audit(
+                ways=2, providers=["P1", "P2"], deployments=deployments
+            )
 
     def test_measure_unknown_provider(self):
         auditor = PIAAuditor(SMALL_SETS, protocol="plaintext")

@@ -92,6 +92,26 @@ class TestPiaCommand:
         path.write_text("[1, 2]")
         assert main(["pia", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            # Not Jaccard 0.5 over the characters of each string.
+            {"A": "abc", "B": "bcd"},
+            {"A": 5, "B": ["x"]},
+            {"A": ["x", 7], "B": ["x"]},
+            {"A": ["x", ""], "B": ["x"]},
+            {"A": [["x"]], "B": ["x"]},
+        ],
+        ids=["string", "number", "number-inside", "empty-name", "nested"],
+    )
+    def test_malformed_component_sets(self, document, tmp_path, capsys):
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps(document))
+        assert main(["pia", str(path), "--protocol", "plaintext"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: provider 'A'")
+        assert captured.out == ""
+
 
 class TestComponentImportanceHelper:
     def make_auditor(self, weigher):

@@ -12,6 +12,7 @@ fooled by import order or by a cycle that happens to resolve.
   ``UPWARD_LOCAL_IMPORTS``.  The list must match the source exactly:
   adding an upward import fails here, and so does leaving a stale entry
   behind after removing one.
+* The Figure-1 roles in ``agents/`` own no audit driver.
 * Worker processes come from one module.
 """
 
@@ -135,6 +136,28 @@ def test_upward_local_imports_are_exactly_the_allowlist():
         if scope == "local" and LAYERS[target] >= LAYERS[here]
     }
     assert found == UPWARD_LOCAL_IMPORTS
+
+
+def test_the_agent_roles_own_no_audit_driver():
+    # The Figure-1 agent hands api.AuditRequests to an injected executor;
+    # the HTTP client knows neither the roles nor the dependency store.
+    agents = SRC / "agents"
+    imported = {
+        path.name: {
+            node.module
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.module
+        }
+        for path in agents.glob("*.py")
+    }
+    for name, modules in imported.items():
+        assert not modules & {"repro.core.audit", "repro.core.spec"}, name
+    assert not [
+        module
+        for module in imported["transport.py"]
+        if module.startswith(("repro.agents", "repro.depdb"))
+    ]
+    assert UPWARD_LOCAL_IMPORTS == {("core/sampling.py", "engine")}
 
 
 def test_process_pool_executor_is_named_only_in_the_pool_module():
