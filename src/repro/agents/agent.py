@@ -33,7 +33,7 @@ __all__ = ["AuditingAgent"]
 #: Risk groups summed into a deployment's independence score (§4.1.4).
 TOP_N = 5
 
-#: The record kinds PIA normalises into component-sets (§4.2.3).
+#: The record kinds PIA compares as component-sets (§4.2.3).
 _PIA_KINDS = ("network", "software")
 
 
@@ -155,7 +155,7 @@ class AuditingAgent:
         kinds = tuple(k for k in request.dependency_types if k in _PIA_KINDS)
         if not kinds:
             raise SpecificationError(
-                f"PIA normalises only {list(_PIA_KINDS)} records; "
+                f"PIA compares only {list(_PIA_KINDS)} records; "
                 f"got dependency_types={list(request.dependency_types)}"
             )
         sizes = sorted({len(d) for d in request.deployments})

@@ -26,7 +26,7 @@ class CloudProvider:
         depdb: The provider's locally collected dependency data.
         include_kinds: Which record categories feed the component-set
             (default: network devices and software packages, the two
-            third-party component classes PIA normalises, §4.2.3).
+            third-party component classes PIA compares, §4.2.3).
     """
 
     name: str
@@ -43,8 +43,7 @@ class CloudProvider:
 
     def component_set(self, hosts: Optional[list[str]] = None) -> frozenset[str]:
         """Components backing this provider's service, under the
-        identifiers its DepDB records carry (the §4.2.3 normal form is
-        :mod:`repro.privacy.normalize`; it is not applied here).
+        identifiers its DepDB records carry.
 
         Args:
             hosts: Restrict to these hosts (default: every host in the

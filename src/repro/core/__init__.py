@@ -37,7 +37,6 @@ from repro.core.probability import (
     tree_probability,
     union_probability,
 )
-from repro.core.render import report_markdown, to_dot
 from repro.core.ranking import (
     RankedRiskGroup,
     RankingMethod,
@@ -88,9 +87,7 @@ __all__ = [
     "rank_by_size",
     "rank_risk_groups",
     "redundancy_threshold",
-    "report_markdown",
     "relative_importance",
-    "to_dot",
     "top_event_probability",
     "tree_probability",
     "unexpected_risk_groups",

@@ -7,8 +7,8 @@ rather than just by size.
 
 Where the probabilities come from is deployment-specific (§5.1): device
 failure statistics à la Gill et al. for network gear, CVSS-derived scores
-for software.  :mod:`repro.failures` provides synthetic-but-realistic
-sources for both.
+for software.  :mod:`repro.failures` provides Gill-style device rates and
+a uniform rate.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ class CryptoError(IndaasError):
 
 
 class ProtocolError(IndaasError):
-    """A multi-party protocol (P-SOP, KS, SMPC) was violated."""
+    """A multi-party protocol (P-SOP, KS) was violated."""
 
 
 class AnalysisError(IndaasError):

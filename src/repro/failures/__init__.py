@@ -1,13 +1,10 @@
-"""Failure-probability models: Gill-style device rates, CVSS mapping."""
+"""Failure-probability models: Gill-style device rates, uniform rates."""
 
 from repro.failures.models import (
     DEFAULT_HOST_FAILURE_PROBABILITY,
     GILL_DEVICE_FAILURE_PROBABILITIES,
     combine_weighers,
-    cvss_software_weigher,
-    cvss_to_probability,
     gill_network_weigher,
-    mapping_weigher,
     uniform_weigher,
 )
 
@@ -15,9 +12,6 @@ __all__ = [
     "DEFAULT_HOST_FAILURE_PROBABILITY",
     "GILL_DEVICE_FAILURE_PROBABILITIES",
     "combine_weighers",
-    "cvss_software_weigher",
-    "cvss_to_probability",
     "gill_network_weigher",
-    "mapping_weigher",
     "uniform_weigher",
 ]

@@ -1,17 +1,13 @@
 """Failure probability models (§5.1).
 
-INDaaS's weighted analyses need per-component failure probabilities.  The
-paper points at two realistic sources:
-
-* **Gill et al.** [SIGCOMM'11] measured annual failure probabilities of
-  data-center network devices (ToRs are reliable, load balancers are
-  not);
-* **CVSS** scores approximate software-package failure/compromise
-  likelihood.
+INDaaS's weighted analyses need per-component failure probabilities.
+**Gill et al.** [SIGCOMM'11] measured annual failure probabilities of
+data-center network devices (ToRs are reliable, load balancers are
+not); §6.2.1 assumes one uniform probability instead.
 
 Both are packaged here as *weighers* — callables with the
 ``(kind, identifier) -> probability | None`` signature the dependency
-graph builder accepts — plus combinators for composing them.
+graph builder accepts — plus a combinator for composing them.
 """
 
 from __future__ import annotations
@@ -20,17 +16,13 @@ from typing import Mapping, Optional, Sequence
 
 from repro.core.builder import Weigher
 from repro.core.events import validate_probability
-from repro.errors import AnalysisError
 
 __all__ = [
     "GILL_DEVICE_FAILURE_PROBABILITIES",
     "DEFAULT_HOST_FAILURE_PROBABILITY",
     "gill_network_weigher",
-    "cvss_software_weigher",
     "uniform_weigher",
-    "mapping_weigher",
     "combine_weighers",
-    "cvss_to_probability",
 ]
 
 #: Annual device failure probabilities in the spirit of Gill et al.'s
@@ -58,9 +50,11 @@ def gill_network_weigher(
 ) -> Weigher:
     """Weigher assigning Gill-style probabilities to network devices.
 
-    Device identifiers are matched by longest-prefix against the table
-    (so ``core-3-1`` hits ``core``, ``b1`` hits ``b``).  Non-device kinds
-    return ``None`` so other weighers can fill them in.
+    Device identifiers are matched by longest-prefix against the table,
+    tried at the start of the identifier and then after each ``-`` (so
+    ``core-3-1`` hits ``core``, ``b1`` hits ``b``, and the fat tree's
+    ``pod1-agg0`` hits ``agg``).  Non-device kinds return ``None`` so
+    other weighers can fill them in.
     """
     table = dict(GILL_DEVICE_FAILURE_PROBABILITIES)
     if overrides:
@@ -72,52 +66,12 @@ def gill_network_weigher(
         if kind != "device":
             return None
         lowered = identifier.lower()
-        for prefix in prefixes:
-            if lowered.startswith(prefix):
-                return table[prefix]
+        starts = [0] + [i + 1 for i, ch in enumerate(lowered) if ch == "-"]
+        for start in starts:
+            for prefix in prefixes:
+                if lowered.startswith(prefix, start):
+                    return table[prefix]
         return None
-
-    return weigh
-
-
-def cvss_to_probability(score: float, period_factor: float = 0.04) -> float:
-    """Map a CVSS base score (0..10) to a failure probability.
-
-    The mapping is deliberately simple — probability proportional to the
-    score, scaled so a worst-case 10.0 package fails with
-    ``10 * period_factor`` (default 0.4/year).  The *relative* ordering
-    of packages is what ranking needs; absolute calibration is
-    deployment-specific (§5.1).
-    """
-    if not 0.0 <= score <= 10.0:
-        raise AnalysisError(f"CVSS score outside 0..10: {score}")
-    return validate_probability(score * period_factor)
-
-
-def cvss_software_weigher(
-    scores: Mapping[str, float],
-    default_score: Optional[float] = 2.0,
-    period_factor: float = 0.04,
-) -> Weigher:
-    """Weigher turning per-package CVSS scores into probabilities.
-
-    Args:
-        scores: ``{package identifier: CVSS base score}``.
-        default_score: Score for unscored packages (None -> unweighted).
-    """
-    for package, score in scores.items():
-        if not 0.0 <= score <= 10.0:
-            raise AnalysisError(
-                f"CVSS score outside 0..10 for {package!r}: {score}"
-            )
-
-    def weigh(kind: str, identifier: str) -> Optional[float]:
-        if kind != "pkg":
-            return None
-        score = scores.get(identifier, default_score)
-        if score is None:
-            return None
-        return cvss_to_probability(score, period_factor)
 
     return weigh
 
@@ -135,19 +89,6 @@ def uniform_weigher(probability: float, kinds: Sequence[str] = ()) -> Weigher:
         if wanted and kind not in wanted:
             return None
         return p
-
-    return weigh
-
-
-def mapping_weigher(table: Mapping[tuple[str, str], float]) -> Weigher:
-    """Exact-match weigher: ``{(kind, identifier): probability}``."""
-    validated = {
-        key: validate_probability(value, what=f"probability of {key}")
-        for key, value in table.items()
-    }
-
-    def weigh(kind: str, identifier: str) -> Optional[float]:
-        return validated.get((kind, identifier))
 
     return weigh
 

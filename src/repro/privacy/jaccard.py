@@ -15,7 +15,6 @@ from repro.errors import AnalysisError
 __all__ = [
     "jaccard",
     "jaccard_multiset",
-    "sorensen_dice",
     "SIGNIFICANT_CORRELATION",
     "is_significantly_correlated",
 ]
@@ -61,22 +60,6 @@ def jaccard_multiset(multisets: Sequence[Mapping[str, int]]) -> float:
     inter = sum(min(ms.get(k, 0) for ms in multisets) for k in keys)
     union = sum(max(ms.get(k, 0) for ms in multisets) for k in keys)
     return inter / union
-
-
-def sorensen_dice(sets: Sequence[Iterable[str]]) -> float:
-    """Sørensen–Dice index — the alternative metric §4.2.2 mentions.
-
-    ``D = k·|∩ S_i| / Σ|S_i|``; related to Jaccard by ``D = 2J/(1+J)``
-    for two sets.  The paper prefers Jaccard for its clean multi-set
-    extension, but both are available for comparison studies.
-    """
-    frozen = [frozenset(s) for s in sets]
-    if len(frozen) < 2:
-        raise AnalysisError("Sorensen-Dice needs at least two datasets")
-    if any(not s for s in frozen):
-        raise AnalysisError("Sorensen-Dice over an empty dataset is undefined")
-    intersection = frozenset.intersection(*frozen)
-    return len(frozen) * len(intersection) / sum(len(s) for s in frozen)
 
 
 def is_significantly_correlated(similarity: float) -> bool:

@@ -1,6 +1,6 @@
 """Private Independence Auditing — PIA (§4.2).
 
-Orchestrates the end-to-end private workflow: normalise each provider's
+Orchestrates the end-to-end private workflow: take each provider's
 component-set, run a private set-intersection cardinality protocol for
 every candidate redundancy deployment, and rank deployments by Jaccard
 similarity (ascending = most independent first) into the report the
@@ -131,7 +131,7 @@ class PIAAuditor:
     making reports identical for any worker count.
 
     Args:
-        component_sets: ``{provider: normalised component identifiers}``.
+        component_sets: ``{provider: component identifiers}``.
         protocol: ``"psop"``, ``"psop-minhash"`` or ``"plaintext"``.
         group_bits: Commutative-group modulus size (paper: 1024).
         minhash_size: Signature length m for the MinHash variant.

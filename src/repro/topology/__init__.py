@@ -16,7 +16,6 @@ from repro.topology.fattree import (
     FatTreeConfig,
     fat_tree,
 )
-from repro.topology.jellyfish import JellyfishConfig, jellyfish
 from repro.topology.graph import INTERNET, Device, DeviceType, Link, Topology
 from repro.topology.lab import LAB_HARDWARE, LAB_SERVERS, LabCloudPlan, lab_cloud
 from repro.topology.routing import (
@@ -37,7 +36,6 @@ __all__ = [
     "GROUP_B_RACKS",
     "GROUP_C_RACKS",
     "INTERNET",
-    "JellyfishConfig",
     "LAB_HARDWARE",
     "LAB_SERVERS",
     "LabCloudPlan",
@@ -51,7 +49,6 @@ __all__ = [
     "fat_tree",
     "fat_tree_routes",
     "internet_facing_servers",
-    "jellyfish",
     "lab_cloud",
     "route_devices",
     "shortest_routes",

@@ -2,25 +2,68 @@
 
 import pytest
 
-from repro.errors import AnalysisError
 from repro.failures import (
+    GILL_DEVICE_FAILURE_PROBABILITIES,
     combine_weighers,
-    cvss_software_weigher,
-    cvss_to_probability,
     gill_network_weigher,
-    mapping_weigher,
     uniform_weigher,
 )
+from repro.topology import (
+    DeviceType,
+    FatTreeConfig,
+    benson_datacenter,
+    fat_tree,
+    lab_cloud,
+    storage_sample,
+)
+
+#: Device names the examples weigh with ``gill_network_weigher``
+#: (``hardening_planner.py``, ``periodic_drift_audit.py``).
+EXAMPLE_DEVICES = (
+    "tor1", "tor2", "agg1", "agg2", "agg-shared", "core1", "core2", "Internet",
+)
+
+
+def whole_identifier_prefix(identifier):
+    """The older rule: the longest key that prefixes the whole name."""
+    lowered = identifier.lower()
+    for key in sorted(GILL_DEVICE_FAILURE_PROBABILITIES, key=len, reverse=True):
+        if lowered.startswith(key):
+            return GILL_DEVICE_FAILURE_PROBABILITIES[key]
+    return None
 
 
 class TestGillWeigher:
     def test_device_prefix_matching(self):
         weigh = gill_network_weigher()
         assert weigh("device", "core-3-1") == pytest.approx(0.025)
-        assert weigh("device", "pod1-agg0") is None or True  # see below
         # ToR naming in the Fig-6a topology
         assert weigh("device", "e17") == pytest.approx(0.052)
         assert weigh("device", "b1") == pytest.approx(0.103)
+
+    def test_fat_tree_switches_weighed_by_role(self):
+        weigh = gill_network_weigher()
+        by_role = {
+            DeviceType.CORE: GILL_DEVICE_FAILURE_PROBABILITIES["core"],
+            DeviceType.AGGREGATION: GILL_DEVICE_FAILURE_PROBABILITIES["agg"],
+            DeviceType.TOR: GILL_DEVICE_FAILURE_PROBABILITIES["tor"],
+        }
+        topology = fat_tree(FatTreeConfig(4))
+        for role, probability in by_role.items():
+            devices = topology.device_names(role)
+            assert devices
+            assert {d: weigh("device", d) for d in devices} == {
+                d: probability for d in devices
+            }
+        # Matching after a "-" adds the pod-prefixed names and changes
+        # no value the whole-name prefix already gave.
+        names = [d.name for d in topology.devices() if d.type not in by_role]
+        for other in (benson_datacenter(), lab_cloud(), storage_sample()):
+            names += [d.name for d in other.devices()]
+        names += EXAMPLE_DEVICES
+        assert {n: weigh("device", n) for n in names} == {
+            n: whole_identifier_prefix(n) for n in names
+        }
 
     def test_longest_prefix_wins(self):
         weigh = gill_network_weigher()
@@ -40,36 +83,6 @@ class TestGillWeigher:
             gill_network_weigher(overrides={"tor": 2.0})
 
 
-class TestCVSS:
-    def test_score_mapping(self):
-        assert cvss_to_probability(10.0) == pytest.approx(0.4)
-        assert cvss_to_probability(0.0) == 0.0
-
-    def test_score_bounds(self):
-        with pytest.raises(AnalysisError):
-            cvss_to_probability(11.0)
-
-    def test_weigher_uses_scores(self):
-        weigh = cvss_software_weigher({"openssl@1.0.1": 9.8})
-        assert weigh("pkg", "openssl@1.0.1") == pytest.approx(9.8 * 0.04)
-
-    def test_weigher_default_score(self):
-        weigh = cvss_software_weigher({}, default_score=5.0)
-        assert weigh("pkg", "anything") == pytest.approx(0.2)
-
-    def test_weigher_none_default_leaves_unweighted(self):
-        weigh = cvss_software_weigher({}, default_score=None)
-        assert weigh("pkg", "anything") is None
-
-    def test_weigher_ignores_other_kinds(self):
-        weigh = cvss_software_weigher({"x": 5.0})
-        assert weigh("device", "x") is None
-
-    def test_invalid_score_rejected(self):
-        with pytest.raises(AnalysisError):
-            cvss_software_weigher({"x": 99.0})
-
-
 class TestUniformAndMapping:
     def test_uniform_all_kinds(self):
         weigh = uniform_weigher(0.1)
@@ -81,16 +94,12 @@ class TestUniformAndMapping:
         assert weigh("device", "x") == 0.1
         assert weigh("pkg", "y") is None
 
-    def test_mapping_weigher(self):
-        weigh = mapping_weigher({("hw", "SED900"): 0.05})
-        assert weigh("hw", "SED900") == 0.05
-        assert weigh("hw", "other") is None
-
 
 class TestCombine:
     def test_first_match_wins(self):
+        table = {("device", "x"): 0.9}
         weigh = combine_weighers(
-            mapping_weigher({("device", "x"): 0.9}),
+            lambda kind, identifier: table.get((kind, identifier)),
             uniform_weigher(0.1),
         )
         assert weigh("device", "x") == 0.9

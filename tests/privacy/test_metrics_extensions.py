@@ -1,35 +1,9 @@
-"""Unit tests for the Sørensen–Dice metric and n-of-m PIA audits."""
+"""Unit tests for n-of-m PIA audits."""
 
 import pytest
 
-from repro.errors import AnalysisError, ProtocolError
-from repro.privacy import PIAAuditor, jaccard, sorensen_dice
-
-
-class TestSorensenDice:
-    def test_two_sets(self):
-        # |∩|=1, sizes 2+2: D = 2*1/4 = 0.5
-        assert sorensen_dice([{"a", "b"}, {"b", "c"}]) == pytest.approx(0.5)
-
-    def test_relation_to_jaccard(self):
-        left = {f"s{i}" for i in range(30)} | {f"l{i}" for i in range(10)}
-        right = {f"s{i}" for i in range(30)} | {f"r{i}" for i in range(20)}
-        j = jaccard([left, right])
-        d = sorensen_dice([left, right])
-        assert d == pytest.approx(2 * j / (1 + j))
-
-    def test_multi_way(self):
-        sets = [{"x", "a"}, {"x", "b"}, {"x", "c"}]
-        assert sorensen_dice(sets) == pytest.approx(3 * 1 / 6)
-
-    def test_identical_sets(self):
-        assert sorensen_dice([{"a"}, {"a"}]) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            sorensen_dice([{"a"}])
-        with pytest.raises(AnalysisError):
-            sorensen_dice([{"a"}, set()])
+from repro.errors import ProtocolError
+from repro.privacy import PIAAuditor
 
 
 class TestNOfMAudit:

@@ -91,7 +91,7 @@ class TestDishonestParticipants:
     def test_under_declaring_psop_party_skews_but_is_auditable(self):
         """A provider hiding components looks more independent — the
         attack §5.2 describes; the protocol result reflects its input,
-        and the audit trail (tested elsewhere) is the countermeasure."""
+        so nothing inside the protocol can catch the under-declaration."""
         group = SharedGroup.with_bits(768)
         honest = ["shared-1", "shared-2", "own-1"]
         cheater_real = ["shared-1", "shared-2", "own-2"]

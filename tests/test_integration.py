@@ -2,8 +2,7 @@
 
 One story, end to end: a provider builds its substrate, acquisition
 modules fill DepDBs, the agent audits (SIA and PIA), configuration
-drifts, the periodic audit catches the regression, and the audit trail
-catches a cheating provider.
+drifts, and the periodic audit catches the regression.
 """
 
 import pytest
@@ -27,7 +26,7 @@ from repro.analysis import drift_report
 from repro.core.bdd import compile_graph
 from repro.depdb import DepDB
 from repro.hwinventory import generate_inventory
-from repro.privacy import AuditTrail, PIAAuditor, meta_audit
+from repro.privacy import PIAAuditor
 from repro.swinventory import generate_universe
 from repro.topology import FatTreeConfig, fat_tree, fat_tree_routes
 
@@ -158,23 +157,3 @@ class TestFullPIALifecycle:
         auditor = PIAAuditor(component_sets, protocol="plaintext")
         report = auditor.audit(ways=2, providers=list(component_sets))
         assert report.entries
-
-        trail = AuditTrail({name: b"key-" + name.encode() for name in component_sets})
-        for name, components in component_sets.items():
-            trail.record(name, "run-1", components, salt=f"salt-{name}")
-        for name, components in component_sets.items():
-            finding = meta_audit(
-                trail, name, "run-1", components, salt=f"salt-{name}"
-            )
-            assert finding.honest
-
-        # A cheating provider discloses less than it committed.
-        cheater = next(iter(component_sets))
-        finding = meta_audit(
-            trail,
-            cheater,
-            "run-1",
-            list(component_sets[cheater])[:-1],
-            salt=f"salt-{cheater}",
-        )
-        assert not finding.honest

@@ -14,6 +14,8 @@ fooled by import order or by a cycle that happens to resolve.
   behind after removing one.
 * The Figure-1 roles in ``agents/`` own no audit driver.
 * Worker processes come from one module.
+* Every public top-level name has a caller in ``src/``, ``benchmarks/``
+  or ``examples/``, or a line in ``ISLANDS`` saying why it stays.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 
 #: Package (or top-level module) -> layer.  Imports go to lower layers.
 LAYERS = {
@@ -51,6 +54,56 @@ LAYERS = {
 UPWARD_LOCAL_IMPORTS = {
     # FailureSampler fronts the engine's plan -> run -> merge.
     ("core/sampling.py", "engine"),
+}
+
+#: Public top-level names nothing in src/, benchmarks/ or examples/ uses
+#: -> why each stays.  Both directions fail: a new caller-less name, and
+#: a line left behind after its name gained a caller or was deleted.
+ISLANDS = {
+    "repro.acquisition.base.create_module":
+        "by-name factory of the §3 DAM registry; its unit test",
+    "repro.acquisition.logs.LogMiningCollector":
+        "§3 log-mining DAM; the Figure-1 lifecycle and streaming tests",
+    "repro.acquisition.logs.generate_logs":
+        "synthetic console logs that LogMiningCollector's tests mine",
+    "repro.acquisition.software.SoftwarePackageCollector":
+        "§3 software DAM; the Figure-1 lifecycle and streaming tests",
+    "repro.agents.agent.AuditingAgent":
+        "the Figure-1 agent; ROADMAP item 3 decides join or leave",
+    "repro.core.builder.node_kind":
+        "inverse of node_identifier; its unit test",
+    "repro.core.probability.tree_probability":
+        "exact Pr(T) of tree-shaped graphs; oracle of the probability tests",
+    "repro.core.probability.graph_probability_sampled":
+        "Monte-Carlo Pr(T) on the graph; ROADMAP item 5(a)'s oracle",
+    "repro.crypto.fastexp.fixed_base_pow":
+        "fixed-base table exponentiation; pinned against pow() in its test",
+    "repro.crypto.hashing.element_digest":
+        "one-element P-SOP pre-hash; its unit test",
+    "repro.crypto.permutation.random_permutation":
+        "stand-alone permutation; its unit test",
+    "repro.crypto.permutation.invert_permutation":
+        "inverse of random_permutation; the same test",
+    "repro.hwinventory.generator.generate_inventory":
+        "synthetic batch-sharing fleet; the Figure-1 lifecycle test",
+    "repro.privacy.jaccard.jaccard_multiset":
+        "plaintext oracle test_psop.py checks P-SOP's multiset expansion by",
+    "repro.swinventory.stacks.expected_jaccard":
+        "analytic Table-2 Jaccard the PIA and stacks tests compare against",
+    "repro.swinventory.stacks.paper_rankings":
+        "Table 2's rankings as printed; the stacks tests",
+    "repro.swinventory.stacks.software_records":
+        "the Table-2 stacks as DepDB records; the agent test fixtures",
+    "repro.swinventory.stacks.region_census":
+        "per-cloud set sizes of the Table-2 reconstruction; the stacks tests",
+    "repro.swinventory.stacks.verify_against_paper":
+        "asserts the Table-2 reconstruction; the stacks tests",
+    "repro.swinventory.universe.generate_universe":
+        "random package universe; the Figure-1 lifecycle test",
+    "repro.testing.faults.active_injector":
+        "lets the fault tests check that no injector outlives its block",
+    "repro.topology.routing.internet_facing_servers":
+        "topology query; its routing test",
 }
 
 
@@ -167,3 +220,58 @@ def test_process_pool_executor_is_named_only_in_the_pool_module():
         if "ProcessPoolExecutor" in path.read_text(encoding="utf-8")
     }
     assert named_in == {"engine/pool.py"}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names a tree uses: ``Name`` ids, ``Attribute`` attrs, imports."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # A re-export in an __init__ is not a caller, and neither is a test.
+    def parse(paths):
+        return {
+            path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in paths
+            if path.name != "__init__.py"
+        }
+
+    modules = parse(SRC.rglob("*.py"))
+    uses = {
+        path: referenced_names(tree)
+        for path, tree in {
+            **modules,
+            **parse((REPO / "benchmarks").rglob("*.py")),
+            **parse((REPO / "examples").rglob("*.py")),
+        }.items()
+    }
+    islands = set()
+    for path, tree in modules.items():
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        body_uses = [referenced_names(node) for node in tree.body]
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or node.name.startswith("_"):
+                continue
+            used_at_home = any(
+                node.name in names
+                for other, names in zip(tree.body, body_uses)
+                if other is not node
+            )
+            used_elsewhere = any(
+                node.name in names
+                for other, names in uses.items()
+                if other != path
+            )
+            if not (used_at_home or used_elsewhere):
+                islands.add(f"{module}.{node.name}")
+    assert islands == set(ISLANDS)
