@@ -1,0 +1,98 @@
+"""Pinned route acquisition: the collector's records, digest by digest.
+
+Each digest is the sha-256 of ``NetworkDependencyCollector(...).collect()``
+written one record per line (``src``, ``dst`` and the comma-joined route,
+tab-separated) in the order the collector yields them.  The values were
+taken while routes still came from NetworkX's ``all_shortest_paths``, so
+any change to route enumeration that moves a route, drops one or
+reorders the stream fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.acquisition import NetworkDependencyCollector
+from repro.topology import (
+    FatTreeConfig,
+    benson_datacenter,
+    fat_tree,
+    lab_cloud,
+    storage_sample,
+)
+
+
+def records_digest(records) -> str:
+    text = "".join(
+        f"{r.src}\t{r.dst}\t{','.join(r.route)}\n" for r in records
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def cross_pod(ports: int):
+    """Every server outside the last pod, routed to one server inside it."""
+    half = ports // 2
+    topology = fat_tree(FatTreeConfig(ports=ports))
+    dst = f"srv-p{ports - 1}-t{half - 1}-{half - 1}"
+    servers = [
+        name
+        for name in topology.device_names()
+        if name.startswith("srv-") and not name.startswith(f"srv-p{ports - 1}-")
+    ]
+    return NetworkDependencyCollector(topology, servers=servers, dst=dst)
+
+
+COLLECTORS = {
+    "lab_cloud": lambda: NetworkDependencyCollector(lab_cloud()),
+    "storage_sample": lambda: NetworkDependencyCollector(storage_sample()),
+    "benson_datacenter": lambda: NetworkDependencyCollector(
+        benson_datacenter()
+    ),
+    "fat_tree_k4_internet": lambda: NetworkDependencyCollector(
+        fat_tree(FatTreeConfig(ports=4))
+    ),
+    "fat_tree_k8_internet": lambda: NetworkDependencyCollector(
+        fat_tree(FatTreeConfig(ports=8))
+    ),
+    "fat_tree_k4_cross_pod": lambda: cross_pod(4),
+    "fat_tree_k8_cross_pod": lambda: cross_pod(8),
+}
+
+PINNED = {
+    "lab_cloud": (
+        8,
+        "5dcdcd49d2ea9f55a1b43fdb9f41b0f178b28f5f0b3422c6588d141dea0641bc",
+    ),
+    "storage_sample": (
+        6,
+        "a9a41fb87e400c21494f2e70b032bf931bd0646e24bc4d30f69e49e2bbe56525",
+    ),
+    "benson_datacenter": (
+        66,
+        "42cca10d59d7c9b09fb117ece84180ed76e21fef1c3a3c436bf42e71641a7207",
+    ),
+    "fat_tree_k4_internet": (
+        64,
+        "8ac54a9462de7cb3c7b927f481a6d3a0a79b40fcdbd431b952480d44fa3a0413",
+    ),
+    "fat_tree_k8_internet": (
+        2048,
+        "71ffc0a5463ac8c7399cb1bf6a134e8d095ad9dc6a18289e8793e1746ff9f590",
+    ),
+    "fat_tree_k4_cross_pod": (
+        48,
+        "48868b845b69cf7e22c5d2ea413f1d4f6def7ef7e5c0ba6d6c11a19e77ade0ff",
+    ),
+    "fat_tree_k8_cross_pod": (
+        1792,
+        "01daa5ef9e5f112a958b5360a53997015b9fbf69c00cce63c09cd43d81de64e3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTORS))
+def test_collected_records_are_pinned(name):
+    records = COLLECTORS[name]().collect()
+    assert (len(records), records_digest(records)) == PINNED[name]
