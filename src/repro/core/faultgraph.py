@@ -14,12 +14,13 @@ the NetworkX ecosystem the original prototype used.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Iterator, Mapping, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.core.events import Event, GateType, redundancy_threshold
 from repro.errors import FaultGraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["FaultGraph"]
 
@@ -471,6 +472,8 @@ class FaultGraph:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a NetworkX DiGraph (edges parent -> child)."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for node, event in self._events.items():
             graph.add_node(

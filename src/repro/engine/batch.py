@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -266,16 +266,24 @@ def minimise_cuts_batch(
     )
 
 
-def _unique_rows(rows: np.ndarray, width: int) -> np.ndarray:
-    """Deduplicate boolean rows via their packed-byte form.
-
-    ``np.unique(..., axis=0)`` sorts whole rows; packing 8 columns per
-    byte first makes that sort ~8x narrower, which is the difference
-    between the dedupe and the sampling dominating a block.
-    """
+def _packed_keys(rows: np.ndarray) -> list[bytes]:
+    """Each boolean row as the bytes of its ``np.packbits`` form."""
     packed = np.packbits(rows, axis=1)
-    unique = np.unique(packed, axis=0)
-    return np.unpackbits(unique, axis=1, count=width).astype(bool)
+    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
+
+
+def _keys_to_rows(keys: Collection[bytes], width: int) -> np.ndarray:
+    """Inverse of :func:`_packed_keys` for ``width``-column rows."""
+    packed = np.frombuffer(b"".join(keys), dtype=np.uint8)
+    return np.unpackbits(
+        packed.reshape(len(keys), (width + 7) // 8), axis=1, count=width
+    ).astype(bool)
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct boolean rows, first occurrence first: one hash per packed
+    row instead of a whole-row sort."""
+    return _keys_to_rows(dict.fromkeys(_packed_keys(rows)), rows.shape[1])
 
 
 def _rows_to_groups(
@@ -334,24 +342,19 @@ def _finish_block(
     """Fill ``outcome`` from the ``(n_nodes, m)`` node values of a block's
     failing rounds."""
     raw = np.ascontiguousarray(values_failing[compiled.basic_index].T)
-    # Unique raw failing assignments, fingerprinted for cross-block union.
-    packed_raw = np.packbits(raw, axis=1)
-    unique_packed = np.unique(packed_raw, axis=0)
-    outcome.raw_keys = {row.tobytes() for row in unique_packed}
+    # Distinct raw failing assignments, fingerprinted for cross-block union.
+    outcome.raw_keys = set(_packed_keys(raw))
 
     if not minimise:
-        unpacked = np.unpackbits(
-            unique_packed, axis=1, count=compiled.n_basic
-        ).astype(bool)
-        outcome.groups = _rows_to_groups(compiled, unpacked)
+        outcome.groups = _rows_to_groups(
+            compiled, _keys_to_rows(outcome.raw_keys, compiled.n_basic)
+        )
         return outcome
 
     witnesses = _witnesses_node_major(compiled, values_failing, rng)
-    # Many rounds land on the same witness; minimise each only once
-    # (np.unique's lexicographic order keeps RNG consumption deterministic).
-    unique_witnesses = _unique_rows(witnesses, compiled.n_basic)
-    minimal = minimise_cuts_batch(compiled, unique_witnesses, rng)
-    outcome.groups = _rows_to_groups(
-        compiled, _unique_rows(minimal, compiled.n_basic)
-    )
+    # Many rounds land on the same witness; minimise each only once.  Row
+    # order is free: each row is minimised on its own, and the one draw
+    # (the candidate order) depends only on which columns occur.
+    minimal = minimise_cuts_batch(compiled, _unique_rows(witnesses), rng)
+    outcome.groups = _rows_to_groups(compiled, _unique_rows(minimal))
     return outcome

@@ -20,7 +20,6 @@ from repro.topology.graph import INTERNET, Device, DeviceType, Link, Topology
 from repro.topology.lab import LAB_HARDWARE, LAB_SERVERS, LabCloudPlan, lab_cloud
 from repro.topology.routing import (
     fat_tree_routes,
-    internet_facing_servers,
     route_devices,
     shortest_routes,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "benson_datacenter",
     "fat_tree",
     "fat_tree_routes",
-    "internet_facing_servers",
     "lab_cloud",
     "route_devices",
     "shortest_routes",

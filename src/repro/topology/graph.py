@@ -11,11 +11,12 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["DeviceType", "Device", "Link", "Topology", "INTERNET"]
 
@@ -167,6 +168,23 @@ class Topology:
         )
         return out
 
+    def hops_from(self, name: str) -> dict[str, int]:
+        """Hop count from ``name`` to every device it can reach, by one
+        breadth-first search (parallel links count as one hop)."""
+        self.device(name)
+        hops = {name: 0}
+        frontier = [name]
+        while frontier:
+            reached = []
+            for node in frontier:
+                depth = hops[node] + 1
+                for neighbour in self._adjacency.get(node, ()):
+                    if neighbour not in hops:
+                        hops[neighbour] = depth
+                        reached.append(neighbour)
+            frontier = reached
+        return hops
+
     def switching_devices(self) -> list[Device]:
         """All non-server, non-external devices (switches/routers)."""
         exclude = {DeviceType.SERVER, DeviceType.EXTERNAL}
@@ -183,8 +201,10 @@ class Topology:
     # ------------------------------------------------------------------ #
 
     def to_networkx(self, multigraph: bool = False) -> nx.Graph:
-        """Export for path algorithms; parallel links collapse unless
+        """Export for graph tools; parallel links collapse unless
         ``multigraph`` is requested."""
+        import networkx as nx
+
         graph: nx.Graph = nx.MultiGraph() if multigraph else nx.Graph()
         graph.name = self.name
         for device in self._devices.values():
@@ -201,12 +221,11 @@ class Topology:
     def validate_connected(self, among: Optional[Iterable[str]] = None) -> None:
         """Raise unless the given devices (default: all) are mutually
         reachable — catches generator bugs early."""
-        graph = self.to_networkx()
-        nodes = list(among) if among is not None else list(graph.nodes)
+        nodes = list(among) if among is not None else list(self._devices)
         if not nodes:
             return
-        component = nx.node_connected_component(graph, nodes[0])
-        unreachable = [n for n in nodes if n not in component]
+        reachable = self.hops_from(nodes[0])
+        unreachable = [n for n in nodes if n not in reachable]
         if unreachable:
             raise TopologyError(
                 f"devices not connected: {sorted(unreachable)[:5]}"

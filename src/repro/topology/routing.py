@@ -7,7 +7,7 @@ these from traffic; we enumerate them from the topology:
 * :func:`shortest_routes` — all equal-cost shortest paths (ECMP), the
   right model for fat trees and the lab cloud;
 * :func:`fat_tree_routes` — closed-form enumeration for fat trees, which
-  avoids NetworkX path search on 30k-device graphs.
+  avoids any graph search on 30k-device graphs.
 
 Routes are returned as tuples of *intermediate* device names (endpoints
 excluded), matching the Table-1 ``route="x,y,z"`` convention.
@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-import networkx as nx
-
 from repro.errors import RoutingError
 from repro.topology.fattree import FatTreeConfig
-from repro.topology.graph import INTERNET, DeviceType, Topology
+from repro.topology.graph import INTERNET, Topology
 
 __all__ = ["shortest_routes", "fat_tree_routes", "route_devices"]
 
@@ -34,31 +32,52 @@ def shortest_routes(
 ) -> list[tuple[str, ...]]:
     """All equal-cost shortest routes between two devices.
 
+    One breadth-first search gives every device's hop count to ``dst``;
+    a depth-first walk from ``src`` then steps only to neighbours one hop
+    closer, in name order, so routes come out already sorted.
+
     Args:
-        max_routes: Optional cap; enumeration stops once reached (ECMP
-            implementations bound their fan-out the same way).
+        max_routes: Optional cap: the lexicographically first
+            ``max_routes`` routes (ECMP implementations bound their
+            fan-out the same way).
 
     Returns:
-        Routes as tuples of intermediate device names, deterministically
-        ordered.
+        Routes as tuples of intermediate device names, sorted.
 
     Raises:
-        RoutingError: If no path exists.
+        RoutingError: If either device is unknown or no path exists.
     """
-    graph = topology.to_networkx()
     for end in (src, dst):
-        if end not in graph:
+        if end not in topology:
             raise RoutingError(f"unknown device {end!r}")
-    try:
-        paths: Iterator[list[str]] = nx.all_shortest_paths(graph, src, dst)
-        routes = []
-        for path in paths:
-            routes.append(tuple(path[1:-1]))
+    hops = topology.hops_from(dst)
+    if src not in hops:
+        raise RoutingError(f"no route from {src!r} to {dst!r}")
+    if src == dst:
+        return [()]
+
+    def closer(node: str) -> Iterator[str]:
+        step = hops[node] - 1
+        return iter(
+            sorted(n for n in topology.neighbors(node) if hops.get(n) == step)
+        )
+
+    routes: list[tuple[str, ...]] = []
+    path = [src]
+    stack = [closer(src)]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            path.pop()
+        elif node == dst:
+            routes.append(tuple(path[1:]))
             if max_routes is not None and len(routes) >= max_routes:
                 break
-    except nx.NetworkXNoPath:
-        raise RoutingError(f"no route from {src!r} to {dst!r}") from None
-    return sorted(routes)
+        else:
+            path.append(node)
+            stack.append(closer(node))
+    return routes
 
 
 def fat_tree_routes(
@@ -137,16 +156,3 @@ def route_devices(
             topology.device(hop)
             devices.add(hop)
     return frozenset(devices)
-
-
-def internet_facing_servers(topology: Topology) -> list[str]:
-    """Servers that can reach the Internet node, sorted by name."""
-    graph = topology.to_networkx()
-    if INTERNET not in graph:
-        return []
-    reachable = nx.node_connected_component(graph, INTERNET)
-    return sorted(
-        d.name
-        for d in topology.devices(DeviceType.SERVER)
-        if d.name in reachable
-    )

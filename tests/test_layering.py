@@ -16,11 +16,16 @@ fooled by import order or by a cycle that happens to resolve.
 * Worker processes come from one module.
 * Every public top-level name has a caller in ``src/``, ``benchmarks/``
   or ``examples/``, or a line in ``ISLANDS`` saying why it stays.
+* ``import repro`` does not import NetworkX: only the two
+  ``to_networkx`` exporters use it, and they import it when called.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -102,8 +107,6 @@ ISLANDS = {
         "random package universe; the Figure-1 lifecycle test",
     "repro.testing.faults.active_injector":
         "lets the fault tests check that no injector outlives its block",
-    "repro.topology.routing.internet_facing_servers":
-        "topology query; its routing test",
 }
 
 
@@ -275,3 +278,15 @@ def test_every_public_name_has_a_caller():
             if not (used_at_home or used_elsewhere):
                 islands.add(f"{module}.{node.name}")
     assert islands == set(ISLANDS)
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    probe = "import sys, repro; print('networkx' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

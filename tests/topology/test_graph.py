@@ -90,3 +90,24 @@ class TestInterop:
         with pytest.raises(TopologyError, match="not connected"):
             topo.validate_connected()
         topo.validate_connected(among=["s1", "core1"])  # still fine
+
+    def test_validate_connected_names_an_unknown_device(self, topo):
+        with pytest.raises(TopologyError, match="unknown device 'ghost'"):
+            topo.validate_connected(among=["ghost", "s1"])
+        with pytest.raises(TopologyError, match="not connected"):
+            topo.validate_connected(among=["s1", "ghost"])
+
+
+class TestHopsFrom:
+    def test_hop_counts(self, topo):
+        topo.add_device("island", DeviceType.SERVER)
+        assert topo.hops_from("s1") == {"s1": 0, "tor1": 1, "core1": 2}
+        assert topo.hops_from("island") == {"island": 0}
+
+    def test_parallel_links_are_one_hop(self, topo):
+        topo.add_link("s1", "core1", count=3)
+        assert topo.hops_from("core1") == {"core1": 0, "s1": 1, "tor1": 1}
+
+    def test_unknown_device(self, topo):
+        with pytest.raises(TopologyError, match="unknown device"):
+            topo.hops_from("ghost")

@@ -1,18 +1,46 @@
-"""Unit tests for route enumeration."""
+"""Unit tests for route enumeration.
 
+NetworkX's ``all_shortest_paths`` is the oracle :func:`shortest_routes`
+is held to route set for route set; it lives here only, ``src/`` never
+imports NetworkX to route.
+"""
+
+import itertools
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingError
 from repro.topology import (
+    DeviceType,
     FatTreeConfig,
+    Topology,
+    benson_datacenter,
     fat_tree,
     fat_tree_routes,
-    internet_facing_servers,
     lab_cloud,
     route_devices,
     shortest_routes,
     storage_sample,
 )
+
+
+def networkx_routes(topology, src, dst):
+    """The oracle: every shortest path NetworkX finds, endpoints cut."""
+    paths = nx.all_shortest_paths(topology.to_networkx(), src, dst)
+    return sorted(tuple(path[1:-1]) for path in paths)
+
+
+def networkx_error(topology, src, dst) -> str:
+    """The message the NetworkX-based router raised, from the oracle."""
+    graph = topology.to_networkx()
+    for end in (src, dst):
+        if end not in graph:
+            return f"unknown device {end!r}"
+    with pytest.raises(nx.NetworkXNoPath):
+        networkx_routes(topology, src, dst)
+    return f"no route from {src!r} to {dst!r}"
 
 
 class TestShortestRoutes:
@@ -93,11 +121,129 @@ class TestHelpers:
         with pytest.raises(Exception):
             route_devices(topo, [("nope",)])
 
-    def test_internet_facing_servers(self):
+
+# --------------------------------------------------------------------- #
+# Differential: the same route sets as NetworkX
+# --------------------------------------------------------------------- #
+
+FIXTURES = {
+    "lab_cloud": lab_cloud,
+    "storage_sample": storage_sample,
+    "benson_datacenter": benson_datacenter,
+    "fat_tree_k4": lambda: fat_tree(FatTreeConfig(ports=4)),
+    "fat_tree_k8": lambda: fat_tree(FatTreeConfig(ports=8)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FIXTURES))
+def fixture_topology(request):
+    return FIXTURES[request.param]()
+
+
+def server_names(topology):
+    return [device.name for device in topology.servers()]
+
+
+class TestMatchesNetworkX:
+    def test_every_server_to_the_internet(self, fixture_topology):
+        for server in server_names(fixture_topology):
+            assert shortest_routes(
+                fixture_topology, server, "Internet"
+            ) == networkx_routes(fixture_topology, server, "Internet")
+
+    def test_server_to_server(self, fixture_topology):
+        servers = server_names(fixture_topology)
+        # Every pair on the small fixtures, a spread on the fat trees.
+        pairs = itertools.combinations(servers[:: max(1, len(servers) // 12)], 2)
+        for src, dst in pairs:
+            assert shortest_routes(
+                fixture_topology, src, dst
+            ) == networkx_routes(fixture_topology, src, dst)
+
+    def test_every_device_to_the_internet(self, fixture_topology):
+        for device in fixture_topology.device_names():
+            assert shortest_routes(
+                fixture_topology, device, "Internet"
+            ) == networkx_routes(fixture_topology, device, "Internet")
+
+
+@st.composite
+def connected_topologies(draw):
+    """A random spanning tree plus random extra links, any of them
+    parallel, with two endpoints drawn from its devices."""
+    n = draw(st.integers(2, 12))
+    names = draw(st.permutations([f"d{i}" for i in range(n)]))
+    topology = Topology("random")
+    for name in names:
+        topology.add_device(name, DeviceType.SWITCH)
+    for i in range(1, n):
+        parent = draw(st.integers(0, i - 1))
+        topology.add_link(
+            names[i], names[parent], count=draw(st.integers(1, 3))
+        )
+    extra = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=2 * n,
+        )
+    )
+    for a, b in extra:
+        if a != b:
+            topology.add_link(names[a], names[b], count=draw(st.integers(1, 2)))
+    src = draw(st.sampled_from(names))
+    dst = draw(st.sampled_from(names))
+    return topology, src, dst
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_topologies())
+def test_random_connected_topologies_match_networkx(case):
+    topology, src, dst = case
+    assert shortest_routes(topology, src, dst) == networkx_routes(
+        topology, src, dst
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_topologies(), st.integers(1, 40))
+def test_max_routes_is_the_sorted_prefix(case, cap):
+    topology, src, dst = case
+    every = networkx_routes(topology, src, dst)
+    assert shortest_routes(topology, src, dst, max_routes=cap) == every[:cap]
+
+
+class TestEdgeCasesMatchNetworkX:
+    def test_src_is_dst(self):
         topo = lab_cloud()
-        assert internet_facing_servers(topo) == [
-            "Server1",
-            "Server2",
-            "Server3",
-            "Server4",
-        ]
+        assert shortest_routes(topo, "Server1", "Server1") == [()]
+        assert networkx_routes(topo, "Server1", "Server1") == [()]
+
+    def test_adjacent_devices(self):
+        topo = lab_cloud()
+        assert shortest_routes(topo, "Server1", "Switch1") == [()]
+        assert networkx_routes(topo, "Server1", "Switch1") == [()]
+
+    @pytest.mark.parametrize(
+        "src, dst", [("ghost", "Internet"), ("Server1", "ghost")]
+    )
+    def test_unknown_device_message(self, src, dst):
+        topo = lab_cloud()
+        with pytest.raises(RoutingError) as raised:
+            shortest_routes(topo, src, dst)
+        assert str(raised.value) == networkx_error(topo, src, dst)
+
+    def test_no_path_message(self):
+        topo = lab_cloud()
+        topo.add_device("island", DeviceType.SERVER)
+        with pytest.raises(RoutingError) as raised:
+            shortest_routes(topo, "Server1", "island")
+        assert str(raised.value) == networkx_error(topo, "Server1", "island")
+
+    def test_max_routes_on_a_fat_tree(self):
+        topo = fat_tree(FatTreeConfig(ports=8))
+        every = networkx_routes(topo, "srv-p0-t0-0", "srv-p5-t2-1")
+        assert len(every) == 16
+        for cap in range(1, len(every) + 2):
+            assert shortest_routes(
+                topo, "srv-p0-t0-0", "srv-p5-t2-1", max_routes=cap
+            ) == every[:cap]
