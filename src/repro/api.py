@@ -396,11 +396,8 @@ class AuditReport:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def from_core(cls, report, metadata: Optional[dict] = None) -> "AuditReport":
+    def from_core(cls, report) -> "AuditReport":
         """Build from a :class:`repro.core.report.AuditReport`."""
-        merged = dict(report.metadata)
-        if metadata:
-            merged.update(metadata)
         return cls(
             title=report.title,
             deployments=[
@@ -408,7 +405,7 @@ class AuditReport:
             ],
             ranking_method=report.ranking_method.value,
             client=report.client,
-            metadata=merged,
+            metadata=dict(report.metadata),
         )
 
     def best(self) -> dict:
@@ -761,14 +758,7 @@ def audit_delta(
     if engine is None:
         engine = AuditEngine(n_workers=1)
     outcome = engine.audit_delta(old, new, title=title, client=client)
-    return AuditReport.from_core(
-        outcome.report,
-        metadata={
-            "delta": outcome.delta.to_dict(),
-            "reused": list(outcome.reused),
-            "recomputed": list(outcome.recomputed),
-        },
-    )
+    return AuditReport.from_core(outcome.report)
 
 
 def plan(

@@ -21,7 +21,7 @@ Subcommands mirror the evaluation:
   evaluated in parallel (``--workers``), bit-identical for any count
 * ``indaas pia``             — private audit over component-set files
   (batched fast-path protocols; ``--workers`` fans deployments out,
-  ``--timings`` prints wall-clock/wire totals)
+  ``--json`` carries the wire-byte total)
 * ``indaas serve``           — multi-tenant HTTP audit service (canonical
   ``repro.api`` schema, bounded per-tenant admission, content-addressed
   report cache); pair with ``indaas audit --remote URL``
@@ -329,10 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(0 = in-process, -1 = all cores; reports are identical "
             "for any worker count)"
         ),
-    )
-    pia.add_argument(
-        "--timings", action="store_true",
-        help="append protocol wall-clock and wire-byte totals",
     )
     pia.add_argument(
         "--json", action="store_true",
@@ -805,11 +801,6 @@ def _run_pia(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), sort_keys=True))
         return 0
     print(report.render_text())
-    if args.timings:
-        print(
-            f"timings: {report.elapsed_seconds:.3f} s wall clock, "
-            f"{report.total_bytes} wire bytes (workers={args.workers})"
-        )
     return 0
 
 

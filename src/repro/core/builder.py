@@ -28,22 +28,12 @@ from repro.core.faultgraph import FaultGraph
 from repro.depdb.database import DepDB
 from repro.errors import SpecificationError
 
-__all__ = ["build_dependency_graph", "Weigher", "node_kind", "node_identifier"]
+__all__ = ["build_dependency_graph", "Weigher", "node_identifier"]
 
 #: Callback assigning a failure probability to a leaf: receives the leaf's
 #: category ("host", "device", "hw", "pkg") and bare identifier; returns a
 #: probability or None to leave the event unweighted.
 Weigher = Callable[[str, str], Optional[float]]
-
-_PREFIXES = ("deployment", "server", "host", "net", "path", "device",
-             "hardware", "hw", "software", "sw", "pkg")
-
-
-def node_kind(name: str) -> str:
-    """Category prefix of a builder-generated node name."""
-    kind, _, _ = name.partition(":")
-    return kind if kind in _PREFIXES else ""
-
 
 def node_identifier(name: str) -> str:
     """Bare identifier of a builder-generated node name."""

@@ -65,14 +65,12 @@ class SamplingResult:
             estimate of the top-event failure probability *under the
             sampling distribution* (only meaningful as a probability when
             sampling with the true per-event weights).
-        elapsed_seconds: Wall-clock duration of the run.
     """
 
     rounds: int
     top_failures: int
     risk_groups: list[frozenset[str]]
     top_probability_estimate: float
-    elapsed_seconds: float
     minimised: bool = True
     sample_probability: Optional[float] = None
     unique_failure_sets: int = 0
@@ -97,7 +95,6 @@ def merge_block_outcomes(
     *,
     minimised: bool,
     sample_probability: Optional[float],
-    elapsed_seconds: float,
     metadata: Optional[dict] = None,
 ) -> SamplingResult:
     """Fold per-block outcomes into one :class:`SamplingResult`.
@@ -122,7 +119,6 @@ def merge_block_outcomes(
         top_failures=top_failures,
         risk_groups=sorted(groups, key=lambda s: (len(s), sorted(s))),
         top_probability_estimate=top_failures / rounds,
-        elapsed_seconds=elapsed_seconds,
         minimised=minimised,
         sample_probability=sample_probability,
         unique_failure_sets=len(raw_keys),

@@ -4,20 +4,15 @@ from repro.crypto.commutative import CommutativeKey, SharedGroup, hash_to_group
 from repro.crypto.fastexp import (
     batch_pow,
     digit_table,
-    fixed_base_pow,
     multi_exp,
 )
-from repro.crypto.hashing import HashFamily, element_digest
+from repro.crypto.hashing import HashFamily
 from repro.crypto.paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
     generate_keypair,
 )
-from repro.crypto.permutation import (
-    Permuter,
-    invert_permutation,
-    random_permutation,
-)
+from repro.crypto.permutation import Permuter
 from repro.crypto.primes import (
     generate_prime,
     generate_safe_prime,
@@ -34,15 +29,11 @@ __all__ = [
     "SharedGroup",
     "batch_pow",
     "digit_table",
-    "element_digest",
-    "fixed_base_pow",
     "generate_keypair",
     "multi_exp",
     "generate_prime",
     "generate_safe_prime",
     "hash_to_group",
-    "invert_permutation",
     "is_probable_prime",
-    "random_permutation",
     "safe_prime",
 ]

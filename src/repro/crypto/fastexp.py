@@ -4,11 +4,11 @@ Pure-Python ``pow`` is already C-optimised for a *single* modexp; the
 wins here come from restructuring the protocols' exponentiation
 workloads so that work is shared:
 
-* :func:`digit_table` / :func:`fixed_base_pow` — fixed-base windowed
-  exponentiation.  A base's power table (all ``base^d`` for one-window
-  digits ``d``) is computed once and reused across a party's whole
-  dataset, turning every later exponentiation into table lookups and
-  multiplies with no per-call squaring chain of its own.
+* :func:`digit_table` — fixed-base windowed exponentiation.  A base's
+  power table (all ``base^d`` for one-window digits ``d``) is computed
+  once and reused across a party's whole dataset, turning every later
+  exponentiation into table lookups and multiplies with no per-call
+  squaring chain of its own.
 * :func:`multi_exp` — simultaneous (Straus/Shamir) multi-exponentiation
   ``prod_j base_j^{e_j}``.  All exponents are scanned window-by-window
   against precomputed digit tables, so one shared squaring chain serves
@@ -33,7 +33,6 @@ from repro.errors import CryptoError
 __all__ = [
     "WINDOW_BITS",
     "digit_table",
-    "fixed_base_pow",
     "multi_exp",
     "batch_pow",
     "pow_chunk",
@@ -104,13 +103,6 @@ def multi_exp(
             if d:
                 acc = acc * table[d] % modulus
     return acc % modulus
-
-
-def fixed_base_pow(
-    table: Sequence[int], exponent: int, modulus: int
-) -> int:
-    """Fixed-base windowed exponentiation via a precomputed digit table."""
-    return multi_exp((table,), (exponent,), modulus)
 
 
 def batch_pow(

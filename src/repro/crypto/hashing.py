@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import CryptoError
 
-__all__ = ["HashFamily", "element_digest"]
+__all__ = ["HashFamily"]
 
 _MAX64 = (1 << 64) - 1
 
@@ -78,10 +78,3 @@ class HashFamily:
         if not elements:
             raise CryptoError("cannot take h_min of an empty set")
         return min(elements, key=lambda e: (self(index, e), e))
-
-
-def element_digest(element: str, length: int = 16) -> bytes:
-    """Stable digest of an identifier (P-SOP pre-hashing step)."""
-    if not 1 <= length <= 32:
-        raise CryptoError(f"digest length must be 1..32, got {length}")
-    return hashlib.sha256(element.encode("utf-8")).digest()[:length]

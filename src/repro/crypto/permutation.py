@@ -13,7 +13,7 @@ from typing import Optional, Sequence, TypeVar
 
 from repro.errors import CryptoError
 
-__all__ = ["Permuter", "random_permutation", "invert_permutation"]
+__all__ = ["Permuter"]
 
 T = TypeVar("T")
 
@@ -37,22 +37,3 @@ class Permuter:
         out = list(range(n))
         self._rng.shuffle(out)
         return out
-
-
-def random_permutation(n: int, seed: Optional[int] = None) -> list[int]:
-    """Standalone uniformly random permutation of ``range(n)``."""
-    return Permuter(seed).permutation(n)
-
-
-def invert_permutation(perm: Sequence[int]) -> list[int]:
-    """The inverse permutation: ``inv[perm[i]] = i``.
-
-    >>> invert_permutation([2, 0, 1])
-    [1, 2, 0]
-    """
-    inverse = [-1] * len(perm)
-    for i, target in enumerate(perm):
-        if not 0 <= target < len(perm) or inverse[target] != -1:
-            raise CryptoError("not a permutation")
-        inverse[target] = i
-    return inverse

@@ -21,7 +21,6 @@ Consumers: :class:`~repro.core.audit.SIAAuditor` (pass ``engine=``),
 from __future__ import annotations
 
 import os
-import time
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -175,7 +174,6 @@ class AuditEngine:
             raise AnalysisError(
                 f"sample_probability must be in (0,1), got {sample_probability}"
             )
-        started = time.perf_counter()
         root = (
             seed
             if isinstance(seed, np.random.SeedSequence)
@@ -214,7 +212,6 @@ class AuditEngine:
             outcomes,
             minimised=minimise,
             sample_probability=None if weights is not None else sample_probability,
-            elapsed_seconds=time.perf_counter() - started,
             metadata=metadata,
         )
 

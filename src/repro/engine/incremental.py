@@ -52,7 +52,6 @@ Worker counts never change results — see DESIGN.md.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -318,13 +317,6 @@ class SpecSetDelta:
     def is_noop(self) -> bool:
         return not (self.added or self.removed or self.changed)
 
-    def summary(self) -> str:
-        return (
-            f"{len(self.added)} deployments added, {len(self.removed)} "
-            f"removed, {len(self.changed)} changed, "
-            f"{len(self.unchanged)} unchanged"
-        )
-
     def to_dict(self) -> dict:
         return {
             "added": list(self.added),
@@ -348,34 +340,10 @@ class DeltaAuditReport:
     delta: SpecSetDelta
     reused: tuple[str, ...]
     recomputed: tuple[str, ...]
-    elapsed_seconds: float = 0.0
-    metadata: dict = field(default_factory=dict)
     #: Built fault graphs by deployment name — feed back into the next
     #: ``audit_delta(old_graphs=...)`` call to skip rebuilding the old
     #: side of the diff (what ``indaas watch`` does every poll).
     new_graphs: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def reuse_fraction(self) -> float:
-        total = len(self.reused) + len(self.recomputed)
-        return len(self.reused) / total if total else 0.0
-
-    def summary(self) -> str:
-        return (
-            f"{self.delta.summary()}; {len(self.reused)} audits reused, "
-            f"{len(self.recomputed)} recomputed "
-            f"({self.reuse_fraction:.0%} cache reuse)"
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta.to_dict(),
-            "reused": list(self.reused),
-            "recomputed": list(self.recomputed),
-            "reuse_fraction": self.reuse_fraction,
-            "elapsed_seconds": self.elapsed_seconds,
-            "report": self.report.to_dict(),
-        }
 
 
 # --------------------------------------------------------------------- #
@@ -593,7 +561,6 @@ class DeltaAuditEngine(AuditEngine):
         deployments are bit-identical to an uncached
         :meth:`AuditEngine.audit_jobs` over ``new``.
         """
-        started = time.perf_counter()
         new_jobs = load_report_jobs(new)
         prebuilt = prebuilt_graphs or {}
         new_graphs = {
@@ -634,8 +601,6 @@ class DeltaAuditEngine(AuditEngine):
             delta=delta,
             reused=tuple(reused),
             recomputed=tuple(recomputed),
-            elapsed_seconds=time.perf_counter() - started,
-            metadata={"caches": self.cache_info()},
             new_graphs=new_graphs,
         )
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -77,7 +76,6 @@ class KSResult:
     intersection: int
     bytes_sent: dict[str, int]
     total_bytes: int
-    elapsed_seconds: float
     ciphertext_bytes: int
     metadata: dict = field(default_factory=dict)
 
@@ -293,7 +291,6 @@ class KSProtocol:
             return self._run_batched(pool)
 
     def _run_batched(self, pool) -> KSResult:
-        started = time.perf_counter()
         public = self.public
         network = self.network
         parties = self.parties
@@ -410,7 +407,7 @@ class KSProtocol:
                 )
 
         return self._result(
-            batches, partials_by_party, len(aggregated) - 1, width, started
+            batches, partials_by_party, len(aggregated) - 1, width
         )
 
     def run_serial(self) -> KSResult:
@@ -419,7 +416,6 @@ class KSProtocol:
         The specification :meth:`run` is held to (parity tests, the
         Figure-8 bench); nothing in ``src/`` calls it.
         """
-        started = time.perf_counter()
         public = self.public
         width = public.ciphertext_bytes
         k = len(self.parties)
@@ -480,7 +476,7 @@ class KSProtocol:
 
         # Step 5: combine shares; zeros in party 0's batch = |intersection|.
         return self._result(
-            batches, partials_by_party, len(aggregated) - 1, width, started
+            batches, partials_by_party, len(aggregated) - 1, width
         )
 
     def _result(
@@ -489,7 +485,6 @@ class KSProtocol:
         partials_by_party: Sequence[Sequence[int]],
         aggregated_degree: int,
         width: int,
-        started: float,
     ) -> KSResult:
         """Threshold-combine the shares and assemble the result record."""
         intersection = 0
@@ -499,13 +494,11 @@ class KSProtocol:
             )
             if plaintext == 0:
                 intersection += 1
-        elapsed = time.perf_counter() - started
         return KSResult(
             parties=tuple(p.name for p in self.parties),
             intersection=intersection,
             bytes_sent=self.network.per_party_sent(),
             total_bytes=self.network.total_bytes(),
-            elapsed_seconds=elapsed,
             ciphertext_bytes=width,
             metadata={
                 "dataset_sizes": [len(p.elements) for p in self.parties],

@@ -18,7 +18,6 @@ Protocols:
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -63,7 +62,6 @@ class PIAReport:
     entries: list[PIAEntry]
     protocol: str
     total_bytes: int = 0
-    elapsed_seconds: float = 0.0
     metadata: dict = field(default_factory=dict)
 
     def best(self) -> PIAEntry:
@@ -77,7 +75,6 @@ class PIAReport:
             "title": self.title,
             "protocol": self.protocol,
             "total_bytes": self.total_bytes,
-            "elapsed_seconds": self.elapsed_seconds,
             "entries": [
                 {
                     "rank": e.rank,
@@ -269,7 +266,6 @@ class PIAAuditor:
         metadata: dict,
     ) -> PIAReport:
         """Measure every subset of ``pool`` and rank them ascending."""
-        started = time.perf_counter()
         values, total_bytes = self._measure(subsets)
         entries = [
             PIAEntry(
@@ -285,7 +281,6 @@ class PIAAuditor:
             entries=entries,
             protocol=self.protocol,
             total_bytes=total_bytes,
-            elapsed_seconds=time.perf_counter() - started,
             metadata={"providers": list(pool), **metadata},
         )
 

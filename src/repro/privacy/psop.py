@@ -28,7 +28,6 @@ Two executions produce bit-identical results for the same seeds:
 from __future__ import annotations
 
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -53,7 +52,6 @@ class PSOPResult:
         union: ``|∪ S_i|``.
         jaccard: ``intersection / union``.
         bytes_sent: Total wire bytes per party (Figure 8a's metric).
-        elapsed_seconds: Wall-clock protocol time (Figure 8b's metric).
     """
 
     parties: tuple[str, ...]
@@ -62,7 +60,6 @@ class PSOPResult:
     jaccard: float
     bytes_sent: dict[str, int]
     total_bytes: int
-    elapsed_seconds: float
     element_bytes: int
     metadata: dict = field(default_factory=dict)
 
@@ -185,7 +182,6 @@ class PSOPProtocol:
         distinct element — the Figure-8 overheads workload drops by
         ``~2k^2/(k+1)``.
         """
-        started = time.perf_counter()
         parties = self.parties
         network = self.network
         k = len(parties)
@@ -242,7 +238,7 @@ class PSOPProtocol:
         for size in sizes:
             counters.append(Counter(powers[position : position + size]))
             position += size
-        return self._result(counters, width, started)
+        return self._result(counters, width)
 
     def run_serial(self) -> PSOPResult:
         """Reference execution: walk the ring hop by hop.
@@ -250,7 +246,6 @@ class PSOPProtocol:
         The specification :meth:`run` is held to (parity tests, the
         Figure-8 bench); nothing in ``src/`` calls it.
         """
-        started = time.perf_counter()
         k = len(self.parties)
         group = self.parties[0].group
         width = group.element_bytes
@@ -295,13 +290,12 @@ class PSOPProtocol:
                 )
 
         counters = [Counter(d) for d in datasets]
-        return self._result(counters, width, started)
+        return self._result(counters, width)
 
     def _result(
         self,
         counters: Sequence[Counter],
         width: int,
-        started: float,
     ) -> PSOPResult:
         """Count intersection/union and assemble the result record."""
         k = len(self.parties)
@@ -314,7 +308,6 @@ class PSOPProtocol:
         union = sum(
             max(counter[key] for counter in counters) for key in keys
         )
-        elapsed = time.perf_counter() - started
         return PSOPResult(
             parties=tuple(p.name for p in self.parties),
             intersection=intersection,
@@ -322,7 +315,6 @@ class PSOPProtocol:
             jaccard=intersection / union,
             bytes_sent=self.network.per_party_sent(),
             total_bytes=self.network.total_bytes(),
-            elapsed_seconds=elapsed,
             element_bytes=width,
             metadata={"hops": k - 1, "dataset_sizes": [p.size for p in self.parties]},
         )

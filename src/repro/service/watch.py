@@ -224,7 +224,7 @@ class WatchService:
             ],
             scores={audit.deployment: audit.score for audit in ranked},
             best=ranked[0].deployment,
-            elapsed_seconds=outcome.elapsed_seconds,
+            elapsed_seconds=time.perf_counter() - started,
             **(
                 {"report": outcome.report.to_dict()}
                 if self.include_report

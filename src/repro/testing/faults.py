@@ -60,7 +60,6 @@ __all__ = [
     "FaultSchedule",
     "FaultInjector",
     "fault_point",
-    "active_injector",
     "install",
     "uninstall",
     "worker_kill_indices",
@@ -419,10 +418,6 @@ def uninstall(injector: Optional[FaultInjector] = None) -> None:
     with _INSTALL_LOCK:
         if injector is None or _ACTIVE is injector:
             _ACTIVE = None
-
-
-def active_injector() -> Optional[FaultInjector]:
-    return _ACTIVE
 
 
 def fault_point(name: str, **ctx) -> Optional[Fault]:

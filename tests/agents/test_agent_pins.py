@@ -11,8 +11,7 @@ classes were folded into one.
   that audits in-process, for the same request and for the §6.2.1
   all-pairs request over the lab cloud;
 * ``pia_table2`` — the private audit of the four Table-2 software
-  stacks at ``pia_group_bits=768`` (``elapsed_seconds`` is wall-clock
-  and stays out, as in ``tests/privacy/golden/pia_reports.json``).
+  stacks at ``pia_group_bits=768``.
 
 Only :func:`local_agent` / :func:`remote_agent` below may change with
 the agents' constructors; the golden file may not.

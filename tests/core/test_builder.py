@@ -3,7 +3,7 @@
 import pytest
 
 from repro import GateType, build_dependency_graph, minimal_risk_groups
-from repro.core.builder import node_identifier, node_kind
+from repro.core.builder import node_identifier
 from repro.depdb import (
     DepDB,
     HardwareDependency,
@@ -32,10 +32,8 @@ def sample_depdb() -> DepDB:
 
 
 class TestNodeNaming:
-    def test_kind_and_identifier(self):
-        assert node_kind("device:ToR1") == "device"
+    def test_identifier(self):
         assert node_identifier("device:ToR1") == "ToR1"
-        assert node_kind("unprefixed") == ""
         assert node_identifier("unprefixed") == "unprefixed"
 
 

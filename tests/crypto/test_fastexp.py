@@ -11,7 +11,6 @@ from repro.crypto.fastexp import (
     batch_pow,
     chunked,
     digit_table,
-    fixed_base_pow,
     multi_exp,
     pow_chunk,
     pow_pairs_chunk,
@@ -44,7 +43,7 @@ class TestFixedBasePow:
     @given(base=bases, exponent=exponents, modulus=moduli)
     def test_matches_builtin_pow(self, base, exponent, modulus):
         table = digit_table(base, modulus)
-        assert fixed_base_pow(table, exponent, modulus) == pow(
+        assert multi_exp((table,), (exponent,), modulus) == pow(
             base, exponent, modulus
         )
 
@@ -53,7 +52,7 @@ class TestFixedBasePow:
         modulus = (1 << 89) - 1
         table = digit_table(0xDEADBEEF, modulus)
         for exponent in (0, 1, 255, 256, 1 << 64, (1 << 80) + 12345):
-            assert fixed_base_pow(table, exponent, modulus) == pow(
+            assert multi_exp((table,), (exponent,), modulus) == pow(
                 0xDEADBEEF, exponent, modulus
             )
 

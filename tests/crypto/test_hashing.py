@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto import HashFamily, element_digest
+from repro.crypto import HashFamily
 from repro.errors import CryptoError
 
 
@@ -50,17 +50,3 @@ class TestHashFamily:
     def test_invalid_size(self):
         with pytest.raises(CryptoError):
             HashFamily(size=0)
-
-
-class TestElementDigest:
-    def test_stable(self):
-        assert element_digest("x") == element_digest("x")
-
-    def test_length(self):
-        assert len(element_digest("x", length=8)) == 8
-
-    def test_invalid_length(self):
-        with pytest.raises(CryptoError):
-            element_digest("x", length=0)
-        with pytest.raises(CryptoError):
-            element_digest("x", length=64)

@@ -304,7 +304,7 @@ class TestAuditDelta:
             "P0 & P2",
             "P1 & P2",
         }
-        assert outcome.reuse_fraction == 0.0
+        assert outcome.recomputed == ("P0 & P1", "P0 & P2", "P1 & P2")
 
     def test_worker_count_does_not_change_report_bytes(self):
         jobs = jobs_for(SETS)

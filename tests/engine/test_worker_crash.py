@@ -30,7 +30,6 @@ def fingerprint(outcomes):
         outcomes,
         minimised=True,
         sample_probability=0.5,
-        elapsed_seconds=0.0,
     )
     return (
         result.rounds,

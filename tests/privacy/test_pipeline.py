@@ -185,8 +185,8 @@ SETS = {
 }
 
 
-#: Pinned ``pia_report`` documents (minus ``elapsed_seconds``) for
-#: ``SETS`` at ``group_bits=768, minhash_size=32``.
+#: Pinned ``pia_report`` documents for ``SETS`` at ``group_bits=768,
+#: minhash_size=32``.
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "pia_reports.json").read_text()
 )
@@ -194,9 +194,7 @@ PROTOCOLS = ["plaintext", "psop", "psop-minhash"]
 
 
 def report_bytes(report) -> str:
-    document = report.to_dict()
-    del document["elapsed_seconds"]
-    return api.canonical_json(document)
+    return api.canonical_json(report.to_dict())
 
 
 @pytest.mark.parametrize("n_workers", [0, 2])
@@ -216,6 +214,15 @@ class TestPIAGolden:
         assert report_bytes(report) == api.canonical_json(
             GOLDEN["audit"][protocol]
         )
+
+    def test_report_is_a_pure_function_of_its_inputs(
+        self, protocol, n_workers
+    ):
+        # Nothing stripped: a report carries no wall-clock.
+        first, second = (
+            self.auditor(protocol, n_workers).audit(ways=2) for _ in range(2)
+        )
+        assert report_bytes(first) == report_bytes(second)
 
     def test_audit_n_of_m(self, protocol, n_workers):
         report = self.auditor(protocol, n_workers).audit_n_of_m(

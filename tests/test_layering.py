@@ -18,14 +18,19 @@ fooled by import order or by a cycle that happens to resolve.
   or ``examples/``, or a line in ``ISLANDS`` saying why it stays.
 * ``import repro`` does not import NetworkX: only the two
   ``to_networkx`` exporters use it, and they import it when called.
+* Results carry no wall-clock: ``elapsed_seconds`` is spelled only on
+  the event line (``api.job_event`` / ``JobStatus``) and by the two
+  services that emit it.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -75,20 +80,10 @@ ISLANDS = {
         "§3 software DAM; the Figure-1 lifecycle and streaming tests",
     "repro.agents.agent.AuditingAgent":
         "the Figure-1 agent; ROADMAP item 3 decides join or leave",
-    "repro.core.builder.node_kind":
-        "inverse of node_identifier; its unit test",
     "repro.core.probability.tree_probability":
         "exact Pr(T) of tree-shaped graphs; oracle of the probability tests",
     "repro.core.probability.graph_probability_sampled":
         "Monte-Carlo Pr(T) on the graph; ROADMAP item 5(a)'s oracle",
-    "repro.crypto.fastexp.fixed_base_pow":
-        "fixed-base table exponentiation; pinned against pow() in its test",
-    "repro.crypto.hashing.element_digest":
-        "one-element P-SOP pre-hash; its unit test",
-    "repro.crypto.permutation.random_permutation":
-        "stand-alone permutation; its unit test",
-    "repro.crypto.permutation.invert_permutation":
-        "inverse of random_permutation; the same test",
     "repro.hwinventory.generator.generate_inventory":
         "synthetic batch-sharing fleet; the Figure-1 lifecycle test",
     "repro.privacy.jaccard.jaccard_multiset":
@@ -105,8 +100,6 @@ ISLANDS = {
         "asserts the Table-2 reconstruction; the stacks tests",
     "repro.swinventory.universe.generate_universe":
         "random package universe; the Figure-1 lifecycle test",
-    "repro.testing.faults.active_injector":
-        "lets the fault tests check that no injector outlives its block",
 }
 
 
@@ -290,3 +283,25 @@ def test_import_repro_leaves_networkx_unloaded():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+#: The only modules that may time anything into a document: the event
+#: envelope and the two services whose events carry a duration.
+ELAPSED_SECONDS_AT = {"api.py", "service/jobs.py", "service/watch.py"}
+
+
+def test_elapsed_seconds_only_on_the_event_line():
+    # Token scan: names, attributes, keyword arguments, dict keys and
+    # docstrings all count; a comment does not.
+    spelled_in = set()
+    for path in SRC.rglob("*.py"):
+        tokens = tokenize.generate_tokens(
+            io.StringIO(path.read_text(encoding="utf-8")).readline
+        )
+        if any(
+            "elapsed_seconds" in token.string
+            for token in tokens
+            if token.type != tokenize.COMMENT
+        ):
+            spelled_in.add(path.relative_to(SRC).as_posix())
+    assert spelled_in == ELAPSED_SECONDS_AT

@@ -12,13 +12,13 @@ import threading
 import pytest
 
 from repro.errors import SpecificationError
+from repro.testing import faults
 from repro.testing.faults import (
     FAULT_KINDS,
     POINT_KINDS,
     Fault,
     FaultInjector,
     FaultSchedule,
-    active_injector,
     fault_point,
     install,
     uninstall,
@@ -90,7 +90,7 @@ class TestFaultSchedule:
 
 class TestFaultInjector:
     def test_inactive_harness_is_a_no_op(self):
-        assert active_injector() is None
+        assert faults._ACTIVE is None
         assert fault_point("transport.request") is None
         assert worker_kill_indices() == frozenset()
 
@@ -157,7 +157,7 @@ class TestFaultInjector:
         with FaultInjector(schedule):
             with pytest.raises(SpecificationError):
                 install(FaultInjector(schedule))
-        assert active_injector() is None
+        assert faults._ACTIVE is None
 
     def test_uninstall_is_idempotent(self):
         uninstall()
@@ -165,7 +165,7 @@ class TestFaultInjector:
         install(injector)
         uninstall(injector)
         uninstall(injector)
-        assert active_injector() is None
+        assert faults._ACTIVE is None
 
     def test_firing_is_thread_safe(self):
         schedule = FaultSchedule(
