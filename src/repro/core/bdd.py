@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.core.events import GateType
@@ -42,21 +41,18 @@ ZERO = 0
 ONE = 1
 
 
-@dataclass(frozen=True)
-class _Node:
-    """One decision node: branch on ``var`` (an ordering index)."""
-
-    var: int
-    low: int   # node id when the variable is False (component alive)
-    high: int  # node id when the variable is True (component failed)
-
-
 class BDD:
     """A reduced ordered BDD manager for one fault graph.
 
     Use :func:`compile_graph`; the manager is not a general-purpose BDD
     library (no quantification, no dynamic reordering) — just what fault
     analysis needs, kept small and auditable.
+
+    Node ``i`` is ``(_var[i], _low[i], _high[i])``: branch on the variable
+    with ordering index ``_var[i]``, to ``_low[i]`` when the component is
+    alive and to ``_high[i]`` when it failed.  The terminals sit one level
+    below every variable (``_var == len(variables)``), so a walk reads a
+    child's level without asking whether the child is a terminal.
     """
 
     def __init__(
@@ -67,9 +63,13 @@ class BDD:
         self.variables = list(variables)
         self.var_index = {name: i for i, name in enumerate(variables)}
         self.max_nodes = max_nodes
-        self._nodes: list[Optional[_Node]] = [None, None]  # 0 and 1
+        terminal = len(self.variables)
+        self._var: list[int] = [terminal, terminal]
+        self._low: list[int] = [ZERO, ONE]
+        self._high: list[int] = [ZERO, ONE]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._apply_cache: dict[tuple[str, int, int], int] = {}
+        self._and_cache: dict[tuple[int, int], int] = {}
+        self._or_cache: dict[tuple[int, int], int] = {}
         self._without_cache: dict[tuple[int, int], int] = {}
         self._minsol_cache: dict[int, int] = {}
         self.root = ZERO
@@ -77,15 +77,6 @@ class BDD:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-
-    def node(self, node_id: int) -> _Node:
-        node = self._nodes[node_id]
-        if node is None:
-            raise AnalysisError(f"node {node_id} is a terminal")
-        return node
-
-    def is_terminal(self, node_id: int) -> bool:
-        return node_id in (ZERO, ONE)
 
     def make(self, var: int, low: int, high: int) -> int:
         """Hash-consed node creation with the reduction rule."""
@@ -95,10 +86,8 @@ class BDD:
         found = self._unique.get(key)
         if found is not None:
             return found
-        if (
-            self.max_nodes is not None
-            and len(self._nodes) - 2 >= self.max_nodes
-        ):
+        node_id = len(self._var)
+        if self.max_nodes is not None and node_id - 2 >= self.max_nodes:
             # Same valve semantics as the MOCUS max_groups cap: an
             # adversarial variable ordering makes the diagram (and
             # therefore the extraction) exponential; raise instead of
@@ -106,8 +95,9 @@ class BDD:
             raise CutSetExplosion(
                 f"BDD exceeded {self.max_nodes} decision nodes"
             )
-        self._nodes.append(_Node(var, low, high))
-        node_id = len(self._nodes) - 1
+        self._var.append(var)
+        self._low.append(low)
+        self._high.append(high)
         self._unique[key] = node_id
         return node_id
 
@@ -122,47 +112,69 @@ class BDD:
     def apply(self, op: str, left: int, right: int) -> int:
         """Binary AND/OR with memoisation (Bryant's apply)."""
         if op == "and":
-            if left == ZERO or right == ZERO:
-                return ZERO
-            if left == ONE:
-                return right
-            if right == ONE:
-                return left
-        elif op == "or":
-            if left == ONE or right == ONE:
-                return ONE
-            if left == ZERO:
-                return right
-            if right == ZERO:
-                return left
-        else:
-            raise AnalysisError(f"unknown operation {op!r}")
-        if left == right:
+            return self._and(left, right)
+        if op == "or":
+            return self._or(left, right)
+        raise AnalysisError(f"unknown operation {op!r}")
+
+    def _and(self, left: int, right: int) -> int:
+        if left == ZERO or right == ZERO:
+            return ZERO
+        if left == ONE:
+            return right
+        if right == ONE or left == right:
             return left
-        key = (op, min(left, right), max(left, right))
-        cached = self._apply_cache.get(key)
+        key = (left, right) if left < right else (right, left)
+        cached = self._and_cache.get(key)
         if cached is not None:
             return cached
-        l_node, r_node = self.node(left), self.node(right)
-        if l_node.var == r_node.var:
+        var, low, high = self._var, self._low, self._high
+        l_var, r_var = var[left], var[right]
+        if l_var == r_var:
             result = self.make(
-                l_node.var,
-                self.apply(op, l_node.low, r_node.low),
-                self.apply(op, l_node.high, r_node.high),
+                l_var,
+                self._and(low[left], low[right]),
+                self._and(high[left], high[right]),
             )
-        elif l_node.var < r_node.var:
+        elif l_var < r_var:
             result = self.make(
-                l_node.var,
-                self.apply(op, l_node.low, right),
-                self.apply(op, l_node.high, right),
+                l_var, self._and(low[left], right), self._and(high[left], right)
             )
         else:
             result = self.make(
-                r_node.var,
-                self.apply(op, left, r_node.low),
-                self.apply(op, left, r_node.high),
+                r_var, self._and(left, low[right]), self._and(left, high[right])
             )
-        self._apply_cache[key] = result
+        self._and_cache[key] = result
+        return result
+
+    def _or(self, left: int, right: int) -> int:
+        if left == ONE or right == ONE:
+            return ONE
+        if left == ZERO:
+            return right
+        if right == ZERO or left == right:
+            return left
+        key = (left, right) if left < right else (right, left)
+        cached = self._or_cache.get(key)
+        if cached is not None:
+            return cached
+        var, low, high = self._var, self._low, self._high
+        l_var, r_var = var[left], var[right]
+        if l_var == r_var:
+            result = self.make(
+                l_var,
+                self._or(low[left], low[right]),
+                self._or(high[left], high[right]),
+            )
+        elif l_var < r_var:
+            result = self.make(
+                l_var, self._or(low[left], right), self._or(high[left], right)
+            )
+        else:
+            result = self.make(
+                r_var, self._or(left, low[right]), self._or(left, high[right])
+            )
+        self._or_cache[key] = result
         return result
 
     def apply_many(self, op: str, operands: list[int]) -> int:
@@ -192,35 +204,40 @@ class BDD:
         state = [ONE] + [ZERO] * k
         for operand in operands:
             for j in range(k, 0, -1):
-                state[j] = self.apply(
-                    "or", state[j], self.apply("and", state[j - 1], operand)
-                )
+                state[j] = self._or(state[j], self._and(state[j - 1], operand))
         return state[k]
 
     # ------------------------------------------------------------------ #
     # Analyses
     # ------------------------------------------------------------------ #
+    #
+    # The recursive walks below are closures that name themselves, a
+    # reference cycle through the diagram's arrays; each clears its own
+    # name on the way out so the diagram dies by refcount, not at the
+    # next cyclic collection.
 
     def size(self) -> int:
         """Decision nodes reachable from the root."""
+        low, high = self._low, self._high
         seen: set[int] = set()
         stack = [self.root]
         while stack:
             node_id = stack.pop()
-            if self.is_terminal(node_id) or node_id in seen:
+            if node_id <= ONE or node_id in seen:
                 continue
             seen.add(node_id)
-            node = self.node(node_id)
-            stack.extend((node.low, node.high))
+            stack.append(low[node_id])
+            stack.append(high[node_id])
         return len(seen)
 
     def evaluate(self, failed: set[str]) -> bool:
         """Follow one assignment down the diagram."""
         node_id = self.root
-        while not self.is_terminal(node_id):
-            node = self.node(node_id)
-            name = self.variables[node.var]
-            node_id = node.high if name in failed else node.low
+        while node_id > ONE:
+            name = self.variables[self._var[node_id]]
+            node_id = (
+                self._high[node_id] if name in failed else self._low[node_id]
+            )
         return node_id == ONE
 
     def probability(self, probabilities: Mapping[str, float]) -> float:
@@ -229,26 +246,31 @@ class BDD:
         Linear in BDD size; correct for shared-node DAGs, unlike a
         bottom-up walk of the fault graph itself.
         """
+        variables, var, low, high = (
+            self.variables, self._var, self._low, self._high
+        )
         cache: dict[int, float] = {ZERO: 0.0, ONE: 1.0}
 
         def walk(node_id: int) -> float:
             cached = cache.get(node_id)
             if cached is not None:
                 return cached
-            node = self.node(node_id)
-            name = self.variables[node.var]
+            name = variables[var[node_id]]
             try:
                 p = probabilities[name]
             except KeyError:
                 raise AnalysisError(
                     f"no failure probability for {name!r}"
                 ) from None
-            value = p * walk(node.high) + (1.0 - p) * walk(node.low)
+            value = p * walk(high[node_id]) + (1.0 - p) * walk(low[node_id])
             cache[node_id] = value
             return value
 
-        with self._recursion_headroom():
-            return walk(self.root)
+        try:
+            with self._recursion_headroom():
+                return walk(self.root)
+        finally:
+            walk = None
 
     def count_failure_states(self) -> int:
         """Number of assignments that fail the top event (model count).
@@ -256,32 +278,24 @@ class BDD:
         This is the quantity SAT-based counters like ApproxCount
         estimate; with a BDD it is exact and linear.
         """
-        n = len(self.variables)
+        var, low, high = self._var, self._low, self._high
         cache: dict[int, int] = {ZERO: 0, ONE: 1}
 
         def walk(node_id: int) -> int:
             if node_id in cache:
                 return cache[node_id]
-            node = self.node(node_id)
-            low_count = walk(node.low)
-            high_count = walk(node.high)
-            low_depth = (
-                n if self.is_terminal(node.low) else self.node(node.low).var
-            )
-            high_depth = (
-                n if self.is_terminal(node.high) else self.node(node.high).var
-            )
-            count = low_count * (1 << (low_depth - node.var - 1)) + (
-                high_count * (1 << (high_depth - node.var - 1))
+            level, lo, hi = var[node_id], low[node_id], high[node_id]
+            count = (walk(lo) << (var[lo] - level - 1)) + (
+                walk(hi) << (var[hi] - level - 1)
             )
             cache[node_id] = count
             return count
 
-        if self.is_terminal(self.root):
-            return 0 if self.root == ZERO else 1 << n
-        root_var = self.node(self.root).var
-        with self._recursion_headroom():
-            return walk(self.root) * (1 << root_var)
+        try:
+            with self._recursion_headroom():
+                return walk(self.root) << var[self.root]
+        finally:
+            walk = None
 
     @contextmanager
     def _recursion_headroom(self):
@@ -315,26 +329,27 @@ class BDD:
         cached = self._without_cache.get(key)
         if cached is not None:
             return cached
-        l_node, r_node = self.node(left), self.node(right)
-        if l_node.var < r_node.var:
-            # No right set mentions l_node.var, so membership of the
-            # variable never matters for absorption: filter both cofactors.
+        var, low, high = self._var, self._low, self._high
+        l_var, r_var = var[left], var[right]
+        if l_var < r_var:
+            # No right set mentions l_var, so membership of the variable
+            # never matters for absorption: filter both cofactors.
             result = self.make(
-                l_node.var,
-                self.without(l_node.low, right),
-                self.without(l_node.high, right),
+                l_var,
+                self.without(low[left], right),
+                self.without(high[left], right),
             )
-        elif l_node.var > r_node.var:
-            # Left sets cannot contain r_node.var; only the right sets
-            # without it (its low cofactor) can absorb them.
-            result = self.without(left, r_node.low)
+        elif l_var > r_var:
+            # Left sets cannot contain r_var; only the right sets without
+            # it (its low cofactor) can absorb them.
+            result = self.without(left, low[right])
         else:
             # A left set containing the variable is absorbed by a right
             # set with it (high side) or without it (low side).
-            high = self.without(l_node.high, r_node.high)
-            high = self.without(high, r_node.low)
+            filtered = self.without(high[left], high[right])
+            filtered = self.without(filtered, low[right])
             result = self.make(
-                l_node.var, self.without(l_node.low, r_node.low), high
+                l_var, self.without(low[left], low[right]), filtered
             )
         self._without_cache[key] = result
         return result
@@ -349,25 +364,29 @@ class BDD:
         which is absorption performed on the shared diagram instead of
         on exploded set families.
         """
+        var, low, high = self._var, self._low, self._high
         cache: dict[int, int] = {}
 
         def walk(node_id: int) -> int:
-            if self.is_terminal(node_id):
+            if node_id <= ONE:
                 return node_id
             cached = cache.get(node_id)
             if cached is not None:
                 return cached
-            node = self.node(node_id)
-            low = walk(node.low)
-            high = self.without(walk(node.high), low)
-            result = self.make(node.var, low, high)
+            kept = walk(low[node_id])
+            result = self.make(
+                var[node_id], kept, self.without(walk(high[node_id]), kept)
+            )
             cache[node_id] = result
             return result
 
         cached = self._minsol_cache.get(self.root)
         if cached is None:
-            with self._recursion_headroom():
-                cached = walk(self.root)
+            try:
+                with self._recursion_headroom():
+                    cached = walk(self.root)
+            finally:
+                walk = None
             self._minsol_cache[self.root] = cached
         return cached
 
@@ -389,6 +408,9 @@ class BDD:
             max_groups: Raise :class:`CutSetExplosion` when more than
                 this many cut sets would be enumerated.
         """
+        variables, var, low, high = (
+            self.variables, self._var, self._low, self._high
+        )
         out: list[frozenset[str]] = []
         path: list[str] = []
 
@@ -402,16 +424,18 @@ class BDD:
                     )
                 out.append(frozenset(path))
                 return
-            node = self.node(node_id)
-            enumerate_paths(node.low)
+            enumerate_paths(low[node_id])
             if max_order is None or len(path) < max_order:
-                path.append(self.variables[node.var])
-                enumerate_paths(node.high)
+                path.append(variables[var[node_id]])
+                enumerate_paths(high[node_id])
                 path.pop()
 
         root = self.minimal_solutions()
-        with self._recursion_headroom():
-            enumerate_paths(root)
+        try:
+            with self._recursion_headroom():
+                enumerate_paths(root)
+        finally:
+            enumerate_paths = None
         return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 

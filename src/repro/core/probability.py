@@ -42,15 +42,17 @@ __all__ = [
 EXACT_LIMIT = 20
 
 #: ``auto`` takes inclusion-exclusion up to this many distinct cut sets and
-#: the BDD pass above it: the measured crossover (they cross at 7, 8 and 12
-#: sets depending on cut size), not a knob.  Median ms, seeded random
-#: families, inclusion-exclusion / BDD:
+#: the BDD pass above it.  It was the measured crossover (7, 8 and 12 sets
+#: depending on cut size) until the flat-array BDD kernel moved the curves
+#: to 7, 7 and 9-10; it stays 10, because moving it changes the bits of
+#: every family between the old and new crossover.  Median ms, seeded
+#: random families, inclusion-exclusion / BDD (x86-64, CPython 3.11):
 #:   sets   1-3 of 10 events   2-5 of 24 events   8-12 of 40 events
-#:     6      0.05 / 0.08        0.08 / 0.15        0.11 / 0.64
-#:     8      0.21 / 0.09        0.34 / 0.33        0.51 / 1.6
-#:    10      0.87 / 0.14        1.6  / 0.64        2.3  / 4.3
-#:    12      3.7  / 0.13        7.3  / 1.2         9.5  / 8.7
-#:    16, 20                     126 / 2.0, 1483 / 4.9
+#:     6      0.04 / 0.05        0.06 / 0.06        0.10 / 0.25
+#:     8      0.19 / 0.06        0.26 / 0.12        0.53 / 0.73
+#:    10      0.87 / 0.08        1.16 / 0.25        2.14 / 1.78
+#:    12      3.27 / 0.08        5.11 / 0.41        8.61 / 3.38
+#:    16, 20                     83 / 0.96, 1403 / 1.37
 IE_CROSSOVER = 10
 
 #: Decision nodes ``auto`` may allocate before it falls back to Monte-Carlo:
@@ -141,7 +143,10 @@ def _inclusion_exclusion(
             total += sign * cut_probability(merged, probabilities)
             recurse(i + 1, merged, size + 1)
 
-    recurse(0, frozenset(), 0)
+    try:
+        recurse(0, frozenset(), 0)
+    finally:
+        recurse = None  # the closure names itself: break the cycle
     return min(max(total, 0.0), 1.0)
 
 

@@ -1,15 +1,23 @@
 """Unit + property tests for the BDD engine."""
 
+import gc
+import types
+import weakref
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import ComponentSets, FaultGraph, GateType, minimal_risk_groups
+from repro.acquisition import NetworkDependencyCollector
 from repro.core.bdd import BDD, ONE, ZERO, compile_graph
 from repro.core.minimal_rg import CutSetExplosion
 from repro.core.probability import top_event_probability
+from repro.depdb import DepDB
+from repro.engine import AuditEngine
 from repro.errors import AnalysisError
+from repro.topology import FatTreeConfig, fat_tree
 
 
 class TestBDDBasics:
@@ -190,6 +198,87 @@ class TestMinimalSolutions:
         assert bdd.minimal_cut_sets(max_groups=len(full)) == full
         with pytest.raises(CutSetExplosion):
             bdd.minimal_cut_sets(max_groups=len(full) - 1)
+
+
+class TestNoReferenceCycles:
+    """A diagram dies by refcount when the call that made it returns.
+
+    The recursive walks are closures that name themselves; left alone,
+    that cycle keeps every diagram of an audit alive until the cyclic
+    collector runs, and how often it runs depends on how many objects
+    the kernel allocates.  Both checks run with the collector off.
+    """
+
+    @pytest.fixture
+    def managers(self, monkeypatch):
+        refs: list[weakref.ref] = []
+        init = BDD.__init__
+
+        def recording(bdd, *args, **kwargs):
+            init(bdd, *args, **kwargs)
+            refs.append(weakref.ref(bdd))
+
+        monkeypatch.setattr(BDD, "__init__", recording)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            if enabled:
+                gc.enable()
+
+    @staticmethod
+    def cyclic_closures() -> list[str]:
+        """Functions of the BDD modules only the cyclic collector frees.
+
+        The walks of :meth:`BDD.probability` close over the node arrays,
+        not the manager, so a weakref to the manager alone misses them.
+        """
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            return sorted(
+                garbage.__qualname__
+                for garbage in gc.garbage
+                if isinstance(garbage, types.FunctionType)
+                and garbage.__module__
+                in ("repro.core.bdd", "repro.core.probability")
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    def test_analyses_leave_no_cycle(self, managers, deep_graph):
+        probs = dict.fromkeys(deep_graph.basic_events(), 0.1)
+        bdd = compile_graph(deep_graph)
+        groups = bdd.minimal_cut_sets()
+        bdd.probability(probs)
+        bdd.count_failure_states()
+        del bdd
+        top_event_probability(groups, probs)  # inclusion-exclusion
+        assert len(managers) == 1
+        assert [ref() for ref in managers] == [None]
+        assert self.cyclic_closures() == []
+
+    def test_exact_audit_leaves_no_cycle(self, managers):
+        servers = ("srv-p0-t0-0", "srv-p2-t1-1")
+        depdb = DepDB()
+        NetworkDependencyCollector(
+            fat_tree(FatTreeConfig(ports=4)), servers=servers
+        ).adapt_into(depdb)
+        repro.audit(
+            depdb.dumps(),
+            servers,
+            engine=AuditEngine(n_workers=1),
+            algorithm="minimal",
+            ranking="probability",
+            probability=0.1,
+        )
+        # The graph's diagram for the minimal RGs, the family's for Pr(T).
+        assert len(managers) == 2
+        assert [ref() for ref in managers] == [None, None]
+        assert self.cyclic_closures() == []
 
 
 @st.composite

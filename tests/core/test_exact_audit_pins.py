@@ -37,7 +37,7 @@ from repro.topology import FatTreeConfig, fat_tree
 
 def allocated(bdd: BDD) -> int:
     """Decision nodes ``bdd`` has allocated, reachable or not."""
-    return len(bdd._nodes) - 2
+    return len(bdd._var) - 2
 
 
 TREE = FatTreeConfig(ports=12)
