@@ -11,8 +11,7 @@ evolution might introduce".  This module makes that concrete:
   exactly what a scheduled INDaaS run would page an operator about.
 
 A drift event is exactly a delta-audit request: pass an ``engine``
-(ideally a :class:`~repro.engine.incremental.DeltaAuditEngine`, e.g.
-the one a :class:`~repro.service.watch.WatchService` keeps warm)
+(e.g. the one a :class:`~repro.service.watch.WatchService` keeps warm)
 and the "before" audit is served from its result cache instead of being
 recomputed on every period — same report, a fraction of the work.
 """
@@ -22,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.audit import SIAAuditor
 from repro.core.builder import Weigher
 from repro.core.spec import AuditSpec
 from repro.depdb.database import DepDB
 from repro.depdb.records import DependencyRecord
 from repro.depdb import xmlformat
+from repro.engine.facade import AuditEngine
 
 __all__ = ["DepDBDiff", "DriftReport", "diff_depdbs", "drift_report"]
 
@@ -132,23 +131,16 @@ def drift_report(
         after: The freshly acquired snapshot.
         spec: Deployment specification to audit under both.
         weigher: Optional failure probabilities (enables Pr comparison).
-        engine: Optional :class:`~repro.engine.AuditEngine`.  A
-            :class:`~repro.engine.incremental.DeltaAuditEngine` turns
-            periodic drift checks into delta audits: an unchanged
-            snapshot (typically ``before``, audited last period) is a
-            cache hit, not a recomputation.  Results are identical
-            either way.
+        engine: Optional :class:`~repro.engine.AuditEngine` (a private
+            inline one otherwise).  Its result cache turns periodic drift
+            checks into delta audits: an unchanged snapshot (typically
+            ``before``, audited last period) is a cache hit, not a
+            recomputation.  Results are identical either way.
     """
-    if engine is not None and hasattr(engine, "audit_spec"):
-        old_audit = engine.audit_spec(before, spec, weigher=weigher)
-        new_audit = engine.audit_spec(after, spec, weigher=weigher)
-    else:
-        old_audit = SIAAuditor(
-            before, weigher=weigher, engine=engine
-        ).audit_deployment(spec)
-        new_audit = SIAAuditor(
-            after, weigher=weigher, engine=engine
-        ).audit_deployment(spec)
+    if engine is None:
+        engine = AuditEngine()
+    old_audit = engine.audit_spec(before, spec, weigher=weigher)
+    new_audit = engine.audit_spec(after, spec, weigher=weigher)
     old_groups = {entry.events for entry in old_audit.ranking}
     new_groups = {entry.events for entry in new_audit.ranking}
     introduced = tuple(

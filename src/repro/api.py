@@ -583,6 +583,9 @@ class ExecutionResult:
     audit: object  # repro.core.report.DeploymentAudit
     graph: object  # repro.core.faultgraph.FaultGraph
     structural_hash: str
+    #: Whether the audit came from the engine's result cache (an
+    #: earlier execution of an equivalent request on the same engine)
+    #: rather than being computed; the audit is bit-identical either way.
     engine_cache_hit: bool = False
     delta: Optional[object] = None  # repro.engine.incremental.GraphDelta
 
@@ -597,14 +600,14 @@ def execute_request(
 
     The CLI, the library front doors and the HTTP server all execute
     through here, which is what makes their reports bit-identical for
-    the same request: one code path builds the graph, consults the
-    delta engine's result cache when one is given, and audits.
+    the same request: one code path builds the graph and audits it
+    through the engine's result cache.
 
     Args:
         request: The request to execute.
-        engine: Optional :class:`~repro.engine.AuditEngine`; a
-            :class:`~repro.engine.incremental.DeltaAuditEngine` serves
-            repeat audits from its content-addressed result cache.
+        engine: Optional :class:`~repro.engine.AuditEngine`, whose
+            content-addressed result cache serves repeat audits; a
+            private inline engine is used otherwise.
         progress: Optional callback ``progress(stage, **fields)``
             invoked at ``compiled`` (graph built, structural hash known)
             and ``audited`` (result ready) stages.
@@ -613,8 +616,11 @@ def execute_request(
             delta is reported, never applied — results don't change.
     """
     from repro.engine.cache import structural_hash as graph_hash
-    from repro.engine.incremental import DeltaAuditEngine, graph_delta
+    from repro.engine.facade import AuditEngine
+    from repro.engine.incremental import graph_delta
 
+    if engine is None:
+        engine = AuditEngine(n_workers=1)
     job = request.to_job()
     auditor = job.auditor(engine)
     graph = auditor.build_graph(job.spec)
@@ -629,10 +635,7 @@ def execute_request(
             events=len(graph.events()),
             **({"delta": delta.to_dict()} if delta is not None else {}),
         )
-    if isinstance(engine, DeltaAuditEngine):
-        audit_result, hit = engine.audit_built(auditor, graph, job.spec)
-    else:
-        audit_result, hit = auditor.audit_graph(graph, job.spec), False
+    audit_result, hit = engine.audit_built(auditor, graph, job.spec)
     if progress is not None:
         progress("audited", engine_cache_hit=hit)
     return ExecutionResult(

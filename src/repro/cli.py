@@ -13,7 +13,7 @@ Subcommands mirror the evaluation:
 * ``indaas audit-many``      — concurrent audit of a directory of
   deployment specs (engine-backed)
 * ``indaas watch``           — long-running incremental audit of a spec
-  directory (delta engine, warm caches, JSONL reports)
+  directory (warm result cache, JSONL reports)
 * ``indaas drift``           — periodic audit across two DepDB snapshots
 * ``indaas importance``      — per-component importance measures
 * ``indaas plan``            — ranked mitigation plan ("which fix
@@ -673,10 +673,10 @@ def _run_watch(args: argparse.Namespace) -> int:
     import json
     import signal
 
-    from repro.engine.incremental import DeltaAuditEngine
+    from repro.engine import AuditEngine
     from repro.service import WatchService
 
-    engine = DeltaAuditEngine(n_workers=args.workers, block_size=args.block_size)
+    engine = AuditEngine(n_workers=args.workers, block_size=args.block_size)
     service = WatchService(
         args.specs,
         engine=engine,
@@ -808,7 +808,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.engine.incremental import DeltaAuditEngine
+    from repro.engine import AuditEngine
     from repro.service import AuditServer, JobManager
 
     injector = None
@@ -824,7 +824,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
             flush=True,
         )
-    engine = DeltaAuditEngine(
+    engine = AuditEngine(
         n_workers=args.engine_workers,
         block_size=args.block_size,
     )

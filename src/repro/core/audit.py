@@ -99,10 +99,10 @@ class SIAAuditor:
     def audit_graph(self, graph: FaultGraph, spec: AuditSpec) -> DeploymentAudit:
         """Steps 2–4 of the pipeline on an already-built graph.
 
-        Split from :meth:`audit_deployment` so incremental callers
-        (:class:`~repro.engine.incremental.DeltaAuditEngine`) can build
-        the graph once, key caches by its structural hash, and only then
-        decide whether this computation needs to run at all.
+        Split from :meth:`audit_deployment` so the engine's result cache
+        (:meth:`~repro.engine.facade.AuditEngine.audit_built`) can build
+        the graph once, key the cache by its structural hash, and only
+        then decide whether this computation needs to run at all.
         """
         notes: list[str] = []
 

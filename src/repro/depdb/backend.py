@@ -32,8 +32,8 @@ The contract every backend honours (the parity property suite in
   between calls), never to return another value.
 
 Snapshots tie the store to the incremental audit layer: recording one
-after an audit lets the next :meth:`~repro.engine.incremental.
-DeltaAuditEngine.audit_store` call prove, by digest equality, that the
+after an audit lets the next :meth:`~repro.engine.facade.AuditEngine.
+audit_store` call prove, by digest equality, that the
 store has not drifted since the last-audited state.
 """
 

@@ -20,8 +20,8 @@ ordering contract exactly.
 The ``snapshots`` table is content-addressed by the record-set hash
 (:func:`~repro.depdb.backend.records_digest`): one row per distinct
 store state ever audited, re-sequenced in place when an unchanged store
-is snapshotted again.  :meth:`~repro.engine.incremental.
-DeltaAuditEngine.audit_store` compares the live hash against
+is snapshotted again.  :meth:`~repro.engine.facade.AuditEngine.
+audit_store` compares the live hash against
 ``last_snapshot`` to prove whether anything drifted since the last
 audit.
 

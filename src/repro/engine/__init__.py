@@ -11,13 +11,14 @@ This package is the scaling layer on top of the §4.1 analysis core:
 * :mod:`repro.engine.pool` — the worker processes: one persistent pool
   with content-addressed graph shipping;
 * :mod:`repro.engine.specset` — loading and validating deployment spec
-  sets (:class:`AuditJob`), shared by both engines;
-* :mod:`repro.engine.facade` — the :class:`AuditEngine` facade consumed
-  by :class:`~repro.core.audit.SIAAuditor`, the what-if analysis and the
-  ``indaas audit-many`` CLI verb;
-* :mod:`repro.engine.incremental` — delta audits: graph diffing, the
-  audit result cache and :class:`DeltaAuditEngine`
-  (the ``indaas watch`` loop over it is :mod:`repro.service.watch`).
+  sets (:class:`AuditJob`), shared by the fan-out and the cached loop;
+* :mod:`repro.engine.facade` — the one engine, :class:`AuditEngine`,
+  with its audit result cache, consumed by
+  :class:`~repro.core.audit.SIAAuditor`, the what-if analysis, the
+  shared request executor, the service and the CLI verbs;
+* :mod:`repro.engine.incremental` — the diff the result cache is keyed
+  and reported by: graph diffing, spec-set deltas, store-audit outcomes
+  (the ``indaas watch`` loop over them is :mod:`repro.service.watch`).
 
 The package sits above :mod:`repro.core` and imports it freely;
 ``core`` reaches back up only from inside functions.
@@ -38,7 +39,6 @@ from repro.engine.cache import (
 )
 from repro.engine.facade import AuditEngine
 from repro.engine.incremental import (
-    DeltaAuditEngine,
     DeltaAuditReport,
     GraphDelta,
     graph_delta,
@@ -53,12 +53,15 @@ from repro.engine.parallel import (
 from repro.engine.pool import PersistentPool
 from repro.engine.specset import AuditJob, load_audit_job, load_spec_set
 
+# The frozen ledger harness still imports this name; the next
+# [benchmark] change switches it to AuditEngine and deletes the alias.
+DeltaAuditEngine = AuditEngine
+
 __all__ = [
     "AuditEngine",
     "AuditJob",
     "BlockOutcome",
     "BlockPlan",
-    "DeltaAuditEngine",
     "DeltaAuditReport",
     "GraphCache",
     "GraphDelta",

@@ -159,7 +159,7 @@ class GraphCache:
 class LRUCache:
     """Minimal thread-safe LRU map with hit/miss accounting.
 
-    Shared by the delta engine's result cache and the audit service's
+    Shared by the engine's audit result cache and the audit service's
     content-addressed report store.
     """
 

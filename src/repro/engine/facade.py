@@ -1,6 +1,6 @@
 """The :class:`AuditEngine` facade — cached, batched, parallel auditing.
 
-One engine object owns the three scaling mechanisms of this package and
+One engine object owns the four scaling mechanisms of this package and
 hands them to the rest of the system behind a small API:
 
 * a :class:`~repro.engine.cache.GraphCache` so repeated audits and
@@ -11,11 +11,16 @@ hands them to the rest of the system behind a small API:
   results either way;
 * the decision *where* a block or a fan-out job runs: an engine with
   more than one worker owns a :class:`~repro.engine.pool.PersistentPool`
-  (or shares an injected one) and everything else runs inline.
+  (or shares an injected one) and everything else runs inline;
+* the content-addressed *audit result cache* behind
+  :meth:`AuditEngine.audit_built` — and so behind ``audit_spec``,
+  ``audit_store`` and ``audit_delta`` — which serves a repeat audit only
+  where it is bit-identical to a cold recomputation.
 
 Consumers: :class:`~repro.core.audit.SIAAuditor` (pass ``engine=``),
-:func:`~repro.analysis.whatif.evaluate_mitigations` (ditto), and the
-``indaas audit-many`` CLI verb.
+:func:`~repro.analysis.whatif.evaluate_mitigations` (ditto),
+:func:`repro.api.execute_request`, the audit service, ``indaas watch``
+and the ``indaas audit-many`` CLI verb.
 """
 
 from __future__ import annotations
@@ -25,11 +30,26 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.audit import SIAAuditor
+from repro.core.faultgraph import FaultGraph
 from repro.core.report import AuditReport, DeploymentAudit
 from repro.core.sampling import SamplingResult, merge_block_outcomes
-from repro.core.spec import AuditSpec
+from repro.core.spec import AuditSpec, RGAlgorithm
 from repro.engine.adaptive import AdaptiveConfig, AdaptiveStopper
-from repro.engine.cache import GraphCache, default_cache
+from repro.engine.cache import (
+    GraphCache,
+    LRUCache,
+    default_cache,
+    structural_hash,
+)
+from repro.engine.incremental import (
+    DeltaAuditReport,
+    DeploymentChange,
+    SpecSetDelta,
+    StoreAuditOutcome,
+    _spec_audit_key,
+    graph_delta,
+)
 from repro.engine.parallel import (
     cancel_scope,
     check_cancelled,
@@ -39,10 +59,18 @@ from repro.engine.parallel import (
     run_plan_serial,
 )
 from repro.engine.pool import PersistentPool
-from repro.engine.specset import AuditJob, SpecSource, load_report_jobs
+from repro.engine.specset import (
+    AuditJob,
+    SpecSource,
+    load_report_jobs,
+    load_spec_set,
+)
 from repro.errors import AnalysisError, SpecificationError
 
 __all__ = ["AuditEngine", "cancel_scope", "check_cancelled"]
+
+#: Deployment audits every engine's result cache keeps (LRU).
+MAX_CACHED_AUDITS = 1024
 
 
 def _run_audit_job(job: AuditJob, block_size: int) -> DeploymentAudit:
@@ -59,7 +87,8 @@ def _run_audit_job(job: AuditJob, block_size: int) -> DeploymentAudit:
 
 
 class AuditEngine:
-    """Facade over graph caching, batched sampling and process fan-out.
+    """Facade over graph caching, batched sampling, process fan-out and
+    the audit result cache.
 
     Args:
         n_workers: Worker processes for sampling blocks and audit jobs.
@@ -76,6 +105,9 @@ class AuditEngine:
             engine with more than one worker owns a pool of its own —
             processes spawn lazily on first parallel use and
             :meth:`close` (or the ``with`` block) brings them home.
+
+    The result cache (:data:`MAX_CACHED_AUDITS` deployment audits)
+    always lives in this process, whatever the worker count.
     """
 
     def __init__(
@@ -94,6 +126,7 @@ class AuditEngine:
         self.pool: Optional[PersistentPool] = (
             PersistentPool(self.n_workers) if self._owns_pool else pool
         )
+        self._audits = LRUCache(MAX_CACHED_AUDITS)
 
     def close(self) -> None:
         """Shut down the worker pool this engine owns, if any."""
@@ -228,10 +261,10 @@ class AuditEngine:
         """Execute a block plan — the one "where do blocks run" step.
 
         Through the pool when this engine fans out and the plan has
-        more than one block, inline otherwise; no subclass replaces it.
-        ``stopper``, when given, truncates the plan at the adaptive
-        stopping point (observed in plan order on either path).
-        Returns ``(outcomes, extra result metadata)``.
+        more than one block, inline otherwise.  ``stopper``, when given,
+        truncates the plan at the adaptive stopping point (observed in
+        plan order on either path).  Returns ``(outcomes, extra result
+        metadata)``.
         """
         if self.fanout > 1 and len(plan) > 1:
             # Workers compile through their process-local caches; don't
@@ -292,8 +325,8 @@ class AuditEngine:
 
         ``specs`` is either a directory containing ``*.json`` spec files
         (see :func:`~repro.engine.specset.load_audit_job`) or an explicit
-        list of file paths.  Loading and validation are shared with the
-        incremental layer (one copy, one behavior — including the
+        list of file paths.  Loading and validation are shared with
+        :meth:`audit_delta` (one copy, one behavior — including the
         duplicate-deployment rejection).
         """
         jobs = load_report_jobs(specs)
@@ -310,67 +343,235 @@ class AuditEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Incremental auditing
+    # Cached auditing
     # ------------------------------------------------------------------ #
 
-    def delta(self) -> "AuditEngine":
-        """The lazily created incremental companion engine.
+    def audit_spec(
+        self,
+        depdb,
+        spec: AuditSpec,
+        weigher=None,
+    ) -> DeploymentAudit:
+        """Audit one deployment through the result cache.
 
-        A :class:`~repro.engine.incremental.DeltaAuditEngine` sharing
-        this engine's :class:`GraphCache`, block size and worker pool
-        (shared, never owned); repeated calls return the same instance,
-        so its result cache stays warm across :meth:`audit_delta` calls.
+        The cache key pairs the built graph's structural hash (which
+        captures every effect of the DepDB, the detail level and the
+        weigher) with the audit parameters and the engine's block size,
+        so a hit is exactly a computation whose cold re-run would be
+        bit-identical.  Cached audits are returned as-is — treat them as
+        read-only.
         """
-        from repro.engine.incremental import DeltaAuditEngine
+        auditor = SIAAuditor(depdb, weigher=weigher, engine=self)
+        graph = auditor.build_graph(spec)
+        audit, _hit = self.audit_built(auditor, graph, spec)
+        return audit
 
-        if isinstance(self, DeltaAuditEngine):
-            return self
-        existing = getattr(self, "_delta_engine", None)
-        if existing is None:
-            existing = DeltaAuditEngine(
-                n_workers=self.n_workers,
-                block_size=self.block_size,
-                cache=self.cache,
-                pool=self.pool,
-            )
-            self._delta_engine = existing
-        return existing
+    def audit_built(
+        self, auditor, graph: FaultGraph, spec: AuditSpec
+    ) -> tuple:
+        """Audit an already-built graph through the result cache.
+
+        Returns ``(audit, hit)`` — the hook
+        :func:`repro.api.execute_request` uses, so the audit service's
+        repeat executions of one request become result-cache hits.
+        """
+        if spec.algorithm is RGAlgorithm.SAMPLING and spec.seed is None:
+            # A seedless sampling audit draws fresh OS entropy on every
+            # cold run, so no cached result is "bit-identical to a cold
+            # recomputation" — always recompute, never cache.
+            return auditor.audit_graph(graph, spec), False
+        key = (structural_hash(graph), self.block_size, _spec_audit_key(spec))
+        audit = self._audits.get(key)
+        if audit is None:
+            audit = auditor.audit_graph(graph, spec)
+            self._audits.put(key, audit)
+            return audit, False
+        return audit, True
+
+    def audit_store(
+        self,
+        depdb,
+        spec: AuditSpec,
+        weigher=None,
+        *,
+        record_snapshot: bool = True,
+        label: str = "",
+    ) -> StoreAuditOutcome:
+        """Audit a live DepDB *store*, snapshot-diffed against its last
+        audited state.
+
+        The store's content hash is compared with its most recent
+        snapshot before auditing: an unchanged store re-audited with
+        unchanged parameters is exactly a result-cache hit (the cache
+        key — structural hash + audit parameters — is a pure function
+        of the record set), so the drift check and the reuse decision
+        can never disagree.  After the audit, a snapshot of the audited
+        state is recorded (labelled with the graph's structural hash
+        unless ``label`` is given) so the *next* call diffs against this
+        audit, and so a later request can name the label as its ``base``.
+        A store that drifted while it was being audited (another thread
+        or process ingested) is left unsnapshotted — the state that was
+        audited is gone, and marking the new one audited would make the
+        next call report ``changed=False`` for records nobody audited.
+        """
+        content = depdb.content_hash()
+        last = depdb.last_snapshot()
+        previous = None if last is None else last.digest
+        auditor = SIAAuditor(depdb, weigher=weigher, engine=self)
+        graph = auditor.build_graph(spec)
+        digest = structural_hash(graph)
+        audit, hit = self.audit_built(auditor, graph, spec)
+        snapshot = None
+        if record_snapshot and depdb.content_hash() == content:
+            snapshot = depdb.snapshot(label or digest)
+        return StoreAuditOutcome(
+            audit=audit,
+            structural_hash=digest,
+            content_hash=content,
+            previous=previous,
+            changed=previous is None or previous != content,
+            cache_hit=hit,
+            snapshot=snapshot,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Delta auditing
+    # ------------------------------------------------------------------ #
+
+    def _build_graph(self, job: AuditJob) -> FaultGraph:
+        return job.auditor(self).build_graph(job.spec)
+
+    def diff_spec_sets(
+        self,
+        old: Optional[SpecSource],
+        new: SpecSource,
+        new_graphs: Optional[dict] = None,
+        old_graphs: Optional[dict] = None,
+    ) -> SpecSetDelta:
+        """Deployment-level diff of two spec sets (``old`` may be None).
+
+        ``old_graphs``/``new_graphs`` are optional ``{deployment: built
+        FaultGraph}`` maps from a previous iteration — deployments found
+        there skip the (pure-Python, surprisingly costly) graph rebuild.
+        """
+        old_jobs = () if old is None else load_spec_set(old)
+        new_jobs = load_spec_set(new)
+        old_by_name = {job.spec.deployment: job for job in old_jobs}
+        new_by_name = {job.spec.deployment: job for job in new_jobs}
+        added = tuple(sorted(set(new_by_name) - set(old_by_name)))
+        removed = tuple(sorted(set(old_by_name) - set(new_by_name)))
+        common = sorted(set(old_by_name) & set(new_by_name))
+
+        old_graphs = dict(old_graphs or {})
+        for name in common:
+            if name not in old_graphs:
+                old_graphs[name] = self._build_graph(old_by_name[name])
+        if new_graphs is None:
+            new_graphs = {
+                name: self._build_graph(new_by_name[name])
+                for name in common
+            }
+        changed: list[DeploymentChange] = []
+        unchanged: list[str] = []
+        for name in common:
+            delta = graph_delta(old_graphs[name], new_graphs[name])
+            spec_changed = _spec_audit_key(
+                old_by_name[name].spec
+            ) != _spec_audit_key(new_by_name[name].spec)
+            if delta.is_noop and not spec_changed:
+                unchanged.append(name)
+            else:
+                changed.append(
+                    DeploymentChange(
+                        deployment=name,
+                        delta=delta,
+                        spec_changed=spec_changed,
+                    )
+                )
+        return SpecSetDelta(
+            added=added,
+            removed=removed,
+            changed=tuple(changed),
+            unchanged=tuple(unchanged),
+        )
 
     def audit_delta(
         self,
-        old,
-        new,
+        old: Optional[SpecSource],
+        new: SpecSource,
         title: str = "delta audit",
         client: str = "",
-        old_graphs=None,
-        prebuilt_graphs=None,
-    ):
-        """Diff two deployment spec sets and re-audit only what changed.
+        old_graphs: Optional[dict] = None,
+        prebuilt_graphs: Optional[dict] = None,
+    ) -> DeltaAuditReport:
+        """Re-audit ``new``, reusing everything the diff proves unchanged.
 
-        ``old``/``new`` are spec directories or :class:`AuditJob`
-        sequences (``old`` may be ``None`` for a first run).  Callers
-        polling in a loop should feed the returned outcome's
-        ``new_graphs`` back as ``old_graphs`` so steady-state calls skip
-        rebuilding the old side of the diff; ``prebuilt_graphs``
-        likewise short-circuits the new side (see
-        :meth:`~repro.engine.incremental.DeltaAuditEngine.audit_delta`
-        for the caller's proof obligation).  Returns a
-        :class:`~repro.engine.incremental.DeltaAuditReport` whose report
-        is bit-identical to a cold full audit of ``new``; see
-        :mod:`repro.engine.incremental`.
+        ``old`` is the previously audited spec set (a directory or a
+        job sequence); pass ``None`` for a first run (everything counts
+        as added).  The engine does not re-audit ``old`` — when it was
+        audited through this engine before, its deployments sit in the
+        result cache and every unchanged deployment becomes a cache hit.
+        ``old_graphs`` optionally recycles the previous iteration's
+        built graphs (``outcome.new_graphs``) so steady-state polls skip
+        rebuilding the old side of the diff; ``prebuilt_graphs`` does
+        the same for the *new* side — the caller asserts each entry is
+        the built graph of the same-named job in ``new`` (the watch
+        service proves this with file snapshots).  The returned report's
+        deployments are bit-identical to an uncached
+        :meth:`audit_jobs` over ``new``.
         """
-        return self.delta().audit_delta(
-            old,
-            new,
+        new_jobs = load_report_jobs(new)
+        prebuilt = prebuilt_graphs or {}
+        new_graphs = {
+            job.spec.deployment: (
+                prebuilt.get(job.spec.deployment)
+                or self._build_graph(job)
+            )
+            for job in new_jobs
+        }
+        delta = self.diff_spec_sets(
+            old, new_jobs, new_graphs=new_graphs, old_graphs=old_graphs
+        )
+        # The one cached loop: every deployment of the set goes through
+        # the result cache of this process, in order.
+        audits: list[DeploymentAudit] = []
+        reused: list[str] = []
+        recomputed: list[str] = []
+        for job in new_jobs:
+            check_cancelled()
+            audit, hit = self.audit_built(
+                job.auditor(self), new_graphs[job.spec.deployment], job.spec
+            )
+            audits.append(audit)
+            (reused if hit else recomputed).append(job.spec.deployment)
+        report = AuditReport(
             title=title,
+            audits=audits,
+            ranking_method=new_jobs[0].spec.ranking,
             client=client,
-            old_graphs=old_graphs,
-            prebuilt_graphs=prebuilt_graphs,
+            metadata={
+                "reused": reused,
+                "recomputed": recomputed,
+                "delta": delta.to_dict(),
+            },
+        )
+        return DeltaAuditReport(
+            report=report,
+            delta=delta,
+            reused=tuple(reused),
+            recomputed=tuple(recomputed),
+            new_graphs=new_graphs,
         )
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
+
+    def cache_info(self) -> dict:
+        return {
+            "graphs": self.cache.info(),
+            "audits": self._audits.info(),
+        }
 
     def info(self) -> dict:
         return {
@@ -378,6 +579,7 @@ class AuditEngine:
             "block_size": self.block_size,
             "cpu_count": os.cpu_count(),
             "cache": self.cache.info(),
+            "audits": self._audits.info(),
             "pool": (
                 self.pool.stats()
                 if self.pool is not None

@@ -1,27 +1,27 @@
-"""Incremental (delta) auditing — keep reports fresh as deployments drift.
+"""Incremental (delta) auditing — the diff and its value types.
 
 INDaaS is a *service*: dependency data changes continuously (AID and the
 follow-up cloud-reliability literature measure constant drift), so the
 auditor must not re-pay full fault-graph compilation and sampling on
-every small change.  This module layers incremental recomputation on the
-PR-1 engine without ever bending its determinism contract:
+every small change.  The re-auditing itself is
+:class:`~repro.engine.facade.AuditEngine`'s content-addressed *result
+cache* (``audit_built`` and the ``audit_spec`` / ``audit_store`` /
+``audit_delta`` calls above it); this module holds what that cache is
+keyed and reported by, without ever bending the determinism contract:
 
 * :func:`graph_delta` — structural diff between two fault graphs
   (events added / removed / re-wired, probabilities changed) plus the
   *affected cone*: every changed event and all of its ancestors up to
   the top event.  An empty delta is exactly equivalent to an unchanged
   :func:`~repro.engine.cache.structural_hash`.
-* :class:`DeltaAuditEngine` — an :class:`~repro.engine.AuditEngine`
-  whose auditing path runs through a content-addressed *result cache*
-  keyed by structural hash + audit parameters.  A cached audit is
-  reused **only** when the key proves the cold computation would be
-  bit-identical, so every result the delta engine returns equals a cold
-  full audit of the same input — reuse can change wall-clock time,
-  never bytes.
-* :meth:`DeltaAuditEngine.audit_delta` — diff two deployment spec sets,
-  re-audit only deployments whose fault graph (or audit parameters)
-  actually changed, and serve the untouched ones from cache, reporting
-  exactly what was reused and why.
+* :func:`_spec_audit_key` — the audit parameters the result-cache key
+  pairs with the structural hash.  A cached audit is reused **only**
+  when the key proves the cold computation would be bit-identical, so
+  reuse can change wall-clock time, never bytes.
+* :class:`SpecSetDelta`, :class:`DeploymentChange`,
+  :class:`DeltaAuditReport` and :class:`StoreAuditOutcome` — what a
+  spec-set or store re-audit reports: which deployments changed, what
+  was reused and why.
 
 What is (and is not) reusable, bit-identically
 ----------------------------------------------
@@ -43,10 +43,10 @@ reused, and is:
 * compiled array/BDD forms for any graph structure seen before (the
   shared :class:`~repro.engine.cache.GraphCache`).
 
-The result cache lives in this process: deployments of a set are audited
-one after another through it (the uncached process fan-out is
-:meth:`AuditEngine.audit_jobs`), and a miss samples exactly as the base
-engine does — :meth:`AuditEngine.sample`, inline or through its pool.
+The result cache lives in the engine's process: deployments of a set
+are audited one after another through it (the uncached process fan-out
+is :meth:`AuditEngine.audit_jobs`), and a miss samples exactly as any
+audit does — :meth:`AuditEngine.sample`, inline or through the pool.
 Worker counts never change results — see DESIGN.md.
 """
 
@@ -55,18 +55,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.audit import SIAAuditor
 from repro.core.faultgraph import FaultGraph
 from repro.core.report import AuditReport, DeploymentAudit
-from repro.core.spec import AuditSpec, RGAlgorithm
-from repro.engine.cache import GraphCache, LRUCache, structural_hash
-from repro.engine.facade import AuditEngine, check_cancelled
-from repro.engine.specset import (
-    AuditJob,
-    SpecSource,
-    load_report_jobs,
-    load_spec_set,
-)
+from repro.core.spec import AuditSpec
 
 __all__ = [
     "GraphDelta",
@@ -74,7 +65,6 @@ __all__ = [
     "DeploymentChange",
     "SpecSetDelta",
     "DeltaAuditReport",
-    "DeltaAuditEngine",
     "StoreAuditOutcome",
 ]
 
@@ -244,7 +234,7 @@ def _spec_audit_key(spec: AuditSpec) -> tuple:
 
 @dataclass(frozen=True)
 class StoreAuditOutcome:
-    """One :meth:`DeltaAuditEngine.audit_store` result with drift proof.
+    """One :meth:`AuditEngine.audit_store` result with drift proof.
 
     Attributes:
         audit: The deployment audit (bit-identical to a cold audit of
@@ -344,277 +334,3 @@ class DeltaAuditReport:
     #: ``audit_delta(old_graphs=...)`` call to skip rebuilding the old
     #: side of the diff (what ``indaas watch`` does every poll).
     new_graphs: dict = field(default_factory=dict, repr=False)
-
-
-# --------------------------------------------------------------------- #
-# The delta engine
-# --------------------------------------------------------------------- #
-
-
-class DeltaAuditEngine(AuditEngine):
-    """An :class:`AuditEngine` with one content-addressed result cache.
-
-    Args:
-        n_workers: Worker processes, exactly as for the base engine
-            (the result cache itself always lives in this process).  As
-            everywhere, the worker count never changes results.
-        block_size: Sampling rounds per block (part of the stream
-            definition, exactly as for the base engine).
-        cache: Optional shared :class:`GraphCache`.
-        max_cached_audits: LRU capacity of the deployment-audit cache.
-        pool: Optional shared worker pool, as for the base engine.
-
-    Sampling *is* the base engine's (:meth:`AuditEngine.sample`, not
-    overridden); auditing shares this process's warm result cache across
-    repeated calls, and a cached audit is bit-identical to the base
-    engine's cold one for the same seed and block size.
-    """
-
-    def __init__(
-        self,
-        n_workers: Optional[int] = None,
-        block_size: int = 4096,
-        cache: Optional[GraphCache] = None,
-        max_cached_audits: int = 1024,
-        pool=None,
-    ) -> None:
-        super().__init__(
-            n_workers=n_workers, block_size=block_size, cache=cache, pool=pool
-        )
-        self._audits = LRUCache(max_cached_audits)
-
-    # ------------------------------------------------------------------ #
-    # Cached auditing
-    # ------------------------------------------------------------------ #
-
-    def audit_spec(
-        self,
-        depdb,
-        spec: AuditSpec,
-        weigher=None,
-    ) -> DeploymentAudit:
-        """Audit one deployment through the result cache.
-
-        The cache key pairs the built graph's structural hash (which
-        captures every effect of the DepDB, the detail level and the
-        weigher) with the audit parameters and the engine's block size,
-        so a hit is exactly a computation whose cold re-run would be
-        bit-identical.  Cached audits are returned as-is — treat them as
-        read-only.
-        """
-        auditor = SIAAuditor(depdb, weigher=weigher, engine=self)
-        graph = auditor.build_graph(spec)
-        audit, _hit = self.audit_built(auditor, graph, spec)
-        return audit
-
-    def audit_built(
-        self, auditor, graph: FaultGraph, spec: AuditSpec
-    ) -> tuple:
-        """Audit an already-built graph through the result cache.
-
-        Returns ``(audit, hit)`` — the public hook
-        :func:`repro.api.execute_request` uses, so the audit service's
-        repeat executions of one request become result-cache hits.
-        """
-        if spec.algorithm is RGAlgorithm.SAMPLING and spec.seed is None:
-            # A seedless sampling audit draws fresh OS entropy on every
-            # cold run, so no cached result is "bit-identical to a cold
-            # recomputation" — always recompute, never cache.
-            return auditor.audit_graph(graph, spec), False
-        key = (structural_hash(graph), self.block_size, _spec_audit_key(spec))
-        audit = self._audits.get(key)
-        if audit is None:
-            audit = auditor.audit_graph(graph, spec)
-            self._audits.put(key, audit)
-            return audit, False
-        return audit, True
-
-    def audit_store(
-        self,
-        depdb,
-        spec: AuditSpec,
-        weigher=None,
-        *,
-        record_snapshot: bool = True,
-        label: str = "",
-    ) -> StoreAuditOutcome:
-        """Audit a live DepDB *store*, snapshot-diffed against its last
-        audited state.
-
-        The store's content hash is compared with its most recent
-        snapshot before auditing: an unchanged store re-audited with
-        unchanged parameters is exactly a result-cache hit (the cache
-        key — structural hash + audit parameters — is a pure function
-        of the record set), so the drift check and the reuse decision
-        can never disagree.  After the audit, a snapshot of the audited
-        state is recorded (labelled with the graph's structural hash
-        unless ``label`` is given) so the *next* call diffs against this
-        audit, and so a later request can name the label as its ``base``.
-        A store that drifted while it was being audited (another thread
-        or process ingested) is left unsnapshotted — the state that was
-        audited is gone, and marking the new one audited would make the
-        next call report ``changed=False`` for records nobody audited.
-        """
-        content = depdb.content_hash()
-        last = depdb.last_snapshot()
-        previous = None if last is None else last.digest
-        auditor = SIAAuditor(depdb, weigher=weigher, engine=self)
-        graph = auditor.build_graph(spec)
-        digest = structural_hash(graph)
-        audit, hit = self.audit_built(auditor, graph, spec)
-        snapshot = None
-        if record_snapshot and depdb.content_hash() == content:
-            snapshot = depdb.snapshot(label or digest)
-        return StoreAuditOutcome(
-            audit=audit,
-            structural_hash=digest,
-            content_hash=content,
-            previous=previous,
-            changed=previous is None or previous != content,
-            cache_hit=hit,
-            snapshot=snapshot,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Delta auditing
-    # ------------------------------------------------------------------ #
-
-    def _build_graph(self, job: AuditJob) -> FaultGraph:
-        return job.auditor(self).build_graph(job.spec)
-
-    def diff_spec_sets(
-        self,
-        old: Optional[SpecSource],
-        new: SpecSource,
-        new_graphs: Optional[dict] = None,
-        old_graphs: Optional[dict] = None,
-    ) -> SpecSetDelta:
-        """Deployment-level diff of two spec sets (``old`` may be None).
-
-        ``old_graphs``/``new_graphs`` are optional ``{deployment: built
-        FaultGraph}`` maps from a previous iteration — deployments found
-        there skip the (pure-Python, surprisingly costly) graph rebuild.
-        """
-        old_jobs = () if old is None else load_spec_set(old)
-        new_jobs = load_spec_set(new)
-        old_by_name = {job.spec.deployment: job for job in old_jobs}
-        new_by_name = {job.spec.deployment: job for job in new_jobs}
-        added = tuple(sorted(set(new_by_name) - set(old_by_name)))
-        removed = tuple(sorted(set(old_by_name) - set(new_by_name)))
-        common = sorted(set(old_by_name) & set(new_by_name))
-
-        old_graphs = dict(old_graphs or {})
-        for name in common:
-            if name not in old_graphs:
-                old_graphs[name] = self._build_graph(old_by_name[name])
-        if new_graphs is None:
-            new_graphs = {
-                name: self._build_graph(new_by_name[name])
-                for name in common
-            }
-        changed: list[DeploymentChange] = []
-        unchanged: list[str] = []
-        for name in common:
-            delta = graph_delta(old_graphs[name], new_graphs[name])
-            spec_changed = _spec_audit_key(
-                old_by_name[name].spec
-            ) != _spec_audit_key(new_by_name[name].spec)
-            if delta.is_noop and not spec_changed:
-                unchanged.append(name)
-            else:
-                changed.append(
-                    DeploymentChange(
-                        deployment=name,
-                        delta=delta,
-                        spec_changed=spec_changed,
-                    )
-                )
-        return SpecSetDelta(
-            added=added,
-            removed=removed,
-            changed=tuple(changed),
-            unchanged=tuple(unchanged),
-        )
-
-    def audit_delta(
-        self,
-        old: Optional[SpecSource],
-        new: SpecSource,
-        title: str = "delta audit",
-        client: str = "",
-        old_graphs: Optional[dict] = None,
-        prebuilt_graphs: Optional[dict] = None,
-    ) -> DeltaAuditReport:
-        """Re-audit ``new``, reusing everything the diff proves unchanged.
-
-        ``old`` is the previously audited spec set (a directory or a
-        job sequence); pass ``None`` for a first run (everything counts
-        as added).  The engine does not re-audit ``old`` — when it was
-        audited through this engine before, its deployments sit in the
-        result cache and every unchanged deployment becomes a cache hit.
-        ``old_graphs`` optionally recycles the previous iteration's
-        built graphs (``outcome.new_graphs``) so steady-state polls skip
-        rebuilding the old side of the diff; ``prebuilt_graphs`` does
-        the same for the *new* side — the caller asserts each entry is
-        the built graph of the same-named job in ``new`` (the watch
-        service proves this with file snapshots).  The returned report's
-        deployments are bit-identical to an uncached
-        :meth:`AuditEngine.audit_jobs` over ``new``.
-        """
-        new_jobs = load_report_jobs(new)
-        prebuilt = prebuilt_graphs or {}
-        new_graphs = {
-            job.spec.deployment: (
-                prebuilt.get(job.spec.deployment)
-                or self._build_graph(job)
-            )
-            for job in new_jobs
-        }
-        delta = self.diff_spec_sets(
-            old, new_jobs, new_graphs=new_graphs, old_graphs=old_graphs
-        )
-        # The one cached loop: every deployment of the set goes through
-        # the result cache of this process, in order.
-        audits: list[DeploymentAudit] = []
-        reused: list[str] = []
-        recomputed: list[str] = []
-        for job in new_jobs:
-            check_cancelled()
-            audit, hit = self.audit_built(
-                job.auditor(self), new_graphs[job.spec.deployment], job.spec
-            )
-            audits.append(audit)
-            (reused if hit else recomputed).append(job.spec.deployment)
-        report = AuditReport(
-            title=title,
-            audits=audits,
-            ranking_method=new_jobs[0].spec.ranking,
-            client=client,
-            metadata={
-                "reused": reused,
-                "recomputed": recomputed,
-                "delta": delta.to_dict(),
-            },
-        )
-        return DeltaAuditReport(
-            report=report,
-            delta=delta,
-            reused=tuple(reused),
-            recomputed=tuple(recomputed),
-            new_graphs=new_graphs,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def cache_info(self) -> dict:
-        return {
-            "graphs": self.cache.info(),
-            "audits": self._audits.info(),
-        }
-
-    def info(self) -> dict:
-        info = super().info()
-        info["incremental"] = self.cache_info()
-        return info

@@ -46,7 +46,8 @@ The engine contracts it carries:
   in the parent — bit-identical, the blocks are pure — and respawns
   lazily on next use.  The store outlives a lost executor; a lost
   store takes its executor along, because those workers can no longer
-  pull from it.
+  pull from it.  A thread whose executor another thread retired
+  before it could submit finishes inline the same way.
 
 :meth:`stats` exposes the economics — warm/cold worker cache hits, tasks
 executed, respawn count, shipped bytes — and is surfaced in audit
@@ -172,6 +173,19 @@ def _pool_block_task(task: tuple):
 def _pool_call_job(task: tuple):
     fn, args = task
     return fn(*args)
+
+
+def _submit(executor, fn, task):
+    """``executor.submit``, reporting a retired executor as a broken one.
+
+    Another thread may retire the executor between ``_ensure_started``
+    and this call; its shutdown then refuses new work with a plain
+    ``RuntimeError``, which callers repair exactly as a broken pool.
+    """
+    try:
+        return executor.submit(fn, task)
+    except RuntimeError as exc:
+        raise BrokenExecutor(str(exc)) from exc
 
 
 def _release_resources(resources: dict) -> None:
@@ -399,8 +413,10 @@ class PersistentPool:
         on the compiled graph — bit-identical outcomes, cancel within
         ~one block, stopper observed in plan order — with the blocks
         computed in worker processes.  A worker or manager death
-        mid-plan is repaired here: the remaining blocks (the dead
-        worker's included) run inline in the parent, in plan order.
+        mid-plan, or an executor another thread retired before this
+        plan could submit to it, is repaired here: the remaining blocks
+        (the dead worker's included) run inline in the parent, in plan
+        order.
         """
         block_options = {
             "probabilities": probabilities,
@@ -440,7 +456,7 @@ class PersistentPool:
                         minimise,
                         index in kills,
                     )
-                    futures.append(executor.submit(_pool_block_task, task))
+                    futures.append(_submit(executor, _pool_block_task, task))
                 for future in futures:
                     while True:
                         check_cancelled()
@@ -497,9 +513,9 @@ class PersistentPool:
 
         The multi-process half of
         :func:`~repro.engine.parallel.map_jobs`: same ordering, cancel
-        polling between completions, and broken-pool repair (remaining
-        jobs run inline in the parent — job functions are pure, so
-        results are unchanged).
+        polling between completions, and broken- or retired-pool repair
+        (remaining jobs run inline in the parent — job functions are
+        pure, so results are unchanged).
         """
         jobs = list(argument_tuples)
         if self.workers <= 1 or len(jobs) <= 1:
@@ -513,7 +529,7 @@ class PersistentPool:
                 for args in jobs:
                     check_cancelled()
                     futures.append(
-                        executor.submit(_pool_call_job, (fn, args))
+                        _submit(executor, _pool_call_job, (fn, args))
                     )
                 for future in futures:
                     while True:

@@ -5,8 +5,8 @@ module is the one place that turns a directory of ``audit-many`` spec
 files (or ready jobs) into validated :class:`AuditJob` tuples; the
 one-shot fan-out (:meth:`~repro.engine.facade.AuditEngine.audit_many`)
 and the cached loop
-(:meth:`~repro.engine.incremental.DeltaAuditEngine.audit_delta`) both
-start here.  It imports neither engine class.
+(:meth:`~repro.engine.facade.AuditEngine.audit_delta`) both start
+here.  It does not import the engine.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ Layers, bottom-up:
 * :mod:`repro.service.admission` — bounded per-tenant fair admission
   (reject with 429 + ``Retry-After``, never queue unboundedly).
 * :mod:`repro.service.jobs` — :class:`JobManager`: worker threads over
-  one shared delta engine, cooperative cancellation, canonical event
-  logs, and the two-level content-addressed report store.
+  one shared engine and its result cache, cooperative cancellation,
+  canonical event logs, and the two-level content-addressed report
+  store.
 * :mod:`repro.service.router` — transport-independent request routing
   to canonical :mod:`repro.api` documents.
 * :mod:`repro.service.server` — the stdlib asyncio HTTP/1.1 front-end

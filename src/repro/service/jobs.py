@@ -1,9 +1,9 @@
 """Job lifecycle for the audit service.
 
 A :class:`JobManager` owns one shared
-:class:`~repro.engine.incremental.DeltaAuditEngine` and a pool of worker
-threads.  Submissions come in as canonical
-:class:`~repro.api.AuditRequest` objects and move through the
+:class:`~repro.engine.facade.AuditEngine` (and with it the engine's
+audit result cache) and a pool of worker threads.  Submissions come in
+as canonical :class:`~repro.api.AuditRequest` objects and move through the
 :data:`~repro.api.JOB_STATES` lifecycle; every transition appends a
 canonical :func:`~repro.api.job_event` to the job's event log, which is
 what the server's streaming endpoint replays.
@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Union
 
 from repro import api
 from repro.engine.cache import LRUCache
-from repro.engine.incremental import DeltaAuditEngine
+from repro.engine.facade import AuditEngine
 from repro.engine.parallel import cancel_scope
 from repro.errors import AuditCancelled, IndaasError, ServiceError
 from repro.service.admission import AdmissionQueue
@@ -73,10 +73,9 @@ class JobManager:
     """Thread-based executor behind the HTTP front-end.
 
     Args:
-        engine: Shared engine (a private
-            :class:`~repro.engine.incremental.DeltaAuditEngine` is
-            created otherwise; a plain ``AuditEngine`` is promoted via
-            ``.delta()``).
+        engine: Shared :class:`~repro.engine.facade.AuditEngine`, whose
+            result cache serves repeat audits (a private one is created
+            otherwise).
         workers: Worker threads.  ``0`` runs no threads — tests drive
             execution deterministically with :meth:`run_pending`.
         per_tenant_limit / total_limit: Admission bounds (see
@@ -107,9 +106,7 @@ class JobManager:
         # An engine the manager constructs is the manager's to close;
         # an injected one (and its worker pool) stays the caller's.
         self._owns_engine = engine is None
-        if engine is None:
-            engine = DeltaAuditEngine()
-        self.engine = engine.delta()
+        self.engine = AuditEngine() if engine is None else engine
         self.admission = AdmissionQueue(
             per_tenant_limit=per_tenant_limit, total_limit=total_limit
         )

@@ -3,7 +3,7 @@
 A file-polling loop over a directory of ``audit-many`` spec files: each
 iteration reloads what moved on disk, delta-audits the set against the
 previous iteration through one warm
-:class:`~repro.engine.incremental.DeltaAuditEngine`, and emits one
+:class:`~repro.engine.facade.AuditEngine`'s result cache, and emits one
 canonical :func:`repro.api.job_event` — the same envelope as the audit
 server's job event stream.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro import api
-from repro.engine.incremental import DeltaAuditEngine
+from repro.engine.facade import AuditEngine
 from repro.engine.specset import AuditJob, load_audit_job, load_spec_set
 from repro.errors import IndaasError, SpecificationError
 
@@ -29,7 +29,7 @@ class WatchService:
 
     Each iteration reloads the directory's ``*.json`` deployment specs,
     delta-audits them against the previous iteration's set (the caches
-    stay warm inside the shared :class:`DeltaAuditEngine`), and produces
+    stay warm inside the shared :class:`AuditEngine`), and produces
     one JSON-serialisable report dict.  Spec errors (half-written files,
     an emptied directory) are reported, not fatal — the service keeps
     polling.
@@ -41,7 +41,7 @@ class WatchService:
 
     Args:
         directory: Directory of ``audit-many``-style spec files.
-        engine: Shared delta engine (a private one is created otherwise).
+        engine: Shared engine (a private one is created otherwise).
         interval: Seconds to sleep between polls in :meth:`run`.
         title: Report title used for every iteration.
         include_report: Embed the full audit report dict in every
@@ -56,7 +56,7 @@ class WatchService:
     def __init__(
         self,
         directory: Union[str, Path],
-        engine: Optional[DeltaAuditEngine] = None,
+        engine: Optional[AuditEngine] = None,
         interval: float = 2.0,
         title: str = "indaas watch",
         include_report: bool = True,
@@ -65,11 +65,7 @@ class WatchService:
         if interval < 0:
             raise SpecificationError(f"interval must be >= 0, got {interval}")
         self.directory = Path(directory)
-        if engine is None:
-            engine = DeltaAuditEngine()
-        # A base AuditEngine is welcome too: .delta() hands back its
-        # incremental companion (and is a no-op on a DeltaAuditEngine).
-        self.engine = engine.delta()
+        self.engine = AuditEngine() if engine is None else engine
         self.interval = interval
         self.title = title
         self.include_report = include_report

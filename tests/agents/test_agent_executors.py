@@ -13,7 +13,7 @@ import pytest
 from repro import api
 from repro.agents import AuditingAgent, DataSource
 from repro.depdb import DepDB, SoftwareDependency
-from repro.engine.incremental import DeltaAuditEngine
+from repro.engine import AuditEngine
 from repro.errors import FaultGraphError, ServiceError, SpecificationError
 
 from tests.agents.conftest import LAB_DEPLOYMENTS as DEPLOYMENTS, lab_request
@@ -113,7 +113,7 @@ class TestExecutorSeesCanonicalRequests:
     def test_engine_backed_executor_serves_repeats_from_its_lru(
         self, lab_sources
     ):
-        with DeltaAuditEngine(n_workers=0) as engine:
+        with AuditEngine(n_workers=0) as engine:
             agent = AuditingAgent(
                 lab_sources,
                 audit=functools.partial(api.run_request, engine=engine),

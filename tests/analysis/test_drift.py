@@ -88,7 +88,7 @@ class TestDriftWithDeltaEngine:
     SPEC = AuditSpec(deployment="S1 & S2", servers=("S1", "S2"))
 
     def test_engine_backed_drift_matches_plain(self):
-        from repro.engine import DeltaAuditEngine
+        from repro.engine import AuditEngine
 
         plain = drift_report(
             snapshot_v1(), snapshot_v2_regressed(), self.SPEC
@@ -97,7 +97,7 @@ class TestDriftWithDeltaEngine:
             snapshot_v1(),
             snapshot_v2_regressed(),
             self.SPEC,
-            engine=DeltaAuditEngine(),
+            engine=AuditEngine(),
         )
         assert engineered.regressed == plain.regressed
         assert (
@@ -109,9 +109,9 @@ class TestDriftWithDeltaEngine:
         assert engineered.score_after == plain.score_after
 
     def test_warm_engine_reuses_the_previous_period(self):
-        from repro.engine import DeltaAuditEngine
+        from repro.engine import AuditEngine
 
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         drift_report(snapshot_v1(), snapshot_v2_regressed(), self.SPEC,
                      engine=engine)
         before_hits = engine.cache_info()["audits"]["hits"]

@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro import api
-from repro.engine.incremental import DeltaAuditEngine
+from repro.engine import AuditEngine
 from repro.errors import SpecificationError
 
 DEPDB = (
@@ -84,7 +84,7 @@ class TestAuditFrontDoor:
             repro.audit(42, ["S1"])
 
     def test_delta_engine_serves_repeat_from_cache(self):
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         request = api.AuditRequest(servers=("S1", "S2"), depdb=DEPDB, seed=4)
         cold = api.execute_request(request, engine=engine)
         warm = api.execute_request(request, engine=engine)
@@ -173,7 +173,7 @@ class TestAuditDeltaFrontDoor:
         return tmp_path
 
     def test_first_run_then_noop_delta(self, spec_dir):
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         cold = repro.audit_delta(None, str(spec_dir), engine=engine)
         warm = repro.audit_delta(str(spec_dir), str(spec_dir), engine=engine)
         assert cold.to_dict()["kind"] == "audit_report"

@@ -182,14 +182,14 @@ def test_audit_report_parity(tmp_path, algorithm, workers):
 def test_engine_audit_spec_accepts_sqlite_store(tmp_path):
     """SIAAuditor queries the store directly — not via a dump."""
     from repro.core.spec import AuditSpec
-    from repro.engine.incremental import DeltaAuditEngine
+    from repro.engine import AuditEngine
 
     memory = DepDB(_DEPLOYMENT)
     sqlite = DepDB.sqlite(tmp_path / "dep.sqlite", records=_DEPLOYMENT)
     try:
         spec = AuditSpec(deployment="riak", servers=("S1", "S2"))
         audits = [
-            DeltaAuditEngine().audit_spec(db, spec) for db in (memory, sqlite)
+            AuditEngine().audit_spec(db, spec) for db in (memory, sqlite)
         ]
         assert audits[0].to_dict() == audits[1].to_dict()
     finally:

@@ -26,7 +26,7 @@ from repro.depdb import (
     NetworkDependency,
     SoftwareDependency,
 )
-from repro.engine import AuditJob, DeltaAuditEngine
+from repro.engine import AuditEngine, AuditJob
 from repro.failures import uniform_weigher
 from repro.service import WatchService
 
@@ -77,7 +77,7 @@ def test_audit_delta_first_run_then_noop():
         AuditJob(depdb=depdb, spec=sampling_spec(a, b))
         for a, b in (("S1", "S2"), ("S1", "S3"), ("S2", "S3"))
     ]
-    engine = DeltaAuditEngine()
+    engine = AuditEngine()
     first = repro.audit_delta(None, specs, engine=engine)
     noop = repro.audit_delta(specs, specs, engine=engine)
     assert noop.metadata["reused"] == [job.spec.deployment for job in specs]
@@ -112,7 +112,7 @@ def outcome_document(outcome) -> str:
 def test_audit_store_first_and_repeat(tmp_path):
     with DepDB.sqlite(tmp_path / "store.sqlite") as store:
         store.ingest(iter(RECORDS))
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         spec = sampling_spec("S1", "S2", "S3")
         first = engine.audit_store(store, spec)
         repeat = engine.audit_store(store, spec)
@@ -154,7 +154,7 @@ def test_watch_iterations(tmp_path, monkeypatch):
         )
     # A relative directory keeps the event's "directory" field stable.
     monkeypatch.chdir(tmp_path)
-    service = WatchService("specs", engine=DeltaAuditEngine(), interval=0)
+    service = WatchService("specs", engine=AuditEngine(), interval=0)
     lines = []
     for _ in WATCH_PINS:
         entry = service.run_once()
@@ -208,7 +208,7 @@ def test_drift_report(with_engine):
         after,
         spec,
         weigher=uniform_weigher(0.1),
-        engine=DeltaAuditEngine() if with_engine else None,
+        engine=AuditEngine() if with_engine else None,
     )
     assert report.regressed
     assert sha(drift_document(report)) == DRIFT_PIN
@@ -239,6 +239,6 @@ def test_run_request(kind, with_engine):
         depdb=DepDB(RECORDS).dumps(),
         **REQUESTS[kind],
     )
-    engine = DeltaAuditEngine(n_workers=1) if with_engine else None
+    engine = AuditEngine(n_workers=1) if with_engine else None
     report = api.run_request(request, engine=engine)
     assert sha(report.to_json()) == REQUEST_PINS[kind]

@@ -1,8 +1,8 @@
 """The incremental delta-audit layer (ISSUE 2 tentpole).
 
 Covers the graph diff (and its equivalence with the structural hash),
-bit-identical audit reuse in :class:`DeltaAuditEngine`, the guards that
-its sampling is the base engine's, and the ``audit_delta`` spec-set
+bit-identical audit reuse through the engine's result cache, the guards
+that no block-level cache sits under it, and the ``audit_delta`` spec-set
 workflow (the ``indaas watch`` poll loop over it is covered in
 ``tests/service/test_watch.py``).
 """
@@ -22,7 +22,6 @@ from repro.depdb.records import HardwareDependency
 from repro.engine import (
     AuditEngine,
     AuditJob,
-    DeltaAuditEngine,
     graph_delta,
     load_spec_set,
     structural_hash,
@@ -111,21 +110,19 @@ class TestGraphDelta:
 
 
 class TestCachedSampling:
-    """Sampling on a delta engine *is* the base engine's: no block-level
-    cache sits under the result cache (ISSUE 19)."""
+    """No block-level cache sits under the result cache (ISSUE 19):
+    sampling on a warm engine is sampling."""
 
     def test_parity_with_serial_and_base_engine(self, deep_graph):
         serial = FailureSampler(deep_graph, seed=21).run(9_000)
-        base = AuditEngine().sample(deep_graph, 9_000, seed=21)
-        delta = DeltaAuditEngine().sample(deep_graph, 9_000, seed=21)
-        for other in (base, delta):
-            assert other.risk_groups == serial.risk_groups
-            assert other.top_failures == serial.top_failures
-            assert other.unique_failure_sets == serial.unique_failure_sets
+        engine = AuditEngine().sample(deep_graph, 9_000, seed=21)
+        assert engine.risk_groups == serial.risk_groups
+        assert engine.top_failures == serial.top_failures
+        assert engine.unique_failure_sets == serial.unique_failure_sets
 
     def test_block_size_is_part_of_the_key(self, deep_graph):
-        engine_a = DeltaAuditEngine(block_size=1000)
-        engine_b = DeltaAuditEngine(block_size=4096)
+        engine_a = AuditEngine(block_size=1000)
+        engine_b = AuditEngine(block_size=4096)
         a = engine_a.sample(deep_graph, 4_000, seed=1)
         b = engine_b.sample(deep_graph, 4_000, seed=1)
         # Different stream definitions may legitimately differ ...
@@ -142,23 +139,22 @@ class TestCachedSampling:
         serial = FailureSampler(figure_4b, use_weights=True, seed=11).run(
             8_192
         )
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         warm = engine.sample(figure_4b, 8_192, use_weights=True, seed=11)
         again = engine.sample(figure_4b, 8_192, use_weights=True, seed=11)
         assert warm.risk_groups == serial.risk_groups
         assert again.risk_groups == serial.risk_groups
 
     def test_one_sampling_body(self, deep_graph):
-        """Surface guards: the delta engine forks nothing of sampling."""
-        assert "_run_plan" not in vars(DeltaAuditEngine)
-        assert DeltaAuditEngine.sample is AuditEngine.sample
+        """Surface guards: no block cache, in the signatures or the
+        result metadata."""
         assert "max_cached_blocks" not in inspect.signature(
-            DeltaAuditEngine
+            AuditEngine
         ).parameters
         assert "reusable_stream" not in inspect.signature(
             AuditEngine._run_plan
         ).parameters
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         assert set(engine.cache_info()) == {"graphs", "audits"}
         result = engine.sample(deep_graph, 2_000, seed=0)
         assert "incremental" not in result.metadata
@@ -178,7 +174,7 @@ class TestCachedSampling:
             for i in range(3)
         }
         graph = ComponentSets.from_mapping(sets).to_fault_graph("wide")
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         engine.sample(graph, 4_096, seed=0)  # warm-up: compile, imports
 
         def traced() -> int:
@@ -210,9 +206,9 @@ class TestCachedSampling:
 
 
 def test_adaptive_delta_sampling_fans_out(deep_graph):
-    """An adaptive audit on a delta engine uses its workers (at the
-    parent it ran every block inline: ``tasks == 0``), and where blocks
-    run changes nothing."""
+    """An adaptive audit on a caching engine uses its workers (it once
+    ran every block inline: ``tasks == 0``), and where blocks run
+    changes nothing."""
 
     def fields(result):
         return (
@@ -223,15 +219,13 @@ def test_adaptive_delta_sampling_fans_out(deep_graph):
         )
 
     call = dict(seed=1, adaptive=True)
-    with DeltaAuditEngine(n_workers=2, block_size=256) as engine:
+    with AuditEngine(n_workers=2, block_size=256) as engine:
         pooled = engine.sample(deep_graph, 20_000, **call)
         assert engine.pool.stats()["tasks"] > 0
-    inline = DeltaAuditEngine(block_size=256).sample(
+    inline = AuditEngine(block_size=256).sample(
         deep_graph, 20_000, **call
     )
-    with AuditEngine(n_workers=2, block_size=256) as engine:
-        base = engine.sample(deep_graph, 20_000, **call)
-    assert fields(pooled) == fields(inline) == fields(base)
+    assert fields(pooled) == fields(inline)
     assert pooled.metadata["stopped_early"]
 
 
@@ -275,7 +269,7 @@ class TestAuditDelta:
         new_sets["P0"][-1] = "p0-replacement"
         new_jobs = jobs_for(new_sets)
 
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         engine.audit_delta(None, old_jobs, title="t")
         outcome = engine.audit_delta(old_jobs, new_jobs, title="t")
         assert set(outcome.recomputed) == {"P0 & P1", "P0 & P2"}
@@ -290,14 +284,14 @@ class TestAuditDelta:
             assert not change.spec_changed
 
         # The cold reference is the *other* path: the uncached fan-out
-        # kernel of a base engine, not the delta engine against itself.
+        # kernel of another engine, not the result cache against itself.
         cold = AuditEngine().audit_jobs(new_jobs)
         assert [a.to_dict() for a in outcome.report.audits] == [
             a.to_dict() for a in cold
         ]
 
     def test_first_run_treats_everything_as_added(self):
-        outcome = DeltaAuditEngine().audit_delta(None, jobs_for(SETS))
+        outcome = AuditEngine().audit_delta(None, jobs_for(SETS))
         assert outcome.reused == ()
         assert set(outcome.delta.added) == {
             "P0 & P1",
@@ -308,8 +302,8 @@ class TestAuditDelta:
 
     def test_worker_count_does_not_change_report_bytes(self):
         jobs = jobs_for(SETS)
-        serial = DeltaAuditEngine(n_workers=1).audit_delta(None, jobs)
-        with DeltaAuditEngine(n_workers=2) as engine:
+        serial = AuditEngine(n_workers=1).audit_delta(None, jobs)
+        with AuditEngine(n_workers=2) as engine:
             parallel = engine.audit_delta(None, jobs)
         assert serial.report.to_json() == parallel.report.to_json()
         assert "engine" not in serial.report.metadata
@@ -321,7 +315,7 @@ class TestAuditDelta:
             depdb=new_jobs[0].depdb,
             spec=sampling_spec("P0", "P1", rounds=5_000),
         )
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         engine.audit_delta(None, old_jobs)
         outcome = engine.audit_delta(old_jobs, new_jobs)
         assert outcome.recomputed == ("P0 & P1",)
@@ -330,7 +324,7 @@ class TestAuditDelta:
 
     def test_added_and_removed_deployments(self):
         old_jobs = jobs_for(SETS)
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         engine.audit_delta(None, old_jobs)
         outcome = engine.audit_delta(old_jobs, old_jobs[:2] )
         assert outcome.delta.removed == ("P1 & P2",)
@@ -344,9 +338,8 @@ class TestAuditDelta:
         first = engine.audit_delta(None, jobs_for(SETS))
         assert first.reused == ()
         assert set(first.new_graphs) == {"P0 & P1", "P0 & P2", "P1 & P2"}
-        # The facade memoises one delta companion, so a second call
-        # sees the warm caches; feeding new_graphs back skips the
-        # old-side rebuild entirely.
+        # The engine's result cache stays warm across calls; feeding
+        # new_graphs back skips the old-side rebuild entirely.
         builds = []
         original = SIAAuditor.build_graph
         try:
@@ -361,7 +354,6 @@ class TestAuditDelta:
             SIAAuditor.build_graph = original
         assert len(second.reused) == 3
         assert sorted(builds) == ["P0 & P1", "P0 & P2", "P1 & P2"]
-        assert engine.delta() is engine.delta()
 
     def test_duplicate_deployment_names_rejected(self):
         jobs = jobs_for(SETS)
@@ -376,7 +368,7 @@ class TestAuditDelta:
         spec.ranking = RankingMethod.PROBABILITY
         jobs[2] = AuditJob(depdb=jobs[2].depdb, spec=spec)
         with pytest.raises(SpecificationError, match="ranking"):
-            DeltaAuditEngine().audit_delta(None, jobs)
+            AuditEngine().audit_delta(None, jobs)
 
     def test_seedless_sampling_audits_are_never_cached(self):
         """spec.seed=None means fresh entropy per cold run — serving a
@@ -390,7 +382,7 @@ class TestAuditDelta:
             sampling_rounds=2_000,
             seed=None,
         )
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         engine.audit_spec(depdb, spec)
         engine.audit_spec(depdb, spec)
         assert engine.cache_info()["audits"]["entries"] == 0
@@ -401,7 +393,7 @@ class TestAuditDelta:
 
     def test_audit_spec_caches_by_structure(self):
         depdb = provider_depdb(SETS)
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         spec = sampling_spec("P0", "P1")
         first = engine.audit_spec(depdb, spec)
         second = engine.audit_spec(depdb, spec)
@@ -430,8 +422,8 @@ class TestAuditDelta:
                 text, ("P0", "P1"), engine=engine, adaptive=adaptive, **params
             ).to_json()
 
-        cold = {flag: audit(DeltaAuditEngine(), flag) for flag in (False, True)}
+        cold = {flag: audit(AuditEngine(), flag) for flag in (False, True)}
         assert cold[False] != cold[True]  # the early stop is visible
-        warm = DeltaAuditEngine()
+        warm = AuditEngine()
         assert audit(warm, first) == cold[first]
         assert audit(warm, not first) == cold[not first]

@@ -16,7 +16,7 @@ from repro import AuditSpec, FailureSampler, RGAlgorithm, SIAAuditor
 from repro.core.componentset import ComponentSets
 from repro.depdb import DepDB
 from repro.depdb.records import HardwareDependency
-from repro.engine import AuditEngine, DeltaAuditEngine
+from repro.engine import AuditEngine
 from repro.engine import AuditJob
 
 MASTER_SEED = 0xC0FFEE
@@ -73,7 +73,7 @@ def test_serial_engine_and_noop_delta_are_bit_identical(
     engine = AuditEngine(block_size=block_size).sample(
         graph, rounds, seed=seed
     )
-    delta_engine = DeltaAuditEngine(block_size=block_size)
+    delta_engine = AuditEngine(block_size=block_size)
     cold = delta_engine.sample(graph, rounds, seed=seed)
     # A no-op diff: the same structure re-audited on the same engine
     # must not change a bit.
@@ -119,7 +119,7 @@ def test_audit_parity_plain_engine_and_noop_delta(job):
     engineered = SIAAuditor(
         job.depdb, engine=AuditEngine()
     ).audit_deployment(job.spec)
-    delta_engine = DeltaAuditEngine()
+    delta_engine = AuditEngine()
     outcome = delta_engine.audit_delta(None, [job])
     noop = delta_engine.audit_delta([job], [job])
     assert noop.reused == (job.spec.deployment,)

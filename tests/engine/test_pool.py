@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro import FailureSampler
 from repro.core.componentset import ComponentSets
-from repro.engine import AuditEngine, DeltaAuditEngine, PersistentPool
+from repro.engine import AuditEngine, PersistentPool
 from repro.engine.parallel import cancel_scope, map_jobs
 from repro.engine.pool import task_key
 from repro.errors import AnalysisError, AuditCancelled
@@ -274,6 +274,36 @@ class TestRepair:
             engine.sample(GRAPH_A, 2000, seed=1)
         assert not pool._pins
 
+    def test_plan_survives_a_retire_before_submit(self, monkeypatch):
+        """Another thread retires the executor between this plan's
+        ``_ensure_started`` and its first submit: the blocks run inline,
+        bit-identically (it used to raise a raw ``RuntimeError``)."""
+        serial = serial_reference(GRAPH_A, 4000, seed=5)
+        with PersistentPool(2) as pool:
+            engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
+            monkeypatch.setattr(pool, "_ensure_started", retired_under(pool))
+            assert_same(engine.sample(GRAPH_A, 4000, seed=5), serial)
+            monkeypatch.undo()
+            stats = pool.stats()
+            assert stats["respawns"] == 1
+            assert stats["inline_blocks"] == 4000 // BLOCK + 1
+            assert not pool._pins
+            # The next plan spawns a fresh executor and runs nothing inline.
+            assert_same(engine.sample(GRAPH_A, 4000, seed=5), serial)
+            assert pool.stats()["inline_blocks"] == 4000 // BLOCK + 1
+
+    def test_map_jobs_survives_a_retire_before_submit(self, monkeypatch):
+        jobs = [(value, os.getpid()) for value in range(6)]
+        with PersistentPool(2) as pool:
+            monkeypatch.setattr(pool, "_ensure_started", retired_under(pool))
+            # Inline in the parent, where the job does not die.
+            doubled = pool.map_jobs(_double_or_die_in_worker, jobs)
+            monkeypatch.undo()
+            assert doubled == [0, 2, 4, 6, 8, 10]
+            assert pool.stats()["respawns"] == 1
+            assert pool.stats()["jobs"] == 6
+            assert pool.map_jobs(_sleep_job, [(0.0,), (0.0,)]) == [0.0, 0.0]
+
     def test_map_jobs_repairs_a_broken_pool(self):
         parent = os.getpid()
         jobs = [(value, parent) for value in range(6)]
@@ -285,6 +315,20 @@ class TestRepair:
             # The respawned executor serves the next sweep normally.
             assert pool.map_jobs(_sleep_job, [(0.0,), (0.0,)]) == [0.0, 0.0]
             assert pool.stats()["respawns"] == 1
+
+
+def retired_under(pool):
+    """``pool._ensure_started`` as seen by a thread that loses a race:
+    another thread's repair retires the executor just after this one
+    got it, before anything was submitted."""
+    ensure_started = pool._ensure_started
+
+    def ensure_then_lose_the_race():
+        executor, store = ensure_started()
+        pool._retire(executor)
+        return executor, store
+
+    return ensure_then_lose_the_race
 
 
 def _double_or_die_in_worker(value: int, parent_pid: int) -> int:
@@ -385,7 +429,6 @@ class TestPlumbing:
         pool = pools(2)
         with AuditEngine(n_workers=2, pool=pool) as engine:
             assert engine.pool is pool
-            assert engine.delta().pool is pool
         assert pool.stats()["closed"] is False
 
     def test_serial_engines_never_grow_a_pool(self):
@@ -393,17 +436,10 @@ class TestPlumbing:
         assert engine.pool is None
         assert engine.fanout == 1
 
-    def test_delta_engine_inherits_pool(self, pools):
-        pool = pools(2)
-        engine = DeltaAuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
-        result = engine.sample(GRAPH_B, 2000, seed=13)
-        assert_same(result, serial_reference(GRAPH_B, 2000, seed=13))
-        assert result.metadata["pool"]["enabled"] is True
-
     def test_job_manager_leaves_an_injected_engine_open(self):
         from repro.service.jobs import JobManager
 
-        with DeltaAuditEngine(n_workers=2) as engine:
+        with AuditEngine(n_workers=2) as engine:
             manager = JobManager(engine, workers=0, resume=False)
             assert manager.engine is engine
             assert manager.stats()["pool"]["enabled"] is True
@@ -416,12 +452,12 @@ class TestPlumbing:
 
         built = []
 
-        class Recording(DeltaAuditEngine):
+        class Recording(AuditEngine):
             def close(self):
                 built.append(self)
                 super().close()
 
-        monkeypatch.setattr(jobs, "DeltaAuditEngine", Recording)
+        monkeypatch.setattr(jobs, "AuditEngine", Recording)
         manager = jobs.JobManager(workers=0, resume=False)
         manager.shutdown(drain=False)
         assert built == [manager.engine]

@@ -1,4 +1,4 @@
-"""DeltaAuditEngine.audit_store: snapshot-diffed delta audits."""
+"""AuditEngine.audit_store: snapshot-diffed delta audits."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.depdb import (
     NetworkDependency,
     SoftwareDependency,
 )
-from repro.engine.incremental import DeltaAuditEngine
+from repro.engine import AuditEngine
 
 RECORDS = [
     NetworkDependency("S1", "Internet", ("ToR1", "Core1")),
@@ -37,24 +37,24 @@ def db(request, tmp_path):
 
 class TestFirstAudit:
     def test_first_audit_is_a_change(self, db):
-        outcome = DeltaAuditEngine().audit_store(db, SPEC)
+        outcome = AuditEngine().audit_store(db, SPEC)
         assert outcome.previous is None
         assert outcome.changed is True
         assert outcome.cache_hit is False
         assert outcome.content_hash == db.content_hash()
 
     def test_snapshot_recorded_with_structural_hash_label(self, db):
-        outcome = DeltaAuditEngine().audit_store(db, SPEC)
+        outcome = AuditEngine().audit_store(db, SPEC)
         assert outcome.snapshot is not None
         assert outcome.snapshot.label == outcome.structural_hash
         assert db.last_snapshot().digest == db.content_hash()
 
     def test_custom_label(self, db):
-        outcome = DeltaAuditEngine().audit_store(db, SPEC, label="v1")
+        outcome = AuditEngine().audit_store(db, SPEC, label="v1")
         assert outcome.snapshot.label == "v1"
 
     def test_record_snapshot_false_leaves_store_untouched(self, db):
-        outcome = DeltaAuditEngine().audit_store(
+        outcome = AuditEngine().audit_store(
             db, SPEC, record_snapshot=False
         )
         assert outcome.snapshot is None
@@ -63,7 +63,7 @@ class TestFirstAudit:
 
 class TestReaudit:
     def test_unchanged_store_is_cache_hit(self, db):
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         first = engine.audit_store(db, SPEC)
         second = engine.audit_store(db, SPEC)
         assert second.changed is False
@@ -72,7 +72,7 @@ class TestReaudit:
         assert second.audit.to_dict() == first.audit.to_dict()
 
     def test_drifted_store_reaudits(self, db):
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         first = engine.audit_store(db, SPEC)
         db.add(HardwareDependency("S1", "Disk", "WD-1TB"))
         second = engine.audit_store(db, SPEC)
@@ -83,7 +83,7 @@ class TestReaudit:
     def test_reverted_store_hits_cache_again(self, db):
         # Config flap: drift then revert to a previously audited record
         # set — the content-addressed caches recognise the old state.
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         first = engine.audit_store(db, SPEC)
         drifted = DepDB(
             RECORDS + [HardwareDependency("S1", "Disk", "WD-1TB")]
@@ -96,14 +96,14 @@ class TestReaudit:
         assert drifted_back.structural_hash == first.structural_hash
 
     def test_matches_cold_audit_bitwise(self, db):
-        warm = DeltaAuditEngine()
+        warm = AuditEngine()
         warm.audit_store(db, SPEC)
         cached = warm.audit_store(db, SPEC)
-        cold = DeltaAuditEngine().audit_store(DepDB(RECORDS), SPEC)
+        cold = AuditEngine().audit_store(DepDB(RECORDS), SPEC)
         assert cached.audit.to_dict() == cold.audit.to_dict()
 
     def test_outcome_to_dict_round_trips(self, db):
-        outcome = DeltaAuditEngine().audit_store(db, SPEC)
+        outcome = AuditEngine().audit_store(db, SPEC)
         payload = outcome.to_dict()
         assert payload["changed"] is True
         assert payload["snapshot"]["digest"] == outcome.content_hash
@@ -123,7 +123,7 @@ class TestDriftDuringAudit:
             db.add(late)  # another thread or process, in effect
             return graph
 
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         monkeypatch.setattr(SIAAuditor, "build_graph", build_then_drift)
         first = engine.audit_store(db, SPEC)
         monkeypatch.undo()
@@ -146,7 +146,7 @@ class TestDriftDuringAudit:
             db.add(late)
             return None
 
-        engine = DeltaAuditEngine()
+        engine = AuditEngine()
         first = engine.audit_store(db, SPEC, weigher=weigher)
         assert first.snapshot is None
         second = engine.audit_store(db, SPEC)
@@ -159,7 +159,7 @@ class TestUnchangedStoreIsNotRekeyed:
         keyed = sqlite_keyed
         with DepDB.sqlite(tmp_path / "store.sqlite") as store:
             store.ingest(iter(RECORDS))
-            engine = DeltaAuditEngine()
+            engine = AuditEngine()
             first = engine.audit_store(store, SPEC)
             assert len(keyed) == len(RECORDS)  # once, not once per hash
             del keyed[:]

@@ -198,12 +198,12 @@ class TestWatchService:
         assert naps == [1.5, 1.5]
 
     def test_accepts_a_base_audit_engine(self, tmp_path):
-        """Handing a plain AuditEngine must not crash the service: the
-        engine's delta companion (sharing its GraphCache) is used."""
+        """An injected engine is the one the service audits through:
+        its result cache serves the second iteration."""
         write_watch_dir(tmp_path)
         base = AuditEngine()
         service = WatchService(tmp_path, engine=base, interval=0)
-        assert service.engine is base.delta()
+        assert service.engine is base
         first = service.run_once()
         assert "error" not in first
         second = service.run_once()

@@ -21,6 +21,8 @@ fooled by import order or by a cycle that happens to resolve.
 * Results carry no wall-clock: ``elapsed_seconds`` is spelled only on
   the event line (``api.job_event`` / ``JobStatus``) and by the two
   services that emit it.
+* There is one engine class: nothing subclasses ``AuditEngine``, and
+  the name of the subclass it absorbed survives only as one alias line.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ ISLANDS = {
     "repro.acquisition.software.SoftwarePackageCollector":
         "§3 software DAM; the Figure-1 lifecycle and streaming tests",
     "repro.agents.agent.AuditingAgent":
-        "the Figure-1 agent; ROADMAP item 3 decides join or leave",
+        "the Figure-1 agent; ROADMAP item 4 decides join or leave",
     "repro.core.probability.tree_probability":
         "exact Pr(T) of tree-shaped graphs; oracle of the probability tests",
     "repro.core.probability.graph_probability_sampled":
@@ -305,3 +307,33 @@ def test_elapsed_seconds_only_on_the_event_line():
         ):
             spelled_in.add(path.relative_to(SRC).as_posix())
     assert spelled_in == ELAPSED_SECONDS_AT
+
+
+#: The subclass folded into AuditEngine, kept as an alias for the frozen
+#: ledger harness until its next change (spelled in two halves here so
+#: this file does not count as a use).
+OLD_ENGINE_NAME = "Delta" + "AuditEngine"
+
+
+def test_one_engine_class():
+    subclasses = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            ast.unparse(base).rsplit(".", 1)[-1] == "AuditEngine"
+            for base in node.bases
+        )
+    ]
+    assert subclasses == []
+    spelled = [
+        (path.relative_to(REPO).as_posix(), line.strip())
+        for root in (SRC, REPO / "tests", REPO / "examples")
+        for path in sorted(root.rglob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if OLD_ENGINE_NAME in line
+    ]
+    assert spelled == [
+        ("src/repro/engine/__init__.py", f"{OLD_ENGINE_NAME} = AuditEngine")
+    ]
