@@ -370,11 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "sampling worker processes, shared across all audits "
             "through one persistent per-server pool (default 0 = "
-            "inline sampling; -1 = all cores). Small audits run faster "
-            "inline: measured at 3 blocks of 256 rounds (~1 ms each) two "
-            "workers give 0.78x the inline speed; workers pay off from "
-            "about two blocks of 4096 rounds (>= 8192 rounds, 10-20 ms "
-            "a block): 1.5-1.75x on two workers"
+            "inline sampling; -1 = all cores). Audits whose blocks are "
+            "too small to repay the dispatch run inline regardless"
         ),
     )
     serve.add_argument(

@@ -11,7 +11,9 @@ hands them to the rest of the system behind a small API:
   results either way;
 * the decision *where* a block or a fan-out job runs: an engine with
   more than one worker owns a :class:`~repro.engine.pool.PersistentPool`
-  (or shares an injected one) and everything else runs inline;
+  (or shares an injected one) and ships it the sampling plans whose
+  blocks repay the dispatch (:data:`POOLED_BLOCK_WORK`); everything
+  else runs inline;
 * the content-addressed *audit result cache* behind
   :meth:`AuditEngine.audit_built` — and so behind ``audit_spec``,
   ``audit_store`` and ``audit_delta`` — which serves a repeat audit only
@@ -72,6 +74,12 @@ __all__ = ["AuditEngine", "cancel_scope", "check_cancelled"]
 #: Deployment audits every engine's result cache keeps (LRU).
 MAX_CACHED_AUDITS = 1024
 
+#: Work per block, in node-rounds (graph events × block rounds), from
+#: which a pooled engine ships a plan to its workers.  Below it the
+#: dispatch costs more than the blocks it would spread, so the plan runs
+#: inline; the sweep behind the number is in DESIGN.md "Where things run".
+POOLED_BLOCK_WORK = 16_384
+
 
 def _run_audit_job(job: AuditJob, block_size: int) -> DeploymentAudit:
     """The one fan-out kernel: audit ``job`` in whatever process runs it.
@@ -105,6 +113,11 @@ class AuditEngine:
             engine with more than one worker owns a pool of its own —
             processes spawn lazily on first parallel use and
             :meth:`close` (or the ``with`` block) brings them home.
+
+    Only sampling plans that cross the dispatch gate (see
+    :meth:`_run_plan`) reach the pool.  A closed pool refuses those with
+    :class:`~repro.errors.AnalysisError`; a plan under the gate never
+    reaches it and still gets its inline answer.
 
     The result cache (:data:`MAX_CACHED_AUDITS` deployment audits)
     always lives in this process, whatever the worker count.
@@ -157,7 +170,8 @@ class AuditEngine:
 
     @property
     def fanout(self) -> int:
-        """Processes a block plan or job sweep spreads over (1: inline)."""
+        """Processes a job sweep, or a block plan worth shipping, spreads
+        over (1: inline)."""
         return self.pool.workers if self.pool is not None else 1
 
     def map_jobs(self, fn, argument_tuples: Sequence[tuple]) -> list:
@@ -260,13 +274,19 @@ class AuditEngine:
     ):
         """Execute a block plan — the one "where do blocks run" step.
 
-        Through the pool when this engine fans out and the plan has
-        more than one block, inline otherwise.  ``stopper``, when given,
-        truncates the plan at the adaptive stopping point (observed in
-        plan order on either path).  Returns ``(outcomes, extra result
-        metadata)``.
+        Through the pool when this engine fans out, the plan has more
+        than one block and each block is worth shipping (at least
+        :data:`POOLED_BLOCK_WORK` node-rounds); inline otherwise, without
+        touching the pool.  This is the package's only plan-size test.
+        ``stopper``, when given, truncates the plan at the adaptive
+        stopping point (observed in plan order on either path).  Returns
+        ``(outcomes, extra result metadata)``.
         """
-        if self.fanout > 1 and len(plan) > 1:
+        if (
+            self.fanout > 1
+            and len(plan) > 1
+            and plan.rounds[0] * len(graph) >= POOLED_BLOCK_WORK
+        ):
             # Workers compile through their process-local caches; don't
             # pay for an unused parent-side compilation here.
             outcomes = self.pool.run_plan(

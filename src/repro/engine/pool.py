@@ -2,10 +2,12 @@
 
 :class:`PersistentPool` is the only process substrate in the package —
 every sampling plan and every fan-out job that leaves the calling
-process runs here.  Spawning workers, shipping a fault graph and
-compiling it are fixed costs that dwarf the sampling itself on the
-small-to-medium graphs a multi-tenant audit server mostly sees, so the
-pool pays each of them as rarely as it can:
+process runs here (which sampling plans leave is the engine's cost
+gate, :data:`~repro.engine.facade.POOLED_BLOCK_WORK`).  Spawning
+workers, shipping a fault graph and compiling it are fixed costs that
+dwarf the sampling itself on the small-to-medium graphs a multi-tenant
+audit server mostly sees, so the pool pays each of them as rarely as it
+can:
 
 * **One pool, many audits.**  The executor (and a companion
   ``multiprocessing`` manager process holding the shared graph store)
@@ -319,7 +321,11 @@ class PersistentPool:
                 manager.shutdown()
 
     def close(self) -> None:
-        """Shut the pool down (idempotent, never blocks on stragglers)."""
+        """Shut the pool down (idempotent, never blocks on stragglers).
+
+        Afterwards every plan or job sweep that would run in worker
+        processes raises :class:`~repro.errors.AnalysisError`.
+        """
         with self._lock:
             self._closed = True
         self._finalizer()
@@ -388,7 +394,7 @@ class PersistentPool:
     # ------------------------------------------------------------------ #
 
     def _run_inline(self, graph, plan, **block_options) -> list[BlockOutcome]:
-        """Blocks the parent runs itself (small plans, broken-pool tails)."""
+        """Blocks the parent runs itself (one-worker pools, broken-pool tails)."""
         outcomes = run_plan_serial(
             compile_cached(graph), plan, **block_options
         )
@@ -412,7 +418,10 @@ class PersistentPool:
         Same contract as :func:`~repro.engine.parallel.run_plan_serial`
         on the compiled graph — bit-identical outcomes, cancel within
         ~one block, stopper observed in plan order — with the blocks
-        computed in worker processes.  A worker or manager death
+        computed in worker processes.  Whether a plan is worth shipping
+        is the caller's decision (the engine's dispatch gate): a pool
+        with more than one worker runs every plan it is handed in its
+        workers, one-block plans included.  A worker or manager death
         mid-plan, or an executor another thread retired before this
         plan could submit to it, is repaired here: the remaining blocks
         (the dead worker's included) run inline in the parent, in plan
@@ -426,7 +435,7 @@ class PersistentPool:
         }
         with self._lock:
             self._plans += 1
-        if self.workers <= 1 or len(plan) <= 1:
+        if self.workers <= 1:
             return self._run_inline(graph, plan, **block_options)
 
         kills = worker_kill_indices("parallel.block")
@@ -564,7 +573,9 @@ class PersistentPool:
         cache outcomes per block task; ``shipped_bytes`` is the total
         graph traffic (one publish per pool, one pull per (worker,
         graph) residency); ``inline_blocks`` counts blocks the parent
-        ran itself (single-block plans and broken-pool repairs).
+        ran itself: broken-pool repairs and plans handed to a one-worker
+        pool, never the plans an engine's dispatch gate keeps inline
+        (those do not reach the pool at all).
         """
         with self._lock:
             total = self._warm_hits + self._cold_misses

@@ -22,6 +22,7 @@ from repro.engine import AuditEngine, GraphCache
 from repro.errors import AnalysisError, SpecificationError
 
 from tests.engine.test_incremental import SETS, jobs_for
+from tests.engine.test_pool import sample_through_pool
 
 
 @pytest.fixture
@@ -51,8 +52,10 @@ class TestSamplingParity:
         self, provider_graph, workers
     ):
         serial = FailureSampler(provider_graph, seed=123).run(10_000)
-        engine = AuditEngine(n_workers=workers)
-        result = engine.sample(provider_graph, 10_000, seed=123)
+        with AuditEngine(n_workers=workers) as engine:
+            result = sample_through_pool(
+                engine, provider_graph, 10_000, seed=123
+            )
         assert result.risk_groups == serial.risk_groups
         assert result.top_failures == serial.top_failures
         assert (
@@ -62,13 +65,12 @@ class TestSamplingParity:
         assert result.unique_failure_sets == serial.unique_failure_sets
 
     def test_worker_count_never_changes_results(self, provider_graph):
-        engine_block = dict(block_size=1024)
-        results = [
-            AuditEngine(n_workers=w, **engine_block).sample(
-                provider_graph, 5_000, seed=9
-            )
-            for w in (1, 2, 3)
-        ]
+        results = []
+        for workers in (1, 2, 3):
+            with AuditEngine(n_workers=workers, block_size=2048) as engine:
+                results.append(
+                    sample_through_pool(engine, provider_graph, 5_000, seed=9)
+                )
         for other in results[1:]:
             assert other.risk_groups == results[0].risk_groups
             assert other.top_failures == results[0].top_failures
@@ -81,9 +83,10 @@ class TestSamplingParity:
         serial = FailureSampler(deep_graph, seed=5, minimise=minimise).run(
             6_000
         )
-        parallel = AuditEngine(n_workers=2).sample(
-            deep_graph, 6_000, seed=5, minimise=minimise
-        )
+        with AuditEngine(n_workers=2) as engine:
+            parallel = sample_through_pool(
+                engine, deep_graph, 6_000, seed=5, minimise=minimise
+            )
         assert parallel.risk_groups == serial.risk_groups
         assert parallel.top_failures == serial.top_failures
         assert parallel.minimised is minimise
@@ -92,14 +95,12 @@ class TestSamplingParity:
         serial = FailureSampler(figure_4b, use_weights=True, seed=11).run(
             8_192
         )
-        parallel = AuditEngine(n_workers=2, block_size=2048).sample(
-            figure_4b, 8_192, use_weights=True, seed=11
-        )
-        serial_small_block = FailureSampler(
-            figure_4b, use_weights=True, seed=11, batch_size=2048
-        ).run(8_192)
-        assert parallel.top_failures == serial_small_block.top_failures
-        assert parallel.risk_groups == serial_small_block.risk_groups
+        with AuditEngine(n_workers=2) as engine:
+            parallel = sample_through_pool(
+                engine, figure_4b, 8_192, use_weights=True, seed=11
+            )
+        assert parallel.top_failures == serial.top_failures
+        assert parallel.risk_groups == serial.risk_groups
         # Both runs estimate the same underlying probability (0.224).
         assert serial.top_probability_estimate == pytest.approx(
             0.224, abs=0.03
@@ -110,15 +111,16 @@ class TestSamplingParity:
 
     def test_sampler_finds_exact_family(self, provider_graph):
         reference = minimal_risk_groups(provider_graph)
-        result = AuditEngine(n_workers=2).sample(
-            provider_graph, 20_000, seed=0
-        )
+        with AuditEngine(n_workers=2) as engine:
+            result = sample_through_pool(
+                engine, provider_graph, 20_000, seed=0
+            )
         assert result.detection_rate(reference) == 1.0
 
     def test_engine_seed_determinism(self, deep_graph):
-        engine = AuditEngine(n_workers=2)
-        first = engine.sample(deep_graph, 4_000, seed=3)
-        second = engine.sample(deep_graph, 4_000, seed=3)
+        with AuditEngine(n_workers=2) as engine:
+            first = sample_through_pool(engine, deep_graph, 12_000, seed=3)
+            second = sample_through_pool(engine, deep_graph, 12_000, seed=3)
         assert first.risk_groups == second.risk_groups
         assert first.top_failures == second.top_failures
 

@@ -29,6 +29,8 @@ from repro.engine import (
 from repro.engine.parallel import plan_blocks, run_plan_serial
 from repro.errors import SpecificationError
 
+from tests.engine.test_pool import sample_through_pool
+
 
 def chain_graph(shared="core", extra=None):
     """Small two-server graph with a shared leaf and optional extra leaf."""
@@ -219,12 +221,9 @@ def test_adaptive_delta_sampling_fans_out(deep_graph):
         )
 
     call = dict(seed=1, adaptive=True)
-    with AuditEngine(n_workers=2, block_size=256) as engine:
-        pooled = engine.sample(deep_graph, 20_000, **call)
-        assert engine.pool.stats()["tasks"] > 0
-    inline = AuditEngine(block_size=256).sample(
-        deep_graph, 20_000, **call
-    )
+    with AuditEngine(n_workers=2) as engine:
+        pooled = sample_through_pool(engine, deep_graph, 200_000, **call)
+    inline = AuditEngine().sample(deep_graph, 200_000, **call)
     assert fields(pooled) == fields(inline)
     assert pooled.metadata["stopped_early"]
 

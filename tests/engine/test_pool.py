@@ -10,6 +10,11 @@ makes observable and these tests pin.
 
 One module-scoped pool per worker count is shared by most tests here;
 that reuse across many unrelated audits *is* the feature under test.
+An engine ships a plan to its pool only when the plan's blocks cross
+the dispatch gate (:data:`~repro.engine.facade.POOLED_BLOCK_WORK`), so
+the plans here are sized to cross it, :func:`sample_through_pool` fails
+a parity test whose plan stayed inline, and :class:`TestDispatchGate`
+pins the gate itself.
 """
 
 from __future__ import annotations
@@ -19,28 +24,43 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import FailureSampler
+from repro import AuditSpec, FailureSampler, RGAlgorithm, SIAAuditor, api
 from repro.core.componentset import ComponentSets
+from repro.depdb import DepDB, NetworkDependency
 from repro.engine import AuditEngine, PersistentPool
-from repro.engine.parallel import cancel_scope, map_jobs
+from repro.engine.cache import compile_cached
+from repro.engine.facade import POOLED_BLOCK_WORK
+from repro.engine.parallel import (
+    cancel_scope,
+    map_jobs,
+    plan_blocks,
+    run_plan_serial,
+)
 from repro.engine.pool import task_key
 from repro.errors import AnalysisError, AuditCancelled
 from repro.testing.faults import Fault, FaultInjector, FaultSchedule
+from repro.topology import INTERNET, FatTreeConfig, fat_tree_routes
 
-BLOCK = 256
+# Blocks that cross the dispatch gate on every graph below (GRAPH_A:
+# 15 events x 4096 rounds), and a plan of four of them, the last short.
+BLOCK = 4096
+ROUNDS = 3 * BLOCK + 1000
 # Generous CI bound — the real latency is one block plus the 0.05 s
 # poll; what matters is that cancellation never waits out the plan.
 CANCEL_LATENCY_SECONDS = 20.0
 
 
-def make_graph(tag: str, providers: int = 3, shared: int = 2):
+def make_graph(
+    tag: str, providers: int = 3, shared: int = 2, private: int = 3
+):
     sets = {
         f"{tag}-P{i}": [f"{tag}-shared-{j}" for j in range(shared)]
-        + [f"{tag}-p{i}-{j}" for j in range(3)]
+        + [f"{tag}-p{i}-{j}" for j in range(private)]
         for i in range(providers)
     }
     return ComponentSets.from_mapping(sets).to_fault_graph(tag)
@@ -62,8 +82,22 @@ def assert_same(result, reference) -> None:
     )
 
 
-def serial_reference(graph, rounds, seed):
-    return FailureSampler(graph, seed=seed, batch_size=BLOCK).run(rounds)
+def serial_reference(graph, rounds, seed, block=BLOCK):
+    return FailureSampler(graph, seed=seed, batch_size=block).run(rounds)
+
+
+def sample_through_pool(engine, graph, rounds, **options):
+    """``engine.sample``, failing if a fanning-out engine ran it inline.
+
+    A parity test compares pooled with inline results; one whose plan
+    fell under the dispatch gate would compare inline with inline.
+    """
+    if engine.fanout == 1:
+        return engine.sample(graph, rounds, **options)
+    before = engine.pool.stats()["tasks"]
+    result = engine.sample(graph, rounds, **options)
+    assert engine.pool.stats()["tasks"] > before, "the plan ran inline"
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -89,25 +123,37 @@ def pools():
 class TestParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_owned_shared_and_serial_agree(self, pools, workers):
-        serial = serial_reference(GRAPH_A, 3000, seed=11)
+        serial = serial_reference(GRAPH_A, ROUNDS, seed=11)
         with AuditEngine(n_workers=workers, block_size=BLOCK) as engine:
-            owned = engine.sample(GRAPH_A, 3000, seed=11)
-        shared = AuditEngine(
-            n_workers=workers, block_size=BLOCK, pool=pools(workers)
-        ).sample(GRAPH_A, 3000, seed=11)
+            owned = sample_through_pool(engine, GRAPH_A, ROUNDS, seed=11)
+        shared = sample_through_pool(
+            AuditEngine(
+                n_workers=workers, block_size=BLOCK, pool=pools(workers)
+            ),
+            GRAPH_A,
+            ROUNDS,
+            seed=11,
+        )
         assert_same(owned, serial)
         assert_same(shared, serial)
 
     def test_fresh_single_use_pool_matches_shared_pool(self, pools):
-        shared = AuditEngine(
-            n_workers=2, block_size=BLOCK, pool=pools(2)
-        ).sample(GRAPH_B, 2500, seed=23)
+        rounds = 2 * BLOCK + 500
+        shared = sample_through_pool(
+            AuditEngine(n_workers=2, block_size=BLOCK, pool=pools(2)),
+            GRAPH_B,
+            rounds,
+            seed=23,
+        )
         with PersistentPool(2) as fresh_pool:
-            fresh = AuditEngine(
-                n_workers=2, block_size=BLOCK, pool=fresh_pool
-            ).sample(GRAPH_B, 2500, seed=23)
+            fresh = sample_through_pool(
+                AuditEngine(n_workers=2, block_size=BLOCK, pool=fresh_pool),
+                GRAPH_B,
+                rounds,
+                seed=23,
+            )
         assert_same(fresh, shared)
-        assert_same(shared, serial_reference(GRAPH_B, 2500, seed=23))
+        assert_same(shared, serial_reference(GRAPH_B, rounds, seed=23))
 
     def test_interleaved_graphs_through_one_pool(self, pools):
         pool = pools(2)
@@ -115,8 +161,10 @@ class TestParity:
         before = pool.stats()
         plan = [(GRAPH_A, 3), (GRAPH_B, 4), (GRAPH_A, 3), (GRAPH_B, 4)]
         for graph, seed in plan:
-            result = engine.sample(graph, 2000, seed=seed)
-            assert_same(result, serial_reference(graph, 2000, seed=seed))
+            result = sample_through_pool(engine, graph, 2 * BLOCK, seed=seed)
+            assert_same(
+                result, serial_reference(graph, 2 * BLOCK, seed=seed)
+            )
         after = pool.stats()
         # Each graph ships to each worker at most once; every further
         # block is a warm worker-cache hit.
@@ -137,16 +185,24 @@ class TestParity:
                 (GRAPH_A, 3),
                 (GRAPH_B, 4),
             ]:
-                result = engine.sample(graph, 2000, seed=seed)
-                assert_same(result, serial_reference(graph, 2000, seed=seed))
+                result = sample_through_pool(
+                    engine, graph, 2 * BLOCK, seed=seed
+                )
+                assert_same(
+                    result, serial_reference(graph, 2 * BLOCK, seed=seed)
+                )
             assert pool.stats()["cold_misses"] >= 2
 
     def test_store_eviction_republishes_on_demand(self):
         with PersistentPool(2, store_size=1) as pool:
             engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
             for graph, seed in [(GRAPH_A, 3), (GRAPH_B, 4), (GRAPH_A, 3)]:
-                result = engine.sample(graph, 2000, seed=seed)
-                assert_same(result, serial_reference(graph, 2000, seed=seed))
+                result = sample_through_pool(
+                    engine, graph, 2 * BLOCK, seed=seed
+                )
+                assert_same(
+                    result, serial_reference(graph, 2 * BLOCK, seed=seed)
+                )
             assert pool.stats()["published_graphs"] == 1
 
     @settings(
@@ -157,25 +213,32 @@ class TestParity:
     @given(
         providers=st.integers(min_value=2, max_value=4),
         shared=st.integers(min_value=1, max_value=3),
-        rounds=st.integers(min_value=500, max_value=3000),
+        rounds=st.integers(min_value=BLOCK + 1, max_value=3 * BLOCK),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_random_deployments_pooled_equals_serial(
         self, pools, providers, shared, rounds, seed
     ):
         graph = make_graph(f"fuzz-{providers}-{shared}", providers, shared)
-        pooled = AuditEngine(
-            n_workers=2, block_size=BLOCK, pool=pools(2)
-        ).sample(graph, rounds, seed=seed)
+        pooled = sample_through_pool(
+            AuditEngine(n_workers=2, block_size=BLOCK, pool=pools(2)),
+            graph,
+            rounds,
+            seed=seed,
+        )
         assert_same(pooled, serial_reference(graph, rounds, seed=seed))
 
     def test_adaptive_stop_is_pool_invariant(self, pools):
         serial = AuditEngine(n_workers=1, block_size=BLOCK).sample(
             GRAPH_A, 500_000, seed=3, adaptive=True
         )
-        pooled = AuditEngine(
-            n_workers=2, block_size=BLOCK, pool=pools(2)
-        ).sample(GRAPH_A, 500_000, seed=3, adaptive=True)
+        pooled = sample_through_pool(
+            AuditEngine(n_workers=2, block_size=BLOCK, pool=pools(2)),
+            GRAPH_A,
+            500_000,
+            seed=3,
+            adaptive=True,
+        )
         assert serial.rounds == pooled.rounds < 500_000
         assert_same(pooled, serial)
         assert (
@@ -185,13 +248,106 @@ class TestParity:
 
 
 # --------------------------------------------------------------------- #
+# The dispatch gate
+# --------------------------------------------------------------------- #
+
+
+def three_pod_graph():
+    """Topology A's three-way deployment: three pods of the k=16 tree."""
+    tree = FatTreeConfig(16)
+    servers = ("srv-p0-t0-0", "srv-p5-t3-2", "srv-p11-t6-4")
+    depdb = DepDB(
+        NetworkDependency(src=server, dst=INTERNET, route=route)
+        for server in servers
+        for route in fat_tree_routes(tree, server)
+    )
+    return SIAAuditor(depdb).build_graph(
+        AuditSpec(deployment="three-way", servers=servers)
+    )
+
+
+def report_bytes(engine, graph, rounds: int, seed: int) -> str:
+    """A sampling audit of ``graph`` through ``engine``, as its bytes."""
+    spec = AuditSpec(
+        deployment=graph.name,
+        servers=graph.children(graph.top),
+        algorithm=RGAlgorithm.SAMPLING,
+        sampling_rounds=rounds,
+        seed=seed,
+    )
+    audit = SIAAuditor(DepDB(), engine=engine).audit_graph(graph, spec)
+    return api.canonical_json(audit.to_dict())
+
+
+class TestDispatchGate:
+    """Which plans a pooled engine ships: the decision, never its timing."""
+
+    def test_pooled_small_shaped_plans_never_touch_the_pool(self):
+        # The perf ledger's largest small graph: 4 providers x 5 parts.
+        graph = make_graph("small", providers=4, shared=1, private=4)
+        assert len(graph) == 22
+        with PersistentPool(2) as pool:
+            engine = AuditEngine(n_workers=2, block_size=256, pool=pool)
+            result = engine.sample(graph, 3 * 256, seed=3)
+            assert not pool.started
+            assert pool.stats()["tasks"] == 0
+        assert "pool" not in result.metadata
+        assert_same(result, serial_reference(graph, 3 * 256, 3, block=256))
+
+    def test_k16_three_way_plans_ship_at_256_round_blocks(self, pools):
+        graph = three_pod_graph()
+        assert len(graph) * 256 >= POOLED_BLOCK_WORK
+        engine = AuditEngine(n_workers=2, block_size=256, pool=pools(2))
+        result = sample_through_pool(engine, graph, 3 * 256, seed=3)
+        assert_same(result, serial_reference(graph, 3 * 256, 3, block=256))
+
+    @pytest.mark.parametrize(
+        "shape, block, offset",
+        [
+            pytest.param((2, 2, 19), 381, -1, id="one-below"),
+            pytest.param((2, 1, 6), 1024, 0, id="at"),
+        ],
+    )
+    def test_either_side_of_the_gate_gives_the_same_bytes(
+        self, pools, shape, block, offset
+    ):
+        graph = make_graph(f"edge{offset}", *shape)
+        assert len(graph) * block == POOLED_BLOCK_WORK + offset
+        pool = pools(2)
+        rounds = 3 * block
+        pooled = AuditEngine(n_workers=2, block_size=block, pool=pool)
+        before = pool.stats()["tasks"]
+        data = report_bytes(pooled, graph, rounds, seed=17)
+        assert (pool.stats()["tasks"] > before) == (offset == 0)
+        inline = AuditEngine(n_workers=1, block_size=block)
+        assert data == report_bytes(inline, graph, rounds, seed=17)
+        assert_same(
+            pooled.sample(graph, rounds, seed=17),
+            serial_reference(graph, rounds, 17, block=block),
+        )
+
+    def test_a_one_block_plan_handed_to_the_pool_runs_in_a_worker(self):
+        # The one plan-size test is the engine's; the pool runs what it
+        # is handed.
+        def plan():
+            return plan_blocks(BLOCK, BLOCK, np.random.SeedSequence(2))
+
+        with PersistentPool(2) as pool:
+            outcomes = pool.run_plan(GRAPH_A, plan())
+            stats = pool.stats()
+        assert stats["warm_hits"] + stats["cold_misses"] == 1
+        assert stats["inline_blocks"] == 0
+        assert outcomes == run_plan_serial(compile_cached(GRAPH_A), plan())
+
+
+# --------------------------------------------------------------------- #
 # Worker-kill repair
 # --------------------------------------------------------------------- #
 
 
 class TestRepair:
     def test_killed_worker_recovers_and_pool_stays_usable(self):
-        serial = serial_reference(GRAPH_A, 4000, seed=5)
+        serial = serial_reference(GRAPH_A, ROUNDS, seed=5)
         with PersistentPool(2) as pool:
             engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
             schedule = FaultSchedule(
@@ -204,14 +360,16 @@ class TestRepair:
                 )
             )
             with FaultInjector(schedule) as injector:
-                killed = engine.sample(GRAPH_A, 4000, seed=5)
+                killed = engine.sample(GRAPH_A, ROUNDS, seed=5)
             assert injector.fired, "the kill never triggered"
             assert_same(killed, serial)
             stats = pool.stats()
             assert stats["respawns"] >= 1
             assert stats["inline_blocks"] >= 1
             # The respawned pool keeps serving bit-identical results.
-            assert_same(engine.sample(GRAPH_A, 4000, seed=5), serial)
+            assert_same(
+                sample_through_pool(engine, GRAPH_A, ROUNDS, seed=5), serial
+            )
 
 
     @pytest.mark.parametrize("when", ["after-publish", "between-plans"])
@@ -225,7 +383,7 @@ class TestRepair:
         does.  Either way the plan finishes inline, bit-identically,
         and the pool respawns a manager for the plan after it.
         """
-        serial = serial_reference(GRAPH_A, 4000, seed=5)
+        serial = serial_reference(GRAPH_A, ROUNDS, seed=5)
 
         def kill_manager(pool):
             process = pool._resources["manager"]._process
@@ -237,8 +395,8 @@ class TestRepair:
             engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
             if when == "between-plans":
                 assert_same(
-                    engine.sample(GRAPH_B, 2000, seed=4),
-                    serial_reference(GRAPH_B, 2000, seed=4),
+                    sample_through_pool(engine, GRAPH_B, 2 * BLOCK, seed=4),
+                    serial_reference(GRAPH_B, 2 * BLOCK, seed=4),
                 )
                 kill_manager(pool)
             else:
@@ -249,19 +407,19 @@ class TestRepair:
                     kill_manager(pool)
 
                 monkeypatch.setattr(pool, "_publish", publish_then_die)
-            assert_same(engine.sample(GRAPH_A, 4000, seed=5), serial)
+            assert_same(engine.sample(GRAPH_A, ROUNDS, seed=5), serial)
             monkeypatch.undo()
             stats = pool.stats()
             assert stats["respawns"] == 1
-            assert stats["inline_blocks"] == 4000 // BLOCK + 1
+            assert stats["inline_blocks"] == ROUNDS // BLOCK + 1
             assert stats["published_graphs"] == 0
             assert not pool._pins, "the interrupted plan leaked its pin"
             # A second plan on the same pool: fresh manager, fresh
             # workers, graphs republished, nothing run inline.
-            assert_same(engine.sample(GRAPH_A, 4000, seed=5), serial)
+            assert_same(engine.sample(GRAPH_A, ROUNDS, seed=5), serial)
             stats = pool.stats()
             assert stats["respawns"] == 1
-            assert stats["inline_blocks"] == 4000 // BLOCK + 1
+            assert stats["inline_blocks"] == ROUNDS // BLOCK + 1
             assert stats["published_graphs"] == 1
 
     def test_failed_publish_releases_its_pin(self):
@@ -271,26 +429,26 @@ class TestRepair:
         engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
         pool.close()
         with pytest.raises(AnalysisError):
-            engine.sample(GRAPH_A, 2000, seed=1)
+            engine.sample(GRAPH_A, 2 * BLOCK, seed=1)
         assert not pool._pins
 
     def test_plan_survives_a_retire_before_submit(self, monkeypatch):
         """Another thread retires the executor between this plan's
         ``_ensure_started`` and its first submit: the blocks run inline,
         bit-identically (it used to raise a raw ``RuntimeError``)."""
-        serial = serial_reference(GRAPH_A, 4000, seed=5)
+        serial = serial_reference(GRAPH_A, ROUNDS, seed=5)
         with PersistentPool(2) as pool:
             engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
             monkeypatch.setattr(pool, "_ensure_started", retired_under(pool))
-            assert_same(engine.sample(GRAPH_A, 4000, seed=5), serial)
+            assert_same(engine.sample(GRAPH_A, ROUNDS, seed=5), serial)
             monkeypatch.undo()
             stats = pool.stats()
             assert stats["respawns"] == 1
-            assert stats["inline_blocks"] == 4000 // BLOCK + 1
+            assert stats["inline_blocks"] == ROUNDS // BLOCK + 1
             assert not pool._pins
             # The next plan spawns a fresh executor and runs nothing inline.
-            assert_same(engine.sample(GRAPH_A, 4000, seed=5), serial)
-            assert pool.stats()["inline_blocks"] == 4000 // BLOCK + 1
+            assert_same(engine.sample(GRAPH_A, ROUNDS, seed=5), serial)
+            assert pool.stats()["inline_blocks"] == ROUNDS // BLOCK + 1
 
     def test_map_jobs_survives_a_retire_before_submit(self, monkeypatch):
         jobs = [(value, os.getpid()) for value in range(6)]
@@ -379,7 +537,7 @@ class TestCancellation:
     def test_pooled_sample_cancels_and_pool_survives(self, pools):
         pool = pools(2)
         engine = AuditEngine(n_workers=2, pool=pool)
-        reference = serial_reference(GRAPH_WIDE, 2000, seed=7)
+        reference = serial_reference(GRAPH_WIDE, 2 * BLOCK, seed=7)
         event, timer = _cancel_after(0.3)
         started = time.monotonic()
         try:
@@ -389,9 +547,12 @@ class TestCancellation:
         finally:
             timer.cancel()
         assert time.monotonic() - started < CANCEL_LATENCY_SECONDS
-        follow_up = AuditEngine(
-            n_workers=2, block_size=BLOCK, pool=pool
-        ).sample(GRAPH_WIDE, 2000, seed=7)
+        follow_up = sample_through_pool(
+            AuditEngine(n_workers=2, block_size=BLOCK, pool=pool),
+            GRAPH_WIDE,
+            2 * BLOCK,
+            seed=7,
+        )
         assert_same(follow_up, reference)
 
 
@@ -411,7 +572,7 @@ class TestPlumbing:
     def test_pool_stats_surface_in_metadata_and_info(self, pools):
         pool = pools(2)
         engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
-        result = engine.sample(GRAPH_A, 2000, seed=9)
+        result = sample_through_pool(engine, GRAPH_A, 2 * BLOCK, seed=9)
         assert result.metadata["pool"]["enabled"] is True
         assert result.metadata["pool"]["workers"] == 2
         assert engine.info()["pool"]["enabled"] is True
@@ -463,12 +624,19 @@ class TestPlumbing:
         assert built == [manager.engine]
 
     def test_closed_pool_refuses_new_plans(self):
+        """A closed pool refuses the plans that reach it; a plan under
+        the dispatch gate never reaches it and gets its inline answer."""
         pool = PersistentPool(2)
         engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
-        engine.sample(GRAPH_A, 2000, seed=1)
+        sample_through_pool(engine, GRAPH_A, 2 * BLOCK, seed=1)
         pool.close()
         with pytest.raises(AnalysisError):
-            engine.sample(GRAPH_A, 2000, seed=1)
+            engine.sample(GRAPH_A, 2 * BLOCK, seed=1)
+        small = AuditEngine(n_workers=2, block_size=256, pool=pool)
+        assert_same(
+            small.sample(GRAPH_A, 3 * 256, seed=1),
+            serial_reference(GRAPH_A, 3 * 256, 1, block=256),
+        )
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(AnalysisError):
