@@ -19,10 +19,6 @@ failures the service itself is audited against:
   attempt created instead of enqueuing a duplicate.
 * **Long-poll waiting**: :meth:`ServiceClient.wait` blocks on the
   server's ``events/poll`` endpoint instead of busy-polling job status.
-* **Typed stream truncation**: a connection dropped mid-way through a
-  chunked JSONL event stream surfaces as a retryable
-  :class:`~repro.errors.ServiceError` with ``code="stream-truncated"``,
-  never a raw ``json.JSONDecodeError``.
 
 :meth:`ServiceClient.audit` has the signature of
 :func:`repro.api.run_request` — one request in, its canonical report
@@ -380,108 +376,6 @@ class ServiceClient:
             code="timeout",
         )
 
-    def events(self, job_id: str) -> Iterator[dict]:
-        """Stream a job's canonical events (ends at the terminal one).
-
-        Holds a dedicated connection for the duration of the stream
-        (the chunked response owns it), leaving :attr:`_conn` free for
-        concurrent status calls.
-
-        A connection dropped mid-stream — including one that tears a
-        JSONL line in half — raises a retryable
-        :class:`~repro.errors.ServiceError` with
-        ``code="stream-truncated"`` carrying the last complete event's
-        sequence number in its message; callers resume from there via
-        :meth:`events_after` (see :meth:`follow_events`).
-        """
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        last_seq = 0
-        try:
-            try:
-                conn.request("GET", f"/v1/jobs/{job_id}/events")
-                response = conn.getresponse()
-            except (
-                ConnectionError,
-                http.client.HTTPException,
-                OSError,
-            ) as exc:
-                raise ServiceError(
-                    f"audit service at {self.host}:{self.port} "
-                    f"unreachable: {exc}",
-                    status=503,
-                    code="unreachable",
-                    retryable=True,
-                ) from exc
-            if response.status != 200:
-                payload = response.read()
-                self._raise_for(response.status, response.headers, payload)
-            while True:
-                try:
-                    line = response.readline()
-                except (
-                    ConnectionError,
-                    http.client.HTTPException,
-                    OSError,
-                ) as exc:
-                    raise _truncated(job_id, last_seq, exc) from exc
-                if not line:
-                    return
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                if not line.endswith(b"\n"):
-                    # EOF mid-line: the terminating newline never
-                    # arrived, so this event cannot be trusted.
-                    raise _truncated(job_id, last_seq, "partial line")
-                try:
-                    event = json.loads(stripped)
-                except json.JSONDecodeError as exc:
-                    raise _truncated(job_id, last_seq, exc) from exc
-                if isinstance(event, dict) and "seq" in event:
-                    last_seq = event["seq"]
-                yield event
-        finally:
-            conn.close()
-
-    def follow_events(self, job_id: str) -> Iterator[dict]:
-        """Stream events, transparently resuming truncated streams.
-
-        Retries ``stream-truncated`` failures on the client's backoff
-        schedule, resuming after the last complete event via the
-        long-poll endpoint — each event is yielded exactly once.
-        """
-        last_seq = 0
-        try:
-            for event in self.events(job_id):
-                if isinstance(event, dict):
-                    last_seq = max(last_seq, event.get("seq", 0))
-                yield event
-            return
-        except ServiceError as exc:
-            if exc.code != "stream-truncated":
-                raise
-        delays = iter(self._delays if self._delays else [0.0])
-        while True:
-            try:
-                events, terminal = self.events_after(
-                    job_id, after=last_seq, wait=_LONG_POLL_SECONDS
-                )
-            except ServiceError as exc:
-                if not exc.retryable:
-                    raise
-                try:
-                    self._sleep(next(delays))
-                except StopIteration:
-                    raise exc from None
-                continue
-            for event in events:
-                last_seq = max(last_seq, event.get("seq", last_seq))
-                yield event
-            if terminal and not events:
-                return
-
     def report(
         self,
         job_id: Optional[str] = None,
@@ -534,13 +428,3 @@ class ServiceClient:
             status=409,
             code=error.get("code", f"job-{status.state}"),
         )
-
-
-def _truncated(job_id: str, last_seq: int, cause) -> ServiceError:
-    return ServiceError(
-        f"event stream for {job_id} truncated after seq {last_seq}: "
-        f"{cause}",
-        status=503,
-        code="stream-truncated",
-        retryable=True,
-    )

@@ -68,7 +68,7 @@ _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 
 def job_event(event: str, **extra) -> dict:
-    """One canonical stream event (server job streams, ``indaas watch``).
+    """One canonical event (service job event logs, ``indaas watch``).
 
     Shared field names across every event producer: ``event`` (what
     happened), ``seq`` (1-based position in the stream), and — when

@@ -5,8 +5,8 @@ A :class:`JobManager` owns one shared
 audit result cache) and a pool of worker threads.  Submissions come in
 as canonical :class:`~repro.api.AuditRequest` objects and move through the
 :data:`~repro.api.JOB_STATES` lifecycle; every transition appends a
-canonical :func:`~repro.api.job_event` to the job's event log, which is
-what the server's streaming endpoint replays.
+canonical :func:`~repro.api.job_event` to the job's event log, which
+the server's long-poll endpoint pages through.
 
 Content addressing (two levels, both exact):
 
@@ -29,7 +29,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from repro import api
 from repro.engine.cache import LRUCache
@@ -239,7 +239,7 @@ class JobManager:
         identical text, and a repeat ``@store`` submit is a fingerprint
         cache hit serving byte-identical report bytes.  The previous
         audit's snapshot label (the structural hash it was recorded
-        under) becomes the request's ``base`` so the job's event stream
+        under) becomes the request's ``base`` so the job's event log
         carries the graph delta against the last-audited state.
         """
         if request.depdb != api.STORE_DEPDB:
@@ -612,8 +612,8 @@ class JobManager:
     ) -> tuple[list, bool]:
         """Events past sequence number ``after`` plus a terminal flag.
 
-        Blocks up to ``timeout`` for news; the server's streaming
-        endpoint long-polls this in a worker thread.
+        Blocks up to ``timeout`` for news; the server's
+        ``events/poll`` endpoint calls this in a handler thread.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._event:
@@ -626,17 +626,6 @@ class JobManager:
                     if remaining <= 0 or not self._event.wait(remaining):
                         break
             return list(job.events[after:]), job.is_terminal
-
-    def stream_events(self, job_id: str) -> Iterator[dict]:
-        """Yield a job's events as they happen, ending at terminal state."""
-        seen = 0
-        while True:
-            events, terminal = self.events_after(job_id, seen, timeout=0.5)
-            for event in events:
-                yield event
-            seen += len(events)
-            if terminal and not events:
-                return
 
     def report_bytes(self, key: str) -> bytes:
         """Content-addressed report lookup (serves ``/v1/reports/<key>``)."""

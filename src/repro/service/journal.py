@@ -18,7 +18,7 @@ Journal records (each a canonical-JSON line with a ``record`` field):
 
 * ``submitted`` — the full :class:`~repro.api.AuditRequest` document,
   tenant and fingerprint; written once, first.
-* ``event`` — one canonical job event, exactly as streamed to clients.
+* ``event`` — one canonical job event, exactly as served to clients.
 * ``report`` — content address (``sha256``) of the finished report
   bytes plus ``report_key``/``structural_hash``; always written
   *before* the terminal ``done`` event, so recovery that sees ``done``

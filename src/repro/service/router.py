@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro import api
 from repro.errors import IndaasError, ServiceError
@@ -22,18 +22,14 @@ from repro.testing.faults import fault_point
 
 __all__ = ["Response", "Router"]
 
-_JSON = "application/json"
-
 
 @dataclass
 class Response:
-    """One HTTP response, fully decided (headers and body or stream)."""
+    """One HTTP response, fully decided: a JSON body and its headers."""
 
     status: int
     body: bytes = b""
-    content_type: str = _JSON
     headers: tuple = ()
-    stream: Optional[Iterator[bytes]] = None  # chunked JSONL when set
 
 
 def _json_response(status: int, document: dict, **headers) -> Response:
@@ -77,9 +73,6 @@ class Router:
     def __post_init__(self) -> None:
         self._route("POST", r"/v1/audits", self.submit)
         self._route("GET", r"/v1/jobs/(?P<job_id>[\w.-]+)", self.job_status)
-        self._route(
-            "GET", r"/v1/jobs/(?P<job_id>[\w.-]+)/events", self.job_events
-        )
         self._route(
             "GET",
             r"/v1/jobs/(?P<job_id>[\w.-]+)/events/poll",
@@ -172,17 +165,6 @@ class Router:
 
     def job_status(self, job_id: str, **_) -> Response:
         return _json_response(200, self.manager.status(job_id).to_dict())
-
-    def job_events(self, job_id: str, **_) -> Response:
-        self.manager.get(job_id)  # 404 before committing to a stream
-        events = self.manager.stream_events(job_id)
-        stream = (
-            (api.canonical_json(event) + "\n").encode("utf-8")
-            for event in events
-        )
-        return Response(
-            status=200, content_type="application/jsonl", stream=stream
-        )
 
     def job_events_poll(self, job_id: str, query: str = "", **_) -> Response:
         """Long-poll: events past ``after``, blocking up to ``wait`` s.

@@ -8,8 +8,7 @@ audit job never stalls accepts, health checks or other tenants'
 submissions.
 
 The wire protocol is deliberately minimal HTTP/1.1: request line +
-headers, ``Content-Length`` bodies, keep-alive, and chunked
-transfer-encoding for the JSONL job event stream.  That is exactly the
+headers, ``Content-Length`` bodies and keep-alive.  That is exactly the
 subset ``http.client`` (the :mod:`repro.agents.transport` client) and
 ``curl`` speak.
 """
@@ -24,12 +23,17 @@ from typing import Optional
 from repro.errors import ServiceError, SpecificationError
 from repro.service.jobs import JobManager
 from repro.service.router import Response, Router
-from repro.testing.faults import fault_point
 
 __all__ = ["AuditServer", "ServiceThread"]
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 32 * 1024 * 1024  # DepDB dumps travel inline
+
+#: Pool threads for blocking dispatch.  A long-poll on
+#: ``/v1/jobs/<id>/events/poll`` parks one thread for up to 60 s, so the
+#: pool must stay comfortably above the expected number of waiting
+#: clients or their polls starve submissions and health checks.
+_HANDLER_THREADS = 16
 
 _REASONS = {
     200: "OK",
@@ -44,8 +48,6 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-_STREAM_END = object()
-
 
 class AuditServer:
     """Serve a :class:`JobManager` over HTTP.
@@ -54,9 +56,6 @@ class AuditServer:
         manager: The job manager to expose.
         host / port: Bind address; ``port=0`` picks a free port (read
             it back from :attr:`port` after :meth:`start`).
-        handler_threads: Pool threads for blocking dispatch.  Streaming
-            a job's events parks one thread per watcher, so keep this
-            comfortably above the expected number of live streams.
     """
 
     def __init__(
@@ -64,8 +63,6 @@ class AuditServer:
         manager: JobManager,
         host: str = "127.0.0.1",
         port: int = 0,
-        *,
-        handler_threads: int = 16,
     ) -> None:
         self.manager = manager
         self.router = Router(manager)
@@ -73,7 +70,7 @@ class AuditServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._pool = ThreadPoolExecutor(
-            max_workers=handler_threads,
+            max_workers=_HANDLER_THREADS,
             thread_name_prefix="indaas-http",
         )
 
@@ -151,7 +148,13 @@ class AuditServer:
                 writer, 400, f'{{"error":"{exc}"}}\n'.encode("utf-8")
             )
             return False
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not raw_length.isdigit():  # "abc", "-5", "1_0" alike
+            await self._write_simple(
+                writer, 400, b'{"error":"malformed content-length"}\n'
+            )
+            return False
+        length = int(raw_length)
         if length > _MAX_BODY_BYTES:
             await self._write_simple(
                 writer, 413, b'{"error":"body too large"}\n'
@@ -173,9 +176,6 @@ class AuditServer:
             headers.get("connection", "").lower() == "close"
             or version == "HTTP/1.0"
         )
-        if response.stream is not None:
-            await self._write_stream(writer, response)
-            return False  # chunked streams own the connection
         await self._write_response(
             writer, response, close=wants_close
         )
@@ -187,7 +187,7 @@ class AuditServer:
         headers = [
             f"HTTP/1.1 {response.status} "
             f"{_REASONS.get(response.status, 'Unknown')}",
-            f"Content-Type: {response.content_type}",
+            "Content-Type: application/json",
             f"Content-Length: {len(response.body)}",
             f"Connection: {'close' if close else 'keep-alive'}",
         ]
@@ -196,47 +196,6 @@ class AuditServer:
             ("\r\n".join(headers) + "\r\n\r\n").encode("ascii")
             + response.body
         )
-        await writer.drain()
-
-    async def _write_stream(self, writer, response: Response) -> None:
-        headers = [
-            f"HTTP/1.1 {response.status} "
-            f"{_REASONS.get(response.status, 'Unknown')}",
-            f"Content-Type: {response.content_type}",
-            "Transfer-Encoding: chunked",
-            "Connection: close",
-        ]
-        headers.extend(f"{k}: {v}" for k, v in response.headers)
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("ascii"))
-        await writer.drain()
-        loop = asyncio.get_running_loop()
-        iterator = response.stream
-        while True:
-            chunk = await loop.run_in_executor(
-                self._pool, next, iterator, _STREAM_END
-            )
-            if chunk is _STREAM_END:
-                break
-            fault = fault_point("server.stream-chunk", size=len(chunk))
-            if fault is not None and fault.kind == "stream-truncate":
-                # Enact the truncation: claim the full chunk, send half
-                # of it, and kill the connection — the client sees a
-                # JSONL line torn mid-byte, exactly like a real
-                # mid-write crash.
-                writer.write(
-                    f"{len(chunk):x}\r\n".encode("ascii")
-                    + chunk[: max(1, len(chunk) // 2)]
-                )
-                await writer.drain()
-                transport = writer.transport
-                if transport is not None:
-                    transport.abort()
-                return
-            writer.write(
-                f"{len(chunk):x}\r\n".encode("ascii") + chunk + b"\r\n"
-            )
-            await writer.drain()
-        writer.write(b"0\r\n\r\n")
         await writer.drain()
 
     async def _write_simple(self, writer, status: int, body: bytes) -> None:

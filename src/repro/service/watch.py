@@ -5,7 +5,7 @@ iteration reloads what moved on disk, delta-audits the set against the
 previous iteration through one warm
 :class:`~repro.engine.facade.AuditEngine`'s result cache, and emits one
 canonical :func:`repro.api.job_event` — the same envelope as the audit
-server's job event stream.
+server's job events.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class WatchService:
     polling.
 
     Each emitted line is a canonical ``repro.api`` event (the same field
-    names as the audit server's job event stream): ``kind="event"``,
+    names as the audit server's job events): ``kind="event"``,
     ``event="iteration"`` (or ``"error"``), ``seq``, ``elapsed_seconds``
     and the iteration payload.
 

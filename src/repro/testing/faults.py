@@ -10,8 +10,6 @@ which crossings of which points fail and how.
 Fault kinds (:data:`FAULT_KINDS`):
 
 * ``connection-reset`` — the point raises :class:`ConnectionResetError`.
-* ``stream-truncate`` — returned to the call site, which enacts it (the
-  HTTP server writes half a JSONL chunk and drops the connection).
 * ``slow`` — the point sleeps ``delay`` seconds, then proceeds.
 * ``worker-kill`` — a sampling worker process ``os._exit``\\ s mid-plan;
   shipped to workers by block index (see
@@ -68,7 +66,6 @@ __all__ = [
 #: Every fault kind the injector knows how to deliver.
 FAULT_KINDS = (
     "connection-reset",
-    "stream-truncate",
     "slow",
     "worker-kill",
     "disk-full",
@@ -79,11 +76,11 @@ FAULT_KINDS = (
 KILL_EXIT_CODE = 23
 
 #: Injection points wired into production code, with the kinds that
-#: make sense at each.  :meth:`FaultSchedule.seeded` draws from these.
+#: make sense at each.  :meth:`FaultSchedule.seeded` draws from these,
+#: and a :class:`Fault` must name one of these pairs.
 POINT_KINDS = {
     "transport.request": ("connection-reset", "slow"),
     "server.dispatch": ("slow",),
-    "server.stream-chunk": ("stream-truncate", "connection-reset"),
     "journal.append": ("disk-full",),
     "parallel.block": ("worker-kill",),
 }
@@ -95,7 +92,8 @@ class Fault:
 
     Attributes:
         kind: One of :data:`FAULT_KINDS`.
-        point: Injection-point name the fault arms.
+        point: Injection-point name the fault arms; ``kind`` must be
+            one of the kinds :data:`POINT_KINDS` lists for it.
         at: Fire from the ``at``-th crossing of the point onwards
             (0-based, counted per point).  ``None`` arms every crossing.
         match: Context filter — the fault only fires when every
@@ -117,8 +115,16 @@ class Fault:
             raise SpecificationError(
                 f"fault.kind must be one of {FAULT_KINDS}, got {self.kind!r}"
             )
-        if not self.point:
-            raise SpecificationError("fault.point must be non-empty")
+        if self.point not in POINT_KINDS:
+            raise SpecificationError(
+                f"fault.point must be one of {sorted(POINT_KINDS)}, "
+                f"got {self.point!r}"
+            )
+        if self.kind not in POINT_KINDS[self.point]:
+            raise SpecificationError(
+                f"fault.kind at {self.point!r} must be one of "
+                f"{POINT_KINDS[self.point]}, got {self.kind!r}"
+            )
         if self.times < 1:
             raise SpecificationError(
                 f"fault.times must be >= 1, got {self.times}"
@@ -307,18 +313,18 @@ class FaultInjector:
 
     # ---------------------------- firing ------------------------------ #
 
-    def crossing(self, point: str, ctx: Mapping) -> Optional[Fault]:
+    def crossing(self, point: str, ctx: Mapping) -> None:
         """Record one crossing of ``point``; deliver a fault if armed."""
         if os.getpid() != self._pid:
             # Forked worker: worker-side faults travel via the worker
             # payload, never through the inherited injector state.
-            return None
+            return
         with self._lock:
             crossing = self._crossings.get(point, 0)
             self._crossings[point] = crossing + 1
             fault = self._select(point, crossing, ctx)
             if fault is None:
-                return None
+                return
             self.fired.append(
                 {
                     "point": point,
@@ -327,7 +333,7 @@ class FaultInjector:
                     "ctx": {k: repr(v) for k, v in ctx.items()},
                 }
             )
-        return self._deliver(fault)
+        self._deliver(fault)
 
     def _select(self, point: str, crossing: int, ctx: Mapping) -> Optional[Fault]:
         # Caller holds the lock.
@@ -345,7 +351,7 @@ class FaultInjector:
         return None
 
     @staticmethod
-    def _deliver(fault: Fault) -> Optional[Fault]:
+    def _deliver(fault: Fault) -> None:
         if fault.kind == "connection-reset":
             raise ConnectionResetError(
                 f"injected connection reset at {fault.point}"
@@ -356,9 +362,6 @@ class FaultInjector:
             )
         if fault.kind == "slow":
             time.sleep(fault.delay)
-        # slow (after sleeping), stream-truncate and worker-kill are
-        # returned for the call site to enact / observe.
-        return fault
 
     # --------------------------- queries ------------------------------ #
 
@@ -420,19 +423,15 @@ def uninstall(injector: Optional[FaultInjector] = None) -> None:
             _ACTIVE = None
 
 
-def fault_point(name: str, **ctx) -> Optional[Fault]:
+def fault_point(name: str, **ctx) -> None:
     """Declare an injection point.  No-op unless an injector is active.
 
     Raises the armed fault's exception for error kinds
-    (``connection-reset``, ``disk-full``); sleeps for ``slow``; returns
-    the :class:`Fault` for kinds the call site must enact
-    (``stream-truncate``) — and for ``slow``, after sleeping, so call
-    sites can log it.  Returns ``None`` when nothing fired.
+    (``connection-reset``, ``disk-full``) and sleeps for ``slow``.
     """
     injector = _ACTIVE
-    if injector is None:
-        return None
-    return injector.crossing(name, ctx)
+    if injector is not None:
+        injector.crossing(name, ctx)
 
 
 def worker_kill_indices(point: str = "parallel.block") -> frozenset:

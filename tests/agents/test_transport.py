@@ -45,13 +45,6 @@ class TestServiceClient:
             request
         )
 
-    def test_events_stream_ends_at_terminal(self, client):
-        submitted = client.submit(make_request(seed=63))
-        events = list(client.events(submitted.job_id))
-        assert events[0]["event"] == "submitted"
-        assert events[-1]["event"] == "done"
-        assert all(e["kind"] == "event" for e in events)
-
     def test_repeat_audit_is_cached_server_side(self, client):
         request = make_request(seed=64)
         client.audit(request, timeout=60)

@@ -8,6 +8,7 @@ specs get structured 400 bodies.
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -46,6 +47,19 @@ def http_call(handle, method, path, body=None):
         return response.status, dict(response.headers), response.read()
     finally:
         conn.close()
+
+
+def raw_exchange(handle, head: bytes) -> bytes:
+    """Send raw request bytes; return everything the server answers
+    before it closes the connection."""
+    with socket.create_connection(
+        (handle.server.host, handle.server.port), timeout=30
+    ) as sock:
+        sock.sendall(head)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def direct_bytes(request: api.AuditRequest) -> bytes:
@@ -107,20 +121,25 @@ class TestRoundTrip:
         assert by_key == by_job
 
     def test_event_stream_is_canonical_jsonl(self, service):
+        """The long-poll pages a job's events as canonical documents."""
         request = make_request(seed=24)
         _, _, body = http_call(
             service, "POST", "/v1/audits", request.to_json()
         )
         job_id = api.JobStatus.from_json(body).job_id
+        service.server.manager.wait(job_id, timeout=60)
         status, headers, payload = http_call(
-            service, "GET", f"/v1/jobs/{job_id}/events"
+            service, "GET", f"/v1/jobs/{job_id}/events/poll?after=0&wait=5"
         )
         assert status == 200
-        assert headers["Content-Type"] == "application/jsonl"
-        events = [
-            json.loads(line)
-            for line in payload.decode().strip().splitlines()
-        ]
+        assert headers["Content-Type"] == "application/json"
+        document = json.loads(payload)
+        assert payload == (api.canonical_json(document) + "\n").encode()
+        assert document["kind"] == "job_events"
+        assert document["schema_version"] == api.SCHEMA_VERSION
+        assert document["job_id"] == job_id
+        assert document["terminal"] is True
+        events = document["events"]
         assert all(e["kind"] == "event" for e in events)
         assert all(e["schema_version"] == api.SCHEMA_VERSION for e in events)
         assert events[0]["event"] == "submitted"
@@ -207,6 +226,29 @@ class TestErrors:
         status, _, body = http_call(service, "GET", "/v1/jobs/job-999999")
         assert status == 404
         assert json.loads(body)["error"]["code"] == "not-found"
+
+    def test_chunked_event_stream_route_is_gone(self, service):
+        _, _, body = http_call(
+            service, "POST", "/v1/audits", make_request(seed=25).to_json()
+        )
+        job_id = api.JobStatus.from_json(body).job_id
+        status, _, body = http_call(service, "GET", f"/v1/jobs/{job_id}/events")
+        assert status == 404
+        error = json.loads(body)
+        assert error["kind"] == "error"
+        assert error["error"]["code"] == "not-found"
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_malformed_content_length_is_400(self, service, length):
+        answer = raw_exchange(
+            service,
+            b"POST /v1/audits HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n{}",
+        )
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
 
     def test_unknown_path_is_404_and_wrong_method_405(self, service):
         status, _, _ = http_call(service, "GET", "/v2/nope")

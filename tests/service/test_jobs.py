@@ -225,7 +225,8 @@ class TestEventsAndShutdown:
         jobs = manager()
         job = jobs.submit(make_request())
         jobs.run_pending()
-        events = list(jobs.stream_events(job.id))
+        events, terminal = jobs.events_after(job.id, 0)
+        assert terminal
         assert events[-1]["event"] == "done"
         assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
 

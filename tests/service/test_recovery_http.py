@@ -200,3 +200,22 @@ class TestServeInject:
         _, stderr = process.communicate(timeout=30)
         assert process.returncode != 0
         assert "fault_schedule" in stderr
+        # A point that no code crosses arms nothing: refused, not ignored.
+        stale = tmp_path / "stale.json"
+        stale.write_text(
+            json.dumps(
+                {
+                    "kind": "fault_schedule",
+                    "faults": [
+                        {"kind": "connection-reset", "point": "server.stream-chunk"}
+                    ],
+                }
+            )
+        )
+        process = spawn(["--port", "0", "--inject", str(stale)])
+        try:
+            _, stderr = process.communicate(timeout=30)
+        finally:
+            process.kill()  # a server that accepted the schedule runs on
+        assert process.returncode != 0
+        assert "server.stream-chunk" in stderr

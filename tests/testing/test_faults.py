@@ -7,7 +7,9 @@ the schedule says, and an inactive harness costs (and changes) nothing.
 
 import json
 import os
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -27,11 +29,21 @@ from repro.testing.faults import (
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "20140807"))
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
 
 class TestFaultValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(SpecificationError):
             Fault(kind="meteor-strike", point="transport.request")
+
+    def test_rejects_unknown_point(self):
+        with pytest.raises(SpecificationError):
+            Fault(kind="slow", point="no.such.point")
+
+    def test_rejects_kind_the_point_cannot_deliver(self):
+        with pytest.raises(SpecificationError):
+            Fault(kind="worker-kill", point="journal.append")
 
     def test_rejects_bad_times_and_delay(self):
         with pytest.raises(SpecificationError):
@@ -87,6 +99,18 @@ class TestFaultSchedule:
         armable = {kind for kinds in POINT_KINDS.values() for kind in kinds}
         assert armable == set(FAULT_KINDS)
 
+    def test_points_match_the_call_sites_in_src(self):
+        """Every injection point named in ``src/`` is registered, and
+        every registered point is crossed somewhere: a sweep over
+        :data:`POINT_KINDS` tests exactly the points that exist."""
+        call = re.compile(r'(?:fault_point|worker_kill_indices)\(\s*"([^"]+)"')
+        named = {
+            name
+            for path in SRC.rglob("*.py")
+            for name in call.findall(path.read_text(encoding="utf-8"))
+        }
+        assert named == set(POINT_KINDS)
+
 
 class TestFaultInjector:
     def test_inactive_harness_is_a_no_op(self):
@@ -130,11 +154,6 @@ class TestFaultInjector:
             with pytest.raises(OSError) as excinfo:
                 fault_point("journal.append")
         assert "disk full" in str(excinfo.value)
-
-    def test_stream_truncate_is_returned_for_the_call_site(self):
-        fault = Fault(kind="stream-truncate", point="server.stream-chunk")
-        with FaultInjector(FaultSchedule((fault,))):
-            assert fault_point("server.stream-chunk") == fault
 
     def test_worker_kills_are_consumed_once(self):
         schedule = FaultSchedule(
