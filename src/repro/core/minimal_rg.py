@@ -86,6 +86,10 @@ def minimise_family(
     element->kept-set index, rather than the quadratic all-pairs check.
     """
     unique = sorted(set(family), key=lambda s: (len(s), sorted(s)))
+    if unique and not unique[0]:
+        # The empty set never enters the element index below, yet it is
+        # a subset of every set: it alone survives.
+        return unique[:1]
     kept: list[frozenset[str]] = []
     kept_sizes: list[int] = []
     by_element: dict[str, list[int]] = defaultdict(list)

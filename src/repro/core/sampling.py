@@ -60,7 +60,8 @@ class SamplingResult:
     Attributes:
         rounds: Number of sampling rounds executed.
         top_failures: Rounds in which the top event failed.
-        risk_groups: Aggregated risk groups (absorption-minimised).
+        risk_groups: Aggregated risk groups, an antichain (no group
+            contains another), sorted by size, then members.
         top_probability_estimate: Fraction of failing rounds — an unbiased
             estimate of the top-event failure probability *under the
             sampling distribution* (only meaningful as a probability when
@@ -100,9 +101,12 @@ def merge_block_outcomes(
     """Fold per-block outcomes into one :class:`SamplingResult`.
 
     Counts add, group/raw-fingerprint sets union, and the family is
-    absorption-minimised once at the end — all order-insensitive, so the
+    sorted by ``(size, sorted members)`` — all order-insensitive, so the
     merge of a parallel run equals the merge of the same blocks run
-    serially.
+    serially.  Minimised blocks hold minimal risk groups of one monotone
+    graph, and distinct minimal groups never contain one another, so
+    their union is already an antichain and is only sorted.  Raw failing
+    sets (``minimised=False``) are absorption-minimised first.
     """
     if not outcomes:
         raise AnalysisError("no block outcomes to merge")
@@ -113,11 +117,11 @@ def merge_block_outcomes(
     for outcome in outcomes:
         collected |= outcome.groups
         raw_keys |= outcome.raw_keys
-    groups = minimise_family(collected)
+    family = collected if minimised else minimise_family(collected)
     return SamplingResult(
         rounds=rounds,
         top_failures=top_failures,
-        risk_groups=sorted(groups, key=lambda s: (len(s), sorted(s))),
+        risk_groups=sorted(family, key=lambda s: (len(s), sorted(s))),
         top_probability_estimate=top_failures / rounds,
         minimised=minimised,
         sample_probability=sample_probability,

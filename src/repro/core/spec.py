@@ -9,6 +9,7 @@ algorithms used to quantify independence.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
@@ -91,10 +92,15 @@ class AuditSpec:
             )
         if self.destinations is not None:
             self.destinations = tuple(self.destinations)
-        if self.sampling_rounds < 1:
+        rounds = self.sampling_rounds
+        # A bool is an int, but never a round count.
+        if not isinstance(rounds, numbers.Integral) or isinstance(rounds, bool):
             raise SpecificationError(
-                f"sampling_rounds must be >= 1, got {self.sampling_rounds}"
+                f"sampling_rounds must be an integer, got {type(rounds).__name__}"
             )
+        if rounds < 1:
+            raise SpecificationError(f"sampling_rounds must be >= 1, got {rounds}")
+        self.sampling_rounds = int(rounds)
         if not 0.0 < self.sampling_probability < 1.0:
             raise SpecificationError(
                 "sampling_probability must be in (0,1), got "

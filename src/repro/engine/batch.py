@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Collection, Optional, Sequence
 
@@ -289,11 +290,10 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 def _rows_to_groups(
     compiled: CompiledGraph, rows: np.ndarray
 ) -> set[frozenset[str]]:
-    """Convert boolean basic-event rows to named risk groups."""
+    """Convert boolean basic-event rows to named risk groups, in one
+    ``tolist`` pass rather than one ``np.flatnonzero`` call per row."""
     names = compiled.basic_names
-    return {
-        frozenset(names[i] for i in np.flatnonzero(row)) for row in rows
-    }
+    return {frozenset(compress(names, row)) for row in rows.tolist()}
 
 
 def run_block(

@@ -55,6 +55,7 @@ from repro.engine.incremental import (
 from repro.engine.parallel import (
     cancel_scope,
     check_cancelled,
+    check_count,
     map_jobs,
     plan_blocks,
     resolve_workers,
@@ -130,10 +131,9 @@ class AuditEngine:
         cache: Optional[GraphCache] = None,
         pool: Optional[PersistentPool] = None,
     ) -> None:
-        if block_size < 1:
-            raise AnalysisError(f"block_size must be >= 1, got {block_size}")
+        check_count("block_size", block_size)
         self.n_workers = resolve_workers(n_workers)
-        self.block_size = block_size
+        self.block_size = int(block_size)
         self.cache = cache if cache is not None else GraphCache()
         self._owns_pool = pool is None and self.n_workers > 1
         self.pool: Optional[PersistentPool] = (
@@ -215,8 +215,6 @@ class AuditEngine:
         :mod:`repro.engine.adaptive`); the stopping point is decided in
         plan order, so it too is worker-count invariant.
         """
-        if rounds < 1:
-            raise AnalysisError(f"rounds must be >= 1, got {rounds}")
         if not 0.0 < sample_probability < 1.0:
             raise AnalysisError(
                 f"sample_probability must be in (0,1), got {sample_probability}"

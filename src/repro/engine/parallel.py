@@ -16,6 +16,7 @@ Worker processes live in :mod:`repro.engine.pool` and nowhere else.
 from __future__ import annotations
 
 import contextlib
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -83,6 +84,17 @@ class BlockPlan:
         return len(self.rounds)
 
 
+def check_count(name: str, value) -> None:
+    """Raise :class:`AnalysisError` unless ``value`` is a Python or NumPy
+    integer of at least 1.  A ``bool`` is an ``int`` but never a count."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise AnalysisError(
+            f"{name} must be an integer, got {type(value).__name__}"
+        )
+    if value < 1:
+        raise AnalysisError(f"{name} must be >= 1, got {value}")
+
+
 def plan_blocks(
     rounds: int,
     block_size: int,
@@ -96,10 +108,9 @@ def plan_blocks(
     sequence per run (:class:`~repro.core.sampling.FailureSampler`
     derives one from its seed entropy and an explicit run counter).
     """
-    if rounds < 1:
-        raise AnalysisError(f"rounds must be >= 1, got {rounds}")
-    if block_size < 1:
-        raise AnalysisError(f"block_size must be >= 1, got {block_size}")
+    check_count("rounds", rounds)
+    check_count("block_size", block_size)
+    rounds, block_size = int(rounds), int(block_size)
     sizes = [block_size] * (rounds // block_size)
     if rounds % block_size:
         sizes.append(rounds % block_size)

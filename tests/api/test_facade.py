@@ -79,6 +79,11 @@ class TestAuditFrontDoor:
             == from_text.metadata["report_key"]
         )
 
+    @pytest.mark.parametrize("rounds", [1000.0, True, "1000"])
+    def test_rejects_non_integer_rounds(self, rounds):
+        with pytest.raises(SpecificationError, match="sampling_rounds"):
+            repro.audit(DEPDB, ["S1", "S2"], algorithm="sampling", rounds=rounds)
+
     def test_rejects_unknown_depdb_type(self):
         with pytest.raises(SpecificationError, match="depdb"):
             repro.audit(42, ["S1"])

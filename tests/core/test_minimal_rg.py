@@ -46,6 +46,10 @@ class TestMinimiseFamily:
     def test_empty(self):
         assert minimise_family([]) == []
 
+    def test_empty_set_absorbs_every_other_set(self):
+        family = [frozenset({"a"}), frozenset(), frozenset({"b", "c"})]
+        assert minimise_family(family) == [frozenset()]
+
     def test_result_is_antichain(self):
         family = [frozenset(s) for s in ("ab", "bc", "abc", "a", "cd", "d")]
         result = minimise_family(family)

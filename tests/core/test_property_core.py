@@ -135,7 +135,7 @@ def test_compiled_evaluator_matches_reference(graph):
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
-        st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=4).map(
+        st.sets(st.sampled_from("abcdefg"), min_size=0, max_size=4).map(
             frozenset
         ),
         min_size=1,

@@ -1,5 +1,6 @@
 """Unit tests for audit specifications."""
 
+import numpy as np
 import pytest
 
 from repro import AuditSpec, DetailLevel, RGAlgorithm, RankingMethod
@@ -34,6 +35,17 @@ class TestValidation:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(SpecificationError):
             AuditSpec(**kwargs)
+
+    @pytest.mark.parametrize("rounds", [1000.0, 2.5, True, False, "1000", None])
+    def test_non_integer_rounds_rejected(self, rounds):
+        with pytest.raises(SpecificationError, match="sampling_rounds"):
+            AuditSpec(deployment="d", servers=("a",), sampling_rounds=rounds)
+
+    @pytest.mark.parametrize("rounds", [np.int64(300), np.uint16(300), 300])
+    def test_numpy_integer_rounds_become_int(self, rounds):
+        spec = AuditSpec(deployment="d", servers=("a",), sampling_rounds=rounds)
+        assert spec.sampling_rounds == 300
+        assert type(spec.sampling_rounds) is int
 
     def test_servers_normalised_to_tuple(self):
         spec = AuditSpec(deployment="d", servers=["a", "b"])

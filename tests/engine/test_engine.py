@@ -6,6 +6,7 @@ top-probability estimate as the serial :class:`FailureSampler`, for any
 worker count.
 """
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -19,6 +20,7 @@ from repro import (
 from repro.analysis.whatif import Duplicate, Harden, evaluate_mitigations
 from repro.depdb import DepDB
 from repro.engine import AuditEngine, GraphCache
+from repro.engine.parallel import plan_blocks
 from repro.errors import AnalysisError, SpecificationError
 
 from tests.engine.test_incremental import SETS, jobs_for
@@ -132,6 +134,37 @@ class TestSamplingParity:
             engine.sample(figure_4a, 10, sample_probability=1.0)
         with pytest.raises(AnalysisError):
             AuditEngine(block_size=0)
+
+    @pytest.mark.parametrize("block_size", [2.5, 256.0, True, "256", None])
+    def test_non_integer_block_size_rejected(self, block_size):
+        with pytest.raises(AnalysisError, match="block_size"):
+            AuditEngine(block_size=block_size)
+
+    @pytest.mark.parametrize("rounds", [100.0, True, "100"])
+    def test_non_integer_sample_rounds_rejected(self, figure_4a, rounds):
+        with pytest.raises(AnalysisError, match="rounds"):
+            AuditEngine().sample(figure_4a, rounds)
+
+    @pytest.mark.parametrize(
+        "rounds, block_size",
+        [(1000.0, 256), (1000, 256.0), (True, 256), (1000, True), ("1000", 256)],
+    )
+    def test_plan_blocks_rejects_non_integers(self, rounds, block_size):
+        with pytest.raises(AnalysisError):
+            plan_blocks(rounds, block_size, np.random.SeedSequence(0))
+
+    def test_numpy_integer_counts_are_plain_ints(self, figure_4a):
+        plan = plan_blocks(
+            np.int64(600), np.int32(256), np.random.SeedSequence(0)
+        )
+        assert plan.rounds == (256, 256, 88)
+        assert all(type(size) is int for size in plan.rounds)
+        engine = AuditEngine(block_size=np.int64(256))
+        assert type(engine.block_size) is int
+        numpy_counts = engine.sample(figure_4a, np.int64(600), seed=1)
+        plain = AuditEngine(block_size=256).sample(figure_4a, 600, seed=1)
+        assert numpy_counts.risk_groups == plain.risk_groups
+        assert numpy_counts.rounds == 600
 
     def test_cache_reused_across_samples(self, deep_graph):
         engine = AuditEngine()
