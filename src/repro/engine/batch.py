@@ -290,8 +290,8 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 def _rows_to_groups(
     compiled: CompiledGraph, rows: np.ndarray
 ) -> set[frozenset[str]]:
-    """Convert boolean basic-event rows to named risk groups, in one
-    ``tolist`` pass rather than one ``np.flatnonzero`` call per row."""
+    """Convert boolean basic-event rows to named risk groups in one
+    ``tolist`` pass over the matrix."""
     names = compiled.basic_names
     return {frozenset(compress(names, row)) for row in rows.tolist()}
 
