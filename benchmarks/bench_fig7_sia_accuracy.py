@@ -64,7 +64,7 @@ def deployment_graph(ports: int):
     depdb = DepDB()
     NetworkDependencyCollector(
         topology, servers=servers, static_routes=static
-    ).collect_into(depdb)
+    ).adapt_into(depdb)
     auditor = SIAAuditor(depdb)
     return auditor.build_graph(
         AuditSpec(deployment="fig7", servers=tuple(servers))

@@ -56,8 +56,8 @@ def storage_sample_audit() -> None:
     static = {s: list(plan.routes(s)) for s in plan.servers}
     NetworkDependencyCollector(
         topology, servers=list(plan.servers), static_routes=static
-    ).collect_into(depdb)
-    HardwareInventoryCollector(plan.hardware).collect_into(depdb)
+    ).adapt_into(depdb)
+    HardwareInventoryCollector(plan.hardware).adapt_into(depdb)
     for server, programs in plan.software.items():
         for program, packages in programs.items():
             depdb.add(SoftwareDependency(program, server, packages))

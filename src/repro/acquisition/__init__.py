@@ -1,30 +1,16 @@
 """Pluggable dependency acquisition modules (DAMs, §3)."""
 
-from repro.acquisition.base import (
-    DependencyAcquisitionModule,
-    acquire_into,
-    create_module,
-    module_names,
-    register_module,
-)
+from repro.acquisition.base import DependencyAcquisitionModule, acquire_into
 from repro.acquisition.hardware import HardwareInventoryCollector
-from repro.acquisition.logs import LogMiningCollector, generate_logs
 from repro.acquisition.network import (
     NetworkDependencyCollector,
     TrafficSampledCollector,
 )
-from repro.acquisition.software import SoftwarePackageCollector
 
 __all__ = [
     "DependencyAcquisitionModule",
     "HardwareInventoryCollector",
-    "LogMiningCollector",
     "NetworkDependencyCollector",
-    "SoftwarePackageCollector",
     "TrafficSampledCollector",
     "acquire_into",
-    "create_module",
-    "generate_logs",
-    "module_names",
-    "register_module",
 ]

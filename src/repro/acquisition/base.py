@@ -4,29 +4,24 @@ Every data source runs one or more DAMs that collect raw dependency data
 and adapt it to the uniform Table-1 record format, then store it in a
 DepDB.  The paper's prototype wraps NSDMiner (network), lshw (hardware)
 and apt-rdepends (software); ours substitute simulated-but-faithful
-collectors over synthetic substrates (see DESIGN.md §3).
+collectors for the first two, and software records enter a DepDB as
+given (the Table-2 stacks of :mod:`repro.swinventory`).
 
-The registry lets deployments compose collectors by name, mirroring the
-"pluggable" claim: a provider picks the modules matching its
-infrastructure and INDaaS only ever sees uniform records.
+A DAM plugs in by subclassing :class:`DependencyAcquisitionModule`: a
+provider picks the modules matching its infrastructure, and INDaaS only
+ever sees uniform records.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Iterator, Type
+from typing import Iterable, Iterator
 
 from repro.depdb.database import DepDB
 from repro.depdb.records import DependencyRecord
 from repro.errors import AcquisitionError
 
-__all__ = [
-    "DependencyAcquisitionModule",
-    "register_module",
-    "module_names",
-    "create_module",
-    "acquire_into",
-]
+__all__ = ["DependencyAcquisitionModule", "acquire_into"]
 
 
 class DependencyAcquisitionModule(abc.ABC):
@@ -71,51 +66,6 @@ class DependencyAcquisitionModule(abc.ABC):
                 f"check its configuration"
             )
         return added
-
-    def collect_into(self, depdb: DepDB) -> int:
-        """Collect and store; returns the number of new records."""
-        return self.adapt_into(depdb)
-
-
-_REGISTRY: dict[str, Type[DependencyAcquisitionModule]] = {}
-
-
-def register_module(
-    name: str,
-) -> Callable[[Type[DependencyAcquisitionModule]], Type[DependencyAcquisitionModule]]:
-    """Class decorator adding a DAM to the plug-in registry."""
-
-    def decorate(
-        cls: Type[DependencyAcquisitionModule],
-    ) -> Type[DependencyAcquisitionModule]:
-        if name in _REGISTRY:
-            raise AcquisitionError(f"module {name!r} already registered")
-        if not issubclass(cls, DependencyAcquisitionModule):
-            raise AcquisitionError(
-                f"{cls.__name__} is not a DependencyAcquisitionModule"
-            )
-        _REGISTRY[name] = cls
-        cls.module_name = name
-        return cls
-
-    return decorate
-
-
-def module_names() -> list[str]:
-    """Registered DAM names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def create_module(name: str, /, **kwargs) -> DependencyAcquisitionModule:
-    """Instantiate a registered DAM by name."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise AcquisitionError(
-            f"unknown acquisition module {name!r}; "
-            f"available: {module_names()}"
-        ) from None
-    return cls(**kwargs)
 
 
 def acquire_into(

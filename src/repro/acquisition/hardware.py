@@ -2,9 +2,9 @@
 
 ``lshw`` dumps a machine's physical configuration (CPU, disks, NICs,
 RAM).  Our substitute reads the same information from a hardware
-inventory — either a literal mapping or a generated
-:class:`~repro.hwinventory.generator.HardwareInventory` — and adapts it
-to ``<hw, type, dep>`` records.  Shared component *models* across servers
+inventory — a ``{server: [(type, model), ...]}`` mapping such as
+:data:`repro.topology.lab.LAB_HARDWARE` — and adapts it to
+``<hw, type, dep>`` records.  Shared component *models* across servers
 are exactly the common-mode hardware risks audits should surface
 (firmware bugs hit whole model batches, as in the §6.2.2 case study).
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Optional, Sequence
 
-from repro.acquisition.base import DependencyAcquisitionModule, register_module
+from repro.acquisition.base import DependencyAcquisitionModule
 from repro.depdb.records import HardwareDependency
 from repro.errors import AcquisitionError
 
@@ -23,7 +23,6 @@ __all__ = ["HardwareInventoryCollector"]
 InventoryMapping = Mapping[str, Sequence[tuple[str, str]]]
 
 
-@register_module("hardware.inventory")
 class HardwareInventoryCollector(DependencyAcquisitionModule):
     """Inventory-backed hardware collector.
 

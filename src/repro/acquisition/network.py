@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.acquisition.base import DependencyAcquisitionModule, register_module
+from repro.acquisition.base import DependencyAcquisitionModule
 from repro.depdb.records import NetworkDependency
 from repro.errors import AcquisitionError
 from repro.topology.graph import INTERNET, Topology
@@ -29,7 +29,6 @@ from repro.topology.routing import shortest_routes
 __all__ = ["NetworkDependencyCollector", "TrafficSampledCollector"]
 
 
-@register_module("network.topology")
 class NetworkDependencyCollector(DependencyAcquisitionModule):
     """Route-table based collector (complete route knowledge).
 
@@ -89,7 +88,6 @@ class NetworkDependencyCollector(DependencyAcquisitionModule):
                 yield NetworkDependency(src=server, dst=self.dst, route=route)
 
 
-@register_module("network.traffic")
 class TrafficSampledCollector(NetworkDependencyCollector):
     """Flow-sampling collector (NSDMiner's partial-observation regime).
 
@@ -115,14 +113,23 @@ class TrafficSampledCollector(NetworkDependencyCollector):
                 f"flows_per_server must be >= 1, got {flows_per_server}"
             )
         self.flows_per_server = flows_per_server
-        self._rng = np.random.default_rng(seed)
+        # Every stream draws from a fresh generator over this entropy, so
+        # each collect() observes the same routes.
+        self._entropy = np.random.SeedSequence(seed).entropy
+
+    def _sampled_routes(self, server: str) -> list[tuple[str, ...]]:
+        routes = self.routes_for(server)
+        if not routes:
+            raise AcquisitionError(
+                f"no route to sample flows over for {server!r}"
+            )
+        return routes
 
     def stream(self) -> Iterator[NetworkDependency]:
+        rng = np.random.default_rng(np.random.SeedSequence(self._entropy))
         for server in self.servers:
-            routes = self.routes_for(server)
-            picks = self._rng.integers(
-                0, len(routes), size=self.flows_per_server
-            )
+            routes = self._sampled_routes(server)
+            picks = rng.integers(0, len(routes), size=self.flows_per_server)
             for index in sorted(set(picks.tolist())):
                 yield NetworkDependency(
                     src=server, dst=self.dst, route=routes[index]
@@ -134,7 +141,7 @@ class TrafficSampledCollector(NetworkDependencyCollector):
         total = 0
         expected = 0.0
         for server in self.servers:
-            r = len(self.routes_for(server))
+            r = len(self._sampled_routes(server))
             total += r
             expected += r * (1.0 - ((r - 1) / r) ** self.flows_per_server)
         return expected / total if total else 1.0

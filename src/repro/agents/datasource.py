@@ -22,7 +22,15 @@ __all__ = ["DataSource"]
 
 
 class DataSource:
-    """One dependency data source (a provider, region or cluster)."""
+    """One dependency data source (a provider, region or cluster).
+
+    Args:
+        name: The source's identity in requests.
+        modules: DAMs run once, into ``depdb``, on first use.
+        depdb: The local store.  Given records and no modules, the
+            source serves them as given; pass a SQLite-backed DepDB to
+            make acquired records durable.
+    """
 
     def __init__(
         self,
@@ -33,26 +41,22 @@ class DataSource:
         if not name:
             raise AcquisitionError("data source name must be non-empty")
         self.name = name
-        self.modules = list(modules)
-        # Acquisition streams straight into the given store — pass a
-        # SQLite-backed DepDB to make this source's records durable.
-        self.depdb = depdb if depdb is not None else DepDB()
-        self._collected = False
-
-    def add_module(self, module: DependencyAcquisitionModule) -> None:
-        self.modules.append(module)
-
-    def collect(self, force: bool = False) -> dict[str, int]:
-        """Step 3: run every acquisition module into the local DepDB."""
-        if self._collected and not force:
-            return {}
-        if not self.modules:
+        self.modules = tuple(modules)
+        if not self.modules and depdb is None:
             raise AcquisitionError(
-                f"data source {self.name!r} has no acquisition modules"
+                f"data source {name!r} has neither acquisition modules "
+                f"nor records"
             )
-        counts = acquire_into(self.depdb, self.modules)
-        self._collected = True
-        return counts
+        self._depdb = depdb if depdb is not None else DepDB()
+        self._pending = bool(self.modules)
+
+    @property
+    def depdb(self) -> DepDB:
+        """The local DepDB, after Step 3 has run the modules into it."""
+        if self._pending:
+            acquire_into(self._depdb, self.modules)
+            self._pending = False
+        return self._depdb
 
     def handle(self, request: DependencyDataRequest) -> DependencyDataResponse:
         """Step 5 (SIA): serve the requested record categories."""
@@ -60,7 +64,6 @@ class DataSource:
             raise AcquisitionError(
                 f"request for {request.source!r} reached {self.name!r}"
             )
-        self.collect()
         wanted = set(request.dependency_types)
         records = []
         hosts = (
@@ -85,19 +88,11 @@ class DataSource:
             source=self.name, payload=payload, record_count=len(records)
         )
 
-    def as_provider(
+    def component_set(
         self, include_kinds: tuple[str, ...] = ("network", "software")
-    ) -> CloudProvider:
-        """PIA view: this source as a provider with a component-set
-        (raw records never leave the source)."""
-        self.collect()
+    ) -> frozenset[str]:
+        """PIA view: the components behind this source (raw records
+        never leave it)."""
         return CloudProvider(
             name=self.name, depdb=self.depdb, include_kinds=include_kinds
-        )
-
-    def component_set(
-        self,
-        include_kinds: tuple[str, ...] = ("network", "software"),
-        hosts: Optional[list[str]] = None,
-    ) -> frozenset[str]:
-        return self.as_provider(include_kinds).component_set(hosts)
+        ).component_set()

@@ -8,6 +8,7 @@ over SSH channels (§6.1.1).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -22,6 +23,25 @@ __all__ = [
 ]
 
 
+def _sequence(what: str, value) -> tuple:
+    """``value`` as a tuple, if it is a list or tuple (not a string)."""
+    if not isinstance(value, (list, tuple)):
+        raise SpecificationError(
+            f"{what} must be a list, got {type(value).__name__} {value!r}"
+        )
+    return tuple(value)
+
+
+def _names(what: str, value) -> tuple[str, ...]:
+    """``value`` as a tuple of non-empty strings."""
+    names = _sequence(what, value)
+    if not all(isinstance(name, str) and name for name in names):
+        raise SpecificationError(
+            f"{what} must list non-empty names, got {value!r}"
+        )
+    return names
+
+
 @dataclass(frozen=True)
 class AuditRequest:
     """Step 1: the client's audit specification to the agent.
@@ -29,7 +49,8 @@ class AuditRequest:
     Deliberately not :class:`repro.api.AuditRequest`: data sources,
     dependency types, metric and mode are Figure-1 notions the canonical
     one-deployment request has no field for.  The agent turns one of
-    these into one canonical request per deployment.
+    these into one canonical request per deployment.  Lists of names are
+    stored as tuples; a string in their place is rejected.
 
     Attributes:
         client: Requesting identity.
@@ -59,6 +80,31 @@ class AuditRequest:
     def __post_init__(self) -> None:
         if not self.client:
             raise SpecificationError("client name must be non-empty")
+        # A bare string would pass for the sequence of its characters.
+        set_field = functools.partial(object.__setattr__, self)
+        set_field("data_sources", _names("data_sources", self.data_sources))
+        set_field(
+            "deployments",
+            tuple(
+                _names("each deployment", deployment)
+                for deployment in _sequence("deployments", self.deployments)
+            ),
+        )
+        set_field(
+            "dependency_types",
+            _names("dependency_types", self.dependency_types),
+        )
+        if self.programs is not None:
+            set_field("programs", _names("programs", self.programs))
+        if (
+            isinstance(self.redundancy, bool)
+            or not isinstance(self.redundancy, int)
+            or self.redundancy < 1
+        ):
+            raise SpecificationError(
+                f"redundancy must be a positive integer, "
+                f"got {self.redundancy!r}"
+            )
         if not self.data_sources:
             raise SpecificationError("request names no data sources")
         if not self.deployments:

@@ -75,7 +75,7 @@ def network_datacenter_depdb(
     depdb = DepDB()
     NetworkDependencyCollector(
         topology, servers=servers, static_routes=static
-    ).collect_into(depdb)
+    ).adapt_into(depdb)
     return depdb, servers, plan
 
 
@@ -189,11 +189,11 @@ def hardware_case_study(seed: int = 0) -> HardwareCaseResult:
 
     # Re-deployment: audit every server pair with full hardware listings.
     server_depdb = DepDB()
-    HardwareInventoryCollector(plan.hardware).collect_into(server_depdb)
+    HardwareInventoryCollector(plan.hardware).adapt_into(server_depdb)
     static = {s: list(plan.routes(s)) for s in plan.servers}
     NetworkDependencyCollector(
         lab_cloud(plan), servers=list(plan.servers), static_routes=static
-    ).collect_into(server_depdb)
+    ).adapt_into(server_depdb)
     auditor = SIAAuditor(server_depdb)
     base = AuditSpec(
         deployment="probe", servers=plan.servers[:2], top_n=4

@@ -1,7 +1,7 @@
-"""Software package substrate: universes, closures, and the Table-2 stacks."""
+"""Software substrate: the four Table-2 key-value-store stacks."""
 
-from repro.swinventory.packages import Package, PackageUniverse
 from repro.swinventory.stacks import (
+    BASE_LIBRARIES,
     CLOUDS,
     PAPER_TABLE2_THREE_WAY,
     PAPER_TABLE2_TWO_WAY,
@@ -14,20 +14,16 @@ from repro.swinventory.stacks import (
     stack_packages,
     verify_against_paper,
 )
-from repro.swinventory.universe import BASE_LIBRARIES, generate_universe
 
 __all__ = [
     "BASE_LIBRARIES",
     "CLOUDS",
     "PAPER_TABLE2_THREE_WAY",
     "PAPER_TABLE2_TWO_WAY",
-    "Package",
-    "PackageUniverse",
     "REGION_SIZES",
     "STACKS",
     "all_stack_packages",
     "expected_jaccard",
-    "generate_universe",
     "software_records",
     "stack_of",
     "stack_packages",

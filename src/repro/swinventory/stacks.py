@@ -21,9 +21,9 @@ from typing import Mapping
 
 from repro.depdb.records import SoftwareDependency
 from repro.errors import DependencyDataError
-from repro.swinventory.universe import BASE_LIBRARIES
 
 __all__ = [
+    "BASE_LIBRARIES",
     "STACKS",
     "CLOUDS",
     "REGION_SIZES",
@@ -35,6 +35,20 @@ __all__ = [
     "expected_jaccard",
     "software_records",
 ]
+
+#: Ubiquitous base libraries that seed the region every stack shares.
+BASE_LIBRARIES: tuple[tuple[str, str], ...] = (
+    ("libc6", "2.19-18"),
+    ("zlib1g", "1.2.8"),
+    ("libssl1.0.0", "1.0.1k"),
+    ("libstdc++6", "4.9.2"),
+    ("libgcc1", "4.9.2"),
+    ("libtinfo5", "5.9"),
+    ("libselinux1", "2.3"),
+    ("libpcre3", "8.35"),
+    ("liblzma5", "5.1.1"),
+    ("libbz2-1.0", "1.0.6"),
+)
 
 #: Stack index -> storage system, as assigned in §6.2.3.
 STACKS = ("Riak", "MongoDB", "Redis", "CouchDB")

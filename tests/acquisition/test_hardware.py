@@ -41,5 +41,5 @@ class TestHardwareCollector:
 
     def test_collect_into_depdb(self):
         db = DepDB()
-        HardwareInventoryCollector(LAB_HARDWARE).collect_into(db)
+        HardwareInventoryCollector(LAB_HARDWARE).adapt_into(db)
         assert db.hardware_of("Server3")

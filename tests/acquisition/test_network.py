@@ -55,7 +55,7 @@ class TestTopologyMode:
 
     def test_collect_into_depdb(self, lab):
         db = DepDB()
-        NetworkDependencyCollector(lab).collect_into(db)
+        NetworkDependencyCollector(lab).adapt_into(db)
         assert db.counts()["network"] == 8  # 4 servers x 2 routes
 
     def test_no_servers_rejected(self):
@@ -101,3 +101,27 @@ class TestTrafficMode:
     def test_invalid_flow_count(self, lab):
         with pytest.raises(AcquisitionError):
             TrafficSampledCollector(lab, flows_per_server=0)
+
+    def test_repeated_collects_observe_the_same_routes(self):
+        # Each stream starts a fresh generator over the construction-time
+        # entropy, so a re-collecting data source ingests the same routes.
+        topo = fat_tree(FatTreeConfig(ports=4))
+        servers = ["srv-p0-t0-0", "srv-p0-t0-1"]
+
+        def collector():
+            return TrafficSampledCollector(
+                topo, servers=servers, flows_per_server=2, seed=3
+            )
+
+        once = collector()
+        first, second = once.collect(), once.collect()
+        assert first == second == collector().collect()
+        assert len(first) == 3
+
+    @pytest.mark.parametrize("call", ["collect", "discovery_ratio"])
+    def test_server_without_routes_is_an_acquisition_error(self, lab, call):
+        collector = TrafficSampledCollector(
+            lab, servers=["Server1"], static_routes={"Server1": []}
+        )
+        with pytest.raises(AcquisitionError, match="'Server1'"):
+            getattr(collector, call)()

@@ -88,18 +88,14 @@ class TestBuiltinCollectorsStream:
         import inspect
 
         from repro.acquisition.hardware import HardwareInventoryCollector
-        from repro.acquisition.logs import LogMiningCollector
         from repro.acquisition.network import (
             NetworkDependencyCollector,
             TrafficSampledCollector,
         )
-        from repro.acquisition.software import SoftwarePackageCollector
 
         for cls in (
             NetworkDependencyCollector,
             TrafficSampledCollector,
             HardwareInventoryCollector,
-            SoftwarePackageCollector,
-            LogMiningCollector,
         ):
             assert inspect.isgeneratorfunction(cls.stream), cls.__name__

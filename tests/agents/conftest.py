@@ -48,11 +48,8 @@ def client(service):
 
 @pytest.fixture
 def lab_sources() -> dict:
-    """One pre-collected data source holding the shared-ToR topology."""
-    source = DataSource("lab")
-    source.depdb = DepDB.loads(DEPDB)
-    source._collected = True
-    return {"lab": source}
+    """One data source serving the shared-ToR topology's records."""
+    return {"lab": DataSource("lab", depdb=DepDB.loads(DEPDB))}
 
 
 @pytest.fixture
@@ -74,10 +71,7 @@ def lab_source() -> DataSource:
 @pytest.fixture
 def software_sources() -> dict:
     """Four single-provider sources with the Table-2 software stacks."""
-    sources = {}
-    for record in software_records():
-        source = DataSource(f"{record.hw}")
-        source.depdb.add(record)
-        source._collected = True  # records injected directly
-        sources[record.hw] = source
-    return sources
+    return {
+        record.hw: DataSource(record.hw, depdb=DepDB([record]))
+        for record in software_records()
+    }

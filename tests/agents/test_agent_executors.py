@@ -58,12 +58,11 @@ class TestLocalEqualsRemote:
 
 
 def test_unknown_program_rejected(executor):
-    source = DataSource("lab")
-    source.depdb = DepDB.loads(DEPDB)
-    source.depdb.add(
+    records = DepDB.loads(DEPDB)
+    records.add(
         SoftwareDependency(pgm="riak", hw="S1", dep=("libc6", "erlang"))
     )
-    source._collected = True
+    source = DataSource("lab", depdb=records)
     agent = AuditingAgent({"lab": source}, audit=executor)
 
     def request(programs):

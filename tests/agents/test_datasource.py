@@ -3,13 +3,28 @@
 import pytest
 
 from repro.acquisition import (
+    DependencyAcquisitionModule,
     HardwareInventoryCollector,
     NetworkDependencyCollector,
 )
 from repro.agents import DataSource, DependencyDataRequest
+from repro.depdb import DepDB, HardwareDependency
 from repro.errors import AcquisitionError
 from repro.topology import lab_cloud
 from repro.topology.lab import LAB_HARDWARE
+
+from tests.service.conftest import DEPDB
+
+
+class CountingModule(DependencyAcquisitionModule):
+    kind = "hardware"
+
+    def __init__(self):
+        self.pulls = 0
+
+    def stream(self):
+        self.pulls += 1
+        yield HardwareDependency("S1", "CPU", "X5550")
 
 
 @pytest.fixture
@@ -28,21 +43,38 @@ def source() -> DataSource:
 
 class TestCollect:
     def test_collect_fills_depdb(self, source):
-        counts = source.collect()
-        assert sum(counts.values()) > 0
         assert source.depdb.counts()["network"] == 4
 
-    def test_collect_idempotent(self, source):
-        source.collect()
-        assert source.collect() == {}  # cached
+    def test_collect_idempotent(self):
+        # The modules run once, on first use, however often it is read.
+        module = CountingModule()
+        source = DataSource("lab", modules=[module])
+        assert module.pulls == 0
+        first = source.depdb
+        assert source.depdb is first
+        source.handle(
+            DependencyDataRequest(source="lab", dependency_types=("hardware",))
+        )
+        assert module.pulls == 1
 
     def test_no_modules_rejected(self):
-        with pytest.raises(AcquisitionError, match="no acquisition modules"):
-            DataSource("empty").collect()
+        with pytest.raises(
+            AcquisitionError, match="neither acquisition modules nor records"
+        ):
+            DataSource("empty")
 
     def test_empty_name_rejected(self):
         with pytest.raises(AcquisitionError):
             DataSource("")
+
+    def test_records_without_modules_are_served_as_given(self):
+        records = DepDB.loads(DEPDB)
+        source = DataSource("lab", depdb=records)
+        assert source.depdb is records
+        response = source.handle(
+            DependencyDataRequest(source="lab", dependency_types=("network",))
+        )
+        assert DepDB.loads(response.payload).dumps() == records.dumps()
 
 
 class TestHandle:
@@ -75,8 +107,6 @@ class TestHandle:
             )
 
     def test_payload_round_trips(self, source):
-        from repro.depdb import DepDB
-
         response = source.handle(
             DependencyDataRequest(
                 source="lab", dependency_types=("network", "hardware")

@@ -57,7 +57,7 @@ def fig7_graph():
     depdb = DepDB()
     NetworkDependencyCollector(
         topology, servers=servers, static_routes=static
-    ).collect_into(depdb)
+    ).adapt_into(depdb)
     return SIAAuditor(depdb).build_graph(
         AuditSpec(deployment="fig7", servers=tuple(servers))
     )

@@ -1,7 +1,7 @@
 """Cross-module integration tests: the full Figure-1 lifecycle.
 
 One story, end to end: a provider builds its substrate, acquisition
-modules fill DepDBs, the agent audits (SIA and PIA), configuration
+modules fill a DepDB, the auditors audit it (SIA and PIA), configuration
 drifts, and the periodic audit catches the regression.
 """
 
@@ -16,57 +16,54 @@ from repro import (
 )
 from repro.acquisition import (
     HardwareInventoryCollector,
-    LogMiningCollector,
     NetworkDependencyCollector,
-    SoftwarePackageCollector,
     acquire_into,
-    generate_logs,
 )
 from repro.analysis import drift_report
 from repro.core.bdd import compile_graph
-from repro.depdb import DepDB
-from repro.hwinventory import generate_inventory
+from repro.depdb import DepDB, NetworkDependency, SoftwareDependency
 from repro.privacy import PIAAuditor
-from repro.swinventory import generate_universe
 from repro.topology import FatTreeConfig, fat_tree, fat_tree_routes
+
+SERVERS = [f"srv-p{p}-t0-0" for p in range(3)]
+
+#: Servers 0 and 1 come from one procurement batch and share their CPU
+#: and disk models; server 2 shares no model with them.
+INVENTORY = {
+    SERVERS[0]: [("CPU", "X5550"), ("Disk", "WD-RE4-1TB"), ("NIC", "BCM5709")],
+    SERVERS[1]: [("CPU", "X5550"), ("Disk", "WD-RE4-1TB"), ("NIC", "I350")],
+    SERVERS[2]: [("CPU", "E5-2650"), ("Disk", "ST-2TB"), ("NIC", "X540")],
+}
+
+#: One program per server, listed by hand as the §3 client does; every
+#: closure pulls in the shared base library.
+SOFTWARE = [
+    SoftwareDependency("riak1", SERVERS[0], ("libc6@2.19", "erlang@17.3")),
+    SoftwareDependency(
+        "riak2", SERVERS[1], ("libc6@2.19", "erlang@17.3", "libssl@1.0.1k")
+    ),
+    SoftwareDependency("redis", SERVERS[2], ("libc6@2.19", "jemalloc@3.6")),
+]
 
 
 @pytest.fixture(scope="module")
 def fleet_depdb() -> tuple[DepDB, list[str]]:
-    """A small fat-tree cloud with all four acquisition modules."""
+    """A small fat-tree cloud: network and hardware DAMs fill one DepDB,
+    and the software records are added to it directly."""
     config = FatTreeConfig(ports=4)
-    topology = fat_tree(config)
-    servers = [f"srv-p{p}-t0-0" for p in range(3)]
-    static = {s: fat_tree_routes(config, s) for s in servers}
-
-    universe = generate_universe(packages=60, seed=5)
-    programs = [n for n in universe.names() if n.startswith("lib-l")][:3]
-    inventory = generate_inventory(servers, batch_size=2, seed=5)
-
-    logs = generate_logs(
-        {("frontend", "authdb"): 5},
-        {("frontend", f"{programs[0]}@1.0"): 3},
-        seed=5,
-    )
+    static = {s: fat_tree_routes(config, s) for s in SERVERS}
     depdb = DepDB()
     acquire_into(
         depdb,
         [
             NetworkDependencyCollector(
-                topology, servers=servers, static_routes=static
+                fat_tree(config), servers=SERVERS, static_routes=static
             ),
-            HardwareInventoryCollector(inventory.as_mapping()),
-            SoftwarePackageCollector(
-                universe, {s: [programs[i]] for i, s in enumerate(servers)}
-            ),
-            LogMiningCollector(
-                logs,
-                host_of={"frontend": servers[0], "authdb": servers[1]},
-                min_support=2,
-            ),
+            HardwareInventoryCollector(INVENTORY),
         ],
     )
-    return depdb, servers
+    depdb.add_all(SOFTWARE)
+    return depdb, SERVERS
 
 
 class TestFullSIALifecycle:
@@ -127,8 +124,6 @@ class TestFullSIALifecycle:
         spec = AuditSpec(deployment="drift", servers=tuple(servers[:2]))
         # Drift: server 1 gains a path through server 0's ToR.
         drifted = DepDB.loads(depdb.dumps())
-        from repro.depdb import NetworkDependency
-
         drifted.add(
             NetworkDependency(
                 servers[1], "Internet", ("pod0-tor0", "pod0-agg0", "core-0-0")

@@ -15,7 +15,7 @@ fooled by import order or by a cycle that happens to resolve.
 * The Figure-1 roles in ``agents/`` own no audit driver.
 * Worker processes come from one module.
 * Every public top-level name has a caller in ``src/``, ``benchmarks/``
-  or ``examples/``, or a line in ``ISLANDS`` saying why it stays.
+  or ``examples/``, or is a test oracle with a line in ``ISLANDS``.
 * ``import repro`` does not import NetworkX: only the two
   ``to_networkx`` exporters use it, and they import it when called.
 * Results carry no wall-clock: ``elapsed_seconds`` is spelled only on
@@ -44,7 +44,6 @@ LAYERS = {
     "schema": 0,
     "crypto": 1,
     "depdb": 1,
-    "hwinventory": 1,
     "testing": 1,
     "topology": 1,
     "cloud": 2,
@@ -69,39 +68,25 @@ UPWARD_LOCAL_IMPORTS = {
 }
 
 #: Public top-level names nothing in src/, benchmarks/ or examples/ uses
-#: -> why each stays.  Both directions fail: a new caller-less name, and
-#: a line left behind after its name gained a caller or was deleted.
+#: -> the tests each is the oracle of.  Both directions fail: a new
+#: caller-less name, and a line left behind after its name gained a
+#: caller or was deleted; and a name that is not a test oracle has no
+#: place here (it gains a caller or leaves the tree).
 ISLANDS = {
-    "repro.acquisition.base.create_module":
-        "by-name factory of the §3 DAM registry; its unit test",
-    "repro.acquisition.logs.LogMiningCollector":
-        "§3 log-mining DAM; the Figure-1 lifecycle and streaming tests",
-    "repro.acquisition.logs.generate_logs":
-        "synthetic console logs that LogMiningCollector's tests mine",
-    "repro.acquisition.software.SoftwarePackageCollector":
-        "§3 software DAM; the Figure-1 lifecycle and streaming tests",
-    "repro.agents.agent.AuditingAgent":
-        "the Figure-1 agent; ROADMAP item 4 decides join or leave",
     "repro.core.probability.tree_probability":
-        "exact Pr(T) of tree-shaped graphs; oracle of the probability tests",
+        "oracle of the probability tests: exact Pr(T) of tree-shaped graphs",
     "repro.core.probability.graph_probability_sampled":
-        "Monte-Carlo Pr(T) on the graph; ROADMAP item 5(a)'s oracle",
-    "repro.hwinventory.generator.generate_inventory":
-        "synthetic batch-sharing fleet; the Figure-1 lifecycle test",
+        "oracle of the probability tests: Monte-Carlo Pr(T) on the graph",
     "repro.privacy.jaccard.jaccard_multiset":
-        "plaintext oracle test_psop.py checks P-SOP's multiset expansion by",
+        "oracle of test_psop.py: the plaintext multiset Jaccard of P-SOP",
     "repro.swinventory.stacks.expected_jaccard":
-        "analytic Table-2 Jaccard the PIA and stacks tests compare against",
+        "oracle of the PIA and stacks tests: analytic Table-2 Jaccard",
     "repro.swinventory.stacks.paper_rankings":
-        "Table 2's rankings as printed; the stacks tests",
-    "repro.swinventory.stacks.software_records":
-        "the Table-2 stacks as DepDB records; the agent test fixtures",
+        "oracle of the stacks tests: Table 2's rankings as printed",
     "repro.swinventory.stacks.region_census":
-        "per-cloud set sizes of the Table-2 reconstruction; the stacks tests",
+        "oracle of the stacks tests: per-cloud set sizes of Table 2",
     "repro.swinventory.stacks.verify_against_paper":
-        "asserts the Table-2 reconstruction; the stacks tests",
-    "repro.swinventory.universe.generate_universe":
-        "random package universe; the Figure-1 lifecycle test",
+        "oracle of the stacks tests: the Table-2 reconstruction holds",
 }
 
 
@@ -273,6 +258,14 @@ def test_every_public_name_has_a_caller():
             if not (used_at_home or used_elsewhere):
                 islands.add(f"{module}.{node.name}")
     assert islands == set(ISLANDS)
+
+
+def test_islands_are_only_oracles():
+    assert [
+        name
+        for name, reason in ISLANDS.items()
+        if not reason.startswith("oracle of ")
+    ] == []
 
 
 def test_import_repro_leaves_networkx_unloaded():
