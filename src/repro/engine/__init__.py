@@ -9,7 +9,7 @@ This package is the scaling layer on top of the §4.1 analysis core:
 * :mod:`repro.engine.parallel` — deterministic block sharding with
   ``SeedSequence.spawn``, the inline block and job loops, cancellation;
 * :mod:`repro.engine.pool` — the worker processes: one persistent pool
-  with content-addressed graph shipping;
+  whose block tasks carry their pickled graph;
 * :mod:`repro.engine.specset` — loading and validating deployment spec
   sets (:class:`AuditJob`), shared by the fan-out and the cached loop;
 * :mod:`repro.engine.facade` — the one engine, :class:`AuditEngine`,

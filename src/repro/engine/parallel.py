@@ -84,13 +84,19 @@ class BlockPlan:
         return len(self.rounds)
 
 
-def check_count(name: str, value) -> None:
+def check_integer(name: str, value) -> None:
     """Raise :class:`AnalysisError` unless ``value`` is a Python or NumPy
-    integer of at least 1.  A ``bool`` is an ``int`` but never a count."""
+    integer.  A ``bool`` is an ``int`` but never a count."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise AnalysisError(
             f"{name} must be an integer, got {type(value).__name__}"
         )
+
+
+def check_count(name: str, value) -> None:
+    """Raise :class:`AnalysisError` unless ``value`` is an integer
+    (:func:`check_integer`) of at least 1."""
+    check_integer(name, value)
     if value < 1:
         raise AnalysisError(f"{name} must be >= 1, got {value}")
 
@@ -127,17 +133,18 @@ def resolve_workers(n_workers: Optional[int]) -> int:
     execution; positive values request that many worker processes;
     exactly ``-1`` means "all CPUs" (``os.cpu_count()``).  Any other
     negative value is rejected — it is far more likely a typo than a
-    request.
+    request — and so is anything :func:`check_integer` refuses.
     """
     if n_workers is None:
         return 1
+    check_integer("workers", n_workers)
     if n_workers == -1:
         return max(1, os.cpu_count() or 1)
     if n_workers < 0:
         raise AnalysisError(
             f"workers must be >= 0 or exactly -1 (all CPUs), got {n_workers}"
         )
-    return max(1, n_workers)
+    return max(1, int(n_workers))
 
 
 # --------------------------------------------------------------------- #

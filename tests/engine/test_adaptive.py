@@ -10,13 +10,15 @@ Three contracts:
   seed, k)`` — repeat calls draw fresh streams without mutating shared
   ``SeedSequence`` state;
 * ``resolve_workers`` follows one convention everywhere: ``None``/0/1
-  inline, exactly -1 = all CPUs, other negatives rejected.
+  inline, exactly -1 = all CPUs, other negatives and anything but a
+  Python or NumPy integer rejected.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro import FailureSampler
@@ -26,6 +28,7 @@ from repro.engine.adaptive import AdaptiveConfig, AdaptiveStopper
 from repro.engine.batch import BlockOutcome
 from repro.engine.parallel import resolve_workers
 from repro.errors import AnalysisError
+from repro.privacy.pipeline import _open_pool
 
 SETS = {
     "P0": ["shared-0", "p0-0", "p0-1"],
@@ -167,6 +170,37 @@ class TestResolveWorkers:
 
     def test_positive_passthrough(self):
         assert resolve_workers(3) == 3
+
+    def test_numpy_integers_become_ints(self):
+        resolved = resolve_workers(np.int64(3))
+        assert resolved == 3 and type(resolved) is int
+
+    @pytest.mark.parametrize(
+        "requested",
+        [
+            pytest.param(2.5, id="fraction"),
+            pytest.param(2.0, id="whole-float"),
+            pytest.param(-1.0, id="minus-one-float"),
+            pytest.param("2", id="str"),
+            pytest.param(True, id="true"),
+            pytest.param(False, id="false"),
+            pytest.param(np.float64(2), id="numpy-float"),
+        ],
+    )
+    def test_non_integers_rejected(self, requested):
+        with pytest.raises(AnalysisError, match="must be an integer"):
+            resolve_workers(requested)
+
+    @pytest.mark.parametrize(
+        "open_fan_out",
+        [
+            pytest.param(lambda n: AuditEngine(n_workers=n), id="engine"),
+            pytest.param(_open_pool, id="pia"),
+        ],
+    )
+    def test_fan_out_surfaces_reject_a_fractional_count(self, open_fan_out):
+        with pytest.raises(AnalysisError, match="must be an integer"):
+            open_fan_out(2.5)
 
     def test_engine_and_sampler_share_the_convention(self):
         with pytest.raises(AnalysisError, match="exactly -1"):

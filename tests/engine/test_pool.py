@@ -3,10 +3,10 @@
 The :class:`~repro.engine.pool.PersistentPool` must be invisible in the
 results: pooled audits are bit-identical to serial runs for any worker
 count, across interleaved audits of different graphs, worker-side LRU
-evictions, adaptive early stopping, injected worker kills and a dead
-graph-store manager.  The pool only changes the economics —
-graphs ship once, workers stay warm — which :meth:`PersistentPool.stats`
-makes observable and these tests pin.
+evictions, adaptive early stopping and injected worker kills.  The pool
+only changes the economics — workers stay warm and unpickle each graph
+once per residency — which :meth:`PersistentPool.stats` makes
+observable and these tests pin.
 
 One module-scoped pool per worker count is shared by most tests here;
 that reuse across many unrelated audits *is* the feature under test.
@@ -19,8 +19,8 @@ pins the gate itself.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import signal
 import threading
 import time
 
@@ -166,18 +166,18 @@ class TestParity:
                 result, serial_reference(graph, 2 * BLOCK, seed=seed)
             )
         after = pool.stats()
-        # Each graph ships to each worker at most once; every further
-        # block is a warm worker-cache hit.
+        # Each graph is unpickled and compiled at most once per worker
+        # residency; every further block is a warm worker-cache hit.
         assert after["cold_misses"] - before["cold_misses"] <= (
             2 * pool.workers
         )
         assert after["warm_hits"] > before["warm_hits"]
-        assert after["published_graphs"] >= 2
 
-    def test_worker_lru_eviction_keeps_bit_identity(self):
+    def test_worker_lru_eviction_keeps_bit_identity(self, monkeypatch):
         # A one-entry worker cache forces an eviction on every graph
         # switch: correctness must not depend on cache residency.
-        with PersistentPool(2, worker_cache_size=1) as pool:
+        monkeypatch.setattr("repro.engine.pool.WORKER_CACHE_SIZE", 1)
+        with PersistentPool(2) as pool:
             engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
             for graph, seed in [
                 (GRAPH_A, 3),
@@ -192,18 +192,6 @@ class TestParity:
                     result, serial_reference(graph, 2 * BLOCK, seed=seed)
                 )
             assert pool.stats()["cold_misses"] >= 2
-
-    def test_store_eviction_republishes_on_demand(self):
-        with PersistentPool(2, store_size=1) as pool:
-            engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
-            for graph, seed in [(GRAPH_A, 3), (GRAPH_B, 4), (GRAPH_A, 3)]:
-                result = sample_through_pool(
-                    engine, graph, 2 * BLOCK, seed=seed
-                )
-                assert_same(
-                    result, serial_reference(graph, 2 * BLOCK, seed=seed)
-                )
-            assert pool.stats()["published_graphs"] == 1
 
     @settings(
         max_examples=12,
@@ -371,67 +359,6 @@ class TestRepair:
                 sample_through_pool(engine, GRAPH_A, ROUNDS, seed=5), serial
             )
 
-
-    @pytest.mark.parametrize("when", ["after-publish", "between-plans"])
-    def test_dead_manager_recovers_and_pool_stays_usable(
-        self, monkeypatch, when
-    ):
-        """The graph store's manager process is a failure domain too.
-
-        Killed right after the graph is published, the workers' pulls
-        fail mid-plan; killed between plans, the parent's next publish
-        does.  Either way the plan finishes inline, bit-identically,
-        and the pool respawns a manager for the plan after it.
-        """
-        serial = serial_reference(GRAPH_A, ROUNDS, seed=5)
-
-        def kill_manager(pool):
-            process = pool._resources["manager"]._process
-            os.kill(process.pid, signal.SIGKILL)
-            process.join(timeout=10)
-            assert not process.is_alive()
-
-        with PersistentPool(2) as pool:
-            engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
-            if when == "between-plans":
-                assert_same(
-                    sample_through_pool(engine, GRAPH_B, 2 * BLOCK, seed=4),
-                    serial_reference(GRAPH_B, 2 * BLOCK, seed=4),
-                )
-                kill_manager(pool)
-            else:
-                publish = pool._publish
-
-                def publish_then_die(*args):
-                    publish(*args)
-                    kill_manager(pool)
-
-                monkeypatch.setattr(pool, "_publish", publish_then_die)
-            assert_same(engine.sample(GRAPH_A, ROUNDS, seed=5), serial)
-            monkeypatch.undo()
-            stats = pool.stats()
-            assert stats["respawns"] == 1
-            assert stats["inline_blocks"] == ROUNDS // BLOCK + 1
-            assert stats["published_graphs"] == 0
-            assert not pool._pins, "the interrupted plan leaked its pin"
-            # A second plan on the same pool: fresh manager, fresh
-            # workers, graphs republished, nothing run inline.
-            assert_same(engine.sample(GRAPH_A, ROUNDS, seed=5), serial)
-            stats = pool.stats()
-            assert stats["respawns"] == 1
-            assert stats["inline_blocks"] == ROUNDS // BLOCK + 1
-            assert stats["published_graphs"] == 1
-
-    def test_failed_publish_releases_its_pin(self):
-        # Regression: the pin used to be taken before the try/finally
-        # that releases it, so a publish that raised leaked it forever.
-        pool = PersistentPool(2)
-        engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
-        pool.close()
-        with pytest.raises(AnalysisError):
-            engine.sample(GRAPH_A, 2 * BLOCK, seed=1)
-        assert not pool._pins
-
     def test_plan_survives_a_retire_before_submit(self, monkeypatch):
         """Another thread retires the executor between this plan's
         ``_ensure_started`` and its first submit: the blocks run inline,
@@ -445,7 +372,6 @@ class TestRepair:
             stats = pool.stats()
             assert stats["respawns"] == 1
             assert stats["inline_blocks"] == ROUNDS // BLOCK + 1
-            assert not pool._pins
             # The next plan spawns a fresh executor and runs nothing inline.
             assert_same(engine.sample(GRAPH_A, ROUNDS, seed=5), serial)
             assert pool.stats()["inline_blocks"] == ROUNDS // BLOCK + 1
@@ -482,9 +408,9 @@ def retired_under(pool):
     ensure_started = pool._ensure_started
 
     def ensure_then_lose_the_race():
-        executor, store = ensure_started()
+        executor = ensure_started()
         pool._retire(executor)
-        return executor, store
+        return executor
 
     return ensure_then_lose_the_race
 
@@ -638,11 +564,25 @@ class TestPlumbing:
             serial_reference(GRAPH_A, 3 * 256, 1, block=256),
         )
 
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(AnalysisError):
-            PersistentPool(2, worker_cache_size=0)
-        with pytest.raises(AnalysisError):
-            PersistentPool(2, store_size=0)
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            pytest.param(2.5, id="fraction"),
+            pytest.param(-1.0, id="minus-one-float"),
+            pytest.param("2", id="str"),
+            pytest.param(True, id="true"),
+        ],
+    )
+    def test_invalid_worker_counts_rejected(self, workers):
+        with pytest.raises(AnalysisError, match="integer"):
+            PersistentPool(workers)
+
+    def test_jobs_only_pool_spawns_only_its_workers(self):
+        before = set(multiprocessing.active_children())
+        with PersistentPool(2) as pool:
+            assert pool.map_jobs(_sleep_job, [(0.1,), (0.2,)]) == [0.1, 0.2]
+            spawned = set(multiprocessing.active_children()) - before
+            assert len(spawned) == 2
 
     def test_lazy_start(self):
         pool = PersistentPool(4)
