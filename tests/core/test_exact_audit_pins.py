@@ -12,13 +12,16 @@ values it returns:
 * the number of decision nodes each diagram allocates, reachable or not,
   so a kernel that builds the same diagram through different work fails;
 * the node budget's trip point on a wide flat family, and the
-  Monte-Carlo value ``auto`` then returns, bit for bit.
+  Monte-Carlo value ``auto`` then returns, bit for bit;
+* every float of the importance measures on the pinned pair, whose
+  Fussell-Vesely terms take ``Pr(T)`` of one sub-family per component.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -28,6 +31,10 @@ from repro import AuditSpec, SIAAuditor, minimal_risk_groups
 from repro.acquisition import NetworkDependencyCollector
 from repro.core import probability
 from repro.core.bdd import BDD, compile_graph
+from repro.core.importance import (
+    component_importance_ranking,
+    fussell_vesely_importance,
+)
 from repro.core.minimal_rg import CutSetExplosion
 from repro.depdb import DepDB
 from repro.engine import AuditEngine
@@ -102,17 +109,23 @@ def test_exact_audit_report_bytes_are_pinned(depdb_text, i):
     assert digest == REPORT_SHA256[i]
 
 
+@pytest.fixture(scope="module")
+def graph(depdb_text):
+    """Pair 0's weighted fault graph."""
+    auditor = SIAAuditor(DepDB.loads(depdb_text), weigher=uniform_weigher(0.1))
+    return auditor.build_graph(
+        AuditSpec(deployment=" & ".join(PAIRS[0]), servers=PAIRS[0])
+    )
+
+
+def hex_digest(rows) -> str:
+    """sha-256 of ``rows`` (floats already written as their hex)."""
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestAllocations:
     """Pair 0's graph diagram, its minimal solutions and its Pr(T) fold."""
-
-    @pytest.fixture(scope="class")
-    def graph(self, depdb_text):
-        auditor = SIAAuditor(
-            DepDB.loads(depdb_text), weigher=uniform_weigher(0.1)
-        )
-        return auditor.build_graph(
-            AuditSpec(deployment=" & ".join(PAIRS[0]), servers=PAIRS[0])
-        )
 
     def test_graph_diagram(self, graph):
         bdd = compile_graph(graph)
@@ -126,6 +139,42 @@ class TestAllocations:
         value = probability.union_probability(groups, graph.probabilities())
         assert [allocated(bdd) for bdd in managers] == [5080]
         assert value.hex() == "0x1.27bbd52e6c7b7p-5"
+
+
+class TestImportanceBits:
+    """Pair 0's importance measures, float for float."""
+
+    def test_fussell_vesely(self, graph):
+        values = fussell_vesely_importance(
+            minimal_risk_groups(graph), graph.probabilities()
+        )
+        assert len(values) == 52
+        assert hex_digest({c: v.hex() for c, v in values.items()}) == (
+            FUSSELL_VESELY_SHA256
+        )
+
+    def test_component_ranking(self, graph):
+        ranking = component_importance_ranking(graph, minimal_risk_groups(graph))
+        rows = [
+            [
+                entry.component,
+                entry.probability.hex(),
+                entry.birnbaum.hex(),
+                entry.criticality.hex(),
+                entry.fussell_vesely.hex(),
+            ]
+            for entry in ranking
+        ]
+        assert len(rows) == 52
+        assert hex_digest(rows) == RANKING_SHA256
+
+
+FUSSELL_VESELY_SHA256 = (
+    "d077efcf78cc07901b2ddb35a58591e62da75026c256f70ba01de570aa353578"
+)
+RANKING_SHA256 = (
+    "ef42f8d700ac65c9d4aa90a73c00ac9533a0cd93188e189e2bf49195ba103f35"
+)
 
 
 class TestBudgetTrip:
