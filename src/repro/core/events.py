@@ -25,16 +25,19 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import FaultGraphError
+from repro.errors import AnalysisError, FaultGraphError
 
 __all__ = [
     "GateType",
     "Event",
     "redundancy_threshold",
     "validate_probability",
+    "check_integer",
+    "check_count",
 ]
 
 
@@ -76,6 +79,23 @@ def validate_probability(value: float, *, what: str = "probability") -> float:
     if math.isnan(prob) or not 0.0 <= prob <= 1.0:
         raise FaultGraphError(f"{what} must be in [0, 1], got {value!r}")
     return prob
+
+
+def check_integer(name: str, value) -> None:
+    """Raise :class:`AnalysisError` unless ``value`` is a Python or NumPy
+    integer.  A ``bool`` is an ``int`` but never a count."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise AnalysisError(
+            f"{name} must be an integer, got {type(value).__name__}"
+        )
+
+
+def check_count(name: str, value) -> None:
+    """Raise :class:`AnalysisError` unless ``value`` is an integer
+    (:func:`check_integer`) of at least 1."""
+    check_integer(name, value)
+    if value < 1:
+        raise AnalysisError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass

@@ -9,24 +9,29 @@ The probability-based ranking needs two quantities:
   ``Pr(T) = 0.1*0.3 + 0.2 - 0.1*0.3*0.2 = 0.224``).
 
 Inclusion–exclusion is exponential in the number of minimal RGs, so above
-:data:`IE_CROSSOVER` sets ``method="auto"`` builds a reduced ordered BDD of
-the family's DNF instead: the same exact value in one linear pass.  The
-Monte-Carlo estimator is reached only by name or when that diagram outgrows
-:data:`BDD_NODE_BUDGET`; the rare-event / Esary–Proschan bounds only by name.
+:data:`IE_CROSSOVER` sets ``method="auto"`` takes :func:`_shannon_union`
+instead: a memoised Shannon expansion over the minimal family that visits
+the nodes of the family's reduced ordered BDD without building it, and so
+returns that diagram's probability walk bit for bit.  The Monte-Carlo
+estimator is reached only by name or when that recursion outgrows
+:data:`UNION_WORK_BUDGET`; the rare-event / Esary–Proschan bounds only by
+name.  Whatever the method, every weight is checked once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bdd import BDD, ONE, ZERO
-from repro.core.events import GateType
+from repro.core.events import GateType, check_count, validate_probability
 from repro.core.faultgraph import FaultGraph
 from repro.core.minimal_rg import CutSetExplosion
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, FaultGraphError
 
 __all__ = [
     "cut_probability",
@@ -42,10 +47,10 @@ __all__ = [
 EXACT_LIMIT = 20
 
 #: ``auto`` takes inclusion-exclusion up to this many distinct cut sets and
-#: the BDD pass above it.  It was the measured crossover (7, 8 and 12 sets
-#: depending on cut size) until the flat-array BDD kernel moved the curves
-#: to 7, 7 and 9-10; it stays 10, because moving it changes the bits of
-#: every family between the old and new crossover.  Median ms, seeded
+#: the diagram pass above it.  It was the measured crossover (7, 8 and 12
+#: sets depending on cut size) until the flat-array BDD kernel moved the
+#: curves to 7, 7 and 9-10; it stays 10, because moving it changes the bits
+#: of every family between the old and new crossover.  Median ms, seeded
 #: random families, inclusion-exclusion / BDD (x86-64, CPython 3.11):
 #:   sets   1-3 of 10 events   2-5 of 24 events   8-12 of 40 events
 #:     6      0.04 / 0.05        0.06 / 0.06        0.10 / 0.25
@@ -55,10 +60,26 @@ EXACT_LIMIT = 20
 #:    16, 20                     83 / 0.96, 1403 / 1.37
 IE_CROSSOVER = 10
 
-#: Decision nodes ``auto`` may allocate before it falls back to Monte-Carlo:
-#: tripping it costs ~0.4 s, about one 200 000-round estimate (0.3-0.8 s);
-#: the largest family measured (fat tree k=16, 1 280 cuts) needs 36 314.
-BDD_NODE_BUDGET = 100_000
+#: Work ``auto``'s exact pass may do before it falls back to Monte-Carlo,
+#: in 64-bit words of cuts scanned: every cut each diagram node partitions
+#: and every (cut, absorber) pair its absorption may check, once per word
+#: of the bitmasks, :data:`_NODE_WORK` per node, and the pre-pass's packed
+#: word compares at :data:`_COMPARES_PER_WORD` a unit.  Tripping it costs
+#: 0.08-0.16 s on random families where the BDD fold it replaced tripped in
+#: 0.14-0.23 s (2-core x86-64, CPython 3.11); the fat-tree families need
+#: 0.29 million (k=12, 320 cuts) and 3.73 million (k=16, 1 280 cuts).
+UNION_WORK_BUDGET = 5_000_000
+
+#: A node's fixed cost (a call, two frozensets, the memo) in scanned words:
+#: about 6 us against about 0.02 us a word.
+_NODE_WORK = 300
+
+#: Packed word compares the minimality pre-pass makes in the time the
+#: recursion scans one word (2-5 ns a compare, against about 0.02 us).
+_COMPARES_PER_WORD = 8
+
+#: Row pairs one pre-pass chunk compares at once (8 MB of uint64).
+_CHUNK_PAIRS = 1 << 20
 
 
 def cut_probability(
@@ -84,27 +105,40 @@ def union_probability(
     """Probability that at least one cut fully fails.
 
     Args:
-        cuts: Collection of cut sets (typically the minimal RGs).
-        probabilities: Failure probability per basic event.
+        cuts: Collection of cut sets (typically the minimal RGs); a cut is
+            a collection of event names, never one string.
+        probabilities: Failure probability per basic event, each in
+            ``[0, 1]``; every event of every cut needs one.
         method: ``"exact"`` (inclusion–exclusion), ``"monte-carlo"``,
             ``"rare-event"`` (first-order upper bound ``sum Pr(ci)``),
             ``"esary-proschan"`` (``1 - prod(1 - Pr(ci))``), or ``"auto"``,
             which is exact: the family is deduplicated and sorted by (size,
             members), so the bits do not depend on input order, then goes
             to inclusion–exclusion up to :data:`IE_CROSSOVER` sets and to
-            :func:`_bdd_union` above.  Only if that diagram outgrows
-            :data:`BDD_NODE_BUDGET` does ``auto`` return the
+            :func:`_shannon_union` above.  Only if that pass outgrows
+            :data:`UNION_WORK_BUDGET` does ``auto`` return the
             ``"monte-carlo"`` estimate for ``mc_rounds`` / ``seed``.
+        mc_rounds: Monte-Carlo rounds, an integer >= 1.
     """
-    cut_list = [frozenset(c) for c in cuts]
+    if isinstance(cuts, str):
+        raise AnalysisError(f"cut sets must be a collection, not {cuts!r}")
+    cut_list = []
+    for cut in cuts:
+        if isinstance(cut, str):
+            raise AnalysisError(
+                f"a cut set must be a collection of events, not {cut!r}"
+            )
+        cut_list.append(frozenset(cut))
     if not cut_list:
         raise AnalysisError("cannot compute a union over zero cut sets")
+    weights = _checked_weights(cut_list, probabilities)
+    check_count("mc_rounds", mc_rounds)
     if method == "auto":
         family = sorted(set(cut_list), key=lambda c: (len(c), sorted(c)))
         if len(family) <= IE_CROSSOVER:
-            return _inclusion_exclusion(family, probabilities)
+            return _inclusion_exclusion(family, weights)
         try:
-            return _bdd_union(family, probabilities)
+            return _shannon_union(family, weights)
         except CutSetExplosion:
             method = "monte-carlo"
     if method == "exact":
@@ -113,19 +147,36 @@ def union_probability(
                 f"{len(cut_list)} cut sets exceed the exact inclusion-"
                 f"exclusion limit ({EXACT_LIMIT}); use method='monte-carlo'"
             )
-        return _inclusion_exclusion(cut_list, probabilities)
+        return _inclusion_exclusion(cut_list, weights)
     if method == "monte-carlo":
-        return _monte_carlo_union(cut_list, probabilities, mc_rounds, seed)
+        return _monte_carlo_union(cut_list, weights, int(mc_rounds), seed)
     if method == "rare-event":
-        return min(
-            1.0, sum(cut_probability(c, probabilities) for c in cut_list)
-        )
+        return min(1.0, sum(cut_probability(c, weights) for c in cut_list))
     if method == "esary-proschan":
         prod = 1.0
         for cut in cut_list:
-            prod *= 1.0 - cut_probability(cut, probabilities)
+            prod *= 1.0 - cut_probability(cut, weights)
         return 1.0 - prod
     raise AnalysisError(f"unknown method {method!r}")
+
+
+def _checked_weights(
+    cuts: list[frozenset[str]], probabilities: Mapping[str, float]
+) -> dict[str, float]:
+    """The weight of every event in ``cuts``, each checked once."""
+    weights = {}
+    for event in sorted(frozenset().union(*cuts)):
+        try:
+            weight = probabilities[event]
+        except KeyError:
+            raise AnalysisError(f"no failure probability for {event!r}") from None
+        try:
+            weights[event] = validate_probability(
+                weight, what=f"failure probability of {event!r}"
+            )
+        except FaultGraphError as exc:
+            raise AnalysisError(str(exc)) from None
+    return weights
 
 
 def _inclusion_exclusion(
@@ -150,53 +201,158 @@ def _inclusion_exclusion(
     return min(max(total, 0.0), 1.0)
 
 
-def _bdd_union(
-    cuts: list[frozenset[str]], probabilities: Mapping[str, float]
+def _shannon_union(
+    cuts: list[frozenset[str]],
+    weights: Mapping[str, float],
+    memo: Optional[dict[frozenset[int], float]] = None,
 ) -> float:
     """Exact union probability of a (size, members)-sorted family.
 
-    ORs one AND-chain per cut into a reduced ordered BDD, in family order,
-    with variables in order of first appearance: on the fat-tree families
-    (k=12, 320 cuts) that allocates 5 080 nodes where frequency or
-    alphabetical order allocates 100 833 / 107 998 and a balanced OR-tree
-    54 273.  A cut that leaves the root unchanged is a superset of an
-    earlier one; the diagram is rebuilt without such cuts, so they never
-    shift the variable order and the bits never depend on them.
+    Returns, bit for bit, what folding the family's DNF into a reduced
+    ordered BDD (variables numbered by first appearance in the minimal
+    family) and walking it with ``p * high + (1 - p) * low`` returns,
+    without building the diagram.  A node's value depends only on the
+    monotone function it stands for, whose minimal cut family is a
+    canonical key and whose top variable is the family's lowest-numbered
+    one.  So ``value(F)``, memoised on ``F`` as a set of bitmasks, splits
+    on that variable ``v``: the cuts without ``v`` are the low cofactor;
+    the cuts with ``v``, less ``v``, plus the cuts without ``v`` that none
+    of those absorbs, are the high one (1.0 once ``{v}`` is a cut).  It
+    makes the diagram's nodes, its terminals, its ``p`` and its
+    arithmetic, one memo entry per node (``memo``, when given, keeps them).
+
+    Cuts with a proper subset in the family are dropped first, by packed
+    word compares (no float matrix, so no BLAS thread), and the work is
+    counted against :data:`UNION_WORK_BUDGET`; past it the pass raises
+    :class:`CutSetExplosion`.
     """
-    variables = list(dict.fromkeys(e for cut in cuts for e in sorted(cut)))
-    cut_probability(variables, probabilities)  # every event has a weight
-    bdd = BDD(variables, max_nodes=BDD_NODE_BUDGET)
-    minimal = []
-    with bdd._recursion_headroom():
-        for cut in cuts:
-            term = ONE
-            for var in sorted((bdd.var_index[e] for e in cut), reverse=True):
-                term = bdd.make(var, ZERO, term)
-            root = bdd.apply("or", bdd.root, term)
-            if root != bdd.root:
-                bdd.root = root
-                minimal.append(cut)
-    if len(minimal) < len(cuts):
-        return _bdd_union(minimal, probabilities)
-    return bdd.probability(probabilities)
+    if not cuts[0]:
+        return 1.0  # the empty cut: the top event has always happened
+    bit, masks = _numbered(cuts)
+    words = -(-len(bit) // 64)  # of a bitmask, at most
+    absorbed, spent = _absorbed(cuts, masks, words)
+    if absorbed.any():
+        cuts = [cut for cut, gone in zip(cuts, absorbed) if not gone]
+        bit, masks = _numbered(cuts)
+    prob = [weights[event] for event in bit]
+    memo = {} if memo is None else memo
+    lookup = memo.get
+    left = UNION_WORK_BUDGET - spent
+
+    def value(family: frozenset[int]) -> float:
+        nonlocal left
+        union = reduce(or_, family)
+        v = union & -union
+        low = [c for c in family if not c & v]
+        high = [c ^ v for c in family if c & v]
+        certain = 0 in high  # {v} is a cut: the high cofactor is true
+        scanned = len(family) + (0 if certain else len(low) * len(high))
+        left -= scanned * words + _NODE_WORK
+        if left < 0:
+            raise CutSetExplosion(_over_budget())
+        if certain:
+            up = 1.0
+        else:
+            kept = low
+            room = reduce(or_, low, 0)
+            for h in high:
+                if h & room == h:  # else h lies in no cut of ``low``
+                    kept = [c for c in kept if c & h != h]
+            key = frozenset(high + kept)
+            up = lookup(key)
+            if up is None:
+                up = value(key)
+        if low:
+            key = frozenset(low)
+            down = lookup(key)
+            if down is None:
+                down = value(key)
+        else:
+            down = 0.0
+        p = prob[v.bit_length() - 1]
+        memo[family] = result = p * up + (1.0 - p) * down
+        return result
+
+    # One frame per variable at most: each level splits one off.
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(previous + len(bit))
+    try:
+        return value(frozenset(masks))
+    finally:
+        sys.setrecursionlimit(previous)
+        value = None  # the closure names itself: break the cycle
+
+
+def _over_budget() -> str:
+    return f"exact union exceeded {UNION_WORK_BUDGET} units of work"
+
+
+def _numbered(
+    cuts: list[frozenset[str]],
+) -> tuple[dict[str, int], list[int]]:
+    """Each event's bit, numbered by first appearance in the family with
+    every cut's members in sorted order, and each cut as a bitmask."""
+    bit: dict[str, int] = {}
+    for cut in cuts:
+        new = cut.difference(bit)
+        if new:
+            for event in sorted(new):
+                bit[event] = 1 << len(bit)
+    return bit, [sum(map(bit.__getitem__, cut)) for cut in cuts]
+
+
+def _absorbed(
+    cuts: list[frozenset[str]], masks: list[int], words: int
+) -> tuple[np.ndarray, int]:
+    """Which cuts of a distinct, size-sorted family have a proper subset
+    in it, and what finding out cost in scanned words.
+
+    The ``words``-word rows of ``masks`` are compared in chunks of rows
+    against every row of a smaller size; the cost is charged before any
+    row is packed.
+    """
+    n = len(cuts)
+    sizes = np.fromiter(map(len, cuts), dtype=np.intp, count=n)
+    # Rows start:stop meet rows :limit, the first row of their largest size.
+    first = np.searchsorted(sizes, sizes, side="left")
+    step = max(1, _CHUNK_PAIRS // n)
+    chunks = []
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        chunks.append((start, stop, int(first[stop - 1])))
+    spent = sum((stop - start) * limit for start, stop, limit in chunks)
+    spent = spent * words // _COMPARES_PER_WORD
+    if spent > UNION_WORK_BUDGET:
+        raise CutSetExplosion(_over_budget())
+    packed = np.frombuffer(
+        b"".join(mask.to_bytes(8 * words, "little") for mask in masks),
+        dtype="<u8",
+    ).reshape(n, words)
+    absorbed = np.zeros(n, dtype=bool)
+    for start, stop, limit in chunks:
+        if not limit:
+            continue  # no smaller cut yet
+        # Cut i lies inside cut j when none of its words leaves j.
+        outside = ~packed[start:stop, None, :]
+        left_over = packed[None, :limit, 0] & outside[:, :, 0]
+        for word in range(1, words):
+            left_over |= packed[None, :limit, word] & outside[:, :, word]
+        inside = left_over == 0
+        inside &= sizes[None, :limit] < sizes[start:stop, None]
+        absorbed[start:stop] = inside.any(axis=1)
+    return absorbed, spent
 
 
 def _monte_carlo_union(
     cuts: list[frozenset[str]],
-    probabilities: Mapping[str, float],
+    weights: Mapping[str, float],
     rounds: int,
     seed: int,
 ) -> float:
     """Estimate the union probability by direct simulation."""
-    if rounds < 1:
-        raise AnalysisError(f"mc_rounds must be >= 1, got {rounds}")
     events = sorted({e for cut in cuts for e in cut})
     index = {e: i for i, e in enumerate(events)}
-    probs = np.array([probabilities.get(e) for e in events], dtype=object)
-    missing = [events[i] for i, p in enumerate(probs) if p is None]
-    if missing:
-        raise AnalysisError(f"no failure probability for {missing[0]!r}")
-    probs = probs.astype(float)
+    probs = np.array([weights[e] for e in events], dtype=float)
     cut_indices = [np.array([index[e] for e in cut]) for cut in cuts]
     rng = np.random.default_rng(seed)
     hits = 0

@@ -9,12 +9,12 @@ algorithms used to quantify independence.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
+from repro.core.events import check_count
 from repro.core.ranking import RankingMethod
-from repro.errors import SpecificationError
+from repro.errors import AnalysisError, SpecificationError
 
 __all__ = ["DetailLevel", "RGAlgorithm", "AuditSpec"]
 
@@ -92,26 +92,16 @@ class AuditSpec:
             )
         if self.destinations is not None:
             self.destinations = tuple(self.destinations)
-        rounds = self.sampling_rounds
-        # A bool is an int, but never a round count.
-        if not isinstance(rounds, numbers.Integral) or isinstance(rounds, bool):
-            raise SpecificationError(
-                f"sampling_rounds must be an integer, got {type(rounds).__name__}"
-            )
-        if rounds < 1:
-            raise SpecificationError(f"sampling_rounds must be >= 1, got {rounds}")
-        self.sampling_rounds = int(rounds)
+        self.sampling_rounds = _count("sampling_rounds", self.sampling_rounds)
         if not 0.0 < self.sampling_probability < 1.0:
             raise SpecificationError(
                 "sampling_probability must be in (0,1), got "
                 f"{self.sampling_probability}"
             )
-        if self.top_n is not None and self.top_n < 1:
-            raise SpecificationError(f"top_n must be >= 1, got {self.top_n}")
-        if self.max_order is not None and self.max_order < 1:
-            raise SpecificationError(
-                f"max_order must be >= 1, got {self.max_order}"
-            )
+        if self.top_n is not None:
+            self.top_n = _count("top_n", self.top_n)
+        if self.max_order is not None:
+            self.max_order = _count("max_order", self.max_order)
         if not isinstance(self.level, DetailLevel):
             raise SpecificationError(f"invalid level {self.level!r}")
         if not isinstance(self.algorithm, RGAlgorithm):
@@ -151,3 +141,12 @@ class AuditSpec:
             adaptive=self.adaptive,
             metadata=dict(self.metadata),
         )
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an ``int`` if it passes :func:`check_count`."""
+    try:
+        check_count(name, value)
+    except AnalysisError as exc:
+        raise SpecificationError(str(exc)) from None
+    return int(value)

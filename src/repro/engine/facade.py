@@ -33,6 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.core.audit import SIAAuditor
+from repro.core.events import check_count
 from repro.core.faultgraph import FaultGraph
 from repro.core.report import AuditReport, DeploymentAudit
 from repro.core.sampling import SamplingResult, merge_block_outcomes
@@ -55,7 +56,6 @@ from repro.engine.incremental import (
 from repro.engine.parallel import (
     cancel_scope,
     check_cancelled,
-    check_count,
     map_jobs,
     plan_blocks,
     resolve_workers,

@@ -16,7 +16,6 @@ Worker processes live in :mod:`repro.engine.pool` and nowhere else.
 from __future__ import annotations
 
 import contextlib
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.events import check_count, check_integer
 from repro.engine.batch import BlockOutcome, run_block
 from repro.errors import AnalysisError, AuditCancelled
 
@@ -82,23 +82,6 @@ class BlockPlan:
 
     def __len__(self) -> int:
         return len(self.rounds)
-
-
-def check_integer(name: str, value) -> None:
-    """Raise :class:`AnalysisError` unless ``value`` is a Python or NumPy
-    integer.  A ``bool`` is an ``int`` but never a count."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise AnalysisError(
-            f"{name} must be an integer, got {type(value).__name__}"
-        )
-
-
-def check_count(name: str, value) -> None:
-    """Raise :class:`AnalysisError` unless ``value`` is an integer
-    (:func:`check_integer`) of at least 1."""
-    check_integer(name, value)
-    if value < 1:
-        raise AnalysisError(f"{name} must be >= 1, got {value}")
 
 
 def plan_blocks(

@@ -84,6 +84,25 @@ class TestAuditFrontDoor:
         with pytest.raises(SpecificationError, match="sampling_rounds"):
             repro.audit(DEPDB, ["S1", "S2"], algorithm="sampling", rounds=rounds)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("top_n", 2.5), ("top_n", True), ("max_order", 1.5), ("max_order", True)],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        """The keyword routes refuse what ``from_dict`` refuses on the wire."""
+        with pytest.raises(SpecificationError, match=field):
+            repro.audit(DEPDB, ["S1", "S2"], **{field: value})
+        request = api.AuditRequest(
+            servers=("S1", "S2"), depdb=DEPDB, **{field: value}
+        )
+        with pytest.raises(SpecificationError, match=field):
+            api.run_request(request)
+        with pytest.raises(SpecificationError, match=field):
+            api.AuditRequest.from_dict(
+                api.AuditRequest(servers=("S1", "S2"), depdb=DEPDB).to_dict()
+                | {field: value}
+            )
+
     def test_rejects_unknown_depdb_type(self):
         with pytest.raises(SpecificationError, match="depdb"):
             repro.audit(42, ["S1"])

@@ -1,6 +1,7 @@
 """Independent Pr(T) evaluators the exact route is checked against.
 
-Neither shares code with ``repro.core.probability`` or ``repro.core.bdd``:
+The first two share no code with ``repro.core.probability`` or
+``repro.core.bdd``:
 
 * :func:`brute_force_union` sums the weight of every one of the 2^n event
   states in which some cut set has fully failed;
@@ -10,6 +11,10 @@ Neither shares code with ``repro.core.probability`` or ``repro.core.bdd``:
   gate is a node with a *deterministic* conditional probability table over
   its children, and ``P(top = failed)`` is the marginal obtained by
   enumerating the joint distribution.
+
+The third, :func:`bdd_union`, is the bit-for-bit oracle: the BDD fold
+``union_probability(method="auto")`` used before its memoised Shannon
+recursion, which must return the same float, not just a close one.
 """
 
 from __future__ import annotations
@@ -21,6 +26,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro import FaultGraph
+from repro.core.bdd import BDD, ONE, ZERO
+from repro.core.probability import cut_probability
+
+#: Decision nodes the fold may allocate before :class:`CutSetExplosion`:
+#: tripping it cost ~0.4 s, about one 200 000-round estimate.
+BDD_NODE_BUDGET = 100_000
 
 
 def brute_force_union(
@@ -73,3 +84,34 @@ def bn_top_probability(
             state[gate] = int(cpts[gate][parents])
         terms.append(joint * state[graph.top])
     return math.fsum(terms)
+
+
+def bdd_union(
+    cuts: list[frozenset[str]], probabilities: Mapping[str, float]
+) -> float:
+    """Exact union probability of a (size, members)-sorted family.
+
+    ORs one AND-chain per cut into a reduced ordered BDD, in family order,
+    with variables in order of first appearance: on the fat-tree families
+    (k=12, 320 cuts) that allocates 5 080 nodes where frequency or
+    alphabetical order allocates 100 833 / 107 998 and a balanced OR-tree
+    54 273.  A cut that leaves the root unchanged is a superset of an
+    earlier one; the diagram is rebuilt without such cuts, so they never
+    shift the variable order and the bits never depend on them.
+    """
+    variables = list(dict.fromkeys(e for cut in cuts for e in sorted(cut)))
+    cut_probability(variables, probabilities)  # every event has a weight
+    bdd = BDD(variables, max_nodes=BDD_NODE_BUDGET)
+    minimal = []
+    with bdd._recursion_headroom():
+        for cut in cuts:
+            term = ONE
+            for var in sorted((bdd.var_index[e] for e in cut), reverse=True):
+                term = bdd.make(var, ZERO, term)
+            root = bdd.apply("or", bdd.root, term)
+            if root != bdd.root:
+                bdd.root = root
+                minimal.append(cut)
+    if len(minimal) < len(cuts):
+        return bdd_union(minimal, probabilities)
+    return bdd.probability(probabilities)

@@ -13,7 +13,8 @@ from repro import ComponentSets, FaultGraph, GateType, minimal_risk_groups
 from repro.acquisition import NetworkDependencyCollector
 from repro.core.bdd import BDD, ONE, ZERO, compile_graph
 from repro.core.minimal_rg import CutSetExplosion
-from repro.core.probability import top_event_probability
+from repro.core import probability
+from repro.core.probability import top_event_probability, union_probability
 from repro.depdb import DepDB
 from repro.engine import AuditEngine
 from repro.errors import AnalysisError
@@ -206,7 +207,9 @@ class TestNoReferenceCycles:
     The recursive walks are closures that name themselves; left alone,
     that cycle keeps every diagram of an audit alive until the cyclic
     collector runs, and how often it runs depends on how many objects
-    the kernel allocates.  Both checks run with the collector off.
+    the kernel allocates.  The Pr(T) recursion builds no diagram but is
+    such a closure over its memo.  Every check runs with the collector
+    off.
     """
 
     @pytest.fixture
@@ -275,9 +278,34 @@ class TestNoReferenceCycles:
             ranking="probability",
             probability=0.1,
         )
-        # The graph's diagram for the minimal RGs, the family's for Pr(T).
-        assert len(managers) == 2
-        assert [ref() for ref in managers] == [None, None]
+        # The graph's diagram for the minimal RGs; Pr(T) builds none.
+        assert len(managers) == 1
+        assert [ref() for ref in managers] == [None]
+        assert self.cyclic_closures() == []
+
+    @pytest.mark.parametrize("budget", [None, 20_000])
+    def test_pr_t_recursion_leaves_no_cycle(self, managers, monkeypatch, budget):
+        """The memoised Shannon recursion, finished or tripped mid-way."""
+        if budget is not None:
+            monkeypatch.setattr(probability, "UNION_WORK_BUDGET", budget)
+        cuts = [
+            frozenset({f"a{i}", f"b{j}", f"c{(i + j) % 5}"})
+            for i in range(8)
+            for j in range(4)
+        ]
+        probs = {event: 0.2 for cut in cuts for event in cut}
+        memo: dict = {}
+        try:
+            probability._shannon_union(
+                sorted(cuts, key=lambda c: (len(c), sorted(c))), probs, memo
+            )
+        except CutSetExplosion:
+            assert budget is not None
+        else:
+            assert budget is None
+        assert memo
+        union_probability(cuts, probs)  # the recursion or its fallback
+        assert managers == []
         assert self.cyclic_closures() == []
 
 

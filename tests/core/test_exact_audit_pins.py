@@ -1,18 +1,21 @@
-"""Pinned exact audits: report bytes, diagram allocations, budget trips.
+"""Pinned exact audits: report bytes, diagram sizes, budget trips.
 
 The paper's default audit (minimal RGs, §4.1.2, then Pr(T) and the
-probability ranking, §4.1.3) runs on one BDD manager twice: once over
-the fault graph for the minimal RGs, once over the RG family for Pr(T).
-These pins hold that manager to the diagrams it builds, not just to the
-values it returns:
+probability ranking, §4.1.3) compiles the fault graph into one BDD for
+the minimal RGs, then takes Pr(T) by a memoised Shannon recursion over
+the RG family that walks that family's diagram without building it.
+These pins hold both to the work they do, not just to the values they
+return:
 
 * the sha-256 of ``report.to_json()`` for every two-way deployment of
   four servers on a k=12 fat tree (the ledger's ``exact_structural``
   shape), so every family and every Pr(T) bit is held;
-* the number of decision nodes each diagram allocates, reachable or not,
-  so a kernel that builds the same diagram through different work fails;
-* the node budget's trip point on a wide flat family, and the
-  Monte-Carlo value ``auto`` then returns, bit for bit;
+* the number of decision nodes the graph's diagram allocates, reachable
+  or not, and the number of subfamilies the Pr(T) recursion memoises,
+  so a kernel that reaches the same value through different work fails;
+* the work budget's trip point on a wide flat family, the Monte-Carlo
+  value ``auto`` then returns, bit for bit, and the exact value past the
+  budget;
 * every float of the importance measures on the pinned pair, whose
   Fussell-Vesely terms take ``Pr(T)`` of one sub-family per component.
 """
@@ -71,20 +74,6 @@ def depdb_text() -> str:
     return depdb.dumps()
 
 
-@pytest.fixture
-def managers(monkeypatch) -> list[BDD]:
-    """Every manager ``union_probability`` makes, in order."""
-    made: list[BDD] = []
-
-    class Recording(BDD):
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(probability, "BDD", Recording)
-    return made
-
-
 REPORT_SHA256 = {
     0: "a7dad19642242c3c23ec1c7f4829341ce740efb2d97484248a63fd26bebae193",
     1: "d29a2c2cbabd19dfabe53831e19b5a4b9040d19eedc62939b490fc891fcf6d3f",
@@ -124,8 +113,13 @@ def hex_digest(rows) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def canonical(cuts) -> list[frozenset[str]]:
+    """``cuts`` deduplicated and (size, members)-sorted, as ``auto`` has them."""
+    return sorted(set(cuts), key=lambda c: (len(c), sorted(c)))
+
+
 class TestAllocations:
-    """Pair 0's graph diagram, its minimal solutions and its Pr(T) fold."""
+    """Pair 0's graph diagram, its minimal solutions and its Pr(T) pass."""
 
     def test_graph_diagram(self, graph):
         bdd = compile_graph(graph)
@@ -133,12 +127,20 @@ class TestAllocations:
         assert len(bdd.minimal_cut_sets()) == 320
         assert allocated(bdd) == 3586
 
-    def test_pr_t_fold(self, graph, managers):
+    def test_pr_t_fold(self, graph):
+        """One memo entry per node of the family's 703-node diagram, which
+        the BDD fold this pass replaced reached after 5 080 allocations."""
         groups = minimal_risk_groups(graph)
         assert len(groups) == 320
-        value = probability.union_probability(groups, graph.probabilities())
-        assert [allocated(bdd) for bdd in managers] == [5080]
+        memo: dict = {}
+        value = probability._shannon_union(
+            canonical(groups), graph.probabilities(), memo
+        )
+        assert len(memo) == 703
         assert value.hex() == "0x1.27bbd52e6c7b7p-5"
+        assert probability.union_probability(
+            groups, graph.probabilities()
+        ) == value
 
 
 class TestImportanceBits:
@@ -178,23 +180,25 @@ RANKING_SHA256 = (
 
 
 class TestBudgetTrip:
-    """2 200 two-event cuts over 1 102 events outgrow ``BDD_NODE_BUDGET``."""
+    """2 200 two-event cuts over 1 102 events outgrow ``UNION_WORK_BUDGET``:
+    the diagram is small, but every cut spans 18 words."""
 
     CUTS = [
         frozenset({f"a{i}", f"b{j}"}) for i in range(1100) for j in range(2)
     ]
     PROBS = {event: 0.1 for cut in CUTS for event in cut}
 
-    def test_trip_point_and_message(self, managers):
+    def test_trip_point_and_message(self):
+        """The root's high cofactor ({b0} or {b1}) and its own {b1} are
+        done; the root's low cofactor absorbs 1 099 cuts with 1 099 and
+        trips before it recurses."""
+        memo: dict = {}
         with pytest.raises(CutSetExplosion) as raised:
-            probability._bdd_union(
-                sorted(self.CUTS, key=lambda c: (len(c), sorted(c))),
-                self.PROBS,
-            )
-        assert str(raised.value) == "BDD exceeded 100000 decision nodes"
-        assert [allocated(bdd) for bdd in managers] == [
-            probability.BDD_NODE_BUDGET
-        ]
+            probability._shannon_union(canonical(self.CUTS), self.PROBS, memo)
+        assert str(raised.value) == (
+            "exact union exceeded 5000000 units of work"
+        )
+        assert len(memo) == 2
 
     def test_auto_returns_the_monte_carlo_value(self):
         value = probability.union_probability(
@@ -204,3 +208,12 @@ class TestBudgetTrip:
             self.CUTS, self.PROBS, method="monte-carlo", mc_rounds=4_096, seed=5
         )
         assert value.hex() == "0x1.7c00000000000p-3"
+
+    def test_exact_past_the_budget(self, monkeypatch):
+        """Some ``a`` and some ``b`` fail: ``(1 - 0.9^1100)(1 - 0.9^2)``."""
+        monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 10**9)
+        value = probability.union_probability(self.CUTS, self.PROBS)
+        assert value == pytest.approx(
+            (1 - 0.9**1100) * (1 - 0.9**2), abs=1e-12
+        )
+        assert value.hex() == "0x1.851eb851eb84ep-3"

@@ -137,7 +137,7 @@ class TestExactAuto:
     def test_bdd_pass_matches_inclusion_exclusion(self, n_sets):
         cuts, probs = random_family(random.Random(4130 + n_sets), n_sets)
         reference = probability._inclusion_exclusion(cuts, probs)
-        assert probability._bdd_union(cuts, probs) == pytest.approx(
+        assert probability._shannon_union(cuts, probs) == pytest.approx(
             reference, abs=1e-12
         )
         assert union_probability(cuts, probs) == pytest.approx(
@@ -192,7 +192,7 @@ class TestExactAuto:
 
     def test_node_budget_falls_back_to_the_named_estimator(self, monkeypatch):
         cuts, probs = random_family(random.Random(5), 40)
-        monkeypatch.setattr(probability, "BDD_NODE_BUDGET", 8)
+        monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 8)
         assert union_probability(
             cuts, probs, mc_rounds=3_000, seed=11
         ) == union_probability(
@@ -206,6 +206,49 @@ class TestExactAuto:
         cuts.append(cuts[0] | {"unweighted"})
         with pytest.raises(AnalysisError, match="'unweighted'"):
             union_probability(cuts, probs)
+
+
+class TestInputChecks:
+    """Every method checks each weight once, refuses a string where a cut
+    or a family belongs, and takes only an integer round count."""
+
+    METHODS = ("auto", "exact", "monte-carlo", "rare-event", "esary-proschan")
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("weight", [1.5, -0.1, float("nan"), "high"])
+    def test_bad_weight_names_the_event(self, method, weight):
+        probs = {"A1": 0.1, "A2": weight, "A3": 0.3}
+        with pytest.raises(AnalysisError, match="'A2'"):
+            union_probability(CUTS_4B, probs, method=method, mc_rounds=100)
+
+    @pytest.mark.parametrize("weight", [1.5, -0.1, float("nan")])
+    def test_bad_weight_on_the_diagram_path(self, weight):
+        cuts, probs = random_family(random.Random(7), 40)
+        probs[sorted(cuts[-1])[0]] = weight
+        with pytest.raises(AnalysisError, match="must be in"):
+            union_probability(cuts, probs)
+
+    def test_string_cut_and_string_family_are_refused(self):
+        probs = {"a": 0.1, "b": 0.2}
+        with pytest.raises(AnalysisError, match="'ab'"):
+            union_probability(["ab"], probs)
+        with pytest.raises(AnalysisError, match="'ab'"):
+            union_probability([frozenset("a"), "ab"], probs)
+        with pytest.raises(AnalysisError, match="'ab'"):
+            union_probability("ab", probs)
+
+    @pytest.mark.parametrize("rounds", [2.5, True, "10"])
+    def test_round_count_must_be_an_integer(self, rounds):
+        with pytest.raises(AnalysisError, match="mc_rounds"):
+            union_probability(
+                CUTS_4B, {"A1": 0.1, "A2": 0.2, "A3": 0.3},
+                method="monte-carlo", mc_rounds=rounds,
+            )
+
+    def test_weights_of_zero_and_one_are_valid(self):
+        probs = {"A1": 1.0, "A2": 0.0, "A3": 1}
+        assert union_probability(CUTS_4B, probs) == 1.0
+        assert union_probability(CUTS_4B, probs, method="monte-carlo") == 1.0
 
 
 class TestBayesianNetworkEvaluator:

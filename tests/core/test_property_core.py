@@ -11,13 +11,17 @@ Invariants checked on randomly generated fault graphs:
 * exact inclusion-exclusion matches Monte-Carlo estimation;
 * ``Pr(T)`` from the minimal RGs equals ``Pr(T)`` from the graph's own BDD;
 * the union is monotone in the family, and its bits do not depend on
-  order, duplicates or absorbed supersets.
+  order, duplicates or absorbed supersets;
+* the Shannon recursion returns the BDD fold's float, ``==``, with one
+  memo entry per node of the fold's diagram.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import FailureSampler, FaultGraph, GateType, minimal_risk_groups
 from repro.core import probability
@@ -25,6 +29,7 @@ from repro.core.bdd import compile_graph
 from repro.core.compile import CompiledGraph
 from repro.core.minimal_rg import is_minimal_risk_group, minimise_family
 from repro.core.probability import top_event_probability, union_probability
+from tests.core import evaluators
 
 
 @st.composite
@@ -183,13 +188,13 @@ def test_inclusion_exclusion_matches_monte_carlo(cuts, probs):
 @given(fault_graphs(), st.data())
 def test_cut_set_probability_equals_graph_diagram(graph, data):
     """Three exact routes: ``auto`` (inclusion-exclusion on families this
-    small), the cut-set diagram by name, and the graph's own diagram."""
+    small), the Shannon recursion by name, and the graph's own diagram."""
     weight = st.floats(0.01, 0.99)
     probs = {leaf: data.draw(weight) for leaf in graph.basic_events()}
     groups = minimal_risk_groups(graph)
     from_graph = compile_graph(graph).probability(probs)
     assert abs(top_event_probability(groups, probs) - from_graph) <= 1e-12
-    assert abs(probability._bdd_union(groups, probs) - from_graph) <= 1e-12
+    assert abs(probability._shannon_union(groups, probs) - from_graph) <= 1e-12
 
 
 #: Families of 11+ distinct cuts, i.e. on the BDD side of ``IE_CROSSOVER``.
@@ -223,3 +228,60 @@ def test_union_bits_ignore_order_duplicates_and_supersets(cuts, probs, rng):
     assert union_probability(cuts + rng.sample(cuts, 3), probs) == value
     supersets = [cut | {rng.choice("abcdefghij")} for cut in rng.sample(cuts, 3)]
     assert union_probability(supersets + cuts, probs) == value
+
+
+#: Up to 90 events, so a family's bitmasks may span two 64-bit words.
+ORACLE_EVENTS = [f"x{i:02d}" for i in range(90)]
+
+
+@st.composite
+def oracle_families(draw):
+    """11-40 distinct cuts over 5-90 events, up to two long runs of 20-50
+    events (so that more than 63 variables happen), supersets and
+    duplicates of them on top, and weights that include 0 and 1."""
+    names = ORACLE_EVENTS[: draw(st.integers(5, 90))]
+    cut = st.sets(st.sampled_from(names), min_size=1, max_size=4)
+    runs = st.tuples(st.integers(0, 40), st.integers(20, 50)).map(
+        lambda run: frozenset(ORACLE_EVENTS[run[0] : run[0] + run[1]])
+    )
+    cuts = draw(
+        st.lists(
+            st.one_of(cut.map(frozenset), runs),
+            min_size=probability.IE_CROSSOVER + 1,
+            max_size=40,
+            unique=True,
+        )
+    )
+    supersets = [
+        base | {extra}
+        for base, extra in draw(
+            st.lists(st.tuples(st.sampled_from(cuts), st.sampled_from(names)))
+        )
+    ]
+    duplicates = draw(st.lists(st.sampled_from(cuts), max_size=3))
+    weight = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
+    probs = {name: draw(weight) for name in ORACLE_EVENTS}
+    return supersets + cuts + duplicates, probs
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_families())
+def test_recursion_is_the_fold_bit_for_bit(case):
+    cuts, probs = case
+    family = sorted(set(cuts), key=lambda c: (len(c), sorted(c)))
+    made: list[evaluators.BDD] = []
+
+    class Recording(evaluators.BDD):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with mock.patch.object(evaluators, "BDD", Recording):
+        try:
+            expected = evaluators.bdd_union(family, probs)
+        except probability.CutSetExplosion:
+            assume(False)
+    memo: dict = {}
+    assert probability._shannon_union(family, probs, memo) == expected
+    assert len(memo) == made[-1].size()
+    assert union_probability(cuts, probs) == expected

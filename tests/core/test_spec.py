@@ -41,6 +41,18 @@ class TestValidation:
         with pytest.raises(SpecificationError, match="sampling_rounds"):
             AuditSpec(deployment="d", servers=("a",), sampling_rounds=rounds)
 
+    @pytest.mark.parametrize("field", ["top_n", "max_order"])
+    @pytest.mark.parametrize("value", [2.5, 1.5, True, "2"])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(SpecificationError, match=field):
+            AuditSpec(deployment="d", servers=("a",), **{field: value})
+
+    @pytest.mark.parametrize("field", ["top_n", "max_order"])
+    def test_numpy_integer_counts_become_int(self, field):
+        spec = AuditSpec(deployment="d", servers=("a",), **{field: np.int64(2)})
+        assert getattr(spec, field) == 2
+        assert type(getattr(spec, field)) is int
+
     @pytest.mark.parametrize("rounds", [np.int64(300), np.uint16(300), 300])
     def test_numpy_integer_rounds_become_int(self, rounds):
         spec = AuditSpec(deployment="d", servers=("a",), sampling_rounds=rounds)

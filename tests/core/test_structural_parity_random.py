@@ -22,7 +22,7 @@ from repro import FaultGraph, GateType, minimal_risk_groups
 from repro.analysis.planner import MitigationPlanner
 from repro.core.bdd import BDD, compile_graph
 from repro.core.minimal_rg import is_minimal_risk_group, is_risk_group
-from repro.core.probability import _bdd_union, top_event_probability
+from repro.core.probability import _shannon_union, top_event_probability
 from repro.engine import AuditEngine
 
 MASTER_SEED = 0xBDD5EED
@@ -102,7 +102,7 @@ def test_cut_set_probability_equals_the_graph_diagram(graph):
     assert top_event_probability(groups, probs) == pytest.approx(
         from_graph, abs=1e-12
     )
-    assert _bdd_union(groups, probs) == pytest.approx(from_graph, abs=1e-12)
+    assert _shannon_union(groups, probs) == pytest.approx(from_graph, abs=1e-12)
 
 
 @pytest.mark.parametrize("graph", random_cases())
