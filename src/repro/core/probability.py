@@ -65,10 +65,12 @@ IE_CROSSOVER = 10
 #: and every (cut, absorber) pair its absorption may check, once per word
 #: of the bitmasks, :data:`_NODE_WORK` per node, and the pre-pass's packed
 #: word compares at :data:`_COMPARES_PER_WORD` a unit.  Tripping it costs
-#: 0.08-0.16 s on random families where the BDD fold it replaced tripped in
-#: 0.14-0.23 s (2-core x86-64, CPython 3.11); the fat-tree families need
-#: 0.29 million (k=12, 320 cuts) and 3.73 million (k=16, 1 280 cuts).
-UNION_WORK_BUDGET = 5_000_000
+#: about what the BDD fold it replaced spent to trip its 100 000-node
+#: budget: 0.14-0.29 s against 0.17-0.34 s, per-family median ratio
+#: 0.85-0.98, on 17 random families (2-core x86-64, CPython 3.11).  The
+#: fat-tree families need 0.29 million (k=12, 320 cuts) and 3.73 million
+#: (k=16, 1 280 cuts).
+UNION_WORK_BUDGET = 7_000_000
 
 #: A node's fixed cost (a call, two frozensets, the memo) in scanned words:
 #: about 6 us against about 0.02 us a word.

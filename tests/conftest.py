@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import settings
 
@@ -12,10 +10,10 @@ from repro.depdb import DepDB
 from repro.depdb.backend import record_key
 from repro.depdb.records import HardwareDependency
 
-# CI runs with HYPOTHESIS_PROFILE=ci: a failing property test prints the
-# @reproduce_failure blob that replays its example.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+# A failing property test prints the @reproduce_failure blob that replays
+# its example.
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture

@@ -15,7 +15,8 @@ return:
   so a kernel that reaches the same value through different work fails;
 * the work budget's trip point on a wide flat family, the Monte-Carlo
   value ``auto`` then returns, bit for bit, and the exact value past the
-  budget;
+  budget; and a mid-sized random family, which the BDD fold the recursion
+  replaced finished inside its own budget, staying exact;
 * every float of the importance measures on the pinned pair, whose
   Fussell-Vesely terms take ``Pr(T)`` of one sub-family per component.
 """
@@ -43,6 +44,7 @@ from repro.depdb import DepDB
 from repro.engine import AuditEngine
 from repro.failures import uniform_weigher
 from repro.topology import FatTreeConfig, fat_tree
+from tests.core import evaluators
 
 
 def allocated(bdd: BDD) -> int:
@@ -196,7 +198,7 @@ class TestBudgetTrip:
         with pytest.raises(CutSetExplosion) as raised:
             probability._shannon_union(canonical(self.CUTS), self.PROBS, memo)
         assert str(raised.value) == (
-            "exact union exceeded 5000000 units of work"
+            "exact union exceeded 7000000 units of work"
         )
         assert len(memo) == 2
 
@@ -217,3 +219,25 @@ class TestBudgetTrip:
             (1 - 0.9**1100) * (1 - 0.9**2), abs=1e-12
         )
         assert value.hex() == "0x1.851eb851eb84ep-3"
+
+
+class TestMidSizedFamily:
+    """40 random cuts of 2-4 events over 60: the fold finished it with
+    100 000 nodes to spare, and ``auto`` must still take it exactly."""
+
+    def family(self):
+        rng = random.Random(1)
+        names = [f"e{i:03d}" for i in range(60)]
+        cuts: set[frozenset[str]] = set()
+        while len(cuts) < 40:
+            cuts.add(frozenset(rng.sample(names, rng.randint(2, 4))))
+        probs = {name: rng.uniform(0.01, 0.3) for name in names}
+        return canonical(cuts), probs
+
+    def test_exact_within_the_budget(self):
+        cuts, probs = self.family()
+        memo: dict = {}
+        value = probability._shannon_union(cuts, probs, memo)
+        assert len(memo) == 19_439
+        assert value == evaluators.bdd_union(cuts, probs)
+        assert probability.union_probability(cuts, probs) == value
