@@ -11,16 +11,23 @@ share the kernel, so this file is what pins the k-of-n branch.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import AuditSpec, SIAAuditor
 from repro.core.compile import CompiledGraph
 from repro.core.events import GateType
 from repro.core.faultgraph import FaultGraph
 from repro.depdb import DepDB, NetworkDependency
+from repro.engine import batch
 from repro.engine.batch import extract_witnesses_batch
 from repro.topology import INTERNET, FatTreeConfig, fat_tree_routes
+
+from tests.core.test_property_core import fault_graphs
 
 
 def extract_witnesses_per_gate(compiled, values, rng):
@@ -146,12 +153,9 @@ def gate_shapes(compiled) -> list[tuple[int, int]]:
 RANDOM_SEEDS = range(64)
 
 
-@pytest.fixture(scope="module")
-def fat_tree_graph() -> FaultGraph:
-    """The three-way deployment of the k=8 plan goldens: 48 OR-of-3 route
-    gates in a row, three AND-of-16, OR-of-2, OR-of-1, an AND-of-3 top."""
-    tree = FatTreeConfig(8)
-    servers = ("srv-p0-t0-0", "srv-p3-t2-1", "srv-p5-t3-2")
+def three_way_deployment(ports: int, servers: tuple[str, ...]) -> FaultGraph:
+    """The three-way deployment of ``servers`` on a ``ports``-port fat tree."""
+    tree = FatTreeConfig(ports)
     depdb = DepDB(
         NetworkDependency(src=server, dst=INTERNET, route=route)
         for server in servers
@@ -160,6 +164,13 @@ def fat_tree_graph() -> FaultGraph:
     return SIAAuditor(depdb).build_graph(
         AuditSpec(deployment="three-way", servers=servers)
     )
+
+
+@pytest.fixture(scope="module")
+def fat_tree_graph() -> FaultGraph:
+    """The three-way deployment of the k=8 plan goldens: 48 OR-of-3 route
+    gates in a row, three AND-of-16, OR-of-2, OR-of-1, an AND-of-3 top."""
+    return three_way_deployment(8, ("srv-p0-t0-0", "srv-p3-t2-1", "srv-p5-t3-2"))
 
 
 # --------------------------------------------------------------------- #
@@ -184,6 +195,42 @@ def test_matches_the_per_gate_loop_on_a_fat_tree_deployment(
     values = failing_values(compiled, 1500, probability, np.random.default_rng(8))
     assert len(values) > 100
     assert_same_witnesses(compiled, values, seed=9)
+
+
+def test_matches_the_per_gate_loop_on_a_topology_a_block():
+    """One 4 096-round block of a k=16 (Table 3 topology A) three-way
+    deployment: ~1 700 failing rows, so the 192-gate OR-of-3 route run
+    is cut into 16 slices of 12 gates — the shape the ledger's
+    ``cold_sampling`` audit spends its witness time on."""
+    compiled = CompiledGraph(
+        three_way_deployment(16, ("srv-p0-t0-0", "srv-p7-t3-5", "srv-p13-t6-2"))
+    )
+    (k, gates, children), = [
+        run for run in compiled.witness_plan if len(run[1]) == 192
+    ]
+    assert (k, children.shape[1]) == (1, 3)
+    values = failing_values(compiled, 4096, 0.5, np.random.default_rng(16))
+    assert 1600 < len(values) < 1900
+    step = batch._SLICE_CELLS // (len(values) * 3)
+    assert -(-len(gates) // step) == 16
+    assert_same_witnesses(compiled, values, seed=17)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    graph=fault_graphs(),
+    rounds=st.integers(1, 48),
+    cells=st.integers(8, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slice_boundaries_fall_anywhere(graph, rounds, cells, seed):
+    """A slice budget of a few cells cuts every run — k-of-n included —
+    into slices of one or a few gates, at every offset: the kernel's
+    per-slice index arithmetic must still be the per-gate loop's."""
+    compiled = CompiledGraph(graph)
+    values = failing_values(compiled, rounds, 0.6, np.random.default_rng(seed))
+    with mock.patch.object(batch, "_SLICE_CELLS", cells):
+        assert_same_witnesses(compiled, values, seed=seed + 1)
 
 
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
