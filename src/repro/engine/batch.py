@@ -10,7 +10,11 @@ moves both steps to whole-block operations:
   at a time (:attr:`CompiledGraph.witness_plan`, not once per gate, let
   alone per round) over node-major arrays, selecting the required
   children of every failing gate of the run for all rounds at once — on
-  the random stream a gate-at-a-time walk would consume;
+  the random stream a gate-at-a-time walk would consume.  A slice of a
+  run is scored slot-major (one contiguous row per child slot), so the
+  per-cell choice is a column-wise first minimum and each chosen child
+  is found from one offset per ``(gate, slot)``, with no per-child
+  index grid;
 * :func:`minimise_cuts_batch` greedily shrinks a whole block of witnesses
   over row bitsets (one int per node, bit ``r`` = witness ``r``): the
   graph is evaluated once, and trying to drop one candidate event from
@@ -123,7 +127,7 @@ def _witnesses_node_major(
     # Not zeros_like: a flat scatter into anything but C order is lost.
     needed = np.zeros(values.shape, dtype=bool)
     needed[compiled.top_index] = True
-    flat_values, flat_needed = values.reshape(-1), needed.reshape(-1)
+    flat_needed = needed.reshape(-1)
     for k, gates, children in compiled.witness_plan:
         arity = children.shape[1]
         if k >= arity:
@@ -135,24 +139,37 @@ def _witnesses_node_major(
         # OR / k-of-n: keep k failing children per row, chosen at random.
         step = max(1, _SLICE_CELLS // max(1, m * arity))
         for lo in range(0, len(gates), step):
+            kids = children[lo:lo + step]
             demand = np.flatnonzero(needed[gates[lo:lo + step]])
             if demand.size == 0:
                 continue
-            which, rows = np.divmod(demand, m)
-            cells = (children[lo:lo + step] * m).take(which, axis=0)
-            cells += rows[:, None]
-            child_vals = flat_values[cells]
+            # Slot-major: row j holds the j-th child of every needed cell.
+            passing = ~values[kids.T].reshape(arity, -1).take(demand, axis=1)
+            # The draw stays row-major — one row of `arity` per cell, as
+            # the per-gate walk consumed it; only the read is transposed.
             # Failing children keep their draw (+ 0.0); passing ones score
             # past all of them, and are masked out again below.
-            scores = rng.random(cells.shape)
-            scores += ~child_vals
+            scores = np.add(
+                rng.random((demand.size, arity)).T, passing, order="C"
+            )
             if k == 1:
-                chosen = scores.argmin(axis=1)
+                # argmin, a slot at a time: a strict < keeps the lower
+                # slot on a tie, argmin's first occurrence.
+                best = scores[0]
+                chosen = np.zeros(demand.size, dtype=np.intp)
+                for j in range(1, arity):
+                    better = scores[j] < best
+                    best = np.minimum(best, scores[j])
+                    chosen += better * (j - chosen)
+                kept = best < 1.0
             else:
-                chosen = np.argpartition(scores, k - 1, axis=1)[:, :k].T
-            chosen += np.arange(0, cells.size, arity)
-            picked = cells.reshape(-1)[chosen]
-            flat_needed[picked[child_vals.reshape(-1)[chosen]]] = True
+                chosen = np.argpartition(scores, k - 1, axis=0)[:k]
+                kept = np.take_along_axis(scores, chosen, axis=0) < 1.0
+            # Cell (s, r)'s j-th child is flat (kids[s, j] * m + r), i.e.
+            # its demand index s * m + r plus (kids[s, j] - s) * m.
+            offsets = ((kids - np.arange(len(kids))[:, None]) * m).reshape(-1)
+            picked = demand + offsets.take(demand // m * arity + chosen)
+            flat_needed[picked[kept]] = True
     return np.ascontiguousarray(needed[compiled.basic_index].T)
 
 
