@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.errors import SpecificationError
+from repro.core.events import check_real, check_seed, validate_probability
+from repro.errors import AnalysisError, FaultGraphError, SpecificationError
 from repro.schema import SCHEMA_VERSION, envelope
 
 __all__ = [
@@ -224,6 +225,13 @@ class AuditRequest:
                 "audit_request.ranking must be size|probability, "
                 f"got {self.ranking!r}"
             )
+        try:
+            check_seed(self.seed)
+            if self.probability is not None:
+                check_real("probability", self.probability)
+                validate_probability(self.probability)
+        except (AnalysisError, FaultGraphError) as exc:
+            raise SpecificationError(f"audit_request.{exc}") from None
         if not self.deployment:
             object.__setattr__(
                 self, "deployment", " & ".join(self.servers)

@@ -37,6 +37,8 @@ __all__ = [
     "redundancy_threshold",
     "validate_probability",
     "check_integer",
+    "check_seed",
+    "check_real",
     "check_count",
 ]
 
@@ -87,6 +89,25 @@ def check_integer(name: str, value) -> None:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise AnalysisError(
             f"{name} must be an integer, got {type(value).__name__}"
+        )
+
+
+def check_seed(value) -> None:
+    """Raise :class:`AnalysisError` unless ``value`` is ``None`` (fresh OS
+    entropy) or an integer (:func:`check_integer`) of at least 0."""
+    if value is None:
+        return
+    check_integer("seed", value)
+    if value < 0:
+        raise AnalysisError(f"seed must be >= 0, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise :class:`AnalysisError` unless ``value`` is a Python or NumPy
+    real number.  A ``bool`` is a number but never a probability."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise AnalysisError(
+            f"{name} must be a number, got {type(value).__name__}"
         )
 
 

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.core.events import check_count
+from repro.core.events import check_count, check_real, check_seed
 from repro.core.ranking import RankingMethod
 from repro.errors import AnalysisError, SpecificationError
 
@@ -93,6 +93,7 @@ class AuditSpec:
         if self.destinations is not None:
             self.destinations = tuple(self.destinations)
         self.sampling_rounds = _count("sampling_rounds", self.sampling_rounds)
+        _specified(check_real, "sampling_probability", self.sampling_probability)
         if not 0.0 < self.sampling_probability < 1.0:
             raise SpecificationError(
                 "sampling_probability must be in (0,1), got "
@@ -102,6 +103,9 @@ class AuditSpec:
             self.top_n = _count("top_n", self.top_n)
         if self.max_order is not None:
             self.max_order = _count("max_order", self.max_order)
+        _specified(check_seed, self.seed)
+        if self.seed is not None:
+            self.seed = int(self.seed)
         if not isinstance(self.level, DetailLevel):
             raise SpecificationError(f"invalid level {self.level!r}")
         if not isinstance(self.algorithm, RGAlgorithm):
@@ -145,8 +149,14 @@ class AuditSpec:
 
 def _count(name: str, value) -> int:
     """``value`` as an ``int`` if it passes :func:`check_count`."""
+    _specified(check_count, name, value)
+    return int(value)
+
+
+def _specified(check, *args) -> None:
+    """Run an argument ``check``, its :class:`AnalysisError` re-raised as
+    the :class:`SpecificationError` a spec raises."""
     try:
-        check_count(name, value)
+        check(*args)
     except AnalysisError as exc:
         raise SpecificationError(str(exc)) from None
-    return int(value)

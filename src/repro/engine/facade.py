@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.core.audit import SIAAuditor
-from repro.core.events import check_count
+from repro.core.events import check_count, check_seed
 from repro.core.faultgraph import FaultGraph
 from repro.core.report import AuditReport, DeploymentAudit
 from repro.core.sampling import SamplingResult, merge_block_outcomes
@@ -219,11 +219,11 @@ class AuditEngine:
             raise AnalysisError(
                 f"sample_probability must be in (0,1), got {sample_probability}"
             )
-        root = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
+        if isinstance(seed, np.random.SeedSequence):
+            root = seed
+        else:
+            check_seed(seed)
+            root = np.random.SeedSequence(seed)
         plan = plan_blocks(rounds, self.block_size, root)
         weights = None
         if use_weights:

@@ -100,6 +100,26 @@ class TestAuditRequestRoundTrip:
         with pytest.raises(SpecificationError, match=field):
             api.AuditRequest.from_dict(payload)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+    def test_rejects_bad_seeds_on_every_route(self, seed):
+        payload = request().to_dict()
+        payload["seed"] = seed
+        with pytest.raises(SpecificationError, match="seed"):
+            api.AuditRequest.from_dict(payload)
+        with pytest.raises(SpecificationError, match="seed"):
+            api.audit(DEPDB, ("S1", "S2"), algorithm="sampling", seed=seed)
+
+    @pytest.mark.parametrize("probability", [True, 1.5, float("nan"), -0.1, "0.5"])
+    def test_rejects_bad_probabilities_on_every_route(self, probability):
+        payload = request().to_dict()
+        payload["probability"] = probability
+        with pytest.raises(SpecificationError, match="probability"):
+            api.AuditRequest.from_dict(payload)
+        with pytest.raises(SpecificationError, match="probability"):
+            request(probability=probability)
+        with pytest.raises(SpecificationError, match="probability"):
+            api.audit(DEPDB, ("S1", "S2"), probability=probability)
+
     def test_rejects_bad_algorithm_and_ranking(self):
         with pytest.raises(SpecificationError, match="algorithm"):
             request(algorithm="magic")

@@ -59,6 +59,23 @@ class TestValidation:
         assert spec.sampling_rounds == 300
         assert type(spec.sampling_rounds) is int
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+    def test_bad_seeds_rejected(self, seed):
+        with pytest.raises(SpecificationError, match="seed"):
+            AuditSpec(deployment="d", servers=("a",), seed=seed)
+
+    def test_numpy_seed_becomes_int_and_none_is_kept(self):
+        spec = AuditSpec(deployment="d", servers=("a",), seed=np.int64(5))
+        assert spec.seed == 5 and type(spec.seed) is int
+        assert AuditSpec(deployment="d", servers=("a",), seed=None).seed is None
+
+    @pytest.mark.parametrize("probability", ["0.5", None])
+    def test_non_real_sampling_probability_rejected(self, probability):
+        with pytest.raises(SpecificationError, match="sampling_probability"):
+            AuditSpec(
+                deployment="d", servers=("a",), sampling_probability=probability
+            )
+
     def test_servers_normalised_to_tuple(self):
         spec = AuditSpec(deployment="d", servers=["a", "b"])
         assert spec.servers == ("a", "b")

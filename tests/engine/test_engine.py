@@ -145,6 +145,11 @@ class TestSamplingParity:
         with pytest.raises(AnalysisError, match="rounds"):
             AuditEngine().sample(figure_4a, rounds)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+    def test_bad_seeds_rejected(self, figure_4a, seed):
+        with pytest.raises(AnalysisError, match="seed"):
+            AuditEngine().sample(figure_4a, 100, seed=seed)
+
     @pytest.mark.parametrize(
         "rounds, block_size",
         [(1000.0, 256), (1000, 256.0), (True, 256), (1000, True), ("1000", 256)],

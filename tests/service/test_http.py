@@ -206,6 +206,20 @@ class TestErrors:
         assert error["error"]["code"] == "bad-request"
         assert "servers" in error["error"]["message"]
 
+    @pytest.mark.parametrize("field, bad", [("seed", -1), ("probability", 1.5)])
+    def test_out_of_range_numbers_are_400_not_a_failed_job(
+        self, service, field, bad
+    ):
+        payload = make_request().to_dict()
+        payload[field] = bad
+        status, _, body = http_call(
+            service, "POST", "/v1/audits", json.dumps(payload)
+        )
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad-request"
+        assert field in error["message"]
+
     def test_invalid_json_is_structured_400(self, service):
         status, _, body = http_call(
             service, "POST", "/v1/audits", b"not json {"
