@@ -116,6 +116,8 @@ def _check_field(payload: Mapping, key: str, types: tuple, kind: str) -> None:
         )
 
 
+#: Wire types of the request fields; ``seed`` and ``probability`` are
+#: checked, range included, by :class:`AuditRequest` itself on every route.
 _REQUEST_FIELD_TYPES = {
     "deployment": (str,),
     "depdb": (str,),
@@ -126,9 +128,7 @@ _REQUEST_FIELD_TYPES = {
     "ranking": (str,),
     "top_n": (int, type(None)),
     "max_order": (int, type(None)),
-    "seed": (int, type(None)),
     "adaptive": (bool,),
-    "probability": (int, float, type(None)),
     "base": (str, type(None)),
     "tenant": (str,),
     "metadata": (dict,),
