@@ -155,12 +155,11 @@ def _witnesses_node_major(
             if k == 1:
                 # argmin, a slot at a time: a strict < keeps the lower
                 # slot on a tie, argmin's first occurrence.
-                best = scores[0]
-                chosen = np.zeros(demand.size, dtype=np.intp)
+                best, chosen = scores[0], 0
                 for j in range(1, arity):
                     better = scores[j] < best
                     best = np.minimum(best, scores[j])
-                    chosen += better * (j - chosen)
+                    chosen = chosen + better * (j - chosen)
                 kept = best < 1.0
             else:
                 chosen = np.argpartition(scores, k - 1, axis=0)[:k]
