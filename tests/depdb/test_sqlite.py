@@ -392,6 +392,103 @@ class TestAppendOnly:
             backend.close()
 
 
+def _records(n: int, tag: str) -> list:
+    """``n`` records of each type, all distinct for distinct ``tag``."""
+    return [
+        *(NetworkDependency(f"{tag}S{i}", "Internet", (f"T{i}",)) for i in range(n)),
+        *(HardwareDependency(f"{tag}S{i}", "CPU", f"X{i}") for i in range(n)),
+        *(SoftwareDependency(f"P{i}", f"{tag}S{i}", ("libc6",)) for i in range(n)),
+    ]
+
+
+# The tripwire's predicate, one plain statement per table: the oracle
+# ``_still_covers`` must agree with in every state of ``TestTripwire``.
+_COVERS_ORACLE = (
+    "SELECT COUNT(*), COALESCE(MAX(id), 0) FROM {table} WHERE id <= ?"
+)
+
+
+def _oracle_covers(backend, memo) -> bool:
+    return all(
+        backend._execute(_COVERS_ORACLE.format(table=table), (top,)).fetchone()
+        == (count, top)
+        for table, (count, top) in memo.covered.items()
+    )
+
+
+def _replace_contents(path, records) -> None:
+    """Overwrite the database at ``path`` in place with a store holding
+    ``records``: open connections see the new pages, as after a restore."""
+    source_path = Path(str(path) + ".copy")
+    with DepDB.sqlite(source_path, records=records):
+        pass
+    source = sqlite3.connect(source_path)
+    target = sqlite3.connect(path)
+    try:
+        source.backup(target)
+    finally:
+        source.close()
+        target.close()
+
+
+class TestTripwire:
+    """``_still_covers`` reads exactly the per-table predicate
+    ``COUNT(*), MAX(id) WHERE id <= <covered max id>`` equal to the memo."""
+
+    N = 5
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        path = tmp_path / "dep.sqlite"
+        backend = SQLiteBackend(path)
+        backend.add_many(_records(self.N, "a"))
+        backend.content_hash()
+        yield path, backend
+        backend.close()
+
+    def _agree(self, backend) -> bool:
+        memo = backend._hashed
+        verdict = backend._still_covers(memo)
+        assert verdict == _oracle_covers(backend, memo)
+        return verdict
+
+    def test_unchanged_store(self, store):
+        _, backend = store
+        assert self._agree(backend)
+
+    def test_rows_appended_by_another_connection(self, store):
+        path, backend = store
+        with DepDB.sqlite(path, records=_records(2, "b")):
+            pass
+        assert self._agree(backend)
+
+    @pytest.mark.parametrize("table", ["network", "hardware", "software"])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_out_of_band_delete(self, store, table, position):
+        path, backend = store
+        top = backend._hashed.covered[table][1]
+        row = {"first": top - self.N + 1, "middle": top - self.N // 2, "last": top}
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(f"DROP TRIGGER {table}_no_delete")
+            conn.execute(f"DELETE FROM {table} WHERE id = ?", (row[position],))
+        conn.close()
+        assert not self._agree(backend)
+
+    def test_file_replaced_by_a_shorter_copy(self, store):
+        path, backend = store
+        _replace_contents(path, _records(self.N - 2, "c"))
+        assert not self._agree(backend)
+
+    def test_file_replaced_by_a_longer_copy(self, store):
+        path, backend = store
+        _replace_contents(path, _records(self.N + 2, "c"))
+        # Each table again holds the covered count of rows at or below
+        # the covered maximum id: the predicate holds, whatever those
+        # rows now say.  Agreement with the oracle is what is pinned.
+        assert self._agree(backend)
+
+
 class TestHashWorkIsTheDrift:
     """``content_hash`` keys the rows added since it last ran, no more."""
 
