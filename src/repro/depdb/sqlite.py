@@ -17,6 +17,13 @@ DELETE`` triggers abort, whichever connection tries), so id order *is*
 first-insertion order and every query replays the memory backend's
 ordering contract exactly.
 
+Each per-host lookup has an index on the column it filters
+(``network.src``, ``hardware.hw``, ``software.hw``, ``software.pgm``).
+There is none on ``network.dst``: no query filters on it alone, and
+every row of a fat-tree store has ``dst = "Internet"``, so a planner
+offered it for ``src = ? AND dst = ?`` walked the whole table.  Opening
+a file that has it drops it.
+
 The ``snapshots`` table is content-addressed by the record-set hash
 (:func:`~repro.depdb.backend.records_digest`): one row per distinct
 store state ever audited, re-sequenced in place when an unchanged store
@@ -35,8 +42,10 @@ full recomputation's, bit for bit).  Freshness is read from the tables
 rather than pushed by ``add`` / ``add_many``, because another
 connection or process writing the same file must be seen too; if the
 covered rows are no longer all there (a truncated or replaced file) the
-memo is dropped and the store rescanned in full.  About 140 B per
-record, held while the backend is open.
+memo is dropped and the store rescanned in full.  That tripwire reads
+no covered row: the count at or below the covered id is the whole-table
+``COUNT(*)`` (one index-only count) less the count past it.  About
+140 B per record, held while the backend is open.
 
 Writes run in WAL mode with batched transactions
 (:meth:`SQLiteBackend.add_many` wraps a whole batch in one commit); a
@@ -82,7 +91,7 @@ CREATE TABLE IF NOT EXISTS network (
     UNIQUE (src, dst, route)
 );
 CREATE INDEX IF NOT EXISTS idx_network_src ON network (src);
-CREATE INDEX IF NOT EXISTS idx_network_dst ON network (dst);
+DROP INDEX IF EXISTS idx_network_dst;
 CREATE TABLE IF NOT EXISTS hardware (
     id INTEGER PRIMARY KEY,
     hw TEXT NOT NULL,
@@ -403,11 +412,16 @@ class SQLiteBackend(DepDBBackend):
         False for a truncated or replaced file (the triggers stop
         everything short of that); the caller then rescans in full.
         """
+        # COUNT(id <= top) as COUNT(all) - COUNT(id > top): ids are
+        # non-null integers, so the two are equal, and the whole-table
+        # count reads the smallest index, not every row.  One statement,
+        # so one read snapshot.
         return all(
             self._execute(
-                f"SELECT COUNT(*), COALESCE(MAX(id), 0) FROM {table} "
-                "WHERE id <= ?",
-                (top,),
+                f"SELECT (SELECT COUNT(*) FROM {table}) - "
+                f"(SELECT COUNT(*) FROM {table} WHERE id > ?), "
+                f"(SELECT COALESCE(MAX(id), 0) FROM {table} WHERE id <= ?)",
+                (top, top),
             ).fetchone()
             == (count, top)
             for table, (count, top) in memo.covered.items()
@@ -416,10 +430,13 @@ class SQLiteBackend(DepDBBackend):
     # ------------------------------ snapshots -------------------------- #
 
     def snapshot(self, label: str = "") -> Snapshot:
-        digest = self.content_hash()
-        counts = self.counts()
-        created = time.time()
         with self._lock, self._conn:
+            digest = self.content_hash()
+            # The counts of the rows that digest covers, read under the
+            # same lock hold: a row another connection commits meanwhile
+            # is in neither.
+            counts = tuple(self._hashed.covered[table][0] for table in _TABLES)
+            created = time.time()
             seq = (
                 self._execute(
                     "SELECT COALESCE(MAX(seq), 0) FROM snapshots"
@@ -433,22 +450,10 @@ class SQLiteBackend(DepDBBackend):
                 "ON CONFLICT (digest) DO UPDATE SET "
                 "label = excluded.label, seq = excluded.seq, "
                 "created = excluded.created",
-                (
-                    digest,
-                    label,
-                    seq,
-                    created,
-                    counts["network"],
-                    counts["hardware"],
-                    counts["software"],
-                ),
+                (digest, label, seq, created, *counts),
             )
         return Snapshot(
-            digest=digest,
-            label=label,
-            seq=seq,
-            created=created,
-            counts=(counts["network"], counts["hardware"], counts["software"]),
+            digest=digest, label=label, seq=seq, created=created, counts=counts
         )
 
     def _snapshot_rows(self, suffix: str = "") -> list[Snapshot]:

@@ -393,12 +393,19 @@ class AuditEngine:
         :func:`repro.api.execute_request` uses, so the audit service's
         repeat executions of one request become result-cache hits.
         """
+        return self._audit_hashed(auditor, graph, structural_hash(graph), spec)
+
+    def _audit_hashed(
+        self, auditor, graph: FaultGraph, digest: str, spec: AuditSpec
+    ) -> tuple:
+        """:meth:`audit_built` for a graph whose structural hash is
+        ``digest``, so a caller that already has it does not hash twice."""
         if spec.algorithm is RGAlgorithm.SAMPLING and spec.seed is None:
             # A seedless sampling audit draws fresh OS entropy on every
             # cold run, so no cached result is "bit-identical to a cold
             # recomputation" — always recompute, never cache.
             return auditor.audit_graph(graph, spec), False
-        key = (structural_hash(graph), self.block_size, _spec_audit_key(spec))
+        key = (digest, self.block_size, _spec_audit_key(spec))
         audit = self._audits.get(key)
         if audit is None:
             audit = auditor.audit_graph(graph, spec)
@@ -438,7 +445,7 @@ class AuditEngine:
         auditor = SIAAuditor(depdb, weigher=weigher, engine=self)
         graph = auditor.build_graph(spec)
         digest = structural_hash(graph)
-        audit, hit = self.audit_built(auditor, graph, spec)
+        audit, hit = self._audit_hashed(auditor, graph, digest, spec)
         snapshot = None
         if record_snapshot and depdb.content_hash() == content:
             snapshot = depdb.snapshot(label or digest)

@@ -1,6 +1,7 @@
 """SQLite DepDB backend: durability, dedup, snapshots, lifecycle."""
 
 import pickle
+import re
 import sqlite3
 import sys
 import tempfile
@@ -151,6 +152,41 @@ class TestSnapshots:
             first.digest,
             second.digest,
         ]
+
+    def test_counts_are_those_of_the_rows_the_digest_covers(
+        self, tmp_path, monkeypatch
+    ):
+        # Another connection commits right after the digest is taken:
+        # its rows are in neither the digest nor the counts.
+        path = tmp_path / "dep.sqlite"
+        covered = [RECORDS[0], RECORDS[3]]
+        late = [RECORDS[1], RECORDS[4]]
+        backend = SQLiteBackend(path)
+        other = SQLiteBackend(path)
+        try:
+            backend.add_many(covered)
+            content_hash = backend.content_hash
+
+            def hash_then_other_ingests():
+                digest = content_hash()
+                other.add_many(late)
+                return digest
+
+            monkeypatch.setattr(
+                backend, "content_hash", hash_then_other_ingests
+            )
+            snap = backend.snapshot("v1")
+            assert snap.digest == records_digest(covered)
+            assert snap.counts == (1, 1, 0)
+            assert other.last_snapshot().counts == snap.counts
+            assert backend.counts() == {
+                "network": 2,
+                "hardware": 1,
+                "software": 1,
+            }
+        finally:
+            backend.close()
+            other.close()
 
 
 class TestLifecycle:
@@ -487,6 +523,188 @@ class TestTripwire:
         # the covered maximum id: the predicate holds, whatever those
         # rows now say.  Agreement with the oracle is what is pinned.
         assert self._agree(backend)
+
+
+def _statements(backend, call) -> list:
+    """Every ``(sql, params)`` the backend runs during ``call()``."""
+    seen = []
+    execute = backend._execute
+
+    def recording(sql, params=()):
+        seen.append((sql, params))
+        return execute(sql, params)
+
+    backend._execute = recording
+    try:
+        call()
+    finally:
+        del backend._execute
+    return seen
+
+
+def _plan(backend, sql, params) -> list[str]:
+    rows = backend._execute("EXPLAIN QUERY PLAN " + sql, params).fetchall()
+    return [detail for *_ids, detail in rows]
+
+
+def _vm_steps(backend, call) -> int:
+    """SQLite virtual-machine instructions run during ``call()``: rows
+    visited one by one cost steps, a b-tree seek or an index-only
+    ``COUNT(*)`` costs one."""
+    steps = 0
+
+    def tick():
+        nonlocal steps
+        steps += 1
+        return 0
+
+    backend._conn.set_progress_handler(tick, 1)
+    try:
+        call()
+    finally:
+        backend._conn.set_progress_handler(None, 1)
+    return steps
+
+
+def _fat_tree_like(path, hosts: int) -> SQLiteBackend:
+    """Four routes per host, every one to ``Internet``, as in a fat
+    tree; one hardware and one software record per host."""
+    backend = SQLiteBackend(path)
+    backend.add_many(
+        [
+            *(
+                NetworkDependency(f"S{i}", "Internet", (f"ToR{i}", f"C{j}"))
+                for i in range(hosts)
+                for j in range(4)
+            ),
+            *(HardwareDependency(f"S{i}", "CPU", "X5550") for i in range(hosts)),
+            *(
+                SoftwareDependency(f"P{i}", f"S{i}", ("libc6",))
+                for i in range(hosts)
+            ),
+        ]
+    )
+    return backend
+
+
+def _steps_as_the_store_grows(tmp_path, measure) -> list[int]:
+    """``measure(backend)`` on a 20-host and on an 80-host store."""
+    steps = []
+    for hosts in (20, 80):
+        backend = _fat_tree_like(tmp_path / f"{hosts}.sqlite", hosts)
+        try:
+            steps.append(measure(backend))
+        finally:
+            backend.close()
+    return steps
+
+
+_LOOKUPS = pytest.mark.parametrize(
+    "call, table, column",
+    [
+        (lambda b: b.network_paths("S3", "Internet"), "network", "src"),
+        (lambda b: b.network_paths("S3"), "network", "src"),
+        (lambda b: b.network_destinations("S3"), "network", "src"),
+        (lambda b: b.hardware_of("S3"), "hardware", "hw"),
+        (lambda b: b.software_on("S3"), "software", "hw"),
+        (lambda b: b.software_named("P1"), "software", "pgm"),
+    ],
+    ids=[
+        "network_paths(src, dst)",
+        "network_paths(src)",
+        "network_destinations",
+        "hardware_of",
+        "software_on",
+        "software_named",
+    ],
+)
+
+
+class TestQueryPlans:
+    """The per-host lookups and the tripwire read a few index pages,
+    whatever the data.
+
+    Every network row of a fat-tree store has ``dst = "Internet"``, so a
+    plan that searches on ``dst`` walks the whole table."""
+
+    @pytest.fixture
+    def backend(self, tmp_path):
+        backend = _fat_tree_like(tmp_path / "dep.sqlite", 40)
+        yield backend
+        backend.close()
+
+    @_LOOKUPS
+    def test_lookup_searches_an_index_on_its_column(
+        self, backend, call, table, column
+    ):
+        ((sql, params),) = _statements(backend, lambda: call(backend))
+        plan = _plan(backend, sql, params)
+        assert any(
+            re.match(
+                rf"SEARCH {table} USING (COVERING )?INDEX \w+ \({column}=\?",
+                detail,
+            )
+            for detail in plan
+        ), plan
+
+    @_LOOKUPS
+    def test_lookup_work_does_not_grow_with_the_store(
+        self, tmp_path, call, table, column
+    ):
+        # Host S3 has the same rows in both stores; only the others grow.
+        steps = _steps_as_the_store_grows(
+            tmp_path, lambda b: _vm_steps(b, lambda: call(b))
+        )
+        assert steps[0] == steps[1], steps
+
+    def test_tripwire_reads_no_table_in_full(self, backend):
+        backend.content_hash()
+        statements = _statements(
+            backend, lambda: backend._still_covers(backend._hashed)
+        )
+        assert len(statements) == 3  # one per table
+        for sql, params in statements:
+            for detail in _plan(backend, sql, params):
+                assert not (
+                    detail.startswith("SCAN ")
+                    and detail != "SCAN CONSTANT ROW"
+                    and "COVERING INDEX" not in detail
+                ), detail
+
+    def test_tripwire_work_does_not_grow_with_the_store(self, tmp_path):
+        def measure(backend):
+            backend.content_hash()
+            memo = backend._hashed
+            return _vm_steps(backend, lambda: backend._still_covers(memo))
+
+        steps = _steps_as_the_store_grows(tmp_path, measure)
+        assert steps[0] == steps[1], steps
+
+    def test_store_written_with_the_dst_index_drops_it_on_open(self, tmp_path):
+        # The file an earlier schema wrote: the same tables plus an index
+        # on network (dst).  Reopened, it loses the index and nothing else.
+        path = tmp_path / "dep.sqlite"
+        with DepDB.sqlite(path, records=RECORDS) as db:
+            snap = db.snapshot("v1")
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(
+                "CREATE INDEX IF NOT EXISTS idx_network_dst ON network (dst)"
+            )
+        conn.close()
+        with DepDB.sqlite(path) as reopened:
+            indexes = {
+                name
+                for (name,) in reopened.backend._execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'index'"
+                )
+            }
+            assert "idx_network_dst" not in indexes
+            assert "idx_network_src" in indexes
+            assert reopened.records() == RECORDS
+            assert reopened.content_hash() == snap.digest
+            assert snap.digest == records_digest(RECORDS)
+            assert reopened.last_snapshot() == snap
 
 
 class TestHashWorkIsTheDrift:

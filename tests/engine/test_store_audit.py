@@ -10,7 +10,7 @@ from repro.depdb import (
     NetworkDependency,
     SoftwareDependency,
 )
-from repro.engine import AuditEngine
+from repro.engine import AuditEngine, structural_hash
 
 RECORDS = [
     NetworkDependency("S1", "Internet", ("ToR1", "Core1")),
@@ -101,6 +101,21 @@ class TestReaudit:
         cached = warm.audit_store(db, SPEC)
         cold = AuditEngine().audit_store(DepDB(RECORDS), SPEC)
         assert cached.audit.to_dict() == cold.audit.to_dict()
+
+    def test_graph_is_hashed_once_per_store_audit(self, db, monkeypatch):
+        hashed = []
+
+        def counting(graph):
+            hashed.append(graph)
+            return structural_hash(graph)
+
+        monkeypatch.setattr("repro.engine.facade.structural_hash", counting)
+        engine = AuditEngine()
+        first = engine.audit_store(db, SPEC)
+        second = engine.audit_store(db, SPEC)
+        assert len(hashed) == 2  # one per call, miss and hit alike
+        assert second.cache_hit
+        assert second.structural_hash == first.structural_hash
 
     def test_outcome_to_dict_round_trips(self, db):
         outcome = AuditEngine().audit_store(db, SPEC)
