@@ -430,28 +430,29 @@ class SQLiteBackend(DepDBBackend):
     # ------------------------------ snapshots -------------------------- #
 
     def snapshot(self, label: str = "") -> Snapshot:
-        with self._lock, self._conn:
+        with self._lock:
             digest = self.content_hash()
             # The counts of the rows that digest covers, read under the
             # same lock hold: a row another connection commits meanwhile
             # is in neither.
             counts = tuple(self._hashed.covered[table][0] for table in _TABLES)
             created = time.time()
-            seq = (
+            with self._conn:
+                seq = (
+                    self._execute(
+                        "SELECT COALESCE(MAX(seq), 0) FROM snapshots"
+                    ).fetchone()[0]
+                    + 1
+                )
                 self._execute(
-                    "SELECT COALESCE(MAX(seq), 0) FROM snapshots"
-                ).fetchone()[0]
-                + 1
-            )
-            self._execute(
-                "INSERT INTO snapshots "
-                "(digest, label, seq, created, network, hardware, software) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT (digest) DO UPDATE SET "
-                "label = excluded.label, seq = excluded.seq, "
-                "created = excluded.created",
-                (digest, label, seq, created, *counts),
-            )
+                    "INSERT INTO snapshots "
+                    "(digest, label, seq, created, network, hardware, software) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?) "
+                    "ON CONFLICT (digest) DO UPDATE SET "
+                    "label = excluded.label, seq = excluded.seq, "
+                    "created = excluded.created",
+                    (digest, label, seq, created, *counts),
+                )
         return Snapshot(
             digest=digest, label=label, seq=seq, created=created, counts=counts
         )

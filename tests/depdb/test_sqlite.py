@@ -200,6 +200,8 @@ class TestLifecycle:
         db.close()
         with pytest.raises(DependencyDataError, match="closed"):
             db.records()
+        with pytest.raises(DependencyDataError, match="closed"):
+            db.snapshot("after close")
 
     def test_pickle_rebuilds_as_memory_store(self, db):
         # Engine workers pickle job.depdb; sqlite connections cannot
