@@ -13,6 +13,8 @@ return:
 * the number of decision nodes the graph's diagram allocates, reachable
   or not, and the number of subfamilies the Pr(T) recursion memoises,
   so a kernel that reaches the same value through different work fails;
+* the minimal RGs of a three-way deployment on a k=16 fat tree (Table 3's
+  topology A), by count, sha-256 and the nodes their extraction allocates;
 * the work budget's trip point on a wide flat family, the Monte-Carlo
   value ``auto`` then returns, bit for bit, and the exact value past the
   budget; and a mid-sized random family, which the BDD fold the recursion
@@ -35,6 +37,7 @@ from repro import AuditSpec, SIAAuditor, minimal_risk_groups
 from repro.acquisition import NetworkDependencyCollector
 from repro.core import probability
 from repro.core.bdd import BDD, compile_graph
+from repro.core.builder import build_dependency_graph
 from repro.core.importance import (
     component_importance_ranking,
     fussell_vesely_importance,
@@ -143,6 +146,39 @@ class TestAllocations:
         assert probability.union_probability(
             groups, graph.probabilities()
         ) == value
+
+
+class TestTopologyAFamily:
+    """Three servers, one per pod, on a k=16 fat tree: 94 components."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        tree = FatTreeConfig(ports=16)
+        rng = random.Random("reach/16")
+        half = tree.ports // 2
+        servers = tuple(
+            f"srv-p{pod}-t{rng.randrange(half)}-{rng.randrange(half)}"
+            for pod in rng.sample(range(tree.pods), 3)
+        )
+        depdb = DepDB()
+        NetworkDependencyCollector(
+            fat_tree(tree), servers=servers
+        ).adapt_into(depdb)
+        return build_dependency_graph(depdb, servers)
+
+    def test_minimal_rgs_are_pinned(self, graph):
+        bdd = compile_graph(graph)
+        groups = bdd.minimal_cut_sets()
+        assert len(groups) == 4854
+        assert hex_digest([sorted(group) for group in groups]) == (
+            TOPOLOGY_A_FAMILY_SHA256
+        )
+        assert allocated(bdd) == 26528
+
+
+TOPOLOGY_A_FAMILY_SHA256 = (
+    "876b168c9464d45be2576bfcd75636ee3625346e021d1c68481c2352a0cef8e4"
+)
 
 
 class TestImportanceBits:
