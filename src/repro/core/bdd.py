@@ -70,7 +70,6 @@ class BDD:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._and_cache: dict[tuple[int, int], int] = {}
         self._or_cache: dict[tuple[int, int], int] = {}
-        self._without_cache: dict[tuple[int, int], int] = {}
         self._minsol_cache: dict[int, int] = {}
         self.root = ZERO
 
@@ -299,9 +298,9 @@ class BDD:
 
     @contextmanager
     def _recursion_headroom(self):
-        """Recursion depth here is bounded by the variable count (``apply``
-        and the walks descend one level per variable, ``without`` at most
-        one per operand), so big graphs need more stack than CPython's
+        """Recursion depth here is bounded by the variable count (``apply``,
+        :meth:`falsified` and the walks descend one level per variable),
+        so big graphs need more stack than CPython's
         default 1000 frames: ``compile_graph`` and every analysis run in it."""
         wanted = 4 * len(self.variables) + 200
         previous = sys.getrecursionlimit()
@@ -311,47 +310,51 @@ class BDD:
         finally:
             sys.setrecursionlimit(previous)
 
-    def without(self, left: int, right: int) -> int:
-        """The sets of ``left`` not absorbed by any set of ``right``.
+    def falsified(self, family: int, function: int, memo: dict) -> int:
+        """The sets of ``family`` on which ``function`` is false.
 
-        Both operands are read as *cut-set families*: each root-to-ONE
-        path encodes one set, containing exactly the variables taken on
-        high edges.  The result drops every ``left`` set that is a
-        superset of some ``right`` set — Rauzy's ``without`` operator,
-        the workhorse of :meth:`minimal_solutions`.
+        ``family`` is read as a *set family*: each root-to-ONE path
+        encodes one set, the variables taken on high edges.  ``function``
+        is read as a function, and a set as the assignment that fails
+        exactly its members.  ``memo`` maps ``(family, function)`` pairs
+        to results; share it across the calls of one walk.
+
+        Every gate compiles to a monotone function, so for a node
+        ``(v, F0, F1)`` a set without ``v`` contains a minimal solution
+        of ``F0`` exactly when ``F0`` is true on it: filtering a family
+        against ``F0`` is absorption by ``F0``'s minimal solutions,
+        without building them.
         """
-        if left == ZERO or right == ONE:
-            # right == ONE encodes {∅}, which absorbs everything.
-            return ZERO
-        if right == ZERO or left == ONE:
-            return left
-        key = (left, right)
-        cached = self._without_cache.get(key)
-        if cached is not None:
-            return cached
-        var, low, high = self._var, self._low, self._high
-        l_var, r_var = var[left], var[right]
-        if l_var < r_var:
-            # No right set mentions l_var, so membership of the variable
-            # never matters for absorption: filter both cofactors.
+        var, low = self._var, self._low
+        while True:
+            if family == ZERO or function == ONE:
+                return ZERO
+            if function == ZERO:
+                return family
+            f_var, g_var = var[family], var[function]
+            if g_var >= f_var:
+                break
+            # No set of the family holds the function's variable: the
+            # variable is working in every assignment read here.
+            function = low[function]
+        key = (family, function)
+        result = memo.get(key)
+        if result is not None:
+            return result
+        high = self._high
+        if f_var < g_var:
             result = self.make(
-                l_var,
-                self.without(low[left], right),
-                self.without(high[left], right),
+                f_var,
+                self.falsified(low[family], function, memo),
+                self.falsified(high[family], function, memo),
             )
-        elif l_var > r_var:
-            # Left sets cannot contain r_var; only the right sets without
-            # it (its low cofactor) can absorb them.
-            result = self.without(left, low[right])
         else:
-            # A left set containing the variable is absorbed by a right
-            # set with it (high side) or without it (low side).
-            filtered = self.without(high[left], high[right])
-            filtered = self.without(filtered, low[right])
             result = self.make(
-                l_var, self.without(low[left], low[right]), filtered
+                f_var,
+                self.falsified(low[family], low[function], memo),
+                self.falsified(high[family], high[function], memo),
             )
-        self._without_cache[key] = result
+        memo[key] = result
         return result
 
     def minimal_solutions(self) -> int:
@@ -359,13 +362,17 @@ class BDD:
 
         For the monotone structure functions fault graphs compile to,
         the returned diagram's ONE-paths (high-edge variables) are
-        exactly the minimal cut sets: a high branch keeps only the sets
-        not already covered with the variable working (:meth:`without`),
-        which is absorption performed on the shared diagram instead of
-        on exploded set families.
+        exactly the minimal cut sets: a node ``(v, F0, F1)`` becomes
+        ``(v, MS(F0), MS(F1) filtered)``, where the high branch keeps
+        only the sets on which ``F0`` is false (:meth:`falsified`) —
+        those not already covered with ``v`` working.  That is
+        absorption performed on the shared diagram instead of on
+        exploded set families.
         """
         var, low, high = self._var, self._low, self._high
+        make, falsified = self.make, self.falsified
         cache: dict[int, int] = {}
+        memo: dict[tuple[int, int], int] = {}
 
         def walk(node_id: int) -> int:
             if node_id <= ONE:
@@ -373,9 +380,10 @@ class BDD:
             cached = cache.get(node_id)
             if cached is not None:
                 return cached
-            kept = walk(low[node_id])
-            result = self.make(
-                var[node_id], kept, self.without(walk(high[node_id]), kept)
+            result = make(
+                var[node_id],
+                walk(low[node_id]),
+                falsified(walk(high[node_id]), low[node_id], memo),
             )
             cache[node_id] = result
             return result

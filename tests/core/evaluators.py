@@ -15,6 +15,12 @@ The first two share no code with ``repro.core.probability`` or
 The third, :func:`bdd_union`, is the bit-for-bit oracle: the BDD fold
 ``union_probability(method="auto")`` used before its memoised Shannon
 recursion, which must return the same float, not just a close one.
+
+:func:`without_cut_sets` is the family oracle: Rauzy's minimal-solutions
+walk with his ``without`` operator, which filtered each high branch
+against the low cofactor's minimal-solutions *family* before
+:meth:`BDD.minimal_solutions` filtered it against the cofactor's
+*function*.  The lists must be equal.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro import FaultGraph
-from repro.core.bdd import BDD, ONE, ZERO
+from repro.core.bdd import BDD, ONE, ZERO, compile_graph
 from repro.core.probability import cut_probability
 
 #: Decision nodes the fold may allocate before :class:`CutSetExplosion`:
@@ -115,3 +121,89 @@ def bdd_union(
     if len(minimal) < len(cuts):
         return bdd_union(minimal, probabilities)
     return bdd.probability(probabilities)
+
+
+def without(bdd: BDD, left: int, right: int, cache: dict) -> int:
+    """The sets of ``left`` not absorbed by any set of ``right``.
+
+    Both operands are read as *cut-set families*: each root-to-ONE
+    path encodes one set, containing exactly the variables taken on
+    high edges.  The result drops every ``left`` set that is a
+    superset of some ``right`` set — Rauzy's ``without`` operator.
+    """
+    if left == ZERO or right == ONE:
+        # right == ONE encodes {∅}, which absorbs everything.
+        return ZERO
+    if right == ZERO or left == ONE:
+        return left
+    key = (left, right)
+    cached = cache.get(key)
+    if cached is not None:
+        return cached
+    var, low, high = bdd._var, bdd._low, bdd._high
+    l_var, r_var = var[left], var[right]
+    if l_var < r_var:
+        # No right set mentions l_var, so membership of the variable
+        # never matters for absorption: filter both cofactors.
+        result = bdd.make(
+            l_var,
+            without(bdd, low[left], right, cache),
+            without(bdd, high[left], right, cache),
+        )
+    elif l_var > r_var:
+        # Left sets cannot contain r_var; only the right sets without
+        # it (its low cofactor) can absorb them.
+        result = without(bdd, left, low[right], cache)
+    else:
+        # A left set containing the variable is absorbed by a right
+        # set with it (high side) or without it (low side).
+        filtered = without(bdd, high[left], high[right], cache)
+        filtered = without(bdd, filtered, low[right], cache)
+        result = bdd.make(
+            l_var, without(bdd, low[left], low[right], cache), filtered
+        )
+    cache[key] = result
+    return result
+
+
+def without_minimal_solutions(bdd: BDD) -> int:
+    """Root of the minimal-solutions BDD by the :func:`without` walk.
+
+    A high branch keeps only the sets not already covered with the
+    variable working: the minimal solutions of the high cofactor
+    :func:`without` those of the low cofactor.
+    """
+    var, low, high = bdd._var, bdd._low, bdd._high
+    cache: dict[int, int] = {}
+    without_cache: dict[tuple[int, int], int] = {}
+
+    def walk(node_id: int) -> int:
+        if node_id <= ONE:
+            return node_id
+        cached = cache.get(node_id)
+        if cached is not None:
+            return cached
+        kept = walk(low[node_id])
+        result = bdd.make(
+            var[node_id],
+            kept,
+            without(bdd, walk(high[node_id]), kept, without_cache),
+        )
+        cache[node_id] = result
+        return result
+
+    try:
+        with bdd._recursion_headroom():
+            return walk(bdd.root)
+    finally:
+        walk = None
+
+
+def without_cut_sets(
+    graph: FaultGraph, max_order: int | None = None
+) -> list[frozenset[str]]:
+    """``graph``'s minimal cut sets, enumerated off the :func:`without` walk's
+    diagram by :meth:`BDD.minimal_cut_sets`."""
+    bdd = compile_graph(graph)
+    bdd._minsol_cache[bdd.root] = without_minimal_solutions(bdd)
+    return bdd.minimal_cut_sets(max_order=max_order)

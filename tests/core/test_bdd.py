@@ -150,24 +150,65 @@ class TestCompileGraph:
 
 
 class TestMinimalSolutions:
-    """Rauzy's minsol/without pair behind ``minimal_cut_sets``."""
+    """Rauzy's minimal-solutions walk behind ``minimal_cut_sets``."""
 
-    def test_without_terminals(self):
+    def test_falsified_terminals(self):
         bdd = BDD(["a", "b"])
         a = bdd.literal("a")
-        assert bdd.without(ZERO, a) == ZERO
-        assert bdd.without(a, ZERO) == a
-        assert bdd.without(a, ONE) == ZERO  # {∅} absorbs everything
-        assert bdd.without(ONE, a) == ONE   # ∅ has no strict subset
+        assert bdd.falsified(ZERO, a, {}) == ZERO   # no sets to keep
+        assert bdd.falsified(a, ONE, {}) == ZERO    # true on every set
+        assert bdd.falsified(a, ZERO, {}) == a      # false on every set
+        assert bdd.falsified(ONE, a, {}) == ONE     # false on ∅
+        assert bdd.falsified(ONE, bdd.literal("b"), {}) == ONE
 
-    def test_without_drops_supersets(self):
-        bdd = BDD(["a", "b"])
-        a = bdd.literal("a")
-        ab = bdd.apply("and", a, bdd.literal("b"))
-        # {a,b} is a superset of {a}: nothing survives.
-        assert bdd.without(ab, a) == ZERO
-        # {a} is not a superset of {a,b}.
-        assert bdd.without(a, ab) == a
+    @staticmethod
+    def family(bdd: BDD, sets: list[frozenset[str]], level: int = 0) -> int:
+        """The diagram whose ONE-paths are exactly ``sets``, an antichain."""
+        if level == len(bdd.variables):
+            return ONE if frozenset() in sets else ZERO
+        name = bdd.variables[level]
+        return bdd.make(
+            level,
+            TestMinimalSolutions.family(
+                bdd, [s for s in sets if name not in s], level + 1
+            ),
+            TestMinimalSolutions.family(
+                bdd, [s - {name} for s in sets if name in s], level + 1
+            ),
+        )
+
+    def test_falsified_keeps_the_sets_where_the_function_is_false(self):
+        names = ["a", "b", "c", "d"]
+        bdd = BDD(names)
+        a, b, c, d = (bdd.literal(name) for name in names)
+        functions = [
+            a,
+            bdd.apply("and", a, b),
+            bdd.apply("or", b, d),
+            bdd.at_least(2, [a, b, c, d]),
+            bdd.apply("or", bdd.apply("and", a, c), d),
+        ]
+        antichains = [
+            [frozenset()],
+            [frozenset(pair) for pair in combinations(names, 2)],
+            [frozenset(triple) for triple in combinations(names, 3)],
+            [frozenset("a"), frozenset("bc"), frozenset("cd")],
+            [frozenset("b"), frozenset("d"), frozenset("ac")],
+        ]
+        for sets in antichains:
+            family = self.family(bdd, sets)
+            for function in functions:
+                bdd.root = function
+                kept = [s for s in sets if not bdd.evaluate(s)]
+                bdd.root = bdd.falsified(family, function, {})
+                assert sorted(bdd.minimal_cut_sets(), key=sorted) == (
+                    sorted(kept, key=sorted)
+                )
+                # The function's minimal solutions filtered by itself: none.
+                bdd.root = function
+                assert bdd.falsified(bdd.minimal_solutions(), function, {}) == (
+                    ZERO
+                )
 
     def test_minsol_of_or_is_identity(self):
         bdd = BDD(["a", "b"])

@@ -5,6 +5,9 @@ Invariants checked on randomly generated fault graphs:
 * every reported minimal RG is a risk group and is minimal;
 * the diagram route (``auto``, ``bdd``) returns the family of the paper's
   family-combination traversal (``mocus``, kept by name as the specification);
+* the minimal-solutions walk that filters against the low cofactor's
+  function returns the list of the walk that filtered against its family
+  (``evaluators.without``), at every ``max_order``;
 * the sampler only reports risk groups, and (minimised) only minimal ones;
 * fault graphs are monotone: adding failures never un-fails the top;
 * absorption (minimise_family) yields an antichain covering the input;
@@ -25,7 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro import FailureSampler, FaultGraph, GateType, minimal_risk_groups
 from repro.core import probability
-from repro.core.bdd import compile_graph
+from repro.core.bdd import BDD, ONE, ZERO, compile_graph
 from repro.core.compile import CompiledGraph
 from repro.core.minimal_rg import is_minimal_risk_group, minimise_family
 from repro.core.probability import top_event_probability, union_probability
@@ -92,6 +95,35 @@ def test_diagram_route_equals_the_mocus_specification(graph):
     reference = minimal_risk_groups(graph, method="mocus")
     assert minimal_risk_groups(graph) == reference
     assert minimal_risk_groups(graph, method="bdd") == reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(fault_graphs(), st.sampled_from([None, 1, 2, 3]))
+def test_filter_walk_equals_the_without_walk(graph, max_order):
+    cut_sets = compile_graph(graph).minimal_cut_sets(max_order=max_order)
+    assert cut_sets == evaluators.without_cut_sets(graph, max_order=max_order)
+    assert cut_sets == minimal_risk_groups(
+        graph, max_order=max_order, method="mocus"
+    )
+
+
+def test_without_terminals():
+    bdd = BDD(["a", "b"])
+    a = bdd.literal("a")
+    assert evaluators.without(bdd, ZERO, a, {}) == ZERO
+    assert evaluators.without(bdd, a, ZERO, {}) == a
+    assert evaluators.without(bdd, a, ONE, {}) == ZERO  # {∅} absorbs everything
+    assert evaluators.without(bdd, ONE, a, {}) == ONE   # ∅ has no strict subset
+
+
+def test_without_drops_supersets():
+    bdd = BDD(["a", "b"])
+    a = bdd.literal("a")
+    ab = bdd.apply("and", a, bdd.literal("b"))
+    # {a,b} is a superset of {a}: nothing survives.
+    assert evaluators.without(bdd, ab, a, {}) == ZERO
+    # {a} is not a superset of {a,b}.
+    assert evaluators.without(bdd, a, ab, {}) == a
 
 
 @settings(max_examples=30, deadline=None)
