@@ -643,7 +643,7 @@ def execute_request(
             events=len(graph.events()),
             **({"delta": delta.to_dict()} if delta is not None else {}),
         )
-    audit_result, hit = engine.audit_built(auditor, graph, job.spec)
+    audit_result, hit = engine._audit_hashed(auditor, graph, digest, job.spec)
     if progress is not None:
         progress("audited", engine_cache_hit=hit)
     return ExecutionResult(

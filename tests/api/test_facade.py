@@ -133,6 +133,36 @@ class TestExecuteRequest:
         assert [s for s, _ in stages] == ["compiled", "audited"]
         assert "structural_hash" in stages[0][1]
 
+    @pytest.mark.parametrize(
+        "algorithm, hashes", [("minimal", 1), ("sampling", 2)]
+    )
+    def test_graph_is_hashed_once_per_request(
+        self, monkeypatch, algorithm, hashes
+    ):
+        """The engine reuses the request's digest; only a sampling audit's
+        compile cache hashes the graph again."""
+        from repro.engine import cache
+
+        hashed = []
+        structural_hash = cache.structural_hash
+
+        def counting(graph):
+            hashed.append(graph)
+            return structural_hash(graph)
+
+        for module in ("cache", "facade", "pool"):
+            monkeypatch.setattr(
+                f"repro.engine.{module}.structural_hash", counting
+            )
+        result = api.execute_request(
+            api.AuditRequest(
+                servers=("S1", "S3"), depdb=DEPDB, algorithm=algorithm, seed=0
+            ),
+            engine=AuditEngine(n_workers=1),
+        )
+        assert len(hashed) == hashes
+        assert hashed[0] is result.graph
+
     def test_base_graph_produces_delta_telemetry_only(self):
         request_a = api.AuditRequest(servers=("S1", "S2"), depdb=DEPDB, seed=0)
         request_b = api.AuditRequest(servers=("S1", "S3"), depdb=DEPDB, seed=0)
