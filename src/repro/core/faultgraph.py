@@ -95,7 +95,9 @@ class FaultGraph:
         """Add an intermediate (or top) event fed by ``children``.
 
         Children must already exist.  Duplicate children are rejected since
-        they would silently distort k-of-n thresholds.
+        they would silently distort k-of-n thresholds.  A new gate has no
+        parents and only existing children, so it cannot close a cycle;
+        :meth:`validate` checks acyclicity of the whole graph.
         """
         if name in self._events:
             raise FaultGraphError(f"duplicate event {name!r}")
@@ -124,7 +126,6 @@ class FaultGraph:
         self._parents.setdefault(name, [])
         for child in kids:
             self._parents[child].append(name)
-        self._assert_acyclic_from(name)
         if top:
             self.set_top(name)
         self._topo_cache = None
@@ -321,11 +322,6 @@ class FaultGraph:
         """Leaf events in the subgraph rooted at ``name`` (inclusive)."""
         below = self._descendants_of(name) | {name}
         return {n for n in below if self._events[n].is_basic}
-
-    def _assert_acyclic_from(self, start: str) -> None:
-        """Cheap cycle check: ``start`` must not reach itself."""
-        if start in self._descendants_of(start):
-            raise FaultGraphError(f"adding {start!r} would create a cycle")
 
     # ------------------------------------------------------------------ #
     # Evaluation

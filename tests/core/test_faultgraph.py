@@ -77,6 +77,17 @@ class TestConstruction:
         assert g.event(gate).gate is GateType.K_OF_N
         assert g.threshold(gate) == 3  # 5 - 3 + 1
 
+    @pytest.mark.parametrize("child", ["later", "g"])
+    def test_child_must_exist_before_its_gate(self, child):
+        """Why ``add_gate`` cannot close a cycle: every child predates the
+        gate, and the gate itself does not exist yet."""
+        g = FaultGraph()
+        g.add_basic_event("a")
+        with pytest.raises(FaultGraphError, match="unknown child"):
+            g.add_gate("g", GateType.OR, ["a", child])
+        assert "g" not in g
+        assert g.parents("a") == ()
+
     def test_cycle_rejected(self):
         g = FaultGraph()
         g.add_basic_event("a")
