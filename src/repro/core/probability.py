@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.compile import pack_rounds
 from repro.core.events import GateType, check_count, validate_probability
 from repro.core.faultgraph import FaultGraph
 from repro.core.minimal_rg import CutSetExplosion
@@ -82,6 +83,9 @@ _COMPARES_PER_WORD = 8
 
 #: Row pairs one pre-pass chunk compares at once (8 MB of uint64).
 _CHUNK_PAIRS = 1 << 20
+
+#: Cut-by-word cells one Monte-Carlo step ANDs at once (2 MB of uint64).
+_MC_CELLS = 1 << 18
 
 
 def cut_probability(
@@ -351,11 +355,24 @@ def _monte_carlo_union(
     rounds: int,
     seed: int,
 ) -> float:
-    """Estimate the union probability by direct simulation."""
+    """Estimate the union probability by direct simulation.
+
+    Each block of rounds is drawn as a ``(rounds, events)`` boolean matrix
+    and packed into one bitset per event (:func:`pack_rounds`); a cut has
+    failed in the rounds whose bit is set in the words of all its events,
+    ANDed for every cut of one size at once.  The draws and the rounds
+    counted are those of a per-cut scan of the boolean matrix, so the
+    estimate is the same float.
+    """
+    if frozenset() in cuts:
+        return 1.0  # an empty cut fails in every round
     events = sorted({e for cut in cuts for e in cut})
     index = {e: i for i, e in enumerate(events)}
     probs = np.array([weights[e] for e in events], dtype=float)
-    cut_indices = [np.array([index[e] for e in cut]) for cut in cuts]
+    by_size: dict[int, list[list[int]]] = {}
+    for cut in cuts:
+        by_size.setdefault(len(cut), []).append([index[e] for e in cut])
+    groups = [np.array(rows, dtype=np.intp) for rows in by_size.values()]
     rng = np.random.default_rng(seed)
     hits = 0
     batch = 8192
@@ -363,11 +380,17 @@ def _monte_carlo_union(
     while remaining > 0:
         block = min(batch, remaining)
         remaining -= block
-        draws = rng.random((block, len(events))) < probs[None, :]
-        any_cut = np.zeros(block, dtype=bool)
-        for idx in cut_indices:
-            any_cut |= draws[:, idx].all(axis=1)
-        hits += int(any_cut.sum())
+        words = pack_rounds(rng.random((block, len(events))) < probs[None, :])
+        failed = np.zeros(words.shape[1], dtype=words.dtype)
+        step = max(1, _MC_CELLS // words.shape[1])
+        for group in groups:
+            for start in range(0, len(group), step):
+                rows = group[start:start + step]
+                cut_words = words[rows[:, 0]]
+                for column in range(1, rows.shape[1]):
+                    cut_words &= words[rows[:, column]]
+                failed |= np.bitwise_or.reduce(cut_words, axis=0)
+        hits += int(np.unpackbits(failed.view(np.uint8)).sum())
     return hits / rounds
 
 

@@ -16,6 +16,11 @@ The third, :func:`bdd_union`, is the bit-for-bit oracle: the BDD fold
 ``union_probability(method="auto")`` used before its memoised Shannon
 recursion, which must return the same float, not just a close one.
 
+:func:`per_cut_monte_carlo_union` is the Monte-Carlo oracle: the
+simulation ``union_probability(method="monte-carlo")`` ran one cut at a
+time over the boolean draws before it evaluated cuts over packed round
+words.  Same draws, same hits, so the float must be ``==``.
+
 :func:`without_cut_sets` is the family oracle: Rauzy's minimal-solutions
 walk with his ``without`` operator, which filtered each high branch
 against the low cofactor's minimal-solutions *family* before
@@ -121,6 +126,32 @@ def bdd_union(
     if len(minimal) < len(cuts):
         return bdd_union(minimal, probabilities)
     return bdd.probability(probabilities)
+
+
+def per_cut_monte_carlo_union(
+    cuts: list[frozenset[str]],
+    weights: Mapping[str, float],
+    rounds: int,
+    seed: int,
+) -> float:
+    """Estimate the union probability by direct simulation."""
+    events = sorted({e for cut in cuts for e in cut})
+    index = {e: i for i, e in enumerate(events)}
+    probs = np.array([weights[e] for e in events], dtype=float)
+    cut_indices = [np.array([index[e] for e in cut]) for cut in cuts]
+    rng = np.random.default_rng(seed)
+    hits = 0
+    batch = 8192
+    remaining = rounds
+    while remaining > 0:
+        block = min(batch, remaining)
+        remaining -= block
+        draws = rng.random((block, len(events))) < probs[None, :]
+        any_cut = np.zeros(block, dtype=bool)
+        for idx in cut_indices:
+            any_cut |= draws[:, idx].all(axis=1)
+        hits += int(any_cut.sum())
+    return hits / rounds
 
 
 def without(bdd: BDD, left: int, right: int, cache: dict) -> int:

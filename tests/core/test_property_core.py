@@ -11,7 +11,8 @@ Invariants checked on randomly generated fault graphs:
 * the sampler only reports risk groups, and (minimised) only minimal ones;
 * fault graphs are monotone: adding failures never un-fails the top;
 * absorption (minimise_family) yields an antichain covering the input;
-* exact inclusion-exclusion matches Monte-Carlo estimation;
+* exact inclusion-exclusion matches Monte-Carlo estimation, and the
+  estimate over packed round words is the per-cut scan's float, ``==``;
 * ``Pr(T)`` from the minimal RGs equals ``Pr(T)`` from the graph's own BDD;
 * the union is monotone in the family, and its bits do not depend on
   order, duplicates or absorbed supersets;
@@ -24,6 +25,7 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro import FailureSampler, FaultGraph, GateType, minimal_risk_groups
@@ -241,6 +243,60 @@ large_families = st.lists(
 weights = st.fixed_dictionaries(
     {event: st.floats(0.01, 0.99) for event in "abcdefghij"}
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.sets(st.sampled_from("abcdefghij"), min_size=1, max_size=3).map(
+            frozenset
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.fixed_dictionaries(
+        {event: st.floats(0.0, 0.5) for event in "abcdefghij"}
+    ),
+    st.sampled_from([1, 63, 64, 8_191, 8_192, 8_193, 20_000]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 5, 1_000, probability._MC_CELLS]),
+)
+def test_packed_monte_carlo_is_the_per_cut_scan(cuts, probs, rounds, seed, cells):
+    """``cells`` puts a boundary between steps after every cut, every few
+    cuts (5 at one word, 7 at 128), or past a 30-cut family."""
+    with mock.patch.object(probability, "_MC_CELLS", cells):
+        value = union_probability(
+            cuts, probs, method="monte-carlo", mc_rounds=rounds, seed=seed
+        )
+    assert value == evaluators.per_cut_monte_carlo_union(
+        cuts, probs, rounds, seed
+    )
+
+
+@pytest.mark.parametrize("cells", [1, 5, 1_000, probability._MC_CELLS])
+@pytest.mark.parametrize("rounds", [63, 8_193])
+def test_packed_monte_carlo_counts_every_cut_of_every_step(rounds, cells):
+    """24 rare single-event cuts and 16 pairs: most hit rounds are hit by
+    one cut alone, so a cut a step skips or repeats changes the count."""
+    cuts = [frozenset({f"e{i}"}) for i in range(24)] + [
+        frozenset({f"e{i}", f"f{i}"}) for i in range(16)
+    ]
+    probs = {event: 0.02 for cut in cuts for event in cut} | {
+        f"f{i}": 0.5 for i in range(16)
+    }
+    with mock.patch.object(probability, "_MC_CELLS", cells):
+        value = union_probability(
+            cuts, probs, method="monte-carlo", mc_rounds=rounds, seed=3
+        )
+    assert value == evaluators.per_cut_monte_carlo_union(cuts, probs, rounds, 3)
+
+
+def test_monte_carlo_counts_an_empty_cut_in_every_round():
+    """The per-cut scan indexed the draws with an empty float array and
+    raised ``IndexError``; the packed estimate is exact here."""
+    assert union_probability(
+        [frozenset({"a"}), frozenset()], {"a": 0.1}, method="monte-carlo"
+    ) == 1.0
 
 
 @settings(max_examples=60, deadline=None)
