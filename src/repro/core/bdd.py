@@ -299,9 +299,9 @@ class BDD:
     @contextmanager
     def _recursion_headroom(self):
         """Recursion depth here is bounded by the variable count (``apply``,
-        :meth:`falsified` and the walks descend one level per variable),
-        so big graphs need more stack than CPython's
-        default 1000 frames: ``compile_graph`` and every analysis run in it."""
+        :meth:`falsified` and the walks descend one level per variable), so
+        big graphs need more stack than CPython's default 1000 frames:
+        ``compile_graph`` and every analysis run in it."""
         wanted = 4 * len(self.variables) + 200
         previous = sys.getrecursionlimit()
         sys.setrecursionlimit(max(previous, wanted))
@@ -311,21 +311,11 @@ class BDD:
             sys.setrecursionlimit(previous)
 
     def falsified(self, family: int, function: int, memo: dict) -> int:
-        """The sets of ``family`` on which ``function`` is false.
-
-        ``family`` is read as a *set family*: each root-to-ONE path
-        encodes one set, the variables taken on high edges.  ``function``
-        is read as a function, and a set as the assignment that fails
-        exactly its members.  ``memo`` maps ``(family, function)`` pairs
-        to results; share it across the calls of one walk.
-
-        Every gate compiles to a monotone function, so for a node
-        ``(v, F0, F1)`` a set without ``v`` contains a minimal solution
-        of ``F0`` exactly when ``F0`` is true on it: filtering a family
-        against ``F0`` is absorption by ``F0``'s minimal solutions,
-        without building them.
-        """
-        var, low = self._var, self._low
+        """The sets of the family ``family`` on which the function
+        ``function`` is false, a set read as the assignment failing exactly
+        its members.  On a monotone function that is absorption by its
+        minimal solutions, without building them.  ``memo`` is per walk."""
+        var, low, high = self._var, self._low, self._high
         while True:
             if family == ZERO or function == ONE:
                 return ZERO
@@ -334,26 +324,20 @@ class BDD:
             f_var, g_var = var[family], var[function]
             if g_var >= f_var:
                 break
-            # No set of the family holds the function's variable: the
-            # variable is working in every assignment read here.
-            function = low[function]
+            function = low[function]  # no set of the family holds g_var
         key = (family, function)
         result = memo.get(key)
         if result is not None:
             return result
-        high = self._high
         if f_var < g_var:
-            result = self.make(
-                f_var,
-                self.falsified(low[family], function, memo),
-                self.falsified(high[family], function, memo),
-            )
+            g_low = g_high = function
         else:
-            result = self.make(
-                f_var,
-                self.falsified(low[family], low[function], memo),
-                self.falsified(high[family], high[function], memo),
-            )
+            g_low, g_high = low[function], high[function]
+        result = self.make(
+            f_var,
+            self.falsified(low[family], g_low, memo),
+            self.falsified(high[family], g_high, memo),
+        )
         memo[key] = result
         return result
 
@@ -362,15 +346,12 @@ class BDD:
 
         For the monotone structure functions fault graphs compile to,
         the returned diagram's ONE-paths (high-edge variables) are
-        exactly the minimal cut sets: a node ``(v, F0, F1)`` becomes
-        ``(v, MS(F0), MS(F1) filtered)``, where the high branch keeps
-        only the sets on which ``F0`` is false (:meth:`falsified`) —
-        those not already covered with ``v`` working.  That is
-        absorption performed on the shared diagram instead of on
-        exploded set families.
+        exactly the minimal cut sets: at a node ``(v, F0, F1)`` the high
+        branch keeps only the sets on which ``F0`` is false
+        (:meth:`falsified`), which is absorption performed on the shared
+        diagram instead of on exploded set families.
         """
         var, low, high = self._var, self._low, self._high
-        make, falsified = self.make, self.falsified
         cache: dict[int, int] = {}
         memo: dict[tuple[int, int], int] = {}
 
@@ -380,11 +361,9 @@ class BDD:
             cached = cache.get(node_id)
             if cached is not None:
                 return cached
-            result = make(
-                var[node_id],
-                walk(low[node_id]),
-                falsified(walk(high[node_id]), low[node_id], memo),
-            )
+            kept = walk(low[node_id])
+            filtered = self.falsified(walk(high[node_id]), low[node_id], memo)
+            result = self.make(var[node_id], kept, filtered)
             cache[node_id] = result
             return result
 

@@ -95,9 +95,8 @@ class FaultGraph:
         """Add an intermediate (or top) event fed by ``children``.
 
         Children must already exist.  Duplicate children are rejected since
-        they would silently distort k-of-n thresholds.  A new gate has no
-        parents and only existing children, so it cannot close a cycle;
-        :meth:`validate` checks acyclicity of the whole graph.
+        they would silently distort k-of-n thresholds.  So a new gate,
+        whose children all predate it, cannot close a cycle.
         """
         if name in self._events:
             raise FaultGraphError(f"duplicate event {name!r}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import reduce
+from itertools import groupby
 from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -81,11 +82,9 @@ _NODE_WORK = 300
 #: recursion scans one word (2-5 ns a compare, against about 0.02 us).
 _COMPARES_PER_WORD = 8
 
-#: Row pairs one pre-pass chunk compares at once (8 MB of uint64).
-_CHUNK_PAIRS = 1 << 20
-
-#: Cut-by-word cells one Monte-Carlo step ANDs at once (2 MB of uint64).
-_MC_CELLS = 1 << 18
+#: uint64 cells one vectorised step holds at once (8 MB): the pre-pass's
+#: row pairs, the Monte-Carlo estimate's cut words.
+_CHUNK_CELLS = 1 << 20
 
 
 def cut_probability(
@@ -321,7 +320,7 @@ def _absorbed(
     sizes = np.fromiter(map(len, cuts), dtype=np.intp, count=n)
     # Rows start:stop meet rows :limit, the first row of their largest size.
     first = np.searchsorted(sizes, sizes, side="left")
-    step = max(1, _CHUNK_PAIRS // n)
+    step = max(1, _CHUNK_CELLS // n)
     chunks = []
     for start in range(0, n, step):
         stop = min(n, start + step)
@@ -355,24 +354,16 @@ def _monte_carlo_union(
     rounds: int,
     seed: int,
 ) -> float:
-    """Estimate the union probability by direct simulation.
-
-    Each block of rounds is drawn as a ``(rounds, events)`` boolean matrix
-    and packed into one bitset per event (:func:`pack_rounds`); a cut has
-    failed in the rounds whose bit is set in the words of all its events,
-    ANDed for every cut of one size at once.  The draws and the rounds
-    counted are those of a per-cut scan of the boolean matrix, so the
-    estimate is the same float.
-    """
+    """Estimate the union probability by direct simulation, ANDing the
+    packed round words of every cut of one size at once: the draws, the
+    failing rounds and the float of a per-cut scan of the boolean draws."""
     if frozenset() in cuts:
         return 1.0  # an empty cut fails in every round
     events = sorted({e for cut in cuts for e in cut})
     index = {e: i for i, e in enumerate(events)}
     probs = np.array([weights[e] for e in events], dtype=float)
-    by_size: dict[int, list[list[int]]] = {}
-    for cut in cuts:
-        by_size.setdefault(len(cut), []).append([index[e] for e in cut])
-    groups = [np.array(rows, dtype=np.intp) for rows in by_size.values()]
+    members = sorted(([index[e] for e in cut] for cut in cuts), key=len)
+    groups = [np.array(list(rows)) for _, rows in groupby(members, key=len)]
     rng = np.random.default_rng(seed)
     hits = 0
     batch = 8192
@@ -382,7 +373,7 @@ def _monte_carlo_union(
         remaining -= block
         words = pack_rounds(rng.random((block, len(events))) < probs[None, :])
         failed = np.zeros(words.shape[1], dtype=words.dtype)
-        step = max(1, _MC_CELLS // words.shape[1])
+        step = max(1, _CHUNK_CELLS // words.shape[1])
         for group in groups:
             for start in range(0, len(group), step):
                 rows = group[start:start + step]

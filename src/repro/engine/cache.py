@@ -102,12 +102,7 @@ class GraphCache:
     def compile(self, graph: FaultGraph) -> CompiledGraph:
         """Return the cached :class:`CompiledGraph`, compiling on miss.
 
-        The key is hashed here, not passed in: the sampler reaches this
-        with a bare graph from every route, and a cache that keys itself
-        cannot be handed a digest of some other graph.  A sampling
-        request therefore hashes its graph twice, once for the request
-        and once here.
-        """
+        It hashes the graph itself, so no caller can hand it a wrong key."""
         key = structural_hash(graph)
         with self._lock:
             entry = self._entry(key)

@@ -389,10 +389,9 @@ class AuditEngine:
     ) -> tuple:
         """Audit an already-built graph through the result cache.
 
-        Returns ``(audit, hit)``.  :func:`repro.api.execute_request` and
-        :meth:`audit_store` already hold the graph's structural hash and
-        go through :meth:`_audit_hashed`, so the audit service's repeat
-        executions of one request become result-cache hits for one hash.
+        Returns ``(audit, hit)``.  Callers that already hold the graph's
+        structural hash (:func:`repro.api.execute_request`,
+        :meth:`audit_store`) use :meth:`_audit_hashed` instead.
         """
         return self._audit_hashed(auditor, graph, structural_hash(graph), spec)
 

@@ -259,12 +259,12 @@ weights = st.fixed_dictionaries(
     ),
     st.sampled_from([1, 63, 64, 8_191, 8_192, 8_193, 20_000]),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 5, 1_000, probability._MC_CELLS]),
+    st.sampled_from([1, 5, 1_000, probability._CHUNK_CELLS]),
 )
 def test_packed_monte_carlo_is_the_per_cut_scan(cuts, probs, rounds, seed, cells):
     """``cells`` puts a boundary between steps after every cut, every few
-    cuts (5 at one word, 7 at 128), or past a 30-cut family."""
-    with mock.patch.object(probability, "_MC_CELLS", cells):
+    cuts, or past a 30-cut family."""
+    with mock.patch.object(probability, "_CHUNK_CELLS", cells):
         value = union_probability(
             cuts, probs, method="monte-carlo", mc_rounds=rounds, seed=seed
         )
@@ -273,7 +273,7 @@ def test_packed_monte_carlo_is_the_per_cut_scan(cuts, probs, rounds, seed, cells
     )
 
 
-@pytest.mark.parametrize("cells", [1, 5, 1_000, probability._MC_CELLS])
+@pytest.mark.parametrize("cells", [1, 5, 1_000, probability._CHUNK_CELLS])
 @pytest.mark.parametrize("rounds", [63, 8_193])
 def test_packed_monte_carlo_counts_every_cut_of_every_step(rounds, cells):
     """24 rare single-event cuts and 16 pairs: most hit rounds are hit by
@@ -284,7 +284,7 @@ def test_packed_monte_carlo_counts_every_cut_of_every_step(rounds, cells):
     probs = {event: 0.02 for cut in cuts for event in cut} | {
         f"f{i}": 0.5 for i in range(16)
     }
-    with mock.patch.object(probability, "_MC_CELLS", cells):
+    with mock.patch.object(probability, "_CHUNK_CELLS", cells):
         value = union_probability(
             cuts, probs, method="monte-carlo", mc_rounds=rounds, seed=3
         )
