@@ -317,7 +317,8 @@ class BDD:
         minimal solutions, without building them.  ``memo`` is per walk."""
         var, low, high = self._var, self._low, self._high
         while True:
-            if family == ZERO or function == ONE:
+            # A diagram read as a family holds only sets it is true on.
+            if family == ZERO or function == ONE or family == function:
                 return ZERO
             if function == ZERO:
                 return family

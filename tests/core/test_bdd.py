@@ -160,6 +160,7 @@ class TestMinimalSolutions:
         assert bdd.falsified(a, ZERO, {}) == a      # false on every set
         assert bdd.falsified(ONE, a, {}) == ONE     # false on ∅
         assert bdd.falsified(ONE, bdd.literal("b"), {}) == ONE
+        assert bdd.falsified(a, a, {}) == ZERO      # its own sets
 
     @staticmethod
     def family(bdd: BDD, sets: list[frozenset[str]], level: int = 0) -> int:

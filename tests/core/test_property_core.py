@@ -276,10 +276,10 @@ def test_packed_monte_carlo_is_the_per_cut_scan(cuts, probs, rounds, seed, cells
 @pytest.mark.parametrize("cells", [1, 5, 1_000, probability._CHUNK_CELLS])
 @pytest.mark.parametrize("rounds", [63, 8_193])
 def test_packed_monte_carlo_counts_every_cut_of_every_step(rounds, cells):
-    """24 rare single-event cuts and 16 pairs: most hit rounds are hit by
-    one cut alone, so a cut a step skips or repeats changes the count."""
+    """24 rare single-event cuts and 16 disjoint pairs: most hit rounds are
+    hit by one cut alone, so a cut a step skips changes the count."""
     cuts = [frozenset({f"e{i}"}) for i in range(24)] + [
-        frozenset({f"e{i}", f"f{i}"}) for i in range(16)
+        frozenset({f"g{i}", f"f{i}"}) for i in range(16)
     ]
     probs = {event: 0.02 for cut in cuts for event in cut} | {
         f"f{i}": 0.5 for i in range(16)
