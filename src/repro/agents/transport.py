@@ -17,8 +17,12 @@ failures the service itself is audited against:
   fingerprint` when seeded, a one-shot token otherwise), so a retry
   whose original response was lost re-attaches to the job the first
   attempt created instead of enqueuing a duplicate.
-* **Long-poll waiting**: :meth:`ServiceClient.wait` blocks on the
-  server's ``events/poll`` endpoint instead of busy-polling job status.
+* **Long-poll waiting**: :meth:`ServiceClient.wait` is one
+  ``GET /v1/jobs/<id>?wait=S`` per ~20 s of waiting, answered with the
+  terminal status as soon as the job has one — a job that finishes
+  inside one poll costs one request, and submit, wait and fetch make a
+  cold remote audit three.  ``events/poll`` (:meth:`ServiceClient.
+  events_after`) stays the way to read a job's events.
 
 :meth:`ServiceClient.audit` has the signature of
 :func:`repro.api.run_request` — one request in, its canonical report
@@ -299,10 +303,16 @@ class ServiceClient:
             )
         )
 
-    def status(self, job_id: str) -> api.JobStatus:
-        return api.JobStatus.from_dict(
-            self._call_json("GET", f"/v1/jobs/{job_id}")
-        )
+    def status(self, job_id: str, wait: float = 0.0) -> api.JobStatus:
+        """The job's status; with ``wait``, a long-poll for its end.
+
+        Blocks server-side up to ``wait`` seconds (the server caps it at
+        60) and returns as soon as the job is terminal.
+        """
+        path = f"/v1/jobs/{job_id}"
+        if wait > 0:
+            path += f"?wait={wait:.3f}"
+        return api.JobStatus.from_dict(self._call_json("GET", path))
 
     def ingest_depdb(self, text: str, tenant: str = "default") -> dict:
         """POST a DepDB payload (Table-1 text or JSON) into the tenant's
@@ -345,36 +355,27 @@ class ServiceClient:
     ) -> api.JobStatus:
         """Block until the job is terminal; raises on timeout.
 
-        Long-polls the server's ``events/poll`` endpoint — one
-        outstanding HTTP request per ~:data:`_LONG_POLL_SECONDS` of
-        waiting.  A 404 is the server's unknown-job error and propagates
-        as such; it says nothing about the next job.
+        Long-polls the job's status route — one outstanding HTTP request
+        per ~:data:`_LONG_POLL_SECONDS` of waiting, and its answer is
+        the terminal status itself.  The last poll ends at the deadline,
+        so it doubles as the after-deadline check.  A 404 is the
+        server's unknown-job error and propagates as such; it says
+        nothing about the next job.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        after = 0
-        while deadline is None or time.monotonic() < deadline:
+        while True:
             chunk = _LONG_POLL_SECONDS
             if deadline is not None:
-                chunk = min(chunk, deadline - time.monotonic())
-            events, terminal = self.events_after(
-                job_id, after=after, wait=chunk
-            )
-            if events:
-                after = events[-1].get("seq", after + len(events))
-            if terminal:
-                return self.status(job_id)
-        return self._wait_polling(job_id)
-
-    def _wait_polling(self, job_id: str) -> api.JobStatus:
-        """The after-deadline check: one last status, else ``timeout``."""
-        status = self.status(job_id)
-        if status.is_terminal:
-            return status
-        raise ServiceError(
-            f"job {job_id} still {status.state} after its deadline",
-            status=504,
-            code="timeout",
-        )
+                chunk = min(chunk, max(0.0, deadline - time.monotonic()))
+            status = self.status(job_id, wait=chunk)
+            if status.is_terminal:
+                return status
+            if deadline is not None and time.monotonic() >= deadline:
+                raise ServiceError(
+                    f"job {job_id} still {status.state} after its deadline",
+                    status=504,
+                    code="timeout",
+                )
 
     def report(
         self,

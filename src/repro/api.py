@@ -351,16 +351,22 @@ class AuditRequest:
         Two requests with the same fingerprint are guaranteed to produce
         bit-identical reports (tenant, metadata and the advisory
         ``base`` are excluded), so the server can serve a repeat
-        submission straight from its report store.
+        submission straight from its report store.  Computed once per
+        request object: the request is immutable, so the memo lives
+        exactly as long as it does.
         """
-        payload = self.to_dict()
-        digest = hashlib.sha256(b"indaas-request-v1\0")
-        digest.update(
-            canonical_json(
-                {key: payload[key] for key in _FINGERPRINT_FIELDS}
-            ).encode("utf-8")
-        )
-        return digest.hexdigest()
+        memo = self.__dict__.get("_fingerprint")
+        if memo is None:
+            payload = self.to_dict()
+            digest = hashlib.sha256(b"indaas-request-v1\0")
+            digest.update(
+                canonical_json(
+                    {key: payload[key] for key in _FINGERPRINT_FIELDS}
+                ).encode("utf-8")
+            )
+            memo = digest.hexdigest()
+            object.__setattr__(self, "_fingerprint", memo)
+        return memo
 
 
 def _parse_object(text: Union[str, bytes], kind: str) -> dict:

@@ -37,7 +37,12 @@ from repro.engine.facade import AuditEngine
 from repro.engine.parallel import cancel_scope
 from repro.errors import AuditCancelled, IndaasError, ServiceError
 from repro.service.admission import AdmissionQueue
-from repro.service.journal import JobJournal
+from repro.service.journal import (
+    JobJournal,
+    event_record,
+    report_record,
+    submitted_record,
+)
 from repro.service.stores import TenantStores
 
 __all__ = ["Job", "JobManager"]
@@ -317,37 +322,41 @@ class JobManager:
         # Caller holds the lock.  Written only after the job is
         # registered: a submission rejected by admission control must
         # not resurrect on replay.
-        if self.journal is None or self._journal_degraded:
-            return
-        fingerprint = (
-            job.request.fingerprint() if job.request.seed is not None else None
-        )
-        ok = self._journal_safe(
-            lambda: self.journal.record_submitted(
-                job.id, job.tenant, job.request.to_dict(), fingerprint
-            )
-        )
-        if not ok:
-            return
-        job.journaled = True
-        if job.report_bytes is not None:  # born done from the cache
-            self._journal_report(job)
-        for event in job.events:
-            if not self._journal_safe(
-                lambda event=event: self.journal.record_event(job.id, event)
-            ):
-                return
-        if job.is_terminal:
+        job.journaled = self._journal(job, job.events, admit=True)
+        if job.journaled and job.is_terminal:
             self.journal.close_job(job.id)
 
-    def _journal_report(self, job: Job) -> None:
-        def store() -> None:
-            sha = self.journal.store_report(job.report_bytes)
-            self.journal.record_report(
-                job.id, sha, job.report_key, job.structural_hash
-            )
+    def _journal(self, job: Job, events: list, admit: bool = False) -> bool:
+        """Append one state change to the job's journal in one fsync.
 
-        self._journal_safe(store)
+        The batch is, in order: the ``submitted`` record when ``admit``,
+        the ``report`` record when ``events`` end with ``done`` — its
+        bytes stored content-addressed first, so replay that sees
+        ``done`` finds them — and the events.  Caller holds the lock,
+        so an event is durable before any client can see it.
+        """
+
+        def append() -> None:
+            records = []
+            if admit:
+                request = job.request
+                fingerprint = (
+                    request.fingerprint() if request.seed is not None else None
+                )
+                records.append(
+                    submitted_record(
+                        job.id, job.tenant, request.to_dict(), fingerprint
+                    )
+                )
+            if events[-1]["event"] == "done":
+                sha = self.journal.store_report(job.report_bytes)
+                records.append(
+                    report_record(sha, job.report_key, job.structural_hash)
+                )
+            records.extend(map(event_record, events))
+            self.journal.append(job.id, *records)
+
+        return self._journal_safe(append)
 
     def _recover(self) -> None:
         """Replay the journal: restore finished jobs, re-queue the rest."""
@@ -512,10 +521,6 @@ class JobManager:
             job.report_bytes = data
             job.report_key = key
             job.structural_hash = result.structural_hash
-            if job.journaled:
-                # WAL ordering: the report bytes land (content-addressed,
-                # fsync'd) before the terminal event that promises them.
-                self._journal_report(job)
             self._graphs.put(result.structural_hash, result.graph)
             if job.request.seed is not None:
                 self._reports.put(key, (data, result.structural_hash))
@@ -553,9 +558,7 @@ class JobManager:
         )
         job.events.append(record)
         if job.journaled:
-            self._journal_safe(
-                lambda: self.journal.record_event(job.id, record)
-            )
+            self._journal(job, [record])
 
     # ----------------------------- queries ---------------------------- #
 

@@ -1,9 +1,9 @@
 """Durable write-ahead journal for audit jobs.
 
 ``indaas serve --state-dir DIR`` makes the service crash-safe: every
-job's lifecycle is appended to a per-job JSONL journal, fsync'd record
-by record, and finished reports are stored as content-addressed files.
-A killed server replays the journals on startup
+job's lifecycle is appended to a per-job JSONL journal with one fsync
+per state change, and finished reports are stored as content-addressed
+files.  A killed server replays the journals on startup
 (:meth:`JobJournal.replay`), re-queues jobs that never finished and
 serves already-finished reports byte-identically — by the determinism
 contract, a re-run of a seeded request produces the exact bytes the
@@ -20,16 +20,22 @@ Journal records (each a canonical-JSON line with a ``record`` field):
   tenant and fingerprint; written once, first.
 * ``event`` — one canonical job event, exactly as served to clients.
 * ``report`` — content address (``sha256``) of the finished report
-  bytes plus ``report_key``/``structural_hash``; always written
-  *before* the terminal ``done`` event, so recovery that sees ``done``
-  always finds the bytes.
+  bytes plus ``report_key``/``structural_hash``; always written on the
+  line *before* the terminal ``done`` event, after the bytes themselves
+  are stored, so recovery that sees ``done`` always finds the bytes.
 
-Crash tolerance: a crash mid-append leaves at most one partial trailing
-line; :meth:`replay` drops it and truncates the file back to the last
-complete record, so the journal stays appendable after recovery.  Report
-files are written to a temp name, fsync'd, then renamed — a report
-either exists completely or not at all, and its name is the SHA-256 of
-its bytes (verified on load).
+One state change is one :meth:`JobJournal.append`, one ``write`` and
+one ``fsync``: admission writes ``submitted`` (plus a born-done job's
+``report``) and the admission events together, completion writes
+``report`` and ``done`` together, and each progress event is its own
+append.  Crash tolerance: a crash mid-append leaves a prefix of the
+batch ending in at most one partial line; :meth:`replay` stops at the
+first undecodable line and truncates the file back to the last complete
+record, so the journal stays appendable after recovery, and a torn batch
+can replay ``report`` without ``done`` but never ``done`` without the
+``report`` line before it.  Report files are written to a temp name,
+fsync'd, then renamed — a report either exists completely or not at
+all, and its name is the SHA-256 of its bytes (verified on load).
 
 Fault injection: appends cross the ``journal.append`` point, where a
 scheduled ``disk-full`` fault raises ``OSError(ENOSPC)`` — the
@@ -52,7 +58,13 @@ from repro.api import canonical_json
 from repro.errors import ServiceError
 from repro.testing.faults import fault_point
 
-__all__ = ["JobJournal", "JournaledJob"]
+__all__ = [
+    "JobJournal",
+    "JournaledJob",
+    "event_record",
+    "report_record",
+    "submitted_record",
+]
 
 _TERMINAL = frozenset({"done", "failed", "cancelled"})
 _JOB_FILE = re.compile(r"\A(?P<job_id>[\w.-]+)\.jsonl\Z")
@@ -108,16 +120,18 @@ class JobJournal:
             raise ServiceError(f"unjournalable job id: {job_id!r}")
         return self.jobs_dir / f"{job_id}.jsonl"
 
-    def append(self, job_id: str, record: dict) -> None:
-        """Durably append one record to a job's journal.
+    def append(self, job_id: str, *records: dict) -> None:
+        """Durably append one state change's records to a job's journal.
 
-        The record only counts as written once both the line and the
-        fsync complete; a failed append truncates back to the previous
-        end-of-file so a partial line can never precede a later good
-        one.  Raises ``OSError`` (e.g. ``ENOSPC``) to the caller, which
-        owns the degrade decision.
+        The batch is one ``write`` and one ``fsync``, and it only counts
+        as written once both complete; a failed append truncates back to
+        the previous end-of-file so a partial batch can never precede a
+        later good one.  Raises ``OSError`` (e.g. ``ENOSPC``) to the
+        caller, which owns the degrade decision.
         """
-        line = (canonical_json(record) + "\n").encode("utf-8")
+        data = "".join(
+            canonical_json(record) + "\n" for record in records
+        ).encode("utf-8")
         with self._lock:
             handle = self._handles.get(job_id)
             if handle is None:
@@ -129,7 +143,7 @@ class JobJournal:
             position = handle.tell()
             try:
                 fault_point("journal.append", job_id=job_id)
-                handle.write(line)
+                handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
             except OSError:
@@ -141,44 +155,6 @@ class JobJournal:
                     handle.close()
                     del self._handles[job_id]
                 raise
-
-    def record_submitted(
-        self,
-        job_id: str,
-        tenant: str,
-        request_document: dict,
-        fingerprint: Optional[str],
-    ) -> None:
-        self.append(
-            job_id,
-            {
-                "record": "submitted",
-                "job_id": job_id,
-                "tenant": tenant,
-                "request": request_document,
-                "fingerprint": fingerprint,
-            },
-        )
-
-    def record_event(self, job_id: str, event: dict) -> None:
-        self.append(job_id, {"record": "event", "event": event})
-
-    def record_report(
-        self,
-        job_id: str,
-        sha256: str,
-        report_key: Optional[str],
-        structural_hash: Optional[str],
-    ) -> None:
-        self.append(
-            job_id,
-            {
-                "record": "report",
-                "sha256": sha256,
-                "report_key": report_key,
-                "structural_hash": structural_hash,
-            },
-        )
 
     def close_job(self, job_id: str) -> None:
         with self._lock:
@@ -260,8 +236,10 @@ class JobJournal:
                 break  # partial trailing line: crash mid-append
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn write: everything after is suspect
+            except ValueError:
+                # Torn write (a zeroed block may not even decode as
+                # text): everything after is suspect.
+                break
             if not isinstance(record, dict):
                 break
             records.append(record)
@@ -270,6 +248,41 @@ class JobJournal:
             with open(path, "ab") as handle:
                 handle.truncate(offset)
         return records
+
+
+def submitted_record(
+    job_id: str,
+    tenant: str,
+    request_document: dict,
+    fingerprint: Optional[str],
+) -> dict:
+    """The ``submitted`` record: a job's admission, written first."""
+    return {
+        "record": "submitted",
+        "job_id": job_id,
+        "tenant": tenant,
+        "request": request_document,
+        "fingerprint": fingerprint,
+    }
+
+
+def event_record(event: dict) -> dict:
+    """An ``event`` record: one canonical job event as served."""
+    return {"record": "event", "event": event}
+
+
+def report_record(
+    sha256: str,
+    report_key: Optional[str],
+    structural_hash: Optional[str],
+) -> dict:
+    """The ``report`` record: the content address of stored bytes."""
+    return {
+        "record": "report",
+        "sha256": sha256,
+        "report_key": report_key,
+        "structural_hash": structural_hash,
+    }
 
 
 def _fold_records(job_id: str, records: list[dict]) -> Optional[JournaledJob]:

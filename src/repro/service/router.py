@@ -47,11 +47,13 @@ def _int_param(params: dict, name: str, default: int) -> int:
         return default
 
 
-def _float_param(params: dict, name: str, default: float) -> float:
+def _wait_param(params: dict) -> float:
+    """A long-poll's ``wait`` in seconds, clamped to [0, 60]."""
     try:
-        return float(params[name][0])
+        wait = float(params["wait"][0])
     except (KeyError, IndexError, ValueError):
-        return default
+        return 0.0
+    return min(60.0, max(0.0, wait))
 
 
 def _error_response(exc: ServiceError) -> Response:
@@ -163,21 +165,31 @@ class Router:
             code, status.to_dict(), Location=f"/v1/jobs/{job.id}"
         )
 
-    def job_status(self, job_id: str, **_) -> Response:
-        return _json_response(200, self.manager.status(job_id).to_dict())
+    def job_status(self, job_id: str, query: str = "", **_) -> Response:
+        """The job's status; with ``wait``, a long-poll for its end.
+
+        ``?wait=S`` blocks up to ``S`` seconds in
+        :meth:`~repro.service.jobs.JobManager.wait` and answers the
+        terminal status as soon as there is one, else the current status
+        at the timeout.  The retrying client's
+        :meth:`~repro.agents.transport.ServiceClient.wait` sits on this:
+        one request per ~20 s of waiting, and the answer is the status
+        it was waiting for.  Without ``wait`` the answer is immediate.
+        """
+        wait = _wait_param(urllib.parse.parse_qs(query))
+        status = self.manager.wait(job_id, timeout=wait)
+        return _json_response(200, status.to_dict())
 
     def job_events_poll(self, job_id: str, query: str = "", **_) -> Response:
         """Long-poll: events past ``after``, blocking up to ``wait`` s.
 
-        The retrying client's :meth:`~repro.agents.transport.
-        ServiceClient.wait` sits on this instead of hammering the status
-        endpoint — one request per ~20 s of waiting, not ten per second.
+        The API for reading a job's events as they happen; a client
+        that only wants the outcome waits on the status route instead.
         """
         params = urllib.parse.parse_qs(query)
         after = _int_param(params, "after", 0)
-        wait = min(60.0, max(0.0, _float_param(params, "wait", 0.0)))
         events, terminal = self.manager.events_after(
-            job_id, after, timeout=wait
+            job_id, after, timeout=_wait_param(params)
         )
         return _json_response(
             200,

@@ -30,6 +30,7 @@ _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 32 * 1024 * 1024  # DepDB dumps travel inline
 
 #: Pool threads for blocking dispatch.  A long-poll on
+#: ``/v1/jobs/<id>?wait=S`` (``ServiceClient.wait``) or on
 #: ``/v1/jobs/<id>/events/poll`` parks one thread for up to 60 s, so the
 #: pool must stay comfortably above the expected number of waiting
 #: clients or their polls starve submissions and health checks.

@@ -4,8 +4,9 @@ Satellite regressions pinned here:
 
 * an unparseable ``Retry-After`` header falls back to the default
   backoff and annotates the error (never silently ``None``);
-* :meth:`ServiceClient.wait` long-polls — the HTTP request count for a
-  slow job is a handful, not one per poll interval.
+* :meth:`ServiceClient.wait` long-polls the status route — a job that
+  finishes inside one poll costs one HTTP request, not one per poll
+  interval.
 """
 
 import os
@@ -148,10 +149,10 @@ class TestLongPollWait:
         status = client.wait(submitted.job_id, timeout=60)
         assert status.state == "done"
         used = client.request_count - before
-        # Long-polling: one poll request (possibly a couple on slow
-        # machines) plus the final status fetch.  The old fixed-interval
-        # poller burned ~10 requests per second of runtime.
-        assert used <= 4, f"wait() made {used} HTTP requests"
+        # One status long-poll, answered with the terminal status: a job
+        # that finishes inside one ~20 s poll costs exactly one request.
+        # The old fixed-interval poller burned ~10 requests per second.
+        assert used == 1, f"wait() made {used} HTTP requests"
 
     def test_unknown_job_does_not_degrade_later_waits(
         self, client, monkeypatch
@@ -159,27 +160,28 @@ class TestLongPollWait:
         """A 404 from ``wait()`` is the unknown-*job* error: it says
         nothing about the server's routes, so the next ``wait()`` on the
         same client must still long-poll."""
+        paths = []
+        call_once = client._call_once
+        monkeypatch.setattr(
+            client,
+            "_call_once",
+            lambda method, path, *rest: paths.append(path)
+            or call_once(method, path, *rest),
+        )
         with pytest.raises(ServiceError) as excinfo:
             client.wait("no-such-job", timeout=5)
         assert (excinfo.value.status, excinfo.value.code) == (
             404,
             "not-found",
         )
-        long_polls = []
-        events_after = client.events_after
-        monkeypatch.setattr(
-            client,
-            "events_after",
-            lambda *args, **kwargs: long_polls.append(args)
-            or events_after(*args, **kwargs),
-        )
+        assert len(paths) == 1
+        assert paths[0].startswith("/v1/jobs/no-such-job?wait=")
         request = make_request(algorithm="sampling", rounds=60_000, seed=103)
         submitted = client.submit(request)
-        before = client.request_count
+        del paths[:]
         assert client.wait(submitted.job_id, timeout=60).state == "done"
-        used = client.request_count - before
-        assert long_polls, "the next wait() fell back to status polling"
-        assert used <= 4, f"wait() made {used} HTTP requests"
+        assert len(paths) == 1, f"wait() made {len(paths)} HTTP requests"
+        assert paths[0].startswith(f"/v1/jobs/{submitted.job_id}?wait=")
 
     def test_wait_timeout_raises_typed_error(self, service):
         stalled = ServiceThread(JobManager(workers=0)).start()

@@ -6,13 +6,20 @@ report byte-identically and re-runs every unfinished job to the exact
 bytes the uninterrupted run would have produced (seeded determinism).
 """
 
+import errno
 import json
 
 import pytest
 
 from repro import api
 from repro.service import JobManager
-from repro.service.journal import JobJournal
+from repro.service import journal as journal_module
+from repro.service.journal import (
+    JobJournal,
+    event_record,
+    report_record,
+    submitted_record,
+)
 from repro.testing.faults import Fault, FaultInjector, FaultSchedule
 
 from tests.service.conftest import make_request
@@ -37,15 +44,37 @@ def direct_bytes(request: api.AuditRequest) -> bytes:
     )
 
 
+def count_fsyncs(monkeypatch) -> list:
+    """Count the journal's fsyncs (file and directory) from now on."""
+    synced = []
+    fsync = journal_module.os.fsync
+
+    def counting(fd):
+        synced.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr(journal_module.os, "fsync", counting)
+    return synced
+
+
+def submitted(job_id: str) -> dict:
+    return submitted_record(job_id, "t", {"kind": "audit_request"}, None)
+
+
+def queued(job_id: str) -> dict:
+    return event_record(api.job_event("queued", seq=2, job_id=job_id))
+
+
 class TestJobJournal:
     def test_append_then_replay_round_trips(self, tmp_path):
         journal = JobJournal(tmp_path)
-        journal.record_submitted(
-            "job-000001", "acme", {"kind": "audit_request"}, "f" * 64
+        journal.append(
+            "job-000001",
+            submitted_record(
+                "job-000001", "acme", {"kind": "audit_request"}, "f" * 64
+            ),
         )
-        journal.record_event(
-            "job-000001", api.job_event("queued", seq=2, job_id="job-000001")
-        )
+        journal.append("job-000001", queued("job-000001"))
         journal.close()
         jobs = JobJournal(tmp_path).replay()
         assert [job.job_id for job in jobs] == ["job-000001"]
@@ -57,7 +86,7 @@ class TestJobJournal:
     def test_replay_orders_by_job_number(self, tmp_path):
         journal = JobJournal(tmp_path)
         for job_id in ("job-000010", "job-000002", "job-000001"):
-            journal.record_submitted(job_id, "t", {"kind": "audit_request"}, None)
+            journal.append(job_id, submitted(job_id))
         journal.close()
         jobs = JobJournal(tmp_path).replay()
         assert [job.job_id for job in jobs] == [
@@ -66,12 +95,8 @@ class TestJobJournal:
 
     def test_partial_trailing_line_is_dropped_and_truncated(self, tmp_path):
         journal = JobJournal(tmp_path)
-        journal.record_submitted(
-            "job-000001", "t", {"kind": "audit_request"}, None
-        )
-        journal.record_event(
-            "job-000001", api.job_event("queued", seq=2, job_id="job-000001")
-        )
+        journal.append("job-000001", submitted("job-000001"))
+        journal.append("job-000001", queued("job-000001"))
         journal.close()
         path = tmp_path / "jobs" / "job-000001.jsonl"
         intact = path.read_bytes()
@@ -83,9 +108,7 @@ class TestJobJournal:
 
     def test_torn_middle_line_discards_the_suspect_tail(self, tmp_path):
         journal = JobJournal(tmp_path)
-        journal.record_submitted(
-            "job-000001", "t", {"kind": "audit_request"}, None
-        )
+        journal.append("job-000001", submitted("job-000001"))
         journal.close()
         path = tmp_path / "jobs" / "job-000001.jsonl"
         good = path.read_bytes()
@@ -96,11 +119,70 @@ class TestJobJournal:
 
     def test_file_without_submitted_record_is_ignored(self, tmp_path):
         journal = JobJournal(tmp_path)
-        journal.record_event(
-            "job-000009", api.job_event("queued", seq=1, job_id="job-000009")
-        )
+        journal.append("job-000009", queued("job-000009"))
         journal.close()
         assert JobJournal(tmp_path).replay() == []
+
+    def test_zeroed_line_is_a_torn_write(self, tmp_path):
+        # Ten zero bytes and a newline read as truncated UTF-32 text,
+        # not as bad JSON: still a torn write, never a failed replay.
+        journal = JobJournal(tmp_path)
+        journal.append("job-000001", submitted("job-000001"))
+        journal.close()
+        path = tmp_path / "jobs" / "job-000001.jsonl"
+        good = path.read_bytes()
+        path.write_bytes(good + bytes(10) + b"\n")
+        jobs = JobJournal(tmp_path).replay()
+        assert jobs[0].events == []
+        assert path.read_bytes() == good
+
+    def test_batch_is_one_write_and_one_fsync(self, tmp_path, monkeypatch):
+        journal = JobJournal(tmp_path)
+        journal.append("job-000001", submitted("job-000001"))
+        synced = count_fsyncs(monkeypatch)
+        journal.append(
+            "job-000001",
+            queued("job-000001"),
+            report_record("a" * 64, "k", "h"),
+            event_record(api.job_event("done", seq=3, job_id="job-000001")),
+        )
+        journal.close()
+        assert len(synced) == 1
+        job = JobJournal(tmp_path).replay()[0]
+        assert (job.state, job.report_sha) == ("done", "a" * 64)
+
+    @pytest.mark.parametrize("failure", ["fault-point", "fsync"])
+    def test_disk_full_at_a_batched_append_truncates_the_whole_batch(
+        self, tmp_path, monkeypatch, failure
+    ):
+        journal = JobJournal(tmp_path)
+        journal.append("job-000001", submitted("job-000001"))
+        path = tmp_path / "jobs" / "job-000001.jsonl"
+        before = path.read_bytes()
+        batch = (
+            report_record("a" * 64, "k", "h"),
+            event_record(api.job_event("done", seq=2, job_id="job-000001")),
+        )
+        if failure == "fault-point":
+            # Raised at the journal.append point, before the write.
+            schedule = FaultSchedule(
+                (Fault(kind="disk-full", point="journal.append", at=0),)
+            )
+            with FaultInjector(schedule), pytest.raises(OSError):
+                journal.append("job-000001", *batch)
+        else:
+            # Raised by the fsync, after the whole batch was written.
+            def full(fd):
+                raise OSError(errno.ENOSPC, "disk full")
+
+            with monkeypatch.context() as patch, pytest.raises(OSError):
+                patch.setattr(journal_module.os, "fsync", full)
+                journal.append("job-000001", *batch)
+        assert path.read_bytes() == before
+        journal.append("job-000001", queued("job-000001"))
+        journal.close()
+        job = JobJournal(tmp_path).replay()[0]
+        assert (job.state, job.report_sha) == ("queued", None)
 
     def test_report_store_is_content_addressed_and_verifying(self, tmp_path):
         journal = JobJournal(tmp_path)
@@ -225,6 +307,71 @@ class TestManagerRecovery:
         second.shutdown()
 
 
+class TestOneFsyncPerStateChange:
+    """Each state change is one append: one write, one fsync."""
+
+    def test_born_done_job_costs_two_fsyncs(self, tmp_path, monkeypatch):
+        request = make_request(seed=92)
+        manager = manager_with(tmp_path)
+        manager.submit(request)
+        manager.run_pending()
+        synced = count_fsyncs(monkeypatch)
+        repeat = manager.submit(request)
+        assert repeat.cached
+        # The new file's directory, then submitted + report + the three
+        # admission events in one append; the report bytes are already
+        # stored.
+        assert len(synced) == 2
+        manager.shutdown()
+
+    def test_cold_job_costs_eight_fsyncs(self, tmp_path, monkeypatch):
+        synced = count_fsyncs(monkeypatch)
+        manager = manager_with(tmp_path)
+        job = manager.submit(make_request(seed=93))
+        manager.run_pending()
+        assert manager.get(job.id).state == "done"
+        # Directory + admission (submitted, submitted/queued events),
+        # started, compiled, audited, the report bytes and their
+        # directory, then report + done in one append.
+        assert len(synced) == 8
+        manager.shutdown()
+
+    @pytest.mark.parametrize(
+        "tear",
+        ["mid-report", "mid-done", "report-zeroed", "report-zeroed-to-newline"],
+    )
+    def test_torn_completion_batch_replays_to_a_prefix(self, tmp_path, tear):
+        request = make_request(seed=94)
+        first = manager_with(tmp_path)
+        job = first.submit(request)
+        first.run_pending()
+        crash(first)
+        path = tmp_path / "jobs" / f"{job.id}.jsonl"
+        *head, report, done = path.read_bytes().splitlines(keepends=True)
+        assert json.loads(report)["record"] == "report"
+        assert json.loads(done)["event"]["event"] == "done"
+        head = b"".join(head)
+        torn = {
+            "mid-report": report[: len(report) // 2],
+            "mid-done": report + done[: len(done) // 2],
+            "report-zeroed": bytes(len(report)) + done,
+            "report-zeroed-to-newline": bytes(len(report) - 1) + b"\n" + done,
+        }[tear]
+        path.write_bytes(head + torn)
+
+        (replayed,) = JobJournal(tmp_path).replay()
+        kept = report if tear == "mid-done" else b""
+        assert path.read_bytes() == head + kept
+        assert replayed.state == "running"  # never done
+        assert (replayed.report_sha is not None) == (tear == "mid-done")
+
+        second = manager_with(tmp_path)
+        assert second.get(job.id).state == "queued"
+        second.run_pending()
+        assert second.get(job.id).report_bytes == direct_bytes(request)
+        second.shutdown()
+
+
 class TestJournalDegradation:
     def test_disk_full_degrades_but_jobs_still_finish(self, tmp_path):
         schedule = FaultSchedule(
@@ -244,6 +391,10 @@ class TestJournalDegradation:
         manager.shutdown()
 
     def test_degraded_manager_never_serves_partial_journals(self, tmp_path):
+        # A cold job crosses journal.append five times: 0 admission
+        # (submitted + submitted/queued events), 1 started, 2 compiled,
+        # 3 audited, 4 report + done.  Index 2 hits the mid-job
+        # ``compiled`` progress event.
         schedule = FaultSchedule(
             (Fault(kind="disk-full", point="journal.append", at=2),)
         )
@@ -257,4 +408,33 @@ class TestJournalDegradation:
         recovered = manager_with(tmp_path)
         for job in recovered._jobs.values():
             assert job.state in ("queued", "running", "done", "failed", "cancelled")
+        recovered.shutdown()
+
+    @pytest.mark.parametrize(
+        "at",
+        range(5),
+        ids=["admission", "started", "compiled", "audited", "report-done"],
+    )
+    def test_disk_full_at_each_append_recovers_identical_bytes(
+        self, tmp_path, at
+    ):
+        request = make_request(seed=95)
+        schedule = FaultSchedule(
+            (Fault(kind="disk-full", point="journal.append", at=at),)
+        )
+        with FaultInjector(schedule) as injector:
+            manager = manager_with(tmp_path)
+            job = manager.submit(request)
+            manager.run_pending()
+            crash(manager)
+        assert injector.fired[0]["crossing"] == at
+        assert manager.get(job.id).report_bytes == direct_bytes(request)
+        recovered = manager_with(tmp_path)
+        # A failed admission journalled nothing; any later failure left
+        # an unfinished job that re-runs to the same bytes.
+        assert len(recovered._jobs) == (0 if at == 0 else 1)
+        recovered.run_pending()
+        for restored in recovered._jobs.values():
+            assert restored.state == "done"
+            assert restored.report_bytes == direct_bytes(request)
         recovered.shutdown()
