@@ -247,6 +247,12 @@ class TestBudgetTrip:
         )
         assert value.hex() == "0x1.7c00000000000p-3"
 
+    def test_auto_returns_the_seed_zero_estimate(self):
+        value = probability.union_probability(
+            self.CUTS, self.PROBS, mc_rounds=4_096, seed=0
+        )
+        assert value.hex() == "0x1.7c80000000000p-3"
+
     def test_exact_past_the_budget(self, monkeypatch):
         """Some ``a`` and some ``b`` fail: ``(1 - 0.9^1100)(1 - 0.9^2)``."""
         monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 10**9)

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import repro
 from repro import AuditSpec, FaultGraph, GateType, SIAAuditor, minimal_risk_groups
 from repro.acquisition import NetworkDependencyCollector
 from repro.core import probability
@@ -197,6 +198,16 @@ class TestExactAuto:
             cuts, probs, mc_rounds=3_000, seed=11
         ) == union_probability(
             cuts, probs, method="monte-carlo", mc_rounds=3_000, seed=11
+        )
+
+    def test_budget_trip_pin_at_the_defaults(self, monkeypatch):
+        """What every caller gets when the budget trips: the 200 000-round,
+        seed-0 estimate."""
+        cuts, probs = random_family(random.Random(5), 40)
+        monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 8)
+        assert union_probability(cuts, probs).hex() == "0x1.c52f1a9fbe76dp-1"
+        assert repro.top_event_probability(cuts, probs).hex() == (
+            "0x1.c52f1a9fbe76dp-1"
         )
 
     @pytest.mark.parametrize("n_sets", (3, 40))

@@ -18,6 +18,21 @@ from repro.swinventory import (
 )
 from repro.swinventory.stacks import paper_rankings, region_census
 
+#: The analytic Jaccard of every Table-2 combination, as its intersection
+#: and union region totals: the same integer division, so ``==`` holds.
+TABLE2_JACCARD = {
+    ("Cloud2", "Cloud4"): 81 / 576,
+    ("Cloud2", "Cloud3"): 87 / 554,
+    ("Cloud1", "Cloud4"): 101 / 486,
+    ("Cloud1", "Cloud3"): 129 / 442,
+    ("Cloud3", "Cloud4"): 145 / 415,
+    ("Cloud1", "Cloud2"): 224 / 444,
+    ("Cloud2", "Cloud3", "Cloud4"): 76 / 692,
+    ("Cloud1", "Cloud2", "Cloud4"): 76 / 626,
+    ("Cloud1", "Cloud3", "Cloud4"): 76 / 560,
+    ("Cloud1", "Cloud2", "Cloud3"): 87 / 587,
+}
+
 
 class TestAssignments:
     def test_cloud_stack_mapping(self):
@@ -63,6 +78,15 @@ class TestRegionConstruction:
         census = region_census()
         assert census["universe"] == sum(REGION_SIZES.values())
 
+    def test_census_pin(self):
+        assert region_census() == {
+            "Cloud1": 299,
+            "Cloud2": 369,
+            "Cloud3": 272,
+            "Cloud4": 288,
+            "universe": 700,
+        }
+
 
 class TestPaperAgreement:
     def test_verify_against_paper_passes(self):
@@ -81,6 +105,15 @@ class TestPaperAgreement:
     )
     def test_three_way_jaccards_close(self, clouds, value):
         assert expected_jaccard(clouds) == pytest.approx(value, abs=0.01)
+
+    def test_every_combination_is_pinned(self):
+        assert set(TABLE2_JACCARD) == (
+            set(PAPER_TABLE2_TWO_WAY) | set(PAPER_TABLE2_THREE_WAY)
+        )
+
+    @pytest.mark.parametrize("clouds,value", list(TABLE2_JACCARD.items()))
+    def test_expected_jaccard_pins(self, clouds, value):
+        assert expected_jaccard(clouds) == value
 
     def test_rankings_match(self):
         two, three = paper_rankings()
