@@ -160,7 +160,10 @@ def test_ablation_witness_minimisation(benchmark, emit):
 
 def test_ablation_probability_engines(benchmark, emit):
     from repro.core.bdd import compile_graph
-    from repro.core.probability import top_event_probability
+    from tests.core.evaluators import (
+        inclusion_exclusion_union,
+        per_cut_monte_carlo_union,
+    )
 
     # A deployment graph with shared components and ~18 minimal cuts:
     # inclusion-exclusion still works but already strains (2^18 terms).
@@ -180,13 +183,11 @@ def test_ablation_probability_engines(benchmark, emit):
     bdd_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    ie_value = top_event_probability(groups, probs, method="exact")
+    ie_value = inclusion_exclusion_union(groups, probs)
     ie_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    mc_value = top_event_probability(
-        groups, probs, method="monte-carlo", mc_rounds=200_000
-    )
+    mc_value = per_cut_monte_carlo_union(groups, probs, 200_000, 0)
     mc_seconds = time.perf_counter() - started
 
     emit.table(

@@ -31,10 +31,8 @@ from repro.core.minimal_rg import (
 )
 from repro.core.probability import (
     cut_probability,
-    graph_probability_sampled,
     relative_importance,
     top_event_probability,
-    tree_probability,
     union_probability,
 )
 from repro.core.ranking import (
@@ -77,7 +75,6 @@ __all__ = [
     "compose",
     "cut_probability",
     "fussell_vesely_importance",
-    "graph_probability_sampled",
     "independence_score",
     "is_minimal_risk_group",
     "is_risk_group",
@@ -89,7 +86,6 @@ __all__ = [
     "redundancy_threshold",
     "relative_importance",
     "top_event_probability",
-    "tree_probability",
     "unexpected_risk_groups",
     "union_probability",
 ]

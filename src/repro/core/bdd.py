@@ -6,9 +6,7 @@ is to compile the structure function into a **reduced ordered BDD**
 (Bryant 1986, Rauzy 1993).  On a BDD,
 
 * the exact top-event probability of a *shared-node DAG* is a single
-  linear-time traversal (``tree_probability`` refuses those graphs),
-* failure-state *model counting* is linear (the quantity ApproxCount-
-  style samplers estimate — §4.1.2's improvement hint), and
+  linear-time traversal (bottom-up products would be biased there), and
 * minimal cut sets fall out of Rauzy's recursion.
 
 This is an extension beyond the paper's prototype, ablated in the
@@ -268,31 +266,6 @@ class BDD:
         try:
             with self._recursion_headroom():
                 return walk(self.root)
-        finally:
-            walk = None
-
-    def count_failure_states(self) -> int:
-        """Number of assignments that fail the top event (model count).
-
-        This is the quantity SAT-based counters like ApproxCount
-        estimate; with a BDD it is exact and linear.
-        """
-        var, low, high = self._var, self._low, self._high
-        cache: dict[int, int] = {ZERO: 0, ONE: 1}
-
-        def walk(node_id: int) -> int:
-            if node_id in cache:
-                return cache[node_id]
-            level, lo, hi = var[node_id], low[node_id], high[node_id]
-            count = (walk(lo) << (var[lo] - level - 1)) + (
-                walk(hi) << (var[hi] - level - 1)
-            )
-            cache[node_id] = count
-            return count
-
-        try:
-            with self._recursion_headroom():
-                return walk(self.root) << var[self.root]
         finally:
             walk = None
 

@@ -105,9 +105,7 @@ def fussell_vesely_importance(
     if not minimal_rgs:
         raise AnalysisError("need at least one minimal risk group")
     if top_probability is None:
-        top_probability = union_probability(
-            list(minimal_rgs), probabilities, method="auto"
-        )
+        top_probability = union_probability(list(minimal_rgs), probabilities)
     components = sorted({c for rg in minimal_rgs for c in rg})
     if top_probability <= 0.0:
         # No system risk means no risk flows through anything: the
@@ -117,8 +115,7 @@ def fussell_vesely_importance(
     for component in components:
         containing = [rg for rg in minimal_rgs if component in rg]
         out[component] = (
-            union_probability(containing, probabilities, method="auto")
-            / top_probability
+            union_probability(containing, probabilities) / top_probability
         )
     return out
 

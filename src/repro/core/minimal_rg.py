@@ -11,8 +11,7 @@ the cheaper failure-sampling alternative.
 compiles the structure function into a reduced ordered BDD and extracts
 the cut sets with Rauzy's minimal-solutions recursion
 (:meth:`~repro.core.bdd.BDD.minimal_cut_sets`) — absorption on the shared
-diagram instead of on exploded set families.  That is ``method="auto"``;
-``"bdd"`` is its explicit name.
+diagram instead of on exploded set families.  That is ``method="auto"``.
 
 ``method="mocus"`` is the paper's algorithm as written, kept by name as
 the *specification* the diagram is tested against (the parity suites in
@@ -190,22 +189,20 @@ def minimal_risk_groups(
             this many events.  ``None`` computes the complete family.
         max_groups: Safety valve; if any intermediate family grows beyond
             this many sets a :class:`CutSetExplosion` is raised.
-        method: ``"auto"`` — equivalently ``"bdd"`` — compiles the graph
-            and extracts via Rauzy's minimal-solutions recursion;
-            ``"mocus"`` runs the paper's family-combination traversal,
-            kept by name as the specification the diagram is tested
-            against.  Both return bit-identical sorted families.
+        method: ``"auto"`` compiles the graph and extracts via Rauzy's
+            minimal-solutions recursion; ``"mocus"`` runs the paper's
+            family-combination traversal, kept by name as the
+            specification the diagram is tested against.  Both return
+            bit-identical sorted families.
 
     Returns:
         Minimal RGs sorted by (size, lexicographic members) so results are
         deterministic and directly consumable by the ranking step.
     """
-    if method not in ("auto", "bdd", "mocus"):
-        raise AnalysisError(
-            f"method must be auto|bdd|mocus, got {method!r}"
-        )
+    if method not in ("auto", "mocus"):
+        raise AnalysisError(f"method must be auto|mocus, got {method!r}")
     root = graph.top if top is None else top
-    if method != "mocus":
+    if method == "auto":
         return _bdd_minimal_risk_groups(graph, root, max_order, max_groups)
     families: dict[str, list[frozenset[str]]] = {}
     needed = graph.descendants(root) | {root}

@@ -9,13 +9,15 @@ The probability-based ranking needs two quantities:
   ``Pr(T) = 0.1*0.3 + 0.2 - 0.1*0.3*0.2 = 0.224``).
 
 Inclusion–exclusion is exponential in the number of minimal RGs, so above
-:data:`IE_CROSSOVER` sets ``method="auto"`` takes :func:`_shannon_union`
-instead: a memoised Shannon expansion over the minimal family that visits
-the nodes of the family's reduced ordered BDD without building it, and so
-returns that diagram's probability walk bit for bit.  The Monte-Carlo
-estimator is reached only by name or when that recursion outgrows
-:data:`UNION_WORK_BUDGET`; the rare-event / Esary–Proschan bounds only by
-name.  Whatever the method, every weight is checked once.
+:data:`IE_CROSSOVER` sets :func:`union_probability` takes
+:func:`_shannon_union` instead: a memoised Shannon expansion over the
+minimal family that visits the nodes of the family's reduced ordered BDD
+without building it, and so returns that diagram's probability walk bit
+for bit.  Only when that recursion outgrows :data:`UNION_WORK_BUDGET` does
+it return a seeded Monte-Carlo estimate.  Every weight is checked once.
+The references this one behaviour is tested against (inclusion–exclusion
+over the family as given, the first-order bounds, the BDD fold, the
+per-cut Monte-Carlo scan) are test oracles, not options.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.compile import pack_rounds
-from repro.core.events import GateType, check_count, validate_probability
-from repro.core.faultgraph import FaultGraph
+from repro.core.events import validate_probability
 from repro.core.minimal_rg import CutSetExplosion
 from repro.errors import AnalysisError, FaultGraphError
 
@@ -40,19 +41,14 @@ __all__ = [
     "union_probability",
     "top_event_probability",
     "relative_importance",
-    "tree_probability",
-    "graph_probability_sampled",
 ]
 
-#: Above this many cut sets, ``method="exact"`` (inclusion-exclusion,
-#: 2^n terms) is refused by name.
-EXACT_LIMIT = 20
-
-#: ``auto`` takes inclusion-exclusion up to this many distinct cut sets and
-#: the diagram pass above it.  It was the measured crossover (7, 8 and 12
-#: sets depending on cut size) until the flat-array BDD kernel moved the
-#: curves to 7, 7 and 9-10; it stays 10, because moving it changes the bits
-#: of every family between the old and new crossover.  Median ms, seeded
+#: :func:`union_probability` takes inclusion-exclusion up to this many
+#: distinct cut sets and the diagram pass above it.  It was the measured
+#: crossover (7, 8 and 12 sets depending on cut size) until the flat-array
+#: BDD kernel moved the curves to 7, 7 and 9-10; it stays 10, because
+#: moving it changes the bits of every family between the old and new
+#: crossover.  Median ms, seeded
 #: random families, inclusion-exclusion / BDD (x86-64, CPython 3.11):
 #:   sets   1-3 of 10 events   2-5 of 24 events   8-12 of 40 events
 #:     6      0.04 / 0.05        0.06 / 0.06        0.10 / 0.25
@@ -62,7 +58,7 @@ EXACT_LIMIT = 20
 #:    16, 20                     83 / 0.96, 1403 / 1.37
 IE_CROSSOVER = 10
 
-#: Work ``auto``'s exact pass may do before it falls back to Monte-Carlo,
+#: Work the exact pass may do before it falls back to Monte-Carlo,
 #: in 64-bit words of cuts scanned: every cut each diagram node partitions
 #: and every (cut, absorber) pair its absorption may check, once per word
 #: of the bitmasks, :data:`_NODE_WORK` per node, and the pre-pass's packed
@@ -73,6 +69,10 @@ IE_CROSSOVER = 10
 #: fat-tree families need 0.29 million (k=12, 320 cuts) and 3.73 million
 #: (k=16, 1 280 cuts).
 UNION_WORK_BUDGET = 7_000_000
+
+#: Rounds and seed of the Monte-Carlo estimate returned past the budget.
+FALLBACK_ROUNDS = 200_000
+FALLBACK_SEED = 0
 
 #: A node's fixed cost (a call, two frozensets, the memo) in scanned words:
 #: about 6 us against about 0.02 us a word.
@@ -101,29 +101,22 @@ def cut_probability(
 
 
 def union_probability(
-    cuts: Sequence[frozenset[str]],
-    probabilities: Mapping[str, float],
-    method: str = "auto",
-    mc_rounds: int = 200_000,
-    seed: int = 0,
+    cuts: Sequence[frozenset[str]], probabilities: Mapping[str, float]
 ) -> float:
     """Probability that at least one cut fully fails.
+
+    The family is deduplicated and sorted by (size, members), so the bits
+    do not depend on input order, then goes to inclusion–exclusion up to
+    :data:`IE_CROSSOVER` sets and to :func:`_shannon_union` above.  Only
+    if that pass outgrows :data:`UNION_WORK_BUDGET` is the answer the
+    Monte-Carlo estimate of :data:`FALLBACK_ROUNDS` rounds drawn from
+    :data:`FALLBACK_SEED`.
 
     Args:
         cuts: Collection of cut sets (typically the minimal RGs); a cut is
             a collection of event names, never one string.
         probabilities: Failure probability per basic event, each in
             ``[0, 1]``; every event of every cut needs one.
-        method: ``"exact"`` (inclusion–exclusion), ``"monte-carlo"``,
-            ``"rare-event"`` (first-order upper bound ``sum Pr(ci)``),
-            ``"esary-proschan"`` (``1 - prod(1 - Pr(ci))``), or ``"auto"``,
-            which is exact: the family is deduplicated and sorted by (size,
-            members), so the bits do not depend on input order, then goes
-            to inclusion–exclusion up to :data:`IE_CROSSOVER` sets and to
-            :func:`_shannon_union` above.  Only if that pass outgrows
-            :data:`UNION_WORK_BUDGET` does ``auto`` return the
-            ``"monte-carlo"`` estimate for ``mc_rounds`` / ``seed``.
-        mc_rounds: Monte-Carlo rounds, an integer >= 1.
     """
     if isinstance(cuts, str):
         raise AnalysisError(f"cut sets must be a collection, not {cuts!r}")
@@ -137,32 +130,15 @@ def union_probability(
     if not cut_list:
         raise AnalysisError("cannot compute a union over zero cut sets")
     weights = _checked_weights(cut_list, probabilities)
-    check_count("mc_rounds", mc_rounds)
-    if method == "auto":
-        family = sorted(set(cut_list), key=lambda c: (len(c), sorted(c)))
-        if len(family) <= IE_CROSSOVER:
-            return _inclusion_exclusion(family, weights)
-        try:
-            return _shannon_union(family, weights)
-        except CutSetExplosion:
-            method = "monte-carlo"
-    if method == "exact":
-        if len(cut_list) > EXACT_LIMIT:
-            raise AnalysisError(
-                f"{len(cut_list)} cut sets exceed the exact inclusion-"
-                f"exclusion limit ({EXACT_LIMIT}); use method='monte-carlo'"
-            )
-        return _inclusion_exclusion(cut_list, weights)
-    if method == "monte-carlo":
-        return _monte_carlo_union(cut_list, weights, int(mc_rounds), seed)
-    if method == "rare-event":
-        return min(1.0, sum(cut_probability(c, weights) for c in cut_list))
-    if method == "esary-proschan":
-        prod = 1.0
-        for cut in cut_list:
-            prod *= 1.0 - cut_probability(cut, weights)
-        return 1.0 - prod
-    raise AnalysisError(f"unknown method {method!r}")
+    family = sorted(set(cut_list), key=lambda c: (len(c), sorted(c)))
+    if len(family) <= IE_CROSSOVER:
+        return _inclusion_exclusion(family, weights)
+    try:
+        return _shannon_union(family, weights)
+    except CutSetExplosion:
+        return _monte_carlo_union(
+            family, weights, FALLBACK_ROUNDS, FALLBACK_SEED
+        )
 
 
 def _checked_weights(
@@ -386,16 +362,10 @@ def _monte_carlo_union(
 
 
 def top_event_probability(
-    minimal_rgs: Sequence[frozenset[str]],
-    probabilities: Mapping[str, float],
-    method: str = "auto",
-    mc_rounds: int = 200_000,
-    seed: int = 0,
+    minimal_rgs: Sequence[frozenset[str]], probabilities: Mapping[str, float]
 ) -> float:
     """``Pr(T)`` from the minimal RG family (inclusion–exclusion, §4.1.3)."""
-    return union_probability(
-        minimal_rgs, probabilities, method=method, mc_rounds=mc_rounds, seed=seed
-    )
+    return union_probability(minimal_rgs, probabilities)
 
 
 def relative_importance(
@@ -409,77 +379,6 @@ def relative_importance(
             f"top-event probability must be in (0,1], got {top_probability}"
         )
     return cut_probability(cut, probabilities) / top_probability
-
-
-def tree_probability(graph: FaultGraph, top: Optional[str] = None) -> float:
-    """Exact bottom-up ``Pr(T)`` for *tree-shaped* weighted graphs.
-
-    Requires every event below the top to feed exactly one gate; shared
-    events would make bottom-up products wrong, so they raise instead of
-    silently computing a biased value (use the cut-set route or
-    :func:`graph_probability_sampled` for DAGs).
-    """
-    root = graph.top if top is None else top
-    below = graph.descendants(root)
-    shared = [n for n in below if len(graph.parents(n)) > 1]
-    if shared:
-        raise AnalysisError(
-            f"graph is not a tree (shared events, e.g. {sorted(shared)[:3]}); "
-            f"bottom-up probabilities would be biased"
-        )
-    values: dict[str, float] = {}
-    for name in graph.topological_order():
-        if name != root and name not in below:
-            continue
-        event = graph.event(name)
-        if event.is_basic:
-            if event.probability is None:
-                raise AnalysisError(f"basic event {name!r} has no probability")
-            values[name] = event.probability
-            continue
-        kid_probs = [values[c] for c in graph.children(name)]
-        if event.gate is GateType.OR:
-            alive = 1.0
-            for p in kid_probs:
-                alive *= 1.0 - p
-            values[name] = 1.0 - alive
-        elif event.gate is GateType.AND:
-            prob = 1.0
-            for p in kid_probs:
-                prob *= p
-            values[name] = prob
-        else:  # K_OF_N: Poisson-binomial tail via dynamic programming
-            k = graph.threshold(name)
-            dist = np.zeros(len(kid_probs) + 1)
-            dist[0] = 1.0
-            for p in kid_probs:
-                dist[1:] = dist[1:] * (1 - p) + dist[:-1] * p
-                dist[0] *= 1 - p
-            values[name] = float(dist[k:].sum())
-    return values[root]
-
-
-def graph_probability_sampled(
-    graph: FaultGraph,
-    rounds: int = 200_000,
-    seed: int = 0,
-    batch_size: int = 8192,
-) -> float:
-    """Monte-Carlo ``Pr(T)`` directly on the (possibly shared-node) graph."""
-    from repro.core.compile import CompiledGraph  # local: avoid cycle
-
-    compiled = CompiledGraph(graph)
-    probs = graph.probabilities()
-    weights = [probs[n] for n in compiled.basic_names]
-    rng = np.random.default_rng(seed)
-    failures = 0
-    remaining = rounds
-    while remaining > 0:
-        block = min(batch_size, remaining)
-        remaining -= block
-        draws = compiled.sample_failures(block, weights, rng)
-        failures += int(compiled.evaluate_batch(draws).sum())
-    return failures / rounds
 
 
 def expected_error_minhash(m: int) -> float:

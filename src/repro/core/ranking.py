@@ -99,19 +99,18 @@ def rank_by_probability(
     risk_groups: Sequence[frozenset[str]],
     probabilities: Mapping[str, float],
     top_probability: Optional[float] = None,
-    method: str = "auto",
 ) -> list[RankedRiskGroup]:
     """Rank RGs by descending relative importance (§4.1.3).
 
     Args:
         top_probability: Pre-computed ``Pr(T)``; computed from the RG
-            family by inclusion–exclusion (or Monte-Carlo) when omitted.
+            family by :func:`top_event_probability` when omitted.
     """
     if not risk_groups:
         raise AnalysisError("cannot rank an empty risk-group collection")
     if top_probability is None:
         top_probability = top_event_probability(
-            [frozenset(r) for r in risk_groups], probabilities, method=method
+            [frozenset(r) for r in risk_groups], probabilities
         )
     entries = []
     for rg in risk_groups:

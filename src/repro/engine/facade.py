@@ -592,12 +592,6 @@ class AuditEngine:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    def cache_info(self) -> dict:
-        return {
-            "graphs": self.cache.info(),
-            "audits": self._audits.info(),
-        }
-
     def info(self) -> dict:
         return {
             "workers": self.n_workers,

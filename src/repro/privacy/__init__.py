@@ -4,7 +4,6 @@ from repro.privacy.jaccard import (
     SIGNIFICANT_CORRELATION,
     is_significantly_correlated,
     jaccard,
-    jaccard_multiset,
 )
 from repro.privacy.ks import KSParty, KSProtocol, KSResult
 from repro.privacy.minhash import (
@@ -33,6 +32,5 @@ __all__ = [
     "estimate_jaccard",
     "is_significantly_correlated",
     "jaccard",
-    "jaccard_multiset",
     "minhash_signature",
 ]

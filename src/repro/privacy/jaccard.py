@@ -8,13 +8,12 @@ are nearly disjoint (independent); the paper adopts J >= 0.75 as the
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import AnalysisError
 
 __all__ = [
     "jaccard",
-    "jaccard_multiset",
     "SIGNIFICANT_CORRELATION",
     "is_significantly_correlated",
 ]
@@ -37,29 +36,6 @@ def jaccard(sets: Sequence[Iterable[str]]) -> float:
     intersection = frozenset.intersection(*frozen)
     union = frozenset.union(*frozen)
     return len(intersection) / len(union)
-
-
-def jaccard_multiset(multisets: Sequence[Mapping[str, int]]) -> float:
-    """Multiset Jaccard: min-counts over max-counts.
-
-    P-SOP handles duplicate elements by tagging occurrences (``e||1``,
-    ``e||2``, ...); this is the plaintext value that expansion computes.
-    """
-    if len(multisets) < 2:
-        raise AnalysisError("Jaccard needs at least two datasets")
-    keys: set[str] = set()
-    for ms in multisets:
-        if not ms:
-            raise AnalysisError("Jaccard over an empty dataset is undefined")
-        for element, count in ms.items():
-            if count < 1:
-                raise AnalysisError(
-                    f"multiset count must be >= 1, got {count} for {element!r}"
-                )
-        keys.update(ms)
-    inter = sum(min(ms.get(k, 0) for ms in multisets) for k in keys)
-    union = sum(max(ms.get(k, 0) for ms in multisets) for k in keys)
-    return inter / union
 
 
 def is_significantly_correlated(similarity: float) -> bool:

@@ -8,11 +8,9 @@ from repro.swinventory.stacks import (
     REGION_SIZES,
     STACKS,
     all_stack_packages,
-    expected_jaccard,
     software_records,
     stack_of,
     stack_packages,
-    verify_against_paper,
 )
 
 __all__ = [
@@ -23,9 +21,7 @@ __all__ = [
     "REGION_SIZES",
     "STACKS",
     "all_stack_packages",
-    "expected_jaccard",
     "software_records",
     "stack_of",
     "stack_packages",
-    "verify_against_paper",
 ]

@@ -118,8 +118,8 @@ class TestExecutorSeesCanonicalRequests:
                 audit=functools.partial(api.run_request, engine=engine),
             )
             first = agent.handle(lab_request())
-            assert engine.cache_info()["audits"]["hits"] == 0
+            assert engine.info()["audits"]["hits"] == 0
             again = agent.handle(lab_request())
-            assert engine.cache_info()["audits"]["hits"] == len(DEPLOYMENTS)
+            assert engine.info()["audits"]["hits"] == len(DEPLOYMENTS)
         assert again == first
         assert first == AuditingAgent(lab_sources).handle(lab_request())

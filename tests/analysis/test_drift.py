@@ -114,12 +114,12 @@ class TestDriftWithDeltaEngine:
         engine = AuditEngine()
         drift_report(snapshot_v1(), snapshot_v2_regressed(), self.SPEC,
                      engine=engine)
-        before_hits = engine.cache_info()["audits"]["hits"]
+        before_hits = engine.info()["audits"]["hits"]
         # Next period: v2 (already audited as "after") is now "before" —
         # both snapshots' structures are known, so zero new audits run.
         drift_report(snapshot_v2_regressed(), snapshot_v2_regressed(),
                      self.SPEC, engine=engine)
-        info = engine.cache_info()["audits"]
+        info = engine.info()["audits"]
         assert info["hits"] >= before_hits + 2
         assert info["misses"] == 2  # only the two cold audits ever ran
 

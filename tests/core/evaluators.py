@@ -13,13 +13,22 @@ The first two share no code with ``repro.core.probability`` or
   enumerating the joint distribution.
 
 The third, :func:`bdd_union`, is the bit-for-bit oracle: the BDD fold
-``union_probability(method="auto")`` used before its memoised Shannon
-recursion, which must return the same float, not just a close one.
+``union_probability`` used before its memoised Shannon recursion, which
+must return the same float, not just a close one.
 
 :func:`per_cut_monte_carlo_union` is the Monte-Carlo oracle: the
-simulation ``union_probability(method="monte-carlo")`` ran one cut at a
+simulation ``union_probability``'s over-budget estimate ran one cut at a
 time over the boolean draws before it evaluated cuts over packed round
 words.  Same draws, same hits, so the float must be ``==``.
+
+The named Pr(T) engines ``union_probability`` offered before it had one
+behaviour are references here: :func:`inclusion_exclusion_union` (the
+§4.1.3 specification, over the family as given, refused above
+:data:`EXACT_LIMIT` sets), :func:`rare_event_bound` and
+:func:`esary_proschan_union`.  So are the graph-side evaluators
+:func:`tree_probability` (bottom-up on trees), :func:`graph_probability_sampled`
+(Monte-Carlo on the compiled graph) and :func:`count_failure_states` (the
+diagram's model count).
 
 :func:`without_cut_sets` is the family oracle: Rauzy's minimal-solutions
 walk with his ``without`` operator, which filtered each high branch
@@ -32,17 +41,24 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro import FaultGraph
+from repro import FaultGraph, GateType
+from repro.core import probability
 from repro.core.bdd import BDD, ONE, ZERO, compile_graph
+from repro.core.compile import CompiledGraph
 from repro.core.probability import cut_probability
+from repro.errors import AnalysisError
 
 #: Decision nodes the fold may allocate before :class:`CutSetExplosion`:
 #: tripping it cost ~0.4 s, about one 200 000-round estimate.
 BDD_NODE_BUDGET = 100_000
+
+#: Above this many cut sets, :func:`inclusion_exclusion_union` (2^n terms)
+#: is refused.
+EXACT_LIMIT = 20
 
 
 def brute_force_union(
@@ -238,3 +254,124 @@ def without_cut_sets(
     bdd = compile_graph(graph)
     bdd._minsol_cache[bdd.root] = without_minimal_solutions(bdd)
     return bdd.minimal_cut_sets(max_order=max_order)
+
+
+def inclusion_exclusion_union(
+    cuts: Sequence[frozenset[str]], probabilities: Mapping[str, float]
+) -> float:
+    """Inclusion-exclusion over ``cuts`` as given (the §4.1.3 formula)."""
+    if len(cuts) > EXACT_LIMIT:
+        raise AnalysisError(
+            f"{len(cuts)} cut sets exceed the exact inclusion-exclusion "
+            f"limit ({EXACT_LIMIT})"
+        )
+    return probability._inclusion_exclusion(list(cuts), probabilities)
+
+
+def rare_event_bound(
+    cuts: Sequence[frozenset[str]], probabilities: Mapping[str, float]
+) -> float:
+    """First-order upper bound ``min(1, sum Pr(c))``."""
+    return min(1.0, sum(cut_probability(c, probabilities) for c in cuts))
+
+
+def esary_proschan_union(
+    cuts: Sequence[frozenset[str]], probabilities: Mapping[str, float]
+) -> float:
+    """``1 - prod(1 - Pr(c))``: an upper bound, exact for disjoint cuts."""
+    return 1.0 - math.prod(1.0 - cut_probability(c, probabilities) for c in cuts)
+
+
+def count_failure_states(bdd: BDD) -> int:
+    """Number of assignments that fail the top event (model count).
+
+    This is the quantity SAT-based counters like ApproxCount
+    estimate; with a BDD it is exact and linear.
+    """
+    var, low, high = bdd._var, bdd._low, bdd._high
+    cache: dict[int, int] = {ZERO: 0, ONE: 1}
+
+    def walk(node_id: int) -> int:
+        if node_id in cache:
+            return cache[node_id]
+        level, lo, hi = var[node_id], low[node_id], high[node_id]
+        count = (walk(lo) << (var[lo] - level - 1)) + (
+            walk(hi) << (var[hi] - level - 1)
+        )
+        cache[node_id] = count
+        return count
+
+    try:
+        with bdd._recursion_headroom():
+            return walk(bdd.root) << var[bdd.root]
+    finally:
+        walk = None
+
+
+def tree_probability(graph: FaultGraph, top: Optional[str] = None) -> float:
+    """Exact bottom-up ``Pr(T)`` for *tree-shaped* weighted graphs.
+
+    Requires every event below the top to feed exactly one gate; shared
+    events would make bottom-up products wrong, so they raise instead of
+    silently computing a biased value (use the cut-set route or
+    :func:`graph_probability_sampled` for DAGs).
+    """
+    root = graph.top if top is None else top
+    below = graph.descendants(root)
+    shared = [n for n in below if len(graph.parents(n)) > 1]
+    if shared:
+        raise AnalysisError(
+            f"graph is not a tree (shared events, e.g. {sorted(shared)[:3]}); "
+            f"bottom-up probabilities would be biased"
+        )
+    values: dict[str, float] = {}
+    for name in graph.topological_order():
+        if name != root and name not in below:
+            continue
+        event = graph.event(name)
+        if event.is_basic:
+            if event.probability is None:
+                raise AnalysisError(f"basic event {name!r} has no probability")
+            values[name] = event.probability
+            continue
+        kid_probs = [values[c] for c in graph.children(name)]
+        if event.gate is GateType.OR:
+            alive = 1.0
+            for p in kid_probs:
+                alive *= 1.0 - p
+            values[name] = 1.0 - alive
+        elif event.gate is GateType.AND:
+            prob = 1.0
+            for p in kid_probs:
+                prob *= p
+            values[name] = prob
+        else:  # K_OF_N: Poisson-binomial tail via dynamic programming
+            k = graph.threshold(name)
+            dist = np.zeros(len(kid_probs) + 1)
+            dist[0] = 1.0
+            for p in kid_probs:
+                dist[1:] = dist[1:] * (1 - p) + dist[:-1] * p
+                dist[0] *= 1 - p
+            values[name] = float(dist[k:].sum())
+    return values[root]
+
+
+def graph_probability_sampled(
+    graph: FaultGraph,
+    rounds: int = 200_000,
+    seed: int = 0,
+    batch_size: int = 8192,
+) -> float:
+    """Monte-Carlo ``Pr(T)`` directly on the (possibly shared-node) graph."""
+    compiled = CompiledGraph(graph)
+    probs = graph.probabilities()
+    weights = [probs[n] for n in compiled.basic_names]
+    rng = np.random.default_rng(seed)
+    failures = 0
+    remaining = rounds
+    while remaining > 0:
+        block = min(batch_size, remaining)
+        remaining -= block
+        draws = compiled.sample_failures(block, weights, rng)
+        failures += int(compiled.evaluate_batch(draws).sum())
+    return failures / rounds

@@ -238,19 +238,18 @@ class TestBudgetTrip:
         )
         assert len(memo) == 2
 
-    def test_auto_returns_the_monte_carlo_value(self):
-        value = probability.union_probability(
-            self.CUTS, self.PROBS, mc_rounds=4_096, seed=5
-        )
-        assert value == probability.union_probability(
-            self.CUTS, self.PROBS, method="monte-carlo", mc_rounds=4_096, seed=5
+    def test_auto_returns_the_monte_carlo_value(self, monkeypatch):
+        monkeypatch.setattr(probability, "FALLBACK_ROUNDS", 4_096)
+        monkeypatch.setattr(probability, "FALLBACK_SEED", 5)
+        value = probability.union_probability(self.CUTS, self.PROBS)
+        assert value == evaluators.per_cut_monte_carlo_union(
+            self.CUTS, self.PROBS, 4_096, 5
         )
         assert value.hex() == "0x1.7c00000000000p-3"
 
-    def test_auto_returns_the_seed_zero_estimate(self):
-        value = probability.union_probability(
-            self.CUTS, self.PROBS, mc_rounds=4_096, seed=0
-        )
+    def test_auto_returns_the_seed_zero_estimate(self, monkeypatch):
+        monkeypatch.setattr(probability, "FALLBACK_ROUNDS", 4_096)
+        value = probability.union_probability(self.CUTS, self.PROBS)
         assert value.hex() == "0x1.7c80000000000p-3"
 
     def test_exact_past_the_budget(self, monkeypatch):

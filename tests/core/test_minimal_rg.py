@@ -157,15 +157,11 @@ class TestMinimalRiskGroups:
 class TestMethodFrontDoor:
     def test_routes_agree(self, deep_graph):
         reference = minimal_risk_groups(deep_graph, method="mocus")
-        assert minimal_risk_groups(deep_graph, method="bdd") == reference
         assert minimal_risk_groups(deep_graph, method="auto") == reference
 
     def test_routes_agree_on_subtop(self, deep_graph):
         reference = minimal_risk_groups(deep_graph, top="S1", method="mocus")
-        assert (
-            minimal_risk_groups(deep_graph, top="S1", method="bdd")
-            == reference
-        )
+        assert minimal_risk_groups(deep_graph, top="S1") == reference
 
     def test_routes_agree_on_pure_or(self):
         """``auto`` is the diagram on every graph; pure-OR ones, where
@@ -175,7 +171,6 @@ class TestMethodFrontDoor:
             reference = minimal_risk_groups(g, method="mocus")
             assert len(reference) == width
             assert minimal_risk_groups(g) == reference
-            assert minimal_risk_groups(g, method="bdd") == reference
 
     def test_wide_or_compiles_in_linear_nodes(self):
         """A gate's children fold from the last operand down: 2n-1
@@ -192,10 +187,7 @@ class TestMethodFrontDoor:
         reference = minimal_risk_groups(
             deep_graph, max_order=2, method="mocus"
         )
-        assert (
-            minimal_risk_groups(deep_graph, max_order=2, method="bdd")
-            == reference
-        )
+        assert minimal_risk_groups(deep_graph, max_order=2) == reference
 
     def test_bdd_route_honours_max_groups(self):
         g = FaultGraph()
@@ -206,7 +198,7 @@ class TestMethodFrontDoor:
             branches.append(g.add_gate(f"or{i}", GateType.OR, [left, right]))
         g.add_gate("top", GateType.AND, branches, top=True)
         with pytest.raises(CutSetExplosion):
-            minimal_risk_groups(g, max_groups=10, method="bdd")
+            minimal_risk_groups(g, max_groups=10)
 
     def test_adversarial_ordering_raises_not_hangs(self):
         """AND of ORs with all left leaves declared before all right
@@ -267,7 +259,7 @@ class TestKOfNExplosionGuard:
     def test_roomy_cap_still_succeeds(self):
         g = self.hostile_graph(branches=4, fanout=2)
         groups = minimal_risk_groups(g, max_groups=10_000, method="mocus")
-        assert groups == minimal_risk_groups(g, method="bdd")
+        assert groups == minimal_risk_groups(g)
         assert all(is_minimal_risk_group(g, rg) for rg in groups)
 
 

@@ -14,10 +14,8 @@ from repro.core.bdd import compile_graph
 from repro.core.probability import (
     cut_probability,
     expected_error_minhash,
-    graph_probability_sampled,
     relative_importance,
     top_event_probability,
-    tree_probability,
     union_probability,
 )
 from repro.depdb import DepDB
@@ -25,7 +23,16 @@ from repro.errors import AnalysisError
 from repro.failures import uniform_weigher
 from repro.topology import FatTreeConfig, fat_tree
 from tests.analysis.test_golden_figures import fig7_graph, fig9_sets
-from tests.core.evaluators import bn_top_probability, brute_force_union
+from tests.core.evaluators import (
+    EXACT_LIMIT,
+    bn_top_probability,
+    brute_force_union,
+    esary_proschan_union,
+    graph_probability_sampled,
+    per_cut_monte_carlo_union,
+    rare_event_bound,
+    tree_probability,
+)
 
 CUTS_4B = [frozenset({"A2"}), frozenset({"A1", "A3"})]
 
@@ -52,23 +59,29 @@ class TestUnionProbability:
         )
 
     def test_monte_carlo_agrees(self, figure_4b_probs):
-        estimate = union_probability(
-            CUTS_4B, figure_4b_probs, method="monte-carlo", mc_rounds=200_000
+        """The estimate returned past the work budget, at its rounds and
+        seed."""
+        estimate = probability._monte_carlo_union(
+            CUTS_4B,
+            figure_4b_probs,
+            probability.FALLBACK_ROUNDS,
+            probability.FALLBACK_SEED,
         )
         assert estimate == pytest.approx(0.224, abs=0.01)
 
     def test_rare_event_upper_bound(self, figure_4b_probs):
-        bound = union_probability(CUTS_4B, figure_4b_probs, method="rare-event")
+        bound = rare_event_bound(CUTS_4B, figure_4b_probs)
         assert bound == pytest.approx(0.23)
-        assert bound >= 0.224
+        assert bound >= union_probability(CUTS_4B, figure_4b_probs)
 
     def test_esary_proschan_bound(self, figure_4b_probs):
-        bound = union_probability(
-            CUTS_4B, figure_4b_probs, method="esary-proschan"
-        )
+        bound = esary_proschan_union(CUTS_4B, figure_4b_probs)
         # 1 - (1-0.2)(1-0.03) = 0.224; equals exact here because the two
         # cuts share no events.
         assert bound == pytest.approx(0.224)
+        assert bound == pytest.approx(
+            union_probability(CUTS_4B, figure_4b_probs), abs=1e-15
+        )
 
     def test_overlapping_cuts_inclusion_exclusion(self):
         probs = {"a": 0.5, "b": 0.5}
@@ -76,16 +89,10 @@ class TestUnionProbability:
         # Union = Pr(a) since second cut implies the first.
         assert union_probability(cuts, probs) == pytest.approx(0.5)
 
-    def test_exact_refused_beyond_limit(self):
-        probs = {f"e{i}": 0.01 for i in range(30)}
-        cuts = [frozenset({f"e{i}"}) for i in range(30)]
-        with pytest.raises(AnalysisError, match="exceed"):
-            union_probability(cuts, probs, method="exact")
-
     def test_auto_is_exact_beyond_the_limit(self):
         probs = {f"e{i}": 0.01 for i in range(30)}
         cuts = [frozenset({f"e{i}"}) for i in range(30)]
-        value = union_probability(cuts, probs, mc_rounds=50_000, seed=1)
+        value = union_probability(cuts, probs)
         exact = 1 - 0.99**30
         assert value == pytest.approx(exact, abs=1e-12)
 
@@ -99,10 +106,6 @@ class TestUnionProbability:
     def test_empty_cuts_rejected(self):
         with pytest.raises(AnalysisError):
             union_probability([], {})
-
-    def test_unknown_method(self, figure_4b_probs):
-        with pytest.raises(AnalysisError, match="unknown method"):
-            union_probability(CUTS_4B, figure_4b_probs, method="zzz")
 
 
 def random_family(rng: random.Random, n_sets: int, n_events: int = 14):
@@ -169,12 +172,15 @@ class TestExactAuto:
         ]
         probs = {event: 0.99 for cut in cuts for event in cut}
         assert union_probability(cuts, probs) == pytest.approx(
-            union_probability(cuts, probs, method="esary-proschan"), abs=1e-12
+            esary_proschan_union(cuts, probs), abs=1e-12
         )
 
-    def test_old_estimator_brackets_the_exact_value(self, fat_tree_pairs):
-        """The 200 000-round estimate ``auto`` used to return lies within
-        its own 99% interval of the value ``auto`` returns now."""
+    def test_old_estimator_brackets_the_exact_value(
+        self, fat_tree_pairs, monkeypatch
+    ):
+        """The 200 000-round estimate ``auto`` used to return above
+        ``EXACT_LIMIT`` sets, and still returns past the work budget, lies
+        within its own 99% interval of the exact value."""
         fig9 = fig9_sets()
         families = {
             "fat-tree k=12": minimal_risk_groups(fat_tree_pairs[0]),
@@ -184,20 +190,26 @@ class TestExactAuto:
             ],
         }
         for name, cuts in families.items():
-            assert len(cuts) > probability.EXACT_LIMIT, name
+            assert len(cuts) > EXACT_LIMIT, name
             probs = {e: 0.1 for cut in cuts for e in cut}
             exact = union_probability(cuts, probs)
-            estimate = union_probability(cuts, probs, method="monte-carlo")
-            half_width = 2.58 * math.sqrt(exact * (1.0 - exact) / 200_000)
+            with monkeypatch.context() as patch:
+                patch.setattr(probability, "UNION_WORK_BUDGET", 0)
+                estimate = union_probability(cuts, probs)
+            rounds = probability.FALLBACK_ROUNDS
+            half_width = 2.58 * math.sqrt(exact * (1.0 - exact) / rounds)
             assert abs(estimate - exact) <= half_width, name
 
     def test_node_budget_falls_back_to_the_named_estimator(self, monkeypatch):
+        """Past the budget ``auto`` returns what the estimator once named
+        ``monte-carlo`` returns: the per-cut scan at the module's rounds
+        and seed, ``==`` on floats."""
         cuts, probs = random_family(random.Random(5), 40)
         monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 8)
-        assert union_probability(
-            cuts, probs, mc_rounds=3_000, seed=11
-        ) == union_probability(
-            cuts, probs, method="monte-carlo", mc_rounds=3_000, seed=11
+        monkeypatch.setattr(probability, "FALLBACK_ROUNDS", 3_000)
+        monkeypatch.setattr(probability, "FALLBACK_SEED", 11)
+        assert union_probability(cuts, probs) == per_cut_monte_carlo_union(
+            cuts, probs, 3_000, 11
         )
 
     def test_budget_trip_pin_at_the_defaults(self, monkeypatch):
@@ -220,17 +232,22 @@ class TestExactAuto:
 
 
 class TestInputChecks:
-    """Every method checks each weight once, refuses a string where a cut
-    or a family belongs, and takes only an integer round count."""
+    """Each weight is checked once, before the family takes a route, and a
+    string is refused where a cut or a family belongs."""
 
-    METHODS = ("auto", "exact", "monte-carlo", "rare-event", "esary-proschan")
-
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("route", ["auto", "monte-carlo"])
     @pytest.mark.parametrize("weight", [1.5, -0.1, float("nan"), "high"])
-    def test_bad_weight_names_the_event(self, method, weight):
-        probs = {"A1": 0.1, "A2": weight, "A3": 0.3}
+    def test_bad_weight_names_the_event(self, route, weight, monkeypatch):
+        """``auto`` takes the two cuts by inclusion-exclusion; the
+        ``monte-carlo`` family has ten more cuts and no work budget, so it
+        would take the estimate."""
+        cuts, probs = list(CUTS_4B), {"A1": 0.1, "A2": weight, "A3": 0.3}
+        if route == "monte-carlo":
+            cuts += [frozenset({f"x{i}"}) for i in range(10)]
+            probs |= {f"x{i}": 0.1 for i in range(10)}
+            monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 0)
         with pytest.raises(AnalysisError, match="'A2'"):
-            union_probability(CUTS_4B, probs, method=method, mc_rounds=100)
+            union_probability(cuts, probs)
 
     @pytest.mark.parametrize("weight", [1.5, -0.1, float("nan")])
     def test_bad_weight_on_the_diagram_path(self, weight):
@@ -248,18 +265,10 @@ class TestInputChecks:
         with pytest.raises(AnalysisError, match="'ab'"):
             union_probability("ab", probs)
 
-    @pytest.mark.parametrize("rounds", [2.5, True, "10"])
-    def test_round_count_must_be_an_integer(self, rounds):
-        with pytest.raises(AnalysisError, match="mc_rounds"):
-            union_probability(
-                CUTS_4B, {"A1": 0.1, "A2": 0.2, "A3": 0.3},
-                method="monte-carlo", mc_rounds=rounds,
-            )
-
     def test_weights_of_zero_and_one_are_valid(self):
         probs = {"A1": 1.0, "A2": 0.0, "A3": 1}
         assert union_probability(CUTS_4B, probs) == 1.0
-        assert union_probability(CUTS_4B, probs, method="monte-carlo") == 1.0
+        assert probability._monte_carlo_union(CUTS_4B, probs, 1_000, 0) == 1.0
 
 
 class TestBayesianNetworkEvaluator:

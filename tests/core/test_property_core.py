@@ -96,7 +96,6 @@ def test_minimal_rg_family_is_antichain(graph):
 def test_diagram_route_equals_the_mocus_specification(graph):
     reference = minimal_risk_groups(graph, method="mocus")
     assert minimal_risk_groups(graph) == reference
-    assert minimal_risk_groups(graph, method="bdd") == reference
 
 
 @settings(max_examples=80, deadline=None)
@@ -211,10 +210,9 @@ def test_minimise_family_antichain_and_coverage(family):
     ),
 )
 def test_inclusion_exclusion_matches_monte_carlo(cuts, probs):
-    exact = union_probability(cuts, probs, method="exact")
-    estimate = union_probability(
-        cuts, probs, method="monte-carlo", mc_rounds=60_000, seed=3
-    )
+    """Six cuts at most: ``auto`` takes them by inclusion-exclusion."""
+    exact = union_probability(cuts, probs)
+    estimate = probability._monte_carlo_union(cuts, probs, 60_000, 3)
     assert abs(exact - estimate) < 0.02
 
 
@@ -265,9 +263,7 @@ def test_packed_monte_carlo_is_the_per_cut_scan(cuts, probs, rounds, seed, cells
     """``cells`` puts a boundary between steps after every cut, every few
     cuts, or past a 30-cut family."""
     with mock.patch.object(probability, "_CHUNK_CELLS", cells):
-        value = union_probability(
-            cuts, probs, method="monte-carlo", mc_rounds=rounds, seed=seed
-        )
+        value = probability._monte_carlo_union(cuts, probs, rounds, seed)
     assert value == evaluators.per_cut_monte_carlo_union(
         cuts, probs, rounds, seed
     )
@@ -285,17 +281,15 @@ def test_packed_monte_carlo_counts_every_cut_of_every_step(rounds, cells):
         f"f{i}": 0.5 for i in range(16)
     }
     with mock.patch.object(probability, "_CHUNK_CELLS", cells):
-        value = union_probability(
-            cuts, probs, method="monte-carlo", mc_rounds=rounds, seed=3
-        )
+        value = probability._monte_carlo_union(cuts, probs, rounds, 3)
     assert value == evaluators.per_cut_monte_carlo_union(cuts, probs, rounds, 3)
 
 
 def test_monte_carlo_counts_an_empty_cut_in_every_round():
     """The per-cut scan indexed the draws with an empty float array and
     raised ``IndexError``; the packed estimate is exact here."""
-    assert union_probability(
-        [frozenset({"a"}), frozenset()], {"a": 0.1}, method="monte-carlo"
+    assert probability._monte_carlo_union(
+        [frozenset({"a"}), frozenset()], {"a": 0.1}, 1_000, 0
     ) == 1.0
 
 

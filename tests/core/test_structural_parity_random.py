@@ -68,17 +68,15 @@ def random_cases():
 @pytest.mark.parametrize("graph", random_cases())
 def test_bdd_mocus_and_auto_families_are_bit_identical(graph):
     mocus = minimal_risk_groups(graph, method="mocus")
-    bdd_route = minimal_risk_groups(graph, method="bdd")
     auto = minimal_risk_groups(graph)
     direct = compile_graph(graph).minimal_cut_sets()
-    assert bdd_route == mocus
     assert auto == mocus
     assert direct == mocus
 
 
 @pytest.mark.parametrize("graph", random_cases())
 def test_families_pass_the_minimality_oracle(graph):
-    groups = minimal_risk_groups(graph, method="bdd")
+    groups = minimal_risk_groups(graph)
     for group in groups:
         assert is_minimal_risk_group(graph, group)
     # Spot-check the complement: growing a group keeps it a (non-minimal)
@@ -132,7 +130,7 @@ def test_fold_direction_changes_no_bit(graph, monkeypatch):
 def test_truncated_families_agree(graph):
     for order in (1, 2):
         assert minimal_risk_groups(
-            graph, max_order=order, method="bdd"
+            graph, max_order=order
         ) == minimal_risk_groups(graph, max_order=order, method="mocus")
 
 

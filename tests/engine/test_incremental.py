@@ -157,7 +157,7 @@ class TestCachedSampling:
             AuditEngine._run_plan
         ).parameters
         engine = AuditEngine()
-        assert set(engine.cache_info()) == {"graphs", "audits"}
+        assert {"cache", "audits"} <= set(engine.info())
         result = engine.sample(deep_graph, 2_000, seed=0)
         assert "incremental" not in result.metadata
 
@@ -384,7 +384,7 @@ class TestAuditDelta:
         engine = AuditEngine()
         engine.audit_spec(depdb, spec)
         engine.audit_spec(depdb, spec)
-        assert engine.cache_info()["audits"]["entries"] == 0
+        assert engine.info()["audits"]["entries"] == 0
         job = AuditJob(depdb=depdb, spec=spec)
         outcome = engine.audit_delta([job], [job])
         assert outcome.recomputed == ("P0 & P1",)

@@ -7,8 +7,8 @@ from repro.privacy import (
     SIGNIFICANT_CORRELATION,
     is_significantly_correlated,
     jaccard,
-    jaccard_multiset,
 )
+from tests.privacy.oracles import jaccard_multiset
 
 
 class TestJaccard:

@@ -6,11 +6,8 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.privacy import PIAAuditor
-from repro.swinventory import (
-    CLOUDS,
-    all_stack_packages,
-    expected_jaccard,
-)
+from repro.swinventory import CLOUDS, all_stack_packages
+from tests.swinventory.oracles import expected_jaccard
 
 SMALL_SETS = {
     "P1": ["a", "b", "c", "shared"],

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import SharedGroup
 from repro.errors import ProtocolError
-from repro.privacy import PSOPParty, PSOPProtocol, jaccard, jaccard_multiset
+from repro.privacy import PSOPParty, PSOPProtocol, jaccard
+from tests.privacy.oracles import jaccard_multiset
 
 
 @pytest.fixture(scope="module")

@@ -10,13 +10,16 @@ from repro.swinventory import (
     REGION_SIZES,
     STACKS,
     all_stack_packages,
-    expected_jaccard,
     software_records,
     stack_of,
     stack_packages,
+)
+from tests.swinventory.oracles import (
+    expected_jaccard,
+    paper_rankings,
+    region_census,
     verify_against_paper,
 )
-from repro.swinventory.stacks import paper_rankings, region_census
 
 #: The analytic Jaccard of every Table-2 combination, as its intersection
 #: and union region totals: the same integer division, so ``==`` holds.

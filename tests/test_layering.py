@@ -15,7 +15,7 @@ fooled by import order or by a cycle that happens to resolve.
 * The Figure-1 roles in ``agents/`` own no audit driver.
 * Worker processes come from one module.
 * Every public top-level name has a caller in ``src/``, ``benchmarks/``
-  or ``examples/``, or is a test oracle with a line in ``ISLANDS``.
+  or ``examples/``: a test oracle lives with the tests, not in ``src/``.
 * ``import repro`` does not import NetworkX: only the two
   ``to_networkx`` exporters use it, and they import it when called.
 * Results carry no wall-clock: ``elapsed_seconds`` is spelled only on
@@ -65,28 +65,6 @@ LAYERS = {
 UPWARD_LOCAL_IMPORTS = {
     # FailureSampler fronts the engine's plan -> run -> merge.
     ("core/sampling.py", "engine"),
-}
-
-#: Public top-level names nothing in src/, benchmarks/ or examples/ uses
-#: -> the tests each is the oracle of.  Both directions fail: a new
-#: caller-less name, and a line left behind after its name gained a
-#: caller or was deleted; and a name that is not a test oracle has no
-#: place here (it gains a caller or leaves the tree).
-ISLANDS = {
-    "repro.core.probability.tree_probability":
-        "oracle of the probability tests: exact Pr(T) of tree-shaped graphs",
-    "repro.core.probability.graph_probability_sampled":
-        "oracle of the probability tests: Monte-Carlo Pr(T) on the graph",
-    "repro.privacy.jaccard.jaccard_multiset":
-        "oracle of test_psop.py: the plaintext multiset Jaccard of P-SOP",
-    "repro.swinventory.stacks.expected_jaccard":
-        "oracle of the PIA and stacks tests: analytic Table-2 Jaccard",
-    "repro.swinventory.stacks.paper_rankings":
-        "oracle of the stacks tests: Table 2's rankings as printed",
-    "repro.swinventory.stacks.region_census":
-        "oracle of the stacks tests: per-cloud set sizes of Table 2",
-    "repro.swinventory.stacks.verify_against_paper":
-        "oracle of the stacks tests: the Table-2 reconstruction holds",
 }
 
 
@@ -236,7 +214,7 @@ def test_every_public_name_has_a_caller():
             **parse((REPO / "examples").rglob("*.py")),
         }.items()
     }
-    islands = set()
+    caller_less = set()
     for path, tree in modules.items():
         module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
         body_uses = [referenced_names(node) for node in tree.body]
@@ -256,16 +234,8 @@ def test_every_public_name_has_a_caller():
                 if other != path
             )
             if not (used_at_home or used_elsewhere):
-                islands.add(f"{module}.{node.name}")
-    assert islands == set(ISLANDS)
-
-
-def test_islands_are_only_oracles():
-    assert [
-        name
-        for name, reason in ISLANDS.items()
-        if not reason.startswith("oracle of ")
-    ] == []
+                caller_less.add(f"{module}.{node.name}")
+    assert caller_less == set()
 
 
 def test_import_repro_leaves_networkx_unloaded():
