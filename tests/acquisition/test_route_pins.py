@@ -5,17 +5,21 @@ written one record per line (``src``, ``dst`` and the comma-joined route,
 tab-separated) in the order the collector yields them.  The values were
 taken while routes still came from NetworkX's ``all_shortest_paths``, so
 any change to route enumeration that moves a route, drops one or
-reorders the stream fails here.
+reorders the stream fails here.  The ``cold_sampling_seed1_op*``
+entries, the perf ledger's cold audits, were taken later, while the
+collector still ran one breadth-first search per server.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 from repro.acquisition import NetworkDependencyCollector
 from repro.topology import (
+    TOPOLOGY_A,
     FatTreeConfig,
     benson_datacenter,
     fat_tree,
@@ -44,6 +48,24 @@ def cross_pod(ports: int):
     return NetworkDependencyCollector(topology, servers=servers, dst=dst)
 
 
+def cold_servers(seed: int, i: int) -> tuple[str, ...]:
+    """The three servers of the perf ledger's ``cold_sampling`` op ``i``
+    (``benchmarks/e2e/workloads.py::cold_inputs``): one per pod, three
+    pods of topology A."""
+    rng = random.Random(f"cold_sampling/{seed}/{i}")
+    half = TOPOLOGY_A.ports // 2
+    return tuple(
+        f"srv-p{pod}-t{rng.randrange(half)}-{rng.randrange(half)}"
+        for pod in rng.sample(range(TOPOLOGY_A.pods), 3)
+    )
+
+
+def cold_op(i: int):
+    return NetworkDependencyCollector(
+        fat_tree(TOPOLOGY_A), servers=cold_servers(1, i)
+    )
+
+
 COLLECTORS = {
     "lab_cloud": lambda: NetworkDependencyCollector(lab_cloud()),
     "storage_sample": lambda: NetworkDependencyCollector(storage_sample()),
@@ -58,6 +80,9 @@ COLLECTORS = {
     ),
     "fat_tree_k4_cross_pod": lambda: cross_pod(4),
     "fat_tree_k8_cross_pod": lambda: cross_pod(8),
+    "cold_sampling_seed1_op0": lambda: cold_op(0),
+    "cold_sampling_seed1_op1": lambda: cold_op(1),
+    "cold_sampling_seed1_op2": lambda: cold_op(2),
 }
 
 PINNED = {
@@ -88,6 +113,18 @@ PINNED = {
     "fat_tree_k8_cross_pod": (
         1792,
         "01daa5ef9e5f112a958b5360a53997015b9fbf69c00cce63c09cd43d81de64e3",
+    ),
+    "cold_sampling_seed1_op0": (
+        192,
+        "f9550235fa6baa7334f7f5d06543e25a16ef152d511f8afa4249c77427c34137",
+    ),
+    "cold_sampling_seed1_op1": (
+        192,
+        "5fdfe1980a4e35b2c73b106fd1500a01ec2b0c0edd57a4c7965dff9680db3f20",
+    ),
+    "cold_sampling_seed1_op2": (
+        192,
+        "b567154dfc9d4a62450849911c2f6d9772178c63e4dd1cfa493586b83c1ac8c5",
     ),
 }
 

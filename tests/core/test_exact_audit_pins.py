@@ -43,6 +43,7 @@ from repro.core.importance import (
     fussell_vesely_importance,
 )
 from repro.core.minimal_rg import CutSetExplosion
+from repro.core.ranking import RankingMethod
 from repro.depdb import DepDB
 from repro.engine import AuditEngine
 from repro.failures import uniform_weigher
@@ -152,7 +153,7 @@ class TestTopologyAFamily:
     """Three servers, one per pod, on a k=16 fat tree: 94 components."""
 
     @pytest.fixture(scope="class")
-    def graph(self):
+    def deployment(self):
         tree = FatTreeConfig(ports=16)
         rng = random.Random("reach/16")
         half = tree.ports // 2
@@ -164,7 +165,37 @@ class TestTopologyAFamily:
         NetworkDependencyCollector(
             fat_tree(tree), servers=servers
         ).adapt_into(depdb)
-        return build_dependency_graph(depdb, servers)
+        return depdb, servers
+
+    @pytest.fixture(scope="class")
+    def graph(self, deployment):
+        return build_dependency_graph(*deployment)
+
+    def test_exact_audit_is_pinned(self, deployment):
+        """The paper's default audit of this deployment: its family of
+        4 854 minimal RGs outgrows ``UNION_WORK_BUDGET``."""
+        depdb, servers = deployment
+        report = repro.audit(
+            depdb.dumps(),
+            servers,
+            engine=AuditEngine(n_workers=1),
+            algorithm="minimal",
+            ranking="probability",
+            probability=0.1,
+        )
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        audit = SIAAuditor(
+            depdb, weigher=uniform_weigher(0.1)
+        ).audit_deployment(
+            AuditSpec(
+                deployment=" & ".join(servers),
+                servers=servers,
+                ranking=RankingMethod.PROBABILITY,
+            )
+        )
+        assert (audit.failure_probability.hex(), audit.notes, digest) == (
+            TOPOLOGY_A_AUDIT
+        )
 
     def test_minimal_rgs_are_pinned(self, graph):
         bdd = compile_graph(graph)
@@ -176,6 +207,14 @@ class TestTopologyAFamily:
         assert allocated(bdd) == 26528
 
 
+#: Pr(T) and report bytes of the three-way exact audit: the seeded
+#: Monte-Carlo estimate ``union_probability`` falls back to past the
+#: budget, 8.0% below the diagram's 0.006859000877230672.
+TOPOLOGY_A_AUDIT = (
+    "0x1.9d883ba3443d4p-8",
+    [],
+    "ddc58ec64e02def25452dc311c175e99e413693f1641f9b0222cc84b699ee33b",
+)
 TOPOLOGY_A_FAMILY_SHA256 = (
     "876b168c9464d45be2576bfcd75636ee3625346e021d1c68481c2352a0cef8e4"
 )

@@ -74,6 +74,65 @@ def layered_graph() -> FaultGraph:
     return g
 
 
+def fat_tree_shaped_graph(top_k: int = 3) -> FaultGraph:
+    """Three servers, each the AND of its four (tor, agg, core) route ORs,
+    under a ``top_k``-of-3 top (3: an AND).  Each server's ToR feeds all
+    four children of its AND, each aggregation switch two of them, and
+    every core one route of every server."""
+    g = FaultGraph(f"fat-tree-shaped-{top_k}")
+    cores = [g.add_basic_event(f"core{a}{j}") for a in range(2) for j in range(2)]
+    servers = []
+    for s in range(3):
+        tor = g.add_basic_event(f"tor{s}")
+        aggs = [g.add_basic_event(f"agg{s}{a}") for a in range(2)]
+        routes = [
+            g.add_gate(f"route{s}{a}{j}", GateType.OR, [tor, aggs[a], cores[2 * a + j]])
+            for a in range(2)
+            for j in range(2)
+        ]
+        servers.append(g.add_gate(f"server{s}", GateType.AND, routes))
+    if top_k == 3:
+        g.add_gate("top", GateType.AND, servers, top=True)
+    else:
+        g.add_gate("top", GateType.K_OF_N, servers, k=top_k, top=True)
+    return g
+
+
+@st.composite
+def shared_child_graphs(draw) -> FaultGraph:
+    """:func:`fault_graphs` under a new AND or k-of-n top whose children
+    are the old top and some of its gates: one event then feeds several
+    children of the new gate."""
+    graph = draw(fault_graphs())
+    gates = [n for n in graph.topological_order() if not graph.is_basic(n)]
+    extra = draw(st.lists(st.sampled_from(gates), min_size=1, max_size=3))
+    kids = list(dict.fromkeys([graph.top, *extra]))
+    if draw(st.booleans()):
+        graph.add_gate("SHARED", GateType.AND, kids, top=True)
+    else:
+        k = draw(st.integers(1, len(kids)))
+        graph.add_gate("SHARED", GateType.K_OF_N, kids, k=k, top=True)
+    graph.validate()
+    return graph
+
+
+def assert_matches_the_boolean_loop(compiled, cuts, seed) -> np.ndarray:
+    """Bytes, dtype, shape and generator state afterwards, against the
+    oracle; the input is left alone."""
+    before = cuts.copy()
+    rng_new = np.random.default_rng(seed)
+    rng_old = np.random.default_rng(seed)
+    minimal = minimise_cuts_batch(compiled, cuts, rng_new)
+    expected = minimise_cuts_boolean(compiled, cuts, rng_old)
+    assert minimal.tobytes() == expected.tobytes()
+    assert minimal.dtype == expected.dtype == np.bool_
+    assert minimal.shape == expected.shape == cuts.shape
+    assert minimal.flags.c_contiguous
+    np.testing.assert_array_equal(cuts, before)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    return minimal
+
+
 def count_gate_evaluations(monkeypatch) -> list[int]:
     calls: list[int] = []
     real = CompiledGraph.evaluate_gate_bits
@@ -118,6 +177,29 @@ def test_matches_the_boolean_loop_on_the_layered_graph():
     minimal = minimise_cuts_batch(compiled, cuts, np.random.default_rng(5))
     expected = minimise_cuts_boolean(compiled, cuts, np.random.default_rng(5))
     np.testing.assert_array_equal(minimal, expected)
+    assert (minimal.sum(axis=1) < cuts.sum(axis=1)).any()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shared_child_graphs(),
+    st.sampled_from([1, 64, 130]),
+    st.integers(0, 2**31 - 1),
+)
+def test_matches_the_boolean_loop_under_shared_children(graph, m, seed):
+    compiled = CompiledGraph(graph)
+    cuts = failing_rows(compiled, m, np.random.default_rng(seed))
+    assert_matches_the_boolean_loop(compiled, cuts, seed + 1)
+
+
+@pytest.mark.parametrize("top_k", [3, 2, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_the_boolean_loop_on_a_fat_tree_shape(top_k, seed):
+    """ANDs whose children share ToRs, aggregation switches and cores,
+    under an AND, a 2-of-3 and an OR top."""
+    compiled = CompiledGraph(fat_tree_shaped_graph(top_k))
+    cuts = failing_rows(compiled, 200, np.random.default_rng(seed))
+    minimal = assert_matches_the_boolean_loop(compiled, cuts, seed + 10)
     assert (minimal.sum(axis=1) < cuts.sum(axis=1)).any()
 
 

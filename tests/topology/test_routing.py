@@ -5,7 +5,9 @@ is held to route set for route set; it lives here only, ``src/`` never
 imports NetworkX to route.
 """
 
+import hashlib
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -247,3 +249,49 @@ class TestEdgeCasesMatchNetworkX:
             assert shortest_routes(
                 topo, "srv-p0-t0-0", "srv-p5-t2-1", max_routes=cap
             ) == every[:cap]
+
+
+def seeded_topology(seed: int) -> Topology:
+    """:func:`connected_topologies`' shape from a seeded generator: a
+    random spanning tree plus random extra links, any of them parallel."""
+    rng = random.Random(f"routing-pin/{seed}")
+    n = rng.randint(2, 12)
+    names = [f"d{i}" for i in range(n)]
+    rng.shuffle(names)
+    topology = Topology(f"seeded-{seed}")
+    for name in names:
+        topology.add_device(name, DeviceType.SWITCH)
+    for i in range(1, n):
+        topology.add_link(names[i], names[rng.randrange(i)], count=rng.randint(1, 3))
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            topology.add_link(names[a], names[b], count=rng.randint(1, 2))
+    return topology
+
+
+def test_routes_on_seeded_random_topologies_are_pinned():
+    """Every (src, dst) pair of 60 seeded topologies, uncapped and capped
+    at 2, one line per pair; plus the lab cloud with an island, for the
+    error messages."""
+    lines = []
+    for seed in range(60):
+        topology = seeded_topology(seed)
+        for src, dst in itertools.product(topology.device_names(), repeat=2):
+            every = shortest_routes(topology, src, dst)
+            capped = shortest_routes(topology, src, dst, max_routes=2)
+            lines.append(f"{seed}\t{src}\t{dst}\t{every}\t{capped}")
+    lab = lab_cloud()
+    lab.add_device("island", DeviceType.SERVER)
+    for src, dst in [("Server1", "island"), ("ghost", "island"), ("island", "ghost")]:
+        with pytest.raises(RoutingError) as raised:
+            shortest_routes(lab, src, dst)
+        lines.append(str(raised.value))
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert (len(lines), digest) == SEEDED_ROUTES
+
+
+SEEDED_ROUTES = (
+    3340,
+    "288f7497b7e2bc1b8eda6c6c1aa0cfa2d9e7b729eff8e8b99fb81e5dfa895913",
+)
