@@ -24,7 +24,7 @@ from repro.acquisition.base import DependencyAcquisitionModule
 from repro.depdb.records import NetworkDependency
 from repro.errors import AcquisitionError
 from repro.topology.graph import INTERNET, Topology
-from repro.topology.routing import shortest_routes
+from repro.topology.routing import _router, shortest_routes
 
 __all__ = ["NetworkDependencyCollector", "TrafficSampledCollector"]
 
@@ -83,8 +83,13 @@ class NetworkDependencyCollector(DependencyAcquisitionModule):
         )
 
     def stream(self) -> Iterator[NetworkDependency]:
+        routes_for = (
+            self.routes_for
+            if self.static_routes is not None
+            else _router(self.topology, self.dst, self.max_routes)
+        )
         for server in self.servers:
-            for route in self.routes_for(server):
+            for route in routes_for(server):
                 yield NetworkDependency(src=server, dst=self.dst, route=route)
 
 

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.core.builder import Weigher, build_dependency_graph
 from repro.core.componentset import component_sets_from_graph
 from repro.core.faultgraph import FaultGraph
-from repro.core.minimal_rg import minimal_risk_groups
-from repro.core.probability import top_event_probability
+from repro.core.minimal_rg import DEFAULT_MAX_GROUPS, _bdd_minimal_risk_groups
+from repro.core.probability import _union
 from repro.core.ranking import (
     RankingMethod,
     independence_score,
@@ -105,9 +105,15 @@ class SIAAuditor:
         then decide whether this computation needs to run at all.
         """
         notes: list[str] = []
+        # An exact audit keeps the diagram its groups came from: when the
+        # Pr(T) pass over the groups outgrows its budget, that diagram
+        # gives the exact value (a sampled audit has none to walk).
+        diagram = None
 
         if spec.algorithm is RGAlgorithm.MINIMAL:
-            groups = minimal_risk_groups(graph, max_order=spec.max_order)
+            groups, diagram = _bdd_minimal_risk_groups(
+                graph, graph.top, spec.max_order, DEFAULT_MAX_GROUPS
+            )
             if spec.max_order is not None:
                 notes.append(f"cut sets truncated at order {spec.max_order}")
         else:
@@ -146,7 +152,7 @@ class SIAAuditor:
         failure_probability = None
         if spec.ranking is RankingMethod.PROBABILITY:
             probabilities = graph.probabilities()
-            failure_probability = top_event_probability(groups, probabilities)
+            failure_probability = _union(groups, probabilities, diagram)
             ranking = rank_risk_groups(
                 groups,
                 spec.ranking,
@@ -155,7 +161,9 @@ class SIAAuditor:
             )
         else:
             ranking = rank_risk_groups(groups, spec.ranking)
-            failure_probability = self._try_failure_probability(graph, groups)
+            failure_probability = self._try_failure_probability(
+                graph, groups, diagram
+            )
 
         score = independence_score(ranking, spec.ranking, top_n=spec.top_n)
         return DeploymentAudit(
@@ -170,7 +178,7 @@ class SIAAuditor:
             notes=notes,
         )
 
-    def _try_failure_probability(self, graph, groups) -> Optional[float]:
+    def _try_failure_probability(self, graph, groups, diagram) -> Optional[float]:
         """Best-effort Pr(T) when weights happen to be available."""
         from repro.errors import FaultGraphError
 
@@ -178,7 +186,7 @@ class SIAAuditor:
             probabilities = graph.probabilities()
         except FaultGraphError:
             return None
-        return top_event_probability(groups, probabilities)
+        return _union(groups, probabilities, diagram)
 
     def component_importance(self, spec: AuditSpec, top: int = 10):
         """Per-component hardening priorities for one deployment.

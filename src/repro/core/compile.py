@@ -109,6 +109,17 @@ def _threshold_bits(child_bits: Sequence[int], threshold: int) -> int:
     return ge | eq
 
 
+def _set_bits(mask: int, ids: Sequence[int]) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending, as the objects
+    ``ids`` holds (one shared int per node, not one per occurrence)."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(ids[low.bit_length() - 1])
+        mask ^= low
+    return tuple(bits)
+
+
 class CompiledGraph:
     """Flattened topological representation of a fault graph.
 
@@ -158,6 +169,7 @@ class CompiledGraph:
         ]
         self._thresholds_py: list[int] = thresholds.tolist()
         self._cones: Optional[tuple[tuple[int, ...], ...]] = None
+        self._cone_plans: Optional[tuple[tuple, ...]] = None
         self._witness_plan: Optional[tuple[tuple, ...]] = None
 
     # ------------------------------------------------------------------ #
@@ -310,19 +322,56 @@ class CompiledGraph:
         whatever cache holds the compiled graph.
         """
         if self._cones is None:
-            # above[n]: bitmask of n's strict ancestors.  Parents come
-            # after children in node order, so by the time a gate is
-            # visited (descending) its own mask is complete.
-            above = [0] * self.n_nodes
-            for gate in reversed(self.gate_order):
-                mask = above[gate] | (1 << gate)
-                for child in self._children_py[gate]:
-                    above[child] |= mask
-            self._cones = tuple(
-                tuple(g for g in self.gate_order if above[i] >> g & 1)
-                for i in self.basic_index.tolist()
-            )
+            self._build_cones()
         return self._cones
+
+    @property
+    def cone_plans(self) -> tuple[tuple[Optional[tuple[int, ...]], ...], ...]:
+        """Per basic event, aligned with its :attr:`cones` entry, what
+        :meth:`clear_cone_bits` reads for each gate: for an AND gate, the
+        children that are the event or lie in its cone (on a monotone
+        graph the others cannot change); ``None`` for a gate re-evaluated
+        from all its children.  Memoised with :attr:`cones`.
+        """
+        if self._cone_plans is None:
+            self._build_cones()
+        return self._cone_plans
+
+    def _build_cones(self) -> None:
+        """Fill :attr:`cones` and :attr:`cone_plans` from one pass of
+        ancestor bitmasks, reading the set bits of each event's mask."""
+        children, thresholds = self._children_py, self._thresholds_py
+        ids = list(range(self.n_nodes))
+        # above[n]: bitmask of n's strict ancestors.  Parents come after
+        # children in node order, so by the time a gate is visited
+        # (descending) its own mask is complete.
+        above = [0] * self.n_nodes
+        # Each AND gate's children as a bitmask, which an event's cone
+        # mask narrows to the changed ones.
+        and_children: dict[int, int] = {}
+        for gate in reversed(self.gate_order):
+            mask = above[gate] | (1 << gate)
+            kids, k = children[gate], thresholds[gate]
+            for child in kids:
+                above[child] |= mask
+            if 1 < k >= len(kids):
+                and_children[gate] = sum(1 << child for child in kids)
+        cones = []
+        plans = []
+        for node in self.basic_index.tolist():
+            cone = _set_bits(above[node], ids)
+            changed = above[node] | (1 << node)
+            cones.append(cone)
+            plans.append(
+                tuple(
+                    _set_bits(and_children[gate] & changed, ids)
+                    if gate in and_children
+                    else None
+                    for gate in cone
+                )
+            )
+        self._cones = tuple(cones)
+        self._cone_plans = tuple(plans)
 
     @property
     def witness_plan(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
@@ -375,6 +424,26 @@ class CompiledGraph:
                 value &= bits[child]
             return value
         return _threshold_bits([bits[child] for child in kids], k)
+
+    def clear_cone_bits(self, position: int, bits: list[int]) -> None:
+        """Bring the cone of basic event ``position`` (in
+        :attr:`basic_names` order) up to date in ``bits`` after some of
+        that event's bits were *cleared*.
+
+        Equal to :meth:`evaluate_gate_bits` over the cone in order, but an
+        AND gate is its current bits ANDed with its changed children only
+        (:attr:`cone_plans`): values only clear when an input clears, so
+        the children left out hold bits the gate already has.
+        """
+        evaluate = self.evaluate_gate_bits
+        for gate, changed in zip(self.cones[position], self.cone_plans[position]):
+            if changed is None:
+                bits[gate] = evaluate(gate, bits)
+            else:
+                value = bits[gate]
+                for child in changed:
+                    value &= bits[child]
+                bits[gate] = value
 
     def sample_failures(
         self,

@@ -36,11 +36,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.core.events import GateType
 from repro.core.faultgraph import FaultGraph
 from repro.errors import AnalysisError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, bdd imports us
+    from repro.core.bdd import BDD
 
 __all__ = [
     "CutSetExplosion",
@@ -160,8 +163,10 @@ def _bdd_minimal_risk_groups(
     root: str,
     max_order: Optional[int],
     max_groups: Optional[int],
-) -> list[frozenset[str]]:
-    """The BDD route: compile and run Rauzy's minimal-solutions extraction."""
+) -> tuple[list[frozenset[str]], BDD]:
+    """The BDD route: compile and run Rauzy's minimal-solutions
+    extraction.  Returns the family and the diagram it was read from,
+    whose root is ``root``'s whole function even under ``max_order``."""
     from repro.core.bdd import compile_graph  # deferred: bdd imports us
 
     scoped = (
@@ -170,7 +175,8 @@ def _bdd_minimal_risk_groups(
         else graph.subgraph(root)
     )
     bdd = compile_graph(scoped, max_nodes=node_budget(max_groups))
-    return bdd.minimal_cut_sets(max_order=max_order, max_groups=max_groups)
+    groups = bdd.minimal_cut_sets(max_order=max_order, max_groups=max_groups)
+    return groups, bdd
 
 
 def minimal_risk_groups(
@@ -203,7 +209,7 @@ def minimal_risk_groups(
         raise AnalysisError(f"method must be auto|mocus, got {method!r}")
     root = graph.top if top is None else top
     if method == "auto":
-        return _bdd_minimal_risk_groups(graph, root, max_order, max_groups)
+        return _bdd_minimal_risk_groups(graph, root, max_order, max_groups)[0]
     families: dict[str, list[frozenset[str]]] = {}
     needed = graph.descendants(root) | {root}
     for name in graph.topological_order():

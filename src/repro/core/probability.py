@@ -27,7 +27,7 @@ import sys
 from functools import reduce
 from itertools import groupby
 from operator import or_
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from repro.core.compile import pack_rounds
 from repro.core.events import validate_probability
 from repro.core.minimal_rg import CutSetExplosion
 from repro.errors import AnalysisError, FaultGraphError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.bdd import BDD
 
 __all__ = [
     "cut_probability",
@@ -129,13 +132,27 @@ def union_probability(
         cut_list.append(frozenset(cut))
     if not cut_list:
         raise AnalysisError("cannot compute a union over zero cut sets")
-    weights = _checked_weights(cut_list, probabilities)
-    family = sorted(set(cut_list), key=lambda c: (len(c), sorted(c)))
+    return _union(cut_list, probabilities, None)
+
+
+def _union(
+    cuts: list[frozenset[str]],
+    probabilities: Mapping[str, float],
+    diagram: Optional[BDD],
+) -> float:
+    """:func:`union_probability` of a non-empty list of cuts.  When the
+    cuts are the minimal RGs of a graph whose ``diagram`` (its
+    :class:`~repro.core.bdd.BDD`) is at hand, a pass past the budget
+    walks the diagram instead: its exact value, not an estimate."""
+    weights = _checked_weights(cuts, probabilities)
+    family = sorted(set(cuts), key=lambda c: (len(c), sorted(c)))
     if len(family) <= IE_CROSSOVER:
         return _inclusion_exclusion(family, weights)
     try:
         return _shannon_union(family, weights)
     except CutSetExplosion:
+        if diagram is not None:
+            return diagram.probability(probabilities)
         return _monte_carlo_union(
             family, weights, FALLBACK_ROUNDS, FALLBACK_SEED
         )

@@ -20,10 +20,11 @@ moves both steps to whole-block operations:
   graph is evaluated once, and trying to drop one candidate event from
   every witness that still contains it re-evaluates only that event's
   ancestor cone.  A gate outside the cone cannot see the change, and on a
-  monotone graph clearing an input only clears bits, so OR-ing the old
-  cone values back for the rows whose top stopped failing undoes exactly
-  their trial — the result equals trial-evaluating each candidate
-  against the whole graph;
+  monotone graph clearing an input only clears bits, so an AND gate in
+  the cone is its old bits ANDed with its changed children alone, and
+  OR-ing the old cone values back for the rows whose top stopped failing
+  undoes exactly their trial — the result equals trial-evaluating each
+  candidate against the whole graph;
 * :func:`run_block` ties sampling, evaluation and both steps together
   into the unit of work the serial sampler and the parallel engine share.
 
@@ -214,11 +215,12 @@ def minimise_cuts_batch(
     Node values are kept as one row bitset per node (bit ``r`` = cut
     ``r``) and are always the evaluation of the current cuts.  Trying a
     candidate clears its bit for the rows holding it and re-evaluates
-    only the gates above it (:attr:`CompiledGraph.cones`); every other
-    node cannot change.  Rows whose top stopped failing get the cone's
-    previous values back — by monotonicity the new values are a subset
-    of the old, so OR-ing the old bits of exactly those rows restores
-    them.  The whole graph is evaluated once, not once per candidate.
+    only the gates above it (:meth:`CompiledGraph.clear_cone_bits`, an
+    AND gate from its changed children alone); every other node cannot
+    change.  Rows whose top stopped failing get the cone's previous
+    values back — by monotonicity the new values are a subset of the
+    old, so OR-ing the old bits of exactly those rows restores them.
+    The whole graph is evaluated once, not once per candidate.
 
     Args:
         cuts: ``(m, n_basic)`` boolean matrix; every row must be a risk
@@ -256,6 +258,7 @@ def minimise_cuts_batch(
     multi = reduce(or_, planes[1:], 0)
     candidates = np.flatnonzero(cuts.any(axis=0))
     cones = compiled.cones
+    clear = compiled.clear_cone_bits
     for position in rng.permutation(candidates).tolist():
         node = basic_nodes[position]
         live = bits[node] & multi
@@ -264,8 +267,7 @@ def minimise_cuts_batch(
         cone = cones[position]
         before = [bits[gate] for gate in cone]
         bits[node] ^= live
-        for gate in cone:
-            bits[gate] = evaluate(gate, bits)
+        clear(position, bits)
         kept = live & ~bits[top]
         if kept:
             bits[node] |= kept

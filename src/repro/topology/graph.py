@@ -3,13 +3,14 @@
 Topologies are the substrate the network dependency-acquisition module
 walks (our NSDMiner substitute).  A :class:`Topology` is an undirected
 multigraph of named :class:`Device` objects; parallel links are supported
-because redundant cabling matters for failure analysis.
+because redundant cabling matters for failure analysis.  It stores only
+how many links join each pair of devices; a :class:`Link` is built from
+those counts when asked for.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -67,10 +68,15 @@ class Link:
 class Topology:
     """Undirected multigraph of devices.
 
+    Links are kept as adjacency counts, ``neighbour -> parallel links``
+    per device, the only form routing reads.  :meth:`links_between` and
+    the multigraph export derive :class:`Link` objects from the counts:
+    index ``i`` of a pair is its ``i``-th link, oriented as asked.
+
     >>> topo = Topology("demo")
     >>> _ = topo.add_device("s1", DeviceType.SERVER)
     >>> _ = topo.add_device("tor1", DeviceType.TOR)
-    >>> _ = topo.add_link("s1", "tor1")
+    >>> topo.add_link("s1", "tor1")
     >>> topo.neighbors("s1")
     ['tor1']
     """
@@ -78,8 +84,7 @@ class Topology:
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._devices: dict[str, Device] = {}
-        self._adjacency: dict[str, dict[str, int]] = defaultdict(dict)
-        self._links: list[Link] = []
+        self._adjacency: dict[str, dict[str, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -96,9 +101,10 @@ class Topology:
             raise TopologyError(f"duplicate device {name!r}")
         device = Device(name=name, type=type, rack=rack, pod=pod)
         self._devices[name] = device
+        self._adjacency[name] = {}
         return device
 
-    def add_link(self, a: str, b: str, count: int = 1) -> list[Link]:
+    def add_link(self, a: str, b: str, count: int = 1) -> None:
         """Connect two devices with ``count`` parallel links."""
         if a == b:
             raise TopologyError(f"self-link on {a!r}")
@@ -107,12 +113,9 @@ class Topology:
                 raise TopologyError(f"unknown device {end!r}")
         if count < 1:
             raise TopologyError(f"link count must be >= 1, got {count}")
-        existing = self._adjacency[a].get(b, 0)
-        links = [Link(a, b, index=existing + i) for i in range(count)]
-        self._adjacency[a][b] = existing + count
-        self._adjacency[b][a] = existing + count
-        self._links.extend(links)
-        return links
+        total = self._adjacency[a].get(b, 0) + count
+        self._adjacency[a][b] = total
+        self._adjacency[b][a] = total
 
     # ------------------------------------------------------------------ #
     # Inspection
@@ -148,15 +151,9 @@ class Topology:
         self.device(b)
         return self._adjacency[a].get(b, 0)
 
-    def links(self) -> list[Link]:
-        return list(self._links)
-
     def links_between(self, a: str, b: str) -> list[Link]:
-        return [
-            link
-            for link in self._links
-            if {link.a, link.b} == {a, b}
-        ]
+        count = self._adjacency.get(a, {}).get(b, 0)
+        return [Link(a, b, index=i) for i in range(count)]
 
     def counts(self) -> dict[str, int]:
         """Device census by role — the rows of Table 3."""
@@ -178,7 +175,7 @@ class Topology:
             reached = []
             for node in frontier:
                 depth = hops[node] + 1
-                for neighbour in self._adjacency.get(node, ()):
+                for neighbour in self._adjacency[node]:
                     if neighbour not in hops:
                         hops[neighbour] = depth
                         reached.append(neighbour)
@@ -194,7 +191,8 @@ class Topology:
         return len(self._devices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Topology({self.name!r}, devices={len(self)}, links={len(self._links)})"
+        links = sum(sum(n.values()) for n in self._adjacency.values()) // 2
+        return f"Topology({self.name!r}, devices={len(self)}, links={links})"
 
     # ------------------------------------------------------------------ #
     # Interop
@@ -209,13 +207,13 @@ class Topology:
         graph.name = self.name
         for device in self._devices.values():
             graph.add_node(device.name, type=device.type.value)
-        if multigraph:
-            for link in self._links:
-                graph.add_edge(link.a, link.b, key=link.index)
-        else:
-            for a, nbrs in self._adjacency.items():
-                for b in nbrs:
+        for a, nbrs in self._adjacency.items():
+            for b, count in nbrs.items():
+                if not multigraph:
                     graph.add_edge(a, b)
+                elif not graph.has_edge(a, b):
+                    for index in range(count):
+                        graph.add_edge(a, b, key=index)
         return graph
 
     def validate_connected(self, among: Optional[Iterable[str]] = None) -> None:

@@ -15,7 +15,7 @@ excluded), matching the Table-1 ``route="x,y,z"`` convention.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.errors import RoutingError
 from repro.topology.fattree import FatTreeConfig
@@ -47,36 +47,54 @@ def shortest_routes(
     Raises:
         RoutingError: If either device is unknown or no path exists.
     """
-    for end in (src, dst):
-        if end not in topology:
-            raise RoutingError(f"unknown device {end!r}")
-    hops = topology.hops_from(dst)
-    if src not in hops:
-        raise RoutingError(f"no route from {src!r} to {dst!r}")
-    if src == dst:
-        return [()]
+    return _router(topology, dst, max_routes)(src)
+
+
+def _router(
+    topology: Topology, dst: str, max_routes: Optional[int]
+) -> Callable[[str], list[tuple[str, ...]]]:
+    """:func:`shortest_routes` to ``dst`` as a function of ``src``, for
+    many sources: the search from ``dst`` runs once, on the first call,
+    and each device's next hops are sorted once."""
+    hops: dict[str, int] = {}
+    steps: dict[str, list[str]] = {}
 
     def closer(node: str) -> Iterator[str]:
-        step = hops[node] - 1
-        return iter(
-            sorted(n for n in topology.neighbors(node) if hops.get(n) == step)
-        )
+        step = steps.get(node)
+        if step is None:
+            depth = hops[node] - 1
+            steps[node] = step = sorted(
+                n for n in topology.neighbors(node) if hops.get(n) == depth
+            )
+        return iter(step)
 
-    routes: list[tuple[str, ...]] = []
-    path = [src]
-    stack = [closer(src)]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            path.pop()
-        elif node == dst:
-            routes.append(tuple(path[1:]))
-            if max_routes is not None and len(routes) >= max_routes:
-                break
-        else:
-            path.append(node)
-            stack.append(closer(node))
+    def routes(src: str) -> list[tuple[str, ...]]:
+        for end in (src, dst):
+            if end not in topology:
+                raise RoutingError(f"unknown device {end!r}")
+        if not hops:
+            hops.update(topology.hops_from(dst))
+        if src not in hops:
+            raise RoutingError(f"no route from {src!r} to {dst!r}")
+        if src == dst:
+            return [()]
+        found: list[tuple[str, ...]] = []
+        path = [src]
+        stack = [closer(src)]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                path.pop()
+            elif node == dst:
+                found.append(tuple(path[1:]))
+                if max_routes is not None and len(found) >= max_routes:
+                    break
+            else:
+                path.append(node)
+                stack.append(closer(node))
+        return found
+
     return routes
 
 

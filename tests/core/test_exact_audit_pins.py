@@ -30,7 +30,10 @@ import itertools
 import json
 import random
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import AuditSpec, SIAAuditor, minimal_risk_groups
@@ -49,6 +52,8 @@ from repro.engine import AuditEngine
 from repro.failures import uniform_weigher
 from repro.topology import FatTreeConfig, fat_tree
 from tests.core import evaluators
+from tests.core.test_property_core import fault_graphs
+from tests.engine.test_minimise_kernel import fat_tree_shaped_graph
 
 
 def allocated(bdd: BDD) -> int:
@@ -197,6 +202,60 @@ class TestTopologyAFamily:
             TOPOLOGY_A_AUDIT
         )
 
+    @pytest.fixture(scope="class")
+    def weighted(self, deployment):
+        return build_dependency_graph(
+            *deployment, weigher=uniform_weigher(0.1)
+        )
+
+    def audit(self, deployment, **fields):
+        depdb, servers = deployment
+        return SIAAuditor(depdb, weigher=uniform_weigher(0.1)).audit_deployment(
+            AuditSpec(deployment="A", servers=servers, **fields)
+        )
+
+    def test_tripped_pr_t_is_the_diagrams(self, deployment, weighted, monkeypatch):
+        """Bit for bit ``BDD.probability`` of the graph's diagram, within
+        1e-12 of the family recursion with its budget lifted; the same
+        value whichever ranking asked for it."""
+        diagram = compile_graph(weighted).probability(weighted.probabilities())
+        by_probability = self.audit(
+            deployment, ranking=RankingMethod.PROBABILITY
+        )
+        by_size = self.audit(deployment)
+        assert by_probability.failure_probability == diagram
+        assert by_size.failure_probability == diagram
+        monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 10**10)
+        lifted = probability._shannon_union(
+            canonical(minimal_risk_groups(weighted)), weighted.probabilities()
+        )
+        assert lifted == pytest.approx(diagram, rel=0, abs=1e-12)
+        assert lifted.hex() == "0x1.c182f07370df4p-8"
+
+    def test_truncated_audit_that_trips_reports_the_diagrams_pr_t(
+        self, deployment, weighted
+    ):
+        """At ``max_order=40`` the 2 615 groups still outgrow the budget:
+        the report carries the untruncated graph's exact Pr(T), and its
+        truncation note.  At 35 the 1 719 groups finish, and Pr(T) is
+        theirs."""
+        diagram = compile_graph(weighted).probability(weighted.probabilities())
+        tripped = self.audit(
+            deployment, ranking=RankingMethod.PROBABILITY, max_order=40
+        )
+        assert len(tripped.ranking) == 2615
+        assert tripped.failure_probability == diagram
+        assert tripped.notes == ["cut sets truncated at order 40"]
+        finished = self.audit(
+            deployment, ranking=RankingMethod.PROBABILITY, max_order=35
+        )
+        groups = minimal_risk_groups(weighted, max_order=35)
+        assert len(groups) == 1719
+        assert finished.failure_probability == probability.union_probability(
+            groups, weighted.probabilities()
+        )
+        assert finished.failure_probability != diagram
+
     def test_minimal_rgs_are_pinned(self, graph):
         bdd = compile_graph(graph)
         groups = bdd.minimal_cut_sets()
@@ -207,13 +266,15 @@ class TestTopologyAFamily:
         assert allocated(bdd) == 26528
 
 
-#: Pr(T) and report bytes of the three-way exact audit: the seeded
-#: Monte-Carlo estimate ``union_probability`` falls back to past the
-#: budget, 8.0% below the diagram's 0.006859000877230672.
+#: Pr(T) and report bytes of the three-way exact audit.  Its family
+#: outgrows the budget, so Pr(T) is its diagram's, 0.006859000877230672.
+#: It used to be the seeded Monte-Carlo estimate ``union_probability``
+#: falls back to, 0x1.9d883ba3443d4p-8 (0.00631, 8.0% low), in a report
+#: of sha-256 ddc58ec6...b699ee33b.
 TOPOLOGY_A_AUDIT = (
-    "0x1.9d883ba3443d4p-8",
+    "0x1.c182f07370df6p-8",
     [],
-    "ddc58ec64e02def25452dc311c175e99e413693f1641f9b0222cc84b699ee33b",
+    "055df5d1cb0f3c23885f5142238c21a5718a102d748367ea5ae7fa58efdba733",
 )
 TOPOLOGY_A_FAMILY_SHA256 = (
     "876b168c9464d45be2576bfcd75636ee3625346e021d1c68481c2352a0cef8e4"
@@ -321,3 +382,51 @@ class TestMidSizedFamily:
         assert len(memo) == 19_439
         assert value == evaluators.bdd_union(cuts, probs)
         assert probability.union_probability(cuts, probs) == value
+
+
+class TestTrippedAuditsAgainstTheBN:
+    """With the budget at zero every family past ``IE_CROSSOVER`` trips:
+    the audit's Pr(T) is then the diagram's, and the Bayesian-network
+    evaluator, which enumerates every joint state, agrees to 1e-12."""
+
+    @staticmethod
+    def audit(graph):
+        return SIAAuditor(DepDB()).audit_graph(
+            graph,
+            AuditSpec(
+                deployment="g", servers=("s",), ranking=RankingMethod.PROBABILITY
+            ),
+        )
+
+    def test_fat_tree_shape(self, monkeypatch):
+        """Three servers of four routes over 13 components: 27+ groups."""
+        graph = fat_tree_shaped_graph()
+        rng = random.Random(3)
+        for event in graph.basic_events():
+            graph.set_probability(event, rng.uniform(0.05, 0.4))
+        assert len(minimal_risk_groups(graph)) > probability.IE_CROSSOVER
+        monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 0)
+        value = self.audit(graph).failure_probability
+        assert value == compile_graph(graph).probability(graph.probabilities())
+        assert value == pytest.approx(
+            evaluators.bn_top_probability(graph, graph.probabilities()),
+            rel=0,
+            abs=1e-12,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(fault_graphs(), st.data())
+    def test_random_graphs(self, graph, data):
+        for event in graph.basic_events():
+            graph.set_probability(event, data.draw(st.floats(0.01, 0.99)))
+        probs = graph.probabilities()
+        groups = minimal_risk_groups(graph)
+        with mock.patch.object(probability, "UNION_WORK_BUDGET", 0):
+            value = self.audit(graph).failure_probability
+        assert value == pytest.approx(
+            evaluators.bn_top_probability(graph, probs), rel=0, abs=1e-12
+        )
+        if len(groups) > probability.IE_CROSSOVER:
+            assert value == compile_graph(graph).probability(probs)
+        else:
+            assert value == probability.union_probability(groups, probs)

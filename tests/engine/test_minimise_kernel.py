@@ -2,9 +2,10 @@
 
 ``minimise_cuts_batch`` keeps one row bitset per node, evaluates the
 graph once, and per candidate event re-evaluates only that event's
-ancestor cone.  It must stay *bit-identical* to the loop it replaced —
-same matrix, same dtype/shape, same generator state afterwards — so that
-loop is kept here, verbatim, as the oracle.
+ancestor cone, an AND gate from its changed children alone.  It must
+stay *bit-identical* to the loop it replaced — same matrix, same
+dtype/shape, same generator state afterwards — so that loop is kept
+here, verbatim, as the oracle.
 """
 
 from __future__ import annotations
@@ -134,15 +135,36 @@ def assert_matches_the_boolean_loop(compiled, cuts, seed) -> np.ndarray:
 
 
 def count_gate_evaluations(monkeypatch) -> list[int]:
+    """Every gate update minimisation makes.  The one full pass, and each
+    trial's OR and k-of-n gates, go through ``evaluate_gate_bits``; each
+    trial's AND gates are updated inside its one ``clear_cone_bits``
+    call, once each (``test_clear_cone_bits_writes_each_cone_gate_once``)."""
     calls: list[int] = []
-    real = CompiledGraph.evaluate_gate_bits
+    real_gate = CompiledGraph.evaluate_gate_bits
+    real_cone = CompiledGraph.clear_cone_bits
 
-    def counting(self, gate, bits):
+    def counting_gate(self, gate, bits):
         calls.append(gate)
-        return real(self, gate, bits)
+        return real_gate(self, gate, bits)
 
-    monkeypatch.setattr(CompiledGraph, "evaluate_gate_bits", counting)
+    def counting_cone(self, position, bits):
+        plan = zip(self.cones[position], self.cone_plans[position])
+        calls.extend(gate for gate, changed in plan if changed is not None)
+        return real_cone(self, position, bits)
+
+    monkeypatch.setattr(CompiledGraph, "evaluate_gate_bits", counting_gate)
+    monkeypatch.setattr(CompiledGraph, "clear_cone_bits", counting_cone)
     return calls
+
+
+def full_pass(compiled, rows: np.ndarray) -> list[int]:
+    """Row bitsets of every node under ``(m, n_basic)`` boolean rows."""
+    bits = [0] * compiled.n_nodes
+    for node, column in zip(compiled.basic_index.tolist(), rows.T):
+        bits[node] = sum(1 << r for r in np.flatnonzero(column))
+    for gate in compiled.gate_order:
+        bits[gate] = compiled.evaluate_gate_bits(gate, bits)
+    return bits
 
 
 # --------------------------------------------------------------------- #
@@ -299,6 +321,81 @@ def test_gate_evaluations_are_one_pass_plus_live_cones(monkeypatch):
     assert calls[:n_gates] == compiled.gate_order
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(fault_graphs(), shared_child_graphs()),
+    st.integers(1, 70),
+    st.data(),
+)
+def test_clear_cone_bits_equals_a_full_pass(graph, m, data):
+    """Clear any bits of one event, update its cone: every node then holds
+    what a whole-graph evaluation of the new rows gives."""
+    compiled = CompiledGraph(graph)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    rows = rng.random((m, compiled.n_basic)) < 0.5
+    position = data.draw(st.integers(0, compiled.n_basic - 1))
+    bits = full_pass(compiled, rows)
+    rows[:, position] &= rng.random(m) < 0.5
+    expected = full_pass(compiled, rows)
+    node = int(compiled.basic_index[position])
+    bits[node] = expected[node]
+    compiled.clear_cone_bits(position, bits)
+    assert bits == expected
+
+
+class RecordingBits(list):
+    def __init__(self, values):
+        super().__init__(values)
+        self.writes: list[int] = []
+
+    def __setitem__(self, index, value):
+        self.writes.append(index)
+        super().__setitem__(index, value)
+
+
+def test_clear_cone_bits_writes_each_cone_gate_once():
+    compiled = CompiledGraph(layered_graph())
+    rows = failing_rows(compiled, 40, np.random.default_rng(2))
+    for position in range(compiled.n_basic):
+        bits = RecordingBits(full_pass(compiled, rows))
+        compiled.clear_cone_bits(position, bits)
+        assert bits.writes == list(compiled.cones[position])
+
+
+def test_cone_plans_and_only_changed_children():
+    """On the fat-tree shape a core sits on one route of every server, so
+    each server's AND reads one child instead of four; a ToR's AND reads
+    all four, and the top AND the one server that changed."""
+    compiled = CompiledGraph(fat_tree_shaped_graph())
+    order = compiled.order
+
+    def plan(event):
+        position = compiled.basic_position[event]
+        cone, changed = compiled.cones[position], compiled.cone_plans[position]
+        assert len(changed) == len(cone)
+        return {
+            order[gate]: None if kids is None else sorted(order[c] for c in kids)
+            for gate, kids in zip(cone, changed)
+        }
+
+    assert plan("core01") == {
+        "route001": None,
+        "route101": None,
+        "route201": None,
+        "server0": ["route001"],
+        "server1": ["route101"],
+        "server2": ["route201"],
+        "top": ["server0", "server1", "server2"],
+    }
+    tor = plan("tor1")
+    assert tor["server1"] == sorted(f"route1{a}{j}" for a in range(2) for j in range(2))
+    assert tor["top"] == ["server1"]
+    # A 2-of-3 top is re-evaluated from all its children.
+    vote = CompiledGraph(fat_tree_shaped_graph(2))
+    assert vote.cone_plans[vote.basic_position["core00"]][-1] is None
+    assert vote.order[vote.cones[vote.basic_position["core00"]][-1]] == "top"
+
+
 def test_cones_are_the_ancestor_gates_in_topological_order():
     graph = layered_graph()
     compiled = CompiledGraph(graph)
@@ -322,11 +419,13 @@ def test_cones_are_the_ancestor_gates_in_topological_order():
 def test_cones_are_built_once_across_calls():
     compiled = CompiledGraph(layered_graph())
     assert compiled._cones is None  # lazy: compile alone builds nothing
+    assert compiled._cone_plans is None
     cuts = failing_rows(compiled, 10, np.random.default_rng(0))
     minimise_cuts_batch(compiled, cuts, np.random.default_rng(1))
-    built = compiled.cones
+    built, plans = compiled.cones, compiled.cone_plans
     minimise_cuts_batch(compiled, cuts, np.random.default_rng(2))
     assert compiled.cones is built
+    assert compiled.cone_plans is plans
 
 
 def test_pickle_and_cache_round_trips_are_unaffected():
@@ -343,6 +442,7 @@ def test_pickle_and_cache_round_trips_are_unaffected():
         pickle.loads(pickle.dumps(compiled)),  # and after
     ):
         assert clone.cones == compiled.cones
+        assert clone.cone_plans == compiled.cone_plans
         np.testing.assert_array_equal(
             minimise_cuts_batch(clone, cuts, np.random.default_rng(4)),
             expected,

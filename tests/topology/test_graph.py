@@ -35,7 +35,8 @@ class TestConstruction:
             topo.add_link("s1", "ghost")
 
     def test_parallel_links(self, topo):
-        links = topo.add_link("s1", "core1", count=2)
+        topo.add_link("s1", "core1", count=2)
+        links = topo.links_between("s1", "core1")
         assert len(links) == 2
         assert topo.link_count("s1", "core1") == 2
         assert links[0].name != links[1].name
