@@ -1,20 +1,13 @@
 """Dependency data layer: Table-1 records, XML codec, and the DepDB store."""
 
-from repro.depdb.backend import (
-    DepDBBackend,
-    Snapshot,
-    record_key,
-    records_digest,
-)
+from repro.depdb.backend import Snapshot, record_key, records_digest
 from repro.depdb.database import DepDB
-from repro.depdb.memory import MemoryBackend
 from repro.depdb.records import (
     DependencyRecord,
     HardwareDependency,
     NetworkDependency,
     SoftwareDependency,
 )
-from repro.depdb.sqlite import SQLiteBackend
 from repro.depdb.xmlformat import (
     dump_record,
     dumps,
@@ -25,9 +18,6 @@ from repro.depdb.xmlformat import (
 
 __all__ = [
     "DepDB",
-    "DepDBBackend",
-    "MemoryBackend",
-    "SQLiteBackend",
     "Snapshot",
     "DependencyRecord",
     "HardwareDependency",

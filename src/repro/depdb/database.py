@@ -2,29 +2,46 @@
 
 Dependency acquisition modules store their adapted records here; the
 auditing agent later queries it while building dependency graphs
-(§4.1.1 Steps 2–6).  ``DepDB`` is a thin facade over a pluggable
-:class:`~repro.depdb.backend.DepDBBackend`:
+(§4.1.1 Steps 2–6).  :class:`DepDB` is the indexed in-memory store:
+secondary indices cover the exact query shapes the graph builder needs,
+and everything lives in plain dicts and lists, so it is also what any
+store pickles down to when an audit fans out across worker processes.
+:meth:`DepDB.sqlite` opens its durable subclass
+(:mod:`repro.depdb.sqlite`), which keeps the records in a file and
+answers every query identically (the parity suite in ``tests/depdb``).
 
-* the default :class:`~repro.depdb.memory.MemoryBackend` keeps the
-  original indexed in-memory behaviour;
-* :meth:`DepDB.sqlite` opens a durable
-  :class:`~repro.depdb.sqlite.SQLiteBackend` store whose query results
-  — and therefore every audit built from them — are bit-identical to
-  the memory path (the parity contract in ``tests/depdb``).
+The contract both honour:
 
-Text/JSON persistence (Table-1 dumps) rides on top of either backend so
-acquired data can be shipped from data sources to the agent; stores
-additionally carry content-addressed snapshots so the incremental audit
-layer can prove whether anything drifted since the last audit.
+* :meth:`~DepDB.add` deduplicates on exact record equality and reports
+  whether the record was new;
+* :meth:`~DepDB.records` returns network, then hardware, then software
+  records, each group in first-insertion order — the order every
+  serialisation (and therefore every content address built from a
+  dump) depends on; query results are lists in the same order;
+* :meth:`~DepDB.content_hash` is the order-independent
+  :func:`~repro.depdb.backend.records_digest` of the record set.  This
+  class recomputes it in full on every call, which makes it the oracle;
+  the SQLite store does less work for the same value.
+
+Text/JSON persistence (Table-1 dumps) is shared by both, so acquired
+data can be shipped from data sources to the agent.  Content-addressed
+snapshots tie the store to the incremental audit layer:
+:meth:`~DepDB.snapshot_audited` records one after an audit only if the
+store still holds the audited records, so the next
+:meth:`~repro.engine.facade.AuditEngine.audit_store` call can prove, by
+digest equality, whether anything drifted since.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+import time
+from collections import defaultdict
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Union
 
-from repro.depdb.backend import DepDBBackend, Snapshot
+from repro.depdb.backend import Snapshot, records_digest
 from repro.depdb.records import (
     DependencyRecord,
     HardwareDependency,
@@ -95,25 +112,32 @@ def _record_from_json(kind: str, index: int, item) -> DependencyRecord:
 
 
 class DepDB:
-    """Indexed store of network / hardware / software dependency records.
+    """Indexed in-memory store of network / hardware / software records.
+
+    One re-entrant lock serialises writes and snapshots, so one store is
+    safe to share between the service's handler and worker threads.
 
     Args:
         records: Optional initial records to ingest.
-        backend: Storage backend (default: a fresh in-memory store).
     """
 
     def __init__(
-        self,
-        records: Optional[Iterable[DependencyRecord]] = None,
-        backend: Optional[DepDBBackend] = None,
-    ):
-        if backend is None:
-            from repro.depdb.memory import MemoryBackend
-
-            backend = MemoryBackend()
-        self.backend = backend
+        self, records: Optional[Iterable[DependencyRecord]] = None
+    ) -> None:
+        self._lock = threading.RLock()
+        self._network: list[NetworkDependency] = []
+        self._hardware: list[HardwareDependency] = []
+        self._software: list[SoftwareDependency] = []
+        self._net_by_src: dict[str, list[NetworkDependency]] = defaultdict(list)
+        self._net_by_dst: dict[str, list[NetworkDependency]] = defaultdict(list)
+        self._hw_by_host: dict[str, list[HardwareDependency]] = defaultdict(list)
+        self._sw_by_host: dict[str, list[SoftwareDependency]] = defaultdict(list)
+        self._sw_by_pgm: dict[str, list[SoftwareDependency]] = defaultdict(list)
+        self._seen: set[DependencyRecord] = set()
+        self._snapshots: list[Snapshot] = []
+        self._snapshot_seq = 0
         if records:
-            self.add_all(records)
+            self.ingest(records)
 
     @classmethod
     def sqlite(
@@ -121,10 +145,10 @@ class DepDB:
         path: Union[str, "Path"] = ":memory:",  # noqa: F821
         records: Optional[Iterable[DependencyRecord]] = None,
     ) -> "DepDB":
-        """Open (or create) a durable SQLite-backed DepDB."""
-        from repro.depdb.sqlite import SQLiteBackend
+        """Open (or create) a durable SQLite DepDB."""
+        from repro.depdb.sqlite import SQLiteDepDB
 
-        return cls(records=records, backend=SQLiteBackend(path))
+        return SQLiteDepDB(path, records)
 
     # ------------------------------------------------------------------ #
     # Ingest
@@ -132,11 +156,34 @@ class DepDB:
 
     def add(self, record: DependencyRecord) -> bool:
         """Insert one record; returns False for exact duplicates."""
-        return self.backend.add(record)
+        return self.add_many((record,)) == 1
 
-    def add_all(self, records: Iterable[DependencyRecord]) -> int:
-        """Insert many records; returns how many were new."""
-        return self.ingest(records)
+    def add_many(self, records: Iterable[DependencyRecord]) -> int:
+        """Insert a batch under one hold of the lock (one transaction in
+        the SQLite store); returns how many records were new."""
+        with self._lock:
+            return sum(1 for record in records if self._insert(record))
+
+    def _insert(self, record: DependencyRecord) -> bool:
+        if record in self._seen:
+            return False
+        if isinstance(record, NetworkDependency):
+            self._network.append(record)
+            self._net_by_src[record.src].append(record)
+            self._net_by_dst[record.dst].append(record)
+        elif isinstance(record, HardwareDependency):
+            self._hardware.append(record)
+            self._hw_by_host[record.hw].append(record)
+        elif isinstance(record, SoftwareDependency):
+            self._software.append(record)
+            self._sw_by_host[record.hw].append(record)
+            self._sw_by_pgm[record.pgm].append(record)
+        else:
+            raise DependencyDataError(
+                f"unsupported record type {type(record).__name__}"
+            )
+        self._seen.add(record)
+        return True
 
     def ingest(
         self, records: Iterable[DependencyRecord], batch_size: int = 1024
@@ -157,7 +204,7 @@ class DepDB:
             batch = list(islice(iterator, batch_size))
             if not batch:
                 return added
-            added += self.backend.add_many(batch)
+            added += self.add_many(batch)
 
     def merge(self, other: "DepDB") -> int:
         """Absorb another DepDB (e.g. one per data source)."""
@@ -171,14 +218,21 @@ class DepDB:
         self, src: str, dst: Optional[str] = None
     ) -> list[NetworkDependency]:
         """All redundant routes out of ``src`` (optionally towards ``dst``)."""
-        return self.backend.network_paths(src, dst)
+        paths = self._net_by_src.get(src, [])
+        if dst is None:
+            return list(paths)
+        return [p for p in paths if p.dst == dst]
 
     def network_destinations(self, src: str) -> list[str]:
         """Distinct destinations reachable from ``src``, insertion order."""
-        return self.backend.network_destinations(src)
+        seen: dict[str, None] = {}
+        for record in self._net_by_src.get(src, []):
+            seen.setdefault(record.dst, None)
+        return list(seen)
 
     def hardware_of(self, host: str) -> list[HardwareDependency]:
-        return self.backend.hardware_of(host)
+        """Hardware components of ``host``."""
+        return list(self._hw_by_host.get(host, []))
 
     def software_on(
         self, host: str, programs: Optional[Iterable[str]] = None
@@ -189,32 +243,53 @@ class DepDB:
         software components of interest (§3); pass them as ``programs``
         to filter, or omit to return everything acquired on that host.
         """
-        return self.backend.software_on(host, programs)
+        records = self._sw_by_host.get(host, [])
+        if programs is None:
+            return list(records)
+        wanted = set(programs)
+        return [r for r in records if r.pgm in wanted]
 
     def software_named(self, pgm: str) -> list[SoftwareDependency]:
-        return self.backend.software_named(pgm)
+        """Software records of program ``pgm`` across all hosts."""
+        return list(self._sw_by_pgm.get(pgm, []))
 
     def hosts(self) -> list[str]:
-        """Every host that at least one record mentions.
+        """Every host that at least one record mentions, first-seen order.
 
         Network *destinations* count: a host that only ever appears as
         a ``dst`` (an edge service, the Internet gateway) is still part
         of the deployment's dependency surface.
         """
-        return self.backend.hosts()
+        seen: dict[str, None] = {}
+        for name in (
+            list(self._net_by_src)
+            + list(self._net_by_dst)
+            + list(self._hw_by_host)
+            + list(self._sw_by_host)
+        ):
+            seen.setdefault(name, None)
+        return list(seen)
 
     def records(self) -> list[DependencyRecord]:
-        return self.backend.records()
+        """All records: network, hardware, software; insertion order."""
+        return [*self._network, *self._hardware, *self._software]
 
     def iter_records(self) -> Iterator[DependencyRecord]:
         """Lazy :meth:`records` — same records, same order."""
-        return self.backend.iter_records()
+        yield from self._network
+        yield from self._hardware
+        yield from self._software
 
     def counts(self) -> dict[str, int]:
-        return self.backend.counts()
+        """Record counts keyed ``network`` / ``hardware`` / ``software``."""
+        return {
+            "network": len(self._network),
+            "hardware": len(self._hardware),
+            "software": len(self._software),
+        }
 
     def __len__(self) -> int:
-        return len(self.backend)
+        return len(self._seen)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         c = self.counts()
@@ -229,25 +304,64 @@ class DepDB:
 
     def content_hash(self) -> str:
         """Order-independent digest of the current record set."""
-        return self.backend.content_hash()
+        with self._lock:
+            return records_digest(self.iter_records())
 
     def snapshot(self, label: str = "") -> Snapshot:
-        """Record the current record set as a content-addressed snapshot."""
-        return self.backend.snapshot(label)
+        """Record the current record set as a content-addressed snapshot.
+
+        Keyed by :meth:`content_hash`: snapshotting an unchanged store
+        re-labels (and re-sequences to the front) the existing entry
+        instead of growing the snapshot log.
+        """
+        with self._lock:
+            return self._record_snapshot(self.content_hash(), label)
+
+    def snapshot_audited(
+        self, audited: str, label: str = ""
+    ) -> Optional[Snapshot]:
+        """:meth:`snapshot` if the store still holds the record set whose
+        content hash is ``audited``; otherwise None, and no snapshot.
+
+        The check and the write run under one hold of the lock, so a
+        write from another thread lands before both or after both —
+        never between them, where it would be recorded as audited.
+        """
+        with self._lock:
+            if self.content_hash() != audited:
+                return None
+            return self._record_snapshot(audited, label)
+
+    def _record_snapshot(self, digest: str, label: str) -> Snapshot:
+        """Log a snapshot of ``digest``, the content hash the caller has
+        just taken under its current hold of the lock."""
+        self._snapshot_seq += 1
+        snap = Snapshot(
+            digest=digest,
+            label=label,
+            seq=self._snapshot_seq,
+            created=time.time(),
+            counts=(len(self._network), len(self._hardware), len(self._software)),
+        )
+        self._snapshots = [
+            s for s in self._snapshots if s.digest != digest
+        ] + [snap]
+        return snap
 
     def snapshots(self) -> list[Snapshot]:
-        return self.backend.snapshots()
+        """All snapshots, oldest first (by ``seq``)."""
+        return list(self._snapshots)
 
     def last_snapshot(self) -> Optional[Snapshot]:
-        return self.backend.last_snapshot()
+        """The most recently recorded snapshot, or None."""
+        return self._snapshots[-1] if self._snapshots else None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release backend resources (idempotent; no-op for memory)."""
-        self.backend.close()
+        """Release storage resources (idempotent; a no-op in memory)."""
 
     def __enter__(self) -> "DepDB":
         return self
@@ -256,10 +370,10 @@ class DepDB:
         self.close()
 
     def __reduce__(self):
-        # Worker processes need the records, not the storage: rebuild as
-        # a memory-backed store (SQLite connections do not pickle; the
-        # parity contract makes the substitution invisible).
-        return (_rebuild, (tuple(self.iter_records()),))
+        # Worker processes need the records, not the storage: every store
+        # rebuilds as an in-memory one (SQLite connections do not pickle;
+        # the parity contract makes the substitution invisible).
+        return (DepDB, (tuple(self.iter_records()),))
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -270,10 +384,8 @@ class DepDB:
         return xmlformat.dumps(self.iter_records())
 
     @classmethod
-    def loads(
-        cls, text: str, backend: Optional[DepDBBackend] = None
-    ) -> "DepDB":
-        db = cls(backend=backend)
+    def loads(cls, text: str) -> "DepDB":
+        db = cls()
         db.ingest(xmlformat.iter_records(text))
         return db
 
@@ -304,9 +416,7 @@ class DepDB:
         return json.dumps(payload, indent=2)
 
     @classmethod
-    def from_json(
-        cls, text: str, backend: Optional[DepDBBackend] = None
-    ) -> "DepDB":
+    def from_json(cls, text: str) -> "DepDB":
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -328,11 +438,7 @@ class DepDB:
                 for index, item in enumerate(items):
                     yield _record_from_json(kind, index, item)
 
-        db = cls(backend=backend)
+        db = cls()
         db.ingest(build())
         return db
 
-
-def _rebuild(records: tuple) -> DepDB:
-    """Unpickle target: a memory-backed DepDB over the same records."""
-    return DepDB(records)

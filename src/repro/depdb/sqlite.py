@@ -1,8 +1,12 @@
-"""Durable SQLite DepDB backend (stdlib ``sqlite3`` only).
+"""The durable SQLite DepDB (stdlib ``sqlite3`` only).
 
 Production dependency sets drift continuously and outlive any one
-process, so the store must too.  This backend keeps the three Table-1
-record types in indexed per-type tables:
+process, so the store must too.  :class:`SQLiteDepDB` is the
+:class:`~repro.depdb.DepDB` subclass that :meth:`DepDB.sqlite
+<repro.depdb.DepDB.sqlite>` opens: it keeps ingest, persistence and
+the snapshot check from its base and overrides storage, queries, the
+content hash, the snapshot log and ``close``.  The three Table-1
+record types live in indexed per-type tables:
 
 * ``network (id, src, dst, route)`` — ``route`` is a JSON array, so a
   hop containing a comma can never be confused with two hops;
@@ -14,7 +18,7 @@ dedup is ``INSERT OR IGNORE`` — the same exact-equality semantics as
 the in-memory store.  ``id`` (the rowid) preserves insertion order;
 records are never updated or deleted (``BEFORE UPDATE`` / ``BEFORE
 DELETE`` triggers abort, whichever connection tries), so id order *is*
-first-insertion order and every query replays the memory backend's
+first-insertion order and every query replays the in-memory store's
 ordering contract exactly.
 
 Each per-host lookup has an index on the column it filters
@@ -33,24 +37,24 @@ audit_store` compares the live hash against
 audit.
 
 That live hash costs the store's drift, not its size.
-:meth:`SQLiteBackend.content_hash` keeps, per backend instance, the
+:meth:`SQLiteDepDB.content_hash` keeps, per open store, the
 sorted record keys it last hashed and the ``(row count, max id)`` per
 table they cover; a call keys only the rows ``WHERE id >`` that
 maximum, merges them in and re-hashes the joined keys
 (:func:`~repro.depdb.backend.sorted_keys_digest`, so the value is the
 full recomputation's, bit for bit).  Freshness is read from the tables
-rather than pushed by ``add`` / ``add_many``, because another
+rather than pushed by ``add_many``, because another
 connection or process writing the same file must be seen too; if the
 covered rows are no longer all there (a truncated or replaced file) the
 memo is dropped and the store rescanned in full.  That tripwire reads
 no covered row: the count at or below the covered id is the whole-table
 ``COUNT(*)`` (one index-only count) less the count past it.  About
-140 B per record, held while the backend is open.
+140 B per record, held while the store is open.
 
 Writes run in WAL mode with batched transactions
-(:meth:`SQLiteBackend.add_many` wraps a whole batch in one commit); a
-process-wide lock serialises access to the single shared connection, so
-one backend instance is safe to use from the service's worker threads.
+(:meth:`SQLiteDepDB.add_many` wraps a whole batch in one commit); the
+store's lock serialises access to its single shared connection, so one
+store is safe to use from the service's worker threads.
 """
 
 from __future__ import annotations
@@ -63,12 +67,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from repro.depdb.backend import (
-    DepDBBackend,
-    Snapshot,
-    record_key,
-    sorted_keys_digest,
-)
+from repro.depdb.backend import Snapshot, record_key, sorted_keys_digest
+from repro.depdb.database import DepDB
 from repro.depdb.records import (
     DependencyRecord,
     HardwareDependency,
@@ -77,10 +77,13 @@ from repro.depdb.records import (
 )
 from repro.errors import DependencyDataError
 
-__all__ = ["SQLiteBackend"]
+__all__ = ["SQLiteDepDB"]
 
 #: Bumped only on incompatible schema changes.
 _SCHEMA_VERSION = 1
+
+#: Seconds to wait on a database file another connection has locked.
+_TIMEOUT = 30.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS network (
@@ -150,7 +153,7 @@ def _unpack(text: str) -> tuple[str, ...]:
 
 @dataclass
 class _HashMemo:
-    """What one backend instance has already hashed.
+    """What one open store has already hashed.
 
     Attributes:
         keys: Sorted ``record_key`` of every covered row.
@@ -164,28 +167,28 @@ class _HashMemo:
     digest: str
 
 
-class SQLiteBackend(DepDBBackend):
-    """Durable, indexed DepDB store on one SQLite database file.
+class SQLiteDepDB(DepDB):
+    """Durable, indexed DepDB on one SQLite database file.
 
     Args:
         path: Database file (created if missing) or ``":memory:"`` for
             an ephemeral store with the same semantics.
-        timeout: Seconds to wait on a locked database file.
+        records: Optional initial records to ingest.
     """
 
     def __init__(
         self,
         path: Union[str, Path] = ":memory:",
-        *,
-        timeout: float = 30.0,
+        records: Optional[Iterable[DependencyRecord]] = None,
     ) -> None:
+        # Not DepDB.__init__: this store keeps no in-memory indices.
         self.path = str(path)
         self._lock = threading.RLock()
         self._closed = False
         self._hashed: Optional[_HashMemo] = None
         try:
             self._conn = sqlite3.connect(
-                self.path, timeout=timeout, check_same_thread=False
+                self.path, timeout=_TIMEOUT, check_same_thread=False
             )
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -209,6 +212,8 @@ class SQLiteBackend(DepDBBackend):
             raise DependencyDataError(
                 f"cannot open DepDB database {self.path}: {exc}"
             ) from exc
+        if records:
+            self.ingest(records)
 
     # ----------------------------- plumbing ---------------------------- #
 
@@ -250,10 +255,6 @@ class SQLiteBackend(DepDBBackend):
         return cursor.rowcount
 
     # ------------------------------ ingest ----------------------------- #
-
-    def add(self, record: DependencyRecord) -> bool:
-        with self._lock, self._conn:
-            return self._insert(record) == 1
 
     def add_many(self, records: Iterable[DependencyRecord]) -> int:
         """Insert a batch inside one transaction; returns the new count."""
@@ -322,6 +323,9 @@ class SQLiteBackend(DepDBBackend):
                 for table in _TABLES
             }
 
+    def __len__(self) -> int:
+        return sum(self.counts().values())
+
     def network_paths(
         self, src: str, dst: Optional[str] = None
     ) -> list[NetworkDependency]:
@@ -369,8 +373,8 @@ class SQLiteBackend(DepDBBackend):
         """:func:`~repro.depdb.backend.records_digest` of the rows on
         file, for the cost of the rows added since the last call.
 
-        The value is the inherited full recomputation's, bit for bit.
-        Freshness is read from the tables (``id`` past the covered
+        The value is the in-memory store's full recomputation's, bit for
+        bit.  Freshness is read from the tables (``id`` past the covered
         maximum), never pushed by the write path, so rows written
         through another connection or process are seen too.
         """
@@ -429,30 +433,28 @@ class SQLiteBackend(DepDBBackend):
 
     # ------------------------------ snapshots -------------------------- #
 
-    def snapshot(self, label: str = "") -> Snapshot:
-        with self._lock:
-            digest = self.content_hash()
-            # The counts of the rows that digest covers, read under the
-            # same lock hold: a row another connection commits meanwhile
-            # is in neither.
-            counts = tuple(self._hashed.covered[table][0] for table in _TABLES)
-            created = time.time()
-            with self._conn:
-                seq = (
-                    self._execute(
-                        "SELECT COALESCE(MAX(seq), 0) FROM snapshots"
-                    ).fetchone()[0]
-                    + 1
-                )
+    def _record_snapshot(self, digest: str, label: str) -> Snapshot:
+        # The counts of the rows that digest covers, read under the same
+        # lock hold: a row another connection commits meanwhile is in
+        # neither.
+        counts = tuple(self._hashed.covered[table][0] for table in _TABLES)
+        created = time.time()
+        with self._conn:
+            seq = (
                 self._execute(
-                    "INSERT INTO snapshots "
-                    "(digest, label, seq, created, network, hardware, software) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?) "
-                    "ON CONFLICT (digest) DO UPDATE SET "
-                    "label = excluded.label, seq = excluded.seq, "
-                    "created = excluded.created",
-                    (digest, label, seq, created, *counts),
-                )
+                    "SELECT COALESCE(MAX(seq), 0) FROM snapshots"
+                ).fetchone()[0]
+                + 1
+            )
+            self._execute(
+                "INSERT INTO snapshots "
+                "(digest, label, seq, created, network, hardware, software) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?) "
+                "ON CONFLICT (digest) DO UPDATE SET "
+                "label = excluded.label, seq = excluded.seq, "
+                "created = excluded.created",
+                (digest, label, seq, created, *counts),
+            )
         return Snapshot(
             digest=digest, label=label, seq=seq, created=created, counts=counts
         )

@@ -435,9 +435,11 @@ class AuditEngine:
         unless ``label`` is given) so the *next* call diffs against this
         audit, and so a later request can name the label as its ``base``.
         A store that drifted while it was being audited (another thread
-        or process ingested) is left unsnapshotted — the state that was
-        audited is gone, and marking the new one audited would make the
-        next call report ``changed=False`` for records nobody audited.
+        or process ingested) is left unsnapshotted
+        (:meth:`~repro.depdb.DepDB.snapshot_audited`) — the state that
+        was audited is gone, and marking the new one audited would make
+        the next call report ``changed=False`` for records nobody
+        audited.
         """
         content = depdb.content_hash()
         last = depdb.last_snapshot()
@@ -447,8 +449,8 @@ class AuditEngine:
         digest = structural_hash(graph)
         audit, hit = self._audit_hashed(auditor, graph, digest, spec)
         snapshot = None
-        if record_snapshot and depdb.content_hash() == content:
-            snapshot = depdb.snapshot(label or digest)
+        if record_snapshot:
+            snapshot = depdb.snapshot_audited(content, label or digest)
         return StoreAuditOutcome(
             audit=audit,
             structural_hash=digest,

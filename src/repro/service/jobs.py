@@ -274,9 +274,10 @@ class JobManager:
         The snapshot is keyed by the record-set content hash and
         labelled with the audited graph's structural hash, so the next
         ``@store`` request diffs against (and can ``base`` itself on)
-        exactly this audit.  Skipped when the store drifted while the
-        job was in flight — the audited state no longer exists, and
-        snapshotting the *new* state would falsely mark it audited.
+        exactly this audit.  Skipped when the store drifted since the
+        job was admitted (:meth:`~repro.depdb.DepDB.snapshot_audited`) —
+        the audited state no longer exists, and snapshotting the *new*
+        state would falsely mark it audited.
         """
         if job.state != "done" or job.structural_hash is None:
             return
@@ -284,9 +285,9 @@ class JobManager:
         if metadata.get("depdb_source") != "store":
             return
         try:
-            store = self.stores.get(job.tenant)
-            if store.content_hash() == metadata.get("depdb_content_hash"):
-                store.snapshot(job.structural_hash)
+            self.stores.get(job.tenant).snapshot_audited(
+                metadata.get("depdb_content_hash"), job.structural_hash
+            )
         except IndaasError:
             pass  # a broken store must not fail a finished audit
 

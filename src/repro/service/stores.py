@@ -4,8 +4,8 @@ Each tenant of ``indaas serve`` owns one DepDB.  With ``--state-dir``
 the store is a SQLite database under ``<state-dir>/depdb/`` — it
 survives restarts alongside the PR-8 job journal, so a tenant ingests
 its dependency data once and audits it forever after with
-``depdb="@store"`` requests.  Without a state dir the stores are
-memory-backed (same semantics, process lifetime).
+``depdb="@store"`` requests.  Without a state dir each store is an
+in-memory DepDB (same semantics, process lifetime).
 
 Ingest accepts either persistence format the DepDB speaks: Table-1
 line dumps or the JSON document of :meth:`~repro.depdb.DepDB.to_json`

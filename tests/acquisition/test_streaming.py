@@ -3,7 +3,7 @@
 import pytest
 
 from repro.acquisition import DependencyAcquisitionModule
-from repro.depdb import DepDB, HardwareDependency, SQLiteBackend
+from repro.depdb import DepDB, HardwareDependency
 from repro.errors import AcquisitionError
 
 RECORDS = [
@@ -71,7 +71,7 @@ class TestAdaptInto:
 
     def test_streams_into_sqlite_backend(self, tmp_path):
         path = tmp_path / "dep.sqlite"
-        with DepDB(backend=SQLiteBackend(path)) as db:
+        with DepDB.sqlite(path) as db:
             assert StreamOnly().adapt_into(db, batch_size=2) == 3
         with DepDB.sqlite(path) as reopened:
             assert reopened.records() == RECORDS

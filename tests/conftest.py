@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import settings
 
@@ -81,3 +83,30 @@ def sqlite_keyed(monkeypatch) -> list:
 
     monkeypatch.setattr("repro.depdb.sqlite.record_key", counting)
     return keyed
+
+
+@pytest.fixture
+def write_after_hash(monkeypatch):
+    """``arm(store, record, nth)``: on ``store``'s ``nth`` ``content_hash``
+    call from now, a second thread adds ``record`` the moment the hash is
+    taken, and the call returns once that write has landed — or has
+    waited half a second on the store's lock.  ``arm`` returns the
+    thread; join it before reading the store."""
+
+    def arm(store, record, nth: int) -> threading.Thread:
+        content_hash = store.content_hash
+        writer = threading.Thread(target=store.add, args=(record,))
+        calls = []
+
+        def hash_then_write():
+            digest = content_hash()
+            calls.append(digest)
+            if len(calls) == nth:
+                writer.start()
+                writer.join(timeout=0.5)
+            return digest
+
+        monkeypatch.setattr(store, "content_hash", hash_then_write)
+        return writer
+
+    return arm

@@ -1,11 +1,15 @@
-"""Memory ≡ SQLite backend parity — the tentpole contract.
+"""In-memory ≡ SQLite store parity.
 
-Property suite: for any record set in any insertion order, both
-backends answer every query identically, honour the same ``records()``
-order contract, hash to the same content address, and feed
+Property suite: for any record set in any insertion order,
+``DepDB(records)`` and ``DepDB.sqlite(":memory:", records)`` answer
+every query identically, honour the same ``records()`` order contract,
+hash to the same content address, and feed
 :class:`~repro.engine.AuditEngine` into byte-identical reports for any
 worker count.
 """
+
+import ast
+import inspect
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +17,10 @@ from hypothesis import given, settings, strategies as st
 from repro.depdb import (
     DepDB,
     HardwareDependency,
-    MemoryBackend,
     NetworkDependency,
     SoftwareDependency,
-    SQLiteBackend,
 )
+from repro.depdb.sqlite import SQLiteDepDB
 
 # Identifier alphabet safe for the Table-1 line codec (no quotes,
 # commas or whitespace — commas are the codec's list separator).
@@ -44,10 +47,31 @@ _records = st.lists(
 
 
 def _pair(records):
-    """The same ingest replayed into both backends."""
-    memory = DepDB(records, backend=MemoryBackend())
-    sqlite = DepDB(records, backend=SQLiteBackend(":memory:"))
+    """The same ingest replayed into both stores."""
+    memory = DepDB(records)
+    sqlite = DepDB.sqlite(":memory:", records)
     return memory, sqlite
+
+
+def test_sqlite_store_overrides_every_method_that_reads_the_indices():
+    # A DepDB method reading the in-memory indices and inherited as is
+    # would raise AttributeError on the SQLite store, which has none.
+    indices = set(vars(DepDB())) - {"_lock"}
+    (cls,) = ast.parse(inspect.getsource(DepDB)).body
+    reading = {
+        node.name
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+            and sub.attr in indices
+            for sub in ast.walk(node)
+        )
+    }
+    assert {"__init__", "records", "_record_snapshot"} <= reading
+    assert sorted(reading - set(vars(SQLiteDepDB))) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,7 +110,7 @@ def test_query_parity(records):
 def test_insertion_order_independent_content_hash(records):
     forward = DepDB(records)
     backward = DepDB(list(reversed(records)))
-    sqlite = DepDB(list(reversed(records)), backend=SQLiteBackend(":memory:"))
+    sqlite = DepDB.sqlite(":memory:", list(reversed(records)))
     try:
         assert forward.content_hash() == backward.content_hash()
         assert sqlite.content_hash() == forward.content_hash()
@@ -102,9 +126,8 @@ def test_xml_round_trip_through_both_backends(records):
         assert sqlite.dumps() == memory.dumps()
         reloaded = DepDB.loads(sqlite.dumps())
         assert reloaded.records() == memory.records()
-        reloaded_sqlite = DepDB.loads(
-            memory.dumps(), backend=SQLiteBackend(":memory:")
-        )
+        # The inherited classmethod builds the subclass, on ":memory:".
+        reloaded_sqlite = type(sqlite).loads(memory.dumps())
         try:
             assert reloaded_sqlite.records() == memory.records()
         finally:
@@ -121,9 +144,7 @@ def test_json_round_trip_through_both_backends(records):
         assert sqlite.to_json() == memory.to_json()
         reloaded = DepDB.from_json(sqlite.to_json())
         assert reloaded.records() == memory.records()
-        reloaded_sqlite = DepDB.from_json(
-            memory.to_json(), backend=SQLiteBackend(":memory:")
-        )
+        reloaded_sqlite = type(sqlite).from_json(memory.to_json())
         try:
             assert reloaded_sqlite.records() == memory.records()
         finally:

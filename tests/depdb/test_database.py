@@ -33,7 +33,7 @@ class TestIngest:
             NetworkDependency("S1", "Internet", ("ToR1", "Core1")),  # dup
             HardwareDependency("S9", "Disk", "WD"),
         ]
-        assert db.add_all(new) == 1
+        assert db.ingest(new) == 1
 
     def test_merge(self, db):
         other = DepDB([HardwareDependency("S3", "Disk", "WD")])

@@ -63,5 +63,5 @@ def test_depdb_json_round_trip_preserves_queries(records):
 def test_depdb_deduplicates_idempotently(records):
     db = DepDB(records)
     before = len(db)
-    assert db.add_all(records) == 0  # every record already present
+    assert db.ingest(records) == 0  # every record already present
     assert len(db) == before

@@ -1,4 +1,4 @@
-"""SQLite DepDB backend: durability, dedup, snapshots, lifecycle."""
+"""The SQLite DepDB: durability, dedup, snapshots, lifecycle."""
 
 import pickle
 import re
@@ -14,10 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro.depdb import (
     DepDB,
     HardwareDependency,
-    MemoryBackend,
     NetworkDependency,
     SoftwareDependency,
-    SQLiteBackend,
 )
 from repro.depdb.backend import records_digest
 from repro.errors import DependencyDataError
@@ -71,13 +69,13 @@ class TestDurability:
             )
         conn.close()
         with pytest.raises(DependencyDataError, match="schema version"):
-            SQLiteBackend(path)
+            DepDB.sqlite(path)
 
     def test_unreadable_database_rejected(self, tmp_path):
         path = tmp_path / "garbage.sqlite"
         path.write_bytes(b"SQLite format 3\x00" + b"\xff" * 64)
         with pytest.raises(DependencyDataError, match="cannot open|is closed|database"):
-            SQLiteBackend(path)
+            DepDB.sqlite(path)
 
 
 class TestIngest:
@@ -87,7 +85,7 @@ class TestIngest:
 
     def test_add_many_counts_new(self, db):
         new = [RECORDS[0], HardwareDependency("S9", "Disk", "WD")]
-        assert db.add_all(new) == 1
+        assert db.ingest(new) == 1
 
     def test_route_with_comma_in_hop_not_conflated(self, tmp_path):
         # JSON-array storage: one hop containing a comma is distinct
@@ -161,8 +159,8 @@ class TestSnapshots:
         path = tmp_path / "dep.sqlite"
         covered = [RECORDS[0], RECORDS[3]]
         late = [RECORDS[1], RECORDS[4]]
-        backend = SQLiteBackend(path)
-        other = SQLiteBackend(path)
+        backend = DepDB.sqlite(path)
+        other = DepDB.sqlite(path)
         try:
             backend.add_many(covered)
             content_hash = backend.content_hash
@@ -205,8 +203,8 @@ class TestLifecycle:
 
     def test_pickle_rebuilds_as_memory_store(self, db):
         # Engine workers pickle job.depdb; sqlite connections cannot
-        # cross process boundaries, so the clone is memory-backed with
-        # identical records.
+        # cross process boundaries, so the clone is an in-memory DepDB
+        # with identical records.
         clone = pickle.loads(pickle.dumps(db))
         assert clone.records() == db.records()
         assert clone.content_hash() == db.content_hash()
@@ -214,9 +212,9 @@ class TestLifecycle:
 
 
 # --------------------------------------------------------------------- #
-# Content-hash pin: whatever SQLiteBackend.content_hash() does inside,
-# its value is records_digest of the rows on file, which is what a
-# MemoryBackend holding the same records computes in full.
+# Content-hash pin: whatever the SQLite store's content_hash() does
+# inside, its value is records_digest of the rows on file, which is what
+# an in-memory DepDB holding the same records computes in full.
 # --------------------------------------------------------------------- #
 
 _NAME = st.text("ab1,\"é", min_size=1, max_size=3)
@@ -238,7 +236,7 @@ _record = st.one_of(
 _batch = st.lists(_record, max_size=6)
 _step = st.one_of(
     st.tuples(st.just("ingest"), _batch),
-    st.tuples(st.just("other"), _batch),  # a second backend, same file
+    st.tuples(st.just("other"), _batch),  # a second store, same file
     st.tuples(st.just("replay"), st.just(None)),  # duplicates only
     st.tuples(st.just("hash"), st.just(None)),
     st.tuples(st.just("snapshot"), st.just(None)),
@@ -249,8 +247,7 @@ _step = st.one_of(
 def _assert_hash_pinned(backend):
     """The three-way equality every step of the pin suite must keep."""
     stored = list(backend.iter_records())
-    oracle = MemoryBackend()
-    oracle.add_many(stored)
+    oracle = DepDB(stored)
     assert (
         backend.content_hash()
         == records_digest(stored)
@@ -263,8 +260,8 @@ def _assert_hash_pinned(backend):
 def test_content_hash_pinned_under_interleaving(steps):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "dep.sqlite"
-        backend = SQLiteBackend(path)
-        other = SQLiteBackend(path)
+        backend = DepDB.sqlite(path)
+        other = DepDB.sqlite(path)
         ingested = []
         try:
             _assert_hash_pinned(backend)
@@ -285,7 +282,7 @@ def test_content_hash_pinned_under_interleaving(steps):
                     assert other.last_snapshot().digest == snap.digest
                 else:
                     backend.close()
-                    backend = SQLiteBackend(path)
+                    backend = DepDB.sqlite(path)
                 _assert_hash_pinned(backend)
                 _assert_hash_pinned(other)
             assert backend.content_hash() == records_digest(set(ingested))
@@ -299,8 +296,8 @@ class TestContentHashPin:
         # The hypothesis suite above, unrolled once over all three
         # record types so a failure here names the step.
         path = tmp_path / "dep.sqlite"
-        backend = SQLiteBackend(path)
-        other = SQLiteBackend(path)
+        backend = DepDB.sqlite(path)
+        other = DepDB.sqlite(path)
         try:
             empty = backend.content_hash()
             assert empty == records_digest([])
@@ -325,7 +322,7 @@ class TestContentHashPin:
             _assert_hash_pinned(backend)
             # Close and reopen: same file, same value.
             backend.close()
-            backend = SQLiteBackend(path)
+            backend = DepDB.sqlite(path)
             assert backend.content_hash() == snap.digest
             backend.add(HardwareDependency("S9", "Disk", "WD"))
             _assert_hash_pinned(backend)
@@ -342,15 +339,15 @@ class TestContentHashPin:
                 "d8323293ae24818c21c0e3429b568e19"
                 "31910a698415bf58cd23adcc733fbd4f"
             )
-            db.add_all(RECORDS)
+            db.ingest(RECORDS)
             assert db.content_hash() == records_digest(RECORDS) == (
                 "076d1db18108ce3aec550ad79d82ca09"
                 "bab02e277bae6e457459d641c07f3915"
             )
 
     def test_order_of_ingest_does_not_matter(self, tmp_path):
-        forward = SQLiteBackend(tmp_path / "a.sqlite")
-        backward = SQLiteBackend(tmp_path / "b.sqlite")
+        forward = DepDB.sqlite(tmp_path / "a.sqlite")
+        backward = DepDB.sqlite(tmp_path / "b.sqlite")
         try:
             for record in RECORDS:
                 forward.add(record)
@@ -362,7 +359,7 @@ class TestContentHashPin:
             backward.close()
 
     def test_hash_of_a_closed_store_raises(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "dep.sqlite")
+        backend = DepDB.sqlite(tmp_path / "dep.sqlite")
         backend.add_many(RECORDS)
         backend.content_hash()
         backend.close()
@@ -389,7 +386,7 @@ class TestAppendOnly:
             conn.close()
         with DepDB.sqlite(path) as db:
             assert db.records() == before
-            assert db.add_all(RECORDS) == 0  # INSERT OR IGNORE is not an UPDATE
+            assert db.ingest(RECORDS) == 0  # INSERT OR IGNORE is not an UPDATE
 
     def test_store_written_before_the_triggers_gains_them_on_open(
         self, tmp_path
@@ -411,7 +408,7 @@ class TestAppendOnly:
 
     def test_out_of_band_delete_trips_a_full_rescan(self, tmp_path, sqlite_keyed):
         path = tmp_path / "dep.sqlite"
-        backend = SQLiteBackend(path)
+        backend = DepDB.sqlite(path)
         try:
             backend.add_many(RECORDS)
             stale = backend.content_hash()
@@ -478,7 +475,7 @@ class TestTripwire:
     @pytest.fixture
     def store(self, tmp_path):
         path = tmp_path / "dep.sqlite"
-        backend = SQLiteBackend(path)
+        backend = DepDB.sqlite(path)
         backend.add_many(_records(self.N, "a"))
         backend.content_hash()
         yield path, backend
@@ -568,10 +565,10 @@ def _vm_steps(backend, call) -> int:
     return steps
 
 
-def _fat_tree_like(path, hosts: int) -> SQLiteBackend:
+def _fat_tree_like(path, hosts: int) -> DepDB:
     """Four routes per host, every one to ``Internet``, as in a fat
     tree; one hardware and one software record per host."""
-    backend = SQLiteBackend(path)
+    backend = DepDB.sqlite(path)
     backend.add_many(
         [
             *(
@@ -697,7 +694,7 @@ class TestQueryPlans:
         with DepDB.sqlite(path) as reopened:
             indexes = {
                 name
-                for (name,) in reopened.backend._execute(
+                for (name,) in reopened._execute(
                     "SELECT name FROM sqlite_master WHERE type = 'index'"
                 )
             }
@@ -725,7 +722,7 @@ class TestHashWorkIsTheDrift:
             SoftwareDependency("Riak", "S2", ("libc6",)),
             RECORDS[0],  # a duplicate is not a new row
         ]
-        db.add_all(batch)
+        db.ingest(batch)
         db.content_hash()
         assert keyed == batch[:3]
         del keyed[:]
@@ -735,8 +732,8 @@ class TestHashWorkIsTheDrift:
 
     def test_rows_of_another_connection_are_keyed_once(self, tmp_path, sqlite_keyed):
         path = tmp_path / "dep.sqlite"
-        backend = SQLiteBackend(path)
-        other = SQLiteBackend(path)
+        backend = DepDB.sqlite(path)
+        other = DepDB.sqlite(path)
         try:
             backend.add_many(RECORDS[:4])
             backend.content_hash()
@@ -752,8 +749,7 @@ class TestHashWorkIsTheDrift:
         path = tmp_path / "dep.sqlite"
         with DepDB.sqlite(path, records=RECORDS) as db:
             db.content_hash()
-            backend = db.backend
-        assert backend._hashed is None
+        assert db._hashed is None
         del sqlite_keyed[:]
         with DepDB.sqlite(path) as reopened:  # a fresh process, in effect
             reopened.content_hash()
@@ -763,7 +759,7 @@ class TestHashWorkIsTheDrift:
 def test_hashing_and_ingesting_threads_share_one_backend(tmp_path):
     # The memo is state shared by the service's worker threads; a lost
     # update to it would leave keys out of (or twice in) the list.
-    backend = SQLiteBackend(tmp_path / "dep.sqlite")
+    backend = DepDB.sqlite(tmp_path / "dep.sqlite")
     batches = [
         [
             HardwareDependency(f"S{worker}", "Disk", f"WD-{worker}-{i}-{j}")

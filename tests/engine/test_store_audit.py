@@ -26,7 +26,7 @@ SPEC = AuditSpec(deployment="riak", servers=("S1", "S2"))
 
 @pytest.fixture(params=["memory", "sqlite"])
 def db(request, tmp_path):
-    """The audited store, in memory and as the durable SQLite backend."""
+    """The audited store, in memory and as the durable SQLite store."""
     if request.param == "memory":
         yield DepDB(RECORDS)
         return
@@ -167,6 +167,24 @@ class TestDriftDuringAudit:
         second = engine.audit_store(db, SPEC)
         assert second.changed is True
         assert second.previous is None
+
+    def test_write_between_recheck_and_snapshot_is_not_marked_audited(
+        self, db, write_after_hash
+    ):
+        # Another thread ingests right after the re-check that the store
+        # still holds the audited records (the second hash of the call).
+        late = HardwareDependency("S9", "Disk", "WD-1TB")
+        writer = write_after_hash(db, late, nth=2)
+        engine = AuditEngine()
+        first = engine.audit_store(db, SPEC)
+        writer.join()
+        assert late in db.records()
+        assert first.snapshot.digest == first.content_hash
+        assert db.last_snapshot().digest == first.content_hash
+        assert db.content_hash() != first.content_hash
+        second = engine.audit_store(db, SPEC)
+        assert second.changed is True
+        assert second.previous == first.content_hash
 
 
 class TestUnchangedStoreIsNotRekeyed:

@@ -188,6 +188,29 @@ class TestStoreRequests:
         assert job.state == "done"
         assert jobs.stores.get("default").last_snapshot() is None
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "sqlite"])
+    def test_write_between_check_and_snapshot_is_not_marked_audited(
+        self, tmp_path, write_after_hash, durable
+    ):
+        jobs = manager(state_dir=tmp_path) if durable else manager()
+        try:
+            jobs.ingest_depdb("default", DEPDB)
+            store = jobs.stores.get("default")
+            job = jobs.submit(make_request(depdb=api.STORE_DEPDB))
+            # Another thread ingests right after the finished job checks
+            # that the store still holds the audited records.
+            late = HardwareDependency("S9", "Disk", "WD")
+            writer = write_after_hash(store, late, nth=1)
+            jobs.run_pending()
+            writer.join()
+            assert job.state == "done"
+            audited = job.request.metadata["depdb_content_hash"]
+            assert store.last_snapshot().digest == audited
+            assert store.last_snapshot().label == job.structural_hash
+            assert store.content_hash() != audited
+        finally:
+            jobs.shutdown()
+
     def test_stats_expose_store_tenants(self):
         jobs = manager()
         jobs.ingest_depdb("acme", DEPDB)

@@ -62,7 +62,7 @@ def fleet_depdb() -> tuple[DepDB, list[str]]:
             HardwareInventoryCollector(INVENTORY),
         ],
     )
-    depdb.add_all(SOFTWARE)
+    depdb.ingest(SOFTWARE)
     return depdb, SERVERS
 
 
