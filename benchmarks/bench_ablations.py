@@ -18,7 +18,6 @@ import pytest
 
 from repro.core import (
     ComponentSets,
-    FailureSampler,
     FaultGraph,
     GateType,
     minimal_risk_groups,
@@ -26,6 +25,7 @@ from repro.core import (
 from repro.core.minimal_rg import minimise_family
 from repro.core.probability import expected_error_minhash
 from repro.crypto import HashFamily
+from repro.engine import FailureSampler
 from repro.privacy import estimate_jaccard, jaccard, minhash_signature
 
 

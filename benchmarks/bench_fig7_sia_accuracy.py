@@ -22,9 +22,10 @@ import time
 import pytest
 
 from repro.acquisition import NetworkDependencyCollector, TrafficSampledCollector
-from repro.core import FailureSampler, SIAAuditor, minimal_risk_groups
+from repro.core import minimal_risk_groups
 from repro.core.spec import AuditSpec
 from repro.depdb import DepDB
+from repro.engine import FailureSampler, SIAAuditor
 from repro.topology import TOPOLOGY_C, FatTreeConfig, fat_tree, fat_tree_routes
 
 #: Scaled stand-ins for topologies A/B/C (same fat-tree structure).

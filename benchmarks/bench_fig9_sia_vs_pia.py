@@ -21,8 +21,9 @@ from __future__ import annotations
 import time
 from itertools import combinations
 
-from repro.core import ComponentSets, FailureSampler, minimal_risk_groups
+from repro.core import ComponentSets, minimal_risk_groups
 from repro.crypto import SharedGroup, generate_keypair
+from repro.engine import FailureSampler
 from repro.privacy import KSParty, KSProtocol, PSOPParty, PSOPProtocol
 
 PARAMS = {

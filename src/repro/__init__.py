@@ -28,15 +28,12 @@ from repro.core import (
     DeploymentAudit,
     DetailLevel,
     Event,
-    FailureSampler,
     FaultGraph,
     FaultSets,
     GateType,
     RGAlgorithm,
     RankedRiskGroup,
     RankingMethod,
-    SIAAuditor,
-    SamplingResult,
     build_dependency_graph,
     component_sets_from_graph,
     compose,
@@ -53,7 +50,14 @@ from repro.depdb import (
     NetworkDependency,
     SoftwareDependency,
 )
-from repro.engine import AuditEngine, GraphCache, structural_hash
+from repro.engine import (
+    AuditEngine,
+    FailureSampler,
+    GraphCache,
+    SIAAuditor,
+    SamplingResult,
+    structural_hash,
+)
 from repro.errors import IndaasError
 
 # The stable public API facade.  ``repro.api`` defines the versioned

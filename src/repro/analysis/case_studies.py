@@ -15,11 +15,11 @@ from repro.acquisition.hardware import HardwareInventoryCollector
 from repro.acquisition.network import NetworkDependencyCollector
 from repro.analysis.formal import FormalAnalysisResult, formal_analysis
 from repro.cloud.openstack import Host, Scheduler
-from repro.core.audit import SIAAuditor
 from repro.core.report import AuditReport, DeploymentAudit
 from repro.core.spec import AuditSpec, RGAlgorithm
 from repro.depdb.database import DepDB
 from repro.depdb.records import HardwareDependency, NetworkDependency
+from repro.engine.audit import SIAAuditor
 from repro.failures.models import uniform_weigher
 from repro.privacy.pia import PIAAuditor, PIAReport
 from repro.swinventory.stacks import CLOUDS, all_stack_packages

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from repro.core.audit import SIAAuditor
 from repro.core.builder import Weigher
 from repro.core.minimal_rg import minimal_risk_groups, unexpected_risk_groups
 from repro.core.probability import top_event_probability
 from repro.depdb.database import DepDB
+from repro.engine.audit import SIAAuditor
 from repro.errors import AnalysisError
 
 __all__ = ["DeploymentAnalysis", "FormalAnalysisResult", "formal_analysis"]

@@ -479,11 +479,13 @@ def merge_reports(
 ) -> AuditReport:
     """Combine single-deployment reports into one ranked report.
 
-    Re-applies the canonical §4.1.4 ordering from the serialised fields
-    alone, so a client assembling per-deployment server reports gets the
+    Re-applies the canonical §4.1.4 ordering
+    (:func:`~repro.core.report.deployment_order`) to the serialised
+    fields, so a client assembling per-deployment server reports gets the
     same ranking a single multi-deployment audit would have produced.
     """
     from repro.core.ranking import RankingMethod
+    from repro.core.report import deployment_order
 
     if not reports:
         raise SpecificationError("no reports to merge")
@@ -493,21 +495,18 @@ def merge_reports(
             f"cannot merge reports with mixed ranking methods: {methods}"
         )
     method = RankingMethod(reports[0].ranking_method)
-    higher_better = method.higher_score_is_more_independent
     deployments = [dict(d) for r in reports for d in r.deployments]
-
-    def key(entry: dict):
-        score = entry.get("score", 0.0)
-        prob = entry.get("failure_probability")
-        return (
-            -score if higher_better else score,
-            prob if prob is not None else 1.0,
-            entry.get("deployment", ""),
-        )
-
     return AuditReport(
         title=title,
-        deployments=sorted(deployments, key=key),
+        deployments=sorted(
+            deployments,
+            key=lambda entry: deployment_order(
+                method,
+                entry.get("score", 0.0),
+                entry.get("failure_probability"),
+                entry.get("deployment", ""),
+            ),
+        ),
         ranking_method=method.value,
         client=client,
         metadata={"merged_from": len(reports)},
@@ -797,9 +796,9 @@ def plan(
     its ``to_dict()`` emits the canonical ``mitigation_plan`` schema.
     """
     from repro.analysis.planner import MitigationPlanner
-    from repro.core.audit import SIAAuditor
     from repro.core.spec import AuditSpec
     from repro.depdb.database import DepDB
+    from repro.engine.audit import SIAAuditor
     from repro.failures import uniform_weigher
 
     servers = tuple(servers)

@@ -738,9 +738,9 @@ def _run_drift(args: argparse.Namespace) -> int:
 
 
 def _run_importance(args: argparse.Namespace) -> int:
-    from repro.core.audit import SIAAuditor
     from repro.core.spec import AuditSpec
     from repro.depdb.database import DepDB
+    from repro.engine.audit import SIAAuditor
     from repro.failures import uniform_weigher
 
     depdb = DepDB.loads(_load_depdb_text(args.depdb))

@@ -1,12 +1,15 @@
-"""INDaaS core: fault graphs, risk-group analysis, ranking, SIA auditing.
+"""INDaaS core: fault graphs, risk-group analysis, ranking, reports.
 
-This package implements the paper's primary contribution (§4.1): the
-three-level dependency-graph representation, the two risk-group detection
-algorithms, the two ranking algorithms, independence scores and auditing
-reports, plus the graph builder that turns DepDB records into fault graphs.
+This package implements the algorithms of the paper's primary
+contribution (§4.1): the three-level dependency-graph representation,
+the exact minimal-RG algorithm and the array compilation the sampling
+algorithm evaluates, the two ranking algorithms, independence scores and
+auditing reports, plus the graph builder that turns DepDB records into
+fault graphs.  It imports nothing from :mod:`repro.engine`, which sits
+above it: the failure sampler and the SIA auditor that drives a whole
+audit live there.
 """
 
-from repro.core.audit import SIAAuditor
 from repro.core.bdd import BDD, compile_graph
 from repro.core.builder import build_dependency_graph
 from repro.core.compile import CompiledGraph
@@ -44,7 +47,6 @@ from repro.core.ranking import (
     rank_risk_groups,
 )
 from repro.core.report import AuditReport, DeploymentAudit
-from repro.core.sampling import FailureSampler, SamplingResult
 from repro.core.spec import AuditSpec, DetailLevel, RGAlgorithm
 
 __all__ = [
@@ -58,15 +60,12 @@ __all__ = [
     "DeploymentAudit",
     "DetailLevel",
     "Event",
-    "FailureSampler",
     "FaultGraph",
     "FaultSets",
     "GateType",
     "RGAlgorithm",
     "RankedRiskGroup",
     "RankingMethod",
-    "SIAAuditor",
-    "SamplingResult",
     "build_dependency_graph",
     "birnbaum_importance",
     "component_importance_ranking",

@@ -6,21 +6,16 @@ event to the child events whose failures feed its input gate.  Nodes may be
 shared (an event can feed several gates) — this sharing is exactly how common
 dependencies such as a shared aggregation switch appear in the model.
 
-The class is deliberately self-contained (plain dictionaries) for speed; a
-:meth:`FaultGraph.to_networkx` exporter is provided for interoperability with
-the NetworkX ecosystem the original prototype used.
+The class is deliberately self-contained (plain dictionaries) for speed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.core.events import Event, GateType, redundancy_threshold
 from repro.errors import FaultGraphError
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["FaultGraph"]
 
@@ -460,28 +455,6 @@ class FaultGraph:
         for node in clone.basic_events():
             clone.set_probability(node, assign(clone.event(node)))
         return clone
-
-    # ------------------------------------------------------------------ #
-    # Interop
-    # ------------------------------------------------------------------ #
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a NetworkX DiGraph (edges parent -> child)."""
-        import networkx as nx
-
-        graph = nx.DiGraph(name=self.name)
-        for node, event in self._events.items():
-            graph.add_node(
-                node,
-                gate=event.gate.value if event.gate else None,
-                k=event.k,
-                probability=event.probability,
-                kind=event.kind,
-            )
-        for node, kids in self._children.items():
-            for child in kids:
-                graph.add_edge(node, child)
-        return graph
 
     def stats(self) -> dict[str, int]:
         """Node/edge counts, useful in reports and benchmarks."""

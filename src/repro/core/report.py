@@ -16,7 +16,27 @@ from repro.core.ranking import RankedRiskGroup, RankingMethod
 from repro.errors import AnalysisError
 from repro.schema import envelope
 
-__all__ = ["DeploymentAudit", "AuditReport"]
+__all__ = ["DeploymentAudit", "AuditReport", "deployment_order"]
+
+
+def deployment_order(
+    method: RankingMethod,
+    score: float,
+    failure_probability: Optional[float],
+    deployment: str,
+) -> tuple:
+    """The §4.1.4 sort key of one deployment, most independent first.
+
+    Size-based scores rank descending (bigger RGs = more independent);
+    probability-based scores rank ascending (smaller total importance =
+    more independent).  Failure probability, ``None`` counting as 1.0,
+    breaks ties; the deployment name makes the order fully deterministic.
+    """
+    return (
+        -score if method.higher_score_is_more_independent else score,
+        1.0 if failure_probability is None else failure_probability,
+        deployment,
+    )
 
 
 @dataclass
@@ -103,25 +123,17 @@ class AuditReport:
             )
 
     def ranked_deployments(self) -> list[DeploymentAudit]:
-        """Deployments ordered most-independent first (§4.1.4).
-
-        Size-based scores rank descending (bigger RGs = more independent);
-        probability-based scores rank ascending (smaller total importance
-        = more independent).  Failure probability, when present, breaks
-        ties; deployment name makes the order fully deterministic.
-        """
-        higher_better = self.ranking_method.higher_score_is_more_independent
-
-        def key(audit: DeploymentAudit):
-            score = -audit.score if higher_better else audit.score
-            prob = (
-                audit.failure_probability
-                if audit.failure_probability is not None
-                else 1.0
-            )
-            return (score, prob, audit.deployment)
-
-        return sorted(self.audits, key=key)
+        """Deployments ordered most-independent first
+        (:func:`deployment_order`)."""
+        return sorted(
+            self.audits,
+            key=lambda audit: deployment_order(
+                self.ranking_method,
+                audit.score,
+                audit.failure_probability,
+                audit.deployment,
+            ),
+        )
 
     def best(self) -> DeploymentAudit:
         """The most independent deployment."""

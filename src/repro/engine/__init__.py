@@ -5,7 +5,8 @@ This package is the scaling layer on top of the §4.1 analysis core:
 * :mod:`repro.engine.cache` — structural-hash keyed compilation cache
   and the plain :class:`LRUCache` the result caches are made of;
 * :mod:`repro.engine.batch` — whole-block NumPy witness extraction and
-  greedy cut minimisation (no per-round Python on the hot path);
+  greedy cut minimisation (no per-round Python on the hot path), and the
+  merge of block outcomes into a :class:`SamplingResult`;
 * :mod:`repro.engine.parallel` — deterministic block sharding with
   ``SeedSequence.spawn``, the inline block and job loops, cancellation;
 * :mod:`repro.engine.pool` — the worker processes: one persistent pool
@@ -13,19 +14,25 @@ This package is the scaling layer on top of the §4.1 analysis core:
 * :mod:`repro.engine.specset` — loading and validating deployment spec
   sets (:class:`AuditJob`), shared by the fan-out and the cached loop;
 * :mod:`repro.engine.facade` — the one engine, :class:`AuditEngine`,
-  with its audit result cache, consumed by
-  :class:`~repro.core.audit.SIAAuditor`, the what-if analysis, the
-  shared request executor, the service and the CLI verbs;
+  with its audit result cache, consumed by :class:`SIAAuditor`, the
+  what-if analysis, the shared request executor, the service and the
+  CLI verbs; and :class:`FailureSampler`, the §4.1.2 sampler as a front
+  over the engine's one plan → run → merge;
+* :mod:`repro.engine.audit` — :class:`SIAAuditor`, the §4.1 pipeline
+  from DepDB to ranked report, whose sampling audits run only through
+  an engine;
 * :mod:`repro.engine.incremental` — the diff the result cache is keyed
   and reported by: graph diffing, spec-set deltas, store-audit outcomes
   (the ``indaas watch`` loop over them is :mod:`repro.service.watch`).
 
 The package sits above :mod:`repro.core` and imports it freely;
-``core`` reaches back up only from inside functions.
+nothing in ``core`` imports this package, at any scope.
 """
 
+from repro.engine.audit import SIAAuditor
 from repro.engine.batch import (
     BlockOutcome,
+    SamplingResult,
     extract_witnesses_batch,
     minimise_cuts_batch,
     run_block,
@@ -37,7 +44,7 @@ from repro.engine.cache import (
     default_cache,
     structural_hash,
 )
-from repro.engine.facade import AuditEngine
+from repro.engine.facade import AuditEngine, FailureSampler
 from repro.engine.incremental import (
     DeltaAuditReport,
     GraphDelta,
@@ -63,10 +70,13 @@ __all__ = [
     "BlockOutcome",
     "BlockPlan",
     "DeltaAuditReport",
+    "FailureSampler",
     "GraphCache",
     "GraphDelta",
     "LRUCache",
     "PersistentPool",
+    "SIAAuditor",
+    "SamplingResult",
     "compile_cached",
     "default_cache",
     "extract_witnesses_batch",

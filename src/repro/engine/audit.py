@@ -8,6 +8,9 @@ into a ranked :class:`~repro.core.report.AuditReport`:
 2. determine risk groups (minimal-RG or failure-sampling algorithm),
 3. rank them (size- or probability-based),
 4. compute independence scores and assemble the report.
+
+It lives in the engine package because its sampling algorithm runs only
+through :meth:`~repro.engine.facade.AuditEngine.sample_spec`.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from repro.core.ranking import (
     rank_risk_groups,
 )
 from repro.core.report import AuditReport, DeploymentAudit
-from repro.core.sampling import FailureSampler
 from repro.core.spec import AuditSpec, DetailLevel, RGAlgorithm
 from repro.depdb.database import DepDB
 from repro.errors import AnalysisError, SpecificationError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
+if TYPE_CHECKING:  # pragma: no cover - typing only, the facade imports us
     from repro.engine.facade import AuditEngine
 
 __all__ = ["SIAAuditor"]
@@ -46,14 +48,15 @@ class SIAAuditor:
             (see :mod:`repro.failures` for realistic models).
         engine: Optional :class:`~repro.engine.AuditEngine`.  When given,
             sampling audits run through its compilation cache and fan
-            their blocks out over its worker pool.
+            their blocks out over its worker pool; without one, each
+            sampling audit runs on a fresh inline ``AuditEngine()``.
     """
 
     def __init__(
         self,
         depdb: DepDB,
         weigher: Optional[Weigher] = None,
-        engine: Optional["AuditEngine"] = None,
+        engine: Optional[AuditEngine] = None,
     ):
         self.depdb = depdb
         self.weigher = weigher
@@ -117,15 +120,13 @@ class SIAAuditor:
             if spec.max_order is not None:
                 notes.append(f"cut sets truncated at order {spec.max_order}")
         else:
-            if self.engine is not None:
-                result = self.engine.sample_spec(graph, spec)
-            else:
-                result = FailureSampler(
-                    graph,
-                    sample_probability=spec.sampling_probability,
-                    seed=spec.seed,
-                    adaptive=spec.adaptive,
-                ).run(spec.sampling_rounds)
+            engine = self.engine
+            if engine is None:
+                # Imported here: the facade imports this module.
+                from repro.engine.facade import AuditEngine
+
+                engine = AuditEngine()
+            result = engine.sample_spec(graph, spec)
             groups = result.risk_groups
             # The note deliberately omits engine/worker details: results
             # (and therefore reports) are identical for any worker

@@ -1,6 +1,6 @@
 """Vectorised post-processing for failure-sampling blocks.
 
-The seed implementation of :class:`~repro.core.sampling.FailureSampler`
+The seed implementation of :class:`~repro.engine.facade.FailureSampler`
 evaluated rounds in NumPy batches but then fell back into a per-failing-row
 Python loop for witness extraction and greedy cut minimisation.  On dense
 graphs most rounds fail, so that loop dominated the runtime.  This module
@@ -26,7 +26,9 @@ moves both steps to whole-block operations:
   undoes exactly their trial — the result equals trial-evaluating each
   candidate against the whole graph;
 * :func:`run_block` ties sampling, evaluation and both steps together
-  into the unit of work the serial sampler and the parallel engine share.
+  into the unit of work the serial sampler and the parallel engine share;
+* :func:`merge_block_outcomes` folds a run's block outcomes into its
+  :class:`SamplingResult`.
 
 Determinism: every random choice is drawn from the block's own
 :class:`numpy.random.Generator`, and consumption depends only on the
@@ -42,16 +44,19 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Collection, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.compile import CompiledGraph, unpack_rounds
-from repro.errors import FaultGraphError
+from repro.core.minimal_rg import minimise_family
+from repro.errors import AnalysisError, FaultGraphError
 
 __all__ = [
     "BlockOutcome",
+    "SamplingResult",
     "extract_witnesses_batch",
+    "merge_block_outcomes",
     "minimise_cuts_batch",
     "run_block",
 ]
@@ -74,6 +79,83 @@ class BlockOutcome:
     top_failures: int
     groups: set[frozenset[str]] = field(default_factory=set)
     raw_keys: set[bytes] = field(default_factory=set)
+
+
+@dataclass
+class SamplingResult:
+    """Outcome of a sampling run.
+
+    Attributes:
+        rounds: Number of sampling rounds executed.
+        top_failures: Rounds in which the top event failed.
+        risk_groups: Aggregated risk groups, an antichain (no group
+            contains another), sorted by size, then members.
+        top_probability_estimate: Fraction of failing rounds — an unbiased
+            estimate of the top-event failure probability *under the
+            sampling distribution* (only meaningful as a probability when
+            sampling with the true per-event weights).
+    """
+
+    rounds: int
+    top_failures: int
+    risk_groups: list[frozenset[str]]
+    top_probability_estimate: float
+    minimised: bool = True
+    sample_probability: Optional[float] = None
+    unique_failure_sets: int = 0
+    metadata: dict = field(default_factory=dict)
+
+    def detection_rate(self, reference: Iterable[frozenset[str]]) -> float:
+        """Fraction of ``reference`` minimal RGs found by this run.
+
+        This is the y-axis of Figure 7.  Only exact matches count; when
+        the sampler ran without minimisation, a reference RG also counts
+        as detected when some sampled RG equals it after absorption.
+        """
+        ref = {frozenset(r) for r in reference}
+        if not ref:
+            raise AnalysisError("reference minimal RG collection is empty")
+        found = set(self.risk_groups)
+        return len(ref & found) / len(ref)
+
+
+def merge_block_outcomes(
+    outcomes: Sequence[BlockOutcome],
+    *,
+    minimised: bool,
+    sample_probability: Optional[float],
+    metadata: Optional[dict] = None,
+) -> SamplingResult:
+    """Fold per-block outcomes into one :class:`SamplingResult`.
+
+    Counts add, group/raw-fingerprint sets union, and the family is
+    sorted by ``(size, sorted members)`` — all order-insensitive, so the
+    merge of a parallel run equals the merge of the same blocks run
+    serially.  Minimised blocks hold minimal risk groups of one monotone
+    graph, and distinct minimal groups never contain one another, so
+    their union is already an antichain and is only sorted.  Raw failing
+    sets (``minimised=False``) are absorption-minimised first.
+    """
+    if not outcomes:
+        raise AnalysisError("no block outcomes to merge")
+    rounds = sum(o.rounds for o in outcomes)
+    top_failures = sum(o.top_failures for o in outcomes)
+    collected: set[frozenset[str]] = set()
+    raw_keys: set[bytes] = set()
+    for outcome in outcomes:
+        collected |= outcome.groups
+        raw_keys |= outcome.raw_keys
+    family = collected if minimised else minimise_family(collected)
+    return SamplingResult(
+        rounds=rounds,
+        top_failures=top_failures,
+        risk_groups=sorted(family, key=lambda s: (len(s), sorted(s))),
+        top_probability_estimate=top_failures / rounds,
+        minimised=minimised,
+        sample_probability=sample_probability,
+        unique_failure_sets=len(raw_keys),
+        metadata=metadata or {},
+    )
 
 
 #: Cells (needed rows x children) one slice of a run scores at once: half

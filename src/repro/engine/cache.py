@@ -35,6 +35,9 @@ __all__ = [
     "compile_cached",
 ]
 
+#: Structures every :class:`GraphCache` keeps compiled (LRU).
+MAX_CACHED_GRAPHS = 128
+
 
 def structural_hash(graph: FaultGraph) -> str:
     """Hex digest identifying a graph's evaluation-relevant structure.
@@ -71,18 +74,11 @@ class GraphCache:
 
     One structural hash maps to both the array-compiled form (used by the
     sampler) and the BDD form (used by exact probability queries); each is
-    built on first demand.
+    built on first demand.  It keeps :data:`MAX_CACHED_GRAPHS` structures.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 128,
-        bdd_node_budget: Optional[int] = DEFAULT_BDD_NODE_BUDGET,
-    ) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self.bdd_node_budget = bdd_node_budget
+    def __init__(self) -> None:
+        self.maxsize = MAX_CACHED_GRAPHS
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, dict] = OrderedDict()
         self.hits = 0
@@ -119,7 +115,8 @@ class GraphCache:
     def compile_bdd(self, graph: FaultGraph) -> BDD:
         """Return the cached BDD form, compiling on miss.
 
-        Compilation carries the cache's node budget: an adversarially
+        Compilation carries the node budget
+        (:data:`~repro.core.bdd.DEFAULT_BDD_NODE_BUDGET`): an adversarially
         ordered graph raises
         :class:`~repro.core.minimal_rg.CutSetExplosion` (before anything
         is cached) instead of building an exponential diagram — the same
@@ -133,7 +130,7 @@ class GraphCache:
                 self.hits += 1
                 return bdd
             self.misses += 1
-        bdd = compile_graph(graph, max_nodes=self.bdd_node_budget)
+        bdd = compile_graph(graph, max_nodes=DEFAULT_BDD_NODE_BUDGET)
         with self._lock:
             self._entry(key).setdefault("bdd", bdd)
         return bdd

@@ -7,7 +7,7 @@ hands them to the rest of the system behind a small API:
   what-if sweeps stop recompiling identical graphs;
 * the one plan → run → merge of failure sampling
   (:func:`~repro.engine.parallel.plan_blocks`, inline or through the
-  pool, :func:`~repro.core.sampling.merge_block_outcomes`) — bit-identical
+  pool, :func:`~repro.engine.batch.merge_block_outcomes`) — bit-identical
   results either way;
 * the decision *where* a block or a fan-out job runs: an engine with
   more than one worker owns a :class:`~repro.engine.pool.PersistentPool`
@@ -19,10 +19,12 @@ hands them to the rest of the system behind a small API:
   ``audit_store`` and ``audit_delta`` — which serves a repeat audit only
   where it is bit-identical to a cold recomputation.
 
-Consumers: :class:`~repro.core.audit.SIAAuditor` (pass ``engine=``),
+Consumers: :class:`~repro.engine.audit.SIAAuditor` (pass ``engine=``),
 :func:`~repro.analysis.whatif.evaluate_mitigations` (ditto),
 :func:`repro.api.execute_request`, the audit service, ``indaas watch``
-and the ``indaas audit-many`` CLI verb.
+and the ``indaas audit-many`` CLI verb.  :class:`FailureSampler`, the
+§4.1.2 sampler of one graph with a run counter of its own, is a front
+over :meth:`AuditEngine.sample`.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.audit import SIAAuditor
 from repro.core.events import check_count, check_seed
 from repro.core.faultgraph import FaultGraph
 from repro.core.report import AuditReport, DeploymentAudit
-from repro.core.sampling import SamplingResult, merge_block_outcomes
 from repro.core.spec import AuditSpec, RGAlgorithm
 from repro.engine.adaptive import AdaptiveConfig, AdaptiveStopper
+from repro.engine.audit import SIAAuditor
+from repro.engine.batch import SamplingResult, merge_block_outcomes
 from repro.engine.cache import (
     GraphCache,
     LRUCache,
@@ -70,7 +72,12 @@ from repro.engine.specset import (
 )
 from repro.errors import AnalysisError, SpecificationError
 
-__all__ = ["AuditEngine", "cancel_scope", "check_cancelled"]
+__all__ = [
+    "AuditEngine",
+    "FailureSampler",
+    "cancel_scope",
+    "check_cancelled",
+]
 
 #: Deployment audits every engine's result cache keeps (LRU).
 MAX_CACHED_AUDITS = 1024
@@ -202,12 +209,11 @@ class AuditEngine:
         """Run a failure-sampling audit of ``graph``.
 
         The one plan → run → merge in the package
-        (:class:`~repro.core.sampling.FailureSampler` is a front over
-        it): ``rounds`` are cut into ``block_size`` blocks with seeds
-        spawned from ``seed`` — an integer, ``None`` for fresh OS
-        entropy, or a ready :class:`numpy.random.SeedSequence` root —
-        the blocks run inline or through the pool, and the outcomes
-        merge order-insensitively.
+        (:class:`FailureSampler` is a front over it): ``rounds`` are
+        cut into ``block_size`` blocks with seeds spawned from ``seed``
+        — an integer, ``None`` for fresh OS entropy, or a ready
+        :class:`numpy.random.SeedSequence` root — the blocks run inline
+        or through the pool, and the outcomes merge order-insensitively.
 
         ``adaptive=True`` turns ``rounds`` into a budget ceiling and
         stops at the first block boundary where the estimate and the RG
@@ -234,7 +240,7 @@ class AuditEngine:
             names = self.compile(graph).basic_names
             weights = [probs[n] for n in names]
         stopper = AdaptiveStopper(adaptive_config) if adaptive else None
-        outcomes, execution_metadata = self._run_plan(
+        outcomes = self._run_plan(
             graph,
             plan,
             probabilities=weights,
@@ -249,7 +255,6 @@ class AuditEngine:
                 "planned_blocks": len(plan),
                 "block_size": self.block_size,
             },
-            **execution_metadata,
         }
         if stopper is not None:
             metadata.update(stopper.summary())
@@ -278,7 +283,7 @@ class AuditEngine:
         touching the pool.  This is the package's only plan-size test.
         ``stopper``, when given, truncates the plan at the adaptive
         stopping point (observed in plan order on either path).  Returns
-        ``(outcomes, extra result metadata)``.
+        the block outcomes in plan order.
         """
         if (
             self.fanout > 1
@@ -287,7 +292,7 @@ class AuditEngine:
         ):
             # Workers compile through their process-local caches; don't
             # pay for an unused parent-side compilation here.
-            outcomes = self.pool.run_plan(
+            return self.pool.run_plan(
                 graph,
                 plan,
                 probabilities=probabilities,
@@ -295,8 +300,7 @@ class AuditEngine:
                 minimise=minimise,
                 stopper=stopper,
             )
-            return outcomes, {"pool": self.pool.stats()}
-        outcomes = run_plan_serial(
+        return run_plan_serial(
             self.compile(graph),
             plan,
             probabilities=probabilities,
@@ -304,7 +308,6 @@ class AuditEngine:
             minimise=minimise,
             stopper=stopper,
         )
-        return outcomes, {}
 
     def sample_spec(self, graph, spec: AuditSpec) -> SamplingResult:
         """Sample ``graph`` with the parameters of an :class:`AuditSpec`."""
@@ -607,3 +610,132 @@ class AuditEngine:
                 else {"enabled": False}
             ),
         }
+
+
+# Namespaces the spawn keys of repeat runs away from run 0's plain
+# ``spawn`` children, which keeps run 0 bit-identical to samplers that
+# predate per-run keying (golden figure pins rely on that).
+_RUN_TAG = 0x17DAA5
+
+
+class FailureSampler:
+    """Monte-Carlo risk-group detector over a fault graph (§4.1.2).
+
+    The exact minimal-RG algorithm is NP-hard, so INDaaS offers a
+    linear-time randomised alternative: in each round, fail every basic
+    event independently at random, propagate values bottom-up, and —
+    whenever the top event fails — record the failing set as a risk
+    group.  Rounds run in NumPy blocks (:mod:`repro.engine.batch`), each
+    failing round is shrunk to a true minimal RG unless ``minimise`` is
+    off, and every block draws from its own ``SeedSequence.spawn`` child,
+    so a run is a pure function of ``(graph, parameters, seed,
+    run_index)`` — bit-identical inline or across worker processes (see
+    DESIGN.md).  The run index counts :meth:`run` calls on one instance
+    (``SamplingResult.metadata["run_index"]``): repeated calls draw
+    fresh, disjoint streams, and the k-th call on a fresh sampler with
+    the same seed always reproduces the same result.
+
+    Args:
+        graph: Dependency graph to sample (any level of detail).
+        sample_probability: Per-round failure chance of each basic event.
+            The paper's "coin flipping" corresponds to 0.5; smaller values
+            bias rounds towards small failing sets, which finds small
+            (high-impact) RGs with fewer rounds.
+        use_weights: Sample each event with its own failure probability
+            from the graph instead of the uniform ``sample_probability``
+            (requires a weighted graph).
+        minimise: Extract+minimise a true minimal RG from each failing
+            round.  A raw failing set under fair coin flips holds about
+            half of all basic events; ``False`` keeps the literal
+            algorithm.
+        seed: RNG seed; runs are reproducible for a fixed seed.
+        batch_size: Rounds evaluated per NumPy block.  Part of the seeded
+            stream definition: changing it changes which random numbers
+            each round sees (the worker *count* of a parallel run, by
+            contrast, never does).
+        adaptive: Stop early once the top-event estimate and the
+            risk-group discovery curve stabilise (see
+            :mod:`repro.engine.adaptive`).  ``rounds`` becomes a budget
+            ceiling; the result reports the rounds actually executed.
+        adaptive_config: Stopping-rule parameters; implies a default
+            :class:`~repro.engine.adaptive.AdaptiveConfig` when
+            ``adaptive=True`` and left ``None``.
+    """
+
+    def __init__(
+        self,
+        graph: FaultGraph,
+        sample_probability: float = 0.5,
+        use_weights: bool = False,
+        minimise: bool = True,
+        seed: Optional[int] = None,
+        batch_size: int = 4096,
+        adaptive: bool = False,
+        adaptive_config: Optional[AdaptiveConfig] = None,
+    ) -> None:
+        if not 0.0 < sample_probability < 1.0:
+            raise AnalysisError(
+                f"sample_probability must be in (0,1), got {sample_probability}"
+            )
+        if batch_size < 1:
+            raise AnalysisError(f"batch_size must be >= 1, got {batch_size}")
+        self.graph = graph
+        self.sample_probability = sample_probability
+        self.use_weights = use_weights
+        self.minimise = minimise
+        self.batch_size = batch_size
+        self.adaptive = adaptive
+        self.adaptive_config = adaptive_config
+        self._entropy = np.random.SeedSequence(seed).entropy
+        self._run_count = 0
+        # An inline engine of this sampler's own: its cache holds the
+        # compiled graph across runs.  Compiling (and reading the
+        # weights) now keeps a malformed or unweighted graph failing at
+        # construction rather than on the first run.
+        self._engine = AuditEngine(n_workers=1, block_size=batch_size)
+        self._engine.compile(graph)
+        if use_weights:
+            graph.probabilities()
+
+    def _next_run_root(self) -> tuple[np.random.SeedSequence, int]:
+        """Fresh per-run seed root, keyed by an explicit run counter.
+
+        Run 0 uses the plain seed sequence — bit-identical to samplers
+        without per-run keying, so existing golden pins hold.  Run k >= 1
+        namespaces its spawn keys under ``(_RUN_TAG, k)``, giving each
+        repeat call a fresh, disjoint, *reproducible* stream: the k-th
+        run of any sampler with this seed is always the same.
+        """
+        run_index = self._run_count
+        self._run_count += 1
+        if run_index == 0:
+            return np.random.SeedSequence(self._entropy), run_index
+        return (
+            np.random.SeedSequence(
+                self._entropy, spawn_key=(_RUN_TAG, run_index)
+            ),
+            run_index,
+        )
+
+    def run(self, rounds: int) -> SamplingResult:
+        """Execute up to ``rounds`` sampling rounds and aggregate risk groups.
+
+        Exact mode (the default) executes every round.  With
+        ``adaptive=True``, ``rounds`` is a ceiling and the run halts at
+        the first block boundary where the stopping rule is satisfied.
+        """
+        if rounds < 1:
+            raise AnalysisError(f"rounds must be >= 1, got {rounds}")
+        root, run_index = self._next_run_root()
+        result = self._engine.sample(
+            self.graph,
+            rounds,
+            sample_probability=self.sample_probability,
+            use_weights=self.use_weights,
+            minimise=self.minimise,
+            seed=root,
+            adaptive=self.adaptive,
+            adaptive_config=self.adaptive_config,
+        )
+        result.metadata["run_index"] = run_index
+        return result

@@ -94,7 +94,7 @@ def plan_blocks(
     The plan is a pure function of ``(rounds, block_size)`` and the
     *state* of ``seed_sequence``; spawning advances that state, so
     callers wanting repeatable plans must pass a freshly constructed
-    sequence per run (:class:`~repro.core.sampling.FailureSampler`
+    sequence per run (:class:`~repro.engine.facade.FailureSampler`
     derives one from its seed entropy and an explicit run counter).
     """
     check_count("rounds", rounds)

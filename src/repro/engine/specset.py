@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.core.audit import SIAAuditor
 from repro.core.spec import AuditSpec, RGAlgorithm
 from repro.depdb import DepDB
+from repro.engine.audit import SIAAuditor
 from repro.errors import SpecificationError
 from repro.failures import uniform_weigher
 

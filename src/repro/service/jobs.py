@@ -47,6 +47,14 @@ from repro.service.stores import TenantStores
 
 __all__ = ["Job", "JobManager"]
 
+#: Entries in each content-addressed store: reports, request
+#: fingerprints and idempotency keys (LRU).
+MAX_CACHED_REPORTS = 256
+
+#: Entries in the structural-hash → fault-graph store that resolves
+#: :attr:`~repro.api.AuditRequest.base` (LRU).
+MAX_BASE_GRAPHS = 32
+
 
 @dataclass
 class Job:
@@ -85,9 +93,6 @@ class JobManager:
             execution deterministically with :meth:`run_pending`.
         per_tenant_limit / total_limit: Admission bounds (see
             :class:`~repro.service.admission.AdmissionQueue`).
-        report_cache: Entries in the content-addressed report store.
-        graph_cache: Entries in the structural-hash → fault-graph store
-            used to resolve :attr:`~repro.api.AuditRequest.base`.
         state_dir: Directory for the durable job journal
             (:class:`~repro.service.journal.JobJournal`).  ``None`` runs
             fully in memory (the pre-journal behaviour).
@@ -103,8 +108,6 @@ class JobManager:
         workers: int = 2,
         per_tenant_limit: int = 8,
         total_limit: int = 64,
-        report_cache: int = 256,
-        graph_cache: int = 32,
         state_dir: Optional[Union[str, Path]] = None,
         resume: bool = True,
     ) -> None:
@@ -117,10 +120,10 @@ class JobManager:
         )
         self._jobs: dict[str, Job] = {}
         self._event = threading.Condition(threading.RLock())
-        self._reports = LRUCache(report_cache)  # key -> (bytes, hash)
-        self._fingerprints = LRUCache(report_cache)  # fingerprint -> key
-        self._graphs = LRUCache(graph_cache)  # structural hash -> graph
-        self._idempotency = LRUCache(report_cache)  # client key -> job id
+        self._reports = LRUCache(MAX_CACHED_REPORTS)  # key -> (bytes, hash)
+        self._fingerprints = LRUCache(MAX_CACHED_REPORTS)  # fingerprint -> key
+        self._graphs = LRUCache(MAX_BASE_GRAPHS)  # structural hash -> graph
+        self._idempotency = LRUCache(MAX_CACHED_REPORTS)  # client key -> job id
         self._counter = 0
         self._running = 0
         self._cache_hits = 0

@@ -16,7 +16,7 @@ from repro.topology.fattree import (
     FatTreeConfig,
     fat_tree,
 )
-from repro.topology.graph import INTERNET, Device, DeviceType, Link, Topology
+from repro.topology.graph import INTERNET, Device, DeviceType, Topology
 from repro.topology.lab import LAB_HARDWARE, LAB_SERVERS, LabCloudPlan, lab_cloud
 from repro.topology.routing import (
     fat_tree_routes,
@@ -38,7 +38,6 @@ __all__ = [
     "LAB_HARDWARE",
     "LAB_SERVERS",
     "LabCloudPlan",
-    "Link",
     "StorageSamplePlan",
     "TOPOLOGY_A",
     "TOPOLOGY_B",

@@ -4,22 +4,18 @@ Topologies are the substrate the network dependency-acquisition module
 walks (our NSDMiner substitute).  A :class:`Topology` is an undirected
 multigraph of named :class:`Device` objects; parallel links are supported
 because redundant cabling matters for failure analysis.  It stores only
-how many links join each pair of devices; a :class:`Link` is built from
-those counts when asked for.
+how many links join each pair of devices.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.errors import TopologyError
 
-if TYPE_CHECKING:
-    import networkx as nx
-
-__all__ = ["DeviceType", "Device", "Link", "Topology", "INTERNET"]
+__all__ = ["DeviceType", "Device", "Topology", "INTERNET"]
 
 #: Conventional name of the virtual node representing the outside world.
 INTERNET = "Internet"
@@ -51,27 +47,11 @@ class Device:
             raise TopologyError("device name must be non-empty")
 
 
-@dataclass(frozen=True)
-class Link:
-    """An undirected physical link; ``index`` disambiguates parallels."""
-
-    a: str
-    b: str
-    index: int = 0
-
-    @property
-    def name(self) -> str:
-        lo, hi = sorted((self.a, self.b))
-        return f"link:{lo}~{hi}#{self.index}"
-
-
 class Topology:
     """Undirected multigraph of devices.
 
     Links are kept as adjacency counts, ``neighbour -> parallel links``
-    per device, the only form routing reads.  :meth:`links_between` and
-    the multigraph export derive :class:`Link` objects from the counts:
-    index ``i`` of a pair is its ``i``-th link, oriented as asked.
+    per device, the only form routing reads.
 
     >>> topo = Topology("demo")
     >>> _ = topo.add_device("s1", DeviceType.SERVER)
@@ -151,10 +131,6 @@ class Topology:
         self.device(b)
         return self._adjacency[a].get(b, 0)
 
-    def links_between(self, a: str, b: str) -> list[Link]:
-        count = self._adjacency.get(a, {}).get(b, 0)
-        return [Link(a, b, index=i) for i in range(count)]
-
     def counts(self) -> dict[str, int]:
         """Device census by role — the rows of Table 3."""
         out: dict[str, int] = {}
@@ -193,28 +169,6 @@ class Topology:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         links = sum(sum(n.values()) for n in self._adjacency.values()) // 2
         return f"Topology({self.name!r}, devices={len(self)}, links={links})"
-
-    # ------------------------------------------------------------------ #
-    # Interop
-    # ------------------------------------------------------------------ #
-
-    def to_networkx(self, multigraph: bool = False) -> nx.Graph:
-        """Export for graph tools; parallel links collapse unless
-        ``multigraph`` is requested."""
-        import networkx as nx
-
-        graph: nx.Graph = nx.MultiGraph() if multigraph else nx.Graph()
-        graph.name = self.name
-        for device in self._devices.values():
-            graph.add_node(device.name, type=device.type.value)
-        for a, nbrs in self._adjacency.items():
-            for b, count in nbrs.items():
-                if not multigraph:
-                    graph.add_edge(a, b)
-                elif not graph.has_edge(a, b):
-                    for index in range(count):
-                        graph.add_edge(a, b, key=index)
-        return graph
 
     def validate_connected(self, among: Optional[Iterable[str]] = None) -> None:
         """Raise unless the given devices (default: all) are mutually

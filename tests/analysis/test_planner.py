@@ -9,8 +9,7 @@ import repro
 from repro import ComponentSets
 from repro.analysis.planner import MitigationPlan, MitigationPlanner
 from repro.analysis.whatif import Duplicate, Harden, evaluate_mitigations
-from repro.core.audit import SIAAuditor
-from repro.engine import AuditEngine
+from repro.engine import AuditEngine, SIAAuditor
 from repro.errors import AnalysisError
 
 
@@ -57,14 +56,10 @@ class TestCandidates:
         assert len(candidates) == 2
         assert candidates[0].component != "shared-agg"
 
-    def test_adversarial_graph_raises_through_engine_path(self):
+    def test_adversarial_graph_raises_through_engine_path(self, monkeypatch):
         """The node-budget valve must also cover engine-cached compiles."""
         from repro import FaultGraph, GateType
         from repro.core.minimal_rg import CutSetExplosion
-        from repro.engine.cache import DEFAULT_BDD_NODE_BUDGET, GraphCache
-
-        # Every engine cache carries the valve by default.
-        assert AuditEngine().cache.bdd_node_budget == DEFAULT_BDD_NODE_BUDGET
 
         n = 16
         g = FaultGraph("adversarial")
@@ -78,8 +73,10 @@ class TestCandidates:
         ]
         g.add_gate("top", GateType.AND, branches, top=True)
         # A tiny budget keeps the test fast; the default (2M nodes) is
-        # the same valve, just with production headroom.
-        engine = AuditEngine(cache=GraphCache(bdd_node_budget=500))
+        # the same valve, just with production headroom.  Every engine
+        # cache compiles under it.
+        monkeypatch.setattr("repro.engine.cache.DEFAULT_BDD_NODE_BUDGET", 500)
+        engine = AuditEngine()
         with pytest.raises(CutSetExplosion):
             MitigationPlanner(g, engine=engine).plan()
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 import repro
-from repro import api
+from repro import RankingMethod, api
+from repro.core.report import AuditReport, DeploymentAudit
 from repro.engine import AuditEngine
 from repro.errors import SpecificationError
 
@@ -196,6 +197,37 @@ class TestMergeReports:
         assert ranked[0] in ("S1 & S3", "S2 & S3")
         assert ranked[-1] == "S1 & S2"  # shared ToR1/Core1: least indep.
         assert merged.metadata["merged_from"] == 3
+
+    @pytest.mark.parametrize("method", list(RankingMethod))
+    def test_merge_breaks_ties_as_the_multi_deployment_report(self, method):
+        # Equal scores: Pr(T) decides, unset counting as 1.0, then the
+        # name, which here runs against the Pr(T) order.
+        audits = [
+            DeploymentAudit(
+                deployment=name,
+                sources=(f"{name}-1", f"{name}-2"),
+                redundancy=2,
+                ranking=[],
+                score=0.5,
+                ranking_method=method,
+                failure_probability=probability,
+            )
+            for name, probability in (
+                ("a", None), ("b", 0.3), ("c", 1.0), ("d", 0.3), ("e", None)
+            )
+        ]
+        whole = AuditReport(title="t", audits=audits, ranking_method=method)
+        singles = [
+            api.AuditReport.from_core(
+                AuditReport(title=a.deployment, audits=[a], ranking_method=method)
+            )
+            for a in reversed(audits)
+        ]
+        merged = api.merge_reports(singles, title="t")
+        assert merged.deployments == api.AuditReport.from_core(whole).deployments
+        assert [d["deployment"] for d in merged.deployments] == [
+            "b", "d", "a", "c", "e"
+        ]
 
     def test_merge_rejects_mixed_ranking_methods(self):
         a = repro.audit(DEPDB, ["S1", "S2"], seed=0)

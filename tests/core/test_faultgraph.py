@@ -5,6 +5,7 @@ import pytest
 
 from repro import FaultGraph, GateType
 from repro.errors import FaultGraphError
+from tests.graph_export import fault_graph_to_networkx
 
 
 def tiny() -> FaultGraph:
@@ -237,7 +238,7 @@ class TestTransforms:
 class TestInterop:
     def test_to_networkx(self):
         g = tiny()
-        nxg = g.to_networkx()
+        nxg = fault_graph_to_networkx(g)
         assert isinstance(nxg, nx.DiGraph)
         assert nxg.number_of_nodes() == 5
         assert nxg.has_edge("top", "or")

@@ -71,8 +71,9 @@ class TestGraphCache:
         assert bdd.probability(figure_4b_probs) == pytest.approx(0.224)
         assert cache.compile_bdd(figure_4b) is bdd
 
-    def test_lru_eviction(self):
-        cache = GraphCache(maxsize=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.cache.MAX_CACHED_GRAPHS", 2)
+        cache = GraphCache()
         graphs = [small_graph(f"s{i}") for i in range(3)]
         for g in graphs:
             cache.compile(g)
@@ -80,10 +81,6 @@ class TestGraphCache:
         # graphs[0] was evicted; recompiling it is a miss.
         cache.compile(graphs[0])
         assert cache.misses == 4
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ValueError):
-            GraphCache(maxsize=0)
 
     def test_info_and_clear(self):
         cache = GraphCache()

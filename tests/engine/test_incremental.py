@@ -331,7 +331,7 @@ class TestAuditDelta:
         assert len(outcome.report.audits) == 2
 
     def test_delta_through_base_engine_facade(self):
-        from repro.core.audit import SIAAuditor
+        from repro.engine.audit import SIAAuditor
 
         engine = AuditEngine()
         first = engine.audit_delta(None, jobs_for(SETS))

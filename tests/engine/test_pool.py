@@ -495,13 +495,15 @@ class TestPlumbing:
         assert task_key(GRAPH_A, [0.1, 0.2]) == task_key(GRAPH_A, [0.1, 0.2])
         assert task_key(GRAPH_A, [0.1, 0.2]) != task_key(GRAPH_A, [0.2, 0.1])
 
-    def test_pool_stats_surface_in_metadata_and_info(self, pools):
+    def test_pool_stats_surface_in_info_not_in_results(self, pools):
         pool = pools(2)
         engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)
         result = sample_through_pool(engine, GRAPH_A, 2 * BLOCK, seed=9)
-        assert result.metadata["pool"]["enabled"] is True
-        assert result.metadata["pool"]["workers"] == 2
+        # Cumulative pool counters differ between runs; a result keeps
+        # only what its own run decided.
+        assert "pool" not in result.metadata
         assert engine.info()["pool"]["enabled"] is True
+        assert engine.info()["pool"]["workers"] == 2
         inline = AuditEngine(n_workers=1, block_size=BLOCK)
         assert inline.info()["pool"] == {"enabled": False}
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.audit import SIAAuditor
 from repro.core.spec import AuditSpec
 from repro.depdb import (
     DepDB,
@@ -10,7 +9,7 @@ from repro.depdb import (
     NetworkDependency,
     SoftwareDependency,
 )
-from repro.engine import AuditEngine, structural_hash
+from repro.engine import AuditEngine, SIAAuditor, structural_hash
 
 RECORDS = [
     NetworkDependency("S1", "Internet", ("ToR1", "Core1")),

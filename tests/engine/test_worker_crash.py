@@ -12,8 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.sampling import merge_block_outcomes
 from repro.engine import PersistentPool
+from repro.engine.batch import merge_block_outcomes
 from repro.engine.cache import compile_cached
 from repro.engine.parallel import plan_blocks, run_plan_serial
 from repro.testing.faults import Fault, FaultInjector, FaultSchedule

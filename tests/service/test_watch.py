@@ -119,7 +119,7 @@ class TestWatchService:
         """Warm polls with byte-stable files recycle the previous
         iteration's parsed jobs *and* built graphs: no re-parse, no
         rebuild — just stat calls, hash checks and cache hits."""
-        from repro.core.audit import SIAAuditor
+        from repro.engine.audit import SIAAuditor
         from repro.service import watch
 
         write_watch_dir(tmp_path)

@@ -3,21 +3,16 @@
 AST-based: no module under test is imported, so the check cannot be
 fooled by import order or by a cycle that happens to resolve.
 
-* A **module-scope** import between two ``repro`` packages must point
-  strictly down the layer table below — which also makes the package
-  graph acyclic.  Imports under ``if TYPE_CHECKING:`` are annotations,
-  not dependencies, and are skipped.
-* A **function-local** import may point up (that is what the function
-  scope is for), but only from the places listed in
-  ``UPWARD_LOCAL_IMPORTS``.  The list must match the source exactly:
-  adding an upward import fails here, and so does leaving a stale entry
-  behind after removing one.
+* Every import between two ``repro`` packages points strictly down the
+  layer table below — at module scope, inside a function and under
+  ``if TYPE_CHECKING:`` alike, with no exception list — which also makes
+  the package graph acyclic.
 * The Figure-1 roles in ``agents/`` own no audit driver.
 * Worker processes come from one module.
 * Every public top-level name has a caller in ``src/``, ``benchmarks/``
   or ``examples/``: a test oracle lives with the tests, not in ``src/``.
-* ``import repro`` does not import NetworkX: only the two
-  ``to_networkx`` exporters use it, and they import it when called.
+* Nothing under ``src/`` imports NetworkX: it is a test dependency, the
+  oracle the route enumeration is checked against.
 * Results carry no wall-clock: ``elapsed_seconds`` is spelled only on
   the event line (``api.job_event`` / ``JobStatus``) and by the two
   services that emit it.
@@ -29,9 +24,6 @@ from __future__ import annotations
 
 import ast
 import io
-import os
-import subprocess
-import sys
 import tokenize
 from pathlib import Path
 
@@ -60,13 +52,6 @@ LAYERS = {
     "__init__": 10,
     "cli": 11,
 }
-
-#: Function-local imports that point up or sideways: (file, target).
-UPWARD_LOCAL_IMPORTS = {
-    # FailureSampler fronts the engine's plan -> run -> merge.
-    ("core/sampling.py", "engine"),
-}
-
 
 def package_of(path: Path) -> str:
     parts = path.relative_to(SRC).parts
@@ -98,31 +83,15 @@ def repro_targets(node: ast.AST) -> list[str]:
     ]
 
 
-def scan(path: Path):
-    """Yield ``(scope, target_package, lineno)`` for each repro import."""
-
-    def walk(node: ast.AST, scope: str):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from walk(child, "local")
-                continue
-            if isinstance(child, ast.If) and "TYPE_CHECKING" in ast.unparse(
-                child.test
-            ):
-                continue
-            for target in repro_targets(child):
-                yield scope, target, child.lineno
-            yield from walk(child, scope)
-
-    yield from walk(ast.parse(path.read_text(encoding="utf-8")), "module")
-
-
 def all_imports():
+    """Yield ``(path, package, target_package, lineno)`` for every import
+    of another ``repro`` package, at any scope."""
     for path in sorted(SRC.rglob("*.py")):
         here = package_of(path)
-        for scope, target, lineno in scan(path):
-            if target != here:
-                yield path, here, scope, target, lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for target in repro_targets(node):
+                if target != here:
+                    yield path, here, target, node.lineno
 
 
 def test_every_package_has_a_layer():
@@ -130,26 +99,18 @@ def test_every_package_has_a_layer():
     assert packages == set(LAYERS)
 
 
-def test_module_scope_imports_point_strictly_down():
+def test_imports_point_strictly_down():
     # In particular: core imports nothing from engine, analysis, api or
-    # service; engine nothing from api or service; nothing below service
-    # imports it; and every to_dict() reaches the envelope in
-    # repro.schema, a leaf, not in api.
+    # service, not even inside a function or for a type annotation;
+    # engine nothing from api or service; nothing below service imports
+    # it; and every to_dict() reaches the envelope in repro.schema, a
+    # leaf, not in api.
     offenders = [
         f"{path.relative_to(SRC)}:{lineno} imports repro.{target}"
-        for path, here, scope, target, lineno in all_imports()
-        if scope == "module" and LAYERS[target] >= LAYERS[here]
+        for path, here, target, lineno in all_imports()
+        if LAYERS[target] >= LAYERS[here]
     ]
     assert offenders == []
-
-
-def test_upward_local_imports_are_exactly_the_allowlist():
-    found = {
-        (str(path.relative_to(SRC)), target)
-        for path, here, scope, target, lineno in all_imports()
-        if scope == "local" and LAYERS[target] >= LAYERS[here]
-    }
-    assert found == UPWARD_LOCAL_IMPORTS
 
 
 def test_the_agent_roles_own_no_audit_driver():
@@ -165,13 +126,12 @@ def test_the_agent_roles_own_no_audit_driver():
         for path in agents.glob("*.py")
     }
     for name, modules in imported.items():
-        assert not modules & {"repro.core.audit", "repro.core.spec"}, name
+        assert not modules & {"repro.engine.audit", "repro.core.spec"}, name
     assert not [
         module
         for module in imported["transport.py"]
         if module.startswith(("repro.agents", "repro.depdb"))
     ]
-    assert UPWARD_LOCAL_IMPORTS == {("core/sampling.py", "engine")}
 
 
 def test_process_pool_executor_is_named_only_in_the_pool_module():
@@ -238,16 +198,21 @@ def test_every_public_name_has_a_caller():
     assert caller_less == set()
 
 
-def test_import_repro_leaves_networkx_unloaded():
-    probe = "import sys, repro; print('networkx' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert done.stdout.strip() == "False"
+def test_nothing_in_src_imports_networkx():
+    def names(node: ast.AST) -> list[str]:
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or ""]
+        return []
+
+    importers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if any(name.split(".")[0] == "networkx" for name in names(node))
+    ]
+    assert importers == []
 
 
 #: The only modules that may time anything into a document: the event

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.topology import Device, DeviceType, Topology
+from tests.graph_export import links_between, topology_to_networkx
 
 
 @pytest.fixture
@@ -36,7 +37,7 @@ class TestConstruction:
 
     def test_parallel_links(self, topo):
         topo.add_link("s1", "core1", count=2)
-        links = topo.links_between("s1", "core1")
+        links = links_between(topo, "s1", "core1")
         assert len(links) == 2
         assert topo.link_count("s1", "core1") == 2
         assert links[0].name != links[1].name
@@ -45,7 +46,7 @@ class TestConstruction:
         topo.add_link("s1", "core1")
         topo.add_link("s1", "core1")
         assert topo.link_count("s1", "core1") == 2
-        assert len(topo.links_between("s1", "core1")) == 2
+        assert len(links_between(topo, "s1", "core1")) == 2
 
 
 class TestInspection:
@@ -76,13 +77,13 @@ class TestInspection:
 
 class TestInterop:
     def test_to_networkx_simple(self, topo):
-        g = topo.to_networkx()
+        g = topology_to_networkx(topo)
         assert g.number_of_nodes() == 3
         assert g.has_edge("s1", "tor1")
 
     def test_to_networkx_multigraph_keeps_parallels(self, topo):
         topo.add_link("s1", "core1", count=2)
-        g = topo.to_networkx(multigraph=True)
+        g = topology_to_networkx(topo, multigraph=True)
         assert g.number_of_edges("s1", "core1") == 2
 
     def test_validate_connected(self, topo):

@@ -26,17 +26,18 @@ from repro.topology import (
     shortest_routes,
     storage_sample,
 )
+from tests.graph_export import topology_to_networkx
 
 
 def networkx_routes(topology, src, dst):
     """The oracle: every shortest path NetworkX finds, endpoints cut."""
-    paths = nx.all_shortest_paths(topology.to_networkx(), src, dst)
+    paths = nx.all_shortest_paths(topology_to_networkx(topology), src, dst)
     return sorted(tuple(path[1:-1]) for path in paths)
 
 
 def networkx_error(topology, src, dst) -> str:
     """The message the NetworkX-based router raised, from the oracle."""
-    graph = topology.to_networkx()
+    graph = topology_to_networkx(topology)
     for end in (src, dst):
         if end not in graph:
             return f"unknown device {end!r}"

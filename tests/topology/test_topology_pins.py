@@ -7,9 +7,10 @@ walks exactly this adjacency, so a change to how links are stored that
 reorders a neighbour list or miscounts a parallel link fails here even
 where it happens to leave the routes alone.
 
-The parallel-link readers (``links_between``, ``to_networkx(multigraph=
-True)``) are pinned on a small topology whose links are added in both
-orientations and interleaved with others.
+The parallel-link readers of the tests' NetworkX helper
+(``links_between``, ``topology_to_networkx(multigraph=True)``) are pinned
+on a small topology whose links are added in both orientations and
+interleaved with others.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import pytest
 
 from repro.topology import DeviceType, FatTreeConfig, Topology, fat_tree
+from tests.graph_export import links_between, topology_to_networkx
 
 
 def topology_digest(topology: Topology) -> str:
@@ -68,7 +70,7 @@ def test_links_between_as_added(parallel):
     rows = {
         pair: [
             (link.a, link.b, link.index, link.name)
-            for link in parallel.links_between(*pair)
+            for link in links_between(parallel, *pair)
         ]
         for pair in (("s1", "tor1"), ("s1", "core1"))
     }
@@ -88,7 +90,7 @@ def test_links_between_as_added(parallel):
 def test_links_between_names_either_way(parallel):
     """The names and indices of every pair's links, asked both ways."""
     names = {
-        (a, b): [(link.index, link.name) for link in parallel.links_between(a, b)]
+        (a, b): [(link.index, link.name) for link in links_between(parallel, a, b)]
         for a in ("s1", "tor1", "core1")
         for b in ("s1", "tor1", "core1")
         if a != b
@@ -101,11 +103,11 @@ def test_links_between_names_either_way(parallel):
         ("tor1", "core1"): [(i, f"link:core1~tor1#{i}") for i in range(2)],
         ("core1", "tor1"): [(i, f"link:core1~tor1#{i}") for i in range(2)],
     }
-    assert parallel.links_between("s1", "ghost") == []
+    assert links_between(parallel, "s1", "ghost") == []
 
 
 def test_multigraph_export(parallel):
-    graph = parallel.to_networkx(multigraph=True)
+    graph = topology_to_networkx(parallel, multigraph=True)
     assert graph.name == "parallel"
     assert list(graph.nodes(data="type")) == [
         ("s1", "server"),
@@ -124,7 +126,7 @@ def test_multigraph_export(parallel):
         ("s1", "tor1", 0),
         ("s1", "tor1", 1),
     ]
-    simple = parallel.to_networkx()
+    simple = topology_to_networkx(parallel)
     assert sorted(map(sorted, simple.edges())) == [
         ["core1", "s1"],
         ["core1", "tor1"],
