@@ -5,8 +5,11 @@ fooled by import order or by a cycle that happens to resolve.
 
 * Every import between two ``repro`` packages points strictly down the
   layer table below — at module scope, inside a function and under
-  ``if TYPE_CHECKING:`` alike, with no exception list — which also makes
-  the package graph acyclic.
+  ``if TYPE_CHECKING:`` alike — which also makes the package graph
+  acyclic.  Module scope (``TYPE_CHECKING`` blocks included) and function
+  scope are checked apart: ``UPWARD_LOCAL_IMPORTS``, the exceptions a
+  function-local import once had, is empty and must match the source
+  exactly.
 * The Figure-1 roles in ``agents/`` own no audit driver.
 * Worker processes come from one module.
 * Every public top-level name has a caller in ``src/``, ``benchmarks/``
@@ -53,6 +56,11 @@ LAYERS = {
     "cli": 11,
 }
 
+#: Function-local imports that point up or sideways: (file, target).
+#: Empty — core imports nothing from the engine, not even in a function.
+UPWARD_LOCAL_IMPORTS: set[tuple[str, str]] = set()
+
+
 def package_of(path: Path) -> str:
     parts = path.relative_to(SRC).parts
     return parts[0].removesuffix(".py")
@@ -83,15 +91,31 @@ def repro_targets(node: ast.AST) -> list[str]:
     ]
 
 
+def scan(path: Path):
+    """Yield ``(scope, target_package, lineno)`` for each repro import;
+    ``scope`` is ``"local"`` inside a function, else ``"module"``
+    (``if TYPE_CHECKING:`` blocks included)."""
+
+    def walk(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, "local")
+                continue
+            for target in repro_targets(child):
+                yield scope, target, child.lineno
+            yield from walk(child, scope)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8")), "module")
+
+
 def all_imports():
-    """Yield ``(path, package, target_package, lineno)`` for every import
-    of another ``repro`` package, at any scope."""
+    """Yield ``(path, package, scope, target_package, lineno)`` for every
+    import of another ``repro`` package."""
     for path in sorted(SRC.rglob("*.py")):
         here = package_of(path)
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            for target in repro_targets(node):
-                if target != here:
-                    yield path, here, target, node.lineno
+        for scope, target, lineno in scan(path):
+            if target != here:
+                yield path, here, scope, target, lineno
 
 
 def test_every_package_has_a_layer():
@@ -99,18 +123,26 @@ def test_every_package_has_a_layer():
     assert packages == set(LAYERS)
 
 
-def test_imports_point_strictly_down():
+def test_module_scope_imports_point_strictly_down():
     # In particular: core imports nothing from engine, analysis, api or
-    # service, not even inside a function or for a type annotation;
-    # engine nothing from api or service; nothing below service imports
-    # it; and every to_dict() reaches the envelope in repro.schema, a
-    # leaf, not in api.
+    # service, not even for a type annotation; engine nothing from api
+    # or service; nothing below service imports it; and every to_dict()
+    # reaches the envelope in repro.schema, a leaf, not in api.
     offenders = [
         f"{path.relative_to(SRC)}:{lineno} imports repro.{target}"
-        for path, here, target, lineno in all_imports()
-        if LAYERS[target] >= LAYERS[here]
+        for path, here, scope, target, lineno in all_imports()
+        if scope == "module" and LAYERS[target] >= LAYERS[here]
     ]
     assert offenders == []
+
+
+def test_upward_local_imports_are_exactly_the_allowlist():
+    found = {
+        (str(path.relative_to(SRC)), target)
+        for path, here, scope, target, lineno in all_imports()
+        if scope == "local" and LAYERS[target] >= LAYERS[here]
+    }
+    assert found == UPWARD_LOCAL_IMPORTS == set()
 
 
 def test_the_agent_roles_own_no_audit_driver():
