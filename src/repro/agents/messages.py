@@ -141,10 +141,6 @@ class DependencyDataResponse:
     payload: str
     record_count: int
 
-    @property
-    def payload_bytes(self) -> int:
-        return len(self.payload.encode("utf-8"))
-
 
 @dataclass(frozen=True)
 class AuditResponse:

@@ -38,10 +38,6 @@ class DepDBDiff:
     added: tuple[DependencyRecord, ...]
     removed: tuple[DependencyRecord, ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.added and not self.removed
-
     def summary(self) -> str:
         return (
             f"{len(self.added)} records added, "

@@ -340,7 +340,7 @@ class AuditRequest:
         return cls(servers=tuple(servers), **kwargs)
 
     @classmethod
-    def from_json(cls, text: str) -> "AuditRequest":
+    def from_json(cls, text: Union[str, bytes]) -> "AuditRequest":
         return cls.from_dict(_parse_object(text, "audit_request"))
 
     # ------------------------ content address ------------------------- #
@@ -370,9 +370,11 @@ class AuditRequest:
 
 
 def _parse_object(text: Union[str, bytes], kind: str) -> dict:
+    # Bytes that are not UTF-8 and nesting past the decoder's recursion
+    # limit are malformed input too, not a server fault.
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SpecificationError(f"invalid {kind} JSON: {exc}")
     if not isinstance(payload, dict):
         raise SpecificationError(f"{kind} must be a JSON object")

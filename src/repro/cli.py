@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="audit worker threads (default 2)",
+        help="audit worker threads, at least 1 (default 2)",
     )
     serve.add_argument(
         "--per-tenant", type=int, default=8, dest="per_tenant",
@@ -900,7 +900,12 @@ def _run_example() -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve" and args.workers < 1:
+        # A service with no audit thread would accept every job and
+        # never run one.
+        parser.error(f"serve --workers must be at least 1, got {args.workers}")
     try:
         if args.command == "case":
             return _run_case(args)

@@ -98,19 +98,6 @@ class Scheduler:
         self._commit(placement)
         return placement
 
-    def migrate(self, vm: str, host: str) -> Placement:
-        """Move a placed VM (the case study's re-deployment step)."""
-        old = self.placement_of(vm)
-        if host not in self._hosts:
-            raise PlacementError(f"unknown host {host!r}")
-        if host != old.host and self._load[host] >= self._hosts[host].capacity:
-            raise PlacementError(f"host {host!r} is full")
-        self._load[old.host] -= 1
-        del self._placements[vm]
-        placement = Placement(vm=vm, host=host, pinned=True)
-        self._commit(placement)
-        return placement
-
     def _commit(self, placement: Placement) -> None:
         self._placements[placement.vm] = placement
         self._load[placement.host] += 1
@@ -133,16 +120,3 @@ class Scheduler:
 
     def load(self) -> dict[str, int]:
         return dict(self._load)
-
-    def vms_on(self, host: str) -> list[str]:
-        if host not in self._hosts:
-            raise PlacementError(f"unknown host {host!r}")
-        return [p.vm for p in self._placements.values() if p.host == host]
-
-    def colocated(self) -> dict[str, list[str]]:
-        """Hosts carrying 2+ VMs — the §6.2.2 hazard in one call."""
-        return {
-            host: vms
-            for host in self._hosts
-            if len(vms := self.vms_on(host)) > 1
-        }

@@ -68,29 +68,6 @@ class ComponentSets:
             out.update(items)
         return frozenset(out)
 
-    def shared_components(self) -> frozenset[str]:
-        """Components appearing in at least two sources' sets.
-
-        These are exactly the candidates for unexpected correlated
-        failures at this level of detail (e.g. A2 in Figure 4a).
-        """
-        seen: set[str] = set()
-        shared: set[str] = set()
-        for items in self.sets.values():
-            shared.update(items & seen)
-            seen.update(items)
-        return frozenset(shared)
-
-    def common_to_all(self) -> frozenset[str]:
-        """Components present in every source's set (size-1 risk groups)."""
-        sets = list(self.sets.values())
-        if not sets:
-            return frozenset()
-        out = set(sets[0])
-        for items in sets[1:]:
-            out &= items
-        return frozenset(out)
-
     def to_fault_graph(self, name: str = "") -> FaultGraph:
         """Build the two-level "AND-of-ORs" dependency graph (Figure 4a).
 

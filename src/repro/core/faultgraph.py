@@ -211,13 +211,6 @@ class FaultGraph:
         """All leaf event names, in insertion order."""
         return [n for n, e in self._events.items() if e.is_basic]
 
-    def intermediate_events(self) -> list[str]:
-        return [
-            n
-            for n, e in self._events.items()
-            if not e.is_basic and n != self._top
-        ]
-
     def events(self) -> list[str]:
         return list(self._events)
 

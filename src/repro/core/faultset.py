@@ -14,7 +14,7 @@ a uniform rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.core.componentset import ComponentSets
 from repro.core.events import validate_probability
@@ -45,26 +45,6 @@ class FaultSets:
     ) -> "FaultSets":
         return cls(
             sets={s: dict(items) for s, items in mapping.items()},
-            required=required,
-        )
-
-    @classmethod
-    def uniform(
-        cls,
-        components: Mapping[str, Iterable[str]],
-        probability: float,
-        required: int | None = None,
-    ) -> "FaultSets":
-        """Assign the same failure probability to every component.
-
-        Used e.g. by the §6.2.1 case study ("assume the failure probability
-        of all network devices is 0.1").
-        """
-        p = validate_probability(probability)
-        return cls(
-            sets={
-                s: {c: p for c in items} for s, items in components.items()
-            },
             required=required,
         )
 

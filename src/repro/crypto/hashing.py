@@ -9,7 +9,7 @@ giving 64-bit outputs with no inter-party coordination beyond the seed.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,15 +66,3 @@ class HashFamily:
                 row += ctx.digest()[:8]
             out[index] = np.frombuffer(bytes(row), dtype=">u8")
         return out
-
-    def functions(self) -> list[Callable[[str], int]]:
-        """The family as a list of single-argument callables."""
-        return [
-            (lambda e, i=i: self(i, e)) for i in range(self.size)
-        ]
-
-    def min_element(self, index: int, elements: Sequence[str]) -> str:
-        """The element of a set minimising hash ``index`` (h_min, §4.2.2)."""
-        if not elements:
-            raise CryptoError("cannot take h_min of an empty set")
-        return min(elements, key=lambda e: (self(index, e), e))

@@ -90,17 +90,9 @@ class PaillierPublicKey:
         """Homomorphic addition: E(a) (+) E(b) = E(a+b)."""
         return (c1 * c2) % self.nsq
 
-    def add_plain(self, c: int, k: int) -> int:
-        """E(a) (+) k = E(a + k) without a fresh encryption."""
-        return (c * (1 + (k % self.n) * self.n)) % self.nsq
-
     def multiply_plain(self, c: int, k: int) -> int:
         """E(a) (*) k = E(k * a) for a known scalar k."""
         return pow(c, k % self.n, self.nsq)
-
-    def encrypt_zero(self, rng: Optional[random.Random] = None) -> int:
-        """A fresh encryption of zero (used for re-randomisation)."""
-        return self.encrypt(0, rng)
 
 
 def _l_function(x: int, divisor: int) -> int:

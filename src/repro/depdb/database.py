@@ -132,7 +132,6 @@ class DepDB:
         self._net_by_dst: dict[str, list[NetworkDependency]] = defaultdict(list)
         self._hw_by_host: dict[str, list[HardwareDependency]] = defaultdict(list)
         self._sw_by_host: dict[str, list[SoftwareDependency]] = defaultdict(list)
-        self._sw_by_pgm: dict[str, list[SoftwareDependency]] = defaultdict(list)
         self._seen: set[DependencyRecord] = set()
         self._snapshots: list[Snapshot] = []
         self._snapshot_seq = 0
@@ -177,7 +176,6 @@ class DepDB:
         elif isinstance(record, SoftwareDependency):
             self._software.append(record)
             self._sw_by_host[record.hw].append(record)
-            self._sw_by_pgm[record.pgm].append(record)
         else:
             raise DependencyDataError(
                 f"unsupported record type {type(record).__name__}"
@@ -248,10 +246,6 @@ class DepDB:
             return list(records)
         wanted = set(programs)
         return [r for r in records if r.pgm in wanted]
-
-    def software_named(self, pgm: str) -> list[SoftwareDependency]:
-        """Software records of program ``pgm`` across all hosts."""
-        return list(self._sw_by_pgm.get(pgm, []))
 
     def hosts(self) -> list[str]:
         """Every host that at least one record mentions, first-seen order.
@@ -416,15 +410,21 @@ class DepDB:
         return json.dumps(payload, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "DepDB":
+    def from_json(cls, text: Union[str, bytes]) -> "DepDB":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise DependencyDataError(f"invalid DepDB JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise DependencyDataError(
                 "DepDB JSON must be an object with network/hardware/"
                 f"software lists, got {type(payload).__name__}"
+            )
+        unknown = sorted(set(payload) - set(_JSON_FIELDS))
+        if unknown:
+            raise DependencyDataError(
+                f"unknown DepDB JSON keys {unknown}; expected network, "
+                "hardware and/or software"
             )
 
         def build() -> Iterator[DependencyRecord]:

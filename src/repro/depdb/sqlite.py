@@ -352,9 +352,6 @@ class SQLiteDepDB(DepDB):
         wanted = set(programs)
         return [r for r in records if r.pgm in wanted]
 
-    def software_named(self, pgm: str) -> list[SoftwareDependency]:
-        return self._select_software("WHERE pgm = ?", (pgm,))
-
     def hosts(self) -> list[str]:
         with self._lock:
             names: list[str] = []

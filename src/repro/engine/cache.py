@@ -35,7 +35,9 @@ __all__ = [
     "compile_cached",
 ]
 
-#: Structures every :class:`GraphCache` keeps compiled (LRU).
+#: Compiled artefacts every :class:`GraphCache` keeps (LRU).  The cap
+#: counts artefacts, not structures: a structure audited both ways holds
+#: two entries, its compiled form and its BDD.
 MAX_CACHED_GRAPHS = 128
 
 
@@ -69,97 +71,12 @@ def structural_hash(graph: FaultGraph) -> str:
     return digest.hexdigest()
 
 
-class GraphCache:
-    """Thread-safe LRU cache of compiled fault-graph artefacts.
-
-    One structural hash maps to both the array-compiled form (used by the
-    sampler) and the BDD form (used by exact probability queries); each is
-    built on first demand.  It keeps :data:`MAX_CACHED_GRAPHS` structures.
-    """
-
-    def __init__(self) -> None:
-        self.maxsize = MAX_CACHED_GRAPHS
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, dict] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def _entry(self, key: str) -> dict:
-        """Fetch-or-create the (LRU-refreshed) slot for ``key``."""
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = {}
-            self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return entry
-
-    def compile(self, graph: FaultGraph) -> CompiledGraph:
-        """Return the cached :class:`CompiledGraph`, compiling on miss.
-
-        It hashes the graph itself, so no caller can hand it a wrong key."""
-        key = structural_hash(graph)
-        with self._lock:
-            entry = self._entry(key)
-            compiled = entry.get("compiled")
-            if compiled is not None:
-                self.hits += 1
-                return compiled
-            self.misses += 1
-        compiled = CompiledGraph(graph)
-        with self._lock:
-            self._entry(key).setdefault("compiled", compiled)
-        return compiled
-
-    def compile_bdd(self, graph: FaultGraph) -> BDD:
-        """Return the cached BDD form, compiling on miss.
-
-        Compilation carries the node budget
-        (:data:`~repro.core.bdd.DEFAULT_BDD_NODE_BUDGET`): an adversarially
-        ordered graph raises
-        :class:`~repro.core.minimal_rg.CutSetExplosion` (before anything
-        is cached) instead of building an exponential diagram — the same
-        valve the uncached exact-RG routes apply.
-        """
-        key = structural_hash(graph)
-        with self._lock:
-            entry = self._entry(key)
-            bdd = entry.get("bdd")
-            if bdd is not None:
-                self.hits += 1
-                return bdd
-            self.misses += 1
-        bdd = compile_graph(graph, max_nodes=DEFAULT_BDD_NODE_BUDGET)
-        with self._lock:
-            self._entry(key).setdefault("bdd", bdd)
-        return bdd
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def info(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
-
 class LRUCache:
     """Minimal thread-safe LRU map with hit/miss accounting.
 
-    Shared by the engine's audit result cache and the audit service's
-    content-addressed report store.
+    The one LRU of the tree: the compiled-graph cache, the engine's audit
+    result cache, a pool worker's graph cache and the audit service's
+    content-addressed stores are all made of it.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -199,6 +116,48 @@ class LRUCache:
                 "hits": self.hits,
                 "misses": self.misses,
             }
+
+
+class GraphCache(LRUCache):
+    """Thread-safe LRU cache of compiled fault-graph artefacts.
+
+    Keyed by ``(structural hash, kind)``: one structure has an
+    array-compiled form (``"compiled"``, used by the sampler) and a BDD
+    form (``"bdd"``, used by exact probability queries), each built on
+    first demand and counted as one hit or one miss per request.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(MAX_CACHED_GRAPHS)
+
+    def _artefact(self, graph: FaultGraph, kind: str, build):
+        # It hashes the graph itself, so no caller can hand it a wrong key.
+        key = (structural_hash(graph), kind)
+        artefact = self.get(key)
+        if artefact is None:
+            artefact = build(graph)
+            self.put(key, artefact)
+        return artefact
+
+    def compile(self, graph: FaultGraph) -> CompiledGraph:
+        """Return the cached :class:`CompiledGraph`, compiling on miss."""
+        return self._artefact(graph, "compiled", CompiledGraph)
+
+    def compile_bdd(self, graph: FaultGraph) -> BDD:
+        """Return the cached BDD form, compiling on miss.
+
+        Compilation carries the node budget
+        (:data:`~repro.core.bdd.DEFAULT_BDD_NODE_BUDGET`): an adversarially
+        ordered graph raises
+        :class:`~repro.core.minimal_rg.CutSetExplosion` (before anything
+        is cached) instead of building an exponential diagram — the same
+        valve the uncached exact-RG routes apply.
+        """
+        return self._artefact(
+            graph,
+            "bdd",
+            lambda g: compile_graph(g, max_nodes=DEFAULT_BDD_NODE_BUDGET),
+        )
 
 
 _DEFAULT_CACHE: Optional[GraphCache] = None

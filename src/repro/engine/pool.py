@@ -57,7 +57,6 @@ import os
 import pickle
 import threading
 import weakref
-from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Callable, Optional, Sequence
@@ -65,7 +64,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.engine.batch import BlockOutcome, run_block
-from repro.engine.cache import compile_cached, structural_hash
+from repro.engine.cache import LRUCache, compile_cached, structural_hash
 from repro.engine.parallel import (
     BlockPlan,
     check_cancelled,
@@ -110,13 +109,14 @@ def task_key(graph, probabilities: Optional[Sequence[float]] = None) -> str:
 # Worker side
 # --------------------------------------------------------------------- #
 
-# Process-local state of a pool worker: the LRU of compiled graphs.
-_POOL_STATE: dict = {}
+#: Process-local state of a pool worker: task key -> (compiled graph,
+#: probabilities), an LRU of ``WORKER_CACHE_SIZE`` entries.
+_WORKER_CACHE: Optional[LRUCache] = None
 
 
 def _init_pool_worker(cache_size: int) -> None:
-    _POOL_STATE["cache"] = OrderedDict()
-    _POOL_STATE["cache_size"] = cache_size
+    global _WORKER_CACHE
+    _WORKER_CACHE = LRUCache(cache_size)
 
 
 def _compiled_for(key: str, payload: bytes):
@@ -126,16 +126,12 @@ def _compiled_for(key: str, payload: bytes):
     compiles it, so a graph is unpickled at most once per worker
     residency.
     """
-    cache: OrderedDict = _POOL_STATE["cache"]
-    entry = cache.get(key)
+    entry = _WORKER_CACHE.get(key)
     if entry is not None:
-        cache.move_to_end(key)
         return (*entry, True)
     graph, probabilities = pickle.loads(payload)
     compiled = compile_cached(graph)
-    cache[key] = (compiled, probabilities)
-    while len(cache) > _POOL_STATE["cache_size"]:
-        cache.popitem(last=False)
+    _WORKER_CACHE.put(key, (compiled, probabilities))
     return compiled, probabilities, False
 
 

@@ -48,7 +48,6 @@ class ProtocolNetwork:
     parties: tuple[str, ...] = ()
     transfers: list[Transfer] = field(default_factory=list)
     _sent: dict = field(default_factory=lambda: defaultdict(int))
-    _received: dict = field(default_factory=lambda: defaultdict(int))
 
     def register(self, parties: Sequence[str]) -> None:
         names = tuple(parties)
@@ -72,7 +71,6 @@ class ProtocolNetwork:
             raise ProtocolError(f"negative transfer size: {n_bytes}")
         self.transfers.append(Transfer(sender, receiver, n_bytes, phase))
         self._sent[sender] += n_bytes
-        self._received[receiver] += n_bytes
 
     def send_elements(
         self,
@@ -93,21 +91,8 @@ class ProtocolNetwork:
     def bytes_sent(self, party: str) -> int:
         return self._sent.get(party, 0)
 
-    def bytes_received(self, party: str) -> int:
-        return self._received.get(party, 0)
-
     def total_bytes(self) -> int:
         return sum(t.n_bytes for t in self.transfers)
 
     def per_party_sent(self) -> dict[str, int]:
         return dict(self._sent)
-
-    def by_phase(self) -> dict[str, int]:
-        out: dict[str, int] = defaultdict(int)
-        for transfer in self.transfers:
-            out[transfer.phase] += transfer.n_bytes
-        return dict(out)
-
-    def megabytes_total(self) -> float:
-        """Figure-8a units."""
-        return self.total_bytes() / (1024 * 1024)

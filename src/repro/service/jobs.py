@@ -35,7 +35,12 @@ from repro import api
 from repro.engine.cache import LRUCache
 from repro.engine.facade import AuditEngine
 from repro.engine.parallel import cancel_scope
-from repro.errors import AuditCancelled, IndaasError, ServiceError
+from repro.errors import (
+    AuditCancelled,
+    IndaasError,
+    ServiceError,
+    SpecificationError,
+)
 from repro.service.admission import AdmissionQueue
 from repro.service.journal import (
     JobJournal,
@@ -89,8 +94,8 @@ class JobManager:
         engine: Shared :class:`~repro.engine.facade.AuditEngine`, whose
             result cache serves repeat audits (a private one is created
             otherwise).
-        workers: Worker threads.  ``0`` runs no threads — tests drive
-            execution deterministically with :meth:`run_pending`.
+        workers: Worker threads, ``>= 0``.  ``0`` runs no threads — tests
+            drive execution deterministically with :meth:`run_pending`.
         per_tenant_limit / total_limit: Admission bounds (see
             :class:`~repro.service.admission.AdmissionQueue`).
         state_dir: Directory for the durable job journal
@@ -111,6 +116,8 @@ class JobManager:
         state_dir: Optional[Union[str, Path]] = None,
         resume: bool = True,
     ) -> None:
+        if workers < 0:
+            raise SpecificationError(f"workers must be >= 0, got {workers}")
         # An engine the manager constructs is the manager's to close;
         # an injected one (and its worker pool) stays the caller's.
         self._owns_engine = engine is None

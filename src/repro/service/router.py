@@ -155,7 +155,7 @@ class Router:
     def submit(
         self, body: bytes, headers: Mapping[str, str] = (), **_
     ) -> Response:
-        request = api.AuditRequest.from_json(body.decode("utf-8"))
+        request = api.AuditRequest.from_json(body)
         key = dict(headers).get("idempotency-key") or None
         job = self.manager.submit(request, idempotency_key=key)
         status = self.manager.status(job.id)

@@ -166,11 +166,6 @@ class WatchService:
         """
         self._stop.set()
 
-    @property
-    def stopping(self) -> bool:
-        """Whether :meth:`request_stop` has been called."""
-        return self._stop.is_set()
-
     def run_once(self) -> dict:
         """Poll the directory once and return the iteration event."""
         self.iterations += 1

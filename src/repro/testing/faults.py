@@ -18,15 +18,14 @@ Fault kinds (:data:`FAULT_KINDS`):
 * ``disk-full`` — the point raises ``OSError(ENOSPC)`` (journal
   appends).
 
-Schedules are either hand-built, loaded from JSON (``indaas serve
---inject schedule.json``) or generated from a seed with
-:meth:`FaultSchedule.seeded` — the same seed always yields the same
-schedule, which with crossing-counted and block-indexed triggers yields
-the same injected faults run after run.
+Schedules are either hand-built or loaded from JSON (``indaas serve
+--inject schedule.json``); the tests also draw them from a seed.  With
+crossing-counted and block-indexed triggers the same schedule yields the
+same injected faults run after run.
 
 Usage in tests::
 
-    schedule = FaultSchedule.seeded(20140807, kinds=("worker-kill",))
+    schedule = FaultSchedule((Fault("worker-kill", "parallel.block"),))
     with FaultInjector(schedule) as injector:
         ...  # exercise the system
     assert injector.fired  # which faults actually triggered
@@ -42,12 +41,11 @@ from __future__ import annotations
 import errno
 import json
 import os
-import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from repro.errors import SpecificationError
 
@@ -76,8 +74,7 @@ FAULT_KINDS = (
 KILL_EXIT_CODE = 23
 
 #: Injection points wired into production code, with the kinds that
-#: make sense at each.  :meth:`FaultSchedule.seeded` draws from these,
-#: and a :class:`Fault` must name one of these pairs.
+#: make sense at each.  A :class:`Fault` must name one of these pairs.
 POINT_KINDS = {
     "transport.request": ("connection-reset", "slow"),
     "server.dispatch": ("slow",),
@@ -175,66 +172,6 @@ class FaultSchedule:
 
     def __len__(self) -> int:
         return len(self.faults)
-
-    # ------------------------- construction --------------------------- #
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        *,
-        n: int = 4,
-        kinds: Optional[Sequence[str]] = None,
-        points: Optional[Sequence[str]] = None,
-        max_crossing: int = 6,
-        max_block: int = 4,
-        max_delay: float = 0.05,
-    ) -> "FaultSchedule":
-        """Generate a schedule deterministically from ``seed``.
-
-        Draws ``n`` faults from the (point, kind) pairs of
-        :data:`POINT_KINDS`, optionally filtered to ``kinds`` and/or
-        ``points``.  The same arguments always produce the same
-        schedule — the reproduction handle for every chaos test.
-        """
-        eligible = [
-            (point, kind)
-            for point, point_kinds in sorted(POINT_KINDS.items())
-            for kind in point_kinds
-            if (kinds is None or kind in kinds)
-            and (points is None or point in points)
-        ]
-        if not eligible:
-            raise SpecificationError(
-                "no eligible (point, kind) pairs for the given filters"
-            )
-        rng = random.Random(seed)
-        faults = []
-        for _ in range(n):
-            point, kind = eligible[rng.randrange(len(eligible))]
-            if kind == "worker-kill":
-                faults.append(
-                    Fault(
-                        kind=kind,
-                        point=point,
-                        match={"index": rng.randrange(max_block)},
-                    )
-                )
-            else:
-                at = rng.randrange(max_crossing)
-                delay = round(rng.uniform(0.0, max_delay), 4)
-                faults.append(
-                    Fault(
-                        kind=kind,
-                        point=point,
-                        at=at,
-                        # delay only matters for slow faults; keeping it
-                        # default elsewhere lets schedules round-trip
-                        # through their JSON form unchanged.
-                        delay=delay if kind == "slow" else 0.05,
-                    )
-                )
-        return cls(faults=tuple(faults), seed=seed)
 
     # ------------------------- serialisation -------------------------- #
 

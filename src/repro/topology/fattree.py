@@ -51,35 +51,6 @@ class FatTreeConfig:
     def pods(self) -> int:
         return self.ports
 
-    @property
-    def tors_per_pod(self) -> int:
-        return self.ports // 2
-
-    @property
-    def aggs_per_pod(self) -> int:
-        return self.ports // 2
-
-    @property
-    def servers_per_tor(self) -> int:
-        return self.ports // 2
-
-    @property
-    def core_count(self) -> int:
-        return (self.ports // 2) ** 2
-
-    @property
-    def expected_counts(self) -> dict[str, int]:
-        """The Table-3 census this configuration must produce."""
-        half = self.ports // 2
-        servers = self.ports * half * half
-        return {
-            "core": self.core_count,
-            "aggregation": self.ports * half,
-            "tor": self.ports * half,
-            "server": servers,
-            "total": self.core_count + 2 * self.ports * half + servers,
-        }
-
 
 #: Table 3 configurations.
 TOPOLOGY_A = FatTreeConfig(ports=16)

@@ -115,9 +115,6 @@ class Topology:
             return list(self._devices.values())
         return [d for d in self._devices.values() if d.type is type]
 
-    def device_names(self, type: Optional[DeviceType] = None) -> list[str]:
-        return [d.name for d in self.devices(type)]
-
     def servers(self) -> list[Device]:
         return self.devices(DeviceType.SERVER)
 
@@ -157,11 +154,6 @@ class Topology:
                         reached.append(neighbour)
             frontier = reached
         return hops
-
-    def switching_devices(self) -> list[Device]:
-        """All non-server, non-external devices (switches/routers)."""
-        exclude = {DeviceType.SERVER, DeviceType.EXTERNAL}
-        return [d for d in self._devices.values() if d.type not in exclude]
 
     def __len__(self) -> int:
         return len(self._devices)

@@ -75,9 +75,6 @@ class LabCloudPlan:
         tor = self.tor_of(server)
         return ((tor, "Core1"), (tor, "Core2"))
 
-    def vm_name(self, index: int) -> str:
-        return f"VM{index}"
-
 
 def lab_cloud(plan: LabCloudPlan | None = None, name: str = "lab-cloud") -> Topology:
     """Build the lab topology (servers + 4 switches + Internet)."""

@@ -41,9 +41,10 @@ def cross_pod(ports: int):
     topology = fat_tree(FatTreeConfig(ports=ports))
     dst = f"srv-p{ports - 1}-t{half - 1}-{half - 1}"
     servers = [
-        name
-        for name in topology.device_names()
-        if name.startswith("srv-") and not name.startswith(f"srv-p{ports - 1}-")
+        d.name
+        for d in topology.devices()
+        if d.name.startswith("srv-")
+        and not d.name.startswith(f"srv-p{ports - 1}-")
     ]
     return NetworkDependencyCollector(topology, servers=servers, dst=dst)
 

@@ -20,6 +20,7 @@ from repro.service import JobManager, ServiceThread
 from repro.testing.faults import Fault, FaultInjector, FaultSchedule
 
 from tests.service.conftest import make_request
+from tests.testing.schedules import seeded_schedule
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "20140807"))
 
@@ -215,7 +216,7 @@ class TestRemoteAudit:
         request = make_request(algorithm="sampling", rounds=2000, seed=108)
         with ServiceClient(service.url, retry=RetryPolicy(seed=SEED)) as calm:
             reference = calm.audit(request, timeout=60).to_json()
-        schedule = FaultSchedule.seeded(
+        schedule = seeded_schedule(
             SEED, n=3, points=("transport.request", "server.dispatch")
         )
         policy = RetryPolicy(retries=6, backoff=0.01, seed=SEED)

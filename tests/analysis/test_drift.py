@@ -23,7 +23,7 @@ def snapshot_v2_regressed() -> DepDB:
 class TestDiff:
     def test_empty_diff(self):
         diff = diff_depdbs(snapshot_v1(), snapshot_v1())
-        assert diff.is_empty
+        assert diff.added == diff.removed == ()
         assert "0 records added" in diff.summary()
 
     def test_added_and_removed(self):

@@ -21,28 +21,6 @@ class TestComponentSets:
         )
         assert sets.components() == frozenset({"A1", "A2", "A3"})
 
-    def test_shared_components_figure_4a(self):
-        sets = ComponentSets.from_mapping(
-            {"E1": ["A1", "A2"], "E2": ["A2", "A3"]}
-        )
-        assert sets.shared_components() == frozenset({"A2"})
-
-    def test_shared_components_three_sources(self):
-        sets = ComponentSets.from_mapping(
-            {"E1": ["x", "y"], "E2": ["y", "z"], "E3": ["z", "w"]}
-        )
-        assert sets.shared_components() == frozenset({"y", "z"})
-
-    def test_common_to_all(self):
-        sets = ComponentSets.from_mapping(
-            {"E1": ["s", "a"], "E2": ["s", "b"], "E3": ["s", "c"]}
-        )
-        assert sets.common_to_all() == frozenset({"s"})
-
-    def test_common_to_all_empty_when_disjointish(self):
-        sets = ComponentSets.from_mapping({"E1": ["a"], "E2": ["b"]})
-        assert sets.common_to_all() == frozenset()
-
 
 class TestToFaultGraph:
     def test_and_of_ors_structure(self, figure_4a):

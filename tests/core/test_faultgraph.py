@@ -123,10 +123,9 @@ class TestInspection:
         assert g.parents("a") == ("or",)
         assert g.parents("top") == ()
 
-    def test_basic_and_intermediate_partition(self):
+    def test_basic_events(self):
         g = tiny()
         assert g.basic_events() == ["a", "b", "c"]
-        assert g.intermediate_events() == ["or"]
 
     def test_probabilities_requires_full_weights(self):
         g = tiny()

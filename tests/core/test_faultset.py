@@ -28,10 +28,6 @@ class TestFaultSets:
         with pytest.raises(FaultGraphError):
             FaultSets.from_mapping({"E1": {"A1": 1.5}})
 
-    def test_uniform_constructor(self):
-        fs = FaultSets.uniform({"E1": ["a", "b"], "E2": ["c"]}, 0.1)
-        assert fs.probabilities() == {"a": 0.1, "b": 0.1, "c": 0.1}
-
     def test_component_sets_downgrade(self):
         fs = FaultSets.from_mapping({"E1": {"a": 0.1}, "E2": {"b": 0.2}})
         sets = fs.component_sets()

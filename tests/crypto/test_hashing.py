@@ -31,22 +31,6 @@ class TestHashFamily:
         with pytest.raises(CryptoError):
             family(-1, "x")
 
-    def test_functions_list(self):
-        family = HashFamily(size=3, seed=0)
-        funcs = family.functions()
-        assert len(funcs) == 3
-        assert funcs[1]("e") == family(1, "e")
-
-    def test_min_element(self):
-        family = HashFamily(size=1, seed=0)
-        pool = ["a", "b", "c", "d"]
-        winner = family.min_element(0, pool)
-        assert winner == min(pool, key=lambda e: (family(0, e), e))
-
-    def test_min_element_empty_rejected(self):
-        with pytest.raises(CryptoError):
-            HashFamily(1).min_element(0, [])
-
     def test_invalid_size(self):
         with pytest.raises(CryptoError):
             HashFamily(size=0)

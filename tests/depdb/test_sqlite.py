@@ -606,7 +606,6 @@ _LOOKUPS = pytest.mark.parametrize(
         (lambda b: b.network_destinations("S3"), "network", "src"),
         (lambda b: b.hardware_of("S3"), "hardware", "hw"),
         (lambda b: b.software_on("S3"), "software", "hw"),
-        (lambda b: b.software_named("P1"), "software", "pgm"),
     ],
     ids=[
         "network_paths(src, dst)",
@@ -614,7 +613,6 @@ _LOOKUPS = pytest.mark.parametrize(
         "network_destinations",
         "hardware_of",
         "software_on",
-        "software_named",
     ],
 )
 

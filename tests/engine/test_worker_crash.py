@@ -18,6 +18,8 @@ from repro.engine.cache import compile_cached
 from repro.engine.parallel import plan_blocks, run_plan_serial
 from repro.testing.faults import Fault, FaultInjector, FaultSchedule
 
+from tests.testing.schedules import seeded_schedule
+
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "20140807"))
 
 
@@ -73,7 +75,7 @@ class TestWorkerCrashRecovery:
     def test_recovery_is_identical_for_any_worker_count(
         self, deep_graph, reference, workers
     ):
-        schedule = FaultSchedule.seeded(SEED, n=2, kinds=("worker-kill",))
+        schedule = seeded_schedule(SEED, n=2, kinds=("worker-kill",))
         with PersistentPool(workers) as pool:
             with FaultInjector(schedule) as injector:
                 outcomes = pool.run_plan(deep_graph, fresh_plan())

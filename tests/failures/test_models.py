@@ -50,7 +50,7 @@ class TestGillWeigher:
         }
         topology = fat_tree(FatTreeConfig(4))
         for role, probability in by_role.items():
-            devices = topology.device_names(role)
+            devices = [d.name for d in topology.devices(role)]
             assert devices
             assert {d: weigh("device", d) for d in devices} == {
                 d: probability for d in devices

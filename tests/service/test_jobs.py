@@ -3,7 +3,7 @@
 import pytest
 
 from repro import api
-from repro.errors import Backpressure, ServiceError
+from repro.errors import Backpressure, ServiceError, SpecificationError
 from repro.service import JobManager
 
 from tests.service.conftest import DEPDB, make_request
@@ -157,6 +157,10 @@ class TestBackpressure:
         with pytest.raises(ServiceError) as excinfo:
             jobs.submit(make_request())
         assert excinfo.value.status == 503
+
+    def test_negative_worker_count_is_refused(self):
+        with pytest.raises(SpecificationError, match="workers must be >= 0"):
+            JobManager(workers=-1)
 
 
 class TestCancellation:

@@ -18,9 +18,9 @@ import pytest
 
 from repro import api
 from repro.agents.transport import RetryPolicy, ServiceClient
-from repro.testing.faults import FaultSchedule
 
 from tests.service.conftest import DEPDB
+from tests.testing.schedules import seeded_schedule
 
 REPO = Path(__file__).resolve().parents[2]
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "20140807"))
@@ -162,9 +162,7 @@ class TestServeInject:
         port = 23131 + (os.getpid() % 200)
         schedule_path = tmp_path / "schedule.json"
         schedule_path.write_text(
-            FaultSchedule.seeded(
-                SEED, n=2, points=("server.dispatch",)
-            ).to_json()
+            seeded_schedule(SEED, n=2, points=("server.dispatch",)).to_json()
         )
         process = spawn(
             ["--port", str(port), "--inject", str(schedule_path)]

@@ -99,3 +99,35 @@ class TestStatusLongPoll:
         code, _ = get_status(Router(manager), job.id, query)
         assert code == 200
         assert timeouts == [timeout]
+
+
+class TestMalformedBodies:
+    """A body the JSON decoder cannot take is the client's fault: 400
+    ``bad-request``, never 500 ``internal``."""
+
+    def post(self, manager, path: str, body: bytes):
+        response = Router(manager).dispatch("POST", path, body)
+        return response.status, json.loads(response.body)["error"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"\xff\xfe{", b"[" * 100_000],
+        ids=["not-utf-8", "nested-past-the-recursion-limit"],
+    )
+    def test_audit_submission_is_400(self, manager, body):
+        status, error = self.post(manager, "/v1/audits", body)
+        assert (status, error["code"]) == (400, "bad-request")
+        assert "invalid audit_request JSON" in error["message"]
+
+    def test_deep_depdb_payload_is_400(self, manager):
+        body = b'{"network": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        status, error = self.post(manager, "/v1/tenants/acme/depdb", body)
+        assert (status, error["code"]) == (400, "bad-request")
+        assert "invalid DepDB JSON" in error["message"]
+
+    def test_misspelt_depdb_key_is_400(self, manager):
+        body = json.dumps({"softwares": []}).encode("utf-8")
+        status, error = self.post(manager, "/v1/tenants/acme/depdb", body)
+        assert (status, error["code"]) == (400, "bad-request")
+        assert "softwares" in error["message"]
+        assert manager.depdb_stats("acme")["total"] == 0

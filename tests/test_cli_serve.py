@@ -185,6 +185,16 @@ class TestServeParser:
         assert args.queue_limit == 64
         assert args.block_size == 4096
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_no_worker_threads_is_refused(self, workers, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "repro.cli._run_serve", lambda args: pytest.fail("it served")
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+
     def test_audit_gains_remote_flags(self):
         args = build_parser().parse_args(
             ["audit", "d.depdb", "--servers", "S1", "--remote",

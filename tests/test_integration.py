@@ -130,7 +130,7 @@ class TestFullSIALifecycle:
             )
         )
         report = drift_report(depdb, drifted, spec)
-        assert not report.diff.is_empty
+        assert report.diff.added
         # The added path is redundant (ANDed), so no regression — scores
         # move but no new unexpected singleton appears from re-cabling.
         assert not report.regressed

@@ -12,8 +12,10 @@ fooled by import order or by a cycle that happens to resolve.
   exactly.
 * The Figure-1 roles in ``agents/`` own no audit driver.
 * Worker processes come from one module.
-* Every public top-level name has a caller in ``src/``, ``benchmarks/``
-  or ``examples/``: a test oracle lives with the tests, not in ``src/``.
+* Every public top-level name, and every public method or property of a
+  ``src/`` class, has a caller in ``src/``, ``benchmarks/`` or
+  ``examples/``: a test oracle lives with the tests, not in ``src/``.
+  ``UNCALLED_METHODS`` names the few methods kept without one, and why.
 * Nothing under ``src/`` imports NetworkX: it is a test dependency, the
   oracle the route enumeration is checked against.
 * Results carry no wall-clock: ``elapsed_seconds`` is spelled only on
@@ -26,8 +28,10 @@ fooled by import order or by a cycle that happens to resolve.
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -175,21 +179,31 @@ def test_process_pool_executor_is_named_only_in_the_pool_module():
     assert named_in == {"engine/pool.py"}
 
 
-def referenced_names(tree: ast.AST) -> set[str]:
-    """Names a tree uses: ``Name`` ids, ``Attribute`` attrs, imports."""
-    names: set[str] = set()
+def referenced_names(tree: ast.AST) -> Counter[str]:
+    """Names a tree uses, with their counts: ``Name`` ids, ``Attribute``
+    attrs, imports, and string constants (``getattr`` and route tables
+    name methods that way)."""
+    names: Counter[str] = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
     return names
 
 
-def test_every_public_name_has_a_caller():
-    # A re-export in an __init__ is not a caller, and neither is a test.
+@functools.lru_cache(maxsize=1)
+def caller_scan():
+    """``(modules, uses)``: the parsed ``src/`` modules by path, and the
+    names every ``src/``, ``benchmarks/`` and ``examples/`` file uses.
+
+    A re-export in an ``__init__`` is not a caller, and neither is a
+    test, so neither is scanned."""
+
     def parse(paths):
         return {
             path: ast.parse(path.read_text(encoding="utf-8"))
@@ -206,9 +220,17 @@ def test_every_public_name_has_a_caller():
             **parse((REPO / "examples").rglob("*.py")),
         }.items()
     }
+    return modules, uses
+
+
+def module_name(path: Path) -> str:
+    return ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+
+
+def test_every_public_name_has_a_caller():
+    modules, uses = caller_scan()
     caller_less = set()
     for path, tree in modules.items():
-        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
         body_uses = [referenced_names(node) for node in tree.body]
         for node in tree.body:
             if not isinstance(
@@ -226,8 +248,61 @@ def test_every_public_name_has_a_caller():
                 if other != path
             )
             if not (used_at_home or used_elsewhere):
-                caller_less.add(f"{module}.{node.name}")
+                caller_less.add(f"{module_name(path)}.{node.name}")
     assert caller_less == set()
+
+
+#: Public methods that nothing in ``src/``, ``benchmarks/`` or
+#: ``examples/`` calls, kept on purpose: ``"module.Class.method"`` ->
+#: why.  Every entry must still exist and still have no caller.
+UNCALLED_METHODS = {
+    "repro.crypto.commutative.CommutativeKey.decrypt": (
+        "the inverse the PSOP tests check commutative encryption against"
+    ),
+    "repro.crypto.paillier.PaillierPrivateKey.decrypt": (
+        "the inverse the KS tests check Paillier encryption against"
+    ),
+    "repro.service.jobs.JobManager.run_pending": (
+        "runs queued jobs inline: the workers=0 seam of the service tests"
+    ),
+    "repro.privacy.pia.PIAAuditor.audit_n_of_m": (
+        "the §4.2.5 n-of-m audit, pinned by the PIA report goldens"
+    ),
+    "repro.topology.graph.Topology.link_count": (
+        "the only public reader of link multiplicity; the topology pins "
+        "and the NetworkX export read it"
+    ),
+}
+
+
+def test_every_public_method_has_a_caller():
+    """Every public ``def`` in a ``src/`` class body, properties
+    included, has its name used in ``src/``, ``benchmarks/`` or
+    ``examples/`` outside its own body, or is in ``UNCALLED_METHODS``.
+
+    The check is by name, as the top-level one is: a method that shares
+    its name with one in use passes unnoticed (a ``load`` or a ``clear``
+    does once anything calls ``json.load`` or ``dict.clear``)."""
+    modules, uses = caller_scan()
+    everywhere = Counter()
+    for names in uses.values():
+        everywhere.update(names)
+    caller_less = set()
+    for path, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) or node.name.startswith("_"):
+                    continue
+                # Every use of the name is inside the method itself.
+                if everywhere[node.name] == referenced_names(node)[node.name]:
+                    caller_less.add(
+                        f"{module_name(path)}.{cls.name}.{node.name}"
+                    )
+    assert caller_less == set(UNCALLED_METHODS)
 
 
 def test_nothing_in_src_imports_networkx():

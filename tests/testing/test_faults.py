@@ -27,6 +27,8 @@ from repro.testing.faults import (
     worker_kill_indices,
 )
 
+from tests.testing.schedules import seeded_schedule
+
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "20140807"))
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -66,23 +68,23 @@ class TestFaultValidation:
 
 class TestFaultSchedule:
     def test_seeded_is_deterministic(self):
-        first = FaultSchedule.seeded(SEED)
-        second = FaultSchedule.seeded(SEED)
+        first = seeded_schedule(SEED)
+        second = seeded_schedule(SEED)
         assert first.to_dict() == second.to_dict()
-        assert FaultSchedule.seeded(SEED + 1).to_dict() != first.to_dict()
+        assert seeded_schedule(SEED + 1).to_dict() != first.to_dict()
 
     def test_seeded_respects_filters(self):
-        schedule = FaultSchedule.seeded(SEED, n=8, kinds=("worker-kill",))
+        schedule = seeded_schedule(SEED, n=8, kinds=("worker-kill",))
         assert all(f.kind == "worker-kill" for f in schedule.faults)
-        schedule = FaultSchedule.seeded(SEED, n=8, points=("journal.append",))
+        schedule = seeded_schedule(SEED, n=8, points=("journal.append",))
         assert all(f.point == "journal.append" for f in schedule.faults)
 
     def test_seeded_rejects_empty_filter(self):
         with pytest.raises(SpecificationError):
-            FaultSchedule.seeded(SEED, kinds=("slow",), points=("parallel.block",))
+            seeded_schedule(SEED, kinds=("slow",), points=("parallel.block",))
 
     def test_json_round_trip(self, tmp_path):
-        schedule = FaultSchedule.seeded(SEED, n=5)
+        schedule = seeded_schedule(SEED, n=5)
         path = tmp_path / "schedule.json"
         path.write_text(schedule.to_json())
         loaded = FaultSchedule.from_path(path)

@@ -26,6 +26,20 @@ PAPER_TABLE_3 = {
 }
 
 
+def expected_counts(config: FatTreeConfig) -> dict[str, int]:
+    """The Table-3 census a k-ary fat tree must produce."""
+    half = config.ports // 2
+    cores = half * half
+    servers = config.ports * half * half
+    return {
+        "core": cores,
+        "aggregation": config.ports * half,
+        "tor": config.ports * half,
+        "server": servers,
+        "total": cores + 2 * config.ports * half + servers,
+    }
+
+
 class TestConfig:
     @pytest.mark.parametrize("ports", [3, 2, 7, 0, -4])
     def test_invalid_port_counts(self, ports):
@@ -34,7 +48,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("ports", [16, 24, 48])
     def test_expected_counts_match_paper(self, ports):
-        assert FatTreeConfig(ports=ports).expected_counts == PAPER_TABLE_3[ports]
+        assert expected_counts(FatTreeConfig(ports=ports)) == PAPER_TABLE_3[ports]
 
     def test_table3_constants(self):
         assert TOPOLOGY_A.ports == 16
@@ -48,7 +62,7 @@ class TestGeneratedTopology:
         config = FatTreeConfig(ports=ports)
         topo = fat_tree(config)
         counts = topo.counts()
-        for key, expected in config.expected_counts.items():
+        for key, expected in expected_counts(config).items():
             assert counts[key] == expected, key
 
     def test_topology_a_is_1344_devices(self):

@@ -66,10 +66,6 @@ class TestInspection:
         topo.add_device("Internet", DeviceType.EXTERNAL)
         assert topo.counts()["total"] == 3
 
-    def test_switching_devices(self, topo):
-        names = {d.name for d in topo.switching_devices()}
-        assert names == {"tor1", "core1"}
-
     def test_unknown_device_raises(self, topo):
         with pytest.raises(TopologyError):
             topo.device("ghost")

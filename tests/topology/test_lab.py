@@ -24,9 +24,6 @@ class TestPlan:
         routes = plan.routes("Server2")
         assert routes == (("Switch1", "Core1"), ("Switch1", "Core2"))
 
-    def test_vm_names(self, plan):
-        assert plan.vm_name(7) == "VM7"
-
 
 class TestHardwareSharingMatrix:
     """The engineered hardware batches behind the §6.2.2 result."""

@@ -164,10 +164,10 @@ class TestMatchesNetworkX:
             ) == networkx_routes(fixture_topology, src, dst)
 
     def test_every_device_to_the_internet(self, fixture_topology):
-        for device in fixture_topology.device_names():
+        for device in fixture_topology.devices():
             assert shortest_routes(
-                fixture_topology, device, "Internet"
-            ) == networkx_routes(fixture_topology, device, "Internet")
+                fixture_topology, device.name, "Internet"
+            ) == networkx_routes(fixture_topology, device.name, "Internet")
 
 
 @st.composite
@@ -278,7 +278,8 @@ def test_routes_on_seeded_random_topologies_are_pinned():
     lines = []
     for seed in range(60):
         topology = seeded_topology(seed)
-        for src, dst in itertools.product(topology.device_names(), repeat=2):
+        names = [d.name for d in topology.devices()]
+        for src, dst in itertools.product(names, repeat=2):
             every = shortest_routes(topology, src, dst)
             capped = shortest_routes(topology, src, dst, max_routes=2)
             lines.append(f"{seed}\t{src}\t{dst}\t{every}\t{capped}")
