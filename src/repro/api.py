@@ -340,7 +340,7 @@ class AuditRequest:
         return cls(servers=tuple(servers), **kwargs)
 
     @classmethod
-    def from_json(cls, text: Union[str, bytes]) -> "AuditRequest":
+    def from_json(cls, text: str) -> "AuditRequest":
         return cls.from_dict(_parse_object(text, "audit_request"))
 
     # ------------------------ content address ------------------------- #

@@ -117,6 +117,3 @@ class Scheduler:
 
     def placements(self) -> list[Placement]:
         return list(self._placements.values())
-
-    def load(self) -> dict[str, int]:
-        return dict(self._load)

@@ -410,10 +410,10 @@ class DepDB:
         return json.dumps(payload, indent=2)
 
     @classmethod
-    def from_json(cls, text: Union[str, bytes]) -> "DepDB":
+    def from_json(cls, text: str) -> "DepDB":
         try:
             payload = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DependencyDataError(f"invalid DepDB JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise DependencyDataError(

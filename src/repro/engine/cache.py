@@ -100,9 +100,22 @@ class LRUCache:
     def put(self, key, value) -> None:
         with self._lock:
             self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            self._touch(key)
+
+    def setdefault(self, key, value):
+        """Store ``value`` unless ``key`` already has an entry; return the
+        stored entry, so writers racing on one key all keep the first."""
+        with self._lock:
+            stored = self._entries.setdefault(key, value)
+            self._touch(key)
+            return stored
+
+    def _touch(self, key) -> None:
+        # Mark ``key`` most recently used and evict past the cap; the
+        # caller holds the lock.
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         with self._lock:
@@ -135,8 +148,7 @@ class GraphCache(LRUCache):
         key = (structural_hash(graph), kind)
         artefact = self.get(key)
         if artefact is None:
-            artefact = build(graph)
-            self.put(key, artefact)
+            artefact = self.setdefault(key, build(graph))
         return artefact
 
     def compile(self, graph: FaultGraph) -> CompiledGraph:

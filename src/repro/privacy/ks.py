@@ -334,13 +334,10 @@ class KSProtocol:
                     parties[i + 1].name,
                     [c for c in aggregated if c is not None],
                     width,
-                    phase="ring",
                 )
         last = parties[-1]
         for party in parties[:-1]:
-            network.send_elements(
-                last.name, party.name, aggregated, width, phase="broadcast"
-            )
+            network.send_elements(last.name, party.name, aggregated, width)
 
         # Step 3: blinded encrypted evaluations.  Per party and element the
         # serial path draws exactly one blind (Horner draws nothing), so
@@ -381,7 +378,6 @@ class KSProtocol:
                     continue
                 network.send_elements(
                     party.name, receiver.name, shuffled, width,
-                    phase="evaluations",
                 )
 
         # Step 4: threshold-decryption shares — every party's partials over
@@ -403,7 +399,6 @@ class KSProtocol:
                     continue
                 network.send_elements(
                     party.name, receiver.name, partials, width,
-                    phase="decryption-shares",
                 )
 
         return self._result(
@@ -438,12 +433,11 @@ class KSProtocol:
                     self.parties[i + 1].name,
                     [c for c in aggregated if c is not None],
                     width,
-                    phase="ring",
                 )
         last = self.parties[-1]
         for party in self.parties[:-1]:
             self.network.send_elements(
-                last.name, party.name, aggregated, width, phase="broadcast"
+                last.name, party.name, aggregated, width
             )
 
         # Step 3: everyone evaluates and broadcasts its blinded batch.
@@ -456,7 +450,6 @@ class KSProtocol:
                     continue
                 self.network.send_elements(
                     party.name, receiver.name, evals, width,
-                    phase="evaluations",
                 )
 
         # Step 4: threshold decryption — every party sends a partial
@@ -471,7 +464,6 @@ class KSProtocol:
                     continue
                 self.network.send_elements(
                     party.name, receiver.name, partials, width,
-                    phase="decryption-shares",
                 )
 
         # Step 5: combine shares; zeros in party 0's batch = |intersection|.

@@ -3,7 +3,7 @@
 The PIA evaluation (Figure 8a) measures *total traffic sent* per party.
 Protocol implementations route every transfer through a
 :class:`ProtocolNetwork`, which delivers payloads in-process while
-recording exact byte counts per sender, receiver and protocol phase —
+recording exact byte counts per sender and receiver —
 so the bandwidth benchmarks measure the real wire cost of the real
 ciphertexts rather than an analytic estimate.
 """
@@ -38,7 +38,6 @@ class Transfer:
     sender: str
     receiver: str
     n_bytes: int
-    phase: str = ""
 
 
 @dataclass
@@ -59,9 +58,7 @@ class ProtocolNetwork:
         if self.parties and name not in self.parties:
             raise ProtocolError(f"unknown party {name!r}")
 
-    def send(
-        self, sender: str, receiver: str, n_bytes: int, phase: str = ""
-    ) -> None:
+    def send(self, sender: str, receiver: str, n_bytes: int) -> None:
         """Record one transfer of ``n_bytes`` from sender to receiver."""
         self._check(sender)
         self._check(receiver)
@@ -69,7 +66,7 @@ class ProtocolNetwork:
             raise ProtocolError(f"party {sender!r} sending to itself")
         if n_bytes < 0:
             raise ProtocolError(f"negative transfer size: {n_bytes}")
-        self.transfers.append(Transfer(sender, receiver, n_bytes, phase))
+        self.transfers.append(Transfer(sender, receiver, n_bytes))
         self._sent[sender] += n_bytes
 
     def send_elements(
@@ -78,11 +75,10 @@ class ProtocolNetwork:
         receiver: str,
         values: Sequence[int],
         element_bytes: int,
-        phase: str = "",
     ) -> None:
         """Record a batch of fixed-width big integers."""
         total = sum(int_wire_size(v, element_bytes) for v in values)
-        self.send(sender, receiver, total, phase)
+        self.send(sender, receiver, total)
 
     # ------------------------------------------------------------------ #
     # Accounting

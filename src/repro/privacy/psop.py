@@ -209,7 +209,6 @@ class PSOPProtocol:
                     parties[holder].name,
                     parties[(holder + 1) % k].name,
                     sizes[slot] * width,
-                    phase=f"ring-hop-{hop}",
                 )
         for slot in range(k):
             holder = (slot + k - 1) % k
@@ -220,7 +219,6 @@ class PSOPProtocol:
                     parties[holder].name,
                     parties[receiver].name,
                     sizes[slot] * width,
-                    phase="share",
                 )
 
         # Collapse the ring: one exponentiation per distinct hashed element.
@@ -266,7 +264,6 @@ class PSOPProtocol:
                     self.parties[successor].name,
                     datasets[slot],
                     width,
-                    phase=f"ring-hop-{hop}",
                 )
                 next_datasets[slot] = self.parties[successor].reencrypt(
                     datasets[slot]
@@ -286,7 +283,6 @@ class PSOPProtocol:
                     self.parties[receiver].name,
                     datasets[slot],
                     width,
-                    phase="share",
                 )
 
         counters = [Counter(d) for d in datasets]

@@ -56,6 +56,16 @@ def _wait_param(params: dict) -> float:
     return min(60.0, max(0.0, wait))
 
 
+def _utf8(body: bytes, what: str) -> str:
+    """A request body as text; one that is not UTF-8 is a 400."""
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ServiceError(
+            f"{what} is not UTF-8: {exc}", status=400, code="bad-request"
+        ) from exc
+
+
 def _error_response(exc: ServiceError) -> Response:
     headers = {}
     if exc.retry_after is not None:
@@ -155,7 +165,7 @@ class Router:
     def submit(
         self, body: bytes, headers: Mapping[str, str] = (), **_
     ) -> Response:
-        request = api.AuditRequest.from_json(body)
+        request = api.AuditRequest.from_json(_utf8(body, "audit request"))
         key = dict(headers).get("idempotency-key") or None
         job = self.manager.submit(request, idempotency_key=key)
         status = self.manager.status(job.id)
@@ -234,14 +244,7 @@ class Router:
     def depdb_ingest(self, tenant: str, body: bytes, **_) -> Response:
         """Ingest a DepDB payload (Table-1 text or JSON) for a tenant."""
         tenant = urllib.parse.unquote(tenant)
-        try:
-            text = body.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ServiceError(
-                f"dependency payload is not UTF-8: {exc}",
-                status=400,
-                code="bad-request",
-            ) from exc
+        text = _utf8(body, "dependency payload")
         outcome = self.manager.ingest_depdb(tenant, text)
         return _json_response(200, api.envelope("depdb_ingest", outcome))
 

@@ -43,7 +43,6 @@ class TestScheduler:
         first = sched.place("riak1").host
         second = sched.place("riak2").host
         assert first == second == "s1"
-        assert sched.load()["s1"] == 2
 
     def test_pin_validations(self):
         sched = make_scheduler()
@@ -58,12 +57,6 @@ class TestScheduler:
         sched.pin("a", "h")
         with pytest.raises(PlacementError, match="full"):
             sched.pin("b", "h")
-
-    def test_load(self):
-        sched = make_scheduler()
-        sched.pin("a", "h0")
-        sched.pin("b", "h0")
-        assert sched.load() == {"h0": 2, "h1": 0, "h2": 0}
 
     def test_host_validation(self):
         with pytest.raises(PlacementError):

@@ -110,8 +110,7 @@ class TestJsonValidation:
         message = self._error('{"network": [], "softwares": []}')
         assert "softwares" in message
 
-    def test_undecodable_or_too_deep_rejected(self):
-        assert "invalid DepDB JSON" in self._error(b"\xff\xfe{")
+    def test_nesting_past_the_recursion_limit_rejected(self):
         assert "invalid DepDB JSON" in self._error("[" * 100_000)
 
     def test_section_must_be_list(self):

@@ -1,9 +1,12 @@
 """Structural hashing and the compiled-graph cache."""
 
+import threading
+
 import pytest
 
 from repro import ComponentSets, FaultGraph, GateType
 from repro.engine import GraphCache, compile_cached, structural_hash
+from repro.core.compile import CompiledGraph
 from repro.engine.cache import MAX_CACHED_GRAPHS
 
 
@@ -75,6 +78,33 @@ class TestGraphCache:
         assert bdd.probability(figure_4b_probs) == pytest.approx(0.224)
         assert cache.compile_bdd(figure_4b) is bdd
         assert cache.hits == 1
+
+    def test_racing_misses_keep_the_first_artefact(self, monkeypatch):
+        # Both threads miss before either stores: each compiles, and both
+        # come away with the one artefact stored first.
+        both_missed = threading.Barrier(2, timeout=10)
+
+        def compile_after_both_missed(graph):
+            both_missed.wait()
+            return CompiledGraph(graph)
+
+        monkeypatch.setattr(
+            "repro.engine.cache.CompiledGraph", compile_after_both_missed
+        )
+        cache = GraphCache()
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(cache.compile(small_graph()))
+            )
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert cache.misses == 2 and len(cache) == 1
+        assert results[0] is results[1]
 
     def test_lru_eviction(self, monkeypatch):
         monkeypatch.setattr("repro.engine.cache.MAX_CACHED_GRAPHS", 2)

@@ -29,8 +29,8 @@ class TestProtocolNetwork:
 
     def test_send_accounting(self):
         net = self.make()
-        net.send("A", "B", 100, phase="p1")
-        net.send("B", "C", 50, phase="p2")
+        net.send("A", "B", 100)
+        net.send("B", "C", 50)
         assert net.bytes_sent("A") == 100
         assert net.bytes_sent("B") == 50
         assert net.total_bytes() == 150

@@ -110,14 +110,26 @@ class TestMalformedBodies:
         return response.status, json.loads(response.body)["error"]
 
     @pytest.mark.parametrize(
-        "body",
-        [b"\xff\xfe{", b"[" * 100_000],
-        ids=["not-utf-8", "nested-past-the-recursion-limit"],
+        "body, message",
+        [
+            (b"\xff\xfe{", "audit request is not UTF-8"),
+            # Valid JSON in UTF-16 is refused as the DepDB route refuses it.
+            ('{"servers": ["S1"]}'.encode("utf-16"), "is not UTF-8"),
+            (b"[" * 100_000, "invalid audit_request JSON"),
+        ],
+        ids=["not-utf-8", "utf-16", "nested-past-the-recursion-limit"],
     )
-    def test_audit_submission_is_400(self, manager, body):
+    def test_audit_submission_is_400(self, manager, body, message):
         status, error = self.post(manager, "/v1/audits", body)
         assert (status, error["code"]) == (400, "bad-request")
-        assert "invalid audit_request JSON" in error["message"]
+        assert message in error["message"]
+
+    def test_non_utf8_depdb_payload_is_400(self, manager):
+        status, error = self.post(
+            manager, "/v1/tenants/acme/depdb", b"\xff\xfe{"
+        )
+        assert (status, error["code"]) == (400, "bad-request")
+        assert "dependency payload is not UTF-8" in error["message"]
 
     def test_deep_depdb_payload_is_400(self, manager):
         body = b'{"network": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"

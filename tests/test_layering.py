@@ -179,10 +179,9 @@ def test_process_pool_executor_is_named_only_in_the_pool_module():
     assert named_in == {"engine/pool.py"}
 
 
-def referenced_names(tree: ast.AST) -> Counter[str]:
+def referenced_names(tree: ast.AST, strings: bool = False) -> Counter[str]:
     """Names a tree uses, with their counts: ``Name`` ids, ``Attribute``
-    attrs, imports, and string constants (``getattr`` and route tables
-    name methods that way)."""
+    attrs and imports; with ``strings``, string constants too."""
     names: Counter[str] = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -191,18 +190,22 @@ def referenced_names(tree: ast.AST) -> Counter[str]:
             names[node.attr] += 1
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (
+            strings
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+        ):
             names[node.value] += 1
     return names
 
 
 @functools.lru_cache(maxsize=1)
 def caller_scan():
-    """``(modules, uses)``: the parsed ``src/`` modules by path, and the
-    names every ``src/``, ``benchmarks/`` and ``examples/`` file uses.
+    """``(modules, trees)``: the parsed ``src/`` modules by path, and
+    every parsed ``src/``, ``benchmarks/`` and ``examples/`` file by path.
 
     A re-export in an ``__init__`` is not a caller, and neither is a
-    test, so neither is scanned."""
+    test, so neither is parsed."""
 
     def parse(paths):
         return {
@@ -212,23 +215,24 @@ def caller_scan():
         }
 
     modules = parse(SRC.rglob("*.py"))
-    uses = {
-        path: referenced_names(tree)
-        for path, tree in {
-            **modules,
-            **parse((REPO / "benchmarks").rglob("*.py")),
-            **parse((REPO / "examples").rglob("*.py")),
-        }.items()
+    trees = {
+        **modules,
+        **parse((REPO / "benchmarks").rglob("*.py")),
+        **parse((REPO / "examples").rglob("*.py")),
     }
-    return modules, uses
+    return modules, trees
 
 
 def module_name(path: Path) -> str:
     return ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
 
 
-def test_every_public_name_has_a_caller():
-    modules, uses = caller_scan()
+def uncalled_names(modules, trees) -> set[str]:
+    """Public top-level functions and classes of ``modules`` whose name
+    no other statement of their module and no other file of ``trees``
+    uses.  String constants are not uses here: every module spells its
+    public names in ``__all__``, which would make each its own caller."""
+    uses = {path: referenced_names(tree) for path, tree in trees.items()}
     caller_less = set()
     for path, tree in modules.items():
         body_uses = [referenced_names(node) for node in tree.body]
@@ -249,7 +253,55 @@ def test_every_public_name_has_a_caller():
             )
             if not (used_at_home or used_elsewhere):
                 caller_less.add(f"{module_name(path)}.{node.name}")
-    assert caller_less == set()
+    return caller_less
+
+
+def uncalled_methods(modules, trees) -> set[str]:
+    """``"module.Class.method"`` for every public ``def`` in a class body
+    of ``modules``, properties included, whose name no file of ``trees``
+    uses outside the method's own body.  String constants count as uses:
+    ``getattr`` and route tables name methods that way."""
+    everywhere: Counter[str] = Counter()
+    for tree in trees.values():
+        everywhere.update(referenced_names(tree, strings=True))
+    caller_less = set()
+    for path, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) or node.name.startswith("_"):
+                    continue
+                # Every use of the name is inside the method itself.
+                own = referenced_names(node, strings=True)[node.name]
+                if everywhere[node.name] == own:
+                    caller_less.add(
+                        f"{module_name(path)}.{cls.name}.{node.name}"
+                    )
+    return caller_less
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_names(*caller_scan()) == set()
+
+
+def scratch_module(source: str):
+    """A one-module scan of ``source`` placed at ``src/repro/scratch.py``."""
+    path = SRC / "scratch.py"
+    tree = ast.parse(source)
+    return {path: tree}, {path: tree}
+
+
+def test_a_name_listed_only_in_all_has_no_caller():
+    scan = scratch_module(
+        '__all__ = ["orphan", "used"]\n'
+        "def orphan(): pass\n"
+        "def used(): pass\n"
+        "TABLE = {'x': used}\n"
+    )
+    assert uncalled_names(*scan) == {"repro.scratch.orphan"}
 
 
 #: Public methods that nothing in ``src/``, ``benchmarks/`` or
@@ -283,26 +335,19 @@ def test_every_public_method_has_a_caller():
     The check is by name, as the top-level one is: a method that shares
     its name with one in use passes unnoticed (a ``load`` or a ``clear``
     does once anything calls ``json.load`` or ``dict.clear``)."""
-    modules, uses = caller_scan()
-    everywhere = Counter()
-    for names in uses.values():
-        everywhere.update(names)
-    caller_less = set()
-    for path, tree in modules.items():
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                if not isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ) or node.name.startswith("_"):
-                    continue
-                # Every use of the name is inside the method itself.
-                if everywhere[node.name] == referenced_names(node)[node.name]:
-                    caller_less.add(
-                        f"{module_name(path)}.{cls.name}.{node.name}"
-                    )
-    assert caller_less == set(UNCALLED_METHODS)
+    assert uncalled_methods(*caller_scan()) == set(UNCALLED_METHODS)
+
+
+def test_a_method_used_only_in_its_own_body_has_no_caller():
+    scan = scratch_module(
+        "class Box:\n"
+        "    def orphan(self): return self.orphan\n"
+        "    def named(self): pass\n"
+        "    def called(self): pass\n"
+        "ROUTES = {'GET': 'named'}\n"
+        "Box().called()\n"
+    )
+    assert uncalled_methods(*scan) == {"repro.scratch.Box.orphan"}
 
 
 def test_nothing_in_src_imports_networkx():
