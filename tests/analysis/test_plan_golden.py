@@ -1,4 +1,5 @@
-"""Pinned ``mitigation_plan`` documents and ``indaas importance`` output.
+"""Pinned ``mitigation_plan`` documents, ``indaas importance`` output and
+the stdout of ``examples/hardening_planner.py``.
 
 Three deployments on a k=8 fat tree (two 2-way, one 3-way) at
 ``top_k=4, budget=5``.  The goldens were written before the exact-route
@@ -10,6 +11,7 @@ here — for the library front door, the CLI, and any worker count.
 """
 
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from repro.topology import INTERNET, FatTreeConfig, fat_tree_routes
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "plans.json").read_text()
 )
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 TREE = FatTreeConfig(8)
 DEPLOYMENTS = {
@@ -100,3 +103,9 @@ def test_cli_importance_stdout(depdb_file, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == GOLDEN["importance"]
+
+
+def test_hardening_planner_example_stdout(capsys):
+    """Audit, importance table and what-if of the example, as printed."""
+    runpy.run_path(str(EXAMPLES / "hardening_planner.py"), run_name="__main__")
+    assert capsys.readouterr().out == GOLDEN["hardening_planner"]

@@ -20,7 +20,8 @@ return:
   budget; and a mid-sized random family, which the BDD fold the recursion
   replaced finished inside its own budget, staying exact;
 * every float of the importance measures on the pinned pair, whose
-  Fussell-Vesely terms take ``Pr(T)`` of one sub-family per component.
+  Fussell-Vesely terms take ``Pr(T)`` of one sub-family per component;
+* the Pr(T) that §6.2.1's ``formal_analysis`` reports for the pinned pair.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro import AuditSpec, SIAAuditor, minimal_risk_groups
 from repro.acquisition import NetworkDependencyCollector
+from repro.analysis import formal_analysis
 from repro.core import probability
 from repro.core.bdd import BDD, compile_graph
 from repro.core.builder import build_dependency_graph
@@ -152,6 +154,20 @@ class TestAllocations:
         assert probability.union_probability(
             groups, graph.probabilities()
         ) == value
+
+
+def test_formal_analysis_pr_t_is_pinned(depdb_text):
+    """§6.2.1's formal analysis of pair 0 under the same 0.1 weights."""
+    result = formal_analysis(
+        DepDB.loads(depdb_text), PAIRS[0], weigher=uniform_weigher(0.1)
+    )
+    (deployment,) = result.deployments
+    assert len(deployment.minimal_rgs) == 320
+    assert deployment.failure_probability.hex() == FORMAL_PR_T
+
+
+#: Pr(T) of pair 0 as ``formal_analysis`` reports it.
+FORMAL_PR_T = "0x1.27bbd52e6c7b7p-5"
 
 
 class TestTopologyAFamily:
