@@ -14,8 +14,11 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from repro.core.builder import Weigher
-from repro.core.minimal_rg import minimal_risk_groups, unexpected_risk_groups
-from repro.core.probability import top_event_probability
+from repro.core.minimal_rg import (
+    DEFAULT_MAX_GROUPS,
+    _bdd_minimal_risk_groups,
+    unexpected_risk_groups,
+)
 from repro.depdb.database import DepDB
 from repro.engine.audit import SIAAuditor
 from repro.errors import AnalysisError
@@ -111,8 +114,9 @@ def formal_analysis(
         candidates: The candidate servers (e.g. one per rack).
         ways: Redundancy arity (2 = all pairs, as in §6.2.1).
         weigher: Optional probabilities; enables the lowest-failure-
-            probability comparison.
-        max_order: Optional cut-set truncation for very large graphs.
+            probability comparison, by each graph's exact Pr(T).
+        max_order: Optional cut-set truncation for very large graphs; it
+            truncates the families, not Pr(T).
     """
     if ways < 1 or ways > len(candidates):
         raise AnalysisError(f"ways={ways} outside 1..{len(candidates)}")
@@ -129,12 +133,14 @@ def formal_analysis(
             max_order=max_order,
         )
         graph = auditor.build_graph(spec)
-        groups = minimal_risk_groups(graph, max_order=max_order)
+        groups, diagram = _bdd_minimal_risk_groups(
+            graph, graph.top, max_order, DEFAULT_MAX_GROUPS
+        )
         unexpected = unexpected_risk_groups(groups, expected_size=ways)
         probability = None
         if weigher is not None:
-            probs = graph.probabilities()
-            probability = top_event_probability(groups, probs)
+            # The untruncated graph's Pr(T), under ``max_order`` too.
+            probability = diagram.probability(graph.probabilities())
         result.deployments.append(
             DeploymentAnalysis(
                 members=combo,

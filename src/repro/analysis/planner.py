@@ -35,7 +35,6 @@ from repro.analysis.whatif import (
 from repro.core.bdd import BDD, compile_graph
 from repro.core.faultgraph import FaultGraph
 from repro.core.importance import component_importance_ranking
-from repro.core.minimal_rg import DEFAULT_MAX_GROUPS
 from repro.errors import AnalysisError
 from repro.schema import envelope
 
@@ -141,7 +140,6 @@ class MitigationPlanner:
         self.redundancy = redundancy
         self.engine = engine
         self._baseline_bdd: Optional[BDD] = None
-        self._baseline_groups: Optional[list[frozenset[str]]] = None
 
     def baseline_bdd(self) -> BDD:
         """The baseline graph's BDD, compiled exactly once.
@@ -158,15 +156,6 @@ class MitigationPlanner:
                 else compile_graph(self.graph)
             )
         return self._baseline_bdd
-
-    def baseline_groups(self) -> list[frozenset[str]]:
-        """The unmitigated graph's minimal RGs (Fussell–Vesely needs the
-        family), read off the baseline diagram exactly once."""
-        if self._baseline_groups is None:
-            self._baseline_groups = self.baseline_bdd().minimal_cut_sets(
-                max_groups=DEFAULT_MAX_GROUPS
-            )
-        return self._baseline_groups
 
     def candidates(
         self,
@@ -190,9 +179,7 @@ class MitigationPlanner:
                 f"harden_factor must be in [0,1), got {harden_factor}"
             )
         ranking = component_importance_ranking(
-            self.graph,
-            minimal_rgs=self.baseline_groups(),
-            bdd=self.baseline_bdd(),
+            self.graph, bdd=self.baseline_bdd()
         )
         out: list[Mitigation] = []
         taken = 0

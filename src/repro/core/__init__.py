@@ -22,7 +22,6 @@ from repro.core.importance import (
     ComponentImportance,
     birnbaum_importance,
     component_importance_ranking,
-    fussell_vesely_importance,
 )
 from repro.core.minimal_rg import (
     CutSetExplosion,
@@ -73,7 +72,6 @@ __all__ = [
     "compile_graph",
     "compose",
     "cut_probability",
-    "fussell_vesely_importance",
     "independence_score",
     "is_minimal_risk_group",
     "is_risk_group",

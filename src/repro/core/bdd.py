@@ -208,10 +208,11 @@ class BDD:
     # Analyses
     # ------------------------------------------------------------------ #
     #
-    # The recursive walks below are closures that name themselves, a
-    # reference cycle through the diagram's arrays; each clears its own
-    # name on the way out so the diagram dies by refcount, not at the
-    # next cyclic collection.
+    # Reading walks (probability, the path enumeration) are loops.  The
+    # one recursive walk, minimal_solutions', builds nodes: it is a
+    # closure that names itself, a reference cycle through the diagram's
+    # arrays, so it clears its own name on the way out and the diagram
+    # dies by refcount, not at the next cyclic collection.
 
     def size(self) -> int:
         """Decision nodes reachable from the root."""
@@ -241,40 +242,35 @@ class BDD:
         """Exact top-event probability under independent failures.
 
         Linear in BDD size; correct for shared-node DAGs, unlike a
-        bottom-up walk of the fault graph itself.
+        bottom-up walk of the fault graph itself.  Nodes are made
+        children-first, so one loop over ids ``2..root`` meets every
+        child before its parent: no recursion, and none of the nodes a
+        later :meth:`minimal_solutions` adds above the root.  Every
+        variable a node of that range branches on needs a weight.
         """
         variables, var, low, high = (
             self.variables, self._var, self._low, self._high
         )
-        cache: dict[int, float] = {ZERO: 0.0, ONE: 1.0}
-
-        def walk(node_id: int) -> float:
-            cached = cache.get(node_id)
-            if cached is not None:
-                return cached
-            name = variables[var[node_id]]
-            try:
-                p = probabilities[name]
-            except KeyError:
+        weight = [probabilities.get(name) for name in variables]
+        value = [0.0, 1.0]
+        for node_id in range(2, self.root + 1):
+            p = weight[var[node_id]]
+            if p is None:
                 raise AnalysisError(
-                    f"no failure probability for {name!r}"
-                ) from None
-            value = p * walk(high[node_id]) + (1.0 - p) * walk(low[node_id])
-            cache[node_id] = value
-            return value
-
-        try:
-            with self._recursion_headroom():
-                return walk(self.root)
-        finally:
-            walk = None
+                    f"no failure probability for {variables[var[node_id]]!r}"
+                )
+            value.append(
+                p * value[high[node_id]] + (1.0 - p) * value[low[node_id]]
+            )
+        return value[self.root]
 
     @contextmanager
     def _recursion_headroom(self):
         """Recursion depth here is bounded by the variable count (``apply``,
-        :meth:`falsified` and the walks descend one level per variable), so
-        big graphs need more stack than CPython's default 1000 frames:
-        ``compile_graph`` and every analysis run in it."""
+        :meth:`falsified` and :meth:`minimal_solutions` descend one level
+        per variable), so big graphs need more stack than CPython's
+        default 1000 frames: ``compile_graph`` and
+        :meth:`minimal_solutions` run in it."""
         wanted = 4 * len(self.variables) + 200
         previous = sys.getrecursionlimit()
         sys.setrecursionlimit(max(previous, wanted))
@@ -374,29 +370,28 @@ class BDD:
         )
         out: list[frozenset[str]] = []
         path: list[str] = []
-
-        def enumerate_paths(node_id: int) -> None:
-            if node_id == ZERO:
-                return
+        # (node, path length above it, the variable its high edge adds):
+        # a node's low subtree is popped before its high one, the order
+        # a recursion takes.
+        stack = [(self.minimal_solutions(), 0, None)]
+        while stack:
+            node_id, depth, name = stack.pop()
+            del path[depth:]
+            if name is not None:
+                path.append(name)
             if node_id == ONE:
                 if max_groups is not None and len(out) >= max_groups:
                     raise CutSetExplosion(
                         f"cut-set family exceeded {max_groups} sets"
                     )
                 out.append(frozenset(path))
-                return
-            enumerate_paths(low[node_id])
-            if max_order is None or len(path) < max_order:
-                path.append(variables[var[node_id]])
-                enumerate_paths(high[node_id])
-                path.pop()
-
-        root = self.minimal_solutions()
-        try:
-            with self._recursion_headroom():
-                enumerate_paths(root)
-        finally:
-            enumerate_paths = None
+            elif node_id != ZERO:
+                depth = len(path)
+                if max_order is None or depth < max_order:
+                    stack.append(
+                        (high[node_id], depth, variables[var[node_id]])
+                    )
+                stack.append((low[node_id], depth, None))
         return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 

@@ -6,10 +6,14 @@ deserves hardening first.  Classic fault-tree analysis answers with:
 * **Birnbaum importance** — ``I_B(c) = Pr(T | c failed) - Pr(T | c ok)``:
   how much the top-event probability moves with component c.  Computed
   exactly on the BDD (two conditioned traversals per component).
-* **Fussell–Vesely importance** — ``I_FV(c) = Pr(some cut containing c
-  fails) / Pr(T)``: the fraction of system risk flowing through c.
 * **criticality importance** — Birnbaum scaled by ``p_c / Pr(T)``: the
   probability that c's failure is what actually broke the system.
+
+Fussell–Vesely importance is not offered.  It is not in the paper, its
+cut-set form needs ``Pr(T)`` of one sub-family per component (slow and,
+past the union's work budget, not exact), and its exact risk-reduction
+form on the diagram, ``(Pr(T) - Pr(T | c ok)) / Pr(T)``, equals
+``p_c · I_B(c) / Pr(T)``: the criticality column.
 
 These complement (and on singleton RGs coincide with) the paper's
 relative-importance ranking, and slot into auditing reports as a
@@ -19,17 +23,14 @@ relative-importance ranking, and slot into auditing reports as a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.core.bdd import BDD, compile_graph
 from repro.core.faultgraph import FaultGraph
-from repro.core.probability import union_probability
-from repro.errors import AnalysisError
 
 __all__ = [
     "ComponentImportance",
     "birnbaum_importance",
-    "fussell_vesely_importance",
     "component_importance_ranking",
 ]
 
@@ -42,12 +43,11 @@ class ComponentImportance:
     probability: float
     birnbaum: float
     criticality: float
-    fussell_vesely: float
 
     def describe(self) -> str:
         return (
             f"{self.component}: I_B={self.birnbaum:.4g} "
-            f"I_crit={self.criticality:.4g} I_FV={self.fussell_vesely:.4g}"
+            f"I_crit={self.criticality:.4g}"
         )
 
 
@@ -91,38 +91,8 @@ def birnbaum_importance(
     return out
 
 
-def fussell_vesely_importance(
-    minimal_rgs: Sequence[frozenset[str]],
-    probabilities: Mapping[str, float],
-    top_probability: Optional[float] = None,
-) -> dict[str, float]:
-    """Fussell–Vesely importance from the minimal risk groups.
-
-    ``I_FV(c)`` is the probability that at least one minimal RG
-    *containing c* fails, relative to ``Pr(T)`` — the standard
-    "fraction of risk through this component" measure.
-    """
-    if not minimal_rgs:
-        raise AnalysisError("need at least one minimal risk group")
-    if top_probability is None:
-        top_probability = union_probability(list(minimal_rgs), probabilities)
-    components = sorted({c for rg in minimal_rgs for c in rg})
-    if top_probability <= 0.0:
-        # No system risk means no risk flows through anything: the
-        # measure is defined as 0 everywhere, not a division by zero.
-        return {component: 0.0 for component in components}
-    out = {}
-    for component in components:
-        containing = [rg for rg in minimal_rgs if component in rg]
-        out[component] = (
-            union_probability(containing, probabilities) / top_probability
-        )
-    return out
-
-
 def component_importance_ranking(
     graph: FaultGraph,
-    minimal_rgs: Optional[Sequence[frozenset[str]]] = None,
     probabilities: Optional[Mapping[str, float]] = None,
     bdd: Optional[BDD] = None,
 ) -> list[ComponentImportance]:
@@ -130,26 +100,15 @@ def component_importance_ranking(
 
     Args:
         graph: A weighted fault graph.
-        minimal_rgs: Pre-computed minimal RGs (computed if omitted).
         probabilities: Weight overrides (graph weights otherwise).
         bdd: A pre-compiled BDD of ``graph`` (compiled if omitted), so
             callers that already hold the diagram skip a recompile.
     """
-    from repro.core.minimal_rg import minimal_risk_groups  # avoid cycle
-
     probs = _merged_probabilities(graph, probabilities)
-    groups = (
-        list(minimal_rgs)
-        if minimal_rgs is not None
-        else minimal_risk_groups(graph)
-    )
     if bdd is None:
         bdd = compile_graph(graph)
     top_probability = bdd.probability(probs)
     birnbaum = birnbaum_importance(graph, probs, bdd=bdd)
-    fussell = fussell_vesely_importance(
-        groups, probs, top_probability=top_probability
-    )
     entries = []
     for component in graph.basic_events():
         i_b = birnbaum[component]
@@ -166,7 +125,6 @@ def component_importance_ranking(
                 probability=probs[component],
                 birnbaum=i_b,
                 criticality=criticality,
-                fussell_vesely=fussell.get(component, 0.0),
             )
         )
     entries.sort(key=lambda e: (-e.birnbaum, e.component))

@@ -8,16 +8,21 @@ The probability-based ranking needs two quantities:
   principle over the minimal RGs of ``T`` (the paper's worked example:
   ``Pr(T) = 0.1*0.3 + 0.2 - 0.1*0.3*0.2 = 0.224``).
 
-Inclusion–exclusion is exponential in the number of minimal RGs, so above
-:data:`IE_CROSSOVER` sets :func:`union_probability` takes
+Whoever holds the graph reads ``Pr(T)`` off the graph's one diagram
+(:meth:`~repro.core.bdd.BDD.probability`): the exact audit, the size
+ranking's best effort and ``formal_analysis``.  This module serves the
+bare family, which has no diagram: sampled audits and callers of
+:func:`union_probability`.  Inclusion–exclusion is exponential in the
+number of minimal RGs, so above :data:`IE_CROSSOVER` sets it takes
 :func:`_shannon_union` instead: a memoised Shannon expansion over the
 minimal family that visits the nodes of the family's reduced ordered BDD
 without building it, and so returns that diagram's probability walk bit
-for bit.  Only when that recursion outgrows :data:`UNION_WORK_BUDGET` does
-it return a seeded Monte-Carlo estimate.  Every weight is checked once.
-The references this one behaviour is tested against (inclusion–exclusion
-over the family as given, the first-order bounds, the BDD fold, the
-per-cut Monte-Carlo scan) are test oracles, not options.
+for bit.  When that recursion outgrows :data:`UNION_WORK_BUDGET` it
+raises :class:`~repro.core.minimal_rg.CutSetExplosion`; there is no
+estimate to fall back to.  Every weight is checked once.  The references
+this one behaviour is tested against (inclusion–exclusion over the
+family as given, the first-order bounds, the BDD fold, the per-cut
+Monte-Carlo scan) are test oracles, not options.
 """
 
 from __future__ import annotations
@@ -25,19 +30,14 @@ from __future__ import annotations
 import math
 import sys
 from functools import reduce
-from itertools import groupby
 from operator import or_
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.compile import pack_rounds
 from repro.core.events import validate_probability
 from repro.core.minimal_rg import CutSetExplosion
 from repro.errors import AnalysisError, FaultGraphError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.bdd import BDD
 
 __all__ = [
     "cut_probability",
@@ -61,7 +61,7 @@ __all__ = [
 #:    16, 20                     83 / 0.96, 1403 / 1.37
 IE_CROSSOVER = 10
 
-#: Work the exact pass may do before it falls back to Monte-Carlo,
+#: Work the exact pass may do before it raises :class:`CutSetExplosion`,
 #: in 64-bit words of cuts scanned: every cut each diagram node partitions
 #: and every (cut, absorber) pair its absorption may check, once per word
 #: of the bitmasks, :data:`_NODE_WORK` per node, and the pre-pass's packed
@@ -73,10 +73,6 @@ IE_CROSSOVER = 10
 #: (k=16, 1 280 cuts).
 UNION_WORK_BUDGET = 7_000_000
 
-#: Rounds and seed of the Monte-Carlo estimate returned past the budget.
-FALLBACK_ROUNDS = 200_000
-FALLBACK_SEED = 0
-
 #: A node's fixed cost (a call, two frozensets, the memo) in scanned words:
 #: about 6 us against about 0.02 us a word.
 _NODE_WORK = 300
@@ -86,7 +82,7 @@ _NODE_WORK = 300
 _COMPARES_PER_WORD = 8
 
 #: uint64 cells one vectorised step holds at once (8 MB): the pre-pass's
-#: row pairs, the Monte-Carlo estimate's cut words.
+#: row pairs.
 _CHUNK_CELLS = 1 << 20
 
 
@@ -110,16 +106,18 @@ def union_probability(
 
     The family is deduplicated and sorted by (size, members), so the bits
     do not depend on input order, then goes to inclusion–exclusion up to
-    :data:`IE_CROSSOVER` sets and to :func:`_shannon_union` above.  Only
-    if that pass outgrows :data:`UNION_WORK_BUDGET` is the answer the
-    Monte-Carlo estimate of :data:`FALLBACK_ROUNDS` rounds drawn from
-    :data:`FALLBACK_SEED`.
+    :data:`IE_CROSSOVER` sets and to :func:`_shannon_union` above.
 
     Args:
         cuts: Collection of cut sets (typically the minimal RGs); a cut is
             a collection of event names, never one string.
         probabilities: Failure probability per basic event, each in
             ``[0, 1]``; every event of every cut needs one.
+
+    Raises:
+        CutSetExplosion: The family outgrew :data:`UNION_WORK_BUDGET`.
+            A caller that holds the family's graph reads its diagram
+            instead.
     """
     if isinstance(cuts, str):
         raise AnalysisError(f"cut sets must be a collection, not {cuts!r}")
@@ -132,30 +130,11 @@ def union_probability(
         cut_list.append(frozenset(cut))
     if not cut_list:
         raise AnalysisError("cannot compute a union over zero cut sets")
-    return _union(cut_list, probabilities, None)
-
-
-def _union(
-    cuts: list[frozenset[str]],
-    probabilities: Mapping[str, float],
-    diagram: Optional[BDD],
-) -> float:
-    """:func:`union_probability` of a non-empty list of cuts.  When the
-    cuts are the minimal RGs of a graph whose ``diagram`` (its
-    :class:`~repro.core.bdd.BDD`) is at hand, a pass past the budget
-    walks the diagram instead: its exact value, not an estimate."""
-    weights = _checked_weights(cuts, probabilities)
-    family = sorted(set(cuts), key=lambda c: (len(c), sorted(c)))
+    weights = _checked_weights(cut_list, probabilities)
+    family = sorted(set(cut_list), key=lambda c: (len(c), sorted(c)))
     if len(family) <= IE_CROSSOVER:
         return _inclusion_exclusion(family, weights)
-    try:
-        return _shannon_union(family, weights)
-    except CutSetExplosion:
-        if diagram is not None:
-            return diagram.probability(probabilities)
-        return _monte_carlo_union(
-            family, weights, FALLBACK_ROUNDS, FALLBACK_SEED
-        )
+    return _shannon_union(family, weights)
 
 
 def _checked_weights(
@@ -339,43 +318,6 @@ def _absorbed(
         inside &= sizes[None, :limit] < sizes[start:stop, None]
         absorbed[start:stop] = inside.any(axis=1)
     return absorbed, spent
-
-
-def _monte_carlo_union(
-    cuts: list[frozenset[str]],
-    weights: Mapping[str, float],
-    rounds: int,
-    seed: int,
-) -> float:
-    """Estimate the union probability by direct simulation, ANDing the
-    packed round words of every cut of one size at once: the draws, the
-    failing rounds and the float of a per-cut scan of the boolean draws."""
-    if frozenset() in cuts:
-        return 1.0  # an empty cut fails in every round
-    events = sorted({e for cut in cuts for e in cut})
-    index = {e: i for i, e in enumerate(events)}
-    probs = np.array([weights[e] for e in events], dtype=float)
-    members = sorted(([index[e] for e in cut] for cut in cuts), key=len)
-    groups = [np.array(list(rows)) for _, rows in groupby(members, key=len)]
-    rng = np.random.default_rng(seed)
-    hits = 0
-    batch = 8192
-    remaining = rounds
-    while remaining > 0:
-        block = min(batch, remaining)
-        remaining -= block
-        words = pack_rounds(rng.random((block, len(events))) < probs[None, :])
-        failed = np.zeros(words.shape[1], dtype=words.dtype)
-        step = max(1, _CHUNK_CELLS // words.shape[1])
-        for group in groups:
-            for start in range(0, len(group), step):
-                rows = group[start:start + step]
-                cut_words = words[rows[:, 0]]
-                for column in range(1, rows.shape[1]):
-                    cut_words &= words[rows[:, column]]
-                failed |= np.bitwise_or.reduce(cut_words, axis=0)
-        hits += int(np.unpackbits(failed.view(np.uint8)).sum())
-    return hits / rounds
 
 
 def top_event_probability(

@@ -22,11 +22,12 @@ first-insertion order and every query replays the in-memory store's
 ordering contract exactly.
 
 Each per-host lookup has an index on the column it filters
-(``network.src``, ``hardware.hw``, ``software.hw``, ``software.pgm``).
-There is none on ``network.dst``: no query filters on it alone, and
-every row of a fat-tree store has ``dst = "Internet"``, so a planner
-offered it for ``src = ? AND dst = ?`` walked the whole table.  Opening
-a file that has it drops it.
+(``network.src``, ``hardware.hw``, ``software.hw``).  There is none on
+``network.dst``: no query filters on it alone, and every row of a
+fat-tree store has ``dst = "Internet"``, so a planner offered it for
+``src = ? AND dst = ?`` walked the whole table.  There is none on
+``software.pgm`` either: no query reads it, and every ingest paid to
+keep it.  Opening a file that has either drops it.
 
 The ``snapshots`` table is content-addressed by the record-set hash
 (:func:`~repro.depdb.backend.records_digest`): one row per distinct
@@ -111,7 +112,7 @@ CREATE TABLE IF NOT EXISTS software (
     UNIQUE (pgm, hw, dep)
 );
 CREATE INDEX IF NOT EXISTS idx_software_hw ON software (hw);
-CREATE INDEX IF NOT EXISTS idx_software_pgm ON software (pgm);
+DROP INDEX IF EXISTS idx_software_pgm;
 CREATE TABLE IF NOT EXISTS snapshots (
     digest TEXT PRIMARY KEY,
     label TEXT NOT NULL DEFAULT '',

@@ -21,8 +21,12 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.core.builder import Weigher, build_dependency_graph
 from repro.core.componentset import component_sets_from_graph
 from repro.core.faultgraph import FaultGraph
-from repro.core.minimal_rg import DEFAULT_MAX_GROUPS, _bdd_minimal_risk_groups
-from repro.core.probability import _union
+from repro.core.minimal_rg import (
+    DEFAULT_MAX_GROUPS,
+    CutSetExplosion,
+    _bdd_minimal_risk_groups,
+)
+from repro.core.probability import union_probability
 from repro.core.ranking import (
     RankingMethod,
     independence_score,
@@ -31,12 +35,22 @@ from repro.core.ranking import (
 from repro.core.report import AuditReport, DeploymentAudit
 from repro.core.spec import AuditSpec, DetailLevel, RGAlgorithm
 from repro.depdb.database import DepDB
-from repro.errors import AnalysisError, SpecificationError
+from repro.errors import AnalysisError, FaultGraphError, SpecificationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, the facade imports us
     from repro.engine.facade import AuditEngine
 
 __all__ = ["SIAAuditor"]
+
+
+def _top_probability(groups, probabilities, diagram) -> float:
+    """Pr(T): the walk of the graph's diagram when the audit is exact
+    (under ``max_order`` too, so the untruncated graph's value), else the
+    union over the sampled family, which may raise
+    :class:`CutSetExplosion`."""
+    if diagram is not None:
+        return diagram.probability(probabilities)
+    return union_probability(groups, probabilities)
 
 
 class SIAAuditor:
@@ -108,9 +122,8 @@ class SIAAuditor:
         then decide whether this computation needs to run at all.
         """
         notes: list[str] = []
-        # An exact audit keeps the diagram its groups came from: when the
-        # Pr(T) pass over the groups outgrows its budget, that diagram
-        # gives the exact value (a sampled audit has none to walk).
+        # An exact audit keeps the diagram its groups came from and reads
+        # Pr(T) off it; a sampled audit has only its family.
         diagram = None
 
         if spec.algorithm is RGAlgorithm.MINIMAL:
@@ -149,11 +162,11 @@ class SIAAuditor:
                 f"increase sampling rounds or check the graph"
             )
 
-        probabilities = None
-        failure_probability = None
         if spec.ranking is RankingMethod.PROBABILITY:
             probabilities = graph.probabilities()
-            failure_probability = _union(groups, probabilities, diagram)
+            failure_probability = _top_probability(
+                groups, probabilities, diagram
+            )
             ranking = rank_risk_groups(
                 groups,
                 spec.ranking,
@@ -180,14 +193,12 @@ class SIAAuditor:
         )
 
     def _try_failure_probability(self, graph, groups, diagram) -> Optional[float]:
-        """Best-effort Pr(T) when weights happen to be available."""
-        from repro.errors import FaultGraphError
-
+        """Best-effort Pr(T): ``None`` when weights are missing, or when a
+        sampled family outgrows the union's work budget."""
         try:
-            probabilities = graph.probabilities()
-        except FaultGraphError:
+            return _top_probability(groups, graph.probabilities(), diagram)
+        except (FaultGraphError, CutSetExplosion):
             return None
-        return _union(groups, probabilities, diagram)
 
     def component_importance(self, spec: AuditSpec, top: int = 10):
         """Per-component hardening priorities for one deployment.

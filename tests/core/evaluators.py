@@ -16,10 +16,11 @@ The third, :func:`bdd_union`, is the bit-for-bit oracle: the BDD fold
 ``union_probability`` used before its memoised Shannon recursion, which
 must return the same float, not just a close one.
 
-:func:`per_cut_monte_carlo_union` is the Monte-Carlo oracle: the
-simulation ``union_probability``'s over-budget estimate ran one cut at a
-time over the boolean draws before it evaluated cuts over packed round
-words.  Same draws, same hits, so the float must be ``==``.
+:func:`per_cut_monte_carlo_union` is the Monte-Carlo oracle: a
+simulation one cut at a time over boolean draws.  ``union_probability``
+once returned such an estimate past its work budget; it raises there
+now, and the scan stays as an independent check of inclusion–exclusion
+and as the estimator ``benchmarks/bench_ablations.py`` ablates.
 
 The named Pr(T) engines ``union_probability`` offered before it had one
 behaviour are references here: :func:`inclusion_exclusion_union` (the

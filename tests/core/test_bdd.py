@@ -1,6 +1,7 @@
 """Unit + property tests for the BDD engine."""
 
 import gc
+import sys
 import types
 import weakref
 from itertools import combinations
@@ -152,6 +153,26 @@ class TestCompileGraph:
         )
         assert count_failure_states(bdd) == 1
 
+    def test_reading_walks_leave_the_recursion_limit_alone(self, monkeypatch):
+        """The limit is process-global, and the service audits on worker
+        threads: ``probability`` and the path enumeration are loops that
+        never set it, even on a chain deeper than CPython's default."""
+        names = [f"v{i}" for i in range(3000)]
+        bdd = BDD(names)
+        bdd.root = ONE
+        for var in reversed(range(len(names))):
+            bdd.root = bdd.make(var, ZERO, bdd.root)  # AND of every variable
+        bdd.minimal_solutions()  # builds nodes, recursively: done first
+
+        def refuse(limit):
+            raise AssertionError(f"setrecursionlimit({limit})")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert bdd.probability(dict.fromkeys(names, 0.999)) == pytest.approx(
+            0.999**3000, rel=1e-12
+        )
+        assert bdd.minimal_cut_sets() == [frozenset(names)]
+
 
 class TestMinimalSolutions:
     """Rauzy's minimal-solutions walk behind ``minimal_cut_sets``."""
@@ -250,12 +271,13 @@ class TestMinimalSolutions:
 class TestNoReferenceCycles:
     """A diagram dies by refcount when the call that made it returns.
 
-    The recursive walks are closures that name themselves; left alone,
-    that cycle keeps every diagram of an audit alive until the cyclic
-    collector runs, and how often it runs depends on how many objects
-    the kernel allocates.  The Pr(T) recursion builds no diagram but is
-    such a closure over its memo.  Every check runs with the collector
-    off.
+    A recursive walk is a closure that names itself; left alone, that
+    cycle keeps every diagram of an audit alive until the cyclic collector
+    runs, and how often it runs depends on how many objects the kernel
+    allocates.  ``minimal_solutions`` is such a closure; the Pr(T) walk and
+    the path enumeration are loops.  The family's Pr(T) recursion builds
+    no diagram but is such a closure over its memo.  Every check runs with
+    the collector off.
     """
 
     @pytest.fixture
@@ -281,8 +303,8 @@ class TestNoReferenceCycles:
     def cyclic_closures() -> list[str]:
         """Functions of the BDD modules only the cyclic collector frees.
 
-        The walks of :meth:`BDD.probability` close over the node arrays,
-        not the manager, so a weakref to the manager alone misses them.
+        A walk may close over the node arrays, not the manager, so a
+        weakref to the manager alone misses it.
         """
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
@@ -349,7 +371,10 @@ class TestNoReferenceCycles:
         else:
             assert budget is None
         assert memo
-        union_probability(cuts, probs)  # the recursion or its fallback
+        try:
+            union_probability(cuts, probs)  # the recursion, or its trip
+        except CutSetExplosion:
+            assert budget is not None
         assert managers == []
         assert self.cyclic_closures() == []
 

@@ -2,10 +2,10 @@
 
 The paper's default audit (minimal RGs, §4.1.2, then Pr(T) and the
 probability ranking, §4.1.3) compiles the fault graph into one BDD for
-the minimal RGs, then takes Pr(T) by a memoised Shannon recursion over
-the RG family that walks that family's diagram without building it.
-These pins hold both to the work they do, not just to the values they
-return:
+the minimal RGs and reads Pr(T) off that same diagram.  A bare family,
+which has no diagram, takes Pr(T) by a memoised Shannon recursion that
+walks the family's diagram without building it.  These pins hold both to
+the work they do, not just to the values they return:
 
 * the sha-256 of ``report.to_json()`` for every two-way deployment of
   four servers on a k=12 fat tree (the ledger's ``exact_structural``
@@ -15,12 +15,11 @@ return:
   so a kernel that reaches the same value through different work fails;
 * the minimal RGs of a three-way deployment on a k=16 fat tree (Table 3's
   topology A), by count, sha-256 and the nodes their extraction allocates;
-* the work budget's trip point on a wide flat family, the Monte-Carlo
-  value ``auto`` then returns, bit for bit, and the exact value past the
-  budget; and a mid-sized random family, which the BDD fold the recursion
-  replaced finished inside its own budget, staying exact;
-* every float of the importance measures on the pinned pair, whose
-  Fussell-Vesely terms take ``Pr(T)`` of one sub-family per component;
+* the work budget's trip point on a wide flat family, the error a bare
+  family then gets, and the exact value past the budget; and a mid-sized
+  random family, which the BDD fold the recursion replaced finished
+  inside its own budget, staying exact;
+* every float of the importance table on the pinned pair;
 * the Pr(T) that §6.2.1's ``formal_analysis`` reports for the pinned pair.
 """
 
@@ -30,8 +29,6 @@ import hashlib
 import itertools
 import json
 import random
-
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,10 +40,7 @@ from repro.analysis import formal_analysis
 from repro.core import probability
 from repro.core.bdd import BDD, compile_graph
 from repro.core.builder import build_dependency_graph
-from repro.core.importance import (
-    component_importance_ranking,
-    fussell_vesely_importance,
-)
+from repro.core.importance import component_importance_ranking
 from repro.core.minimal_rg import CutSetExplosion
 from repro.core.ranking import RankingMethod
 from repro.depdb import DepDB
@@ -87,13 +81,14 @@ def depdb_text() -> str:
     return depdb.dumps()
 
 
+#: Every pair's Pr(T) is its graph diagram's walk, 0x1.27bbd52e6c7b8p-5.
 REPORT_SHA256 = {
-    0: "a7dad19642242c3c23ec1c7f4829341ce740efb2d97484248a63fd26bebae193",
-    1: "d29a2c2cbabd19dfabe53831e19b5a4b9040d19eedc62939b490fc891fcf6d3f",
-    2: "b2396a18e8243e9ed7f1c3ca7c31a0b2d5778f5b8a45c460966d1ce4c86e62ee",
-    3: "925e7651c535497b2da9bb872b998761552dded8c9cc4fbdfd5c7fc0d0c115a1",
-    4: "7eed07c34e2e717f24c5fd7297257c4e85343b5c77fe47b02003344aa2db3ec0",
-    5: "c5973782fcc77955c94dd74e1ed312b13459924f06b6838a8ac25cd898278bf3",
+    0: "dab5e36b7110f47712af379e238ced56afe28f6ff597217dd08fced819ed3b8c",
+    1: "3976a53ed3acdd127e3d2b01e7f2aba0c2f29e462bcfdfd424334a1b9c3cd2e6",
+    2: "838f56205f9fd600530a64ab9e6b41cc6aacb551314df2a39a4f9465c0c3e1c2",
+    3: "0475bbd93a155e10b8b72088cd094a0b60bc3805b7cc7ecca648edde96dffd90",
+    4: "173ad722c49aa2ce7e4d7fb397b25da9342fc6fc75a32407e3bafeff53ce88eb",
+    5: "9c34b990ded54067797dc136d1b8184d04f2a97046c41822ea432c39457c4947",
 }
 
 
@@ -166,8 +161,8 @@ def test_formal_analysis_pr_t_is_pinned(depdb_text):
     assert deployment.failure_probability.hex() == FORMAL_PR_T
 
 
-#: Pr(T) of pair 0 as ``formal_analysis`` reports it.
-FORMAL_PR_T = "0x1.27bbd52e6c7b7p-5"
+#: Pr(T) of pair 0 as ``formal_analysis`` reports it: its graph's diagram's.
+FORMAL_PR_T = "0x1.27bbd52e6c7b8p-5"
 
 
 class TestTopologyAFamily:
@@ -193,8 +188,8 @@ class TestTopologyAFamily:
         return build_dependency_graph(*deployment)
 
     def test_exact_audit_is_pinned(self, deployment):
-        """The paper's default audit of this deployment: its family of
-        4 854 minimal RGs outgrows ``UNION_WORK_BUDGET``."""
+        """The paper's default audit of this deployment: 4 854 minimal RGs,
+        a family that would outgrow ``UNION_WORK_BUDGET``."""
         depdb, servers = deployment
         report = repro.audit(
             depdb.dumps(),
@@ -251,26 +246,17 @@ class TestTopologyAFamily:
     def test_truncated_audit_that_trips_reports_the_diagrams_pr_t(
         self, deployment, weighted
     ):
-        """At ``max_order=40`` the 2 615 groups still outgrow the budget:
-        the report carries the untruncated graph's exact Pr(T), and its
-        truncation note.  At 35 the 1 719 groups finish, and Pr(T) is
-        theirs."""
+        """A ``max_order`` audit reports the untruncated graph's exact
+        Pr(T) beside its truncation note, whether its family is large (2 615
+        groups at order 40) or small (1 719 at 35)."""
         diagram = compile_graph(weighted).probability(weighted.probabilities())
-        tripped = self.audit(
-            deployment, ranking=RankingMethod.PROBABILITY, max_order=40
-        )
-        assert len(tripped.ranking) == 2615
-        assert tripped.failure_probability == diagram
-        assert tripped.notes == ["cut sets truncated at order 40"]
-        finished = self.audit(
-            deployment, ranking=RankingMethod.PROBABILITY, max_order=35
-        )
-        groups = minimal_risk_groups(weighted, max_order=35)
-        assert len(groups) == 1719
-        assert finished.failure_probability == probability.union_probability(
-            groups, weighted.probabilities()
-        )
-        assert finished.failure_probability != diagram
+        for order, count in ((40, 2615), (35, 1719)):
+            truncated = self.audit(
+                deployment, ranking=RankingMethod.PROBABILITY, max_order=order
+            )
+            assert len(truncated.ranking) == count
+            assert truncated.failure_probability == diagram
+            assert truncated.notes == [f"cut sets truncated at order {order}"]
 
     def test_minimal_rgs_are_pinned(self, graph):
         bdd = compile_graph(graph)
@@ -282,11 +268,8 @@ class TestTopologyAFamily:
         assert allocated(bdd) == 26528
 
 
-#: Pr(T) and report bytes of the three-way exact audit.  Its family
-#: outgrows the budget, so Pr(T) is its diagram's, 0.006859000877230672.
-#: It used to be the seeded Monte-Carlo estimate ``union_probability``
-#: falls back to, 0x1.9d883ba3443d4p-8 (0.00631, 8.0% low), in a report
-#: of sha-256 ddc58ec6...b699ee33b.
+#: Pr(T) and report bytes of the three-way exact audit.  Pr(T) is its
+#: diagram's, 0.006859000877230672.
 TOPOLOGY_A_AUDIT = (
     "0x1.c182f07370df6p-8",
     [],
@@ -298,26 +281,16 @@ TOPOLOGY_A_FAMILY_SHA256 = (
 
 
 class TestImportanceBits:
-    """Pair 0's importance measures, float for float."""
-
-    def test_fussell_vesely(self, graph):
-        values = fussell_vesely_importance(
-            minimal_risk_groups(graph), graph.probabilities()
-        )
-        assert len(values) == 52
-        assert hex_digest({c: v.hex() for c, v in values.items()}) == (
-            FUSSELL_VESELY_SHA256
-        )
+    """Pair 0's importance table, float for float."""
 
     def test_component_ranking(self, graph):
-        ranking = component_importance_ranking(graph, minimal_risk_groups(graph))
+        ranking = component_importance_ranking(graph)
         rows = [
             [
                 entry.component,
                 entry.probability.hex(),
                 entry.birnbaum.hex(),
                 entry.criticality.hex(),
-                entry.fussell_vesely.hex(),
             ]
             for entry in ranking
         ]
@@ -325,17 +298,15 @@ class TestImportanceBits:
         assert hex_digest(rows) == RANKING_SHA256
 
 
-FUSSELL_VESELY_SHA256 = (
-    "d077efcf78cc07901b2ddb35a58591e62da75026c256f70ba01de570aa353578"
-)
 RANKING_SHA256 = (
-    "ef42f8d700ac65c9d4aa90a73c00ac9533a0cd93188e189e2bf49195ba103f35"
+    "6bfc227a50278918c5486c6687e704612d2584ab0db9f37a145aabe235a65270"
 )
 
 
 class TestBudgetTrip:
     """2 200 two-event cuts over 1 102 events outgrow ``UNION_WORK_BUDGET``:
-    the diagram is small, but every cut spans 18 words."""
+    the diagram is small, but every cut spans 18 words.  A graph holder
+    would walk its diagram; the bare family gets :class:`CutSetExplosion`."""
 
     CUTS = [
         frozenset({f"a{i}", f"b{j}"}) for i in range(1100) for j in range(2)
@@ -354,19 +325,17 @@ class TestBudgetTrip:
         )
         assert len(memo) == 2
 
-    def test_auto_returns_the_monte_carlo_value(self, monkeypatch):
-        monkeypatch.setattr(probability, "FALLBACK_ROUNDS", 4_096)
-        monkeypatch.setattr(probability, "FALLBACK_SEED", 5)
-        value = probability.union_probability(self.CUTS, self.PROBS)
-        assert value == evaluators.per_cut_monte_carlo_union(
-            self.CUTS, self.PROBS, 4_096, 5
-        )
-        assert value.hex() == "0x1.7c00000000000p-3"
-
-    def test_auto_returns_the_seed_zero_estimate(self, monkeypatch):
-        monkeypatch.setattr(probability, "FALLBACK_ROUNDS", 4_096)
-        value = probability.union_probability(self.CUTS, self.PROBS)
-        assert value.hex() == "0x1.7c80000000000p-3"
+    def test_a_bare_family_past_the_budget_raises(self):
+        """No estimate stands in for the exact value: both doors raise."""
+        for door in (
+            probability.union_probability,
+            probability.top_event_probability,
+        ):
+            with pytest.raises(CutSetExplosion) as raised:
+                door(self.CUTS, self.PROBS)
+            assert str(raised.value) == (
+                "exact union exceeded 7000000 units of work"
+            )
 
     def test_exact_past_the_budget(self, monkeypatch):
         """Some ``a`` and some ``b`` fail: ``(1 - 0.9^1100)(1 - 0.9^2)``."""
@@ -401,8 +370,8 @@ class TestMidSizedFamily:
 
 
 class TestTrippedAuditsAgainstTheBN:
-    """With the budget at zero every family past ``IE_CROSSOVER`` trips:
-    the audit's Pr(T) is then the diagram's, and the Bayesian-network
+    """At every family size, ``IE_CROSSOVER`` and below included, an exact
+    audit's Pr(T) is its graph's diagram's, and the Bayesian-network
     evaluator, which enumerates every joint state, agrees to 1e-12."""
 
     @staticmethod
@@ -414,35 +383,26 @@ class TestTrippedAuditsAgainstTheBN:
             ),
         )
 
-    def test_fat_tree_shape(self, monkeypatch):
+    def check(self, graph):
+        probs = graph.probabilities()
+        value = self.audit(graph).failure_probability
+        assert value == compile_graph(graph).probability(probs)
+        assert value == pytest.approx(
+            evaluators.bn_top_probability(graph, probs), rel=0, abs=1e-12
+        )
+
+    def test_fat_tree_shape(self):
         """Three servers of four routes over 13 components: 27+ groups."""
         graph = fat_tree_shaped_graph()
         rng = random.Random(3)
         for event in graph.basic_events():
             graph.set_probability(event, rng.uniform(0.05, 0.4))
         assert len(minimal_risk_groups(graph)) > probability.IE_CROSSOVER
-        monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 0)
-        value = self.audit(graph).failure_probability
-        assert value == compile_graph(graph).probability(graph.probabilities())
-        assert value == pytest.approx(
-            evaluators.bn_top_probability(graph, graph.probabilities()),
-            rel=0,
-            abs=1e-12,
-        )
+        self.check(graph)
 
     @settings(max_examples=60, deadline=None)
     @given(fault_graphs(), st.data())
     def test_random_graphs(self, graph, data):
         for event in graph.basic_events():
             graph.set_probability(event, data.draw(st.floats(0.01, 0.99)))
-        probs = graph.probabilities()
-        groups = minimal_risk_groups(graph)
-        with mock.patch.object(probability, "UNION_WORK_BUDGET", 0):
-            value = self.audit(graph).failure_probability
-        assert value == pytest.approx(
-            evaluators.bn_top_probability(graph, probs), rel=0, abs=1e-12
-        )
-        if len(groups) > probability.IE_CROSSOVER:
-            assert value == compile_graph(graph).probability(probs)
-        else:
-            assert value == probability.union_probability(groups, probs)
+        self.check(graph)

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro import FaultGraph, GateType, minimal_risk_groups
+from repro import FaultGraph, GateType
+from repro.core.bdd import compile_graph
 from repro.core.importance import (
     birnbaum_importance,
     component_importance_ranking,
-    fussell_vesely_importance,
 )
-from repro.errors import AnalysisError
 
 
 OVERRIDE = {"A1": 0.5}
@@ -69,35 +68,6 @@ class TestBirnbaum:
         ) == birnbaum_importance(overridden(figure_4b))
 
 
-class TestFussellVesely:
-    def test_figure_4b(self, figure_4b, figure_4b_probs):
-        groups = minimal_risk_groups(figure_4b)
-        result = fussell_vesely_importance(groups, figure_4b_probs)
-        # A2's only cut is {A2}: I_FV = 0.2 / 0.224.
-        assert result["A2"] == pytest.approx(0.2 / 0.224)
-        # A1 flows through {A1, A3}: 0.03 / 0.224.
-        assert result["A1"] == pytest.approx(0.03 / 0.224)
-
-    def test_needs_groups(self, figure_4b_probs):
-        with pytest.raises(AnalysisError):
-            fussell_vesely_importance([], figure_4b_probs)
-
-    def test_zero_top_probability_yields_zero_importance(self):
-        """Pr(T) == 0 must produce defined values, not a ZeroDivisionError."""
-        groups = [frozenset({"a"}), frozenset({"b", "c"})]
-        result = fussell_vesely_importance(
-            groups, {"a": 0.0, "b": 0.0, "c": 0.0}
-        )
-        assert result == {"a": 0.0, "b": 0.0, "c": 0.0}
-
-    def test_explicit_zero_top_probability(self, figure_4b):
-        groups = minimal_risk_groups(figure_4b)
-        result = fussell_vesely_importance(
-            groups, {"A1": 0.1, "A2": 0.2, "A3": 0.3}, top_probability=0.0
-        )
-        assert set(result.values()) == {0.0}
-
-
 class TestRanking:
     def test_sorted_by_birnbaum(self, figure_4b):
         ranking = component_importance_ranking(figure_4b)
@@ -111,6 +81,18 @@ class TestRanking:
         for entry in ranking:
             assert entry.criticality == pytest.approx(
                 entry.birnbaum * entry.probability / 0.224, rel=1e-9
+            )
+
+    def test_criticality_is_the_risk_reduction_fussell_vesely(self, figure_4b):
+        """``(Pr(T) - Pr(T | c ok)) / Pr(T)``, read off the diagram, is the
+        criticality column: why the table has no Fussell-Vesely column."""
+        bdd = compile_graph(figure_4b)
+        probs = figure_4b.probabilities()
+        top = bdd.probability(probs)
+        for entry in component_importance_ranking(figure_4b):
+            repaired = bdd.probability(probs | {entry.component: 0.0})
+            assert entry.criticality == pytest.approx(
+                (top - repaired) / top, rel=1e-12
             )
 
     def test_describe(self, figure_4b):
@@ -136,7 +118,6 @@ class TestRanking:
         assert len(ranking) == 3
         for entry in ranking:
             assert entry.criticality == 0.0
-            assert entry.fussell_vesely == 0.0
             # Birnbaum stays defined: with everything else working, A2
             # failing still fails the system.
         assert ranking[0].component == "A2"

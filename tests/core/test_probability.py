@@ -1,12 +1,10 @@
 """Unit tests for probability computations (§4.1.3 worked example)."""
 
-import math
 import random
 from itertools import combinations
 
 import pytest
 
-import repro
 from repro import AuditSpec, FaultGraph, GateType, SIAAuditor, minimal_risk_groups
 from repro.acquisition import NetworkDependencyCollector
 from repro.core import probability
@@ -22,9 +20,7 @@ from repro.depdb import DepDB
 from repro.errors import AnalysisError
 from repro.failures import uniform_weigher
 from repro.topology import FatTreeConfig, fat_tree
-from tests.analysis.test_golden_figures import fig7_graph, fig9_sets
 from tests.core.evaluators import (
-    EXACT_LIMIT,
     bn_top_probability,
     brute_force_union,
     esary_proschan_union,
@@ -59,15 +55,11 @@ class TestUnionProbability:
         )
 
     def test_monte_carlo_agrees(self, figure_4b_probs):
-        """The estimate returned past the work budget, at its rounds and
-        seed."""
-        estimate = probability._monte_carlo_union(
-            CUTS_4B,
-            figure_4b_probs,
-            probability.FALLBACK_ROUNDS,
-            probability.FALLBACK_SEED,
+        """The per-cut simulation oracle lands near the exact value."""
+        estimate = per_cut_monte_carlo_union(CUTS_4B, figure_4b_probs, 200_000, 0)
+        assert estimate == pytest.approx(
+            union_probability(CUTS_4B, figure_4b_probs), abs=0.01
         )
-        assert estimate == pytest.approx(0.224, abs=0.01)
 
     def test_rare_event_upper_bound(self, figure_4b_probs):
         bound = rare_event_bound(CUTS_4B, figure_4b_probs)
@@ -175,53 +167,6 @@ class TestExactAuto:
             esary_proschan_union(cuts, probs), abs=1e-12
         )
 
-    def test_old_estimator_brackets_the_exact_value(
-        self, fat_tree_pairs, monkeypatch
-    ):
-        """The 200 000-round estimate ``auto`` used to return above
-        ``EXACT_LIMIT`` sets, and still returns past the work budget, lies
-        within its own 99% interval of the exact value."""
-        fig9 = fig9_sets()
-        families = {
-            "fat-tree k=12": minimal_risk_groups(fat_tree_pairs[0]),
-            "fig7": minimal_risk_groups(fig7_graph()),
-            "fig9": [
-                frozenset({a, b}) for a in fig9["P0"] for b in fig9["P1"]
-            ],
-        }
-        for name, cuts in families.items():
-            assert len(cuts) > EXACT_LIMIT, name
-            probs = {e: 0.1 for cut in cuts for e in cut}
-            exact = union_probability(cuts, probs)
-            with monkeypatch.context() as patch:
-                patch.setattr(probability, "UNION_WORK_BUDGET", 0)
-                estimate = union_probability(cuts, probs)
-            rounds = probability.FALLBACK_ROUNDS
-            half_width = 2.58 * math.sqrt(exact * (1.0 - exact) / rounds)
-            assert abs(estimate - exact) <= half_width, name
-
-    def test_node_budget_falls_back_to_the_named_estimator(self, monkeypatch):
-        """Past the budget ``auto`` returns what the estimator once named
-        ``monte-carlo`` returns: the per-cut scan at the module's rounds
-        and seed, ``==`` on floats."""
-        cuts, probs = random_family(random.Random(5), 40)
-        monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 8)
-        monkeypatch.setattr(probability, "FALLBACK_ROUNDS", 3_000)
-        monkeypatch.setattr(probability, "FALLBACK_SEED", 11)
-        assert union_probability(cuts, probs) == per_cut_monte_carlo_union(
-            cuts, probs, 3_000, 11
-        )
-
-    def test_budget_trip_pin_at_the_defaults(self, monkeypatch):
-        """What every caller gets when the budget trips: the 200 000-round,
-        seed-0 estimate."""
-        cuts, probs = random_family(random.Random(5), 40)
-        monkeypatch.setattr(probability, "UNION_WORK_BUDGET", 8)
-        assert union_probability(cuts, probs).hex() == "0x1.c52f1a9fbe76dp-1"
-        assert repro.top_event_probability(cuts, probs).hex() == (
-            "0x1.c52f1a9fbe76dp-1"
-        )
-
     @pytest.mark.parametrize("n_sets", (3, 40))
     def test_missing_probability_names_the_event(self, n_sets):
         cuts, probs = random_family(random.Random(6), n_sets)
@@ -239,8 +184,9 @@ class TestInputChecks:
     @pytest.mark.parametrize("weight", [1.5, -0.1, float("nan"), "high"])
     def test_bad_weight_names_the_event(self, route, weight, monkeypatch):
         """``auto`` takes the two cuts by inclusion-exclusion; the
-        ``monte-carlo`` family has ten more cuts and no work budget, so it
-        would take the estimate."""
+        ``monte-carlo`` family (named for the estimate it once got) has ten
+        more cuts and no work budget, so it would raise
+        :class:`CutSetExplosion` after the weights are checked."""
         cuts, probs = list(CUTS_4B), {"A1": 0.1, "A2": weight, "A3": 0.3}
         if route == "monte-carlo":
             cuts += [frozenset({f"x{i}"}) for i in range(10)]
@@ -268,7 +214,6 @@ class TestInputChecks:
     def test_weights_of_zero_and_one_are_valid(self):
         probs = {"A1": 1.0, "A2": 0.0, "A3": 1}
         assert union_probability(CUTS_4B, probs) == 1.0
-        assert probability._monte_carlo_union(CUTS_4B, probs, 1_000, 0) == 1.0
 
 
 class TestBayesianNetworkEvaluator:

@@ -11,8 +11,7 @@ Invariants checked on randomly generated fault graphs:
 * the sampler only reports risk groups, and (minimised) only minimal ones;
 * fault graphs are monotone: adding failures never un-fails the top;
 * absorption (minimise_family) yields an antichain covering the input;
-* exact inclusion-exclusion matches Monte-Carlo estimation, and the
-  estimate over packed round words is the per-cut scan's float, ``==``;
+* exact inclusion-exclusion matches the per-cut Monte-Carlo oracle;
 * ``Pr(T)`` from the minimal RGs equals ``Pr(T)`` from the graph's own BDD;
 * the union is monotone in the family, and its bits do not depend on
   order, duplicates or absorbed supersets;
@@ -25,7 +24,6 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro import FailureSampler, FaultGraph, GateType, minimal_risk_groups
@@ -212,7 +210,7 @@ def test_minimise_family_antichain_and_coverage(family):
 def test_inclusion_exclusion_matches_monte_carlo(cuts, probs):
     """Six cuts at most: ``auto`` takes them by inclusion-exclusion."""
     exact = union_probability(cuts, probs)
-    estimate = probability._monte_carlo_union(cuts, probs, 60_000, 3)
+    estimate = evaluators.per_cut_monte_carlo_union(cuts, probs, 60_000, 3)
     assert abs(exact - estimate) < 0.02
 
 
@@ -241,56 +239,6 @@ large_families = st.lists(
 weights = st.fixed_dictionaries(
     {event: st.floats(0.01, 0.99) for event in "abcdefghij"}
 )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.sets(st.sampled_from("abcdefghij"), min_size=1, max_size=3).map(
-            frozenset
-        ),
-        min_size=1,
-        max_size=30,
-    ),
-    st.fixed_dictionaries(
-        {event: st.floats(0.0, 0.5) for event in "abcdefghij"}
-    ),
-    st.sampled_from([1, 63, 64, 8_191, 8_192, 8_193, 20_000]),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 5, 1_000, probability._CHUNK_CELLS]),
-)
-def test_packed_monte_carlo_is_the_per_cut_scan(cuts, probs, rounds, seed, cells):
-    """``cells`` puts a boundary between steps after every cut, every few
-    cuts, or past a 30-cut family."""
-    with mock.patch.object(probability, "_CHUNK_CELLS", cells):
-        value = probability._monte_carlo_union(cuts, probs, rounds, seed)
-    assert value == evaluators.per_cut_monte_carlo_union(
-        cuts, probs, rounds, seed
-    )
-
-
-@pytest.mark.parametrize("cells", [1, 5, 1_000, probability._CHUNK_CELLS])
-@pytest.mark.parametrize("rounds", [63, 8_193])
-def test_packed_monte_carlo_counts_every_cut_of_every_step(rounds, cells):
-    """24 rare single-event cuts and 16 disjoint pairs: most hit rounds are
-    hit by one cut alone, so a cut a step skips changes the count."""
-    cuts = [frozenset({f"e{i}"}) for i in range(24)] + [
-        frozenset({f"g{i}", f"f{i}"}) for i in range(16)
-    ]
-    probs = {event: 0.02 for cut in cuts for event in cut} | {
-        f"f{i}": 0.5 for i in range(16)
-    }
-    with mock.patch.object(probability, "_CHUNK_CELLS", cells):
-        value = probability._monte_carlo_union(cuts, probs, rounds, 3)
-    assert value == evaluators.per_cut_monte_carlo_union(cuts, probs, rounds, 3)
-
-
-def test_monte_carlo_counts_an_empty_cut_in_every_round():
-    """The per-cut scan indexed the draws with an empty float array and
-    raised ``IndexError``; the packed estimate is exact here."""
-    assert probability._monte_carlo_union(
-        [frozenset({"a"}), frozenset()], {"a": 0.1}, 1_000, 0
-    ) == 1.0
 
 
 @settings(max_examples=60, deadline=None)

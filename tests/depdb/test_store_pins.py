@@ -80,7 +80,6 @@ SCHEMA_OBJECTS = [
     ("table", "software"),
     ("index", "sqlite_autoindex_software_1"),
     ("index", "idx_software_hw"),
-    ("index", "idx_software_pgm"),
     ("table", "snapshots"),
     ("index", "sqlite_autoindex_snapshots_1"),
     ("table", "meta"),
@@ -94,7 +93,7 @@ SCHEMA_OBJECTS = [
 ]
 #: sha-256 of every object's SQL text (``None`` for autoindexes), one a line.
 SCHEMA_SQL_SHA256 = (
-    "6de03e5550450445de247296d5c7697a7d858c7d399ffc06b56dee355fa0e8be"
+    "64808cd04f6859ca2fc8f0b4877602de124d879943f60d111bc63f319ca01fd0"
 )
 
 
@@ -122,3 +121,26 @@ def test_unpickled_sqlite_store_is_an_in_memory_store(tmp_path):
     assert type(clone) is DepDB
     assert clone.records() == RECORDS
     assert clone.content_hash() == PINS["records"][0]
+
+
+def test_store_written_with_the_pgm_index_drops_it_on_open(tmp_path):
+    """A file an earlier schema wrote, with an index on software (pgm),
+    opens, loses that index, and dumps the same bytes."""
+    path = tmp_path / "dep.sqlite"
+    with DepDB.sqlite(path, records=RECORDS) as db:
+        before = db.dumps()
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("CREATE INDEX idx_software_pgm ON software (pgm)")
+    conn.close()
+    with DepDB.sqlite(path) as reopened:
+        indexes = {
+            name
+            for (name,) in reopened._execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'"
+            )
+        }
+        assert "idx_software_pgm" not in indexes
+        assert "idx_software_hw" in indexes
+        assert reopened.dumps() == before
+        assert reopened.content_hash() == PINS["records"][0]
