@@ -7,7 +7,9 @@ from repro import ComponentSets, minimal_risk_groups
 from repro.analysis.planner import MitigationPlanner
 from repro.analysis.whatif import Duplicate, Harden, evaluate_mitigations
 from repro.core.bdd import compile_graph
+from repro.core.minimal_rg import unexpected_risk_groups
 from repro.errors import AnalysisError
+from tests.analysis.mitigated import duplicate_graph, harden_graph
 from tests.core.evaluators import bn_top_probability
 from tests.core.test_property_core import fault_graphs
 
@@ -247,3 +249,39 @@ def test_hardening_is_monotone(graph, data):
     )
     assert at_low <= at_high + 1e-12
     assert at_high <= diagram_probability(graph) + 1e-12
+
+
+def unexpected_count(graph, redundancy: int) -> int:
+    return len(unexpected_risk_groups(minimal_risk_groups(graph), redundancy))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fault_graphs(), st.data())
+def test_outcomes_match_the_mitigated_graph(graph, data):
+    """Each outcome is the answer for the graph the mitigation stands for:
+    Pr(T) off that graph's own diagram, unexpected RGs off its family."""
+    graph = weighted(graph, data)
+    component = data.draw(st.sampled_from(graph.basic_events()))
+    redundancy = data.draw(st.integers(1, 4))
+    q = data.draw(st.floats(0.0, graph.probability_of(component)))
+    r = data.draw(st.floats(0.0, 1.0))
+    cases = [
+        (Harden(component, q), harden_graph(graph, component, q)),
+        (Duplicate(component), duplicate_graph(graph, component)),
+        (Duplicate(component, r), duplicate_graph(graph, component, r)),
+    ]
+    for mitigation, oracle in cases:
+        (outcome,) = evaluate_mitigations(
+            graph, [mitigation], redundancy=redundancy
+        )
+        probs = oracle.probabilities()
+        expected = compile_graph(oracle).probability(probs)
+        if isinstance(mitigation, Harden):
+            assert outcome.probability_after == expected
+        else:
+            assert abs(outcome.probability_after - expected) <= 1e-12
+            assert abs(
+                outcome.probability_after - bn_top_probability(oracle, probs)
+            ) <= 1e-12
+        assert outcome.unexpected_after == unexpected_count(oracle, redundancy)
+        assert outcome.unexpected_before == unexpected_count(graph, redundancy)
