@@ -7,23 +7,22 @@
 1. rank components by importance (Birnbaum, on the baseline BDD),
 2. generate one :class:`~repro.analysis.whatif.Harden` and one
    :class:`~repro.analysis.whatif.Duplicate` candidate per top component,
-3. evaluate every candidate counterfactually — in parallel across an
-   :class:`~repro.engine.AuditEngine`'s workers when one is given, with
-   the baseline compilation served from its cache — and
+3. evaluate every candidate counterfactually, each one walk of that same
+   diagram under the candidate's changed weight, and
 4. emit the candidates ranked by achieved probability reduction, trimmed
    to an optional budget.
 
 The plan is deterministic: candidate generation orders by the importance
 ranking (itself sorted with explicit tie-breaks), evaluation preserves
-candidate order, and the final sort is stable — so the emitted plan is
-bit-identical for any worker count, including none.  Surfaced as the
-``indaas plan`` CLI verb and :func:`repro.plan`.
+candidate order, and the final sort is stable, so candidates that tie
+keep candidate order.  Surfaced as the ``indaas plan`` CLI verb and
+:func:`repro.plan`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.analysis.whatif import (
     Duplicate,
@@ -37,9 +36,6 @@ from repro.core.faultgraph import FaultGraph
 from repro.core.importance import component_importance_ranking
 from repro.errors import AnalysisError
 from repro.schema import envelope
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.facade import AuditEngine
 
 __all__ = ["MitigationPlan", "MitigationPlanner"]
 
@@ -72,10 +68,9 @@ class MitigationPlan:
     outcomes: list[MitigationOutcome]
     considered: int
     budget: Optional[int] = None
-    metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """Full-precision JSON form (the worker-invariance witness)."""
+        """Full-precision JSON form."""
         return envelope("mitigation_plan", self._payload())
 
     def _payload(self) -> dict:
@@ -117,44 +112,23 @@ class MitigationPlanner:
     Args:
         graph: The deployment's fault graph; every basic event needs a
             failure probability (planning is a probabilistic notion).
-        probabilities: Optional weight overrides (graph weights otherwise).
         redundancy: Expected minimal-RG size for unexpected-RG counting.
-        engine: Optional :class:`~repro.engine.AuditEngine` — candidate
-            evaluations fan out over its workers and baseline
-            compilations come from its cache.  The plan is bit-identical
-            with or without one.
     """
 
-    def __init__(
-        self,
-        graph: FaultGraph,
-        probabilities: Optional[Mapping[str, float]] = None,
-        redundancy: int = 2,
-        engine: Optional["AuditEngine"] = None,
-    ) -> None:
-        base = dict(probabilities) if probabilities else graph.probabilities()
-        self.graph = graph.map_probabilities(
-            lambda e: base.get(e.name, e.probability)
-        )
+    def __init__(self, graph: FaultGraph, redundancy: int = 2) -> None:
+        self.graph = graph.copy()
         self.graph.probabilities()  # fail fast on unweighted events
         self.redundancy = redundancy
-        self.engine = engine
         self._baseline_bdd: Optional[BDD] = None
 
     def baseline_bdd(self) -> BDD:
         """The baseline graph's BDD, compiled exactly once.
 
-        Importance ranking, cut-set extraction and the evaluation
-        baseline all share this one diagram; with an
-        engine it additionally lands in the engine's
-        :class:`~repro.engine.cache.GraphCache`.
+        Importance ranking, cut-set extraction and every candidate's
+        evaluation share this one diagram.
         """
         if self._baseline_bdd is None:
-            self._baseline_bdd = (
-                self.engine.compile_bdd(self.graph)
-                if self.engine is not None
-                else compile_graph(self.graph)
-            )
+            self._baseline_bdd = compile_graph(self.graph)
         return self._baseline_bdd
 
     def candidates(
@@ -221,7 +195,6 @@ class MitigationPlanner:
             self.graph,
             candidates,
             redundancy=self.redundancy,
-            engine=self.engine,
             baseline_bdd=self.baseline_bdd(),
         )
         kept = outcomes if budget is None else outcomes[:budget]
@@ -232,5 +205,4 @@ class MitigationPlanner:
             outcomes=kept,
             considered=len(candidates),
             budget=budget,
-            metadata={"top_k": top_k, "harden_factor": harden_factor},
         )

@@ -784,7 +784,6 @@ def plan(
     servers: Sequence[str],
     *,
     probability: float = 0.1,
-    engine=None,
     top_k: int = 5,
     budget: Optional[int] = None,
     deployment: str = "",
@@ -792,9 +791,8 @@ def plan(
     """Ranked mitigation plan for one deployment (library front door).
 
     Builds the deployment graph under a uniform ``probability`` and
-    hands it to a :class:`~repro.analysis.planner.MitigationPlanner`;
-    with an ``engine``, candidate evaluations fan out across its
-    workers.  Returns a :class:`~repro.analysis.planner.MitigationPlan`;
+    hands it to a :class:`~repro.analysis.planner.MitigationPlanner`.
+    Returns a :class:`~repro.analysis.planner.MitigationPlan`;
     its ``to_dict()`` emits the canonical ``mitigation_plan`` schema.
     """
     from repro.analysis.planner import MitigationPlanner
@@ -810,9 +808,8 @@ def plan(
     graph = SIAAuditor(
         DepDB.loads(_depdb_text(depdb)), weigher=uniform_weigher(probability)
     ).build_graph(spec)
-    planner = MitigationPlanner(
-        graph, redundancy=spec.redundancy, engine=engine
+    plan = MitigationPlanner(graph, redundancy=spec.redundancy).plan(
+        top_k=top_k, budget=budget
     )
-    plan = planner.plan(top_k=top_k, budget=budget)
     plan.deployment = spec.deployment
     return plan

@@ -18,7 +18,7 @@ Subcommands mirror the evaluation:
 * ``indaas importance``      — per-component importance measures
 * ``indaas plan``            — ranked mitigation plan ("which fix
   first"): Harden/Duplicate candidates from the importance ranking,
-  evaluated in parallel (``--workers``), bit-identical for any count
+  each scored by one walk of the deployment's diagram
 * ``indaas pia``             — private audit over component-set files
   (batched fast-path protocols; ``--workers`` fans deployments out,
   ``--json`` carries the wire-byte total)
@@ -284,14 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--probability", type=float, default=0.1,
         help="uniform component failure probability (default 0.1)",
-    )
-    plan.add_argument(
-        "--workers", type=int, default=0,
-        help=(
-            "evaluate mitigation candidates across a process pool "
-            "(0 = in-process, -1 = all cores; the plan is identical "
-            "for any worker count)"
-        ),
     )
     plan.add_argument(
         "--top-k", type=int, default=5, dest="top_k",
@@ -759,17 +751,14 @@ def _run_plan(args: argparse.Namespace) -> int:
     import json
 
     from repro import api
-    from repro.engine import AuditEngine
 
-    with AuditEngine(n_workers=args.workers) as engine:
-        plan = api.plan(
-            _load_depdb_text(args.depdb),
-            _parse_servers(args.servers),
-            probability=args.probability,
-            engine=engine,
-            top_k=args.top_k,
-            budget=args.budget,
-        )
+    plan = api.plan(
+        _load_depdb_text(args.depdb),
+        _parse_servers(args.servers),
+        probability=args.probability,
+        top_k=args.top_k,
+        budget=args.budget,
+    )
     if args.json:
         print(json.dumps(plan.to_dict()))
     else:

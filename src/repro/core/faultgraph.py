@@ -12,7 +12,7 @@ The class is deliberately self-contained (plain dictionaries) for speed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.core.events import Event, GateType, redundancy_threshold
 from repro.errors import FaultGraphError
@@ -369,41 +369,6 @@ class FaultGraph:
             clone._events[node].metadata = dict(event.metadata)
         if self._top is not None:
             clone.set_top(self._top)
-        return clone
-
-    def relabel(self, mapping: Mapping[str, str]) -> "FaultGraph":
-        """Return a copy with event names rewritten through ``mapping``.
-
-        Names missing from the mapping are kept.  Collisions raise.
-        """
-        def rename(n: str) -> str:
-            return mapping.get(n, n)
-
-        new_names = [rename(n) for n in self._events]
-        if len(set(new_names)) != len(new_names):
-            raise FaultGraphError("relabel mapping collapses distinct events")
-        clone = FaultGraph(self.name)
-        for node in self.topological_order():
-            event = self._events[node]
-            if event.is_basic:
-                clone.add_basic_event(
-                    rename(node),
-                    probability=event.probability,
-                    description=event.description,
-                    kind=event.kind,
-                )
-            else:
-                clone.add_gate(
-                    rename(node),
-                    event.gate,
-                    [rename(c) for c in self._children[node]],
-                    k=event.k,
-                    probability=event.probability,
-                    description=event.description,
-                    kind=event.kind,
-                )
-        if self._top is not None:
-            clone.set_top(rename(self._top))
         return clone
 
     def subgraph(self, root: str, name: str = "") -> "FaultGraph":

@@ -23,7 +23,7 @@ relative-importance ranking, and slot into auditing reports as a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.core.bdd import BDD, compile_graph
 from repro.core.faultgraph import FaultGraph
@@ -51,64 +51,34 @@ class ComponentImportance:
         )
 
 
-def _conditioned_probability(
-    bdd: BDD, probabilities: Mapping[str, float], component: str, failed: bool
-) -> float:
-    """Pr(T) with one component pinned up or down."""
-    pinned = dict(probabilities)
-    pinned[component] = 1.0 if failed else 0.0
-    return bdd.probability(pinned)
-
-
-def _merged_probabilities(
-    graph: FaultGraph, overrides: Optional[Mapping[str, float]]
-) -> dict[str, float]:
-    """Every basic event's weight: ``overrides`` first, the graph's own
-    otherwise (a partial override leaves the other events as weighted)."""
-    if not overrides:
-        return graph.probabilities()
-    return graph.map_probabilities(
-        lambda e: overrides.get(e.name, e.probability)
-    ).probabilities()
-
-
 def birnbaum_importance(
-    graph: FaultGraph,
-    probabilities: Optional[Mapping[str, float]] = None,
-    bdd: Optional[BDD] = None,
+    graph: FaultGraph, bdd: Optional[BDD] = None
 ) -> dict[str, float]:
-    """Exact Birnbaum importance of every basic event (via the BDD).
-
-    ``probabilities`` are weight overrides (graph weights otherwise).
-    """
-    probs = _merged_probabilities(graph, probabilities)
+    """Exact Birnbaum importance of every basic event (via the BDD)."""
+    probs = graph.probabilities()
     compiled = bdd if bdd is not None else compile_graph(graph)
-    out = {}
-    for component in graph.basic_events():
-        up = _conditioned_probability(compiled, probs, component, True)
-        down = _conditioned_probability(compiled, probs, component, False)
-        out[component] = up - down
-    return out
+    return {
+        component: compiled.probability(probs | {component: 1.0})
+        - compiled.probability(probs | {component: 0.0})
+        for component in graph.basic_events()
+    }
 
 
 def component_importance_ranking(
-    graph: FaultGraph,
-    probabilities: Optional[Mapping[str, float]] = None,
-    bdd: Optional[BDD] = None,
+    graph: FaultGraph, bdd: Optional[BDD] = None
 ) -> list[ComponentImportance]:
     """Full per-component importance table, Birnbaum-ranked.
 
     Args:
         graph: A weighted fault graph.
-        probabilities: Weight overrides (graph weights otherwise).
         bdd: A pre-compiled BDD of ``graph`` (compiled if omitted), so
             callers that already hold the diagram skip a recompile.
     """
-    probs = _merged_probabilities(graph, probabilities)
+    probs = graph.probabilities()
     if bdd is None:
         bdd = compile_graph(graph)
     top_probability = bdd.probability(probs)
-    birnbaum = birnbaum_importance(graph, probs, bdd=bdd)
+    birnbaum = birnbaum_importance(graph, bdd=bdd)
     entries = []
     for component in graph.basic_events():
         i_b = birnbaum[component]

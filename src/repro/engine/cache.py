@@ -1,7 +1,7 @@
 """Compiled-graph caching keyed by structural hashes.
 
-Repeated audits, what-if sweeps and ``compare_combinations`` runs evaluate
-the *same* fault graph (or a handful of close variants) over and over.
+Repeated audits evaluate the *same* fault graph (or a handful of close
+variants) over and over.
 Compiling a :class:`~repro.core.compile.CompiledGraph` — validation,
 topological sort, array flattening — is pure overhead on every repeat, so
 the engine hashes the graph's structure once and reuses the compiled form.
@@ -21,7 +21,6 @@ import threading
 from collections import OrderedDict
 from typing import Optional
 
-from repro.core.bdd import BDD, DEFAULT_BDD_NODE_BUDGET, compile_graph
 from repro.core.compile import CompiledGraph
 from repro.core.faultgraph import FaultGraph
 from repro.errors import AnalysisError
@@ -30,14 +29,11 @@ __all__ = [
     "structural_hash",
     "GraphCache",
     "LRUCache",
-    "DEFAULT_BDD_NODE_BUDGET",
     "default_cache",
     "compile_cached",
 ]
 
-#: Compiled artefacts every :class:`GraphCache` keeps (LRU).  The cap
-#: counts artefacts, not structures: a structure audited both ways holds
-#: two entries, its compiled form and its BDD.
+#: Compiled graphs every :class:`GraphCache` keeps (LRU), one per structure.
 MAX_CACHED_GRAPHS = 128
 
 
@@ -132,44 +128,23 @@ class LRUCache:
 
 
 class GraphCache(LRUCache):
-    """Thread-safe LRU cache of compiled fault-graph artefacts.
+    """Thread-safe LRU cache of the sampler's :class:`CompiledGraph` forms.
 
-    Keyed by ``(structural hash, kind)``: one structure has an
-    array-compiled form (``"compiled"``, used by the sampler) and a BDD
-    form (``"bdd"``, used by exact probability queries), each built on
-    first demand and counted as one hit or one miss per request.
+    Keyed by :func:`structural_hash`: each structure is compiled on first
+    demand and counted as one hit or one miss per request.
     """
 
     def __init__(self) -> None:
         super().__init__(MAX_CACHED_GRAPHS)
 
-    def _artefact(self, graph: FaultGraph, kind: str, build):
-        # It hashes the graph itself, so no caller can hand it a wrong key.
-        key = (structural_hash(graph), kind)
-        artefact = self.get(key)
-        if artefact is None:
-            artefact = self.setdefault(key, build(graph))
-        return artefact
-
     def compile(self, graph: FaultGraph) -> CompiledGraph:
         """Return the cached :class:`CompiledGraph`, compiling on miss."""
-        return self._artefact(graph, "compiled", CompiledGraph)
-
-    def compile_bdd(self, graph: FaultGraph) -> BDD:
-        """Return the cached BDD form, compiling on miss.
-
-        Compilation carries the node budget
-        (:data:`~repro.core.bdd.DEFAULT_BDD_NODE_BUDGET`): an adversarially
-        ordered graph raises
-        :class:`~repro.core.minimal_rg.CutSetExplosion` (before anything
-        is cached) instead of building an exponential diagram — the same
-        valve the uncached exact-RG routes apply.
-        """
-        return self._artefact(
-            graph,
-            "bdd",
-            lambda g: compile_graph(g, max_nodes=DEFAULT_BDD_NODE_BUDGET),
-        )
+        # It hashes the graph itself, so no caller can hand it a wrong key.
+        key = structural_hash(graph)
+        compiled = self.get(key)
+        if compiled is None:
+            compiled = self.setdefault(key, CompiledGraph(graph))
+        return compiled
 
 
 _DEFAULT_CACHE: Optional[GraphCache] = None

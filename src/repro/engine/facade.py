@@ -3,8 +3,8 @@
 One engine object owns the four scaling mechanisms of this package and
 hands them to the rest of the system behind a small API:
 
-* a :class:`~repro.engine.cache.GraphCache` so repeated audits and
-  what-if sweeps stop recompiling identical graphs;
+* a :class:`~repro.engine.cache.GraphCache` so repeated audits stop
+  recompiling identical graphs;
 * the one plan → run → merge of failure sampling
   (:func:`~repro.engine.parallel.plan_blocks`, inline or through the
   pool, :func:`~repro.engine.batch.merge_block_outcomes`) — bit-identical
@@ -20,7 +20,6 @@ hands them to the rest of the system behind a small API:
   where it is bit-identical to a cold recomputation.
 
 Consumers: :class:`~repro.engine.audit.SIAAuditor` (pass ``engine=``),
-:func:`~repro.analysis.whatif.evaluate_mitigations` (ditto),
 :func:`repro.api.execute_request`, the audit service, ``indaas watch``
 and the ``indaas audit-many`` CLI verb.  :class:`FailureSampler`, the
 §4.1.2 sampler of one graph with a run counter of its own, is a front
@@ -166,10 +165,6 @@ class AuditEngine:
     def compile(self, graph):
         """Cached array compilation of ``graph``."""
         return self.cache.compile(graph)
-
-    def compile_bdd(self, graph):
-        """Cached BDD compilation of ``graph`` (exact probabilities)."""
-        return self.cache.compile_bdd(graph)
 
     # ------------------------------------------------------------------ #
     # Where work runs

@@ -2,12 +2,11 @@
 the stdout of ``examples/hardening_planner.py``.
 
 Three deployments on a k=8 fat tree (two 2-way, one 3-way) at
-``top_k=4, budget=5``.  The goldens were written before the exact-route
-refactor they guard and must stay byte-equal across it: the plan's
-ordering among near-ties is decided by the last bits of
-``BDD.probability()``, so any change to the diagram, to the family the
+``top_k=4, budget=5``.  The plan's ordering among near-ties is decided
+by the last bits of ``BDD.probability()``, and among exact ties by
+candidate order, so any change to the diagram, to the family the
 unexpected-RG counts are read from, or to the candidate order shows up
-here — for the library front door, the CLI, and any worker count.
+here, for the library front door and the CLI.
 """
 
 import json
@@ -53,21 +52,13 @@ def depdb_file(depdb_text, tmp_path_factory) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("name", list(DEPLOYMENTS))
 class TestPlanGolden:
-    def test_library_front_door(self, depdb_text, name, workers):
-        with repro.AuditEngine(n_workers=workers) as engine:
-            plan = repro.plan(
-                depdb_text,
-                DEPLOYMENTS[name],
-                top_k=4,
-                budget=5,
-                engine=engine,
-            )
+    def test_library_front_door(self, depdb_text, name):
+        plan = repro.plan(depdb_text, DEPLOYMENTS[name], top_k=4, budget=5)
         assert json.dumps(plan.to_dict()) == json.dumps(GOLDEN["plan"][name])
 
-    def test_cli_json_stdout(self, depdb_file, capsys, name, workers):
+    def test_cli_json_stdout(self, depdb_file, capsys, name):
         code = main(
             [
                 "plan",
@@ -78,8 +69,6 @@ class TestPlanGolden:
                 "4",
                 "--budget",
                 "5",
-                "--workers",
-                str(workers),
                 "--json",
             ]
         )

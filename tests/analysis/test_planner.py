@@ -9,7 +9,7 @@ import repro
 from repro import ComponentSets
 from repro.analysis.planner import MitigationPlan, MitigationPlanner
 from repro.analysis.whatif import Duplicate, Harden, evaluate_mitigations
-from repro.engine import AuditEngine, SIAAuditor
+from repro.engine import SIAAuditor
 from repro.errors import AnalysisError
 
 
@@ -56,9 +56,12 @@ class TestCandidates:
         assert len(candidates) == 2
         assert candidates[0].component != "shared-agg"
 
-    def test_adversarial_graph_raises_through_engine_path(self, monkeypatch):
-        """The node-budget valve must also cover engine-cached compiles."""
+    def test_adversarial_graph_raises_through_the_node_budget(
+        self, monkeypatch
+    ):
+        """The planner compiles under ``compile_graph``'s default budget."""
         from repro import FaultGraph, GateType
+        from repro.core.bdd import compile_graph
         from repro.core.minimal_rg import CutSetExplosion
 
         n = 16
@@ -72,13 +75,11 @@ class TestCandidates:
             for i in range(n)
         ]
         g.add_gate("top", GateType.AND, branches, top=True)
-        # A tiny budget keeps the test fast; the default (2M nodes) is
-        # the same valve, just with production headroom.  Every engine
-        # cache compiles under it.
-        monkeypatch.setattr("repro.engine.cache.DEFAULT_BDD_NODE_BUDGET", 500)
-        engine = AuditEngine()
-        with pytest.raises(CutSetExplosion):
-            MitigationPlanner(g, engine=engine).plan()
+        # A tiny default budget keeps the test fast; the real default
+        # (2M nodes) is the same valve, just with production headroom.
+        monkeypatch.setattr(compile_graph, "__defaults__", (None, 500))
+        with pytest.raises(CutSetExplosion, match="500 decision nodes"):
+            MitigationPlanner(g).plan()
 
     def test_bad_parameters_rejected(self, weighted_graph):
         planner = MitigationPlanner(weighted_graph)
@@ -127,18 +128,6 @@ class TestPlan:
         assert payload["plan"][0]["mitigation"]["component"] == "shared-agg"
         json.dumps(payload)  # JSON-serialisable end to end
 
-    def test_worker_invariance(self, weighted_graph):
-        """The determinism contract: identical plans for any worker count."""
-        serial = MitigationPlanner(weighted_graph).plan(top_k=3)
-        for workers in (1, 2):
-            engine = AuditEngine(n_workers=workers)
-            parallel = MitigationPlanner(
-                weighted_graph, engine=engine
-            ).plan(top_k=3)
-            assert json.dumps(parallel.to_dict()) == json.dumps(
-                serial.to_dict()
-            )
-
 
 class TestOneExactRoute:
     def test_route_is_not_selectable_above_minimal_risk_groups(self):
@@ -149,6 +138,14 @@ class TestOneExactRoute:
             parameters = inspect.signature(front_door).parameters
             assert "method" not in parameters
             assert "baseline_groups" not in parameters
+
+    def test_no_engine_and_no_weight_override(self):
+        """A what-if is one walk of the baseline diagram, so there is no
+        fan-out to hand an engine; a caller weights the graph first."""
+        for front_door in (repro.plan, MitigationPlanner, evaluate_mitigations):
+            parameters = inspect.signature(front_door).parameters
+            assert "engine" not in parameters
+            assert "probabilities" not in parameters
 
     def test_core_has_no_door_to_the_planner(self):
         """``repro.plan`` builds the planner; ``core`` stays below

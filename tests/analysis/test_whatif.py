@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ComponentSets, minimal_risk_groups
-from repro.analysis.planner import MitigationPlanner
 from repro.analysis.whatif import Duplicate, Harden, evaluate_mitigations
 from repro.core.bdd import compile_graph
 from repro.core.minimal_rg import unexpected_risk_groups
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, FaultGraphError
 from tests.analysis.mitigated import duplicate_graph, harden_graph
 from tests.core.evaluators import bn_top_probability
 from tests.core.test_property_core import fault_graphs
@@ -25,29 +24,29 @@ def weighted_graph():
 
 class TestHarden:
     def test_reduces_probability(self, weighted_graph):
-        mitigated = Harden("shared-agg", 0.01).apply(weighted_graph)
+        mitigated = harden_graph(weighted_graph, "shared-agg", 0.01)
         assert mitigated.probability_of("shared-agg") == 0.01
         # Input untouched.
         assert weighted_graph.probability_of("shared-agg") == 0.1
 
     def test_cannot_raise_probability(self, weighted_graph):
         with pytest.raises(AnalysisError, match="must not raise"):
-            Harden("shared-agg", 0.5).apply(weighted_graph)
+            evaluate_mitigations(weighted_graph, [Harden("shared-agg", 0.5)])
 
     def test_unknown_component(self, weighted_graph):
-        with pytest.raises(AnalysisError):
-            Harden("ghost", 0.01).apply(weighted_graph)
+        with pytest.raises(AnalysisError, match="unknown component 'ghost'"):
+            evaluate_mitigations(weighted_graph, [Harden("ghost", 0.01)])
 
     def test_gate_rejected(self, weighted_graph):
-        with pytest.raises(AnalysisError, match="gate"):
-            Harden("S1", 0.01).apply(weighted_graph)
+        with pytest.raises(AnalysisError, match="gate; harden"):
+            evaluate_mitigations(weighted_graph, [Harden("S1", 0.01)])
 
 
 class TestDuplicate:
     def test_removes_singleton_risk_group(self, weighted_graph):
         before = minimal_risk_groups(weighted_graph)
         assert frozenset({"shared-agg"}) in before
-        mitigated = Duplicate("shared-agg").apply(weighted_graph)
+        mitigated = duplicate_graph(weighted_graph, "shared-agg")
         after = minimal_risk_groups(mitigated)
         assert frozenset({"shared-agg"}) not in after
         assert frozenset(
@@ -57,16 +56,14 @@ class TestDuplicate:
     def test_probability_drops(self, weighted_graph):
         probs_before = weighted_graph.probabilities()
         before = compile_graph(weighted_graph).probability(probs_before)
-        mitigated = Duplicate("shared-agg").apply(weighted_graph)
+        mitigated = duplicate_graph(weighted_graph, "shared-agg")
         after = compile_graph(mitigated).probability(
             mitigated.probabilities()
         )
         assert after < before
 
     def test_custom_replica_probability(self, weighted_graph):
-        mitigated = Duplicate(
-            "shared-agg", replica_probability=0.02
-        ).apply(weighted_graph)
+        mitigated = duplicate_graph(weighted_graph, "shared-agg", 0.02)
         assert mitigated.probability_of("shared-agg#replica") == 0.02
 
     def test_duplicate_the_top_leaf(self):
@@ -75,20 +72,28 @@ class TestDuplicate:
         g = FaultGraph()
         g.add_basic_event("only", probability=0.3)
         g.set_top("only")
-        mitigated = Duplicate("only").apply(g)
+        mitigated = duplicate_graph(g, "only")
         assert mitigated.top == "only#pair"
         assert compile_graph(mitigated).probability(
             mitigated.probabilities()
         ) == pytest.approx(0.09)
+        (outcome,) = evaluate_mitigations(g, [Duplicate("only")])
+        assert outcome.probability_after == pytest.approx(0.09)
 
     def test_gate_rejected(self, weighted_graph):
-        with pytest.raises(AnalysisError):
-            Duplicate("S1").apply(weighted_graph)
+        with pytest.raises(AnalysisError, match="gate; duplicate"):
+            evaluate_mitigations(weighted_graph, [Duplicate("S1")])
+
+    def test_replica_probability_validated(self, weighted_graph):
+        with pytest.raises(FaultGraphError, match=r"must be in \[0, 1\]"):
+            evaluate_mitigations(
+                weighted_graph, [Duplicate("shared-agg", 1.5)]
+            )
 
     def test_duplicating_twice_still_validates(self, weighted_graph):
         """Re-duplicating targets the surviving primary, not the pair."""
-        once = Duplicate("shared-agg").apply(weighted_graph)
-        twice = Duplicate("shared-agg#primary").apply(once)
+        once = duplicate_graph(weighted_graph, "shared-agg")
+        twice = duplicate_graph(once, "shared-agg#primary")
         twice.validate()
         assert "shared-agg#primary#pair" in twice
         # Killing the whole chain now takes three failures.
@@ -113,7 +118,7 @@ class TestDuplicate:
             "top", GateType.OR, ["X", "X#replica", "X#primary"], top=True
         )
         with pytest.raises(AnalysisError, match="already"):
-            Duplicate("X").apply(g)
+            duplicate_graph(g, "X")
         # The graph was not touched by the failed attempt.
         g.validate()
 
@@ -125,7 +130,7 @@ class TestDuplicate:
         g.add_basic_event("X#pair", probability=0.1)
         g.add_gate("top", GateType.OR, ["X", "X#pair"], top=True)
         with pytest.raises(AnalysisError, match="X#pair"):
-            Duplicate("X").apply(g)
+            duplicate_graph(g, "X")
 
 
 class TestEvaluateMitigations:
@@ -178,24 +183,6 @@ class TestEvaluateMitigations:
         assert outcome.probability_before == 0.0
         assert outcome.relative_reduction == 0.0
 
-    def test_partial_weight_override_keeps_graph_weights(self, weighted_graph):
-        """Regression: the baseline was evaluated from the override dict
-        alone (``no failure probability for 'tor1'``) although the merged
-        graph it was compiled from carried every weight."""
-        override = {"shared-agg": 0.5}
-        (outcome,) = evaluate_mitigations(
-            weighted_graph, [Harden("shared-agg", 0.01)], probabilities=override
-        )
-        merged = weighted_graph.map_probabilities(
-            lambda e: override.get(e.name, e.probability)
-        )
-        assert outcome.probability_before == compile_graph(merged).probability(
-            merged.probabilities()
-        )
-        plan = MitigationPlanner(weighted_graph, probabilities=override).plan()
-        assert outcome.probability_before == plan.baseline_probability
-        assert outcome.unexpected_before == plan.baseline_unexpected
-
     def test_graph_never_mutated(self, weighted_graph):
         before = weighted_graph.stats()
         evaluate_mitigations(
@@ -230,7 +217,7 @@ def diagram_probability(graph) -> float:
 def test_adding_a_replica_never_raises_failure_probability(graph, data):
     graph = weighted(graph, data)
     component = data.draw(st.sampled_from(graph.basic_events()))
-    replicated = Duplicate(component).apply(graph)
+    replicated = duplicate_graph(graph, component)
     assert diagram_probability(replicated) <= (
         diagram_probability(graph) + 1e-12
     )
@@ -244,7 +231,7 @@ def test_hardening_is_monotone(graph, data):
     current = graph.probability_of(component)
     low, high = sorted(data.draw(st.floats(0.0, current)) for _ in range(2))
     at_low, at_high = (
-        diagram_probability(Harden(component, q).apply(graph))
+        diagram_probability(harden_graph(graph, component, q))
         for q in (low, high)
     )
     assert at_low <= at_high + 1e-12

@@ -287,26 +287,19 @@ def count_failure_states(bdd: BDD) -> int:
     """Number of assignments that fail the top event (model count).
 
     This is the quantity SAT-based counters like ApproxCount
-    estimate; with a BDD it is exact and linear.
+    estimate; with a BDD it is exact and linear.  One loop over node ids
+    ``2..root``, as :meth:`BDD.probability` walks them: children come
+    first, and a child's count doubles once per level its edge skips.
     """
     var, low, high = bdd._var, bdd._low, bdd._high
-    cache: dict[int, int] = {ZERO: 0, ONE: 1}
-
-    def walk(node_id: int) -> int:
-        if node_id in cache:
-            return cache[node_id]
+    count = [0, 1]
+    for node_id in range(2, bdd.root + 1):
         level, lo, hi = var[node_id], low[node_id], high[node_id]
-        count = (walk(lo) << (var[lo] - level - 1)) + (
-            walk(hi) << (var[hi] - level - 1)
+        count.append(
+            (count[lo] << (var[lo] - level - 1))
+            + (count[hi] << (var[hi] - level - 1))
         )
-        cache[node_id] = count
-        return count
-
-    try:
-        with bdd._recursion_headroom():
-            return walk(bdd.root) << var[bdd.root]
-    finally:
-        walk = None
+    return count[bdd.root] << var[bdd.root]
 
 
 def tree_probability(graph: FaultGraph, top: Optional[str] = None) -> float:

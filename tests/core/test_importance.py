@@ -10,16 +10,6 @@ from repro.core.importance import (
 )
 
 
-OVERRIDE = {"A1": 0.5}
-
-
-def overridden(graph: FaultGraph) -> FaultGraph:
-    """``graph`` with ``OVERRIDE`` written into its own weights."""
-    return graph.map_probabilities(
-        lambda e: OVERRIDE.get(e.name, e.probability)
-    )
-
-
 class TestBirnbaum:
     def test_series_system(self):
         """Pure OR: I_B(c) = prod over others of (1 - p_o)."""
@@ -61,13 +51,6 @@ class TestBirnbaum:
         assert birnbaum_importance(g)["dead"] == pytest.approx(0.0)
 
 
-    def test_partial_weight_override_keeps_graph_weights(self, figure_4b):
-        """Regression: see the ranking's test of the same name."""
-        assert birnbaum_importance(
-            figure_4b, probabilities=OVERRIDE
-        ) == birnbaum_importance(overridden(figure_4b))
-
-
 class TestRanking:
     def test_sorted_by_birnbaum(self, figure_4b):
         ranking = component_importance_ranking(figure_4b)
@@ -102,14 +85,6 @@ class TestRanking:
     def test_unweighted_graph_rejected(self, figure_4a):
         with pytest.raises(Exception):
             component_importance_ranking(figure_4a)
-
-    def test_partial_weight_override_keeps_graph_weights(self, figure_4b):
-        """Regression: ``probabilities`` are overrides, not a replacement
-        — naming one event must not unweight the rest (``no failure
-        probability for 'A2'``)."""
-        assert component_importance_ranking(
-            figure_4b, probabilities=OVERRIDE
-        ) == component_importance_ranking(overridden(figure_4b))
 
     def test_all_zero_weights_rank_without_dividing(self, figure_4b):
         """Criticality scaling with Pr(T) == 0 must come back 0.0."""

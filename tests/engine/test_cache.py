@@ -2,8 +2,6 @@
 
 import threading
 
-import pytest
-
 from repro import ComponentSets, FaultGraph, GateType
 from repro.engine import GraphCache, compile_cached, structural_hash
 from repro.core.compile import CompiledGraph
@@ -67,17 +65,16 @@ class TestGraphCache:
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_bdd_and_compiled_are_two_artefacts(
-        self, figure_4b, figure_4b_probs
-    ):
+    def test_one_entry_per_structure(self, figure_4b):
+        """Keyed by the structural hash alone: a copy is a hit, a
+        reweighted copy a second entry."""
         cache = GraphCache()
-        cache.compile(figure_4b)
-        bdd = cache.compile_bdd(figure_4b)
+        compiled = cache.compile(figure_4b)
+        assert cache.compile(figure_4b.copy()) is compiled
+        reweighted = figure_4b.map_probabilities(lambda e: 0.5)
+        assert cache.compile(reweighted) is not compiled
         assert len(cache) == 2
-        assert cache.hits == 0 and cache.misses == 2
-        assert bdd.probability(figure_4b_probs) == pytest.approx(0.224)
-        assert cache.compile_bdd(figure_4b) is bdd
-        assert cache.hits == 1
+        assert cache.hits == 1 and cache.misses == 2
 
     def test_racing_misses_keep_the_first_artefact(self, monkeypatch):
         # Both threads miss before either stores: each compiles, and both

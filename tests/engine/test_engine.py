@@ -17,9 +17,8 @@ from repro import (
     SIAAuditor,
     minimal_risk_groups,
 )
-from repro.analysis.whatif import Duplicate, Harden, evaluate_mitigations
 from repro.depdb import DepDB
-from repro.engine import AuditEngine, GraphCache
+from repro.engine import AuditEngine
 from repro.engine.parallel import plan_blocks
 from repro.errors import AnalysisError, SpecificationError
 
@@ -204,37 +203,6 @@ class TestAuditorIntegration:
         # Whole reports must match too — notes may not leak engine
         # details, or worker count would change serialized output.
         assert engineered.notes == plain.notes
-
-
-class TestWhatIfIntegration:
-    def test_engine_matches_serial_whatif(self, figure_4b):
-        mitigations = [
-            Harden("A2", 0.01),
-            Harden("A3", 0.01),
-            Duplicate("A2"),
-        ]
-        serial = evaluate_mitigations(figure_4b, mitigations)
-        engineered = evaluate_mitigations(
-            figure_4b, mitigations, engine=AuditEngine(n_workers=2)
-        )
-        assert [o.mitigation.describe() for o in serial] == [
-            o.mitigation.describe() for o in engineered
-        ]
-        for ours, theirs in zip(engineered, serial):
-            assert ours.probability_after == pytest.approx(
-                theirs.probability_after
-            )
-            assert ours.unexpected_after == theirs.unexpected_after
-
-    def test_shared_cache_across_sweeps(self, figure_4b):
-        cache = GraphCache()
-        engine = AuditEngine(cache=cache)
-        for _ in range(2):
-            evaluate_mitigations(
-                figure_4b, [Harden("A2", 0.01)], engine=engine
-            )
-        # The weighted baseline graph is compiled once, reused once.
-        assert cache.hits >= 1
 
 
 class TestEngineInfo:

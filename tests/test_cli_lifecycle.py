@@ -33,7 +33,6 @@ def verbs(tmp_path):
             "audit", str(depdb), "--servers", "S1,S2",
             "--algorithm", "sampling", "--rounds", "20000",
         ],
-        "plan": ["plan", str(depdb), "--servers", "S1,S2", "--budget", "3"],
         "pia": ["pia", str(sets), "--protocol", "psop", "--group-bits", "768"],
     }
 
@@ -52,7 +51,7 @@ def new_children(before: set, seconds: float = 10.0) -> set:
         time.sleep(0.05)
 
 
-@pytest.mark.parametrize("verb", ["audit", "plan", "pia"])
+@pytest.mark.parametrize("verb", ["audit", "pia"])
 def test_workers_verb_leaves_no_child_process(verbs, verb, capsys):
     before = set(multiprocessing.active_children())
     assert main(verbs[verb] + ["--workers", "2"]) == 0

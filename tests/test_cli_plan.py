@@ -56,6 +56,16 @@ class TestPlanCommand:
         assert exit_info.value.code == 2
         assert "--method" in capsys.readouterr().err
 
+    def test_workers_flag_is_gone(self, depdb_file, capsys):
+        """Each candidate is one walk of the baseline diagram; there is
+        no candidate fan-out for a pool to spread."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["plan", depdb_file, "--servers", "S1,S2", "--workers", "2"]
+            )
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_missing_servers_rejected(self, depdb_file, capsys):
         code = main(["plan", depdb_file, "--servers", " , "])
         assert code == 1
