@@ -6,7 +6,9 @@ Three deployments on a k=8 fat tree (two 2-way, one 3-way) at
 by the last bits of ``BDD.probability()``, and among exact ties by
 candidate order, so any change to the diagram, to the family the
 unexpected-RG counts are read from, or to the candidate order shows up
-here, for the library front door and the CLI.
+here, for the library front door and the CLI.  Each case is checked on
+the first call in the process and again after two earlier identical
+calls, so state carried from one plan into the next would show too.
 """
 
 import json
@@ -52,26 +54,35 @@ def depdb_file(depdb_text, tmp_path_factory) -> str:
     return str(path)
 
 
+def _plan_args(depdb_file, name):
+    return [
+        "plan",
+        depdb_file,
+        "--servers",
+        ",".join(DEPLOYMENTS[name]),
+        "--top-k",
+        "4",
+        "--budget",
+        "5",
+        "--json",
+    ]
+
+
+@pytest.mark.parametrize("earlier_calls", [0, 2])
 @pytest.mark.parametrize("name", list(DEPLOYMENTS))
 class TestPlanGolden:
-    def test_library_front_door(self, depdb_text, name):
-        plan = repro.plan(depdb_text, DEPLOYMENTS[name], top_k=4, budget=5)
+    def test_library_front_door(self, depdb_text, name, earlier_calls):
+        for _ in range(earlier_calls + 1):
+            plan = repro.plan(
+                depdb_text, DEPLOYMENTS[name], top_k=4, budget=5
+            )
         assert json.dumps(plan.to_dict()) == json.dumps(GOLDEN["plan"][name])
 
-    def test_cli_json_stdout(self, depdb_file, capsys, name):
-        code = main(
-            [
-                "plan",
-                depdb_file,
-                "--servers",
-                ",".join(DEPLOYMENTS[name]),
-                "--top-k",
-                "4",
-                "--budget",
-                "5",
-                "--json",
-            ]
-        )
+    def test_cli_json_stdout(self, depdb_file, capsys, name, earlier_calls):
+        for _ in range(earlier_calls):
+            assert main(_plan_args(depdb_file, name)) == 0
+        capsys.readouterr()
+        code = main(_plan_args(depdb_file, name))
         assert code == 0
         assert (
             capsys.readouterr().out
