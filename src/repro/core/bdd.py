@@ -16,6 +16,7 @@ benchmarks against the inclusion–exclusion and Monte-Carlo routes.
 from __future__ import annotations
 
 import sys
+import threading
 from contextlib import contextmanager
 from typing import Mapping, Optional
 
@@ -37,6 +38,24 @@ DEFAULT_BDD_NODE_BUDGET = node_budget(DEFAULT_MAX_GROUPS)
 #: Terminal node ids.
 ZERO = 0
 ONE = 1
+
+
+#: Serialises :func:`_raise_recursion_limit`'s read and write.
+_RECURSION_LIMIT_LOCK = threading.Lock()
+
+
+def _raise_recursion_limit(frames: int) -> None:
+    """Raise the process's recursion limit to at least ``frames``.
+
+    The limit is process-global and the service audits on worker
+    threads, so it is only ever raised, never put back: a thread that
+    restored its own lower value on exit would cut the limit under
+    another thread's deeper walk still running.  The lock keeps two
+    raises from reading one old value and writing the lower one last.
+    """
+    with _RECURSION_LIMIT_LOCK:
+        if sys.getrecursionlimit() < frames:
+            sys.setrecursionlimit(frames)
 
 
 class BDD:
@@ -270,14 +289,10 @@ class BDD:
         :meth:`falsified` and :meth:`minimal_solutions` descend one level
         per variable), so big graphs need more stack than CPython's
         default 1000 frames: ``compile_graph`` and
-        :meth:`minimal_solutions` run in it."""
-        wanted = 4 * len(self.variables) + 200
-        previous = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(previous, wanted))
-        try:
-            yield
-        finally:
-            sys.setrecursionlimit(previous)
+        :meth:`minimal_solutions` run in it.  The limit is raised on entry
+        and left there (:func:`_raise_recursion_limit`)."""
+        _raise_recursion_limit(4 * len(self.variables) + 200)
+        yield
 
     def falsified(self, family: int, function: int, memo: dict) -> int:
         """The sets of the family ``family`` on which the function

@@ -28,13 +28,13 @@ Monte-Carlo scan) are test oracles, not options.
 from __future__ import annotations
 
 import math
-import sys
 from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.bdd import _raise_recursion_limit
 from repro.core.events import validate_probability
 from repro.core.minimal_rg import CutSetExplosion
 from repro.errors import AnalysisError, FaultGraphError
@@ -250,13 +250,12 @@ def _shannon_union(
         memo[family] = result = p * up + (1.0 - p) * down
         return result
 
-    # One frame per variable at most: each level splits one off.
-    previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(previous + len(bit))
+    # One frame per variable at most (each level splits one off), over
+    # CPython's default 1 000 for the caller.
+    _raise_recursion_limit(1000 + len(bit))
     try:
         return value(frozenset(masks))
     finally:
-        sys.setrecursionlimit(previous)
         value = None  # the closure names itself: break the cycle
 
 

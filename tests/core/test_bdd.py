@@ -2,6 +2,7 @@
 
 import gc
 import sys
+import threading
 import types
 import weakref
 from itertools import combinations
@@ -172,6 +173,76 @@ class TestCompileGraph:
             0.999**3000, rel=1e-12
         )
         assert bdd.minimal_cut_sets() == [frozenset(names)]
+
+
+class TestRecursionLimitAcrossThreads:
+    """The recursion limit is process-global; walks run on threads."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        yield
+        sys.setrecursionlimit(saved)
+
+    def test_a_shallow_walk_keeps_its_headroom_when_a_deep_one_ends(self):
+        """A 2 000-variable walk enters and leaves while a 500-variable
+        one still runs at depth 1 500, inside its 2 200-frame headroom."""
+        deep = BDD([f"d{i}" for i in range(2000)])
+        shallow = BDD([f"s{i}" for i in range(500)])
+        deep_in, shallow_in, deep_out = (threading.Event() for _ in range(3))
+        errors = []
+
+        def descend(depth):
+            return 0 if depth == 0 else 1 + descend(depth - 1)
+
+        def deep_walk():
+            with deep._recursion_headroom():
+                deep_in.set()
+                shallow_in.wait(5)
+            deep_out.set()
+
+        def shallow_walk():
+            deep_in.wait(5)
+            with shallow._recursion_headroom():
+                shallow_in.set()
+                deep_out.wait(5)
+                try:
+                    descend(1500)
+                except RecursionError as exc:
+                    errors.append(exc)
+
+        threads = [
+            threading.Thread(target=deep_walk),
+            threading.Thread(target=shallow_walk),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert deep_out.is_set()
+        assert errors == []
+        assert sys.getrecursionlimit() >= 4 * 2000 + 200
+
+    def test_the_limit_is_only_ever_raised(self, monkeypatch):
+        """Neither the diagram's headroom nor the family recursion
+        writes a limit below the one it finds."""
+        lowered = []
+        set_limit = sys.setrecursionlimit
+
+        def raise_only(limit):
+            if limit < sys.getrecursionlimit():
+                lowered.append(limit)
+            set_limit(limit)
+
+        monkeypatch.setattr(sys, "setrecursionlimit", raise_only)
+        bdd = BDD([f"v{i}" for i in range(300)])
+        with bdd._recursion_headroom():
+            pass
+        cuts = [frozenset({f"v{i}", f"v{i + 1}"}) for i in range(0, 300, 2)]
+        probability._shannon_union(cuts, dict.fromkeys(bdd.variables, 0.1))
+        assert sys.getrecursionlimit() >= 1000 + 300
+        assert lowered == []
 
 
 class TestMinimalSolutions:
