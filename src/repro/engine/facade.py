@@ -29,6 +29,7 @@ over :meth:`AuditEngine.sample`.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -52,6 +53,7 @@ from repro.engine.incremental import (
     SpecSetDelta,
     StoreAuditOutcome,
     _spec_audit_key,
+    _spec_store_key,
     graph_delta,
 )
 from repro.engine.parallel import (
@@ -86,6 +88,12 @@ MAX_CACHED_AUDITS = 1024
 #: dispatch costs more than the blocks it would spread, so the plan runs
 #: inline; the sweep behind the number is in DESIGN.md "Where things run".
 POOLED_BLOCK_WORK = 16_384
+
+
+def _seedless(spec: AuditSpec) -> bool:
+    """Whether ``spec`` samples from fresh OS entropy, so no two cold
+    runs of it agree and no cache may answer it."""
+    return spec.algorithm is RGAlgorithm.SAMPLING and spec.seed is None
 
 
 def _run_audit_job(job: AuditJob, block_size: int) -> DeploymentAudit:
@@ -146,6 +154,9 @@ class AuditEngine:
             PersistentPool(self.n_workers) if self._owns_pool else pool
         )
         self._audits = LRUCache(MAX_CACHED_AUDITS)
+        # audit_store's index into ``_audits``: (store, content hash,
+        # spec, weigher) -> structural hash.
+        self._stores = LRUCache(MAX_CACHED_AUDITS)
 
     def close(self) -> None:
         """Shut down the worker pool this engine owns, if any."""
@@ -398,7 +409,7 @@ class AuditEngine:
     ) -> tuple:
         """:meth:`audit_built` for a graph whose structural hash is
         ``digest``, so a caller that already has it does not hash twice."""
-        if spec.algorithm is RGAlgorithm.SAMPLING and spec.seed is None:
+        if _seedless(spec):
             # A seedless sampling audit draws fresh OS entropy on every
             # cold run, so no cached result is "bit-identical to a cold
             # recomputation" — always recompute, never cache.
@@ -424,11 +435,24 @@ class AuditEngine:
         audited state.
 
         The store's content hash is compared with its most recent
-        snapshot before auditing: an unchanged store re-audited with
-        unchanged parameters is exactly a result-cache hit (the cache
-        key — structural hash + audit parameters — is a pure function
-        of the record set), so the drift check and the reuse decision
-        can never disagree.  After the audit, a snapshot of the audited
+        snapshot before auditing.  An unchanged store re-audited with
+        unchanged parameters is a lookup: the engine keeps an index
+        *(this store, content hash, every spec field but metadata,
+        weigher)* → structural hash into the result cache, and a hit
+        there builds and hashes nothing.  The store itself is part of
+        the key (held by weak reference, so the engine keeps no store
+        alive): the content hash ignores record order and the graph
+        does not, but one append-only store has only one order per
+        content hash.  The weigher is keyed as an object, so it must be
+        hashable and a pure function of its arguments.  An entry is
+        written only once the store is seen to hold ``content`` after
+        the build (the snapshot's re-check, or a re-hash with
+        ``record_snapshot=False``), so a write landing mid-build never
+        maps the old hash to the new graph.  Without an entry, or with
+        its audit evicted from the result cache, the graph is built,
+        hashed and audited through the result cache as by
+        :meth:`audit_built`.  A seedless sampling spec is never cached
+        or indexed.  After the audit, a snapshot of the audited
         state is recorded (labelled with the graph's structural hash
         unless ``label`` is given) so the *next* call diffs against this
         audit, and so a later request can name the label as its ``base``.
@@ -442,13 +466,32 @@ class AuditEngine:
         content = depdb.content_hash()
         last = depdb.last_snapshot()
         previous = None if last is None else last.digest
-        auditor = SIAAuditor(depdb, weigher=weigher, engine=self)
-        graph = auditor.build_graph(spec)
-        digest = structural_hash(graph)
-        audit, hit = self._audit_hashed(auditor, graph, digest, spec)
+        index = None
+        audit = None
+        if not _seedless(spec):
+            index = (weakref.ref(depdb), content, _spec_store_key(spec), weigher)
+            digest = self._stores.get(index)
+            if digest is not None:
+                audit = self._audits.get(
+                    (digest, self.block_size, _spec_audit_key(spec))
+                )
+        indexed = hit = audit is not None
+        if not indexed:
+            auditor = SIAAuditor(depdb, weigher=weigher, engine=self)
+            graph = auditor.build_graph(spec)
+            digest = structural_hash(graph)
+            audit, hit = self._audit_hashed(auditor, graph, digest, spec)
         snapshot = None
         if record_snapshot:
             snapshot = depdb.snapshot_audited(content, label or digest)
+        if index is not None and not indexed and (
+            snapshot is not None
+            if record_snapshot
+            else depdb.content_hash() == content
+        ):
+            # The store held ``content`` after the build too, so the
+            # graph was built from the records ``content`` names.
+            self._stores.put(index, digest)
         return StoreAuditOutcome(
             audit=audit,
             structural_hash=digest,

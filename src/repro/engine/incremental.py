@@ -18,6 +18,12 @@ keyed and reported by, without ever bending the determinism contract:
   pairs with the structural hash.  A cached audit is reused **only**
   when the key proves the cold computation would be bit-identical, so
   reuse can change wall-clock time, never bytes.
+* :func:`_spec_store_key` — the whole spec, graph-shaping fields
+  included, for ``audit_store``'s index *(store, content hash, spec,
+  weigher)* → structural hash, which finds an unchanged store's audit
+  in that cache without building its graph.  The store is in the key
+  because the content hash ignores record order and the graph does
+  not; one append-only store has one order per content hash.
 * :class:`SpecSetDelta`, :class:`DeploymentChange`,
   :class:`DeltaAuditReport` and :class:`StoreAuditOutcome` — what a
   spec-set or store re-audit reports: which deployments changed, what
@@ -52,6 +58,7 @@ Worker counts never change results — see DESIGN.md.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -224,6 +231,30 @@ def _spec_audit_key(spec: AuditSpec) -> tuple:
         spec.ranking.value,
         spec.top_n,
         spec.max_order,
+    )
+
+
+def _spec_store_key(spec: AuditSpec) -> tuple:
+    """Every :class:`AuditSpec` field but ``metadata``, as a hashable value.
+
+    :func:`_spec_audit_key` plus the graph-shaping fields it leaves to
+    the structural hash, so the store index of
+    :meth:`~repro.engine.facade.AuditEngine.audit_store` can stand in
+    for the graph.  ``programs`` is frozen in its given order, a mapping
+    as ``(host, programs)`` pairs.
+    """
+    programs = spec.programs
+    if isinstance(programs, Mapping):
+        programs = ("per-host",) + tuple(
+            (host, tuple(names)) for host, names in programs.items()
+        )
+    elif programs is not None:
+        programs = ("global",) + tuple(programs)
+    return _spec_audit_key(spec) + (
+        spec.level.value,
+        programs,
+        spec.destinations,
+        spec.include_host_events,
     )
 
 

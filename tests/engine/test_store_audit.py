@@ -1,8 +1,12 @@
 """AuditEngine.audit_store: snapshot-diffed delta audits."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
-from repro.core.spec import AuditSpec
+from repro.core.spec import AuditSpec, DetailLevel, RGAlgorithm
 from repro.depdb import (
     DepDB,
     HardwareDependency,
@@ -10,6 +14,7 @@ from repro.depdb import (
     SoftwareDependency,
 )
 from repro.engine import AuditEngine, SIAAuditor, structural_hash
+from repro.failures.models import uniform_weigher
 
 RECORDS = [
     NetworkDependency("S1", "Internet", ("ToR1", "Core1")),
@@ -102,17 +107,26 @@ class TestReaudit:
         assert cached.audit.to_dict() == cold.audit.to_dict()
 
     def test_graph_is_hashed_once_per_store_audit(self, db, monkeypatch):
-        hashed = []
+        """A miss builds and hashes the graph once; an unchanged store's
+        re-audit is an index lookup that does neither."""
+        built, hashed = [], []
+        build = SIAAuditor.build_graph
 
-        def counting(graph):
+        def counting_build(auditor, spec):
+            built.append(spec)
+            return build(auditor, spec)
+
+        def counting_hash(graph):
             hashed.append(graph)
             return structural_hash(graph)
 
-        monkeypatch.setattr("repro.engine.facade.structural_hash", counting)
+        monkeypatch.setattr(SIAAuditor, "build_graph", counting_build)
+        monkeypatch.setattr("repro.engine.facade.structural_hash", counting_hash)
         engine = AuditEngine()
         first = engine.audit_store(db, SPEC)
+        assert (len(built), len(hashed)) == (1, 1)
         second = engine.audit_store(db, SPEC)
-        assert len(hashed) == 2  # one per call, miss and hit alike
+        assert (len(built), len(hashed)) == (1, 1)  # the hit: neither
         assert second.cache_hit
         assert second.structural_hash == first.structural_hash
 
@@ -204,3 +218,180 @@ class TestUnchangedStoreIsNotRekeyed:
             third = engine.audit_store(store, SPEC)
             assert keyed == [drift]
             assert third.changed is True
+
+
+# Records whose graph depends on their order: S1's two routes, two
+# hardware components and two programs are children in insertion order.
+ORDERED = [
+    NetworkDependency("S1", "Internet", ("ToR1", "Core1")),
+    NetworkDependency("S1", "Internet", ("ToR1", "Core2")),
+    NetworkDependency("S1", "Storage", ("ToR1",)),
+    NetworkDependency("S2", "Internet", ("ToR2", "Core1")),
+    HardwareDependency("S1", "CPU", "X5550"),
+    HardwareDependency("S1", "Disk", "WD-1TB"),
+    HardwareDependency("S2", "CPU", "X5550"),
+    SoftwareDependency("Riak1", "S1", ("libc6",)),
+    SoftwareDependency("Nginx1", "S1", ("libssl",)),
+    SoftwareDependency("Riak2", "S2", ("libc6",)),
+]
+
+#: Each graph-shaping spec field changed alone.
+GRAPH_SHAPING = {
+    "level=fault-set": {"level": DetailLevel.FAULT_SET},
+    "level=component-set": {"level": DetailLevel.COMPONENT_SET},
+    "programs": {"programs": {"S1": ["Riak1"]}},
+    "destinations": {"destinations": ("Internet",)},
+    "include_host_events": {"include_host_events": False},
+}
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def make_store(request, tmp_path):
+    """``make(records)``: a fresh store of ``records``, in memory or as
+    a SQLite file.  Holds its stores weakly, so a test can drop one."""
+    opened = []
+
+    def make(records):
+        if request.param == "memory":
+            return DepDB(records)
+        store = DepDB.sqlite(tmp_path / f"store{len(opened)}.sqlite", records)
+        opened.append(weakref.ref(store))
+        return store
+
+    yield make
+    for ref in opened:
+        if ref() is not None:
+            ref().close()
+
+
+def cold(store, spec, weigher=None):
+    """A cold audit of ``store``'s records, in its record order."""
+    return AuditEngine().audit_store(
+        DepDB(list(store.iter_records())),
+        spec,
+        weigher,
+        record_snapshot=False,
+    )
+
+
+def assert_cold(outcome, store, spec, weigher=None):
+    expected = cold(store, spec, weigher)
+    assert outcome.structural_hash == expected.structural_hash
+    assert outcome.audit.to_dict() == expected.audit.to_dict()
+
+
+class TestStoreIndexSoundness:
+    """``audit_store``'s index answers only what a cold audit would."""
+
+    def test_record_order_is_part_of_the_key(self, make_store):
+        forward = make_store(ORDERED)
+        backward = make_store(ORDERED[::-1])
+        assert forward.content_hash() == backward.content_hash()
+        assert (
+            cold(forward, SPEC).structural_hash
+            != cold(backward, SPEC).structural_hash
+        )
+        engine = AuditEngine()
+        for store in (forward, backward, forward, backward):
+            assert_cold(engine.audit_store(store, SPEC), store, SPEC)
+        assert engine.audit_store(backward, SPEC).cache_hit
+
+    @pytest.mark.parametrize("change", GRAPH_SHAPING, ids=str)
+    def test_each_graph_shaping_field(self, make_store, change):
+        store = make_store(ORDERED)
+        spec = dataclasses.replace(SPEC, **GRAPH_SHAPING[change])
+        assert cold(store, spec).structural_hash != cold(store, SPEC).structural_hash
+        engine = AuditEngine()
+        engine.audit_store(store, SPEC)
+        assert_cold(engine.audit_store(store, spec), store, spec)
+        assert_cold(engine.audit_store(store, spec), store, spec)
+        assert_cold(engine.audit_store(store, SPEC), store, SPEC)
+
+    def test_no_programs_is_not_an_empty_mapping(self, make_store):
+        # {} selects every program on every host, [] selects none.
+        store = make_store(ORDERED)
+        every = dataclasses.replace(SPEC, programs={})
+        none = dataclasses.replace(SPEC, programs=[])
+        engine = AuditEngine()
+        assert_cold(engine.audit_store(store, every), store, every)
+        assert_cold(engine.audit_store(store, none), store, none)
+        assert (
+            cold(store, every).structural_hash
+            != cold(store, none).structural_hash
+        )
+
+    def test_an_equal_but_distinct_weigher(self, make_store):
+        store = make_store(ORDERED)
+        engine = AuditEngine()
+        weigher = uniform_weigher(0.1)
+        assert_cold(engine.audit_store(store, SPEC, weigher), store, SPEC, weigher)
+        equal = uniform_weigher(0.1)
+        outcome = engine.audit_store(store, SPEC, equal)
+        assert_cold(outcome, store, SPEC, equal)
+        assert outcome.cache_hit  # the same graph, found by building it
+        other = uniform_weigher(0.2)
+        assert_cold(engine.audit_store(store, SPEC, other), store, SPEC, other)
+        assert_cold(engine.audit_store(store, SPEC), store, SPEC)
+
+    def test_an_evicted_result_is_recomputed(self, make_store, monkeypatch):
+        monkeypatch.setattr("repro.engine.facade.MAX_CACHED_AUDITS", 1)
+        store = make_store(ORDERED)
+        engine = AuditEngine()
+        engine.audit_store(store, SPEC)
+        engine.audit_spec(DepDB(RECORDS), SPEC)  # evicts the store's audit
+        outcome = engine.audit_store(store, SPEC)
+        assert outcome.cache_hit is False
+        assert_cold(outcome, store, SPEC)
+
+    def test_a_seedless_sampling_spec_is_never_indexed(self, make_store):
+        store = make_store(ORDERED)
+        spec = dataclasses.replace(
+            SPEC,
+            algorithm=RGAlgorithm.SAMPLING,
+            sampling_rounds=4096,
+            seed=None,
+        )
+        engine = AuditEngine()
+        for _ in range(2):
+            outcome = engine.audit_store(store, spec)
+            assert outcome.cache_hit is False
+            expected = cold(store, spec)
+            assert outcome.structural_hash == expected.structural_hash
+            # Fresh entropy each run: all but the round counts agree.
+            got, want = outcome.audit.to_dict(), expected.audit.to_dict()
+            del got["notes"], want["notes"]
+            assert got == want
+        assert len(engine._stores) == 0
+
+    @pytest.mark.parametrize("record_snapshot", [True, False])
+    def test_a_write_mid_build_leaves_no_entry(
+        self, make_store, write_after_hash, record_snapshot
+    ):
+        store = make_store(ORDERED)
+        late = HardwareDependency("S1", "PSU", "PSU-1")  # shapes the graph
+        writer = write_after_hash(store, late, nth=1)
+        engine = AuditEngine()
+        first = engine.audit_store(
+            store, SPEC, record_snapshot=record_snapshot
+        )
+        writer.join()
+        assert first.snapshot is None
+        assert store.last_snapshot() is None
+        assert len(engine._stores) == 0
+        assert first.content_hash != store.content_hash()
+        assert_cold(first, store, SPEC)  # the build saw the late record
+        second = engine.audit_store(store, SPEC)
+        assert (second.changed, second.cache_hit) == (True, True)
+        assert second.snapshot.digest == store.content_hash()
+        assert_cold(second, store, SPEC)
+
+    def test_the_engine_does_not_keep_a_store_alive(self, make_store):
+        store = make_store(ORDERED)
+        engine = AuditEngine()
+        engine.audit_store(store, SPEC)
+        assert len(engine._stores) == 1
+        alive = weakref.ref(store)
+        store.close()
+        del store
+        gc.collect()
+        assert alive() is None
