@@ -106,6 +106,12 @@ class LRUCache:
             self._touch(key)
             return stored
 
+    def discard_if(self, doomed) -> None:
+        """Drop every entry for whose key ``doomed(key)`` is true."""
+        with self._lock:
+            for key in [key for key in self._entries if doomed(key)]:
+                del self._entries[key]
+
     def _touch(self, key) -> None:
         # Mark ``key`` most recently used and evict past the cap; the
         # caller holds the lock.

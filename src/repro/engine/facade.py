@@ -96,6 +96,12 @@ def _seedless(spec: AuditSpec) -> bool:
     return spec.algorithm is RGAlgorithm.SAMPLING and spec.seed is None
 
 
+def _has_dead_referent(index: tuple) -> bool:
+    """Whether an ``audit_store`` index key's store or weigher is gone."""
+    store, _content, _spec, weigher = index
+    return store() is None or (weigher is not None and weigher() is None)
+
+
 def _run_audit_job(job: AuditJob, block_size: int) -> DeploymentAudit:
     """The one fan-out kernel: audit ``job`` in whatever process runs it.
 
@@ -155,8 +161,11 @@ class AuditEngine:
         )
         self._audits = LRUCache(MAX_CACHED_AUDITS)
         # audit_store's index into ``_audits``: (store, content hash,
-        # spec, weigher) -> structural hash.
+        # spec, weigher) -> structural hash, the store and weigher held
+        # by weak reference.  Their callbacks only note a death here;
+        # the next audit_store drops the dead entries.
         self._stores = LRUCache(MAX_CACHED_AUDITS)
+        self._dead: list = []
 
     def close(self) -> None:
         """Shut down the worker pool this engine owns, if any."""
@@ -405,17 +414,24 @@ class AuditEngine:
         return self._audit_hashed(auditor, graph, structural_hash(graph), spec)
 
     def _audit_hashed(
-        self, auditor, graph: FaultGraph, digest: str, spec: AuditSpec
+        self,
+        auditor,
+        graph: FaultGraph,
+        digest: str,
+        spec: AuditSpec,
+        missed: bool = False,
     ) -> tuple:
         """:meth:`audit_built` for a graph whose structural hash is
-        ``digest``, so a caller that already has it does not hash twice."""
+        ``digest``, so a caller that already has it does not hash twice.
+        ``missed``: the caller has just asked the result cache for this
+        audit and missed, so it is not asked (and counted) again."""
         if _seedless(spec):
             # A seedless sampling audit draws fresh OS entropy on every
             # cold run, so no cached result is "bit-identical to a cold
             # recomputation" — always recompute, never cache.
             return auditor.audit_graph(graph, spec), False
         key = (digest, self.block_size, _spec_audit_key(spec))
-        audit = self._audits.get(key)
+        audit = None if missed else self._audits.get(key)
         if audit is None:
             audit = auditor.audit_graph(graph, spec)
             self._audits.put(key, audit)
@@ -443,8 +459,11 @@ class AuditEngine:
         the key (held by weak reference, so the engine keeps no store
         alive): the content hash ignores record order and the graph
         does not, but one append-only store has only one order per
-        content hash.  The weigher is keyed as an object, so it must be
-        hashable and a pure function of its arguments.  An entry is
+        content hash.  The weigher is keyed as an object, also by weak
+        reference, so it must be hashable and a pure function of its
+        arguments; one that cannot be weakly referenced is not indexed.
+        An entry whose store or weigher has been collected is dropped at
+        the next call.  An entry is
         written only once the store is seen to hold ``content`` after
         the build (the snapshot's re-check, or a re-hash with
         ``record_snapshot=False``), so a write landing mid-build never
@@ -466,21 +485,31 @@ class AuditEngine:
         content = depdb.content_hash()
         last = depdb.last_snapshot()
         previous = None if last is None else last.digest
+        if self._dead:
+            self._dead.clear()
+            self._stores.discard_if(_has_dead_referent)
         index = None
         audit = None
+        probed = None  # the structural hash whose audit was asked for
         if not _seedless(spec):
-            index = (weakref.ref(depdb), content, _spec_store_key(spec), weigher)
-            digest = self._stores.get(index)
-            if digest is not None:
+            index = self._store_index(depdb, content, spec, weigher)
+        if index is not None:
+            probed = self._stores.get(index)
+            if probed is not None:
                 audit = self._audits.get(
-                    (digest, self.block_size, _spec_audit_key(spec))
+                    (probed, self.block_size, _spec_audit_key(spec))
                 )
         indexed = hit = audit is not None
-        if not indexed:
+        if indexed:
+            digest = probed
+        else:
             auditor = SIAAuditor(depdb, weigher=weigher, engine=self)
             graph = auditor.build_graph(spec)
             digest = structural_hash(graph)
-            audit, hit = self._audit_hashed(auditor, graph, digest, spec)
+            # An evicted audit has already counted this call's miss.
+            audit, hit = self._audit_hashed(
+                auditor, graph, digest, spec, missed=digest == probed
+            )
         snapshot = None
         if record_snapshot:
             snapshot = depdb.snapshot_audited(content, label or digest)
@@ -500,6 +529,24 @@ class AuditEngine:
             changed=previous is None or previous != content,
             cache_hit=hit,
             snapshot=snapshot,
+        )
+
+    def _store_index(self, depdb, content: str, spec, weigher):
+        """:meth:`audit_store`'s index key, or ``None`` for a weigher that
+        cannot be weakly referenced.  A collected referent is noted in
+        ``_dead``; no lock is taken, as a collection can run anywhere."""
+        noted = self._dead.append
+        try:
+            weigher_ref = (
+                None if weigher is None else weakref.ref(weigher, noted)
+            )
+        except TypeError:
+            return None
+        return (
+            weakref.ref(depdb, noted),
+            content,
+            _spec_store_key(spec),
+            weigher_ref,
         )
 
     # ------------------------------------------------------------------ #

@@ -20,6 +20,11 @@ Content addressing (two levels, both exact):
 
 Requests without a ``seed`` are not reproducible, so they are never
 content-addressed — their reports exist only on the job itself.
+
+Retention: the manager holds its live jobs and the newest
+:data:`MAX_RETAINED_JOBS` finished ones.  An older finished job is read
+back from the journal when it is looked up; without a journal (or with
+a degraded one) its id answers 410 ``expired``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -44,7 +50,9 @@ from repro.errors import (
 from repro.service.admission import AdmissionQueue
 from repro.service.journal import (
     JobJournal,
+    JournaledJob,
     event_record,
+    job_number,
     report_record,
     submitted_record,
 )
@@ -59,6 +67,9 @@ MAX_CACHED_REPORTS = 256
 #: Entries in the structural-hash → fault-graph store that resolves
 #: :attr:`~repro.api.AuditRequest.base` (LRU).
 MAX_BASE_GRAPHS = 32
+
+#: Finished jobs held in memory, the newest ones; live jobs are always held.
+MAX_RETAINED_JOBS = 256
 
 
 @dataclass
@@ -103,7 +114,8 @@ class JobManager:
             fully in memory (the pre-journal behaviour).
         resume: With a ``state_dir``, replay the journal on startup:
             finished jobs come back serving byte-identical reports,
-            unfinished ones are re-queued and re-run.
+            unfinished ones are re-queued and re-run.  Either way new
+            jobs are numbered past every journal file already there.
     """
 
     def __init__(
@@ -125,7 +137,9 @@ class JobManager:
         self.admission = AdmissionQueue(
             per_tenant_limit=per_tenant_limit, total_limit=total_limit
         )
-        self._jobs: dict[str, Job] = {}
+        self._jobs: dict[str, Job] = {}  # live + the newest finished
+        self._retained: deque = deque()  # held finished job ids, oldest first
+        self._states: Counter = Counter()  # every job admitted or recovered
         self._event = threading.Condition(threading.RLock())
         self._reports = LRUCache(MAX_CACHED_REPORTS)  # key -> (bytes, hash)
         self._fingerprints = LRUCache(MAX_CACHED_REPORTS)  # fingerprint -> key
@@ -141,7 +155,15 @@ class JobManager:
         self._journal_errors = 0
         self._journal_degraded = False
         self._recovered_jobs = 0
-        if self.journal is not None and resume:
+        resumed = self.journal is not None and resume
+        if self.journal is not None:
+            # Never reuse a journaled id, replayed or not: a new job
+            # appending to an old run's file would merge the two.
+            self._counter = self.journal.last_number()
+        # Ids numbered from here up to the counter were issued (or
+        # recovered) by this manager.
+        self._first_issued = 1 if resumed else self._counter + 1
+        if resumed:
             self._recover()
         self._workers = [
             threading.Thread(
@@ -193,15 +215,16 @@ class JobManager:
                     if existing_id is not None
                     else None
                 )
-                # Terminal jobs fall through: the report cache answers
-                # repeat submits of finished seeded requests (born-done
-                # cache-hit job), and failed/cancelled jobs must not
-                # pin their outcome onto deliberate resubmissions.
+                # Terminal jobs fall through (a live job is always
+                # held): the report cache answers repeat submits of
+                # finished seeded requests (born-done cache-hit job),
+                # and failed/cancelled jobs must not pin their outcome
+                # onto deliberate resubmissions.
                 if existing is not None and not existing.is_terminal:
                     return existing
             self._counter += 1
             job = Job(
-                id=f"job-{self._counter:06d}",
+                id=_job_id(self._counter),
                 request=request,
                 tenant=tenant,
                 created=time.monotonic(),
@@ -219,26 +242,48 @@ class JobManager:
                 self._cache_hits += 1
                 self._append_event(job, "cache_hit", report_key=key)
                 self._append_event(job, "done", state="done", cached=True)
-                self._jobs[job.id] = job
                 self._register(job, idempotency_key)
                 self._journal_admitted(job)
                 self._snapshot_store(job)
                 self._event.notify_all()
                 return job
-            position = self.admission.push(
-                tenant, job, retry_after=self.retry_after()
-            )
+            try:
+                position = self.admission.push(
+                    tenant, job, retry_after=self.retry_after()
+                )
+            except ServiceError:
+                self._counter -= 1  # refused: the id was never issued
+                raise
             self._append_event(job, "queued", queue_position=position)
-            self._jobs[job.id] = job
             self._register(job, idempotency_key)
             self._journal_admitted(job)
             self._event.notify_all()
             return job
 
-    def _register(self, job: Job, idempotency_key: Optional[str]) -> None:
+    def _register(self, job: Job, idempotency_key: Optional[str] = None) -> None:
         # Caller holds the lock.
+        self._jobs[job.id] = job
+        self._states[job.state] += 1
+        if job.is_terminal:
+            self._retain(job)
         if idempotency_key is not None:
             self._idempotency.put(idempotency_key, job.id)
+
+    def _set_state(self, job: Job, state: str) -> None:
+        # Caller holds the lock; ``job`` is registered.
+        self._states[job.state] -= 1
+        self._states[state] += 1
+        job.state = state
+
+    def _retain(self, job: Job) -> None:
+        """Hold a finished job; drop the oldest past the bound.
+
+        A dropped job stays on disk (journal and report store) and
+        :meth:`get` reads it back from there.  Caller holds the lock.
+        """
+        self._retained.append(job.id)
+        while len(self._retained) > MAX_RETAINED_JOBS:
+            del self._jobs[self._retained.popleft()]
 
     # ------------------------- tenant stores -------------------------- #
 
@@ -365,67 +410,75 @@ class JobManager:
                     report_record(sha, job.report_key, job.structural_hash)
                 )
             records.extend(map(event_record, events))
+            if job.is_terminal:
+                # The batch ends with the terminal event: keep the
+                # elapsed time the job's status reports beside it.
+                records[-1]["elapsed"] = max(0.0, job.finished - job.created)
             self.journal.append(job.id, *records)
 
         return self._journal_safe(append)
 
     def _recover(self) -> None:
-        """Replay the journal: restore finished jobs, re-queue the rest."""
+        """Replay the journal: restore finished jobs, re-queue the rest.
+
+        Files are replayed one at a time, oldest first, and only the
+        newest :data:`MAX_RETAINED_JOBS` finished jobs stay held.
+        """
         for journaled in self.journal.replay():
-            try:
-                request = api.AuditRequest.from_dict(journaled.request)
-            except IndaasError:
+            job = self._restore(journaled)
+            if job is None:
                 continue  # unreadable request: nothing we can re-run
-            self._counter = max(self._counter, journaled.number)
-            job = Job(
-                id=journaled.job_id,
-                request=request,
-                tenant=journaled.tenant,
-                created=time.monotonic(),
-                journaled=True,
-                recovered=True,
-            )
-            job.events = list(journaled.events)
-            restored = False
-            if journaled.is_terminal:
-                data = (
-                    self.journal.load_report(journaled.report_sha)
-                    if journaled.report_sha is not None
-                    else None
+            job.recovered = True
+            if job.report_key is not None and job.request.seed is not None:
+                self._reports.put(
+                    job.report_key, (job.report_bytes, job.structural_hash)
                 )
-                if journaled.state in ("failed", "cancelled") or data is not None:
-                    job.state = journaled.state
-                    job.error = journaled.error
-                    job.cached = journaled.cached
-                    job.finished = job.created
-                    if data is not None:
-                        job.report_bytes = data
-                        job.report_key = journaled.report_key
-                        job.structural_hash = journaled.structural_hash
-                        if (
-                            request.seed is not None
-                            and journaled.report_key is not None
-                        ):
-                            self._reports.put(
-                                journaled.report_key,
-                                (data, journaled.structural_hash),
-                            )
-                            self._fingerprints.put(
-                                journaled.fingerprint or request.fingerprint(),
-                                journaled.report_key,
-                            )
-                    self.journal.close_job(job.id)
-                    restored = True
-            if not restored:
+                self._fingerprints.put(
+                    journaled.fingerprint or job.request.fingerprint(),
+                    job.report_key,
+                )
+            if not job.is_terminal:
                 # Queued or in-flight at crash time (or a done job whose
                 # report bytes were lost): run it again — seeded
                 # requests reproduce the exact bytes by the determinism
                 # contract.
-                job.state = "queued"
                 self._append_event(job, "recovered", state="queued")
                 self.admission.push(job.tenant, job, force=True)
-            self._jobs[job.id] = job
+            self._register(job)
             self._recovered_jobs += 1
+
+    def _restore(self, journaled: JournaledJob) -> Optional[Job]:
+        """The job a journal file describes: finished, with its outcome
+        and report bytes, or ``queued`` when it did not finish or its
+        bytes are gone.  ``None`` when its request no longer parses."""
+        try:
+            request = api.AuditRequest.from_dict(journaled.request)
+        except IndaasError:
+            return None
+        job = Job(
+            id=journaled.job_id,
+            request=request,
+            tenant=journaled.tenant,
+            created=time.monotonic(),
+            journaled=True,
+        )
+        job.events = list(journaled.events)
+        data = (
+            self.journal.load_report(journaled.report_sha)
+            if journaled.is_terminal and journaled.report_sha is not None
+            else None
+        )
+        if journaled.state in ("failed", "cancelled") or data is not None:
+            job.state = journaled.state
+            job.error = journaled.error
+            job.cached = journaled.cached
+            # Only the difference of the two is ever read.
+            job.created, job.finished = 0.0, journaled.elapsed
+            if data is not None:
+                job.report_bytes = data
+                job.report_key = journaled.report_key
+                job.structural_hash = journaled.structural_hash
+        return job
 
     def _cached_report(self, request: api.AuditRequest):
         if request.seed is None:
@@ -472,7 +525,7 @@ class JobManager:
             if job.cancel.is_set():
                 self._finish(job, "cancelled")
                 return
-            job.state = "running"
+            self._set_state(job, "running")
             job.started = time.monotonic()
             self._running += 1
             self._append_event(job, "started", state="running")
@@ -553,7 +606,7 @@ class JobManager:
 
     def _finish(self, job: Job, state: str, error=None, **fields) -> None:
         # Caller holds the lock.
-        job.state = state
+        self._set_state(job, state)
         job.error = error
         job.finished = time.monotonic()
         if error is not None:
@@ -561,6 +614,7 @@ class JobManager:
         self._append_event(job, state, state=state, **fields)
         if self.journal is not None and job.journaled:
             self.journal.close_job(job.id)
+        self._retain(job)
         self._event.notify_all()
 
     def _append_event(self, job: Job, event: str, **fields) -> None:
@@ -574,18 +628,42 @@ class JobManager:
     # ----------------------------- queries ---------------------------- #
 
     def get(self, job_id: str) -> Job:
+        """The job ``job_id``.
+
+        A finished job the manager no longer holds is read back from
+        its journal file and report store, outside the lock.  An id
+        this manager never issued is 404 ``not-found``; one it issued
+        but can no longer read back (no journal, or a degraded one) is
+        410 ``expired``.
+        """
         with self._event:
             job = self._jobs.get(job_id)
-            if job is None:
-                raise ServiceError(
-                    f"unknown job: {job_id}", status=404, code="not-found"
-                )
-            return job
+            if job is not None:
+                return job
+            number = job_number(job_id)
+            issued = (
+                self._first_issued <= number <= self._counter
+                and job_id == _job_id(number)
+            )
+            readable = self.journal is not None and not self._journal_degraded
+        if not issued:
+            raise ServiceError(
+                f"unknown job: {job_id}", status=404, code="not-found"
+            )
+        journaled = self.journal.read(job_id) if readable else None
+        job = None if journaled is None else self._restore(journaled)
+        if job is None or not job.is_terminal:
+            raise ServiceError(
+                f"job {job_id} has expired", status=410, code="expired"
+            )
+        return job
 
     def status(self, job_id: str) -> api.JobStatus:
         """Canonical :class:`~repro.api.JobStatus` snapshot of a job."""
+        return self._status(self.get(job_id))
+
+    def _status(self, job: Job) -> api.JobStatus:
         with self._event:
-            job = self.get(job_id)
             reference = (
                 job.finished if job.finished is not None else time.monotonic()
             )
@@ -610,8 +688,8 @@ class JobManager:
     def wait(self, job_id: str, timeout: Optional[float] = None) -> api.JobStatus:
         """Block until the job reaches a terminal state (or timeout)."""
         deadline = None if timeout is None else time.monotonic() + timeout
+        job = self.get(job_id)
         with self._event:
-            job = self.get(job_id)
             while not job.is_terminal:
                 if deadline is None:
                     self._event.wait()
@@ -619,7 +697,7 @@ class JobManager:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0 or not self._event.wait(remaining):
                         break
-        return self.status(job_id)
+        return self._status(job)
 
     def events_after(
         self, job_id: str, after: int, timeout: Optional[float] = None
@@ -630,8 +708,8 @@ class JobManager:
         ``events/poll`` endpoint calls this in a handler thread.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        job = self.get(job_id)
         with self._event:
-            job = self.get(job_id)
             while len(job.events) <= after and not job.is_terminal:
                 if deadline is None:
                     self._event.wait()
@@ -653,27 +731,28 @@ class JobManager:
 
     def cancel(self, job_id: str) -> api.JobStatus:
         """Cancel a job: dequeue it if queued, interrupt it if running."""
+        job = self.get(job_id)
         with self._event:
-            job = self.get(job_id)
             if not job.is_terminal:
                 job.cancel.set()
                 if self.admission.remove(job):
                     self._finish(job, "cancelled")
                 # else: a worker owns it; cancel_scope stops it at the
                 # next block boundary and the worker marks it.
-        return self.status(job_id)
+        return self._status(job)
 
     def stats(self) -> dict:
         """Service health counters (the ``/v1/healthz`` body)."""
         with self._event:
-            states: dict[str, int] = {}
-            for job in self._jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
             return {
                 "queued": len(self.admission),
                 "running": self._running,
                 "workers": len(self._workers),
-                "jobs": states,
+                "jobs": {
+                    state: count
+                    for state, count in self._states.items()
+                    if count
+                },
                 "cache_hits": self._cache_hits,
                 "reports_cached": len(self._reports),
                 "closed": self._closed,
@@ -719,3 +798,7 @@ class JobManager:
         self.stores.close()
         if self._owns_engine:
             self.engine.close()
+
+
+def _job_id(number: int) -> str:
+    return f"job-{number:06d}"

@@ -7,7 +7,8 @@ files.  A killed server replays the journals on startup
 (:meth:`JobJournal.replay`), re-queues jobs that never finished and
 serves already-finished reports byte-identically — by the determinism
 contract, a re-run of a seeded request produces the exact bytes the
-interrupted run would have.
+interrupted run would have.  A running server reads one finished job
+back (:meth:`JobJournal.read`) once it no longer holds it in memory.
 
 Layout under the state directory::
 
@@ -19,6 +20,8 @@ Journal records (each a canonical-JSON line with a ``record`` field):
 * ``submitted`` — the full :class:`~repro.api.AuditRequest` document,
   tenant and fingerprint; written once, first.
 * ``event`` — one canonical job event, exactly as served to clients.
+  The job's terminal event record also carries ``elapsed``, the seconds
+  its status reports, so a job read back reports what it did before.
 * ``report`` — content address (``sha256``) of the finished report
   bytes plus ``report_key``/``structural_hash``; always written on the
   line *before* the terminal ``done`` event, after the bytes themselves
@@ -52,7 +55,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.api import canonical_json
 from repro.errors import ServiceError
@@ -62,6 +65,7 @@ __all__ = [
     "JobJournal",
     "JournaledJob",
     "event_record",
+    "job_number",
     "report_record",
     "submitted_record",
 ]
@@ -85,16 +89,17 @@ class JournaledJob:
     report_sha: Optional[str] = None
     report_key: Optional[str] = None
     structural_hash: Optional[str] = None
+    elapsed: float = 0.0
 
     @property
     def is_terminal(self) -> bool:
         return self.state in _TERMINAL
 
-    @property
-    def number(self) -> int:
-        """Numeric suffix of ``job-NNNNNN`` ids (0 when unparseable)."""
-        _, _, suffix = self.job_id.rpartition("-")
-        return int(suffix) if suffix.isdigit() else 0
+
+def job_number(job_id: str) -> int:
+    """Numeric suffix of ``job-NNNNNN`` ids (0 when unparseable)."""
+    _, _, suffix = job_id.rpartition("-")
+    return int(suffix) if suffix.isdigit() else 0
 
 
 class JobJournal:
@@ -207,25 +212,43 @@ class JobJournal:
 
     # ----------------------------- replay ----------------------------- #
 
-    def replay(self) -> list[JournaledJob]:
-        """Reconstruct every journaled job, oldest first.
+    def replay(self) -> Iterator[JournaledJob]:
+        """Reconstruct every journaled job, oldest first, one at a time.
 
-        Tolerates (and repairs) a partial trailing line per file — the
-        signature of a crash mid-append.  Files with no complete
-        ``submitted`` record are ignored: the job was never durably
-        admitted, so the client never got an acknowledgement for it.
+        Each file is read as by :meth:`read`, only when the caller asks
+        for its job, so a replay holds one job at a time.
         """
-        jobs = []
-        for path in sorted(self.jobs_dir.glob("*.jsonl")):
-            match = _JOB_FILE.match(path.name)
-            if match is None:
-                continue
-            records = self._read_records(path)
-            job = _fold_records(match.group("job_id"), records)
+        for job_id in self._job_ids():
+            job = self.read(job_id)
             if job is not None:
-                jobs.append(job)
-        jobs.sort(key=lambda job: (job.number, job.job_id))
-        return jobs
+                yield job
+
+    def read(self, job_id: str) -> Optional[JournaledJob]:
+        """Reconstruct one job from its journal file.
+
+        Tolerates (and repairs) a partial trailing line — the signature
+        of a crash mid-append.  ``None`` when there is no file, or when
+        it has no complete ``submitted`` record: the job was never
+        durably admitted, so the client never got an acknowledgement
+        for it.
+        """
+        try:
+            records = self._read_records(self._job_path(job_id))
+        except FileNotFoundError:
+            return None
+        return _fold_records(job_id, records)
+
+    def last_number(self) -> int:
+        """The highest ``job-NNNNNN`` number with a file (0 if none)."""
+        return max(map(job_number, self._job_ids()), default=0)
+
+    def _job_ids(self) -> list[str]:
+        matches = (
+            _JOB_FILE.match(path.name)
+            for path in self.jobs_dir.glob("*.jsonl")
+        )
+        ids = [match.group("job_id") for match in matches if match]
+        return sorted(ids, key=lambda job_id: (job_number(job_id), job_id))
 
     def _read_records(self, path: Path) -> list[dict]:
         data = path.read_bytes()
@@ -303,6 +326,9 @@ def _fold_records(job_id: str, records: list[dict]) -> Optional[JournaledJob]:
                     error = event.get("error")
                     if isinstance(error, dict):
                         job.error = error
+                    elapsed = record.get("elapsed")
+                    if isinstance(elapsed, float):
+                        job.elapsed = elapsed
                 elif name == "started":
                     job.state = "running"
                 elif name in ("queued", "recovered"):

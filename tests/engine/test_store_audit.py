@@ -395,3 +395,70 @@ class TestStoreIndexSoundness:
         del store
         gc.collect()
         assert alive() is None
+
+    def test_a_weigher_does_not_keep_its_store_alive(self, make_store):
+        store = make_store(ORDERED)
+
+        def weigher(kind, identifier, _db=store):
+            return 0.1
+
+        engine = AuditEngine()
+        engine.audit_store(store, SPEC, weigher)
+        assert len(engine._stores) == 1
+        alive = weakref.ref(store)
+        store.close()
+        del store, weigher
+        gc.collect()
+        assert alive() is None
+        # The dead entry goes at the next store audit.
+        other = make_store(ORDERED)
+        engine.audit_store(other, SPEC)
+        assert len(engine._stores) == 1
+
+    def test_a_dead_weigher_drops_its_entry(self, make_store):
+        store = make_store(ORDERED)
+        engine = AuditEngine()
+        weigher = uniform_weigher(0.1)
+        engine.audit_store(store, SPEC, weigher)
+        engine.audit_store(store, SPEC)
+        assert len(engine._stores) == 2
+        del weigher
+        gc.collect()
+        outcome = engine.audit_store(store, SPEC)
+        assert outcome.cache_hit
+        assert len(engine._stores) == 1
+
+    def test_a_weigher_without_weak_references_is_not_indexed(
+        self, make_store
+    ):
+        class Slotted:
+            __slots__ = ("p",)
+
+            def __init__(self, p):
+                self.p = p
+
+            def __call__(self, kind, identifier):
+                return self.p
+
+        store = make_store(ORDERED)
+        engine = AuditEngine()
+        weigher = Slotted(0.1)
+        first = engine.audit_store(store, SPEC, weigher)
+        second = engine.audit_store(store, SPEC, weigher)
+        assert len(engine._stores) == 0
+        assert (first.cache_hit, second.cache_hit) == (False, True)
+        assert_cold(second, store, SPEC, weigher)
+
+    def test_an_evicted_result_counts_one_miss(self, make_store, monkeypatch):
+        monkeypatch.setattr("repro.engine.facade.MAX_CACHED_AUDITS", 1)
+        store = make_store(ORDERED)
+        engine = AuditEngine()
+        engine.audit_store(store, SPEC)
+        engine.audit_spec(DepDB(RECORDS), SPEC)  # evicts the store's audit
+        before = engine.info()["audits"]
+        outcome = engine.audit_store(store, SPEC)
+        after = engine.info()["audits"]
+        assert outcome.cache_hit is False
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"]
+        assert_cold(outcome, store, SPEC)

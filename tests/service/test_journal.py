@@ -76,7 +76,7 @@ class TestJobJournal:
         )
         journal.append("job-000001", queued("job-000001"))
         journal.close()
-        jobs = JobJournal(tmp_path).replay()
+        jobs = list(JobJournal(tmp_path).replay())
         assert [job.job_id for job in jobs] == ["job-000001"]
         assert jobs[0].tenant == "acme"
         assert jobs[0].fingerprint == "f" * 64
@@ -88,7 +88,7 @@ class TestJobJournal:
         for job_id in ("job-000010", "job-000002", "job-000001"):
             journal.append(job_id, submitted(job_id))
         journal.close()
-        jobs = JobJournal(tmp_path).replay()
+        jobs = list(JobJournal(tmp_path).replay())
         assert [job.job_id for job in jobs] == [
             "job-000001", "job-000002", "job-000010",
         ]
@@ -102,7 +102,7 @@ class TestJobJournal:
         intact = path.read_bytes()
         # A crash mid-append leaves half a line, no newline.
         path.write_bytes(intact + b'{"record": "event", "ev')
-        jobs = JobJournal(tmp_path).replay()
+        jobs = list(JobJournal(tmp_path).replay())
         assert len(jobs[0].events) == 1  # torn record never surfaces
         assert path.read_bytes() == intact  # file repaired in place
 
@@ -113,7 +113,7 @@ class TestJobJournal:
         path = tmp_path / "jobs" / "job-000001.jsonl"
         good = path.read_bytes()
         path.write_bytes(good + b'{"torn": \n{"record": "event"}\n')
-        jobs = JobJournal(tmp_path).replay()
+        jobs = list(JobJournal(tmp_path).replay())
         assert jobs[0].events == []
         assert path.read_bytes() == good
 
@@ -121,7 +121,7 @@ class TestJobJournal:
         journal = JobJournal(tmp_path)
         journal.append("job-000009", queued("job-000009"))
         journal.close()
-        assert JobJournal(tmp_path).replay() == []
+        assert list(JobJournal(tmp_path).replay()) == []
 
     def test_zeroed_line_is_a_torn_write(self, tmp_path):
         # Ten zero bytes and a newline read as truncated UTF-32 text,
@@ -132,7 +132,7 @@ class TestJobJournal:
         path = tmp_path / "jobs" / "job-000001.jsonl"
         good = path.read_bytes()
         path.write_bytes(good + bytes(10) + b"\n")
-        jobs = JobJournal(tmp_path).replay()
+        jobs = list(JobJournal(tmp_path).replay())
         assert jobs[0].events == []
         assert path.read_bytes() == good
 
@@ -148,7 +148,7 @@ class TestJobJournal:
         )
         journal.close()
         assert len(synced) == 1
-        job = JobJournal(tmp_path).replay()[0]
+        job = list(JobJournal(tmp_path).replay())[0]
         assert (job.state, job.report_sha) == ("done", "a" * 64)
 
     @pytest.mark.parametrize("failure", ["fault-point", "fsync"])
@@ -181,7 +181,7 @@ class TestJobJournal:
         assert path.read_bytes() == before
         journal.append("job-000001", queued("job-000001"))
         journal.close()
-        job = JobJournal(tmp_path).replay()[0]
+        job = list(JobJournal(tmp_path).replay())[0]
         assert (job.state, job.report_sha) == ("queued", None)
 
     def test_report_store_is_content_addressed_and_verifying(self, tmp_path):
@@ -278,6 +278,27 @@ class TestManagerRecovery:
         with pytest.raises(Exception):
             second.get(job.id)
         second.shutdown()
+
+    def test_resume_false_numbers_past_the_journal(self, tmp_path):
+        # Reusing job-000001 would append the new job to the old file,
+        # and a later resumed server would replay the two as one job.
+        first = manager_with(tmp_path)
+        old = first.submit(make_request(seed=1))
+        first.run_pending()
+        first.shutdown()
+        second = manager_with(tmp_path, resume=False)
+        new = second.submit(make_request(seed=2))
+        assert new.id != old.id
+        second.shutdown(drain=False)
+
+        third = manager_with(tmp_path)
+        restored = third.get(old.id)
+        assert (restored.state, restored.request.seed) == ("done", 1)
+        assert restored.report_bytes == direct_bytes(make_request(seed=1))
+        cancelled = third.get(new.id)
+        assert (cancelled.state, cancelled.request.seed) == ("cancelled", 2)
+        assert cancelled.report_key is None
+        third.shutdown()
 
     def test_unseeded_requests_journal_without_fingerprint(self, tmp_path):
         request = make_request(seed=None)
