@@ -16,7 +16,9 @@ failures the service itself is audited against:
   ``Idempotency-Key`` (the request :meth:`~repro.api.AuditRequest.
   fingerprint` when seeded, a one-shot token otherwise), so a retry
   whose original response was lost re-attaches to the job the first
-  attempt created instead of enqueuing a duplicate.
+  attempt created instead of enqueuing a duplicate.  The same makes it
+  safe to send a request once more, outside the retry policy, when the
+  server closed the kept-alive connection while it sat idle.
 * **Long-poll waiting**: :meth:`ServiceClient.wait` is one
   ``GET /v1/jobs/<id>?wait=S`` per ~20 s of waiting, answered with the
   terminal status as soon as the job has one — a job that finishes
@@ -158,19 +160,29 @@ class ServiceClient:
         body: Optional[bytes],
         headers: Optional[Mapping[str, str]],
     ) -> tuple[int, Mapping, bytes]:
+        request_headers = dict(headers or {})
+        if body is not None:
+            request_headers.setdefault("Content-Type", "application/json")
         try:
             fault_point("transport.request", method=method, path=path)
-            conn = self._connection()
-            request_headers = dict(headers or {})
-            if body is not None:
-                request_headers.setdefault(
-                    "Content-Type", "application/json"
-                )
-            self.request_count += 1
-            conn.request(method, path, body=body, headers=request_headers)
-            response = conn.getresponse()
-            payload = response.read()
-            return response.status, response.headers, payload
+            while True:
+                conn = self._connection()
+                reused = conn.sock is not None  # open since an earlier call
+                try:
+                    self.request_count += 1
+                    conn.request(
+                        method, path, body=body, headers=request_headers
+                    )
+                    response = conn.getresponse()
+                    return response.status, response.headers, response.read()
+                except ConnectionError:
+                    if not reused:
+                        raise
+                    # The server closed the kept-alive connection while
+                    # it sat idle: send once more on a fresh one.  Safe
+                    # for every route: a submit carries its
+                    # Idempotency-Key.
+                    self.close()
         except (ConnectionError, http.client.HTTPException, OSError) as exc:
             self.close()
             raise ServiceError(

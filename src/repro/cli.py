@@ -791,8 +791,8 @@ def _run_pia(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    import asyncio
     import signal
+    import threading
 
     from repro.engine import AuditEngine
     from repro.service import AuditServer, JobManager
@@ -814,18 +814,20 @@ def _run_serve(args: argparse.Namespace) -> int:
         n_workers=args.engine_workers,
         block_size=args.block_size,
     )
-    manager = JobManager(
-        engine,
-        workers=args.workers,
-        per_tenant_limit=args.per_tenant,
-        total_limit=args.queue_limit,
-        state_dir=args.state_dir,
-        resume=args.resume,
-    )
-    server = AuditServer(manager, host=args.host, port=args.port)
-
-    async def run() -> None:
-        await server.start()
+    try:
+        manager = JobManager(
+            engine,
+            workers=args.workers,
+            per_tenant_limit=args.per_tenant,
+            total_limit=args.queue_limit,
+            state_dir=args.state_dir,
+            resume=args.resume,
+        )
+        server = AuditServer(manager, host=args.host, port=args.port)
+        stop = threading.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, lambda *_: stop.set())
+        server.start()
         recovered = manager.stats()["journal"]["recovered_jobs"]
         durability = (
             f", journal at {args.state_dir} ({recovered} jobs recovered)"
@@ -838,27 +840,13 @@ def _run_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
             flush=True,
         )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                signal.signal(signum, lambda *_: stop.set())
-        serving = asyncio.ensure_future(server.serve_forever())
-        await stop.wait()
+        stop.wait()
         print(
             "indaas serve: draining in-flight jobs",
             file=sys.stderr,
             flush=True,
         )
-        serving.cancel()
-        await server.stop(drain=True)
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:  # signal raced the handler install
-        pass
+        server.stop(drain=True)
     finally:
         engine.close()
         if injector is not None:

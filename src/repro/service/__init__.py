@@ -10,8 +10,9 @@ Layers, bottom-up:
   store.
 * :mod:`repro.service.router` — transport-independent request routing
   to canonical :mod:`repro.api` documents.
-* :mod:`repro.service.server` — the stdlib asyncio HTTP/1.1 front-end
-  plus :class:`ServiceThread` for in-process embedding.
+* :mod:`repro.service.server` — the stdlib HTTP/1.1 front end, one
+  thread per connection, plus :class:`ServiceThread` for in-process
+  embedding.
 * :mod:`repro.service.watch` — :class:`WatchService`, the
   ``indaas watch`` file-polling loop emitting the same events.
 

@@ -23,8 +23,9 @@ content-addressed — their reports exist only on the job itself.
 
 Retention: the manager holds its live jobs and the newest
 :data:`MAX_RETAINED_JOBS` finished ones.  An older finished job is read
-back from the journal when it is looked up; without a journal (or with
-a degraded one) its id answers 410 ``expired``.
+back from the journal when it is looked up — its report bytes only when
+the lookup serves them; without a journal (or with a degraded one) its
+id answers 410 ``expired``.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ class Job:
     report_bytes: Optional[bytes] = None
     report_key: Optional[str] = None
     structural_hash: Optional[str] = None
+    report_sha: Optional[str] = None  # content address in the journal
     cached: bool = False
     started: Optional[float] = None
     finished: Optional[float] = None
@@ -115,7 +117,10 @@ class JobManager:
         resume: With a ``state_dir``, replay the journal on startup:
             finished jobs come back serving byte-identical reports,
             unfinished ones are re-queued and re-run.  Either way new
-            jobs are numbered past every journal file already there.
+            jobs are numbered past every job already in the journal.
+
+    Raises :class:`~repro.errors.ServiceError` when ``state_dir`` holds
+    the per-job journal files of an older release.
     """
 
     def __init__(
@@ -141,7 +146,8 @@ class JobManager:
         self._retained: deque = deque()  # held finished job ids, oldest first
         self._states: Counter = Counter()  # every job admitted or recovered
         self._event = threading.Condition(threading.RLock())
-        self._reports = LRUCache(MAX_CACHED_REPORTS)  # key -> (bytes, hash)
+        # key -> (bytes, structural hash, sha256 in the journal or None)
+        self._reports = LRUCache(MAX_CACHED_REPORTS)
         self._fingerprints = LRUCache(MAX_CACHED_REPORTS)  # fingerprint -> key
         self._graphs = LRUCache(MAX_BASE_GRAPHS)  # structural hash -> graph
         self._idempotency = LRUCache(MAX_CACHED_REPORTS)  # client key -> job id
@@ -159,7 +165,7 @@ class JobManager:
         if self.journal is not None:
             # Never reuse a journaled id, replayed or not: a new job
             # appending to an old run's file would merge the two.
-            self._counter = self.journal.last_number()
+            self._counter = self.journal.last_number
         # Ids numbered from here up to the counter were issued (or
         # recovered) by this manager.
         self._first_issued = 1 if resumed else self._counter + 1
@@ -232,12 +238,13 @@ class JobManager:
             self._append_event(job, "submitted", tenant=tenant)
             cached = self._cached_report(request)
             if cached is not None:
-                data, key, digest = cached
+                data, key, digest, sha = cached
                 job.state = "done"
                 job.cached = True
                 job.report_bytes = data
                 job.report_key = key
                 job.structural_hash = digest
+                job.report_sha = sha
                 job.finished = job.created
                 self._cache_hits += 1
                 self._append_event(job, "cache_hit", report_key=key)
@@ -379,17 +386,16 @@ class JobManager:
         # registered: a submission rejected by admission control must
         # not resurrect on replay.
         job.journaled = self._journal(job, job.events, admit=True)
-        if job.journaled and job.is_terminal:
-            self.journal.close_job(job.id)
 
     def _journal(self, job: Job, events: list, admit: bool = False) -> bool:
         """Append one state change to the job's journal in one fsync.
 
         The batch is, in order: the ``submitted`` record when ``admit``,
         the ``report`` record when ``events`` end with ``done`` — its
-        bytes stored content-addressed first, so replay that sees
-        ``done`` finds them — and the events.  Caller holds the lock,
-        so an event is durable before any client can see it.
+        bytes stored content-addressed first (unless a cache hit's
+        already are), so replay that sees ``done`` finds them — and the
+        events.  Caller holds the lock, so an event is durable before
+        any client can see it.
         """
 
         def append() -> None:
@@ -405,9 +411,14 @@ class JobManager:
                     )
                 )
             if events[-1]["event"] == "done":
-                sha = self.journal.store_report(job.report_bytes)
+                if job.report_sha is None:
+                    job.report_sha = self.journal.store_report(
+                        job.report_bytes
+                    )
                 records.append(
-                    report_record(sha, job.report_key, job.structural_hash)
+                    report_record(
+                        job.report_sha, job.report_key, job.structural_hash
+                    )
                 )
             records.extend(map(event_record, events))
             if job.is_terminal:
@@ -421,7 +432,7 @@ class JobManager:
     def _recover(self) -> None:
         """Replay the journal: restore finished jobs, re-queue the rest.
 
-        Files are replayed one at a time, oldest first, and only the
+        Jobs are replayed one at a time, oldest first, and only the
         newest :data:`MAX_RETAINED_JOBS` finished jobs stay held.
         """
         for journaled in self.journal.replay():
@@ -431,7 +442,8 @@ class JobManager:
             job.recovered = True
             if job.report_key is not None and job.request.seed is not None:
                 self._reports.put(
-                    job.report_key, (job.report_bytes, job.structural_hash)
+                    job.report_key,
+                    (job.report_bytes, job.structural_hash, job.report_sha),
                 )
                 self._fingerprints.put(
                     journaled.fingerprint or job.request.fingerprint(),
@@ -441,16 +453,26 @@ class JobManager:
                 # Queued or in-flight at crash time (or a done job whose
                 # report bytes were lost): run it again — seeded
                 # requests reproduce the exact bytes by the determinism
-                # contract.
+                # contract.  The journal restates it whole (submitted
+                # and every event) in one append, so a read-back starts
+                # there and never folds an outcome it no longer has.
+                job.journaled = False
                 self._append_event(job, "recovered", state="queued")
+                self._journal_admitted(job)
                 self.admission.push(job.tenant, job, force=True)
             self._register(job)
             self._recovered_jobs += 1
 
-    def _restore(self, journaled: JournaledJob) -> Optional[Job]:
-        """The job a journal file describes: finished, with its outcome
+    def _restore(
+        self, journaled: JournaledJob, report: bool = True
+    ) -> Optional[Job]:
+        """The job the journal describes: finished, with its outcome
         and report bytes, or ``queued`` when it did not finish or its
-        bytes are gone.  ``None`` when its request no longer parses."""
+        bytes are gone.  ``None`` when its request no longer parses.
+
+        ``report=False`` leaves a done job's bytes unread and unverified
+        (for a lookup that does not serve them).
+        """
         try:
             request = api.AuditRequest.from_dict(journaled.request)
         except IndaasError:
@@ -463,21 +485,24 @@ class JobManager:
             journaled=True,
         )
         job.events = list(journaled.events)
-        data = (
-            self.journal.load_report(journaled.report_sha)
-            if journaled.is_terminal and journaled.report_sha is not None
-            else None
-        )
-        if journaled.state in ("failed", "cancelled") or data is not None:
+        data = None
+        if journaled.state == "done" and journaled.report_sha is not None:
+            if report:
+                data = self.journal.load_report(journaled.report_sha)
+            finished = data is not None or not report
+        else:
+            finished = journaled.state in ("failed", "cancelled")
+        if finished:
             job.state = journaled.state
             job.error = journaled.error
             job.cached = journaled.cached
             # Only the difference of the two is ever read.
             job.created, job.finished = 0.0, journaled.elapsed
-            if data is not None:
+            if journaled.state == "done":
                 job.report_bytes = data
                 job.report_key = journaled.report_key
                 job.structural_hash = journaled.structural_hash
+                job.report_sha = journaled.report_sha
         return job
 
     def _cached_report(self, request: api.AuditRequest):
@@ -489,8 +514,8 @@ class JobManager:
         stored = self._reports.get(key)
         if stored is None:
             return None
-        data, digest = stored
-        return data, key, digest
+        data, digest, sha = stored
+        return data, key, digest, sha
 
     def retry_after(self) -> float:
         """Backpressure hint: expected queue drain time, clamped."""
@@ -586,9 +611,6 @@ class JobManager:
             job.report_key = key
             job.structural_hash = result.structural_hash
             self._graphs.put(result.structural_hash, result.graph)
-            if job.request.seed is not None:
-                self._reports.put(key, (data, result.structural_hash))
-                self._fingerprints.put(job.request.fingerprint(), key)
             elapsed = time.monotonic() - job.started
             self._ewma = (
                 elapsed
@@ -602,6 +624,13 @@ class JobManager:
                 structural_hash=result.structural_hash,
                 engine_cache_hit=result.engine_cache_hit,
             )
+            if job.request.seed is not None:
+                # After _finish: a journalled job's bytes are stored by
+                # now, and the cache keeps their address for its hits.
+                self._reports.put(
+                    key, (data, result.structural_hash, job.report_sha)
+                )
+                self._fingerprints.put(job.request.fingerprint(), key)
             self._snapshot_store(job)
 
     def _finish(self, job: Job, state: str, error=None, **fields) -> None:
@@ -612,8 +641,6 @@ class JobManager:
         if error is not None:
             fields["error"] = error
         self._append_event(job, state, state=state, **fields)
-        if self.journal is not None and job.journaled:
-            self.journal.close_job(job.id)
         self._retain(job)
         self._event.notify_all()
 
@@ -627,13 +654,14 @@ class JobManager:
 
     # ----------------------------- queries ---------------------------- #
 
-    def get(self, job_id: str) -> Job:
+    def get(self, job_id: str, report: bool = True) -> Job:
         """The job ``job_id``.
 
         A finished job the manager no longer holds is read back from
-        its journal file and report store, outside the lock.  An id
-        this manager never issued is 404 ``not-found``; one it issued
-        but can no longer read back (no journal, or a degraded one) is
+        the journal and, unless ``report=False``, its report bytes from
+        the report store, outside the lock.  An id this manager never
+        issued is 404 ``not-found``; one it issued but can no longer
+        read back (no journal, a degraded one, or lost report bytes) is
         410 ``expired``.
         """
         with self._event:
@@ -651,7 +679,7 @@ class JobManager:
                 f"unknown job: {job_id}", status=404, code="not-found"
             )
         journaled = self.journal.read(job_id) if readable else None
-        job = None if journaled is None else self._restore(journaled)
+        job = None if journaled is None else self._restore(journaled, report)
         if job is None or not job.is_terminal:
             raise ServiceError(
                 f"job {job_id} has expired", status=410, code="expired"
@@ -660,7 +688,7 @@ class JobManager:
 
     def status(self, job_id: str) -> api.JobStatus:
         """Canonical :class:`~repro.api.JobStatus` snapshot of a job."""
-        return self._status(self.get(job_id))
+        return self._status(self.get(job_id, report=False))
 
     def _status(self, job: Job) -> api.JobStatus:
         with self._event:
@@ -688,7 +716,7 @@ class JobManager:
     def wait(self, job_id: str, timeout: Optional[float] = None) -> api.JobStatus:
         """Block until the job reaches a terminal state (or timeout)."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        job = self.get(job_id)
+        job = self.get(job_id, report=False)
         with self._event:
             while not job.is_terminal:
                 if deadline is None:
@@ -705,10 +733,10 @@ class JobManager:
         """Events past sequence number ``after`` plus a terminal flag.
 
         Blocks up to ``timeout`` for news; the server's
-        ``events/poll`` endpoint calls this in a handler thread.
+        ``events/poll`` endpoint calls this on the connection's thread.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        job = self.get(job_id)
+        job = self.get(job_id, report=False)
         with self._event:
             while len(job.events) <= after and not job.is_terminal:
                 if deadline is None:
@@ -731,7 +759,7 @@ class JobManager:
 
     def cancel(self, job_id: str) -> api.JobStatus:
         """Cancel a job: dequeue it if queued, interrupt it if running."""
-        job = self.get(job_id)
+        job = self.get(job_id, report=False)
         with self._event:
             if not job.is_terminal:
                 job.cancel.set()

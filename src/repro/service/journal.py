@@ -1,9 +1,9 @@
 """Durable write-ahead journal for audit jobs.
 
 ``indaas serve --state-dir DIR`` makes the service crash-safe: every
-job's lifecycle is appended to a per-job JSONL journal with one fsync
-per state change, and finished reports are stored as content-addressed
-files.  A killed server replays the journals on startup
+job's lifecycle is appended to one shared JSONL log with one fsync per
+state change, and finished reports are stored as content-addressed
+files.  A killed server replays the log on startup
 (:meth:`JobJournal.replay`), re-queues jobs that never finished and
 serves already-finished reports byte-identically — by the determinism
 contract, a re-run of a seeded request produces the exact bytes the
@@ -12,13 +12,16 @@ back (:meth:`JobJournal.read`) once it no longer holds it in memory.
 
 Layout under the state directory::
 
-    jobs/<job_id>.jsonl      append-only journal, one record per line
+    journal.jsonl            append-only log of every job, one record per line
     reports/<sha256>.json    content-addressed report bytes
 
-Journal records (each a canonical-JSON line with a ``record`` field):
+Journal records (each a canonical-JSON line with a ``record`` field and
+the ``job_id`` it belongs to; the records of live jobs interleave):
 
 * ``submitted`` — the full :class:`~repro.api.AuditRequest` document,
-  tenant and fingerprint; written once, first.
+  tenant and fingerprint; written first.  A job re-queued by recovery
+  is restated — ``submitted`` again, then every event so far — and
+  read back from its newest ``submitted`` record.
 * ``event`` — one canonical job event, exactly as served to clients.
   The job's terminal event record also carries ``elapsed``, the seconds
   its status reports, so a job read back reports what it did before.
@@ -31,14 +34,23 @@ One state change is one :meth:`JobJournal.append`, one ``write`` and
 one ``fsync``: admission writes ``submitted`` (plus a born-done job's
 ``report``) and the admission events together, completion writes
 ``report`` and ``done`` together, and each progress event is its own
-append.  Crash tolerance: a crash mid-append leaves a prefix of the
-batch ending in at most one partial line; :meth:`replay` stops at the
-first undecodable line and truncates the file back to the last complete
-record, so the journal stays appendable after recovery, and a torn batch
-can replay ``report`` without ``done`` but never ``done`` without the
-``report`` line before it.  Report files are written to a temp name,
-fsync'd, then renamed — a report either exists completely or not at
-all, and its name is the SHA-256 of its bytes (verified on load).
+append.  The log is opened once; its directory is fsync'd once, when
+the file is created.
+
+Startup is one sequential scan of the log that truncates a torn tail,
+sets :attr:`JobJournal.last_number` and builds the read-back index: job
+number → byte offset of the job's ``submitted`` record, 8 bytes per
+job.  :meth:`JobJournal.read` seeks there and folds the job's records
+forward until the terminal event that ended it — the one carrying
+``elapsed`` — or the end of the log.  Crash
+tolerance: a crash mid-append leaves a prefix of the batch ending in at
+most one partial line; the scan stops at the first undecodable line and
+truncates the log back to the last complete record, so the log stays
+appendable after recovery, and a torn batch can replay ``report``
+without ``done`` but never ``done`` without the ``report`` line before
+it.  Report files are written to a temp name, fsync'd, then renamed — a
+report either exists completely or not at all, and its name is the
+SHA-256 of its bytes (verified on load).
 
 Fault injection: appends cross the ``journal.append`` point, where a
 scheduled ``disk-full`` fault raises ``OSError(ENOSPC)`` — the
@@ -51,11 +63,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import threading
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import IO, Iterator, Optional, Union
 
 from repro.api import canonical_json
 from repro.errors import ServiceError
@@ -71,12 +83,10 @@ __all__ = [
 ]
 
 _TERMINAL = frozenset({"done", "failed", "cancelled"})
-_JOB_FILE = re.compile(r"\A(?P<job_id>[\w.-]+)\.jsonl\Z")
-
 
 @dataclass
 class JournaledJob:
-    """One job reconstructed from its journal file."""
+    """One job reconstructed from its journal records."""
 
     job_id: str
     tenant: str = "public"
@@ -103,75 +113,97 @@ def job_number(job_id: str) -> int:
 
 
 class JobJournal:
-    """Append-only, fsync'd journal of every job under one state dir.
+    """Append-only, fsync'd log of every job under one state dir.
 
-    Thread-safe.  One open append handle per live job; terminal jobs
-    are closed (:meth:`close_job`) to bound file descriptors.
+    Thread-safe: appends serialise on a lock, and :meth:`read` opens its
+    own handle, so a read-back never waits for an append.
+
+    Raises :class:`~repro.errors.ServiceError` on a state directory
+    holding the per-job files of the older layout (``jobs/*.jsonl``),
+    which this log does not read.
     """
 
     def __init__(self, state_dir: Union[str, Path]) -> None:
         self.root = Path(state_dir)
-        self.jobs_dir = self.root / "jobs"
+        self.path = self.root / "journal.jsonl"
         self.reports_dir = self.root / "reports"
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
+        old_jobs = self.root / "jobs"
+        if old_jobs.is_dir() and any(old_jobs.glob("*.jsonl")):
+            raise ServiceError(
+                f"state dir {self.root} holds per-job journal files "
+                f"({old_jobs}/*.jsonl) from an older release; this release "
+                f"journals every job to one log, {self.path}, and cannot "
+                f"read them.  Drain those jobs with the older release, or "
+                f"move {old_jobs} aside (its jobs are then lost) or start "
+                f"on an empty --state-dir",
+                code="old-state-layout",
+            )
         self.reports_dir.mkdir(parents=True, exist_ok=True)
-        self._handles: dict[str, object] = {}
+        created = not self.path.exists()
+        self._fd = os.open(
+            self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+        )
+        if created:
+            _fsync_dir(self.root)
         self._lock = threading.Lock()
+        self._torn = False  # bytes past _end from a failed append
+        #: Job number - 1 → offset of the job's newest ``submitted``
+        #: record, -1 for numbers without one.
+        self._offsets = array("q")
+        #: The highest job number with a record in the log (0 if none).
+        self.last_number = 0
+        self._end = self._scan()
 
     # ----------------------------- append ----------------------------- #
 
-    def _job_path(self, job_id: str) -> Path:
-        if not _JOB_FILE.match(f"{job_id}.jsonl"):
-            raise ServiceError(f"unjournalable job id: {job_id!r}")
-        return self.jobs_dir / f"{job_id}.jsonl"
-
     def append(self, job_id: str, *records: dict) -> None:
-        """Durably append one state change's records to a job's journal.
+        """Durably append one state change's records for one job.
 
         The batch is one ``write`` and one ``fsync``, and it only counts
         as written once both complete; a failed append truncates back to
-        the previous end-of-file so a partial batch can never precede a
-        later good one.  Raises ``OSError`` (e.g. ``ENOSPC``) to the
+        the previous end of the log so a partial batch can never precede
+        a later good one.  Raises ``OSError`` (e.g. ``ENOSPC``) to the
         caller, which owns the degrade decision.
         """
-        data = "".join(
-            canonical_json(record) + "\n" for record in records
-        ).encode("utf-8")
+        number = job_number(job_id)
+        if number <= 0:
+            raise ServiceError(f"unjournalable job id: {job_id!r}")
+        lines = [
+            (canonical_json({**record, "job_id": job_id}) + "\n").encode(
+                "utf-8"
+            )
+            for record in records
+        ]
+        data = b"".join(lines)
         with self._lock:
-            handle = self._handles.get(job_id)
-            if handle is None:
-                created = not self._job_path(job_id).exists()
-                handle = open(self._job_path(job_id), "ab")
-                self._handles[job_id] = handle
-                if created:
-                    _fsync_dir(self.jobs_dir)
-            position = handle.tell()
             try:
                 fault_point("journal.append", job_id=job_id)
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
+                if self._torn:
+                    os.ftruncate(self._fd, self._end)
+                    self._torn = False
+                _write_all(self._fd, data)
+                os.fsync(self._fd)
             except OSError:
+                self._torn = True
                 try:
-                    handle.truncate(position)
+                    os.ftruncate(self._fd, self._end)
+                    self._torn = False
                 except OSError:
-                    # Cannot repair in place; drop the handle so a
-                    # later append reopens (and replay re-truncates).
-                    handle.close()
-                    del self._handles[job_id]
+                    pass  # retried before the next append's write
                 raise
-
-    def close_job(self, job_id: str) -> None:
-        with self._lock:
-            handle = self._handles.pop(job_id, None)
-            if handle is not None:
-                handle.close()
+            offset = self._end
+            for record, line in zip(records, lines):
+                if record.get("record") == "submitted":
+                    self._index(number, offset)
+                offset += len(line)
+            self._end = offset
+            self.last_number = max(self.last_number, number)
 
     def close(self) -> None:
         with self._lock:
-            for handle in self._handles.values():
-                handle.close()
-            self._handles.clear()
+            if self._fd >= 0:
+                os.close(self._fd)
+                self._fd = -1
 
     # ------------------------- report store --------------------------- #
 
@@ -210,67 +242,67 @@ class JobJournal:
             return None
         return data
 
-    # ----------------------------- replay ----------------------------- #
+    # ------------------------------ read ------------------------------ #
 
     def replay(self) -> Iterator[JournaledJob]:
-        """Reconstruct every journaled job, oldest first, one at a time.
+        """Reconstruct every journaled job, by job number, one at a time.
 
-        Each file is read as by :meth:`read`, only when the caller asks
-        for its job, so a replay holds one job at a time.
+        Each job is read as by :meth:`read`, only when the caller asks
+        for it, so a replay holds one job at a time.
         """
-        for job_id in self._job_ids():
-            job = self.read(job_id)
-            if job is not None:
-                yield job
+        with open(self.path, "rb") as handle:
+            for offset in self._offsets:
+                if offset < 0:
+                    continue
+                job = _fold(handle, offset)
+                if job is not None:
+                    yield job
 
     def read(self, job_id: str) -> Optional[JournaledJob]:
-        """Reconstruct one job from its journal file.
+        """Reconstruct one job from the log.
 
-        Tolerates (and repairs) a partial trailing line — the signature
-        of a crash mid-append.  ``None`` when there is no file, or when
-        it has no complete ``submitted`` record: the job was never
-        durably admitted, so the client never got an acknowledgement
-        for it.
+        ``None`` when the log holds no complete ``submitted`` record for
+        it: the job was never durably admitted, so the client never got
+        an acknowledgement for it.
         """
-        try:
-            records = self._read_records(self._job_path(job_id))
-        except FileNotFoundError:
+        number = job_number(job_id)
+        if not 0 < number <= len(self._offsets):
             return None
-        return _fold_records(job_id, records)
+        offset = self._offsets[number - 1]
+        if offset < 0:
+            return None
+        with open(self.path, "rb") as handle:
+            return _fold(handle, offset, job_id)
 
-    def last_number(self) -> int:
-        """The highest ``job-NNNNNN`` number with a file (0 if none)."""
-        return max(map(job_number, self._job_ids()), default=0)
+    def _index(self, number: int, offset: int) -> None:
+        missing = number - len(self._offsets)
+        if missing > 0:
+            self._offsets.extend([-1] * missing)
+        self._offsets[number - 1] = offset
 
-    def _job_ids(self) -> list[str]:
-        matches = (
-            _JOB_FILE.match(path.name)
-            for path in self.jobs_dir.glob("*.jsonl")
-        )
-        ids = [match.group("job_id") for match in matches if match]
-        return sorted(ids, key=lambda job_id: (job_number(job_id), job_id))
+    def _scan(self) -> int:
+        """Index the log; truncate a torn tail.  Returns the log's end.
 
-    def _read_records(self, path: Path) -> list[dict]:
-        data = path.read_bytes()
-        records = []
+        Stops at the first line that is partial or does not decode as a
+        JSON object (a zeroed block may not even decode as text):
+        everything after a torn write is suspect.
+        """
         offset = 0
-        for line in data.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break  # partial trailing line: crash mid-append
-            try:
-                record = json.loads(line)
-            except ValueError:
-                # Torn write (a zeroed block may not even decode as
-                # text): everything after is suspect.
-                break
-            if not isinstance(record, dict):
-                break
-            records.append(record)
-            offset += len(line)
-        if offset < len(data):
-            with open(path, "ab") as handle:
-                handle.truncate(offset)
-        return records
+        with open(self.path, "rb") as handle:
+            for line in handle:
+                record = _decode(line)
+                if record is None:
+                    break
+                job_id = record.get("job_id")
+                number = job_number(job_id) if isinstance(job_id, str) else 0
+                if number > 0:
+                    if record.get("record") == "submitted":
+                        self._index(number, offset)
+                    self.last_number = max(self.last_number, number)
+                offset += len(line)
+        if offset < self.path.stat().st_size:
+            os.ftruncate(self._fd, offset)
+        return offset
 
 
 def submitted_record(
@@ -308,40 +340,89 @@ def report_record(
     }
 
 
-def _fold_records(job_id: str, records: list[dict]) -> Optional[JournaledJob]:
-    job = JournaledJob(job_id=job_id)
-    for record in records:
-        kind = record.get("record")
-        if kind == "submitted":
-            job.tenant = record.get("tenant", job.tenant)
-            job.request = record.get("request")
-            job.fingerprint = record.get("fingerprint")
-        elif kind == "event":
-            event = record.get("event")
-            if isinstance(event, dict):
-                job.events.append(event)
-                name = event.get("event")
-                if name in _TERMINAL:
-                    job.state = name
-                    error = event.get("error")
-                    if isinstance(error, dict):
-                        job.error = error
-                    elapsed = record.get("elapsed")
-                    if isinstance(elapsed, float):
-                        job.elapsed = elapsed
-                elif name == "started":
-                    job.state = "running"
-                elif name in ("queued", "recovered"):
-                    job.state = "queued"
-                if name == "cache_hit":
-                    job.cached = True
-        elif kind == "report":
-            job.report_sha = record.get("sha256")
-            job.report_key = record.get("report_key")
-            job.structural_hash = record.get("structural_hash")
-    if job.request is None:
+def _decode(line: bytes) -> Optional[dict]:
+    """One complete log line as a record; ``None`` for a torn one."""
+    if not line.endswith(b"\n"):
+        return None  # partial trailing line: crash mid-append
+    try:
+        record = json.loads(line)
+    except ValueError:
         return None
-    return job
+    return record if isinstance(record, dict) else None
+
+
+def _fold(
+    handle: IO[bytes], offset: int, job_id: Optional[str] = None
+) -> Optional[JournaledJob]:
+    """Fold the records of the job whose ``submitted`` record starts at
+    ``offset``, up to the event that ended it or the end of the log.
+
+    ``None`` when the record there is not that job's (``job_id`` given)
+    or names no request.
+    """
+    handle.seek(offset)
+    first = _decode(handle.readline())
+    if first is None or first.get("record") != "submitted":
+        return None
+    if job_id is not None and first.get("job_id") != job_id:
+        return None
+    job = JournaledJob(job_id=first["job_id"])
+    _apply(job, first)
+    # Canonical JSON writes a record's tag as exactly these bytes, so
+    # the other jobs' lines are skipped without being decoded.
+    tag = canonical_json({"job_id": job.job_id})[1:-1].encode("utf-8")
+    for line in handle:
+        if tag not in line:
+            continue
+        record = _decode(line)
+        if record is None:
+            break  # an append still being written
+        if record.get("job_id") == job.job_id and _apply(job, record):
+            break
+    return job if job.request is not None else None
+
+
+def _apply(job: JournaledJob, record: dict) -> bool:
+    """Fold one record into ``job``; True once the job has ended."""
+    kind = record.get("record")
+    if kind == "submitted":
+        job.events.clear()  # a restatement repeats every event
+        job.tenant = record.get("tenant", job.tenant)
+        job.request = record.get("request")
+        job.fingerprint = record.get("fingerprint")
+    elif kind == "event":
+        event = record.get("event")
+        if isinstance(event, dict):
+            job.events.append(event)
+            name = event.get("event")
+            if name in _TERMINAL:
+                job.state = name
+                error = event.get("error")
+                if isinstance(error, dict):
+                    job.error = error
+                elapsed = record.get("elapsed")
+                if isinstance(elapsed, float):
+                    # Written only by the append that ended the job; a
+                    # restatement repeats an outcome without it.
+                    job.elapsed = elapsed
+                    return True
+            elif name == "started":
+                job.state = "running"
+            elif name in ("queued", "recovered"):
+                job.state = "queued"
+            if name == "cache_hit":
+                job.cached = True
+    elif kind == "report":
+        job.report_sha = record.get("sha256")
+        job.report_key = record.get("report_key")
+        job.structural_hash = record.get("structural_hash")
+    return False
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _fsync_dir(path: Path) -> None:

@@ -3,9 +3,9 @@
 The router maps ``(method, path)`` to handlers on a
 :class:`~repro.service.jobs.JobManager` and renders every outcome —
 success or failure — as a canonical :mod:`repro.api` document.  It knows
-nothing about sockets: the asyncio front-end in
-:mod:`repro.service.server` calls :meth:`Router.dispatch` from a worker
-thread and writes whatever :class:`Response` comes back.
+nothing about sockets: the HTTP front end in :mod:`repro.service.server`
+calls :meth:`Router.dispatch` on each connection's own thread and
+writes whatever :class:`Response` comes back.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _utf8(body: bytes, what: str) -> str:
         ) from exc
 
 
-def _error_response(exc: ServiceError) -> Response:
+def error_response(exc: ServiceError) -> Response:
     headers = {}
     if exc.retry_after is not None:
         headers["Retry-After"] = str(max(1, round(exc.retry_after)))
@@ -147,7 +147,7 @@ class Router:
                 f"no such endpoint: {path}", status=404, code="not-found"
             )
         except ServiceError as exc:
-            return _error_response(exc)
+            return error_response(exc)
         except IndaasError as exc:
             return _json_response(
                 400, api.error_body("bad-request", str(exc))
@@ -210,9 +210,11 @@ class Router:
         )
 
     def job_report(self, job_id: str, **_) -> Response:
+        # One lookup: a job the manager no longer holds is read back
+        # (and its report bytes verified) once per request.
         job = self.manager.get(job_id)
-        status = self.manager.status(job_id)
-        if status.state == "failed":
+        state = job.state
+        if state == "failed":
             return _json_response(
                 409,
                 api.error_body(
@@ -221,14 +223,14 @@ class Router:
                     job_id=job_id,
                 ),
             )
-        if status.state == "cancelled":
+        if state == "cancelled":
             return _json_response(
                 409, api.error_body("job-cancelled", "job was cancelled",
                                     job_id=job_id),
             )
         if job.report_bytes is None:
             raise ServiceError(
-                f"job {job_id} is {status.state}; report not ready",
+                f"job {job_id} is {state}; report not ready",
                 status=404,
                 code="not-ready",
                 retry_after=self.manager.retry_after(),

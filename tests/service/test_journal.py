@@ -12,7 +12,9 @@ import json
 import pytest
 
 from repro import api
+from repro.errors import ServiceError
 from repro.service import JobManager
+from repro.service import jobs as jobs_module
 from repro.service import journal as journal_module
 from repro.service.journal import (
     JobJournal,
@@ -57,6 +59,15 @@ def count_fsyncs(monkeypatch) -> list:
     return synced
 
 
+def retention_view(manager: JobManager, job_id: str) -> tuple:
+    """What a client reads of a job: status, events and report bytes."""
+    return (
+        manager.status(job_id).to_dict(),
+        manager.events_after(job_id, 0),
+        manager.get(job_id).report_bytes,
+    )
+
+
 def submitted(job_id: str) -> dict:
     return submitted_record(job_id, "t", {"kind": "audit_request"}, None)
 
@@ -98,7 +109,7 @@ class TestJobJournal:
         journal.append("job-000001", submitted("job-000001"))
         journal.append("job-000001", queued("job-000001"))
         journal.close()
-        path = tmp_path / "jobs" / "job-000001.jsonl"
+        path = tmp_path / "journal.jsonl"
         intact = path.read_bytes()
         # A crash mid-append leaves half a line, no newline.
         path.write_bytes(intact + b'{"record": "event", "ev')
@@ -110,7 +121,7 @@ class TestJobJournal:
         journal = JobJournal(tmp_path)
         journal.append("job-000001", submitted("job-000001"))
         journal.close()
-        path = tmp_path / "jobs" / "job-000001.jsonl"
+        path = tmp_path / "journal.jsonl"
         good = path.read_bytes()
         path.write_bytes(good + b'{"torn": \n{"record": "event"}\n')
         jobs = list(JobJournal(tmp_path).replay())
@@ -129,7 +140,7 @@ class TestJobJournal:
         journal = JobJournal(tmp_path)
         journal.append("job-000001", submitted("job-000001"))
         journal.close()
-        path = tmp_path / "jobs" / "job-000001.jsonl"
+        path = tmp_path / "journal.jsonl"
         good = path.read_bytes()
         path.write_bytes(good + bytes(10) + b"\n")
         jobs = list(JobJournal(tmp_path).replay())
@@ -157,7 +168,7 @@ class TestJobJournal:
     ):
         journal = JobJournal(tmp_path)
         journal.append("job-000001", submitted("job-000001"))
-        path = tmp_path / "jobs" / "job-000001.jsonl"
+        path = tmp_path / "journal.jsonl"
         before = path.read_bytes()
         batch = (
             report_record("a" * 64, "k", "h"),
@@ -306,7 +317,7 @@ class TestManagerRecovery:
         job = first.submit(request)
         first.run_pending()
         crash(first)
-        path = tmp_path / "jobs" / f"{job.id}.jsonl"
+        path = tmp_path / "journal.jsonl"
         submitted = json.loads(path.read_text().splitlines()[0])
         assert submitted["fingerprint"] is None
 
@@ -331,30 +342,48 @@ class TestManagerRecovery:
 class TestOneFsyncPerStateChange:
     """Each state change is one append: one write, one fsync."""
 
-    def test_born_done_job_costs_two_fsyncs(self, tmp_path, monkeypatch):
+    def test_the_log_is_created_with_one_directory_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        synced = count_fsyncs(monkeypatch)
+        JobJournal(tmp_path).close()
+        assert len(synced) == 1
+        JobJournal(tmp_path).close()  # reopened, not created
+        assert len(synced) == 1
+
+    def test_born_done_job_costs_one_fsync(self, tmp_path, monkeypatch):
         request = make_request(seed=92)
         manager = manager_with(tmp_path)
         manager.submit(request)
         manager.run_pending()
         synced = count_fsyncs(monkeypatch)
+        stored = []
+        store_report = JobJournal.store_report
+
+        def counting_store(journal, data):
+            stored.append(data)
+            return store_report(journal, data)
+
+        monkeypatch.setattr(JobJournal, "store_report", counting_store)
         repeat = manager.submit(request)
         assert repeat.cached
-        # The new file's directory, then submitted + report + the three
-        # admission events in one append; the report bytes are already
-        # stored.
-        assert len(synced) == 2
+        # Submitted + report + the three admission events in one
+        # append; the cache knows the stored bytes' address, so they
+        # are neither hashed nor looked up again.
+        assert len(synced) == 1
+        assert stored == []
         manager.shutdown()
 
-    def test_cold_job_costs_eight_fsyncs(self, tmp_path, monkeypatch):
-        synced = count_fsyncs(monkeypatch)
+    def test_cold_job_costs_seven_fsyncs(self, tmp_path, monkeypatch):
         manager = manager_with(tmp_path)
+        synced = count_fsyncs(monkeypatch)  # the log exists from here
         job = manager.submit(make_request(seed=93))
         manager.run_pending()
         assert manager.get(job.id).state == "done"
-        # Directory + admission (submitted, submitted/queued events),
-        # started, compiled, audited, the report bytes and their
-        # directory, then report + done in one append.
-        assert len(synced) == 8
+        # Admission (submitted, submitted/queued events), started,
+        # compiled, audited, the report bytes and their directory, then
+        # report + done in one append.
+        assert len(synced) == 7
         manager.shutdown()
 
     @pytest.mark.parametrize(
@@ -367,7 +396,7 @@ class TestOneFsyncPerStateChange:
         job = first.submit(request)
         first.run_pending()
         crash(first)
-        path = tmp_path / "jobs" / f"{job.id}.jsonl"
+        path = tmp_path / "journal.jsonl"
         *head, report, done = path.read_bytes().splitlines(keepends=True)
         assert json.loads(report)["record"] == "report"
         assert json.loads(done)["event"]["event"] == "done"
@@ -459,3 +488,121 @@ class TestJournalDegradation:
             assert restored.state == "done"
             assert restored.report_bytes == direct_bytes(request)
         recovered.shutdown()
+
+
+def log_job_ids(path) -> list:
+    """The job id of every record in the log, in log order."""
+    return [json.loads(line)["job_id"] for line in path.read_bytes().splitlines()]
+
+
+class TestOneLog:
+    """Every job's records go to one log, read back through an index."""
+
+    def test_interleaved_jobs_replay_and_read_back_byte_identically(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_module, "MAX_RETAINED_JOBS", 1)
+        first = manager_with(tmp_path)
+        a = first.submit(make_request(seed=101))
+        b = first.submit(make_request(seed=102))  # queued behind a
+        first.run_pending(max_jobs=1)  # a runs and finishes
+        c = first.submit(make_request(seed=101))  # a cache hit of a
+        first.run_pending()  # b runs and finishes
+        d = first.submit(make_request(seed=103))
+        first.run_pending()
+        ids = log_job_ids(tmp_path / "journal.jsonl")
+        # b's records straddle a's and c's: the jobs really interleave.
+        first_b, last_b = ids.index(b.id), len(ids) - 1 - ids[::-1].index(b.id)
+        assert {a.id, c.id} <= set(ids[first_b:last_b])
+        assert set(first._jobs) == {d.id}  # a, b and c were dropped
+        served = {job.id: retention_view(first, job.id) for job in (a, b, c, d)}
+        assert served[c.id][0]["cached"] is True
+        crash(first)
+
+        second = manager_with(tmp_path)
+        for job_id, before in served.items():
+            assert retention_view(second, job_id) == before
+        second.shutdown()
+
+    def test_a_rerun_job_reads_back_its_rerun(self, tmp_path, monkeypatch):
+        # A done job whose report bytes were lost is re-queued and run
+        # again; read back after that, it must answer the re-run's
+        # events, not stop at the first run's `done`.
+        monkeypatch.setattr(jobs_module, "MAX_RETAINED_JOBS", 1)
+        first = manager_with(tmp_path)
+        job = first.submit(make_request(seed=105))
+        first.run_pending()
+        crash(first)
+        for path in (tmp_path / "reports").glob("*.json"):
+            path.unlink()
+
+        second = manager_with(tmp_path)
+        second.run_pending()
+        before = retention_view(second, job.id)
+        assert "recovered" in [e["event"] for e in before[1][0]]
+        second.submit(make_request(seed=106))
+        second.run_pending()  # drops the re-run job
+        assert job.id not in second._jobs
+        assert retention_view(second, job.id) == before
+        crash(second)
+
+        third = manager_with(tmp_path)
+        assert retention_view(third, job.id) == before
+        third.shutdown()
+
+    @pytest.mark.parametrize("tail", ["partial", "zeroed"])
+    def test_a_torn_last_line_is_cut_and_the_log_stays_appendable(
+        self, tmp_path, tail
+    ):
+        journal = JobJournal(tmp_path)
+        journal.append("job-000001", submitted("job-000001"))
+        journal.append("job-000002", submitted("job-000002"))
+        journal.close()
+        path = tmp_path / "journal.jsonl"
+        intact = path.read_bytes()
+        torn = {"partial": b'{"job_id": "job-000001", "rec', "zeroed": bytes(7)}
+        path.write_bytes(intact + torn[tail])
+
+        journal = JobJournal(tmp_path)
+        assert path.read_bytes() == intact
+        assert journal.last_number == 2
+        journal.append("job-000001", queued("job-000001"))
+        journal.append("job-000003", submitted("job-000003"))
+        journal.close()
+        jobs = {job.job_id: job for job in JobJournal(tmp_path).replay()}
+        assert sorted(jobs) == ["job-000001", "job-000002", "job-000003"]
+        assert len(jobs["job-000001"].events) == 1
+
+    def test_read_seeks_to_the_jobs_own_records(self, tmp_path):
+        journal = JobJournal(tmp_path)
+        for number in (1, 2):
+            journal.append(f"job-00000{number}", submitted(f"job-00000{number}"))
+        journal.append("job-000002", queued("job-000002"))
+        journal.append("job-000001", queued("job-000001"))
+        done = event_record(api.job_event("done", seq=3, job_id="job-000001"))
+        journal.append("job-000001", done)
+        journal.append("job-000002", done)  # another job's record
+        for reader in (journal, JobJournal(tmp_path)):  # live, rescanned
+            one = reader.read("job-000001")
+            assert (one.state, len(one.events)) == ("done", 2)
+            two = reader.read("job-000002")
+            assert [e["event"] for e in two.events] == ["queued", "done"]
+            assert reader.read("job-000003") is None
+            assert reader.read("job-1") is None  # same number, not its id
+        journal.close()
+
+    def test_every_record_names_its_job(self, tmp_path):
+        manager = manager_with(tmp_path)
+        job = manager.submit(make_request(seed=104))
+        manager.run_pending()
+        manager.shutdown()
+        assert set(log_job_ids(tmp_path / "journal.jsonl")) == {job.id}
+
+    def test_an_old_layout_state_dir_is_refused(self, tmp_path):
+        (tmp_path / "jobs").mkdir()
+        (tmp_path / "jobs" / "job-000001.jsonl").write_text("{}\n")
+        with pytest.raises(ServiceError) as caught:
+            manager_with(tmp_path)
+        assert caught.value.code == "old-state-layout"
+        assert "jobs" in str(caught.value)
+        assert not (tmp_path / "journal.jsonl").exists()

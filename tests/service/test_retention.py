@@ -15,8 +15,9 @@ import pytest
 
 from repro import api
 from repro.errors import Backpressure, ServiceError
-from repro.service import JobManager, ServiceThread
+from repro.service import JobManager, Router, ServiceThread
 from repro.service import jobs as jobs_module
+from repro.service.journal import JobJournal
 from repro.testing.faults import Fault, FaultInjector, FaultSchedule
 
 from tests.service.conftest import make_request
@@ -139,6 +140,60 @@ class TestJournaledManager:
         assert manager.stats()["journal"]["degraded"] is True
         expect_error(lambda: manager.get("job-000001"), 410, "expired")
         manager.shutdown()
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Record every call of ``owner.name`` from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestOneReadBackPerRequest:
+    """A dropped job is read back once per request, and its report
+    bytes are loaded only by the route that sends them."""
+
+    @pytest.fixture
+    def dropped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_RETAINED_JOBS", 1)
+        manager = JobManager(workers=0, state_dir=tmp_path)
+        first = manager.submit(make_request(seed=1))
+        manager.run_pending()
+        manager.submit(make_request(seed=2))
+        manager.run_pending()
+        assert first.id not in manager._jobs
+        yield manager, first
+        manager.shutdown()
+
+    def test_the_report_route_reads_the_job_once(self, dropped, monkeypatch):
+        manager, first = dropped
+        reads = count_calls(monkeypatch, JobJournal, "read")
+        loads = count_calls(monkeypatch, JobJournal, "load_report")
+        response = Router(manager).dispatch(
+            "GET", f"/v1/jobs/{first.id}/report", b""
+        )
+        assert (response.status, response.body) == (200, first.report_bytes)
+        assert (len(reads), len(loads)) == (1, 1)
+
+    def test_the_status_route_loads_no_report(self, dropped, monkeypatch):
+        manager, first = dropped
+        reads = count_calls(monkeypatch, JobJournal, "read")
+        loads = count_calls(monkeypatch, JobJournal, "load_report")
+        response = Router(manager).dispatch("GET", f"/v1/jobs/{first.id}", b"")
+        assert response.status == 200
+        assert json.loads(response.body)["state"] == "done"
+        assert (len(reads), len(loads)) == (1, 0)
+        # Nor does any other lookup that sends no report bytes.
+        manager.status(first.id)
+        manager.events_after(first.id, 0)
+        manager.cancel(first.id)
+        assert (len(reads), len(loads)) == (4, 0)
 
 
 class TestWithoutJournal:
