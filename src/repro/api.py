@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -161,6 +162,7 @@ class AuditRequest:
         servers: The redundant servers of the candidate deployment.
         depdb: The dependency data as an inline Table-1 DepDB dump —
             the request carries everything needed to execute it.
+            Interned, so requests of one text share one string.
         deployment: Deployment name (defaults to the joined servers).
         required: Live servers needed to survive (n of n-of-m).
         algorithm: ``"minimal"`` or ``"sampling"``.
@@ -215,6 +217,7 @@ class AuditRequest:
             raise SpecificationError(
                 "audit_request.depdb must be a non-empty DepDB dump"
             )
+        object.__setattr__(self, "depdb", sys.intern(str(self.depdb)))
         if self.algorithm not in ("minimal", "sampling"):
             raise SpecificationError(
                 "audit_request.algorithm must be minimal|sampling, "
@@ -598,10 +601,6 @@ class ExecutionResult:
     audit: object  # repro.core.report.DeploymentAudit
     graph: object  # repro.core.faultgraph.FaultGraph
     structural_hash: str
-    #: Whether the audit came from the engine's result cache (an
-    #: earlier execution of an equivalent request on the same engine)
-    #: rather than being computed; the audit is bit-identical either way.
-    engine_cache_hit: bool = False
     delta: Optional[object] = None  # repro.engine.incremental.GraphDelta
 
 
@@ -615,14 +614,14 @@ def execute_request(
 
     The CLI, the library front doors and the HTTP server all execute
     through here, which is what makes their reports bit-identical for
-    the same request: one code path builds the graph and audits it
-    through the engine's result cache.
+    the same request: one code path builds the graph and audits it.
+    It keeps no result (the service's report store answers repeats), so
+    the engine's result cache is neither read nor filled.
 
     Args:
         request: The request to execute.
-        engine: Optional :class:`~repro.engine.AuditEngine`, whose
-            content-addressed result cache serves repeat audits; a
-            private inline engine is used otherwise.
+        engine: Optional :class:`~repro.engine.AuditEngine` to compile
+            and sample on; a private inline engine is used otherwise.
         progress: Optional callback ``progress(stage, **fields)``
             invoked at ``compiled`` (graph built, structural hash known)
             and ``audited`` (result ready) stages.
@@ -631,18 +630,13 @@ def execute_request(
             delta is reported, never applied — results don't change.
     """
     from repro.engine.cache import structural_hash as graph_hash
-    from repro.engine.facade import AuditEngine
     from repro.engine.incremental import graph_delta
 
-    if engine is None:
-        engine = AuditEngine(n_workers=1)
     job = request.to_job()
     auditor = job.auditor(engine)
     graph = auditor.build_graph(job.spec)
     digest = graph_hash(graph)
-    delta = None
-    if base_graph is not None:
-        delta = graph_delta(base_graph, graph)
+    delta = None if base_graph is None else graph_delta(base_graph, graph)
     if progress is not None:
         progress(
             "compiled",
@@ -650,15 +644,11 @@ def execute_request(
             events=len(graph.events()),
             **({"delta": delta.to_dict()} if delta is not None else {}),
         )
-    audit_result, hit = engine._audit_hashed(auditor, graph, digest, job.spec)
+    audit_result = auditor.audit_graph(graph, job.spec)
     if progress is not None:
-        progress("audited", engine_cache_hit=hit)
+        progress("audited")
     return ExecutionResult(
-        audit=audit_result,
-        graph=graph,
-        structural_hash=digest,
-        engine_cache_hit=hit,
-        delta=delta,
+        audit=audit_result, graph=graph, structural_hash=digest, delta=delta
     )
 
 

@@ -228,6 +228,10 @@ class CompiledGraph:
             ``evaluate_batch(return_all=True)`` transposed and packed:
             OR gates are word-wise ``|`` over children, AND gates ``&``,
             and k-of-n gates a bit-sliced popcount comparison.
+
+        Gates are evaluated a :attr:`witness_plan` run at a time, runs
+        children-first: no gate of a run feeds another, so an OR or AND
+        run is one gather and one reduction.
         """
         packed = np.ascontiguousarray(packed, dtype=_WORD)
         if packed.ndim != 2 or packed.shape[0] != self.n_basic:
@@ -237,19 +241,14 @@ class CompiledGraph:
         width = packed.shape[1]
         words = np.zeros((self.n_nodes, width), dtype=_WORD)
         words[self.basic_index] = packed
-        offs = self.child_offsets
-        flat = self.flat_children
-        thresholds = self.thresholds
-        for i in self.gate_order:
-            kids = flat[offs[i]:offs[i + 1]]
-            k = int(thresholds[i])
-            child_words = words[kids]
+        for k, gates, kids in reversed(self.witness_plan):
             if k <= 1:
-                words[i] = np.bitwise_or.reduce(child_words, axis=0)
-            elif k >= kids.size:
-                words[i] = np.bitwise_and.reduce(child_words, axis=0)
+                words[gates] = np.bitwise_or.reduce(words[kids], axis=1)
+            elif k >= kids.shape[1]:
+                words[gates] = np.bitwise_and.reduce(words[kids], axis=1)
             else:
-                words[i] = _threshold_words(child_words, k)
+                for gate, row in zip(gates, kids):
+                    words[gate] = _threshold_words(words[row], k)
         return words
 
     def unpack_node_major(

@@ -20,8 +20,9 @@ hands them to the rest of the system behind a small API:
   where it is bit-identical to a cold recomputation.
 
 Consumers: :class:`~repro.engine.audit.SIAAuditor` (pass ``engine=``),
-:func:`repro.api.execute_request`, the audit service, ``indaas watch``
-and the ``indaas audit-many`` CLI verb.  :class:`FailureSampler`, the
+:func:`repro.api.execute_request` and the audit service (graph cache and
+sampling only, never the result cache), ``indaas watch`` and the
+``indaas audit-many`` CLI verb.  :class:`FailureSampler`, the
 §4.1.2 sampler of one graph with a run counter of its own, is a front
 over :meth:`AuditEngine.sample`.
 """
@@ -407,9 +408,8 @@ class AuditEngine:
     ) -> tuple:
         """Audit an already-built graph through the result cache.
 
-        Returns ``(audit, hit)``.  Callers that already hold the graph's
-        structural hash (:func:`repro.api.execute_request`,
-        :meth:`audit_store`) use :meth:`_audit_hashed` instead.
+        Returns ``(audit, hit)``.  :meth:`audit_store`, which already
+        holds the graph's structural hash, uses :meth:`_audit_hashed`.
         """
         return self._audit_hashed(auditor, graph, structural_hash(graph), spec)
 
@@ -689,6 +689,7 @@ class AuditEngine:
             "cpu_count": os.cpu_count(),
             "cache": self.cache.info(),
             "audits": self._audits.info(),
+            "stores": self._stores.info(),
             "pool": (
                 self.pool.stats()
                 if self.pool is not None

@@ -1,14 +1,15 @@
 """Job lifecycle for the audit service.
 
 A :class:`JobManager` owns one shared
-:class:`~repro.engine.facade.AuditEngine` (and with it the engine's
-audit result cache) and a pool of worker threads.  Submissions come in
+:class:`~repro.engine.facade.AuditEngine` (its graph cache and worker
+pool) and a pool of worker threads.  Submissions come in
 as canonical :class:`~repro.api.AuditRequest` objects and move through the
 :data:`~repro.api.JOB_STATES` lifecycle; every transition appends a
 canonical :func:`~repro.api.job_event` to the job's event log, which
 the server's long-poll endpoint pages through.
 
-Content addressing (two levels, both exact):
+Content addressing (two levels, both exact) is the service's one result
+cache; the engine's is left unused:
 
 * **Request fingerprint** — hash of every output-shaping request field
   including the DepDB text.  A fingerprint hit is decided at submit
@@ -104,8 +105,8 @@ class JobManager:
     """Thread-based executor behind the HTTP front-end.
 
     Args:
-        engine: Shared :class:`~repro.engine.facade.AuditEngine`, whose
-            result cache serves repeat audits (a private one is created
+        engine: Shared :class:`~repro.engine.facade.AuditEngine` the
+            jobs compile and sample on (a private one is created
             otherwise).
         workers: Worker threads, ``>= 0``.  ``0`` runs no threads — tests
             drive execution deterministically with :meth:`run_pending`.
@@ -622,7 +623,6 @@ class JobManager:
                 "done",
                 report_key=key,
                 structural_hash=result.structural_hash,
-                engine_cache_hit=result.engine_cache_hit,
             )
             if job.request.seed is not None:
                 # After _finish: a journalled job's bytes are stored by
@@ -770,8 +770,10 @@ class JobManager:
         return self._status(job)
 
     def stats(self) -> dict:
-        """Service health counters (the ``/v1/healthz`` body)."""
+        """Service health counters (the ``/v1/healthz`` body); ``caches``
+        is the census of its four LRUs and the engine's three."""
         with self._event:
+            engine = self.engine.info()
             return {
                 "queued": len(self.admission),
                 "running": self._running,
@@ -782,7 +784,6 @@ class JobManager:
                     if count
                 },
                 "cache_hits": self._cache_hits,
-                "reports_cached": len(self._reports),
                 "closed": self._closed,
                 "journal": {
                     "enabled": self.journal is not None,
@@ -794,7 +795,16 @@ class JobManager:
                     "durable": self.stores.durable,
                     "tenants": self.stores.tenants(),
                 },
-                "pool": self.engine.info()["pool"],
+                "pool": engine["pool"],
+                "caches": {
+                    "reports": self._reports.info(),
+                    "fingerprints": self._fingerprints.info(),
+                    "base_graphs": self._graphs.info(),
+                    "idempotency": self._idempotency.info(),
+                    "engine_graphs": engine["cache"],
+                    "engine_audits": engine["audits"],
+                    "engine_stores": engine["stores"],
+                },
             }
 
     # ---------------------------- shutdown ---------------------------- #

@@ -109,7 +109,7 @@ class TestExecutorSeesCanonicalRequests:
                 metadata={"client": "alice"},
             )
 
-    def test_engine_backed_executor_serves_repeats_from_its_lru(
+    def test_engine_backed_executor_keeps_no_results_in_its_lru(
         self, lab_sources
     ):
         with AuditEngine(n_workers=0) as engine:
@@ -118,8 +118,12 @@ class TestExecutorSeesCanonicalRequests:
                 audit=functools.partial(api.run_request, engine=engine),
             )
             first = agent.handle(lab_request())
-            assert engine.info()["audits"]["hits"] == 0
             again = agent.handle(lab_request())
-            assert engine.info()["audits"]["hits"] == len(DEPLOYMENTS)
+            assert engine.info()["audits"]["entries"] == 0
+            request = api.AuditRequest(servers=DEPLOYMENTS[0], depdb=DEPDB)
+            job = request.to_job()
+            audited = engine.audit_spec(job.depdb, job.spec)
+            assert engine.audit_spec(job.depdb, job.spec) is audited
+            assert engine.info()["audits"]["hits"] == 1
         assert again == first
         assert first == AuditingAgent(lab_sources).handle(lab_request())

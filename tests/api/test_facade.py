@@ -108,13 +108,13 @@ class TestAuditFrontDoor:
         with pytest.raises(SpecificationError, match="depdb"):
             repro.audit(42, ["S1"])
 
-    def test_delta_engine_serves_repeat_from_cache(self):
+    def test_repeat_is_byte_identical_and_leaves_the_result_cache_empty(self):
+        """``execute_request`` neither fills nor reads the engine's result
+        cache; ``audit_spec`` on the same engine still goes through it."""
         engine = AuditEngine()
         request = api.AuditRequest(servers=("S1", "S2"), depdb=DEPDB, seed=4)
         cold = api.execute_request(request, engine=engine)
         warm = api.execute_request(request, engine=engine)
-        assert not cold.engine_cache_hit
-        assert warm.engine_cache_hit
         assert (
             api.report_for_request(request, cold.audit, cold.structural_hash)
             .to_json()
@@ -122,6 +122,20 @@ class TestAuditFrontDoor:
                 request, warm.audit, warm.structural_hash
             ).to_json()
         )
+        assert engine.info()["audits"]["entries"] == 0
+        job = request.to_job()
+        first = engine.audit_spec(job.depdb, job.spec)
+        assert engine.audit_spec(job.depdb, job.spec) is first
+        assert engine.info()["audits"]["hits"] == 1
+        assert first.to_dict() == cold.audit.to_dict()
+
+    def test_one_shot_audit_leaves_the_result_cache_empty(self):
+        engine = AuditEngine()
+        report = repro.audit(DEPDB, ["S1", "S2"], seed=4, engine=engine)
+        assert repro.audit(DEPDB, ["S1", "S2"], seed=4, engine=engine) == report
+        assert engine.info()["audits"] == {
+            "entries": 0, "maxsize": 1024, "hits": 0, "misses": 0,
+        }
 
 
 class TestExecuteRequest:

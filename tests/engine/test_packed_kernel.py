@@ -18,6 +18,7 @@ outcome and generator state for generator state.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.compile import (
@@ -26,6 +27,8 @@ from repro.core.compile import (
     pack_rounds,
     unpack_rounds,
 )
+from repro.core.events import GateType
+from repro.core.faultgraph import FaultGraph
 from repro.engine.batch import (
     BlockOutcome,
     _finish_block,
@@ -157,6 +160,29 @@ def test_evaluate_batch_packed_matches_boolean(graph, rounds, seed):
     failing = np.flatnonzero(values[:, compiled.top_index])
     np.testing.assert_array_equal(
         compiled.unpack_assignments(node_words, failing), values[failing]
+    )
+
+
+@pytest.mark.parametrize(
+    "gate, k", [(GateType.OR, None), (GateType.AND, None), (GateType.K_OF_N, 2)]
+)
+def test_evaluate_batch_packed_resolves_a_run_of_like_gates(gate, k):
+    """One run of three like gates over different children evaluates
+    gate by gate to what the boolean path finds."""
+    g = FaultGraph("run")
+    for i in range(6):
+        g.add_basic_event(f"L{i}")
+    gates = [
+        g.add_gate(f"g{j}", gate, [f"L{(2 * j + m) % 6}" for m in range(3)], k=k)
+        for j in range(3)
+    ]
+    g.add_gate("top", GateType.OR, gates, top=True)
+    compiled = CompiledGraph(g)
+    assert [len(run) for _k, run, _kids in compiled.witness_plan] == [1, 3]
+    failures = np.random.default_rng(5).random((200, compiled.n_basic)) < 0.5
+    np.testing.assert_array_equal(
+        unpack_rounds(compiled.evaluate_batch_packed(pack_rounds(failures)), 200),
+        compiled.evaluate_batch(failures, return_all=True),
     )
 
 

@@ -76,6 +76,22 @@ def queued(job_id: str) -> dict:
     return event_record(api.job_event("queued", seq=2, job_id=job_id))
 
 
+#: One cold job of ``make_request()`` as a release whose ``audited`` and
+#: ``done`` events carried ``engine_cache_hit`` journalled it.
+EARLIER_RELEASE_LOG = r"""{"fingerprint":"0516c3937bf347df44cb4a39e4e3f2202a8798fca3c2863a17402765e2c862dc","job_id":"job-000001","record":"submitted","request":{"adaptive":false,"algorithm":"minimal","base":null,"depdb":"<src=\"S1\" dst=\"Internet\" route=\"ToR1,Core1\"/>\n<src=\"S2\" dst=\"Internet\" route=\"ToR1,Core1\"/>\n<src=\"S3\" dst=\"Internet\" route=\"ToR2,Core2\"/>\n","deployment":"S1 & S3","kind":"audit_request","max_order":null,"metadata":{},"probability":null,"ranking":"size","required":1,"rounds":100000,"sample_probability":0.5,"schema_version":1,"seed":7,"servers":["S1","S3"],"tenant":"default","top_n":null},"tenant":"default"}
+{"event":{"event":"submitted","job_id":"job-000001","kind":"event","schema_version":1,"seq":1,"tenant":"default"},"job_id":"job-000001","record":"event"}
+{"event":{"event":"queued","job_id":"job-000001","kind":"event","queue_position":0,"schema_version":1,"seq":2},"job_id":"job-000001","record":"event"}
+{"event":{"event":"started","job_id":"job-000001","kind":"event","schema_version":1,"seq":3,"state":"running"},"job_id":"job-000001","record":"event"}
+{"event":{"event":"compiled","events":13,"job_id":"job-000001","kind":"event","schema_version":1,"seq":4,"structural_hash":"61ce0e5e9311fef5a318c1c7bcdb5b9280203b5ecf84e6cb9d19efad79cd31fb"},"job_id":"job-000001","record":"event"}
+{"event":{"engine_cache_hit":false,"event":"audited","job_id":"job-000001","kind":"event","schema_version":1,"seq":5},"job_id":"job-000001","record":"event"}
+{"job_id":"job-000001","record":"report","report_key":"6d55790205d1c7e16b7e6ebcb5165dc8f4e872cb828cb331782a02c1bc6f9de1","sha256":"2a560e253a47499110d714f8609f44cdbc36a538530911e633a9d61facbf532e","structural_hash":"61ce0e5e9311fef5a318c1c7bcdb5b9280203b5ecf84e6cb9d19efad79cd31fb"}
+{"elapsed":0.0016885910008568317,"event":{"engine_cache_hit":false,"event":"done","job_id":"job-000001","kind":"event","report_key":"6d55790205d1c7e16b7e6ebcb5165dc8f4e872cb828cb331782a02c1bc6f9de1","schema_version":1,"seq":6,"state":"done","structural_hash":"61ce0e5e9311fef5a318c1c7bcdb5b9280203b5ecf84e6cb9d19efad79cd31fb"},"job_id":"job-000001","record":"event"}
+"""
+EARLIER_RELEASE_REPORT_SHA = (
+    "2a560e253a47499110d714f8609f44cdbc36a538530911e633a9d61facbf532e"
+)
+
+
 class TestJobJournal:
     def test_append_then_replay_round_trips(self, tmp_path):
         journal = JobJournal(tmp_path)
@@ -280,6 +296,28 @@ class TestManagerRecovery:
         second.run_pending()
         assert second.get(job.id).report_bytes == direct_bytes(request)
         second.shutdown()
+
+    def test_a_log_with_engine_cache_hit_fields_recovers(self, tmp_path):
+        """Events written before the field was removed replay as written
+        and the job serves the same bytes."""
+        request = make_request()
+        (tmp_path / "journal.jsonl").write_text(EARLIER_RELEASE_LOG)
+        journal = JobJournal(tmp_path)
+        assert journal.store_report(direct_bytes(request)) == (
+            EARLIER_RELEASE_REPORT_SHA
+        )
+        journal.close()
+        manager = manager_with(tmp_path)
+        job = manager.get("job-000001")
+        assert job.state == "done"
+        assert job.report_bytes == direct_bytes(request)
+        assert [e.get("engine_cache_hit") for e in job.events[-2:]] == [
+            False,
+            False,
+        ]
+        repeat = manager.submit(request)
+        assert repeat.cached and repeat.report_bytes == job.report_bytes
+        manager.shutdown()
 
     def test_resume_false_starts_empty(self, tmp_path):
         first = manager_with(tmp_path)

@@ -5,6 +5,7 @@ restart it with the same ``--state-dir``, and the eventually-served
 report is byte-identical to an uninterrupted run's.
 """
 
+import contextlib
 import http.client
 import json
 import os
@@ -26,16 +27,25 @@ REPO = Path(__file__).resolve().parents[2]
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "20140807"))
 
 
+@contextlib.contextmanager
 def spawn(argv):
+    """An ``indaas serve`` subprocess; on exit it is killed if it still
+    runs, reaped, and both its pipes are closed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    return subprocess.Popen(
+    process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
         text=True,
     )
+    try:
+        yield process
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.communicate()
 
 
 def wait_for_port(port, timeout=30.0):
@@ -78,46 +88,51 @@ class TestKillMinusNine:
         ]
 
         # Reference: the same request on a server that is never killed.
-        process = spawn([*serve_args, "--state-dir", str(tmp_path / "ref")])
-        try:
-            wait_for_port(port)
-            with client_for(port) as client:
-                submitted = client.submit(request)
-                assert client.wait(submitted.job_id, timeout=120).state == "done"
-                reference = client.report_bytes(job_id=submitted.job_id)
-        finally:
-            process.send_signal(signal.SIGTERM)
-            process.wait(timeout=30)
+        with spawn([*serve_args, "--state-dir", str(tmp_path / "ref")]) as process:
+            try:
+                wait_for_port(port)
+                with client_for(port) as client:
+                    submitted = client.submit(request)
+                    assert (
+                        client.wait(submitted.job_id, timeout=120).state
+                        == "done"
+                    )
+                    reference = client.report_bytes(job_id=submitted.job_id)
+            finally:
+                process.send_signal(signal.SIGTERM)
+                process.wait(timeout=30)
 
         # Crash run: kill -9 while the job is in flight.
         state_dir = tmp_path / "crash"
-        process = spawn([*serve_args, "--state-dir", str(state_dir)])
-        wait_for_port(port)
-        with client_for(port) as client:
-            submitted = client.submit(request)
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if client.status(submitted.job_id).state == "running":
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("job never started running")
-        process.send_signal(signal.SIGKILL)
-        process.wait(timeout=30)
-
-        # Restart on the same state dir: the job resumes and finishes.
-        process = spawn([*serve_args, "--state-dir", str(state_dir)])
-        try:
+        with spawn([*serve_args, "--state-dir", str(state_dir)]) as process:
             wait_for_port(port)
             with client_for(port) as client:
-                final = client.wait(submitted.job_id, timeout=120)
-                assert final.state == "done"
-                recovered = client.report_bytes(job_id=submitted.job_id)
-                events, _ = client.events_after(submitted.job_id, 0, wait=0)
-                assert "recovered" in [e["event"] for e in events]
-        finally:
-            process.send_signal(signal.SIGTERM)
+                submitted = client.submit(request)
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    if client.status(submitted.job_id).state == "running":
+                        break
+                    time.sleep(0.05)
+                else:
+                    pytest.fail("job never started running")
+            process.send_signal(signal.SIGKILL)
             process.wait(timeout=30)
+
+        # Restart on the same state dir: the job resumes and finishes.
+        with spawn([*serve_args, "--state-dir", str(state_dir)]) as process:
+            try:
+                wait_for_port(port)
+                with client_for(port) as client:
+                    final = client.wait(submitted.job_id, timeout=120)
+                    assert final.state == "done"
+                    recovered = client.report_bytes(job_id=submitted.job_id)
+                    events, _ = client.events_after(
+                        submitted.job_id, 0, wait=0
+                    )
+                    assert "recovered" in [e["event"] for e in events]
+            finally:
+                process.send_signal(signal.SIGTERM)
+                process.wait(timeout=30)
         assert recovered == reference
 
 
@@ -133,28 +148,28 @@ class TestSigtermWithQueuedJobs:
         ]
         first, second = slow_request(seed=32), slow_request(seed=33)
 
-        process = spawn(serve_args)
-        wait_for_port(port)
-        with client_for(port) as client:
-            running = client.submit(first)
-            queued = client.submit(second)
-        process.send_signal(signal.SIGTERM)
-        process.wait(timeout=60)
-        assert process.returncode == 0
-
-        process = spawn(serve_args)
-        try:
+        with spawn(serve_args) as process:
             wait_for_port(port)
             with client_for(port) as client:
-                for job_id in (running.job_id, queued.job_id):
-                    final = client.wait(job_id, timeout=120)
-                    assert final.state == "done", (job_id, final.state)
-                health = client.health()
-                assert health["journal"]["enabled"]
-                assert health["journal"]["recovered_jobs"] >= 1
-        finally:
+                running = client.submit(first)
+                queued = client.submit(second)
             process.send_signal(signal.SIGTERM)
-            process.wait(timeout=30)
+            process.wait(timeout=60)
+            assert process.returncode == 0
+
+        with spawn(serve_args) as process:
+            try:
+                wait_for_port(port)
+                with client_for(port) as client:
+                    for job_id in (running.job_id, queued.job_id):
+                        final = client.wait(job_id, timeout=120)
+                        assert final.state == "done", (job_id, final.state)
+                    health = client.health()
+                    assert health["journal"]["enabled"]
+                    assert health["journal"]["recovered_jobs"] >= 1
+            finally:
+                process.send_signal(signal.SIGTERM)
+                process.wait(timeout=30)
 
 
 class TestServeInject:
@@ -164,38 +179,40 @@ class TestServeInject:
         schedule_path.write_text(
             seeded_schedule(SEED, n=2, points=("server.dispatch",)).to_json()
         )
-        process = spawn(
+        with spawn(
             ["--port", str(port), "--inject", str(schedule_path)]
-        )
-        try:
-            wait_for_port(port)
-            # Dispatch-level slow faults delay but never break requests.
-            with client_for(port) as client:
-                assert client.health()["status"] == "ok"
-                report = client.audit(
-                    api.AuditRequest(servers=("S1", "S3"), depdb=DEPDB, seed=34),
-                    timeout=60,
+        ) as process:
+            try:
+                wait_for_port(port)
+                # Dispatch-level slow faults delay but never break requests.
+                with client_for(port) as client:
+                    assert client.health()["status"] == "ok"
+                    report = client.audit(
+                        api.AuditRequest(
+                            servers=("S1", "S3"), depdb=DEPDB, seed=34
+                        ),
+                        timeout=60,
+                    )
+                direct = api.execute_request(
+                    api.AuditRequest(servers=("S1", "S3"), depdb=DEPDB, seed=34)
                 )
-            direct = api.execute_request(
-                api.AuditRequest(servers=("S1", "S3"), depdb=DEPDB, seed=34)
+                assert report.to_json() == api.report_for_request(
+                    api.AuditRequest(servers=("S1", "S3"), depdb=DEPDB, seed=34),
+                    direct.audit,
+                    direct.structural_hash,
+                ).to_json()
+            finally:
+                process.send_signal(signal.SIGTERM)
+                process.wait(timeout=30)
+            assert f"fault injection armed (2 faults, seed={SEED})" in (
+                process.stderr.read()
             )
-            assert report.to_json() == api.report_for_request(
-                api.AuditRequest(servers=("S1", "S3"), depdb=DEPDB, seed=34),
-                direct.audit,
-                direct.structural_hash,
-            ).to_json()
-        finally:
-            process.send_signal(signal.SIGTERM)
-            process.wait(timeout=30)
-        assert f"fault injection armed (2 faults, seed={SEED})" in (
-            process.stderr.read()
-        )
 
     def test_inject_rejects_malformed_schedules(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "not_a_schedule"}))
-        process = spawn(["--port", "0", "--inject", str(bad)])
-        _, stderr = process.communicate(timeout=30)
+        with spawn(["--port", "0", "--inject", str(bad)]) as process:
+            _, stderr = process.communicate(timeout=30)
         assert process.returncode != 0
         assert "fault_schedule" in stderr
         # A point that no code crosses arms nothing: refused, not ignored.
@@ -210,10 +227,9 @@ class TestServeInject:
                 }
             )
         )
-        process = spawn(["--port", "0", "--inject", str(stale)])
-        try:
+        # A server that accepted the schedule would run on: the context
+        # kills it.
+        with spawn(["--port", "0", "--inject", str(stale)]) as process:
             _, stderr = process.communicate(timeout=30)
-        finally:
-            process.kill()  # a server that accepted the schedule runs on
         assert process.returncode != 0
         assert "server.stream-chunk" in stderr

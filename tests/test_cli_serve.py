@@ -1,5 +1,6 @@
 """The ``indaas serve`` verb and ``audit --remote``: live subprocess tests."""
 
+import contextlib
 import http.client
 import json
 import os
@@ -21,16 +22,25 @@ DEPDB = (
 )
 
 
+@contextlib.contextmanager
 def spawn(argv):
+    """An ``indaas`` subprocess; on exit it is killed if it still runs,
+    reaped, and both its pipes are closed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    return subprocess.Popen(
+    process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
         text=True,
     )
+    try:
+        yield process
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.communicate()
 
 
 def wait_for_port(port, timeout=20.0):
@@ -58,12 +68,11 @@ def depdb_file(tmp_path):
 def served_port(tmp_path):
     """A live ``indaas serve`` subprocess on an ephemeral-ish port."""
     port = 18131 + (os.getpid() % 200)
-    process = spawn(["serve", "--port", str(port), "--workers", "2"])
-    try:
-        wait_for_port(port)
-        yield port
-    finally:
-        if process.poll() is None:
+    with spawn(["serve", "--port", str(port), "--workers", "2"]) as process:
+        try:
+            wait_for_port(port)
+            yield port
+        finally:
             process.terminate()
             process.wait(timeout=20)
 
@@ -71,8 +80,7 @@ def served_port(tmp_path):
 class TestServeProcess:
     def test_sigterm_drains_and_exits_zero(self):
         port = 20131 + (os.getpid() % 200)
-        process = spawn(["serve", "--port", str(port)])
-        try:
+        with spawn(["serve", "--port", str(port)]) as process:
             wait_for_port(port)
             process.send_signal(signal.SIGTERM)
             process.wait(timeout=20)
@@ -80,21 +88,14 @@ class TestServeProcess:
             stderr = process.stderr.read()
             assert "listening on" in stderr
             assert "draining" in stderr
-        finally:
-            if process.poll() is None:
-                process.kill()
 
     def test_sigint_also_exits_zero(self):
         port = 19131 + (os.getpid() % 200)
-        process = spawn(["serve", "--port", str(port)])
-        try:
+        with spawn(["serve", "--port", str(port)]) as process:
             wait_for_port(port)
             process.send_signal(signal.SIGINT)
             process.wait(timeout=20)
             assert process.returncode == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
 
     def test_healthz_over_the_wire(self, served_port):
         conn = http.client.HTTPConnection("127.0.0.1", served_port, timeout=5)
@@ -157,8 +158,7 @@ class TestWatchSignals:
                 }
             )
         )
-        process = spawn(["watch", str(tmp_path), "--interval", "0.2"])
-        try:
+        with spawn(["watch", str(tmp_path), "--interval", "0.2"]) as process:
             deadline = time.monotonic() + 20
             first_line = None
             while time.monotonic() < deadline and not first_line:
@@ -167,12 +167,9 @@ class TestWatchSignals:
             process.send_signal(signal.SIGTERM)
             process.wait(timeout=20)
             assert process.returncode == 0
-            entry = json.loads(first_line)
-            assert entry["kind"] == "event"
-            assert entry["event"] == "iteration"
-        finally:
-            if process.poll() is None:
-                process.kill()
+        entry = json.loads(first_line)
+        assert entry["kind"] == "event"
+        assert entry["event"] == "iteration"
 
 
 class TestServeParser:
