@@ -109,7 +109,7 @@ class TestExecutorSeesCanonicalRequests:
                 metadata={"client": "alice"},
             )
 
-    def test_engine_backed_executor_keeps_no_results_in_its_lru(
+    def test_engine_backed_executor_serves_repeats_without_its_result_lru(
         self, lab_sources
     ):
         with AuditEngine(n_workers=0) as engine:
