@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -162,7 +161,6 @@ class AuditRequest:
         servers: The redundant servers of the candidate deployment.
         depdb: The dependency data as an inline Table-1 DepDB dump —
             the request carries everything needed to execute it.
-            Interned, so requests of one text share one string.
         deployment: Deployment name (defaults to the joined servers).
         required: Live servers needed to survive (n of n-of-m).
         algorithm: ``"minimal"`` or ``"sampling"``.
@@ -217,7 +215,6 @@ class AuditRequest:
             raise SpecificationError(
                 "audit_request.depdb must be a non-empty DepDB dump"
             )
-        object.__setattr__(self, "depdb", sys.intern(str(self.depdb)))
         if self.algorithm not in ("minimal", "sampling"):
             raise SpecificationError(
                 "audit_request.algorithm must be minimal|sampling, "
@@ -703,7 +700,8 @@ def run_request(request: AuditRequest, engine=None) -> AuditReport:
     """Execute one request and return its canonical report.
 
     The local twin of :meth:`repro.agents.transport.ServiceClient.audit`:
-    same argument, same report bytes, no service in between.
+    same argument, same report bytes, no service in between.  It keeps no
+    result, so a repeat is audited again (``AuditEngine.audit_spec`` caches).
     """
     result = execute_request(request, engine=engine)
     return report_for_request(
@@ -737,7 +735,7 @@ def audit(depdb, servers: Sequence[str], *, engine=None, **params) -> AuditRepor
     ``depdb`` is a :class:`~repro.depdb.database.DepDB`, a Table-1 dump
     string, or a :class:`~pathlib.Path` to one; ``params`` are the
     :class:`AuditRequest` fields (``algorithm``, ``rounds``, ``seed``,
-    ``probability``, ...).
+    ``probability``, ...).  A repeat call is audited again.
     """
     request = AuditRequest(
         servers=tuple(servers), depdb=_depdb_text(depdb), **params

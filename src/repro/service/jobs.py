@@ -23,7 +23,8 @@ Requests without a ``seed`` are not reproducible, so they are never
 content-addressed — their reports exist only on the job itself.
 
 Retention: the manager holds its live jobs and the newest
-:data:`MAX_RETAINED_JOBS` finished ones.  An older finished job is read
+:data:`MAX_RETAINED_JOBS` finished ones, and the jobs of one DepDB text
+(submitted or recovered) share one copy of it.  An older finished job is read
 back from the journal when it is looked up — its report bytes only when
 the lookup serves them; without a journal (or with a degraded one) its
 id answers 410 ``expired``.
@@ -152,6 +153,7 @@ class JobManager:
         self._fingerprints = LRUCache(MAX_CACHED_REPORTS)  # fingerprint -> key
         self._graphs = LRUCache(MAX_BASE_GRAPHS)  # structural hash -> graph
         self._idempotency = LRUCache(MAX_CACHED_REPORTS)  # client key -> job id
+        self._texts = LRUCache(MAX_RETAINED_JOBS)  # DepDB text -> its one copy
         self._counter = 0
         self._running = 0
         self._cache_hits = 0
@@ -270,6 +272,11 @@ class JobManager:
 
     def _register(self, job: Job, idempotency_key: Optional[str] = None) -> None:
         # Caller holds the lock.
+        text = self._texts.get(job.request.depdb)
+        if text is None:
+            self._texts.put(job.request.depdb, job.request.depdb)
+        elif text is not job.request.depdb:
+            job.request = dataclasses.replace(job.request, depdb=text)
         self._jobs[job.id] = job
         self._states[job.state] += 1
         if job.is_terminal:
@@ -771,7 +778,7 @@ class JobManager:
 
     def stats(self) -> dict:
         """Service health counters (the ``/v1/healthz`` body); ``caches``
-        is the census of its four LRUs and the engine's three."""
+        is the census of its five LRUs and the engine's three."""
         with self._event:
             engine = self.engine.info()
             return {
@@ -801,6 +808,7 @@ class JobManager:
                     "fingerprints": self._fingerprints.info(),
                     "base_graphs": self._graphs.info(),
                     "idempotency": self._idempotency.info(),
+                    "depdb_texts": self._texts.info(),
                     "engine_graphs": engine["cache"],
                     "engine_audits": engine["audits"],
                     "engine_stores": engine["stores"],

@@ -3,16 +3,20 @@
 A served job executes through ``api.execute_request``, which neither reads
 nor fills the engine's result cache: the service's report store answers
 repeats.  ``/v1/healthz`` shows the census of every in-process LRU, and
-each uploaded DepDB text is held once however many jobs carry it.
+each uploaded DepDB text is held once however many jobs carry it, and
+not at all once none does.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
 import repro
 from repro import api
 from repro.service import JobManager, ServiceThread
+from repro.service import jobs as jobs_module
 
 from tests.service.conftest import DEPDB, make_request
 from tests.service.test_http import http_call
@@ -22,6 +26,7 @@ CENSUS = (
     "fingerprints",
     "base_graphs",
     "idempotency",
+    "depdb_texts",
     "engine_graphs",
     "engine_audits",
     "engine_stores",
@@ -90,3 +95,31 @@ class TestOneCachePerDoor:
             assert recovered.get(first).recovered
         finally:
             recovered.shutdown()
+
+
+class Text(str):
+    """A DepDB text that can be weakly referenced (a plain str cannot)."""
+
+
+class TestSharedText:
+    def test_a_text_goes_with_its_last_job(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_RETAINED_JOBS", 1)
+        manager = JobManager(workers=0)
+        try:
+            text = Text(DEPDB)
+            gone = weakref.ref(text)
+            manager.submit(make_request(depdb=text, seed=51))
+            copy = manager.submit(make_request(depdb=DEPDB.encode().decode()))
+            assert copy.request.depdb is text
+            assert manager.stats()["caches"]["depdb_texts"]["hits"] == 1
+            manager.run_pending()
+            manager.submit(make_request(depdb=DEPDB + "\n", seed=53))
+            manager.run_pending()
+            del text, copy
+            gc.collect()
+            # Both jobs of the text were dropped, and the text map (as
+            # bounded as the retained jobs) let it go with them.
+            assert gone() is None
+            assert manager.stats()["caches"]["depdb_texts"]["entries"] == 1
+        finally:
+            manager.shutdown()
