@@ -606,6 +606,7 @@ def execute_request(
     engine=None,
     progress=None,
     base_graph=None,
+    built=None,
 ) -> ExecutionResult:
     """Run one audit request on an engine (the one shared executor).
 
@@ -625,14 +626,26 @@ def execute_request(
         base_graph: Previously built fault graph to diff against (the
             server resolves :attr:`AuditRequest.base` to this); the
             delta is reported, never applied — results don't change.
+        built: The ``(graph, structural hash)`` pair an earlier
+            execution built from the same DepDB text, servers,
+            deployment, required count and probability (the server's
+            graph index); the parse, the build and the hash are skipped.
     """
+    from repro.engine.audit import SIAAuditor
     from repro.engine.cache import structural_hash as graph_hash
     from repro.engine.incremental import graph_delta
 
-    job = request.to_job()
-    auditor = job.auditor(engine)
-    graph = auditor.build_graph(job.spec)
-    digest = graph_hash(graph)
+    if built is None:
+        job = request.to_job()
+        auditor = job.auditor(engine)
+        spec = job.spec
+        graph = auditor.build_graph(spec)
+        digest = graph_hash(graph)
+    else:
+        # Auditing a built graph reads neither the DepDB nor the weigher.
+        auditor = SIAAuditor(None, engine=engine)
+        spec = request.to_spec()
+        graph, digest = built
     delta = None if base_graph is None else graph_delta(base_graph, graph)
     if progress is not None:
         progress(
@@ -641,7 +654,7 @@ def execute_request(
             events=len(graph.events()),
             **({"delta": delta.to_dict()} if delta is not None else {}),
         )
-    audit_result = auditor.audit_graph(graph, job.spec)
+    audit_result = auditor.audit_graph(graph, spec)
     if progress is not None:
         progress("audited")
     return ExecutionResult(

@@ -89,9 +89,14 @@ _CHUNK_CELLS = 1 << 20
 def cut_probability(
     cut: Iterable[str], probabilities: Mapping[str, float]
 ) -> float:
-    """Probability that *all* events in ``cut`` fail (independent events)."""
+    """Probability that *all* events in ``cut`` fail (independent events).
+
+    The factors are multiplied in sorted member order: a set's own
+    iteration order follows string hashes, so it would change the bits
+    of a product of unequal weights from one process to the next.
+    """
     prob = 1.0
-    for event in cut:
+    for event in sorted(cut):
         try:
             prob *= probabilities[event]
         except KeyError:

@@ -114,20 +114,23 @@ def rank_by_probability(
         )
     entries = []
     for rg in risk_groups:
-        prob = cut_probability(rg, probabilities)
+        # Sorted once, for the tie-break; the products' own sort of a
+        # sorted list is one linear pass.
+        members = sorted(rg)
         entries.append(
             (
-                relative_importance(rg, top_probability, probabilities),
-                prob,
+                relative_importance(members, top_probability, probabilities),
+                cut_probability(members, probabilities),
+                members,
                 frozenset(rg),
             )
         )
-    entries.sort(key=lambda t: (-t[0], len(t[2]), sorted(t[2])))
+    entries.sort(key=lambda t: (-t[0], len(t[2]), t[2]))
     return [
         RankedRiskGroup(
             rank=i + 1, events=events, probability=prob, importance=imp
         )
-        for i, (imp, prob, events) in enumerate(entries)
+        for i, (imp, prob, _, events) in enumerate(entries)
     ]
 
 

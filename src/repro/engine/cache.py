@@ -106,6 +106,16 @@ class LRUCache:
             self._touch(key)
             return stored
 
+    def find(self, match):
+        """The most recently used value for which ``match(value)`` is
+        true, else ``None``; a scan, so it neither touches an entry nor
+        counts as a lookup."""
+        with self._lock:
+            for value in reversed(self._entries.values()):
+                if match(value):
+                    return value
+        return None
+
     def discard_if(self, doomed) -> None:
         """Drop every entry for whose key ``doomed(key)`` is true."""
         with self._lock:

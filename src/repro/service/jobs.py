@@ -22,9 +22,18 @@ cache; the engine's is left unused:
 Requests without a ``seed`` are not reproducible, so they are never
 content-addressed — their reports exist only on the job itself.
 
+The DepDB text is the unit of reuse below the result cache.  The jobs
+of one text (submitted or recovered) share one copy of it, hashed once;
+the journal writes it once, in the ``submitted`` record of the first job
+that needs it, and every later job's record names it by that hash.  The graph index holds the
+newest :data:`MAX_BUILT_GRAPHS` built fault graphs, each keyed by
+everything the build reads from a request — the text's hash, servers,
+deployment, required count and probability — so a cold job whose key is
+held skips the parse, the build and the hash; a ``base`` resolves
+against the same entries by structural hash.
+
 Retention: the manager holds its live jobs and the newest
-:data:`MAX_RETAINED_JOBS` finished ones, and the jobs of one DepDB text
-(submitted or recovered) share one copy of it.  An older finished job is read
+:data:`MAX_RETAINED_JOBS` finished ones.  An older finished job is read
 back from the journal when it is looked up — its report bytes only when
 the lookup serves them; without a journal (or with a degraded one) its
 id answers 410 ``expired``.
@@ -58,6 +67,7 @@ from repro.service.journal import (
     job_number,
     report_record,
     submitted_record,
+    text_sha256,
 )
 from repro.service.stores import TenantStores
 
@@ -67,9 +77,10 @@ __all__ = ["Job", "JobManager"]
 #: fingerprints and idempotency keys (LRU).
 MAX_CACHED_REPORTS = 256
 
-#: Entries in the structural-hash → fault-graph store that resolves
-#: :attr:`~repro.api.AuditRequest.base` (LRU).
-MAX_BASE_GRAPHS = 32
+#: Entries in the graph index: built fault graphs by build key, which
+#: cold jobs reuse and :attr:`~repro.api.AuditRequest.base` resolves
+#: against (LRU).
+MAX_BUILT_GRAPHS = 32
 
 #: Finished jobs held in memory, the newest ones; live jobs are always held.
 MAX_RETAINED_JOBS = 256
@@ -96,6 +107,7 @@ class Job:
     finished: Optional[float] = None
     journaled: bool = False
     recovered: bool = False
+    depdb_sha256: Optional[str] = None  # of request.depdb, set on admission
 
     @property
     def is_terminal(self) -> bool:
@@ -151,9 +163,11 @@ class JobManager:
         # key -> (bytes, structural hash, sha256 in the journal or None)
         self._reports = LRUCache(MAX_CACHED_REPORTS)
         self._fingerprints = LRUCache(MAX_CACHED_REPORTS)  # fingerprint -> key
-        self._graphs = LRUCache(MAX_BASE_GRAPHS)  # structural hash -> graph
+        # build key -> (graph, structural hash)
+        self._graphs = LRUCache(MAX_BUILT_GRAPHS)
         self._idempotency = LRUCache(MAX_CACHED_REPORTS)  # client key -> job id
-        self._texts = LRUCache(MAX_RETAINED_JOBS)  # DepDB text -> its one copy
+        # DepDB text -> (its one copy, its sha256)
+        self._texts = LRUCache(MAX_RETAINED_JOBS)
         self._counter = 0
         self._running = 0
         self._cache_hits = 0
@@ -231,12 +245,14 @@ class JobManager:
                 # onto deliberate resubmissions.
                 if existing is not None and not existing.is_terminal:
                     return existing
+            request, sha = self._share_text(request)
             self._counter += 1
             job = Job(
                 id=_job_id(self._counter),
                 request=request,
                 tenant=tenant,
                 created=time.monotonic(),
+                depdb_sha256=sha,
             )
             self._append_event(job, "submitted", tenant=tenant)
             cached = self._cached_report(request)
@@ -270,13 +286,19 @@ class JobManager:
             self._event.notify_all()
             return job
 
+    def _share_text(self, request: api.AuditRequest) -> tuple:
+        """The request on the held copy of its DepDB text, and the
+        text's sha.  Caller holds the lock."""
+        held = self._texts.get(request.depdb)
+        if held is None:
+            held = (request.depdb, text_sha256(request.depdb))
+            self._texts.put(request.depdb, held)
+        elif held[0] is not request.depdb:
+            request = dataclasses.replace(request, depdb=held[0])
+        return request, held[1]
+
     def _register(self, job: Job, idempotency_key: Optional[str] = None) -> None:
         # Caller holds the lock.
-        text = self._texts.get(job.request.depdb)
-        if text is None:
-            self._texts.put(job.request.depdb, job.request.depdb)
-        elif text is not job.request.depdb:
-            job.request = dataclasses.replace(job.request, depdb=text)
         self._jobs[job.id] = job
         self._states[job.state] += 1
         if job.is_terminal:
@@ -399,11 +421,11 @@ class JobManager:
         """Append one state change to the job's journal in one fsync.
 
         The batch is, in order: the ``submitted`` record when ``admit``,
-        the ``report`` record when ``events`` end with ``done`` — its
-        bytes stored content-addressed first (unless a cache hit's
-        already are), so replay that sees ``done`` finds them — and the
-        events.  Caller holds the lock, so an event is durable before
-        any client can see it.
+        holding the job's text unless the log already does; the
+        ``report`` record when ``events`` end with ``done`` — its bytes stored content-addressed first (unless
+        a cache hit's already are), so replay that sees ``done`` finds
+        them — and the events.  Caller holds the lock, so an event is
+        durable before any client can see it.
         """
 
         def append() -> None:
@@ -413,9 +435,16 @@ class JobManager:
                 fingerprint = (
                     request.fingerprint() if request.seed is not None else None
                 )
+                document = request.to_dict()
+                if self.journal.has_text(job.depdb_sha256):
+                    del document["depdb"]  # an earlier record holds it
                 records.append(
                     submitted_record(
-                        job.id, job.tenant, request.to_dict(), fingerprint
+                        job.id,
+                        job.tenant,
+                        document,
+                        fingerprint,
+                        job.depdb_sha256,
                     )
                 )
             if events[-1]["event"] == "done":
@@ -448,6 +477,8 @@ class JobManager:
             if job is None:
                 continue  # unreadable request: nothing we can re-run
             job.recovered = True
+            job.request, job.depdb_sha256 = self._share_text(job.request)
+            self._register(job)
             if job.report_key is not None and job.request.seed is not None:
                 self._reports.put(
                     job.report_key,
@@ -468,7 +499,6 @@ class JobManager:
                 self._append_event(job, "recovered", state="queued")
                 self._journal_admitted(job)
                 self.admission.push(job.tenant, job, force=True)
-            self._register(job)
             self._recovered_jobs += 1
 
     def _restore(
@@ -563,11 +593,15 @@ class JobManager:
             self._running += 1
             self._append_event(job, "started", state="running")
             self._event.notify_all()
-            base_graph = (
-                self._graphs.get(job.request.base)
-                if job.request.base
+            build = _build_key(job)
+            built = self._graphs.get(build)
+            base = job.request.base
+            held = (
+                self._graphs.find(lambda entry: entry[1] == base)
+                if base
                 else None
             )
+            base_graph = None if held is None else held[0]
 
         def progress(stage: str, **fields) -> None:
             with self._event:
@@ -581,6 +615,7 @@ class JobManager:
                     engine=self.engine,
                     progress=progress,
                     base_graph=base_graph,
+                    built=built,
                 )
             report = api.report_for_request(
                 job.request, result.audit, result.structural_hash
@@ -612,13 +647,14 @@ class JobManager:
                     },
                 )
             return
+        if built is None:
+            self._graphs.put(build, (result.graph, result.structural_hash))
         key = api.report_key(result.structural_hash, job.request)
         with self._event:
             self._running -= 1
             job.report_bytes = data
             job.report_key = key
             job.structural_hash = result.structural_hash
-            self._graphs.put(result.structural_hash, result.graph)
             elapsed = time.monotonic() - job.started
             self._ewma = (
                 elapsed
@@ -778,7 +814,9 @@ class JobManager:
 
     def stats(self) -> dict:
         """Service health counters (the ``/v1/healthz`` body); ``caches``
-        is the census of its five LRUs and the engine's three."""
+        is the census of its five LRUs and the engine's three.  The
+        graph index's (``graphs``) hits over hits plus misses are the
+        share of cold jobs that reused a built graph."""
         with self._event:
             engine = self.engine.info()
             return {
@@ -806,7 +844,7 @@ class JobManager:
                 "caches": {
                     "reports": self._reports.info(),
                     "fingerprints": self._fingerprints.info(),
-                    "base_graphs": self._graphs.info(),
+                    "graphs": self._graphs.info(),
                     "idempotency": self._idempotency.info(),
                     "depdb_texts": self._texts.info(),
                     "engine_graphs": engine["cache"],
@@ -848,3 +886,20 @@ class JobManager:
 
 def _job_id(number: int) -> str:
     return f"job-{number:06d}"
+
+
+def _build_key(job: Job) -> tuple:
+    """Everything the graph build reads from a registered job's request.
+
+    The two numbers go in by ``repr``, which keeps apart values that
+    compare equal but build graphs of other hashes (``True`` and ``1``,
+    ``0.0`` and ``-0.0``).
+    """
+    request = job.request
+    return (
+        job.depdb_sha256,
+        request.servers,
+        request.deployment,
+        repr(request.required),
+        repr(request.probability),
+    )

@@ -18,10 +18,15 @@ Layout under the state directory::
 Journal records (each a canonical-JSON line with a ``record`` field and
 the ``job_id`` it belongs to; the records of live jobs interleave):
 
-* ``submitted`` — the full :class:`~repro.api.AuditRequest` document,
-  tenant and fingerprint; written first.  A job re-queued by recovery
-  is restated — ``submitted`` again, then every event so far — and
-  read back from its newest ``submitted`` record.
+* ``submitted`` — the :class:`~repro.api.AuditRequest` document,
+  tenant, fingerprint and ``depdb_sha256``, the SHA-256 of the request's
+  DepDB text; written first.  The document holds the text itself only
+  in the first ``submitted`` record of each text; every later job of
+  the text names it by the sha alone.  Every ``submitted`` record an
+  earlier release wrote holds its text and no sha, and still replays.
+  A job re-queued by recovery is restated — ``submitted``
+  again, then every event so far — and read back from its newest
+  ``submitted`` record.
 * ``event`` — one canonical job event, exactly as served to clients.
   The job's terminal event record also carries ``elapsed``, the seconds
   its status reports, so a job read back reports what it did before.
@@ -38,19 +43,24 @@ append.  The log is opened once; its directory is fsync'd once, when
 the file is created.
 
 Startup is one sequential scan of the log that truncates a torn tail,
-sets :attr:`JobJournal.last_number` and builds the read-back index: job
-number → byte offset of the job's ``submitted`` record, 8 bytes per
-job.  :meth:`JobJournal.read` seeks there and folds the job's records
-forward until the terminal event that ended it — the one carrying
-``elapsed`` — or the end of the log.  Crash
+sets :attr:`JobJournal.last_number` and builds the read-back indexes:
+job number → byte offset of the job's ``submitted`` record, 8 bytes per
+job, and text sha → offset of the first ``submitted`` record holding
+that text, for each such record whose text hashes to its sha.
+:meth:`JobJournal.read` seeks there and folds the job's records forward
+until the terminal event that ended it — the one carrying ``elapsed`` —
+or the end of the log; a job whose record names its text by sha alone
+gets it from the record that holds it.  The text is checked against the
+sha on every read, so a job whose text is missing or fails the check is
+not restored, never served a wrong text.  Crash
 tolerance: a crash mid-append leaves a prefix of the batch ending in at
 most one partial line; the scan stops at the first undecodable line and
 truncates the log back to the last complete record, so the log stays
-appendable after recovery, and a torn batch can replay ``report``
-without ``done`` but never ``done`` without the ``report`` line before
-it.  Report files are written to a temp name, fsync'd, then renamed — a
-report either exists completely or not at all, and its name is the
-SHA-256 of its bytes (verified on load).
+appendable after recovery, and a torn batch can replay
+``report`` without ``done`` but never ``done`` without the ``report``
+line before it.  Report files are written to a temp file of their own,
+fsync'd, then renamed — a report either exists completely or not at
+all, and its name is the SHA-256 of its bytes (verified on load).
 
 Fault injection: appends cross the ``journal.append`` point, where a
 scheduled ``disk-full`` fault raises ``OSError(ENOSPC)`` — the
@@ -63,6 +73,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import threading
 from array import array
 from dataclasses import dataclass, field
@@ -80,6 +91,7 @@ __all__ = [
     "job_number",
     "report_record",
     "submitted_record",
+    "text_sha256",
 ]
 
 _TERMINAL = frozenset({"done", "failed", "cancelled"})
@@ -90,7 +102,8 @@ class JournaledJob:
 
     job_id: str
     tenant: str = "public"
-    request: Optional[dict] = None  # audit_request document
+    request: Optional[dict] = None  # audit_request document, text included
+    depdb_sha256: Optional[str] = None  # None in earlier releases' logs
     fingerprint: Optional[str] = None
     events: list = field(default_factory=list)
     state: str = "queued"
@@ -150,6 +163,9 @@ class JobJournal:
         #: Job number - 1 → offset of the job's newest ``submitted``
         #: record, -1 for numbers without one.
         self._offsets = array("q")
+        #: Text sha → offset of the first ``submitted`` record that
+        #: holds the text.
+        self._texts: dict[str, int] = {}
         #: The highest job number with a record in the log (0 if none).
         self.last_number = 0
         self._end = self._scan()
@@ -195,9 +211,16 @@ class JobJournal:
             for record, line in zip(records, lines):
                 if record.get("record") == "submitted":
                     self._index(number, offset)
+                    sha = record.get("depdb_sha256")
+                    if sha is not None and "depdb" in record["request"]:
+                        self._texts.setdefault(sha, offset)
                 offset += len(line)
             self._end = offset
             self.last_number = max(self.last_number, number)
+
+    def has_text(self, sha256: str) -> bool:
+        """Whether a ``submitted`` record in the log holds this text."""
+        return sha256 in self._texts
 
     def close(self) -> None:
         with self._lock:
@@ -212,18 +235,29 @@ class JobJournal:
 
         Idempotent: identical bytes share one file.  Atomic: temp file,
         fsync, rename, directory fsync — a crash leaves either the
-        complete report or nothing.
+        complete report or nothing.  Each call writes its own temp file,
+        so threads storing the same bytes at once do not collide.
         """
         digest = hashlib.sha256(data).hexdigest()
         final = self.reports_dir / f"{digest}.json"
         if final.exists():
             return digest
-        temp = self.reports_dir / f".{digest}.tmp.{os.getpid()}"
-        with open(temp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, final)
+        fd, temp = tempfile.mkstemp(
+            prefix=f".{digest}.", suffix=".tmp", dir=self.reports_dir
+        )
+        try:
+            os.fchmod(fd, 0o644)
+            with open(fd, "wb") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, final)
+        except BaseException:
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
+            raise
         _fsync_dir(self.reports_dir)
         return digest
 
@@ -254,7 +288,7 @@ class JobJournal:
             for offset in self._offsets:
                 if offset < 0:
                     continue
-                job = _fold(handle, offset)
+                job = self._job_at(handle, offset)
                 if job is not None:
                     yield job
 
@@ -262,8 +296,8 @@ class JobJournal:
         """Reconstruct one job from the log.
 
         ``None`` when the log holds no complete ``submitted`` record for
-        it: the job was never durably admitted, so the client never got
-        an acknowledgement for it.
+        it — the job was never durably admitted, so the client never got
+        an acknowledgement for it — or no text that matches its sha.
         """
         number = job_number(job_id)
         if not 0 < number <= len(self._offsets):
@@ -272,7 +306,32 @@ class JobJournal:
         if offset < 0:
             return None
         with open(self.path, "rb") as handle:
-            return _fold(handle, offset, job_id)
+            return self._job_at(handle, offset, job_id)
+
+    def _job_at(
+        self, handle: IO[bytes], offset: int, job_id: Optional[str] = None
+    ) -> Optional[JournaledJob]:
+        """The job whose ``submitted`` record starts at ``offset``, with
+        its text checked against its sha — read back from the record
+        that holds it when its own names it by sha alone."""
+        job = _fold(handle, offset, job_id)
+        sha = None if job is None else job.depdb_sha256
+        if sha is None:
+            return job  # an earlier release's record names no sha
+        if not isinstance(job.request, dict) or not isinstance(sha, str):
+            return None
+        if "depdb" in job.request:
+            return job if _held_text(job.request, sha) else None
+        holder = self._texts.get(sha)
+        if holder is None:
+            return None
+        handle.seek(holder)
+        record = _decode(handle.readline()) or {}
+        held = _held_text(record.get("request"), sha)
+        if held is None:
+            return None
+        job.request = {**job.request, "depdb": held[1]}
+        return job
 
     def _index(self, number: int, offset: int) -> None:
         missing = number - len(self._offsets)
@@ -298,6 +357,11 @@ class JobJournal:
                 if number > 0:
                     if record.get("record") == "submitted":
                         self._index(number, offset)
+                        held = _held_text(
+                            record.get("request"), record.get("depdb_sha256")
+                        )
+                        if held is not None:
+                            self._texts.setdefault(held[0], offset)
                     self.last_number = max(self.last_number, number)
                 offset += len(line)
         if offset < self.path.stat().st_size:
@@ -310,14 +374,20 @@ def submitted_record(
     tenant: str,
     request_document: dict,
     fingerprint: Optional[str],
+    depdb_sha256: Optional[str] = None,
 ) -> dict:
-    """The ``submitted`` record: a job's admission, written first."""
+    """The ``submitted`` record: a job's admission, written first.
+
+    ``depdb_sha256`` names the request's DepDB text, so the document may
+    leave the text out once an earlier ``submitted`` record holds it.
+    """
     return {
         "record": "submitted",
         "job_id": job_id,
         "tenant": tenant,
         "request": request_document,
         "fingerprint": fingerprint,
+        "depdb_sha256": depdb_sha256,
     }
 
 
@@ -338,6 +408,26 @@ def report_record(
         "report_key": report_key,
         "structural_hash": structural_hash,
     }
+
+
+def text_sha256(text: str) -> str:
+    """The SHA-256 that names a DepDB text in the log.
+
+    Any ``str`` hashes, a lone surrogate from a ``\\ud800`` JSON escape
+    included (``surrogatepass``), so no text can fail admission here.
+    """
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def _held_text(request, sha) -> Optional[tuple]:
+    """``(sha, text)`` of a request document that holds its DepDB text,
+    when the text hashes to ``sha`` (any sha when ``None``), else
+    ``None``."""
+    text = request.get("depdb") if isinstance(request, dict) else None
+    if not isinstance(text, str):
+        return None
+    actual = text_sha256(text)
+    return (actual, text) if sha is None or sha == actual else None
 
 
 def _decode(line: bytes) -> Optional[dict]:
@@ -389,6 +479,7 @@ def _apply(job: JournaledJob, record: dict) -> bool:
         job.events.clear()  # a restatement repeats every event
         job.tenant = record.get("tenant", job.tenant)
         job.request = record.get("request")
+        job.depdb_sha256 = record.get("depdb_sha256")
         job.fingerprint = record.get("fingerprint")
     elif kind == "event":
         event = record.get("event")

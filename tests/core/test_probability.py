@@ -1,7 +1,11 @@
 """Unit tests for probability computations (§4.1.3 worked example)."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -340,3 +344,32 @@ class TestMinHashError:
     def test_invalid_size(self):
         with pytest.raises(AnalysisError):
             expected_error_minhash(0)
+
+
+#: Ranks 35 three-event groups over seven unequal weights and takes
+#: inclusion-exclusion over the first eight, printing every float's bits.
+HASH_SEED_SCRIPT = """
+import itertools, json
+from repro.core.probability import union_probability
+from repro.core.ranking import rank_by_probability
+weights = dict(zip("ABCDEFG", (0.11, 0.23, 0.37, 0.41, 0.53, 0.67, 0.79)))
+groups = [frozenset(c) for c in itertools.combinations("ABCDEFG", 3)]
+ranked = rank_by_probability(groups, weights)
+print(json.dumps([
+    [sorted(r.events), r.probability.hex(), r.importance.hex()]
+    for r in ranked
+] + [union_probability(groups[:8], weights).hex()]))
+"""
+
+
+def test_probabilities_do_not_follow_the_hash_seed():
+    src = str(Path(probability.__file__).parents[2])
+
+    def run(seed: str) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    assert run("1") == run("2")

@@ -8,12 +8,13 @@ bytes the uninterrupted run would have produced (seeded determinism).
 
 import errno
 import json
+import threading
 
 import pytest
 
 from repro import api
 from repro.errors import ServiceError
-from repro.service import JobManager
+from repro.service import JobManager, ServiceThread
 from repro.service import jobs as jobs_module
 from repro.service import journal as journal_module
 from repro.service.journal import (
@@ -21,10 +22,12 @@ from repro.service.journal import (
     event_record,
     report_record,
     submitted_record,
+    text_sha256,
 )
 from repro.testing.faults import Fault, FaultInjector, FaultSchedule
 
-from tests.service.conftest import make_request
+from tests.service.conftest import DEPDB, make_request
+from tests.service.test_http import http_call
 
 
 def manager_with(state_dir, **kwargs) -> JobManager:
@@ -89,6 +92,26 @@ EARLIER_RELEASE_LOG = r"""{"fingerprint":"0516c3937bf347df44cb4a39e4e3f2202a8798
 """
 EARLIER_RELEASE_REPORT_SHA = (
     "2a560e253a47499110d714f8609f44cdbc36a538530911e633a9d61facbf532e"
+)
+
+
+#: Two jobs of ``make_request()`` (seeds 111 and 112) as the release
+#: before ``depdb_sha256`` journalled them, each ``submitted`` record
+#: holding the text: the first done, the second queued.
+INLINE_TEXT_LOG = r"""{"fingerprint":"bd87498ebd10733e284367ebfde0eaaf755fa0d1584068ac78d066f4799344e7","job_id":"job-000001","record":"submitted","request":{"adaptive":false,"algorithm":"minimal","base":null,"depdb":"<src=\"S1\" dst=\"Internet\" route=\"ToR1,Core1\"/>\n<src=\"S2\" dst=\"Internet\" route=\"ToR1,Core1\"/>\n<src=\"S3\" dst=\"Internet\" route=\"ToR2,Core2\"/>\n","deployment":"S1 & S3","kind":"audit_request","max_order":null,"metadata":{},"probability":null,"ranking":"size","required":1,"rounds":100000,"sample_probability":0.5,"schema_version":1,"seed":111,"servers":["S1","S3"],"tenant":"default","top_n":null},"tenant":"default"}
+{"event":{"event":"submitted","job_id":"job-000001","kind":"event","schema_version":1,"seq":1,"tenant":"default"},"job_id":"job-000001","record":"event"}
+{"event":{"event":"queued","job_id":"job-000001","kind":"event","queue_position":0,"schema_version":1,"seq":2},"job_id":"job-000001","record":"event"}
+{"event":{"event":"started","job_id":"job-000001","kind":"event","schema_version":1,"seq":3,"state":"running"},"job_id":"job-000001","record":"event"}
+{"event":{"event":"compiled","events":13,"job_id":"job-000001","kind":"event","schema_version":1,"seq":4,"structural_hash":"61ce0e5e9311fef5a318c1c7bcdb5b9280203b5ecf84e6cb9d19efad79cd31fb"},"job_id":"job-000001","record":"event"}
+{"event":{"event":"audited","job_id":"job-000001","kind":"event","schema_version":1,"seq":5},"job_id":"job-000001","record":"event"}
+{"job_id":"job-000001","record":"report","report_key":"12a77d0fa368bf5d7cfe3773218ea543877dd62862989d5e64c966f79158c129","sha256":"a56e1e1004fc84b4a968d2c3e1045b3761b050091239232b685cd7a71754e238","structural_hash":"61ce0e5e9311fef5a318c1c7bcdb5b9280203b5ecf84e6cb9d19efad79cd31fb"}
+{"elapsed":0.002439691001200117,"event":{"event":"done","job_id":"job-000001","kind":"event","report_key":"12a77d0fa368bf5d7cfe3773218ea543877dd62862989d5e64c966f79158c129","schema_version":1,"seq":6,"state":"done","structural_hash":"61ce0e5e9311fef5a318c1c7bcdb5b9280203b5ecf84e6cb9d19efad79cd31fb"},"job_id":"job-000001","record":"event"}
+{"fingerprint":"4326b45109f31f31c75bcaba47bff0a20851c1f29072073c8e66de57cceeb4a6","job_id":"job-000002","record":"submitted","request":{"adaptive":false,"algorithm":"minimal","base":null,"depdb":"<src=\"S1\" dst=\"Internet\" route=\"ToR1,Core1\"/>\n<src=\"S2\" dst=\"Internet\" route=\"ToR1,Core1\"/>\n<src=\"S3\" dst=\"Internet\" route=\"ToR2,Core2\"/>\n","deployment":"S1 & S3","kind":"audit_request","max_order":null,"metadata":{},"probability":null,"ranking":"size","required":1,"rounds":100000,"sample_probability":0.5,"schema_version":1,"seed":112,"servers":["S1","S3"],"tenant":"default","top_n":null},"tenant":"default"}
+{"event":{"event":"submitted","job_id":"job-000002","kind":"event","schema_version":1,"seq":1,"tenant":"default"},"job_id":"job-000002","record":"event"}
+{"event":{"event":"queued","job_id":"job-000002","kind":"event","queue_position":0,"schema_version":1,"seq":2},"job_id":"job-000002","record":"event"}
+"""
+INLINE_TEXT_REPORT_SHA = (
+    "a56e1e1004fc84b4a968d2c3e1045b3761b050091239232b685cd7a71754e238"
 )
 
 
@@ -644,3 +667,265 @@ class TestOneLog:
         assert caught.value.code == "old-state-layout"
         assert "jobs" in str(caught.value)
         assert not (tmp_path / "journal.jsonl").exists()
+
+
+def log_records(path) -> list:
+    return [json.loads(line) for line in path.read_bytes().splitlines()]
+
+
+def texts_in(path) -> list:
+    """The ``depdb_sha256`` of every ``submitted`` record that holds its
+    text, in log order (``None`` for an earlier release's record)."""
+    return [
+        r.get("depdb_sha256")
+        for r in log_records(path)
+        if r["record"] == "submitted" and "depdb" in r["request"]
+    ]
+
+
+class TestOneTextRecord:
+    """Each DepDB text is journalled once, in the ``submitted`` record
+    of its first job; later jobs name it by its sha."""
+
+    def test_jobs_of_one_text_share_its_one_record(self, tmp_path):
+        other = DEPDB.replace("Core2", "Core3")
+        manager = manager_with(tmp_path)
+        for seed in (111, 112, 113):
+            manager.submit(make_request(seed=seed))
+        manager.submit(make_request(seed=111))  # a born-done repeat
+        manager.submit(make_request(depdb=other, seed=111))
+        manager.run_pending()
+        manager.shutdown()
+        path = tmp_path / "journal.jsonl"
+        submitted = [r for r in log_records(path) if r["record"] == "submitted"]
+        assert len(submitted) == 5
+        assert ["depdb" in r["request"] for r in submitted] == [
+            True, False, False, False, True
+        ]
+        assert submitted[0]["request"]["depdb"] == DEPDB
+        assert submitted[4]["request"]["depdb"] == other
+        assert [r["depdb_sha256"] for r in submitted] == [
+            text_sha256(DEPDB)
+        ] * 4 + [text_sha256(other)]
+
+    def test_a_job_read_back_takes_its_text_from_the_record(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_module, "MAX_RETAINED_JOBS", 1)
+        first = manager_with(tmp_path)
+        holder = first.submit(make_request(seed=113))
+        evicted = first.submit(make_request(seed=114))
+        first.run_pending()
+        first.submit(make_request(seed=115))
+        first.run_pending()
+        assert evicted.id not in first._jobs
+        assert holder.id not in first._jobs
+        served = retention_view(first, evicted.id)
+        assert first.get(evicted.id).request == make_request(seed=114)
+        assert served[2] == direct_bytes(make_request(seed=114))
+        crash(first)
+        path = tmp_path / "journal.jsonl"
+        assert texts_in(path) == [text_sha256(DEPDB)]  # the holder's
+
+        second = manager_with(tmp_path)  # holds only the newest job
+        assert evicted.id not in second._jobs
+        assert second.get(evicted.id).request.depdb == DEPDB
+        assert second.get(holder.id).request == make_request(seed=113)
+        assert retention_view(second, evicted.id) == served
+        second.shutdown()
+
+    def test_an_inline_text_log_replays_and_reads_back(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_module, "MAX_RETAINED_JOBS", 1)
+        path = tmp_path / "journal.jsonl"
+        path.write_text(INLINE_TEXT_LOG)
+        journal = JobJournal(tmp_path)
+        assert journal.has_text(text_sha256(DEPDB))
+        done = make_request(seed=111)
+        assert journal.store_report(direct_bytes(done)) == INLINE_TEXT_REPORT_SHA
+        journal.close()
+
+        second = manager_with(tmp_path)
+        # The queued job is restated and names its text by sha now.
+        assert texts_in(path) == [None, None]
+        restated = log_records(path)[len(INLINE_TEXT_LOG.splitlines())]
+        assert restated["record"] == "submitted"
+        assert restated["depdb_sha256"] == text_sha256(DEPDB)
+        second.run_pending()
+        assert "job-000001" not in second._jobs  # read back from its text
+        assert second.get("job-000001").request == done
+        assert second.get("job-000001").report_bytes == direct_bytes(done)
+        assert second.get("job-000002").report_bytes == direct_bytes(
+            make_request(seed=112)
+        )
+        served = {
+            job_id: retention_view(second, job_id)
+            for job_id in ("job-000001", "job-000002")
+        }
+        crash(second)
+
+        third = manager_with(tmp_path)
+        for job_id, before in served.items():
+            assert retention_view(third, job_id) == before
+        assert third.submit(done).cached
+        third.shutdown()
+
+    @pytest.mark.parametrize("failure", ["torn", "disk-full"])
+    def test_a_failed_first_admission_leaves_no_text(self, tmp_path, failure):
+        path = tmp_path / "journal.jsonl"
+        if failure == "torn":
+            first = manager_with(tmp_path)
+            first.submit(make_request(seed=116))
+            crash(first)
+            submitted_line = path.read_bytes().splitlines(True)[0]
+            assert json.loads(submitted_line)["request"]["depdb"] == DEPDB
+            path.write_bytes(submitted_line[:-40])
+        else:
+            schedule = FaultSchedule(
+                (Fault(kind="disk-full", point="journal.append", at=0),)
+            )
+            with FaultInjector(schedule) as injector:
+                first = manager_with(tmp_path)
+                first.submit(make_request(seed=116))
+                crash(first)
+            assert injector.fired
+        journal = JobJournal(tmp_path)
+        assert path.read_bytes() == b""
+        assert not journal.has_text(text_sha256(DEPDB))
+        journal.close()
+
+        second = manager_with(tmp_path)
+        assert second.stats()["journal"]["recovered_jobs"] == 0
+        job = second.submit(make_request(seed=117))
+        second.run_pending()
+        assert texts_in(path) == [text_sha256(DEPDB)]
+        crash(second)
+        third = manager_with(tmp_path)
+        assert third.get(job.id).report_bytes == direct_bytes(
+            make_request(seed=117)
+        )
+        third.shutdown()
+
+    def test_a_text_that_fails_its_sha_is_never_served(self, tmp_path):
+        request = make_request(seed=118)
+        first = manager_with(tmp_path)
+        holder = first.submit(request)
+        job = first.submit(make_request(seed=119))
+        first.run_pending()
+        crash(first)
+        path = tmp_path / "journal.jsonl"
+        intact = path.read_bytes()
+        text, rest = intact.split(b"\n", 1)
+        assert b"Core1" in text and b"Core1" not in rest
+        # Same length, still valid JSON, another text than its sha names.
+        damaged = text.replace(b"Core1", b"Core9", 1) + b"\n" + rest
+
+        # Damaged after the scan: the read-back checks the text.
+        reader = JobJournal(tmp_path)
+        assert reader.read(job.id).request["depdb"] == DEPDB
+        path.write_bytes(damaged)
+        assert reader.read(holder.id) is None
+        assert reader.read(job.id) is None
+        assert list(reader.replay()) == []
+        reader.close()
+
+        # Damaged before the scan: the record is not indexed at all.
+        second = manager_with(tmp_path)
+        for lost in (holder, job):
+            assert lost.id not in second._jobs
+            with pytest.raises(ServiceError) as caught:
+                second.get(lost.id)
+            assert caught.value.code == "expired"
+        # Its text is journalled again, whole, by the next job needing it.
+        repeat = second.submit(request)
+        assert not repeat.cached
+        second.run_pending()
+        assert repeat.report_bytes == direct_bytes(request)
+        assert texts_in(path) == [text_sha256(DEPDB)] * 2
+        second.shutdown()
+
+    def test_a_text_indexes_only_once_written(self, tmp_path, monkeypatch):
+        journal = JobJournal(tmp_path)
+        sha = text_sha256(DEPDB)
+        admission = submitted_record(
+            "job-000001", "t", {"depdb": DEPDB}, None, sha
+        )
+
+        def full(fd):
+            raise OSError(errno.ENOSPC, "disk full")
+
+        with monkeypatch.context() as patch, pytest.raises(OSError):
+            patch.setattr(journal_module.os, "fsync", full)
+            journal.append("job-000001", admission)
+        assert not journal.has_text(sha)
+        journal.append("job-000001", admission)
+        assert journal.has_text(sha)
+        journal.close()
+        assert JobJournal(tmp_path).has_text(sha)
+
+    def test_a_lone_surrogate_in_the_text_is_admitted_and_journalled(
+        self, tmp_path, monkeypatch
+    ):
+        # A ``\\ud800`` JSON escape decodes to a lone surrogate, which
+        # strict UTF-8 cannot encode: the graph hash cannot either, so
+        # the job fails, but its admission and every job after it hold.
+        monkeypatch.setattr(jobs_module, "MAX_RETAINED_JOBS", 1)
+        odd = make_request(depdb=DEPDB.replace("Core2", "Core\ud800"), seed=120)
+        assert "\\ud800" in odd.to_json()
+        requests = (odd, make_request(seed=121), make_request(seed=122))
+        handle = ServiceThread(manager_with(tmp_path, workers=1)).start()
+        manager = handle.server.manager
+        try:
+            ids, states = [], []
+            for request in requests:
+                body = request.to_json()
+                status, _, answer = http_call(handle, "POST", "/v1/audits", body)
+                assert status == 202
+                ids.append(api.JobStatus.from_json(answer).job_id)
+                states.append(manager.wait(ids[-1], timeout=60).state)
+            assert states == ["failed", "done", "done"]
+            assert manager.stats()["jobs"] == {"failed": 1, "done": 2}
+            assert list(manager._jobs) == [ids[-1]]
+            served = [
+                http_call(handle, "GET", f"/v1/jobs/{job_id}/report")[2]
+                for job_id in ids[1:]
+            ]
+        finally:
+            handle.stop()
+        assert served == list(map(direct_bytes, requests[1:]))
+
+        second = manager_with(tmp_path)
+        lost = second.get(ids[0])
+        assert (lost.state, lost.request) == ("failed", odd)
+        assert second.get(ids[1]).report_bytes == served[0]
+        second.shutdown()
+
+
+class TestReportStoreThreads:
+    def test_two_threads_storing_the_same_bytes(self, tmp_path):
+        journal = JobJournal(tmp_path)
+        for trial in range(20):
+            data = b'{"trial": %d}' % trial
+            gate = threading.Barrier(2)
+            results, errors = [], []
+
+            def store():
+                gate.wait()
+                try:
+                    results.append(journal.store_report(data))
+                except OSError as exc:  # pragma: no cover - the old race
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=store) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            assert len(set(results)) == 1 and len(results) == 2
+            assert journal.load_report(results[0]) == data
+        # No temp file is left behind, one report per trial.
+        names = [p.name for p in (tmp_path / "reports").iterdir()]
+        assert len(names) == 20 and not any(n.startswith(".") for n in names)
+        journal.close()

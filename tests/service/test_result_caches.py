@@ -24,7 +24,7 @@ from tests.service.test_http import http_call
 CENSUS = (
     "reports",
     "fingerprints",
-    "base_graphs",
+    "graphs",
     "idempotency",
     "depdb_texts",
     "engine_graphs",
