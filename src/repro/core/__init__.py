@@ -33,7 +33,6 @@ from repro.core.minimal_rg import (
 )
 from repro.core.probability import (
     cut_probability,
-    relative_importance,
     top_event_probability,
     union_probability,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "rank_by_size",
     "rank_risk_groups",
     "redundancy_threshold",
-    "relative_importance",
     "top_event_probability",
     "unexpected_risk_groups",
     "union_probability",

@@ -43,7 +43,6 @@ __all__ = [
     "cut_probability",
     "union_probability",
     "top_event_probability",
-    "relative_importance",
 ]
 
 #: :func:`union_probability` takes inclusion-exclusion up to this many
@@ -329,19 +328,6 @@ def top_event_probability(
 ) -> float:
     """``Pr(T)`` from the minimal RG family (inclusion–exclusion, §4.1.3)."""
     return union_probability(minimal_rgs, probabilities)
-
-
-def relative_importance(
-    cut: Iterable[str],
-    top_probability: float,
-    probabilities: Mapping[str, float],
-) -> float:
-    """``I_C = Pr(C) / Pr(T)`` — the ranking weight of one RG (§4.1.3)."""
-    if not 0.0 < top_probability <= 1.0:
-        raise AnalysisError(
-            f"top-event probability must be in (0,1], got {top_probability}"
-        )
-    return cut_probability(cut, probabilities) / top_probability
 
 
 def expected_error_minhash(m: int) -> float:

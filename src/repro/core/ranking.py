@@ -21,11 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.core.probability import (
-    cut_probability,
-    relative_importance,
-    top_event_probability,
-)
+from repro.core.probability import cut_probability, top_event_probability
 from repro.errors import AnalysisError
 
 __all__ = [
@@ -112,19 +108,18 @@ def rank_by_probability(
         top_probability = top_event_probability(
             [frozenset(r) for r in risk_groups], probabilities
         )
+    if not 0.0 < top_probability <= 1.0:
+        raise AnalysisError(
+            f"top-event probability must be in (0,1], got {top_probability}"
+        )
     entries = []
     for rg in risk_groups:
-        # Sorted once, for the tie-break; the products' own sort of a
-        # sorted list is one linear pass.
+        # Sorted once, for the tie-break; the product's own sort of a
+        # sorted list is one linear pass.  The weight is I_C = Pr(C) /
+        # Pr(T) (§4.1.3).
         members = sorted(rg)
-        entries.append(
-            (
-                relative_importance(members, top_probability, probabilities),
-                cut_probability(members, probabilities),
-                members,
-                frozenset(rg),
-            )
-        )
+        prob = cut_probability(members, probabilities)
+        entries.append((prob / top_probability, prob, members, frozenset(rg)))
     entries.sort(key=lambda t: (-t[0], len(t[2]), t[2]))
     return [
         RankedRiskGroup(

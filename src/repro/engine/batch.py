@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -69,16 +69,14 @@ class BlockOutcome:
     Attributes:
         rounds: Rounds evaluated in this block.
         top_failures: Rounds in which the top event failed.
-        groups: Risk groups collected from this block (minimal when the
-            block ran with minimisation; raw failing sets otherwise).
-        raw_keys: Packed-bit fingerprints of the distinct raw failing
-            assignments seen, for cross-block unique counting.
+        groups: The distinct risk groups this block found: minimal ones
+            when the block ran with minimisation, its distinct raw
+            failing sets otherwise.
     """
 
     rounds: int
     top_failures: int
     groups: set[frozenset[str]] = field(default_factory=set)
-    raw_keys: set[bytes] = field(default_factory=set)
 
 
 @dataclass
@@ -94,6 +92,9 @@ class SamplingResult:
             estimate of the top-event failure probability *under the
             sampling distribution* (only meaningful as a probability when
             sampling with the true per-event weights).
+        minimised: Whether ``risk_groups`` are the union of the blocks'
+            minimal groups, or their raw failing sets after absorption.
+        metadata: Run bookkeeping: the block plan, the stopping rule.
     """
 
     rounds: int
@@ -102,7 +103,6 @@ class SamplingResult:
     top_probability_estimate: float
     minimised: bool = True
     sample_probability: Optional[float] = None
-    unique_failure_sets: int = 0
     metadata: dict = field(default_factory=dict)
 
     def detection_rate(self, reference: Iterable[frozenset[str]]) -> float:
@@ -128,7 +128,7 @@ def merge_block_outcomes(
 ) -> SamplingResult:
     """Fold per-block outcomes into one :class:`SamplingResult`.
 
-    Counts add, group/raw-fingerprint sets union, and the family is
+    Counts add, group sets union, and the family is
     sorted by ``(size, sorted members)`` — all order-insensitive, so the
     merge of a parallel run equals the merge of the same blocks run
     serially.  Minimised blocks hold minimal risk groups of one monotone
@@ -141,10 +141,8 @@ def merge_block_outcomes(
     rounds = sum(o.rounds for o in outcomes)
     top_failures = sum(o.top_failures for o in outcomes)
     collected: set[frozenset[str]] = set()
-    raw_keys: set[bytes] = set()
     for outcome in outcomes:
         collected |= outcome.groups
-        raw_keys |= outcome.raw_keys
     family = collected if minimised else minimise_family(collected)
     return SamplingResult(
         rounds=rounds,
@@ -153,7 +151,6 @@ def merge_block_outcomes(
         top_probability_estimate=top_failures / rounds,
         minimised=minimised,
         sample_probability=sample_probability,
-        unique_failure_sets=len(raw_keys),
         metadata=metadata or {},
     )
 
@@ -192,14 +189,17 @@ def extract_witnesses_batch(
         raise FaultGraphError(
             f"expected shape (m, {compiled.n_nodes}), got {values.shape}"
         )
-    return _witnesses_node_major(compiled, values.T, rng)
+    return np.ascontiguousarray(
+        _witnesses_node_major(compiled, values.T, rng).T
+    )
 
 
 def _witnesses_node_major(
     compiled: CompiledGraph, values: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """:func:`extract_witnesses_batch` on ``(n_nodes, m)`` values, a run
-    of :attr:`CompiledGraph.witness_plan` at a time.  A run's needed
+    of :attr:`CompiledGraph.witness_plan` at a time, returning the
+    ``(n_basic, m)`` witnesses node-major as well.  A run's needed
     ``(gate, row)`` cells are taken gate by gate, rows ascending, and
     ``Generator.random`` fills sequentially, so one draw per slice of a
     run is the concatenation of a gate-at-a-time walk's draws."""
@@ -252,7 +252,7 @@ def _witnesses_node_major(
             offsets = ((kids - np.arange(len(kids))[:, None]) * m).reshape(-1)
             picked = demand + offsets.take(demand // m * arity + chosen)
             flat_needed[picked[kept]] = True
-    return np.ascontiguousarray(needed[compiled.basic_index].T)
+    return needed[compiled.basic_index]
 
 
 def _rows_to_bits(columns: np.ndarray) -> list[int]:
@@ -320,11 +320,21 @@ def minimise_cuts_batch(
         raise FaultGraphError(
             f"expected shape (m, {compiled.n_basic}), got {cuts.shape}"
         )
-    m = cuts.shape[0]
+    minimal = _minimise_node_major(compiled, cuts.T, rng)
+    return np.ascontiguousarray(_bits_to_rows(minimal, cuts.shape[0]).T)
+
+
+def _minimise_node_major(
+    compiled: CompiledGraph, cuts: np.ndarray, rng: np.random.Generator
+) -> list[int]:
+    """:func:`minimise_cuts_batch` on ``(n_basic, m)`` cuts (column ``r``
+    = cut ``r``), returning the minimal cuts as each basic event's row
+    bitset, in :attr:`basic_names` order."""
+    m = cuts.shape[1]
     evaluate = compiled.evaluate_gate_bits
     bits = [0] * compiled.n_nodes
     basic_nodes = compiled.basic_index.tolist()
-    for node, value in zip(basic_nodes, _rows_to_bits(cuts.T)):
+    for node, value in zip(basic_nodes, _rows_to_bits(cuts)):
         bits[node] = value
     for gate in compiled.gate_order:
         bits[gate] = evaluate(gate, bits)
@@ -334,11 +344,11 @@ def minimise_cuts_batch(
 
     # Row sizes as a bit-sliced counter (planes[p] = bit p of every row's
     # size), so "size > 1" and "size -= 1" stay bitset operations.
-    sizes = cuts.sum(axis=1)
+    sizes = cuts.sum(axis=0)
     shifts = np.arange(int(sizes.max(initial=0)).bit_length())
     planes = _rows_to_bits((sizes >> shifts[:, None] & 1).astype(bool))
     multi = reduce(or_, planes[1:], 0)
-    candidates = np.flatnonzero(cuts.any(axis=0))
+    candidates = np.flatnonzero(cuts.any(axis=1))
     cones = compiled.cones
     clear = compiled.clear_cone_bits
     for position in rng.permutation(candidates).tolist():
@@ -362,29 +372,24 @@ def minimise_cuts_batch(
                 if not borrow:
                     break
             multi = reduce(or_, planes[1:], 0)
-    return np.ascontiguousarray(
-        _bits_to_rows([bits[node] for node in basic_nodes], m).T
+    return [bits[node] for node in basic_nodes]
+
+
+def _distinct_groups(
+    compiled: CompiledGraph, columns: np.ndarray
+) -> set[frozenset[str]]:
+    """The named risk groups of the distinct columns of a boolean
+    ``(n_basic, m)`` matrix: each column is packed once and hashed as
+    bytes, and only the distinct ones are unpacked and named."""
+    packed = np.ascontiguousarray(np.packbits(columns, axis=0).T)
+    width = packed.shape[1]
+    keys = set(packed.view(f"V{width}").ravel().tolist())
+    rows = np.unpackbits(
+        np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, width),
+        axis=1,
+        count=compiled.n_basic,
     )
-
-
-def _packed_keys(rows: np.ndarray) -> list[bytes]:
-    """Each boolean row as the bytes of its ``np.packbits`` form."""
-    packed = np.packbits(rows, axis=1)
-    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
-
-
-def _keys_to_rows(keys: Collection[bytes], width: int) -> np.ndarray:
-    """Inverse of :func:`_packed_keys` for ``width``-column rows."""
-    packed = np.frombuffer(b"".join(keys), dtype=np.uint8)
-    return np.unpackbits(
-        packed.reshape(len(keys), (width + 7) // 8), axis=1, count=width
-    ).astype(bool)
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct boolean rows, first occurrence first: one hash per packed
-    row instead of a whole-row sort."""
-    return _keys_to_rows(dict.fromkeys(_packed_keys(rows)), rows.shape[1])
+    return _rows_to_groups(compiled, rows.astype(bool))
 
 
 def _rows_to_groups(
@@ -440,21 +445,19 @@ def _finish_block(
     minimise: bool,
 ) -> BlockOutcome:
     """Fill ``outcome`` from the ``(n_nodes, m)`` node values of a block's
-    failing rounds."""
-    raw = np.ascontiguousarray(values_failing[compiled.basic_index].T)
-    # Distinct raw failing assignments, fingerprinted for cross-block union.
-    outcome.raw_keys = set(_packed_keys(raw))
-
+    failing rounds, node-major from witness to groups."""
     if not minimise:
-        outcome.groups = _rows_to_groups(
-            compiled, _keys_to_rows(outcome.raw_keys, compiled.n_basic)
+        outcome.groups = _distinct_groups(
+            compiled, values_failing[compiled.basic_index]
         )
         return outcome
-
     witnesses = _witnesses_node_major(compiled, values_failing, rng)
-    # Many rounds land on the same witness; minimise each only once.  Row
-    # order is free: each row is minimised on its own, and the one draw
-    # (the candidate order) depends only on which columns occur.
-    minimal = minimise_cuts_batch(compiled, _unique_rows(witnesses), rng)
-    outcome.groups = _rows_to_groups(compiled, _unique_rows(minimal))
+    # Duplicate witnesses are minimised too, and the one dedupe comes
+    # last: each cut is minimised on its own, and the one draw (the
+    # candidate order) depends only on which events occur, so duplicates
+    # change neither the distinct minimal cuts nor the generator's state.
+    minimal = _minimise_node_major(compiled, witnesses, rng)
+    outcome.groups = _distinct_groups(
+        compiled, _bits_to_rows(minimal, values_failing.shape[1])
+    )
     return outcome

@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.core.compile import CompiledGraph
 from repro.core.faultgraph import FaultGraph
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, FaultGraphError
 
 __all__ = [
     "structural_hash",
@@ -43,7 +43,20 @@ def structural_hash(graph: FaultGraph) -> str:
     Two graphs get the same hash iff they have the same events (names,
     basic/gate kind, gate type and threshold, children in order, failure
     probability) and the same top event.  O(nodes + edges).
+
+    Raises:
+        FaultGraphError: when an event name is not UTF-8 encodable text
+            (a lone surrogate).
     """
+    try:
+        return _structural_digest(graph)
+    except UnicodeEncodeError as exc:
+        raise FaultGraphError(
+            f"event name {exc.object!r} is not encodable as UTF-8"
+        ) from None
+
+
+def _structural_digest(graph: FaultGraph) -> str:
     digest = hashlib.sha256()
     digest.update(b"indaas-fault-graph-v1\0")
     top = graph.top if graph.has_top else ""

@@ -13,10 +13,10 @@ from repro import AuditSpec, FaultGraph, GateType, SIAAuditor, minimal_risk_grou
 from repro.acquisition import NetworkDependencyCollector
 from repro.core import probability
 from repro.core.bdd import compile_graph
+from repro.core.ranking import rank_by_probability
 from repro.core.probability import (
     cut_probability,
     expected_error_minhash,
-    relative_importance,
     top_event_probability,
     union_probability,
 )
@@ -281,18 +281,26 @@ class TestBayesianNetworkEvaluator:
 
 
 class TestRelativeImportance:
+    """``I_C = Pr(C) / Pr(T)``, the weight ``rank_by_probability`` gives
+    each RG (§4.1.3)."""
+
     def test_paper_values(self, figure_4b_probs):
         top = top_event_probability(CUTS_4B, figure_4b_probs)
-        assert relative_importance({"A2"}, top, figure_4b_probs) == (
+        importance = {
+            ranked.events: ranked.importance
+            for ranked in rank_by_probability(CUTS_4B, figure_4b_probs, top)
+        }
+        assert importance[frozenset({"A2"})] == (
             pytest.approx(0.8929, abs=1e-4)
         )
-        assert relative_importance({"A1", "A3"}, top, figure_4b_probs) == (
+        assert importance[frozenset({"A1", "A3"})] == (
             pytest.approx(0.1339, abs=1e-4)
         )
 
     def test_invalid_top_probability(self, figure_4b_probs):
-        with pytest.raises(AnalysisError):
-            relative_importance({"A2"}, 0.0, figure_4b_probs)
+        for top in (0.0, 1.5):
+            with pytest.raises(AnalysisError, match="top-event probability"):
+                rank_by_probability(CUTS_4B, figure_4b_probs, top)
 
 
 class TestTreeProbability:

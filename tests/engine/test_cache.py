@@ -2,10 +2,13 @@
 
 import threading
 
+import pytest
+
 from repro import ComponentSets, FaultGraph, GateType
 from repro.engine import GraphCache, compile_cached, structural_hash
 from repro.core.compile import CompiledGraph
 from repro.engine.cache import MAX_CACHED_GRAPHS
+from repro.errors import FaultGraphError
 
 
 def small_graph(shared: str = "sh") -> FaultGraph:
@@ -55,6 +58,17 @@ class TestStructuralHash:
         deep_graph.add_basic_event("extra")
         deep_graph.add_gate("top2", GateType.OR, ["top", "extra"], top=True)
         assert structural_hash(deep_graph) != before
+
+    def test_an_unencodable_name_is_a_fault_graph_error(self):
+        # A lone surrogate is a str UTF-8 cannot encode; the error names
+        # the event, whether it is a gate's child or the top itself.
+        with pytest.raises(FaultGraphError, match=r"'b\\udc80'"):
+            structural_hash(small_graph("b\udc80"))
+        graph = FaultGraph("odd")
+        graph.add_basic_event("x")
+        graph.add_gate("top\ud800", GateType.OR, ["x"], top=True)
+        with pytest.raises(FaultGraphError, match=r"'top\\ud800'"):
+            structural_hash(graph)
 
 
 class TestGraphCache:

@@ -63,7 +63,6 @@ class TestSamplingParity:
             result.top_probability_estimate
             == serial.top_probability_estimate
         )
-        assert result.unique_failure_sets == serial.unique_failure_sets
 
     def test_worker_count_never_changes_results(self, provider_graph):
         results = []
@@ -75,9 +74,6 @@ class TestSamplingParity:
         for other in results[1:]:
             assert other.risk_groups == results[0].risk_groups
             assert other.top_failures == results[0].top_failures
-            assert (
-                other.unique_failure_sets == results[0].unique_failure_sets
-            )
 
     @pytest.mark.parametrize("minimise", [True, False])
     def test_parity_holds_in_both_modes(self, deep_graph, minimise):

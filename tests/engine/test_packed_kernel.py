@@ -2,17 +2,18 @@
 
 The uint64 kernel evaluates 64 rounds per bitwise gate op but must stay
 *bit-identical* to the boolean reference path: both draw the same random
-stream, so every `BlockOutcome` field (rounds, top_failures, groups,
-raw_keys) must match exactly — for any graph, probability, block size
-and round count.  ``src/`` runs only the packed kernel; the block
+stream, so every `BlockOutcome` field (rounds, top_failures, groups)
+must match exactly — for any graph, probability, block size and round
+count.  ``src/`` runs only the packed kernel; the block
 built on the boolean evaluator lives here as the oracle
 :func:`run_block_boolean`.  Everything above a block is a
 deterministic composition of blocks, so block parity is the whole
 contract.
 
-A block's dedupe hashes packed rows; :func:`finish_block_sorted` keeps
-the ``np.unique(axis=0)`` version it replaced as the oracle, outcome for
-outcome and generator state for generator state.
+A block stays node-major from witness to groups and dedupes once, at
+the end; :func:`finish_block_row_major` keeps the row-major finish it
+replaced (three dedupes, raw keys) as the oracle, outcome for outcome
+and generator state for generator state.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ from repro.core.events import GateType
 from repro.core.faultgraph import FaultGraph
 from repro.engine.batch import (
     BlockOutcome,
+    _bits_to_rows,
     _finish_block,
+    _minimise_node_major,
     _witnesses_node_major,
+    extract_witnesses_batch,
     minimise_cuts_batch,
     run_block,
 )
@@ -62,31 +66,36 @@ def run_block_boolean(
     return _finish_block(compiled, outcome, values_failing, rng, minimise)
 
 
-def finish_block_sorted(compiled, outcome, values_failing, rng, minimise):
-    """``_finish_block`` as it was when every dedupe sorted its rows with
-    ``np.unique(axis=0)`` — the reference the hashing dedupe is held to."""
+def finish_block_row_major(compiled, outcome, values_failing, rng, minimise):
+    """``_finish_block`` as it was row-major: the raw failing rows, the
+    witnesses and the minimal rows each deduped by hashing packed rows,
+    and only the distinct witnesses minimised."""
+
+    def packed_keys(rows):
+        packed = np.packbits(rows, axis=1)
+        return packed.view(f"V{packed.shape[1]}").ravel().tolist()
+
+    def keys_to_rows(keys):
+        packed = np.frombuffer(b"".join(keys), dtype=np.uint8)
+        return np.unpackbits(
+            packed.reshape(len(keys), (compiled.n_basic + 7) // 8),
+            axis=1,
+            count=compiled.n_basic,
+        ).astype(bool)
 
     def unique_rows(rows):
-        unique = np.unique(np.packbits(rows, axis=1), axis=0)
-        return np.unpackbits(unique, axis=1, count=compiled.n_basic).astype(
-            bool
-        )
+        return keys_to_rows(dict.fromkeys(packed_keys(rows)))
 
     def rows_to_groups(rows):
         names = compiled.basic_names
         return {frozenset(names[i] for i in np.flatnonzero(r)) for r in rows}
 
     raw = np.ascontiguousarray(values_failing[compiled.basic_index].T)
-    unique_packed = np.unique(np.packbits(raw, axis=1), axis=0)
-    outcome.raw_keys = {row.tobytes() for row in unique_packed}
+    raw_keys = set(packed_keys(raw))
     if not minimise:
-        outcome.groups = rows_to_groups(
-            np.unpackbits(
-                unique_packed, axis=1, count=compiled.n_basic
-            ).astype(bool)
-        )
+        outcome.groups = rows_to_groups(keys_to_rows(raw_keys))
         return outcome
-    witnesses = _witnesses_node_major(compiled, values_failing, rng)
+    witnesses = extract_witnesses_batch(compiled, values_failing.T, rng)
     minimal = minimise_cuts_batch(compiled, unique_rows(witnesses), rng)
     outcome.groups = rows_to_groups(unique_rows(minimal))
     return outcome
@@ -217,24 +226,24 @@ def test_run_block_packed_is_bit_identical(
 
 
 # --------------------------------------------------------------------- #
-# Deduplication: hashing gives what sorting gave, generator state too
+# The node-major finish gives what the row-major one gave
 # --------------------------------------------------------------------- #
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     fault_graphs(),
-    st.integers(1, 300),
+    st.one_of(st.sampled_from((64, 256)), st.integers(1, 300)),
     st.floats(0.05, 0.8),
     st.booleans(),
     st.integers(0, 2**31 - 1),
 )
-def test_finish_block_matches_the_sorting_dedupe(
+def test_finish_block_matches_the_row_major_finish(
     graph, rounds, probability, minimise, seed
 ):
     compiled = CompiledGraph(graph)
     states, outcomes = [], []
-    for finish in (_finish_block, finish_block_sorted):
+    for finish in (_finish_block, finish_block_row_major):
         rng = np.random.default_rng(seed)
         values = failing_values(compiled, rounds, probability, rng)
         outcome = BlockOutcome(rounds=rounds, top_failures=0)
@@ -244,6 +253,40 @@ def test_finish_block_matches_the_sorting_dedupe(
         states.append(rng.bit_generator.state)
     assert outcomes[0] == outcomes[1]
     assert states[0] == states[1]
+
+
+def block_witnesses(compiled, rounds, probability, seed):
+    """A block's ``(n_basic, m)`` witnesses, or ``None`` when its top
+    event never fails."""
+    rng = np.random.default_rng(seed)
+    values = failing_values(compiled, rounds, probability, rng)
+    if values is None:
+        return None
+    return _witnesses_node_major(compiled, values, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fault_graphs(),
+    st.integers(1, 300),
+    st.floats(0.05, 0.8),
+    st.integers(0, 2**31 - 1),
+)
+def test_minimise_cuts_batch_is_the_node_major_core_transposed(
+    graph, rounds, probability, seed
+):
+    compiled = CompiledGraph(graph)
+    witnesses = block_witnesses(compiled, rounds, probability, seed)
+    if witnesses is None:
+        return
+    core_rng, public_rng = (np.random.default_rng(seed) for _ in range(2))
+    core = _minimise_node_major(compiled, witnesses, core_rng)
+    public = minimise_cuts_batch(compiled, witnesses.T, public_rng)
+    assert public.flags.c_contiguous
+    np.testing.assert_array_equal(
+        public, _bits_to_rows(core, witnesses.shape[1]).T
+    )
+    assert public_rng.bit_generator.state == core_rng.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,21 +299,25 @@ def test_finish_block_matches_the_sorting_dedupe(
 def test_minimise_commutes_with_row_permutation(
     graph, rounds, probability, seed
 ):
-    # Why the dedupe need not sort: each row is minimised on its own,
-    # and the one draw, the candidate order, depends only on the set of
-    # columns present.  Permuting the rows permutes the result and
-    # leaves the generator where it was.
+    # Why no dedupe is needed before minimising: each cut (a column
+    # here) is minimised on its own, and the one draw, the candidate
+    # order, depends only on the set of events present.  Permuting the
+    # cuts, with repeats, permutes the result and leaves the generator
+    # where it was.
     compiled = CompiledGraph(graph)
-    rng = np.random.default_rng(seed)
-    values = failing_values(compiled, rounds, probability, rng)
-    if values is None:
+    witnesses = block_witnesses(compiled, rounds, probability, seed)
+    if witnesses is None:
         return
-    witnesses = _witnesses_node_major(compiled, values, rng)
-    order = np.random.default_rng(seed + 1).permutation(len(witnesses))
+    m = witnesses.shape[1]
+    shuffle = np.random.default_rng(seed + 1)
+    order = np.concatenate(
+        [shuffle.permutation(m), shuffle.integers(0, m, size=m // 2)]
+    )
     runs = []
-    for rows in (witnesses, witnesses[order]):
+    for cuts in (witnesses, witnesses[:, order]):
         rng = np.random.default_rng(seed)
-        runs.append((minimise_cuts_batch(compiled, rows, rng), rng))
+        bits = _minimise_node_major(compiled, cuts, rng)
+        runs.append((_bits_to_rows(bits, cuts.shape[1]), rng))
     (plain, plain_rng), (permuted, permuted_rng) = runs
-    np.testing.assert_array_equal(permuted, plain[order])
+    np.testing.assert_array_equal(permuted, plain[:, order])
     assert permuted_rng.bit_generator.state == plain_rng.bit_generator.state

@@ -75,7 +75,6 @@ GRAPH_WIDE = make_graph("wide", providers=6, shared=4)
 def assert_same(result, reference) -> None:
     assert result.risk_groups == reference.risk_groups
     assert result.top_failures == reference.top_failures
-    assert result.unique_failure_sets == reference.unique_failure_sets
     assert (
         result.top_probability_estimate
         == reference.top_probability_estimate

@@ -84,4 +84,3 @@ class TestFailureSampler:
         assert result.rounds == rounds
         assert 0 <= result.top_failures <= rounds
         assert result.top_probability_estimate == result.top_failures / rounds
-        assert result.unique_failure_sets <= result.top_failures

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro import api
-from repro.errors import ServiceError
+from repro.errors import FaultGraphError, ServiceError
 from repro.service import JobManager, ServiceThread
 from repro.service import jobs as jobs_module
 from repro.service import journal as journal_module
@@ -868,8 +868,9 @@ class TestOneTextRecord:
         self, tmp_path, monkeypatch
     ):
         # A ``\\ud800`` JSON escape decodes to a lone surrogate, which
-        # strict UTF-8 cannot encode: the graph hash cannot either, so
-        # the job fails, but its admission and every job after it hold.
+        # strict UTF-8 cannot encode: the graph hash refuses the name as
+        # a typed error, so the job fails as an audit failure, not an
+        # internal one, but its admission and every job after it hold.
         monkeypatch.setattr(jobs_module, "MAX_RETAINED_JOBS", 1)
         odd = make_request(depdb=DEPDB.replace("Core2", "Core\ud800"), seed=120)
         assert "\\ud800" in odd.to_json()
@@ -877,14 +878,16 @@ class TestOneTextRecord:
         handle = ServiceThread(manager_with(tmp_path, workers=1)).start()
         manager = handle.server.manager
         try:
-            ids, states = [], []
+            ids, jobs = [], []
             for request in requests:
                 body = request.to_json()
                 status, _, answer = http_call(handle, "POST", "/v1/audits", body)
                 assert status == 202
                 ids.append(api.JobStatus.from_json(answer).job_id)
-                states.append(manager.wait(ids[-1], timeout=60).state)
-            assert states == ["failed", "done", "done"]
+                jobs.append(manager.wait(ids[-1], timeout=60))
+            assert [job.state for job in jobs] == ["failed", "done", "done"]
+            assert jobs[0].error["code"] == "audit-failed"
+            assert repr("device:Core\ud800") in jobs[0].error["message"]
             assert manager.stats()["jobs"] == {"failed": 1, "done": 2}
             assert list(manager._jobs) == [ids[-1]]
             served = [
@@ -898,8 +901,11 @@ class TestOneTextRecord:
         second = manager_with(tmp_path)
         lost = second.get(ids[0])
         assert (lost.state, lost.request) == ("failed", odd)
+        assert lost.error == jobs[0].error
         assert second.get(ids[1]).report_bytes == served[0]
         second.shutdown()
+        with pytest.raises(FaultGraphError, match="not encodable"):
+            api.audit(odd.depdb, odd.servers, seed=odd.seed)
 
 
 class TestReportStoreThreads:
