@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import AuditSpec, FailureSampler, RGAlgorithm, SIAAuditor
+from repro import AuditEngine, AuditSpec, RGAlgorithm, SIAAuditor
 from repro.core import minimal_risk_groups
 from repro.core.report import AuditReport
 from repro.depdb import DepDB
@@ -68,7 +68,7 @@ def compute_fig7() -> dict:
     reference = minimal_risk_groups(graph)
     series = []
     for rounds in FIG7_ROUNDS:
-        result = FailureSampler(graph, seed=FIG7_SEED).run(rounds)
+        result = AuditEngine(n_workers=1).sample(graph, rounds, seed=FIG7_SEED)
         series.append(
             {
                 "rounds": rounds,

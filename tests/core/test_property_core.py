@@ -26,7 +26,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from repro import FailureSampler, FaultGraph, GateType, minimal_risk_groups
+from repro import AuditEngine, FaultGraph, GateType, minimal_risk_groups
 from repro.core import probability
 from repro.core.bdd import BDD, ONE, ZERO, compile_graph
 from repro.core.compile import CompiledGraph
@@ -128,7 +128,9 @@ def test_without_drops_supersets():
 @settings(max_examples=30, deadline=None)
 @given(fault_graphs(), st.integers(0, 2**31 - 1))
 def test_sampler_reports_only_minimal_risk_groups(graph, seed):
-    result = FailureSampler(graph, seed=seed, batch_size=256).run(400)
+    result = AuditEngine(n_workers=1, block_size=256).sample(
+        graph, 400, seed=seed
+    )
     for group in result.risk_groups:
         assert graph.evaluate(group)
         assert is_minimal_risk_group(graph, group)
@@ -138,7 +140,9 @@ def test_sampler_reports_only_minimal_risk_groups(graph, seed):
 @given(fault_graphs(), st.integers(0, 2**31 - 1))
 def test_sampled_groups_subset_of_true_minimal_family(graph, seed):
     true_groups = set(minimal_risk_groups(graph))
-    result = FailureSampler(graph, seed=seed, batch_size=256).run(400)
+    result = AuditEngine(n_workers=1, block_size=256).sample(
+        graph, 400, seed=seed
+    )
     assert set(result.risk_groups) <= true_groups
 
 

@@ -76,10 +76,9 @@ class TestStopper:
 class TestAdaptiveSampling:
     def test_early_stop_reports_honest_rounds(self):
         budget = 500_000
-        sampler = FailureSampler(
-            GRAPH, seed=3, batch_size=256, adaptive=True
+        result = AuditEngine(n_workers=1, block_size=256).sample(
+            GRAPH, budget, seed=3, adaptive=True
         )
-        result = sampler.run(budget)
         assert result.rounds < budget
         meta = result.metadata
         assert meta["adaptive"] is True
@@ -95,14 +94,15 @@ class TestAdaptiveSampling:
     def test_non_stopping_adaptive_equals_exact(self):
         """With an unsatisfiable rule, adaptive mode is a pure no-op —
         the exact-rounds golden figures cannot be perturbed by it."""
-        exact = FailureSampler(GRAPH, seed=9, batch_size=256).run(2000)
-        adaptive = FailureSampler(
+        engine = AuditEngine(n_workers=1, block_size=256)
+        exact = engine.sample(GRAPH, 2000, seed=9)
+        adaptive = engine.sample(
             GRAPH,
+            2000,
             seed=9,
-            batch_size=256,
             adaptive=True,
             adaptive_config=AdaptiveConfig(min_blocks=10**6),
-        ).run(2000)
+        )
         assert adaptive.rounds == exact.rounds == 2000
         assert adaptive.risk_groups == exact.risk_groups
         assert adaptive.top_failures == exact.top_failures

@@ -2,8 +2,7 @@
 
 The central guarantee (ISSUE 1 acceptance): for a fixed seed the
 parallel/batched engine returns the *same* risk-group family and
-top-probability estimate as the serial :class:`FailureSampler`, for any
-worker count.
+top-probability estimate as an inline engine, for any worker count.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 from repro import (
     AuditSpec,
     ComponentSets,
-    FailureSampler,
     RGAlgorithm,
     SIAAuditor,
     minimal_risk_groups,
@@ -52,7 +50,9 @@ class TestSamplingParity:
     def test_engine_matches_serial_sampler_exactly(
         self, provider_graph, workers
     ):
-        serial = FailureSampler(provider_graph, seed=123).run(10_000)
+        serial = AuditEngine(n_workers=1).sample(
+            provider_graph, 10_000, seed=123
+        )
         with AuditEngine(n_workers=workers) as engine:
             result = sample_through_pool(
                 engine, provider_graph, 10_000, seed=123
@@ -77,8 +77,8 @@ class TestSamplingParity:
 
     @pytest.mark.parametrize("minimise", [True, False])
     def test_parity_holds_in_both_modes(self, deep_graph, minimise):
-        serial = FailureSampler(deep_graph, seed=5, minimise=minimise).run(
-            6_000
+        serial = AuditEngine(n_workers=1).sample(
+            deep_graph, 6_000, seed=5, minimise=minimise
         )
         with AuditEngine(n_workers=2) as engine:
             parallel = sample_through_pool(
@@ -89,8 +89,8 @@ class TestSamplingParity:
         assert parallel.minimised is minimise
 
     def test_weighted_sampling_parity(self, figure_4b):
-        serial = FailureSampler(figure_4b, use_weights=True, seed=11).run(
-            8_192
+        serial = AuditEngine(n_workers=1).sample(
+            figure_4b, 8_192, use_weights=True, seed=11
         )
         with AuditEngine(n_workers=2) as engine:
             parallel = sample_through_pool(

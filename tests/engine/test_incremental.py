@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import AuditSpec, FailureSampler, GateType, RGAlgorithm, SIAAuditor
+from repro import AuditSpec, GateType, RGAlgorithm, SIAAuditor
 from repro.core.componentset import ComponentSets
 from repro.core.faultgraph import FaultGraph
 from repro.depdb import DepDB
@@ -115,11 +115,13 @@ class TestCachedSampling:
     """No block-level cache sits under the result cache (ISSUE 19):
     sampling on a warm engine is sampling."""
 
-    def test_parity_with_serial_and_base_engine(self, deep_graph):
-        serial = FailureSampler(deep_graph, seed=21).run(9_000)
-        engine = AuditEngine().sample(deep_graph, 9_000, seed=21)
-        assert engine.risk_groups == serial.risk_groups
-        assert engine.top_failures == serial.top_failures
+    def test_warm_engine_matches_a_fresh_one(self, deep_graph):
+        fresh = AuditEngine(n_workers=1).sample(deep_graph, 9_000, seed=21)
+        engine = AuditEngine()
+        engine.sample(deep_graph, 9_000, seed=3)
+        warm = engine.sample(deep_graph, 9_000, seed=21)
+        assert warm.risk_groups == fresh.risk_groups
+        assert warm.top_failures == fresh.top_failures
 
     def test_block_size_is_part_of_the_key(self, deep_graph):
         engine_a = AuditEngine(block_size=1000)
@@ -130,15 +132,15 @@ class TestCachedSampling:
         assert a.rounds == b.rounds
         # ... and each equals its own serial counterpart.
         for block_size, result in ((1000, a), (4096, b)):
-            serial = FailureSampler(
-                deep_graph, seed=1, batch_size=block_size
-            ).run(4_000)
+            serial = AuditEngine(n_workers=1, block_size=block_size).sample(
+                deep_graph, 4_000, seed=1
+            )
             assert serial.risk_groups == result.risk_groups
             assert serial.top_failures == result.top_failures
 
     def test_weighted_sampling_through_the_cache(self, figure_4b):
-        serial = FailureSampler(figure_4b, use_weights=True, seed=11).run(
-            8_192
+        serial = AuditEngine(n_workers=1).sample(
+            figure_4b, 8_192, use_weights=True, seed=11
         )
         engine = AuditEngine()
         warm = engine.sample(figure_4b, 8_192, use_weights=True, seed=11)

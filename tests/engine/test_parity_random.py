@@ -1,9 +1,10 @@
 """Randomized parity harness (ISSUE 2 satellite).
 
 Extends the PR-1 determinism contract to the incremental layer with a
-seeded fuzzer: for ~20 randomly generated small deployments, the serial
-:class:`FailureSampler`, :meth:`AuditEngine.sample` and a delta audit
-after a no-op diff must be bit-identical per ``(seed, block_size)``.
+seeded fuzzer: for ~20 randomly generated small deployments, an inline
+:meth:`AuditEngine.sample`, a cold run on a second engine and a no-op
+re-audit on that warm engine must be bit-identical per ``(seed,
+block_size)``.
 
 Everything derives from one master seed, so a failure reproduces
 exactly; bump ``SPEC_COUNT`` locally to fuzz harder.
@@ -12,7 +13,7 @@ exactly; bump ``SPEC_COUNT`` locally to fuzz harder.
 import numpy as np
 import pytest
 
-from repro import AuditSpec, FailureSampler, RGAlgorithm, SIAAuditor
+from repro import AuditSpec, RGAlgorithm, SIAAuditor
 from repro.core.componentset import ComponentSets
 from repro.depdb import DepDB
 from repro.depdb.records import HardwareDependency
@@ -67,10 +68,7 @@ def random_cases():
 def test_serial_engine_and_noop_delta_are_bit_identical(
     graph, rounds, seed, block_size
 ):
-    serial = FailureSampler(graph, seed=seed, batch_size=block_size).run(
-        rounds
-    )
-    engine = AuditEngine(block_size=block_size).sample(
+    serial = AuditEngine(n_workers=1, block_size=block_size).sample(
         graph, rounds, seed=seed
     )
     delta_engine = AuditEngine(block_size=block_size)
@@ -79,7 +77,7 @@ def test_serial_engine_and_noop_delta_are_bit_identical(
     # must not change a bit.
     noop = delta_engine.sample(graph.copy(), rounds, seed=seed)
 
-    for result in (engine, cold, noop):
+    for result in (cold, noop):
         assert result.risk_groups == serial.risk_groups
         assert result.top_failures == serial.top_failures
         assert result.top_probability_estimate == serial.top_probability_estimate

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AuditSpec, FailureSampler, RGAlgorithm, SIAAuditor, api
+from repro import AuditSpec, RGAlgorithm, SIAAuditor, api
 from repro.core.componentset import ComponentSets
 from repro.depdb import DepDB, NetworkDependency
 from repro.engine import AuditEngine, PersistentPool
@@ -82,7 +82,9 @@ def assert_same(result, reference) -> None:
 
 
 def serial_reference(graph, rounds, seed, block=BLOCK):
-    return FailureSampler(graph, seed=seed, batch_size=block).run(rounds)
+    return AuditEngine(n_workers=1, block_size=block).sample(
+        graph, rounds, seed=seed
+    )
 
 
 def sample_through_pool(engine, graph, rounds, **options):

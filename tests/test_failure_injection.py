@@ -9,9 +9,9 @@ mode an auditing system can have).
 import pytest
 
 from repro import (
+    AuditEngine,
     AuditSpec,
     ComponentSets,
-    FailureSampler,
     FaultGraph,
     GateType,
     SIAAuditor,
@@ -64,7 +64,7 @@ class TestDegenerateGraphs:
         g = FaultGraph()
         g.add_basic_event("only")
         g.set_top("only")
-        result = FailureSampler(g, seed=0).run(200)
+        result = AuditEngine(n_workers=1).sample(g, 200, seed=0)
         assert result.risk_groups == [frozenset({"only"})]
 
     def test_impossible_top_yields_no_risk_groups(self):
