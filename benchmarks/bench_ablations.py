@@ -25,7 +25,7 @@ from repro.core import (
 from repro.core.minimal_rg import minimise_family
 from repro.core.probability import expected_error_minhash
 from repro.crypto import HashFamily
-from repro.engine import FailureSampler
+from repro.engine import AuditEngine
 from repro.privacy import estimate_jaccard, jaccard, minhash_signature
 
 
@@ -136,8 +136,9 @@ def test_ablation_witness_minimisation(benchmark, emit):
     graph = sets.to_fault_graph()
     reference = minimal_risk_groups(graph)
     rounds = 4_000
-    refined = FailureSampler(graph, seed=1, minimise=True).run(rounds)
-    raw = FailureSampler(graph, seed=1, minimise=False).run(rounds)
+    engine = AuditEngine(n_workers=1)
+    refined = engine.sample(graph, rounds, seed=1, minimise=True)
+    raw = engine.sample(graph, rounds, seed=1, minimise=False)
     emit.table(
         "Ablation 3 — witness extraction + greedy minimisation",
         ["variant", "% minimal RGs detected", "risk groups reported"],
@@ -152,7 +153,9 @@ def test_ablation_witness_minimisation(benchmark, emit):
     )
     assert refined.detection_rate(reference) > raw.detection_rate(reference)
     benchmark.pedantic(
-        lambda: FailureSampler(graph, seed=1, minimise=True).run(rounds),
+        lambda: AuditEngine(n_workers=1).sample(
+            graph, rounds, seed=1, minimise=True
+        ),
         rounds=1,
         iterations=1,
     )

@@ -25,7 +25,7 @@ from repro.acquisition import NetworkDependencyCollector, TrafficSampledCollecto
 from repro.core import minimal_risk_groups
 from repro.core.spec import AuditSpec
 from repro.depdb import DepDB
-from repro.engine import FailureSampler, SIAAuditor
+from repro.engine import AuditEngine, SIAAuditor
 from repro.topology import TOPOLOGY_C, FatTreeConfig, fat_tree, fat_tree_routes
 
 #: Scaled stand-ins for topologies A/B/C (same fat-tree structure).
@@ -84,9 +84,10 @@ def test_fig7_accuracy_vs_time(benchmark, emit, scale, name):
     rows = [["minimal-RG", "-", f"{exact_seconds:.3f}", "100.0%"]]
     detections = []
     for rounds in ROUND_SERIES[scale][name]:
-        sampler = FailureSampler(graph, seed=7, minimise=True)
+        engine = AuditEngine(n_workers=1)
+        engine.compile(graph)
         started = time.perf_counter()
-        result = sampler.run(rounds)
+        result = engine.sample(graph, rounds, seed=7, minimise=True)
         seconds = time.perf_counter() - started
         rate = result.detection_rate(reference)
         detections.append((rounds, rate, seconds))
@@ -108,7 +109,7 @@ def test_fig7_accuracy_vs_time(benchmark, emit, scale, name):
     # Benchmark one mid-series sampling configuration.
     mid_rounds = ROUND_SERIES[scale][name][1]
     benchmark.pedantic(
-        lambda: FailureSampler(graph, seed=7).run(mid_rounds),
+        lambda: AuditEngine(n_workers=1).sample(graph, mid_rounds, seed=7),
         rounds=1,
         iterations=1,
     )

@@ -23,7 +23,7 @@ from itertools import combinations
 
 from repro.core import ComponentSets, minimal_risk_groups
 from repro.crypto import SharedGroup, generate_keypair
-from repro.engine import FailureSampler
+from repro.engine import AuditEngine
 from repro.privacy import KSParty, KSProtocol, PSOPParty, PSOPProtocol
 
 PARAMS = {
@@ -80,7 +80,7 @@ def sia_sampling_seconds(sets: dict, ways: int, rounds: int) -> float:
         graph = ComponentSets.from_mapping(
             {name: sets[name] for name in combo}
         ).to_fault_graph()
-        FailureSampler(graph, seed=0, minimise=True).run(rounds)
+        AuditEngine(n_workers=1).sample(graph, rounds, seed=0, minimise=True)
     return time.perf_counter() - started
 
 

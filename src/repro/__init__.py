@@ -52,7 +52,6 @@ from repro.depdb import (
 )
 from repro.engine import (
     AuditEngine,
-    FailureSampler,
     GraphCache,
     SIAAuditor,
     SamplingResult,
@@ -79,7 +78,6 @@ __all__ = [
     "DeploymentAudit",
     "DetailLevel",
     "Event",
-    "FailureSampler",
     "FaultGraph",
     "FaultSets",
     "GateType",

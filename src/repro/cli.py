@@ -236,10 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after N polls (default: run until interrupted)",
     )
     watch.add_argument(
-        "--block-size", type=int, default=4096,
-        help="sampling rounds per block (part of the seeded stream)",
-    )
-    watch.add_argument(
         "--workers", type=int, default=0,
         help=(
             "sampling worker processes shared through one persistent "
@@ -352,10 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--queue-limit", type=int, default=64, dest="queue_limit",
         help="queued jobs allowed service-wide before 429 (default 64)",
-    )
-    serve.add_argument(
-        "--block-size", type=int, default=4096,
-        help="sampling rounds per block (part of the seeded stream)",
     )
     serve.add_argument(
         "--engine-workers", type=int, default=0, dest="engine_workers",
@@ -665,7 +657,7 @@ def _run_watch(args: argparse.Namespace) -> int:
     from repro.engine import AuditEngine
     from repro.service import WatchService
 
-    engine = AuditEngine(n_workers=args.workers, block_size=args.block_size)
+    engine = AuditEngine(n_workers=args.workers)
     service = WatchService(
         args.specs,
         engine=engine,
@@ -810,10 +802,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
             flush=True,
         )
-    engine = AuditEngine(
-        n_workers=args.engine_workers,
-        block_size=args.block_size,
-    )
+    engine = AuditEngine(n_workers=args.engine_workers)
     try:
         manager = JobManager(
             engine,

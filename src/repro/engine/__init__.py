@@ -16,8 +16,8 @@ This package is the scaling layer on top of the §4.1 analysis core:
 * :mod:`repro.engine.facade` — the one engine, :class:`AuditEngine`,
   with its audit result cache, consumed by :class:`SIAAuditor`, the
   what-if analysis, the shared request executor, the service and the
-  CLI verbs; and :class:`FailureSampler`, the §4.1.2 sampler as a front
-  over the engine's one plan → run → merge;
+  CLI verbs; its :meth:`~AuditEngine.sample` is the one door to the
+  §4.1.2 failure sampler (one plan → run → merge);
 * :mod:`repro.engine.audit` — :class:`SIAAuditor`, the §4.1 pipeline
   from DepDB to ranked report, whose sampling audits run only through
   an engine;
@@ -44,7 +44,7 @@ from repro.engine.cache import (
     default_cache,
     structural_hash,
 )
-from repro.engine.facade import AuditEngine, FailureSampler
+from repro.engine.facade import AuditEngine
 from repro.engine.incremental import (
     DeltaAuditReport,
     GraphDelta,
@@ -70,7 +70,6 @@ __all__ = [
     "BlockOutcome",
     "BlockPlan",
     "DeltaAuditReport",
-    "FailureSampler",
     "GraphCache",
     "GraphDelta",
     "LRUCache",

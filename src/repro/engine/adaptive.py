@@ -6,12 +6,14 @@ decision is statistically settled.  Two signals must stabilise, both
 evaluated at block boundaries in *plan order*:
 
 * the top-event failure estimate ``p̂`` — stop only when its normal
-  confidence interval (plus a 1/(2n) continuity correction so a run of
-  all-zero blocks is not declared "settled" instantly) is narrower than
-  ``max(abs_tol, rel_tol * p̂)``;
-* the risk-group discovery curve — stop only after ``patience_blocks``
+  confidence interval (``CONFIDENCE_Z`` standard errors, plus a 1/(2n)
+  continuity correction so a run of all-zero blocks is not declared
+  "settled" instantly) is narrower than ``max(ABS_TOL, REL_TOL * p̂)``;
+* the risk-group discovery curve — stop only after ``PATIENCE_BLOCKS``
   consecutive blocks contributed no new risk group, i.e. the discovery
-  curve has plateaued.
+  curve has plateaued;
+
+and never before ``MIN_BLOCKS`` blocks have run.
 
 Determinism: the stopper consumes block outcomes strictly in plan order,
 so the number of executed blocks is a pure function of
@@ -29,52 +31,23 @@ default and the golden figure pins never run adaptive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.engine.batch import BlockOutcome
-from repro.errors import AnalysisError
 
-__all__ = ["AdaptiveConfig", "AdaptiveStopper"]
+__all__ = ["AdaptiveStopper"]
 
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Stopping rule parameters for adaptive sampling.
-
-    Attributes:
-        rel_tol: Stop once the CI halfwidth falls below this fraction of
-            the current top-failure estimate.
-        abs_tol: Absolute halfwidth floor — keeps near-zero estimates
-            stoppable where ``rel_tol`` alone would demand ever more
-            rounds.
-        confidence_z: Normal quantile of the interval (2.576 ≈ 99%).
-        min_blocks: Never stop before this many blocks, regardless of
-            how tight the interval looks.
-        patience_blocks: Require this many consecutive blocks without a
-            new risk group before stopping.
-    """
-
-    rel_tol: float = 0.05
-    abs_tol: float = 1e-3
-    confidence_z: float = 2.576
-    min_blocks: int = 4
-    patience_blocks: int = 4
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise AnalysisError(
-                "adaptive tolerances must be positive, got "
-                f"rel_tol={self.rel_tol}, abs_tol={self.abs_tol}"
-            )
-        if self.confidence_z <= 0:
-            raise AnalysisError(
-                f"confidence_z must be positive, got {self.confidence_z}"
-            )
-        if self.min_blocks < 1 or self.patience_blocks < 1:
-            raise AnalysisError(
-                "min_blocks and patience_blocks must be >= 1, got "
-                f"{self.min_blocks} and {self.patience_blocks}"
-            )
+#: Stop once the CI halfwidth falls below this fraction of the current
+#: top-failure estimate ...
+REL_TOL = 0.05
+#: ... or below this absolute floor, which keeps near-zero estimates
+#: stoppable where ``REL_TOL`` alone would demand ever more rounds.
+ABS_TOL = 1e-3
+#: Normal quantile of the interval (2.576 ≈ 99%).
+CONFIDENCE_Z = 2.576
+#: Never stop before this many blocks, however tight the interval looks.
+MIN_BLOCKS = 4
+#: Consecutive blocks without a new risk group required before stopping.
+PATIENCE_BLOCKS = 4
 
 
 class AdaptiveStopper:
@@ -86,8 +59,7 @@ class AdaptiveStopper:
     perturb the sampled streams.
     """
 
-    def __init__(self, config: AdaptiveConfig | None = None) -> None:
-        self.config = config or AdaptiveConfig()
+    def __init__(self) -> None:
         self.blocks = 0
         self.rounds = 0
         self.top_failures = 0
@@ -108,30 +80,28 @@ class AdaptiveStopper:
         self.stopped = self._should_stop()
         return self.stopped
 
-    def _should_stop(self) -> bool:
-        cfg = self.config
-        if self.blocks < cfg.min_blocks:
-            return False
-        if self.blocks_since_new_group < cfg.patience_blocks:
-            return False
+    def _estimate(self) -> tuple[float, float]:
+        """``(p̂, CI halfwidth)`` over the blocks observed so far."""
         n = self.rounds
+        if not n:
+            return 0.0, float("inf")
         p = self.top_failures / n
-        halfwidth = cfg.confidence_z * math.sqrt(p * (1.0 - p) / n) + 0.5 / n
-        return halfwidth <= max(cfg.abs_tol, cfg.rel_tol * p)
+        return p, CONFIDENCE_Z * math.sqrt(p * (1.0 - p) / n) + 0.5 / n
+
+    def _should_stop(self) -> bool:
+        if self.blocks < MIN_BLOCKS:
+            return False
+        if self.blocks_since_new_group < PATIENCE_BLOCKS:
+            return False
+        p, halfwidth = self._estimate()
+        return halfwidth <= max(ABS_TOL, REL_TOL * p)
 
     def summary(self) -> dict:
         """Metadata describing the stopping decision (for results/reports)."""
-        n = self.rounds
-        p = self.top_failures / n if n else 0.0
-        halfwidth = (
-            self.config.confidence_z * math.sqrt(p * (1.0 - p) / n) + 0.5 / n
-            if n
-            else float("inf")
-        )
         return {
             "adaptive": True,
             "stopped_early": self.stopped,
             "blocks_observed": self.blocks,
-            "ci_halfwidth": halfwidth,
+            "ci_halfwidth": self._estimate()[1],
             "blocks_since_new_group": self.blocks_since_new_group,
         }

@@ -1,8 +1,8 @@
 """Vectorised post-processing for failure-sampling blocks.
 
-The seed implementation of :class:`~repro.engine.facade.FailureSampler`
-evaluated rounds in NumPy batches but then fell back into a per-failing-row
-Python loop for witness extraction and greedy cut minimisation.  On dense
+The first failure sampler evaluated rounds in NumPy batches but then fell
+back into a per-failing-row Python loop for witness extraction and greedy
+cut minimisation.  On dense
 graphs most rounds fail, so that loop dominated the runtime.  This module
 moves both steps to whole-block operations:
 
@@ -26,7 +26,7 @@ moves both steps to whole-block operations:
   undoes exactly their trial — the result equals trial-evaluating each
   candidate against the whole graph;
 * :func:`run_block` ties sampling, evaluation and both steps together
-  into the unit of work the serial sampler and the parallel engine share;
+  into the unit of work the inline loop and the pool's workers share;
 * :func:`merge_block_outcomes` folds a run's block outcomes into its
   :class:`SamplingResult`.
 
@@ -90,8 +90,8 @@ class SamplingResult:
             contains another), sorted by size, then members.
         top_probability_estimate: Fraction of failing rounds — an unbiased
             estimate of the top-event failure probability *under the
-            sampling distribution* (only meaningful as a probability when
-            sampling with the true per-event weights).
+            sampling distribution*, every event failing with the run's
+            ``sample_probability`` (not the graph's own weights).
         minimised: Whether ``risk_groups`` are the union of the blocks'
             minimal groups, or their raw failing sets after absorption.
         metadata: Run bookkeeping: the block plan, the stopping rule.
@@ -102,7 +102,6 @@ class SamplingResult:
     risk_groups: list[frozenset[str]]
     top_probability_estimate: float
     minimised: bool = True
-    sample_probability: Optional[float] = None
     metadata: dict = field(default_factory=dict)
 
     def detection_rate(self, reference: Iterable[frozenset[str]]) -> float:
@@ -123,7 +122,6 @@ def merge_block_outcomes(
     outcomes: Sequence[BlockOutcome],
     *,
     minimised: bool,
-    sample_probability: Optional[float],
     metadata: Optional[dict] = None,
 ) -> SamplingResult:
     """Fold per-block outcomes into one :class:`SamplingResult`.
@@ -150,7 +148,6 @@ def merge_block_outcomes(
         risk_groups=sorted(family, key=lambda s: (len(s), sorted(s))),
         top_probability_estimate=top_failures / rounds,
         minimised=minimised,
-        sample_probability=sample_probability,
         metadata=metadata or {},
     )
 
@@ -406,7 +403,6 @@ def run_block(
     rounds: int,
     rng: np.random.Generator,
     *,
-    probabilities: Optional[Sequence[float]] = None,
     default_probability: float = 0.5,
     minimise: bool = True,
 ) -> BlockOutcome:
@@ -425,7 +421,7 @@ def run_block(
     keeps that evaluator as the oracle.
     """
     words = compiled.sample_failures_packed(
-        rounds, probabilities, rng, default_probability=default_probability
+        rounds, None, rng, default_probability=default_probability
     )
     node_words = compiled.evaluate_batch_packed(words)
     top_row = node_words[compiled.top_index:compiled.top_index + 1]

@@ -22,16 +22,15 @@ hands them to the rest of the system behind a small API:
 Consumers: :class:`~repro.engine.audit.SIAAuditor` (pass ``engine=``),
 :func:`repro.api.execute_request` and the audit service (graph cache and
 sampling only, never the result cache), ``indaas watch`` and the
-``indaas audit-many`` CLI verb.  :class:`FailureSampler`, the
-§4.1.2 sampler of one graph with a run counter of its own, is a front
-over :meth:`AuditEngine.sample`.
+``indaas audit-many`` CLI verb.  :meth:`AuditEngine.sample` is the one
+door to the §4.1.2 failure sampler.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from repro.core.events import check_count, check_seed
 from repro.core.faultgraph import FaultGraph
 from repro.core.report import AuditReport, DeploymentAudit
 from repro.core.spec import AuditSpec, RGAlgorithm
-from repro.engine.adaptive import AdaptiveConfig, AdaptiveStopper
+from repro.engine.adaptive import AdaptiveStopper
 from repro.engine.audit import SIAAuditor
 from repro.engine.batch import SamplingResult, merge_block_outcomes
 from repro.engine.cache import (
@@ -76,7 +75,6 @@ from repro.errors import AnalysisError, SpecificationError
 
 __all__ = [
     "AuditEngine",
-    "FailureSampler",
     "cancel_scope",
     "check_cancelled",
 ]
@@ -216,20 +214,21 @@ class AuditEngine:
         rounds: int,
         *,
         sample_probability: float = 0.5,
-        use_weights: bool = False,
         minimise: bool = True,
-        seed: Union[int, np.random.SeedSequence, None] = None,
+        seed: Optional[int] = None,
         adaptive: bool = False,
-        adaptive_config: Optional[AdaptiveConfig] = None,
     ) -> SamplingResult:
-        """Run a failure-sampling audit of ``graph``.
+        """Run a failure-sampling audit of ``graph`` (§4.1.2).
 
-        The one plan → run → merge in the package
-        (:class:`FailureSampler` is a front over it): ``rounds`` are
-        cut into ``block_size`` blocks with seeds spawned from ``seed``
-        — an integer, ``None`` for fresh OS entropy, or a ready
-        :class:`numpy.random.SeedSequence` root — the blocks run inline
-        or through the pool, and the outcomes merge order-insensitively.
+        The one plan → run → merge in the package: in every round each
+        basic event fails with ``sample_probability`` (0.5 is the
+        paper's coin flip; smaller values bias rounds towards small,
+        high-impact failing sets); ``rounds`` are cut into
+        ``block_size`` blocks with seeds spawned from ``seed`` (``None``
+        for fresh OS entropy), the blocks run inline or through the
+        pool, and the outcomes merge order-insensitively.  Each failing
+        round is shrunk to a minimal risk group unless ``minimise`` is
+        off, which keeps the paper's literal raw failing sets.
 
         ``adaptive=True`` turns ``rounds`` into a budget ceiling and
         stops at the first block boundary where the estimate and the RG
@@ -241,25 +240,14 @@ class AuditEngine:
             raise AnalysisError(
                 f"sample_probability must be in (0,1), got {sample_probability}"
             )
-        if isinstance(seed, np.random.SeedSequence):
-            root = seed
-        else:
-            check_seed(seed)
-            root = np.random.SeedSequence(seed)
-        plan = plan_blocks(rounds, self.block_size, root)
-        weights = None
-        if use_weights:
-            probs = graph.probabilities()
-            # basic_names order comes from compilation; on the parallel
-            # path the cache makes this compile a one-off that every
-            # later call (and the workers) reuse.
-            names = self.compile(graph).basic_names
-            weights = [probs[n] for n in names]
-        stopper = AdaptiveStopper(adaptive_config) if adaptive else None
+        check_seed(seed)
+        plan = plan_blocks(
+            rounds, self.block_size, np.random.SeedSequence(seed)
+        )
+        stopper = AdaptiveStopper() if adaptive else None
         outcomes = self._run_plan(
             graph,
             plan,
-            probabilities=weights,
             default_probability=sample_probability,
             minimise=minimise,
             stopper=stopper,
@@ -275,10 +263,7 @@ class AuditEngine:
         if stopper is not None:
             metadata.update(stopper.summary())
         return merge_block_outcomes(
-            outcomes,
-            minimised=minimise,
-            sample_probability=None if weights is not None else sample_probability,
-            metadata=metadata,
+            outcomes, minimised=minimise, metadata=metadata
         )
 
     def _run_plan(
@@ -286,7 +271,6 @@ class AuditEngine:
         graph,
         plan,
         *,
-        probabilities,
         default_probability: float,
         minimise: bool,
         stopper=None,
@@ -311,7 +295,6 @@ class AuditEngine:
             return self.pool.run_plan(
                 graph,
                 plan,
-                probabilities=probabilities,
                 default_probability=default_probability,
                 minimise=minimise,
                 stopper=stopper,
@@ -319,7 +302,6 @@ class AuditEngine:
         return run_plan_serial(
             self.compile(graph),
             plan,
-            probabilities=probabilities,
             default_probability=default_probability,
             minimise=minimise,
             stopper=stopper,
@@ -445,7 +427,6 @@ class AuditEngine:
         weigher=None,
         *,
         record_snapshot: bool = True,
-        label: str = "",
     ) -> StoreAuditOutcome:
         """Audit a live DepDB *store*, snapshot-diffed against its last
         audited state.
@@ -472,9 +453,9 @@ class AuditEngine:
         hashed and audited through the result cache as by
         :meth:`audit_built`.  A seedless sampling spec is never cached
         or indexed.  After the audit, a snapshot of the audited
-        state is recorded (labelled with the graph's structural hash
-        unless ``label`` is given) so the *next* call diffs against this
-        audit, and so a later request can name the label as its ``base``.
+        state is recorded, labelled with the graph's structural hash, so
+        the *next* call diffs against this audit, and so a later request
+        can name the label as its ``base``.
         A store that drifted while it was being audited (another thread
         or process ingested) is left unsnapshotted
         (:meth:`~repro.depdb.DepDB.snapshot_audited`) — the state that
@@ -512,7 +493,7 @@ class AuditEngine:
             )
         snapshot = None
         if record_snapshot:
-            snapshot = depdb.snapshot_audited(content, label or digest)
+            snapshot = depdb.snapshot_audited(content, digest)
         if index is not None and not indexed and (
             snapshot is not None
             if record_snapshot
@@ -696,132 +677,3 @@ class AuditEngine:
                 else {"enabled": False}
             ),
         }
-
-
-# Namespaces the spawn keys of repeat runs away from run 0's plain
-# ``spawn`` children, which keeps run 0 bit-identical to samplers that
-# predate per-run keying (golden figure pins rely on that).
-_RUN_TAG = 0x17DAA5
-
-
-class FailureSampler:
-    """Monte-Carlo risk-group detector over a fault graph (§4.1.2).
-
-    The exact minimal-RG algorithm is NP-hard, so INDaaS offers a
-    linear-time randomised alternative: in each round, fail every basic
-    event independently at random, propagate values bottom-up, and —
-    whenever the top event fails — record the failing set as a risk
-    group.  Rounds run in NumPy blocks (:mod:`repro.engine.batch`), each
-    failing round is shrunk to a true minimal RG unless ``minimise`` is
-    off, and every block draws from its own ``SeedSequence.spawn`` child,
-    so a run is a pure function of ``(graph, parameters, seed,
-    run_index)`` — bit-identical inline or across worker processes (see
-    DESIGN.md).  The run index counts :meth:`run` calls on one instance
-    (``SamplingResult.metadata["run_index"]``): repeated calls draw
-    fresh, disjoint streams, and the k-th call on a fresh sampler with
-    the same seed always reproduces the same result.
-
-    Args:
-        graph: Dependency graph to sample (any level of detail).
-        sample_probability: Per-round failure chance of each basic event.
-            The paper's "coin flipping" corresponds to 0.5; smaller values
-            bias rounds towards small failing sets, which finds small
-            (high-impact) RGs with fewer rounds.
-        use_weights: Sample each event with its own failure probability
-            from the graph instead of the uniform ``sample_probability``
-            (requires a weighted graph).
-        minimise: Extract+minimise a true minimal RG from each failing
-            round.  A raw failing set under fair coin flips holds about
-            half of all basic events; ``False`` keeps the literal
-            algorithm.
-        seed: RNG seed; runs are reproducible for a fixed seed.
-        batch_size: Rounds evaluated per NumPy block.  Part of the seeded
-            stream definition: changing it changes which random numbers
-            each round sees (the worker *count* of a parallel run, by
-            contrast, never does).
-        adaptive: Stop early once the top-event estimate and the
-            risk-group discovery curve stabilise (see
-            :mod:`repro.engine.adaptive`).  ``rounds`` becomes a budget
-            ceiling; the result reports the rounds actually executed.
-        adaptive_config: Stopping-rule parameters; implies a default
-            :class:`~repro.engine.adaptive.AdaptiveConfig` when
-            ``adaptive=True`` and left ``None``.
-    """
-
-    def __init__(
-        self,
-        graph: FaultGraph,
-        sample_probability: float = 0.5,
-        use_weights: bool = False,
-        minimise: bool = True,
-        seed: Optional[int] = None,
-        batch_size: int = 4096,
-        adaptive: bool = False,
-        adaptive_config: Optional[AdaptiveConfig] = None,
-    ) -> None:
-        if not 0.0 < sample_probability < 1.0:
-            raise AnalysisError(
-                f"sample_probability must be in (0,1), got {sample_probability}"
-            )
-        if batch_size < 1:
-            raise AnalysisError(f"batch_size must be >= 1, got {batch_size}")
-        self.graph = graph
-        self.sample_probability = sample_probability
-        self.use_weights = use_weights
-        self.minimise = minimise
-        self.batch_size = batch_size
-        self.adaptive = adaptive
-        self.adaptive_config = adaptive_config
-        self._entropy = np.random.SeedSequence(seed).entropy
-        self._run_count = 0
-        # An inline engine of this sampler's own: its cache holds the
-        # compiled graph across runs.  Compiling (and reading the
-        # weights) now keeps a malformed or unweighted graph failing at
-        # construction rather than on the first run.
-        self._engine = AuditEngine(n_workers=1, block_size=batch_size)
-        self._engine.compile(graph)
-        if use_weights:
-            graph.probabilities()
-
-    def _next_run_root(self) -> tuple[np.random.SeedSequence, int]:
-        """Fresh per-run seed root, keyed by an explicit run counter.
-
-        Run 0 uses the plain seed sequence — bit-identical to samplers
-        without per-run keying, so existing golden pins hold.  Run k >= 1
-        namespaces its spawn keys under ``(_RUN_TAG, k)``, giving each
-        repeat call a fresh, disjoint, *reproducible* stream: the k-th
-        run of any sampler with this seed is always the same.
-        """
-        run_index = self._run_count
-        self._run_count += 1
-        if run_index == 0:
-            return np.random.SeedSequence(self._entropy), run_index
-        return (
-            np.random.SeedSequence(
-                self._entropy, spawn_key=(_RUN_TAG, run_index)
-            ),
-            run_index,
-        )
-
-    def run(self, rounds: int) -> SamplingResult:
-        """Execute up to ``rounds`` sampling rounds and aggregate risk groups.
-
-        Exact mode (the default) executes every round.  With
-        ``adaptive=True``, ``rounds`` is a ceiling and the run halts at
-        the first block boundary where the stopping rule is satisfied.
-        """
-        if rounds < 1:
-            raise AnalysisError(f"rounds must be >= 1, got {rounds}")
-        root, run_index = self._next_run_root()
-        result = self._engine.sample(
-            self.graph,
-            rounds,
-            sample_probability=self.sample_probability,
-            use_weights=self.use_weights,
-            minimise=self.minimise,
-            seed=root,
-            adaptive=self.adaptive,
-            adaptive_config=self.adaptive_config,
-        )
-        result.metadata["run_index"] = run_index
-        return result

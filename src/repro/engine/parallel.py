@@ -1,7 +1,7 @@
 """Block plans, the inline loops, and cooperative cancellation.
 
 Sharding model (DESIGN.md): a run of ``rounds`` rounds is cut into
-fixed-size *blocks* (the sampler's ``batch_size``), and every block gets
+fixed-size *blocks* (the engine's ``block_size``), and every block gets
 its own :class:`numpy.random.SeedSequence` child via ``spawn``.  The
 block plan depends only on ``(rounds, block_size, seed)`` — never on the
 worker count — so any number of workers (including zero, i.e. inline
@@ -94,8 +94,8 @@ def plan_blocks(
     The plan is a pure function of ``(rounds, block_size)`` and the
     *state* of ``seed_sequence``; spawning advances that state, so
     callers wanting repeatable plans must pass a freshly constructed
-    sequence per run (:class:`~repro.engine.facade.FailureSampler`
-    derives one from its seed entropy and an explicit run counter).
+    sequence per run (:meth:`~repro.engine.facade.AuditEngine.sample`
+    builds one from its integer seed).
     """
     check_count("rounds", rounds)
     check_count("block_size", block_size)
@@ -111,7 +111,7 @@ def plan_blocks(
 def resolve_workers(n_workers: Optional[int]) -> int:
     """Normalise a worker request to a concrete worker count.
 
-    The convention, shared by ``FailureSampler``, ``AuditEngine`` and
+    The convention, shared by ``AuditEngine``, ``PersistentPool`` and
     the CLI ``--workers`` flags: ``None``, ``0`` and ``1`` mean inline
     execution; positive values request that many worker processes;
     exactly ``-1`` means "all CPUs" (``os.cpu_count()``).  Any other
@@ -139,7 +139,6 @@ def run_plan_serial(
     compiled,
     plan: BlockPlan,
     *,
-    probabilities: Optional[Sequence[float]] = None,
     default_probability: float = 0.5,
     minimise: bool = True,
     stopper=None,
@@ -160,7 +159,6 @@ def run_plan_serial(
             compiled,
             block_rounds,
             np.random.default_rng(seed),
-            probabilities=probabilities,
             default_probability=default_probability,
             minimise=minimise,
         )

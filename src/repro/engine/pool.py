@@ -11,15 +11,15 @@ each of them as rarely as it can:
   use and reused across audits, fan-out jobs, tenants and threads until
   :meth:`close`.
 
-* **Graphs travel with their tasks.**  The parent pickles
-  ``(graph, probabilities)`` once per plan, and every block task of the
-  plan refers to that one ``bytes`` object:
+* **Graphs travel with their tasks.**  The parent pickles the graph
+  once per plan, and every block task of the plan refers to that one
+  ``bytes`` object:
   ``(key, payload, index, block_rounds, seed)`` plus two scalars.  The
   executor pickles only the ``workers + 1`` calls it queues at a time,
   so the parent holds one copy of the payload however long the plan.
 
 * **Worker-side compiled-graph LRU.**  Each worker process keeps an LRU
-  of compiled graphs keyed by :func:`task_key`.  A warm task unpickles
+  of compiled graphs keyed by structural hash.  A warm task unpickles
   nothing; a miss unpickles the payload it was handed and compiles
   through its process-local :func:`~repro.engine.cache.compile_cached`.
 
@@ -52,7 +52,6 @@ metadata and the service ``/v1/healthz`` payload.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import pickle
 import threading
@@ -75,7 +74,7 @@ from repro.engine.parallel import (
 from repro.errors import AnalysisError
 from repro.testing.faults import KILL_EXIT_CODE, worker_kill_indices
 
-__all__ = ["PersistentPool", "task_key"]
+__all__ = ["PersistentPool"]
 
 # How long to wait on the next plan-order future before re-checking the
 # thread's cancel scope; bounds the cancellation latency of a served job
@@ -87,30 +86,12 @@ _CANCEL_POLL_SECONDS = 0.05
 WORKER_CACHE_SIZE = 32
 
 
-def task_key(graph, probabilities: Optional[Sequence[float]] = None) -> str:
-    """Content address of a shipped graph payload.
-
-    The structural hash identifies everything sampling depends on except
-    the optional explicit per-event weights vector, which is folded in
-    as a short digest — two audits of one graph with different weight
-    vectors must not share a worker cache entry.
-    """
-    key = structural_hash(graph)
-    if probabilities is not None:
-        digest = hashlib.sha256()
-        for value in probabilities:
-            digest.update(repr(value).encode())
-            digest.update(b"\0")
-        key = f"{key}:w{digest.hexdigest()[:16]}"
-    return key
-
-
 # --------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------- #
 
-#: Process-local state of a pool worker: task key -> (compiled graph,
-#: probabilities), an LRU of ``WORKER_CACHE_SIZE`` entries.
+#: Process-local state of a pool worker: structural hash -> compiled
+#: graph, an LRU of ``WORKER_CACHE_SIZE`` entries.
 _WORKER_CACHE: Optional[LRUCache] = None
 
 
@@ -120,19 +101,18 @@ def _init_pool_worker(cache_size: int) -> None:
 
 
 def _compiled_for(key: str, payload: bytes):
-    """Worker-local lookup: ``(compiled, probabilities, warm)``.
+    """Worker-local lookup: ``(compiled, warm)``.
 
     A hit touches no graph bytes; a miss unpickles ``payload`` and
     compiles it, so a graph is unpickled at most once per worker
     residency.
     """
-    entry = _WORKER_CACHE.get(key)
-    if entry is not None:
-        return (*entry, True)
-    graph, probabilities = pickle.loads(payload)
-    compiled = compile_cached(graph)
-    _WORKER_CACHE.put(key, (compiled, probabilities))
-    return compiled, probabilities, False
+    compiled = _WORKER_CACHE.get(key)
+    if compiled is not None:
+        return compiled, True
+    compiled = compile_cached(pickle.loads(payload))
+    _WORKER_CACHE.put(key, compiled)
+    return compiled, False
 
 
 def _pool_block_task(task: tuple):
@@ -151,12 +131,11 @@ def _pool_block_task(task: tuple):
         # real segfault/OOM kill would; the parent retires the broken
         # executor and finishes the plan inline.
         os._exit(KILL_EXIT_CODE)
-    compiled, probabilities, warm = _compiled_for(key, payload)
+    compiled, warm = _compiled_for(key, payload)
     outcome = run_block(
         compiled,
         block_rounds,
         np.random.default_rng(seed),
-        probabilities=probabilities,
         default_probability=default_probability,
         minimise=minimise,
     )
@@ -340,7 +319,6 @@ class PersistentPool:
         graph,
         plan,
         *,
-        probabilities: Optional[Sequence[float]] = None,
         default_probability: float = 0.5,
         minimise: bool = True,
         stopper=None,
@@ -359,7 +337,6 @@ class PersistentPool:
         worker's included) run inline in the parent, in plan order.
         """
         block_options = {
-            "probabilities": probabilities,
             "default_probability": default_probability,
             "minimise": minimise,
             "stopper": stopper,
@@ -370,11 +347,8 @@ class PersistentPool:
             return self._run_inline(graph, plan, **block_options)
 
         kills = worker_kill_indices("parallel.block")
-        key = task_key(graph, probabilities)
-        payload = pickle.dumps(
-            (graph, None if probabilities is None else list(probabilities)),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        key = structural_hash(graph)
+        payload = pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
         tasks = (
             (
                 key,

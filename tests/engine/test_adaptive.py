@@ -1,14 +1,11 @@
-"""Adaptive early stopping, per-run seeding and worker resolution (ISSUE 7).
+"""Adaptive early stopping and worker resolution (ISSUE 7).
 
-Three contracts:
+Two contracts:
 
 * adaptive runs are *honest*: ``rounds`` / ``top_probability_estimate``
   reflect the rounds actually executed, the stopping point is decided in
   plan order (so it is worker-count invariant), and exact-rounds results
   are untouched by the feature existing;
-* a sampler's k-th ``run()`` is a pure function of ``(graph, parameters,
-  seed, k)`` — repeat calls draw fresh streams without mutating shared
-  ``SeedSequence`` state;
 * ``resolve_workers`` follows one convention everywhere: ``None``/0/1
   inline, exactly -1 = all CPUs, other negatives and anything but a
   Python or NumPy integer rejected.
@@ -21,10 +18,9 @@ import os
 import numpy as np
 import pytest
 
-from repro import FailureSampler
 from repro.core.componentset import ComponentSets
 from repro.engine import AuditEngine
-from repro.engine.adaptive import AdaptiveConfig, AdaptiveStopper
+from repro.engine.adaptive import MIN_BLOCKS, PATIENCE_BLOCKS, AdaptiveStopper
 from repro.engine.batch import BlockOutcome
 from repro.engine.parallel import resolve_workers
 from repro.errors import AnalysisError
@@ -37,40 +33,33 @@ SETS = {
 }
 GRAPH = ComponentSets.from_mapping(SETS).to_fault_graph("adaptive")
 
+#: A block whose estimate is settled: 0.5 ± 0.013 after one block, far
+#: inside the relative tolerance, so only the block counts can hold a
+#: run of these back.
+SETTLED = BlockOutcome(rounds=10_000, top_failures=5_000)
+
 
 class TestStopper:
-    def test_config_validation(self):
-        with pytest.raises(AnalysisError):
-            AdaptiveConfig(rel_tol=0.0)
-        with pytest.raises(AnalysisError):
-            AdaptiveConfig(abs_tol=-1.0)
-        with pytest.raises(AnalysisError):
-            AdaptiveConfig(confidence_z=0.0)
-        with pytest.raises(AnalysisError):
-            AdaptiveConfig(min_blocks=0)
-        with pytest.raises(AnalysisError):
-            AdaptiveConfig(patience_blocks=0)
-
     def test_never_stops_before_min_blocks(self):
-        stopper = AdaptiveStopper(AdaptiveConfig(min_blocks=5, patience_blocks=1))
-        settled = BlockOutcome(rounds=10_000, top_failures=5_000)
-        for _ in range(4):
-            assert stopper.observe(settled) is False
-        assert stopper.observe(settled) is True
+        stopper = AdaptiveStopper()
+        for _ in range(MIN_BLOCKS - 1):
+            assert stopper.observe(SETTLED) is False
+        assert stopper.observe(SETTLED) is True
 
     def test_new_group_resets_patience(self):
-        stopper = AdaptiveStopper(AdaptiveConfig(min_blocks=1, patience_blocks=2))
-        quiet = BlockOutcome(rounds=10_000, top_failures=5_000)
+        stopper = AdaptiveStopper()
         novel = BlockOutcome(
             rounds=10_000, top_failures=5_000, groups={frozenset({"x"})}
         )
-        assert stopper.observe(quiet) is False
+        for _ in range(MIN_BLOCKS - 1):
+            assert stopper.observe(SETTLED) is False
         assert stopper.observe(novel) is False  # new group: counter resets
-        assert stopper.observe(quiet) is False
-        assert stopper.observe(quiet) is True
+        for _ in range(PATIENCE_BLOCKS - 1):
+            assert stopper.observe(SETTLED) is False
+        assert stopper.observe(SETTLED) is True
         summary = stopper.summary()
         assert summary["stopped_early"] is True
-        assert summary["blocks_observed"] == 4
+        assert summary["blocks_observed"] == MIN_BLOCKS + PATIENCE_BLOCKS
 
 
 class TestAdaptiveSampling:
@@ -92,18 +81,13 @@ class TestAdaptiveSampling:
         )
 
     def test_non_stopping_adaptive_equals_exact(self):
-        """With an unsatisfiable rule, adaptive mode is a pure no-op —
-        the exact-rounds golden figures cannot be perturbed by it."""
+        """A run too short to stop early is a pure no-op — the
+        exact-rounds golden figures cannot be perturbed by it."""
+        rounds = (MIN_BLOCKS - 1) * 256
         engine = AuditEngine(n_workers=1, block_size=256)
-        exact = engine.sample(GRAPH, 2000, seed=9)
-        adaptive = engine.sample(
-            GRAPH,
-            2000,
-            seed=9,
-            adaptive=True,
-            adaptive_config=AdaptiveConfig(min_blocks=10**6),
-        )
-        assert adaptive.rounds == exact.rounds == 2000
+        exact = engine.sample(GRAPH, rounds, seed=9)
+        adaptive = engine.sample(GRAPH, rounds, seed=9, adaptive=True)
+        assert adaptive.rounds == exact.rounds == rounds
         assert adaptive.risk_groups == exact.risk_groups
         assert adaptive.top_failures == exact.top_failures
         assert adaptive.metadata["stopped_early"] is False
@@ -124,32 +108,6 @@ class TestAdaptiveSampling:
             serial.metadata["blocks_observed"]
             == parallel.metadata["blocks_observed"]
         )
-
-
-class TestRunIndexDeterminism:
-    def test_repeat_runs_draw_fresh_reproducible_streams(self):
-        first = FailureSampler(GRAPH, seed=21, batch_size=256)
-        second = FailureSampler(GRAPH, seed=21, batch_size=256)
-        a0, a1 = first.run(2000), first.run(2000)
-        b0, b1 = second.run(2000), second.run(2000)
-        # The k-th run is a pure function of (graph, parameters, seed, k):
-        for ours, theirs in ((a0, b0), (a1, b1)):
-            assert ours.top_failures == theirs.top_failures
-            assert ours.risk_groups == theirs.risk_groups
-        assert a0.metadata["run_index"] == 0
-        assert a1.metadata["run_index"] == 1
-        # ... and repeat runs are fresh streams, not replays.
-        assert a0.top_failures != a1.top_failures or (
-            a0.risk_groups != a1.risk_groups
-        )
-
-    def test_run_zero_matches_engine_stream(self):
-        """Run 0 keeps the historical seeding, so engine-vs-sampler
-        parity (and every golden pin built on it) is unchanged."""
-        sampler = FailureSampler(GRAPH, seed=21, batch_size=256).run(2000)
-        engine = AuditEngine(block_size=256).sample(GRAPH, 2000, seed=21)
-        assert sampler.risk_groups == engine.risk_groups
-        assert sampler.top_failures == engine.top_failures
 
 
 class TestResolveWorkers:

@@ -88,24 +88,6 @@ class TestSamplingParity:
         assert parallel.top_failures == serial.top_failures
         assert parallel.minimised is minimise
 
-    def test_weighted_sampling_parity(self, figure_4b):
-        serial = AuditEngine(n_workers=1).sample(
-            figure_4b, 8_192, use_weights=True, seed=11
-        )
-        with AuditEngine(n_workers=2) as engine:
-            parallel = sample_through_pool(
-                engine, figure_4b, 8_192, use_weights=True, seed=11
-            )
-        assert parallel.top_failures == serial.top_failures
-        assert parallel.risk_groups == serial.risk_groups
-        # Both runs estimate the same underlying probability (0.224).
-        assert serial.top_probability_estimate == pytest.approx(
-            0.224, abs=0.03
-        )
-        assert parallel.top_probability_estimate == pytest.approx(
-            0.224, abs=0.03
-        )
-
     def test_sampler_finds_exact_family(self, provider_graph):
         reference = minimal_risk_groups(provider_graph)
         with AuditEngine(n_workers=2) as engine:

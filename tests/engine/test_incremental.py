@@ -138,16 +138,6 @@ class TestCachedSampling:
             assert serial.risk_groups == result.risk_groups
             assert serial.top_failures == result.top_failures
 
-    def test_weighted_sampling_through_the_cache(self, figure_4b):
-        serial = AuditEngine(n_workers=1).sample(
-            figure_4b, 8_192, use_weights=True, seed=11
-        )
-        engine = AuditEngine()
-        warm = engine.sample(figure_4b, 8_192, use_weights=True, seed=11)
-        again = engine.sample(figure_4b, 8_192, use_weights=True, seed=11)
-        assert warm.risk_groups == serial.risk_groups
-        assert again.risk_groups == serial.risk_groups
-
     def test_one_sampling_body(self, deep_graph):
         """Surface guards: no block cache, in the signatures or the
         result metadata."""
@@ -192,7 +182,6 @@ class TestCachedSampling:
                 plan_blocks(
                     4_096, engine.block_size, np.random.SeedSequence(99)
                 ),
-                probabilities=None,
                 default_probability=0.5,
                 minimise=True,
             )

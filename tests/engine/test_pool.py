@@ -41,7 +41,6 @@ from repro.engine.parallel import (
     plan_blocks,
     run_plan_serial,
 )
-from repro.engine.pool import task_key
 from repro.errors import AnalysisError, AuditCancelled
 from repro.testing.faults import Fault, FaultInjector, FaultSchedule
 from repro.topology import INTERNET, FatTreeConfig, fat_tree_routes
@@ -489,13 +488,6 @@ class TestCancellation:
 
 
 class TestPlumbing:
-    def test_task_key_separates_weight_vectors(self):
-        base = task_key(GRAPH_A)
-        assert task_key(GRAPH_A) == base
-        assert task_key(GRAPH_A, [0.1, 0.2]) != base
-        assert task_key(GRAPH_A, [0.1, 0.2]) == task_key(GRAPH_A, [0.1, 0.2])
-        assert task_key(GRAPH_A, [0.1, 0.2]) != task_key(GRAPH_A, [0.2, 0.1])
-
     def test_pool_stats_surface_in_info_not_in_results(self, pools):
         pool = pools(2)
         engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)

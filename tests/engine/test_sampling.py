@@ -50,15 +50,6 @@ class TestFailureSampling:
             reference
         )
 
-    def test_probability_estimate_matches_weighted_sampling(self, figure_4b):
-        result = sample(figure_4b, 40_000, use_weights=True, seed=5)
-        # True Pr(T) = 0.224 (paper); sampling should land close.
-        assert result.top_probability_estimate == pytest.approx(0.224, abs=0.02)
-
-    def test_use_weights_requires_weighted_graph(self, figure_4a):
-        with pytest.raises(Exception):
-            sample(figure_4a, 100, use_weights=True)
-
     def test_more_rounds_find_no_fewer_groups(self, deep_graph):
         few = sample(deep_graph, 50, seed=6, sample_probability=0.15)
         many = sample(deep_graph, 5000, seed=6, sample_probability=0.15)

@@ -53,10 +53,6 @@ class TestFirstAudit:
         assert outcome.snapshot.label == outcome.structural_hash
         assert db.last_snapshot().digest == db.content_hash()
 
-    def test_custom_label(self, db):
-        outcome = AuditEngine().audit_store(db, SPEC, label="v1")
-        assert outcome.snapshot.label == "v1"
-
     def test_record_snapshot_false_leaves_store_untouched(self, db):
         outcome = AuditEngine().audit_store(
             db, SPEC, record_snapshot=False

@@ -28,11 +28,7 @@ def fresh_plan(seed=5, rounds=2000, block_size=256):
 
 
 def fingerprint(outcomes):
-    result = merge_block_outcomes(
-        outcomes,
-        minimised=True,
-        sample_probability=0.5,
-    )
+    result = merge_block_outcomes(outcomes, minimised=True)
     return (
         result.rounds,
         result.top_failures,

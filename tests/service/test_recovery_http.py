@@ -83,9 +83,7 @@ class TestKillMinusNine:
     def test_report_after_crash_recovery_is_byte_identical(self, tmp_path):
         port = 21131 + (os.getpid() % 200)
         request = slow_request(seed=31)
-        serve_args = [
-            "--port", str(port), "--workers", "1", "--block-size", "2048",
-        ]
+        serve_args = ["--port", str(port), "--workers", "1"]
 
         # Reference: the same request on a server that is never killed.
         with spawn([*serve_args, "--state-dir", str(tmp_path / "ref")]) as process:
@@ -134,6 +132,8 @@ class TestKillMinusNine:
                 process.send_signal(signal.SIGTERM)
                 process.wait(timeout=30)
         assert recovered == reference
+        # ... and both are the bytes a local run of the request gives.
+        assert recovered == api.run_request(request).to_json().encode("utf-8")
 
 
 class TestSigtermWithQueuedJobs:
@@ -143,7 +143,7 @@ class TestSigtermWithQueuedJobs:
         port = 22131 + (os.getpid() % 200)
         state_dir = tmp_path / "state"
         serve_args = [
-            "--port", str(port), "--workers", "1", "--block-size", "2048",
+            "--port", str(port), "--workers", "1",
             "--state-dir", str(state_dir),
         ]
         first, second = slow_request(seed=32), slow_request(seed=33)

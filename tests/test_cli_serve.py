@@ -180,7 +180,9 @@ class TestServeParser:
         assert args.workers == 2
         assert args.per_tenant == 8
         assert args.queue_limit == 64
-        assert args.block_size == 4096
+        # The block size is part of the seeded stream, so a served
+        # answer must not depend on a server flag.
+        assert not hasattr(args, "block_size")
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_no_worker_threads_is_refused(self, workers, capsys, monkeypatch):

@@ -114,5 +114,5 @@ def test_watch_parser_defaults():
     args = build_parser().parse_args(["watch", "d"])
     assert args.interval == 2.0
     assert args.iterations is None
-    assert args.block_size == 4096
+    assert not hasattr(args, "block_size")
     assert args.full is False

@@ -30,9 +30,11 @@ from __future__ import annotations
 import ast
 import functools
 import io
+import math
 import tokenize
 from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -348,6 +350,154 @@ def test_a_method_used_only_in_its_own_body_has_no_caller():
         "Box().called()\n"
     )
     assert uncalled_methods(*scan) == {"repro.scratch.Box.orphan"}
+
+
+def defaulted_options(tree: ast.Module):
+    """Yield ``(qualname, callee, node, options)`` for every public
+    function, public method and constructor at the top of ``tree`` or in
+    a public class there: ``callee`` is the name a call spells (the class
+    name for ``__init__``), ``options`` maps each defaulted parameter to
+    its position in a call, ``None`` for a keyword-only one."""
+
+    def options(node, bound: bool) -> dict:
+        positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+        if bound:
+            positional = positional[1:]
+        found = {
+            name: index
+            for index, name in enumerate(positional)
+            if index >= len(positional) - len(node.args.defaults)
+        }
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                found[arg.arg] = None
+        return found
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            yield node.name, node.name, node, options(node, bound=False)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for method in node.body:
+            if not isinstance(method, functions) or (
+                method.name.startswith("_") and method.name != "__init__"
+            ):
+                continue
+            decorators = {ast.unparse(d) for d in method.decorator_list}
+            if "property" in decorators or any(
+                d.endswith(".setter") for d in decorators
+            ):
+                continue
+            callee = node.name if method.name == "__init__" else method.name
+            yield (
+                f"{node.name}.{method.name}",
+                callee,
+                method,
+                options(method, bound="staticmethod" not in decorators),
+            )
+
+
+def passed_options(call: ast.Call) -> tuple[Optional[str], float, set, bool]:
+    """``(callee, positions, keywords, mapping)`` of one call: how many
+    positional arguments it passes (all of them past a ``*args``), the
+    keywords it names and whether it splats a ``**mapping``.  A
+    ``functools.partial`` reads as a call of its first argument."""
+    func, args = call.func, list(call.args)
+    name = {ast.Name: "id", ast.Attribute: "attr"}.get(type(func))
+    callee = getattr(func, name) if name else None
+    if callee == "partial" and args:
+        first = args.pop(0)
+        inner = {ast.Name: "id", ast.Attribute: "attr"}.get(type(first))
+        callee = getattr(first, inner) if inner else None
+    positions = (
+        math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+    )
+    keywords = {k.arg for k in call.keywords}
+    return callee, positions, keywords, None in keywords
+
+
+def unpassed_options(modules, trees) -> set[str]:
+    """``"module.function:parameter"`` for every defaulted parameter of
+    :func:`defaulted_options` that no call in ``trees`` outside the
+    function's own body passes, by keyword or by position.  A call is
+    matched by the callee's name alone; a ``*args`` passes every
+    positional parameter, a ``**mapping`` every parameter."""
+    calls = [
+        (node, passed_options(node))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    unpassed = set()
+    for path, tree in modules.items():
+        for qualname, callee, node, options in defaulted_options(tree):
+            own = {id(inner) for inner in ast.walk(node)}
+            matching = [
+                passed
+                for call, passed in calls
+                if passed[0] == callee and id(call) not in own
+            ]
+            for option, position in options.items():
+                if not any(
+                    mapping
+                    or option in keywords
+                    or (position is not None and position < positions)
+                    for _callee, positions, keywords, mapping in matching
+                ):
+                    unpassed.add(f"{module_name(path)}.{qualname}:{option}")
+    return unpassed
+
+
+#: Engine options nothing in ``src/``, ``benchmarks/`` or ``examples/``
+#: passes, kept on purpose: ``"module.function:parameter"`` -> why.
+#: Every entry must still exist and still be unpassed.
+UNPASSED_ENGINE_OPTIONS = {
+    "repro.engine.facade.AuditEngine.audit_store:weigher": (
+        "the weigher the store index keys by weak reference; its "
+        "liveness tests pass one"
+    ),
+    "repro.engine.facade.AuditEngine.audit_many:client": (
+        "names the client on the report, as AuditReport(client=) does"
+    ),
+    "repro.engine.audit.SIAAuditor.compare_combinations:client": (
+        "names the client on the report, as AuditReport(client=) does"
+    ),
+}
+
+
+def test_every_engine_option_has_a_caller():
+    """Every defaulted parameter of a public function, method or
+    constructor under ``src/repro/engine/`` is passed by some call in
+    ``src/``, ``benchmarks/`` or ``examples/``, or is in
+    ``UNPASSED_ENGINE_OPTIONS``: an option only tests set is a second
+    path through the engine that nothing runs.  Matched by name, like
+    the method check."""
+    modules, trees = caller_scan()
+    engine = {
+        path: tree
+        for path, tree in modules.items()
+        if path.is_relative_to(SRC / "engine")
+    }
+    assert unpassed_options(engine, trees) == set(UNPASSED_ENGINE_OPTIONS)
+
+
+def test_an_option_only_its_own_body_passes_has_no_caller():
+    scan = scratch_module(
+        "def run(graph, rounds=1, *, weights=None, seed=None, fast=False):\n"
+        "    return run(graph, weights=weights)\n"
+        "class Box:\n"
+        "    def __init__(self, size=4, label=''): pass\n"
+        "    def put(self, item, *, urgent=False): pass\n"
+        "run(0, 2, seed=1)\n"
+        "run(*(0, 1), fast=True)\n"
+        "Box(8).put(1)\n"
+    )
+    assert unpassed_options(*scan) == {
+        "repro.scratch.run:weights",
+        "repro.scratch.Box.__init__:label",
+        "repro.scratch.Box.put:urgent",
+    }
 
 
 def test_nothing_in_src_imports_networkx():
