@@ -1,11 +1,14 @@
-"""Adaptive early stopping and worker resolution (ISSUE 7).
+"""Adaptive early stopping, seeding and worker resolution (ISSUE 7).
 
-Two contracts:
+Three contracts:
 
 * adaptive runs are *honest*: ``rounds`` / ``top_probability_estimate``
   reflect the rounds actually executed, the stopping point is decided in
   plan order (so it is worker-count invariant), and exact-rounds results
   are untouched by the feature existing;
+* ``AuditEngine.sample`` is a pure function of ``(graph, parameters,
+  seed)``: a repeat call replays its stream, and a seed is ``None`` or a
+  non-negative Python or NumPy integer, nothing else;
 * ``resolve_workers`` follows one convention everywhere: ``None``/0/1
   inline, exactly -1 = all CPUs, other negatives and anything but a
   Python or NumPy integer rejected.
@@ -13,6 +16,7 @@ Two contracts:
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -20,7 +24,14 @@ import pytest
 
 from repro.core.componentset import ComponentSets
 from repro.engine import AuditEngine
-from repro.engine.adaptive import MIN_BLOCKS, PATIENCE_BLOCKS, AdaptiveStopper
+from repro.engine.adaptive import (
+    ABS_TOL,
+    CONFIDENCE_Z,
+    MIN_BLOCKS,
+    PATIENCE_BLOCKS,
+    REL_TOL,
+    AdaptiveStopper,
+)
 from repro.engine.batch import BlockOutcome
 from repro.engine.parallel import resolve_workers
 from repro.errors import AnalysisError
@@ -40,6 +51,33 @@ SETTLED = BlockOutcome(rounds=10_000, top_failures=5_000)
 
 
 class TestStopper:
+    def test_constants_keep_their_values(self):
+        """No exact-rounds pin runs adaptive, so only this holds the
+        rule's numbers still."""
+        assert (REL_TOL, ABS_TOL, CONFIDENCE_Z) == (0.05, 1e-3, 2.576)
+        assert (MIN_BLOCKS, PATIENCE_BLOCKS) == (4, 4)
+
+    def test_a_wide_interval_holds_the_run(self):
+        """Past both block counts, an estimate of 0.5 from 10-round
+        blocks is still far too loose to stop on."""
+        stopper = AdaptiveStopper()
+        wide = BlockOutcome(rounds=10, top_failures=5)
+        for _ in range(2 * (MIN_BLOCKS + PATIENCE_BLOCKS)):
+            assert stopper.observe(wide) is False
+        assert stopper.summary()["ci_halfwidth"] > REL_TOL * 0.5
+
+    def test_all_zero_blocks_stop_on_the_continuity_floor(self):
+        """With no failing round the halfwidth is the 1/(2n) correction
+        alone: the run stops at the first block where it reaches
+        ``ABS_TOL``, not the moment the block counts allow."""
+        stopper = AdaptiveStopper()
+        empty = BlockOutcome(rounds=40, top_failures=0)
+        needed = math.ceil(0.5 / ABS_TOL / empty.rounds)
+        assert needed > MIN_BLOCKS + PATIENCE_BLOCKS
+        for _ in range(needed - 1):
+            assert stopper.observe(empty) is False
+        assert stopper.observe(empty) is True
+
     def test_never_stops_before_min_blocks(self):
         stopper = AdaptiveStopper()
         for _ in range(MIN_BLOCKS - 1):
@@ -108,6 +146,37 @@ class TestAdaptiveSampling:
             serial.metadata["blocks_observed"]
             == parallel.metadata["blocks_observed"]
         )
+
+
+class TestSeeding:
+    def test_repeat_calls_replay_the_stream(self):
+        engine = AuditEngine(n_workers=1, block_size=256)
+        first = engine.sample(GRAPH, 2000, seed=21)
+        again = engine.sample(GRAPH, 2000, seed=21)
+        fresh = AuditEngine(n_workers=1, block_size=256).sample(
+            GRAPH, 2000, seed=21
+        )
+        for result in (again, fresh):
+            assert result.risk_groups == first.risk_groups
+            assert result.top_failures == first.top_failures
+        other = engine.sample(GRAPH, 2000, seed=22)
+        assert other.top_failures != first.top_failures
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        engine = AuditEngine(n_workers=1, block_size=256)
+        plain = engine.sample(GRAPH, 2000, seed=21)
+        numpy = engine.sample(GRAPH, 2000, seed=np.int64(21))
+        assert numpy.risk_groups == plain.risk_groups
+        assert numpy.top_failures == plain.top_failures
+
+    @pytest.mark.parametrize(
+        "seed",
+        [np.random.SeedSequence(21), -1, 21.0, True],
+        ids=["seed-sequence", "negative", "float", "bool"],
+    )
+    def test_other_seeds_rejected(self, seed):
+        with pytest.raises(AnalysisError):
+            AuditEngine(n_workers=1).sample(GRAPH, 100, seed=seed)
 
 
 class TestResolveWorkers:

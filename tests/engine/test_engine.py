@@ -88,6 +88,21 @@ class TestSamplingParity:
         assert parallel.top_failures == serial.top_failures
         assert parallel.minimised is minimise
 
+    def test_reweighted_twins_draw_one_stream_through_the_pool(
+        self, figure_4b
+    ):
+        """Graphs that differ only in their weights are two worker-cache
+        entries, yet draw the serial stream of either."""
+        reweighted = figure_4b.copy()
+        for event in reweighted.basic_events():
+            reweighted.set_probability(event, 0.9)
+        serial = AuditEngine(n_workers=1).sample(figure_4b, 8_192, seed=11)
+        with AuditEngine(n_workers=2) as engine:
+            for graph in (figure_4b, reweighted):
+                parallel = sample_through_pool(engine, graph, 8_192, seed=11)
+                assert parallel.top_failures == serial.top_failures
+                assert parallel.risk_groups == serial.risk_groups
+
     def test_sampler_finds_exact_family(self, provider_graph):
         reference = minimal_risk_groups(provider_graph)
         with AuditEngine(n_workers=2) as engine:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 
@@ -33,7 +34,8 @@ from repro import AuditSpec, RGAlgorithm, SIAAuditor, api
 from repro.core.componentset import ComponentSets
 from repro.depdb import DepDB, NetworkDependency
 from repro.engine import AuditEngine, PersistentPool
-from repro.engine.cache import compile_cached
+from repro.engine import pool as pool_module
+from repro.engine.cache import compile_cached, structural_hash
 from repro.engine.facade import POOLED_BLOCK_WORK
 from repro.engine.parallel import (
     cancel_scope,
@@ -488,6 +490,27 @@ class TestCancellation:
 
 
 class TestPlumbing:
+    def test_worker_cache_is_keyed_by_structural_hash(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_WORKER_CACHE", None)
+        pool_module._init_pool_worker(4)
+        key = structural_hash(GRAPH_A)
+        compiled, warm = pool_module._compiled_for(key, pickle.dumps(GRAPH_A))
+        assert warm is False
+        # A hit names the graph by its key alone and reads no payload.
+        again, warm = pool_module._compiled_for(key, b"")
+        assert warm is True
+        assert again is compiled
+        # A weight is part of the structure, so a reweighted graph
+        # compiles into an entry of its own.
+        reweighted = GRAPH_A.copy()
+        reweighted.set_probability(GRAPH_A.basic_events()[0], 0.9)
+        other_key = structural_hash(reweighted)
+        assert other_key != key
+        _, warm = pool_module._compiled_for(
+            other_key, pickle.dumps(reweighted)
+        )
+        assert warm is False
+
     def test_pool_stats_surface_in_info_not_in_results(self, pools):
         pool = pools(2)
         engine = AuditEngine(n_workers=2, block_size=BLOCK, pool=pool)

@@ -50,6 +50,17 @@ class TestFailureSampling:
             reference
         )
 
+    def test_graph_weights_do_not_move_the_draw(self, figure_4b):
+        """Every event fails with ``sample_probability``; the graph's own
+        weights are the exact route's input, never the sampler's."""
+        reweighted = figure_4b.copy()
+        for event in reweighted.basic_events():
+            reweighted.set_probability(event, 0.9)
+        ours = sample(figure_4b, 2000, seed=5, sample_probability=0.3)
+        theirs = sample(reweighted, 2000, seed=5, sample_probability=0.3)
+        assert theirs.risk_groups == ours.risk_groups
+        assert theirs.top_failures == ours.top_failures
+
     def test_more_rounds_find_no_fewer_groups(self, deep_graph):
         few = sample(deep_graph, 50, seed=6, sample_probability=0.15)
         many = sample(deep_graph, 5000, seed=6, sample_probability=0.15)

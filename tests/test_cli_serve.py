@@ -184,6 +184,12 @@ class TestServeParser:
         # answer must not depend on a server flag.
         assert not hasattr(args, "block_size")
 
+    def test_block_size_is_not_a_server_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--block-size", "2048"])
+        assert exc.value.code == 2
+        assert "--block-size" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_no_worker_threads_is_refused(self, workers, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -116,3 +116,12 @@ def test_watch_parser_defaults():
     assert args.iterations is None
     assert not hasattr(args, "block_size")
     assert args.full is False
+
+
+def test_block_size_is_not_a_watch_flag(capsys):
+    """The block size is part of the seeded stream: a watch answer is
+    the one ``repro.audit`` gives for the same spec."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["watch", "d", "--block-size", "2048"])
+    assert exc.value.code == 2
+    assert "--block-size" in capsys.readouterr().err
