@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from repro.core.builder import Weigher
 from repro.core.minimal_rg import (
-    DEFAULT_MAX_GROUPS,
     _bdd_minimal_risk_groups,
     unexpected_risk_groups,
 )
@@ -133,9 +132,7 @@ def formal_analysis(
             max_order=max_order,
         )
         graph = auditor.build_graph(spec)
-        groups, diagram = _bdd_minimal_risk_groups(
-            graph, graph.top, max_order, DEFAULT_MAX_GROUPS
-        )
+        groups, diagram = _bdd_minimal_risk_groups(graph, graph.top, max_order)
         unexpected = unexpected_risk_groups(groups, expected_size=ways)
         probability = None
         if weigher is not None:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Union
 from repro.core.bdd import BDD, compile_graph
 from repro.core.events import validate_probability
 from repro.core.faultgraph import FaultGraph
-from repro.core.minimal_rg import DEFAULT_MAX_GROUPS, unexpected_risk_groups
+from repro.core.minimal_rg import MAX_GROUPS, unexpected_risk_groups
 from repro.errors import AnalysisError
 
 __all__ = ["Harden", "Duplicate", "MitigationOutcome", "evaluate_mitigations"]
@@ -160,7 +160,7 @@ def evaluate_mitigations(
     before_probability = baseline_bdd.probability(probs)
     unexpected = unexpected_risk_groups(
         baseline_bdd.minimal_cut_sets(
-            max_order=redundancy - 1, max_groups=DEFAULT_MAX_GROUPS
+            max_order=redundancy - 1, max_groups=MAX_GROUPS
         ),
         expected_size=redundancy,
     )

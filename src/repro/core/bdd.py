@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 from repro.core.events import GateType
 from repro.core.faultgraph import FaultGraph
 from repro.core.minimal_rg import (
-    DEFAULT_MAX_GROUPS,
+    MAX_GROUPS,
     CutSetExplosion,
     node_budget,
 )
@@ -33,7 +33,7 @@ __all__ = ["BDD", "DEFAULT_BDD_NODE_BUDGET", "compile_graph"]
 
 #: Decision-node valve every :func:`compile_graph` carries unless told
 #: otherwise — the one place the family cap becomes a diagram cap.
-DEFAULT_BDD_NODE_BUDGET = node_budget(DEFAULT_MAX_GROUPS)
+DEFAULT_BDD_NODE_BUDGET = node_budget(MAX_GROUPS)
 
 #: Terminal node ids.
 ZERO = 0
@@ -412,16 +412,15 @@ class BDD:
 
 def compile_graph(
     graph: FaultGraph,
-    ordering: Optional[list[str]] = None,
     max_nodes: Optional[int] = DEFAULT_BDD_NODE_BUDGET,
 ) -> BDD:
     """Compile a fault graph's structure function into a BDD.
 
+    The variable order is the graph's topological leaf order, which
+    keeps related components adjacent and the BDD small.
+
     Args:
         graph: Any validated fault graph (shared nodes welcome).
-        ordering: Optional variable ordering (basic-event names); the
-            default uses the graph's topological leaf order, which keeps
-            related components adjacent and the BDD small.
         max_nodes: Safety valve — raise
             :class:`~repro.core.minimal_rg.CutSetExplosion` if the
             diagram (including later extraction work) grows beyond this
@@ -430,14 +429,7 @@ def compile_graph(
             budget by default; pass ``None`` for an unbounded one.
     """
     graph.validate()
-    leaves = (
-        list(ordering) if ordering is not None else graph.basic_events()
-    )
-    if set(leaves) != set(graph.basic_events()):
-        raise AnalysisError(
-            "ordering must contain exactly the graph's basic events"
-        )
-    bdd = BDD(leaves, max_nodes=max_nodes)
+    bdd = BDD(graph.basic_events(), max_nodes=max_nodes)
     node_bdds: dict[str, int] = {}
     with bdd._recursion_headroom():
         for name in graph.topological_order():

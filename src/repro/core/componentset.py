@@ -42,13 +42,10 @@ class ComponentSets:
 
     @classmethod
     def from_mapping(
-        cls,
-        mapping: Mapping[str, Iterable[str]],
-        required: int | None = None,
+        cls, mapping: Mapping[str, Iterable[str]]
     ) -> "ComponentSets":
         return cls(
-            sets={name: frozenset(items) for name, items in mapping.items()},
-            required=required,
+            sets={name: frozenset(items) for name, items in mapping.items()}
         )
 
     def __post_init__(self) -> None:
@@ -56,6 +53,12 @@ class ComponentSets:
         for name, items in self.sets.items():
             if not items:
                 raise FaultGraphError(f"component-set {name!r} is empty")
+        if self.required is not None and not 1 <= self.required <= len(
+            self.sets
+        ):
+            raise FaultGraphError(
+                f"required={self.required} outside 1..{len(self.sets)}"
+            )
 
     @property
     def sources(self) -> list[str]:

@@ -344,9 +344,9 @@ class FaultGraph:
     # Transformation
     # ------------------------------------------------------------------ #
 
-    def copy(self, name: Optional[str] = None) -> "FaultGraph":
+    def copy(self) -> "FaultGraph":
         """Deep copy (event objects are re-created, metadata shallow-copied)."""
-        clone = FaultGraph(self.name if name is None else name)
+        clone = FaultGraph(self.name)
         for node in self.topological_order():
             event = self._events[node]
             if event.is_basic:
@@ -371,10 +371,10 @@ class FaultGraph:
             clone.set_top(self._top)
         return clone
 
-    def subgraph(self, root: str, name: str = "") -> "FaultGraph":
+    def subgraph(self, root: str) -> "FaultGraph":
         """Extract the subgraph rooted at ``root`` as a new fault graph."""
         keep = self._descendants_of(root) | {root}
-        clone = FaultGraph(name or f"{self.name}/{root}")
+        clone = FaultGraph(f"{self.name}/{root}")
         for node in self.topological_order():
             if node not in keep:
                 continue

@@ -39,14 +39,9 @@ class FaultSets:
 
     @classmethod
     def from_mapping(
-        cls,
-        mapping: Mapping[str, Mapping[str, float]],
-        required: int | None = None,
+        cls, mapping: Mapping[str, Mapping[str, float]]
     ) -> "FaultSets":
-        return cls(
-            sets={s: dict(items) for s, items in mapping.items()},
-            required=required,
-        )
+        return cls(sets={s: dict(items) for s, items in mapping.items()})
 
     def __post_init__(self) -> None:
         for source, items in self.sets.items():
@@ -56,6 +51,12 @@ class FaultSets:
                 items[comp] = validate_probability(
                     prob, what=f"probability of {comp!r} in {source!r}"
                 )
+        if self.required is not None and not 1 <= self.required <= len(
+            self.sets
+        ):
+            raise FaultGraphError(
+                f"required={self.required} outside 1..{len(self.sets)}"
+            )
 
     @property
     def sources(self) -> list[str]:

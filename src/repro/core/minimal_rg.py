@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, bdd imports us
 
 __all__ = [
     "CutSetExplosion",
-    "DEFAULT_MAX_GROUPS",
+    "MAX_GROUPS",
     "node_budget",
     "minimal_risk_groups",
     "minimise_family",
@@ -56,8 +56,9 @@ __all__ = [
     "unexpected_risk_groups",
 ]
 
-#: Default ``max_groups`` safety valve, shared by every exact-RG caller.
-DEFAULT_MAX_GROUPS = 1_000_000
+#: Safety valve of every exact-RG computation: a cut-set family that grows
+#: past this many sets raises :class:`CutSetExplosion`.
+MAX_GROUPS = 1_000_000
 
 
 def node_budget(max_groups: Optional[int]) -> Optional[int]:
@@ -72,10 +73,10 @@ def node_budget(max_groups: Optional[int]) -> Optional[int]:
 
 
 class CutSetExplosion(AnalysisError):
-    """Raised when the cut-set family exceeds ``max_groups``.
+    """Raised when the cut-set family exceeds its cap (:data:`MAX_GROUPS`).
 
-    Callers can either raise ``max_groups``, set ``max_order`` truncation,
-    or fall back to the failure sampling algorithm.
+    Callers can either set ``max_order`` truncation or fall back to the
+    failure sampling algorithm.
     """
 
 
@@ -117,7 +118,7 @@ def minimise_family(
 
 
 def _overflow(
-    accumulated: set[frozenset[str]], max_groups: Optional[int], where: str
+    accumulated: set[frozenset[str]], max_groups: int, where: str
 ) -> set[frozenset[str]]:
     """Enforce ``max_groups`` *during* accumulation.
 
@@ -130,7 +131,7 @@ def _overflow(
     the cap, at least ``max_groups`` further sets arrive before the
     next pass.
     """
-    if max_groups is None or len(accumulated) <= 2 * max_groups:
+    if len(accumulated) <= 2 * max_groups:
         return accumulated
     accumulated = set(minimise_family(accumulated))
     if len(accumulated) > max_groups:
@@ -144,8 +145,8 @@ def _product(
     left: list[frozenset[str]],
     right: list[frozenset[str]],
     max_order: Optional[int],
-    max_groups: Optional[int] = None,
-    where: str = "product",
+    max_groups: int,
+    where: str,
 ) -> list[frozenset[str]]:
     """Cartesian combine two families (AND gate), minimising as we go."""
     out: set[frozenset[str]] = set()
@@ -162,7 +163,6 @@ def _bdd_minimal_risk_groups(
     graph: FaultGraph,
     root: str,
     max_order: Optional[int],
-    max_groups: Optional[int],
 ) -> tuple[list[frozenset[str]], BDD]:
     """The BDD route: compile and run Rauzy's minimal-solutions
     extraction.  Returns the family and the diagram it was read from,
@@ -174,8 +174,8 @@ def _bdd_minimal_risk_groups(
         if graph.has_top and root == graph.top
         else graph.subgraph(root)
     )
-    bdd = compile_graph(scoped, max_nodes=node_budget(max_groups))
-    groups = bdd.minimal_cut_sets(max_order=max_order, max_groups=max_groups)
+    bdd = compile_graph(scoped, max_nodes=node_budget(MAX_GROUPS))
+    groups = bdd.minimal_cut_sets(max_order=max_order, max_groups=MAX_GROUPS)
     return groups, bdd
 
 
@@ -183,7 +183,6 @@ def minimal_risk_groups(
     graph: FaultGraph,
     top: Optional[str] = None,
     max_order: Optional[int] = None,
-    max_groups: Optional[int] = DEFAULT_MAX_GROUPS,
     method: str = "auto",
 ) -> list[frozenset[str]]:
     """Compute all minimal risk groups of ``graph``.
@@ -193,8 +192,6 @@ def minimal_risk_groups(
         top: Event to treat as the top; defaults to the graph's top event.
         max_order: Optional truncation — discard cut sets with more than
             this many events.  ``None`` computes the complete family.
-        max_groups: Safety valve; if any intermediate family grows beyond
-            this many sets a :class:`CutSetExplosion` is raised.
         method: ``"auto"`` compiles the graph and extracts via Rauzy's
             minimal-solutions recursion; ``"mocus"`` runs the paper's
             family-combination traversal, kept by name as the
@@ -204,12 +201,17 @@ def minimal_risk_groups(
     Returns:
         Minimal RGs sorted by (size, lexicographic members) so results are
         deterministic and directly consumable by the ranking step.
+
+    Raises:
+        CutSetExplosion: An intermediate family grew past
+            :data:`MAX_GROUPS` sets.
     """
     if method not in ("auto", "mocus"):
         raise AnalysisError(f"method must be auto|mocus, got {method!r}")
     root = graph.top if top is None else top
     if method == "auto":
-        return _bdd_minimal_risk_groups(graph, root, max_order, max_groups)[0]
+        return _bdd_minimal_risk_groups(graph, root, max_order)[0]
+    max_groups = MAX_GROUPS
     families: dict[str, list[frozenset[str]]] = {}
     needed = graph.descendants(root) | {root}
     for name in graph.topological_order():
@@ -233,7 +235,7 @@ def minimal_risk_groups(
                     family, families[child], max_order, max_groups,
                     where=repr(name),
                 )
-                if max_groups is not None and len(family) > max_groups:
+                if len(family) > max_groups:
                     raise CutSetExplosion(
                         f"cut-set family at {name!r} exceeded {max_groups} sets"
                     )
@@ -250,7 +252,7 @@ def minimal_risk_groups(
                 accumulated.update(partial)
                 accumulated = _overflow(accumulated, max_groups, repr(name))
             family = minimise_family(accumulated)
-        if max_groups is not None and len(family) > max_groups:
+        if len(family) > max_groups:
             raise CutSetExplosion(
                 f"cut-set family at {name!r} exceeded {max_groups} sets"
             )

@@ -9,7 +9,7 @@ algorithms used to quantify independence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.core.events import check_count, check_real, check_seed
@@ -118,31 +118,17 @@ class AuditSpec:
         """Replica count, i.e. the expected minimal RG size."""
         return len(self.servers)
 
-    def with_servers(
-        self, servers: Sequence[str], deployment: Optional[str] = None
-    ) -> "AuditSpec":
+    def with_servers(self, servers: Sequence[str]) -> "AuditSpec":
         """Clone this spec for a different server combination.
 
         Used when comparing many candidate deployments under identical
         auditing parameters (e.g. every pair of racks in §6.2.1).
         """
-        name = deployment or " & ".join(servers)
-        return AuditSpec(
-            deployment=name,
+        return replace(
+            self,
+            deployment=" & ".join(servers),
             servers=tuple(servers),
             required=min(self.required, len(servers)),
-            programs=self.programs,
-            destinations=self.destinations,
-            level=self.level,
-            algorithm=self.algorithm,
-            sampling_rounds=self.sampling_rounds,
-            sampling_probability=self.sampling_probability,
-            ranking=self.ranking,
-            top_n=self.top_n,
-            max_order=self.max_order,
-            include_host_events=self.include_host_events,
-            seed=self.seed,
-            adaptive=self.adaptive,
             metadata=dict(self.metadata),
         )
 

@@ -36,7 +36,6 @@ __all__ = [
     "multi_exp",
     "batch_pow",
     "pow_chunk",
-    "pow_pairs_chunk",
     "chunked",
 ]
 
@@ -109,22 +108,17 @@ def batch_pow(
     bases: Sequence[int],
     exponent: int,
     modulus: int,
-    *,
-    dedupe: bool = True,
 ) -> list[int]:
     """``[pow(b, exponent, modulus) for b in bases]`` with shared work.
 
-    With ``dedupe`` each *distinct* base is exponentiated once — in the
-    collapsed P-SOP ring the same hashed element appears in every
-    provider's dataset, so shared elements cost one modexp total instead
-    of one per provider.
+    Each *distinct* base is exponentiated once — in the collapsed P-SOP
+    ring the same hashed element appears in every provider's dataset, so
+    shared elements cost one modexp total instead of one per provider.
     """
     if modulus < 2:
         raise CryptoError(f"modulus must be >= 2, got {modulus}")
     if exponent < 0:
         raise CryptoError(f"negative exponent: {exponent}")
-    if not dedupe:
-        return [pow(b, exponent, modulus) for b in bases]
     memo: dict[int, int] = {}
     out = []
     for b in bases:
@@ -146,13 +140,6 @@ def pow_chunk(
 ) -> list[int]:
     """Worker kernel: one shared-exponent chunk of a batched pow."""
     return [pow(b, exponent, modulus) for b in bases]
-
-
-def pow_pairs_chunk(
-    pairs: Sequence[tuple[int, int]], modulus: int
-) -> list[int]:
-    """Worker kernel: ``pow(base, exp, modulus)`` per (base, exp) pair."""
-    return [pow(b, e, modulus) for b, e in pairs]
 
 
 def chunked(items: Sequence, size: int) -> list[Sequence]:

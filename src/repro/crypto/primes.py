@@ -66,11 +66,12 @@ WELL_KNOWN_SAFE_PRIMES: dict[int, int] = {
 }
 
 
-def is_probable_prime(n: int, rounds: int = 40, rng: Optional[random.Random] = None) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller–Rabin probabilistic primality test.
 
     With 40 rounds the error probability is below 2^-80, far below any
-    other failure source in these protocols.
+    other failure source in these protocols.  The witnesses are drawn
+    from a stream seeded by ``n``, so every verdict is reproducible.
     """
     if n < 2:
         return False
@@ -79,12 +80,12 @@ def is_probable_prime(n: int, rounds: int = 40, rng: Optional[random.Random] = N
             return True
         if n % p == 0:
             return False
-    rng = rng or random.Random(0xC0FFEE ^ (n & 0xFFFF))
+    rng = random.Random(0xC0FFEE ^ (n & 0xFFFF))
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(40):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -109,7 +110,7 @@ def generate_prime(bits: int, rng: Optional[random.Random] = None) -> int:
             return candidate
 
 
-def generate_safe_prime(bits: int, rng: Optional[random.Random] = None) -> int:
+def generate_safe_prime(bits: int) -> int:
     """Generate a fresh safe prime p = 2q + 1 (use only for small sizes).
 
     For >= 512 bits prefer :func:`safe_prime`, which returns a published
@@ -122,7 +123,7 @@ def generate_safe_prime(bits: int, rng: Optional[random.Random] = None) -> int:
             f"generating a fresh {bits}-bit safe prime in pure Python is "
             f"impractical; use safe_prime({bits}) for a published modulus"
         )
-    rng = rng or random.Random()
+    rng = random.Random()
     while True:
         q = generate_prime(bits - 1, rng)
         p = 2 * q + 1
@@ -130,12 +131,12 @@ def generate_safe_prime(bits: int, rng: Optional[random.Random] = None) -> int:
             return p
 
 
-def safe_prime(bits: int, rng: Optional[random.Random] = None) -> int:
+def safe_prime(bits: int) -> int:
     """A safe prime of the requested size.
 
     Published MODP moduli are returned for 768/1024/1536/2048 bits;
-    smaller sizes are generated (deterministically if ``rng`` is seeded).
+    other sizes are freshly generated.
     """
     if bits in WELL_KNOWN_SAFE_PRIMES:
         return WELL_KNOWN_SAFE_PRIMES[bits]
-    return generate_safe_prime(bits, rng)
+    return generate_safe_prime(bits)

@@ -22,7 +22,6 @@ from repro.core.builder import Weigher, build_dependency_graph
 from repro.core.componentset import component_sets_from_graph
 from repro.core.faultgraph import FaultGraph
 from repro.core.minimal_rg import (
-    DEFAULT_MAX_GROUPS,
     CutSetExplosion,
     _bdd_minimal_risk_groups,
 )
@@ -128,7 +127,7 @@ class SIAAuditor:
 
         if spec.algorithm is RGAlgorithm.MINIMAL:
             groups, diagram = _bdd_minimal_risk_groups(
-                graph, graph.top, spec.max_order, DEFAULT_MAX_GROUPS
+                graph, graph.top, spec.max_order
             )
             if spec.max_order is not None:
                 notes.append(f"cut sets truncated at order {spec.max_order}")
@@ -245,7 +244,6 @@ class SIAAuditor:
         candidates: Sequence[str],
         ways: int = 2,
         title: Optional[str] = None,
-        client: str = "",
     ) -> AuditReport:
         """Audit every ``ways``-subset of ``candidates`` under one spec.
 
@@ -260,8 +258,4 @@ class SIAAuditor:
             base.with_servers(combo)
             for combo in itertools.combinations(candidates, ways)
         ]
-        return self.audit(
-            specs,
-            title=title or f"all {ways}-way deployments",
-            client=client,
-        )
+        return self.audit(specs, title=title or f"all {ways}-way deployments")

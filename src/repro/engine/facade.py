@@ -95,10 +95,9 @@ def _seedless(spec: AuditSpec) -> bool:
     return spec.algorithm is RGAlgorithm.SAMPLING and spec.seed is None
 
 
-def _has_dead_referent(index: tuple) -> bool:
-    """Whether an ``audit_store`` index key's store or weigher is gone."""
-    store, _content, _spec, weigher = index
-    return store() is None or (weigher is not None and weigher() is None)
+def _has_dead_store(index: tuple) -> bool:
+    """Whether an ``audit_store`` index key's store is gone."""
+    return index[0]() is None
 
 
 def _run_audit_job(job: AuditJob, block_size: int) -> DeploymentAudit:
@@ -160,9 +159,9 @@ class AuditEngine:
         )
         self._audits = LRUCache(MAX_CACHED_AUDITS)
         # audit_store's index into ``_audits``: (store, content hash,
-        # spec, weigher) -> structural hash, the store and weigher held
-        # by weak reference.  Their callbacks only note a death here;
-        # the next audit_store drops the dead entries.
+        # spec) -> structural hash, the store held by weak reference.
+        # Its callback only notes a death here; the next audit_store
+        # drops the dead entries.
         self._stores = LRUCache(MAX_CACHED_AUDITS)
         self._dead: list = []
 
@@ -338,7 +337,6 @@ class AuditEngine:
         self,
         specs: SpecSource,
         title: str = "multi-deployment audit",
-        client: str = "",
     ) -> AuditReport:
         """Audit a directory (or list) of deployment spec files concurrently.
 
@@ -353,7 +351,6 @@ class AuditEngine:
             title=title,
             audits=self.audit_jobs(jobs),
             ranking_method=jobs[0].spec.ranking,
-            client=client,
             metadata={
                 "spec_files": [
                     job.metadata.get("source", "") for job in jobs
@@ -424,7 +421,6 @@ class AuditEngine:
         self,
         depdb,
         spec: AuditSpec,
-        weigher=None,
         *,
         record_snapshot: bool = True,
     ) -> StoreAuditOutcome:
@@ -434,19 +430,16 @@ class AuditEngine:
         The store's content hash is compared with its most recent
         snapshot before auditing.  An unchanged store re-audited with
         unchanged parameters is a lookup: the engine keeps an index
-        *(this store, content hash, every spec field but metadata,
-        weigher)* → structural hash into the result cache, and a hit
-        there builds and hashes nothing.  The store itself is part of
-        the key (held by weak reference, so the engine keeps no store
-        alive): the content hash ignores record order and the graph
-        does not, but one append-only store has only one order per
-        content hash.  The weigher is keyed as an object, also by weak
-        reference, so it must be hashable and a pure function of its
-        arguments; one that cannot be weakly referenced is not indexed.
-        An entry whose store or weigher has been collected is dropped at
-        the next call.  An entry is
-        written only once the store is seen to hold ``content`` after
-        the build (the snapshot's re-check, or a re-hash with
+        *(this store, content hash, every spec field but metadata)* →
+        structural hash into the result cache, and a hit there builds
+        and hashes nothing.  The store itself is part of the key (held
+        by weak reference, so the engine keeps no store alive): the
+        content hash ignores record order and the graph does not, but
+        one append-only store has only one order per content hash.  The
+        graph is built without a weigher.  An entry whose store has been
+        collected is dropped at the next call.  An entry is written
+        only once the store is seen to hold ``content`` after the build
+        (the snapshot's re-check, or a re-hash with
         ``record_snapshot=False``), so a write landing mid-build never
         maps the old hash to the new graph.  Without an entry, or with
         its audit evicted from the result cache, the graph is built,
@@ -468,13 +461,18 @@ class AuditEngine:
         previous = None if last is None else last.digest
         if self._dead:
             self._dead.clear()
-            self._stores.discard_if(_has_dead_referent)
+            self._stores.discard_if(_has_dead_store)
         index = None
         audit = None
         probed = None  # the structural hash whose audit was asked for
         if not _seedless(spec):
-            index = self._store_index(depdb, content, spec, weigher)
-        if index is not None:
+            # A collected store is noted in ``_dead``; no lock is taken,
+            # as a collection can run anywhere.
+            index = (
+                weakref.ref(depdb, self._dead.append),
+                content,
+                _spec_store_key(spec),
+            )
             probed = self._stores.get(index)
             if probed is not None:
                 audit = self._audits.get(
@@ -484,7 +482,7 @@ class AuditEngine:
         if indexed:
             digest = probed
         else:
-            auditor = SIAAuditor(depdb, weigher=weigher, engine=self)
+            auditor = SIAAuditor(depdb, engine=self)
             graph = auditor.build_graph(spec)
             digest = structural_hash(graph)
             # An evicted audit has already counted this call's miss.
@@ -510,24 +508,6 @@ class AuditEngine:
             changed=previous is None or previous != content,
             cache_hit=hit,
             snapshot=snapshot,
-        )
-
-    def _store_index(self, depdb, content: str, spec, weigher):
-        """:meth:`audit_store`'s index key, or ``None`` for a weigher that
-        cannot be weakly referenced.  A collected referent is noted in
-        ``_dead``; no lock is taken, as a collection can run anywhere."""
-        noted = self._dead.append
-        try:
-            weigher_ref = (
-                None if weigher is None else weakref.ref(weigher, noted)
-            )
-        except TypeError:
-            return None
-        return (
-            weakref.ref(depdb, noted),
-            content,
-            _spec_store_key(spec),
-            weigher_ref,
         )
 
     # ------------------------------------------------------------------ #

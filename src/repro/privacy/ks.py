@@ -50,22 +50,16 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.crypto.fastexp import digit_table, multi_exp
-from repro.crypto.paillier import (
-    PaillierPrivateKey,
-    PaillierPublicKey,
-    generate_keypair,
-)
+from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 from repro.crypto.permutation import Permuter
-from repro.engine.parallel import map_jobs
 from repro.errors import ProtocolError
 from repro.privacy.network_sim import ProtocolNetwork
-from repro.privacy.pipeline import (
-    _batched_pow_pairs,
-    _batched_pows,
-    _open_pool,
-)
 
 __all__ = ["KSParty", "KSResult", "KSProtocol"]
+
+#: Protocol seed: deals the key shares and reseeds every party
+#: constructed without a seed of its own.
+SEED = 0
 
 
 @dataclass
@@ -118,27 +112,6 @@ def _power_vector(x: int, count: int, modulus: int) -> list[int]:
         acc = acc * x % modulus
         ys[j] = acc
     return ys
-
-
-def _eval_party_job(
-    aggregated: Sequence[int],
-    xs: Sequence[int],
-    blinds: Sequence[int],
-    n: int,
-    nsq: int,
-) -> list[int]:
-    """Worker kernel: one party's blinded encrypted evaluations.
-
-    Rebuilds the coefficient digit tables locally (cheaper than
-    pickling them) — a pure function of its arguments, so results are
-    identical wherever it runs.
-    """
-    tables = [digit_table(c, nsq) for c in aggregated]
-    out = []
-    for x, blind in zip(xs, blinds):
-        value = multi_exp(tables, _power_vector(x, len(tables), n), nsq)
-        out.append(pow(value, blind, nsq))
-    return out
 
 
 class KSParty:
@@ -217,24 +190,14 @@ class KSProtocol:
 
     Args:
         parties: Participating providers (ring order = list order).
-        key_bits: Paillier modulus size (paper: 1024).
-        keypair: Pre-generated keypair (key generation dominates small
-            runs; benchmarks share one across configurations).
-        n_workers: Process fan-out for :meth:`run`'s exponentiation
-            batches (0/1 = inline; results are identical for any count).
+        keypair: The dealer's Paillier keypair (key generation dominates
+            small runs; benchmarks share one across configurations).
     """
 
     def __init__(
         self,
         parties: Sequence[KSParty],
-        key_bits: int = 1024,
-        seed: Optional[int] = 0,
-        network: Optional[ProtocolNetwork] = None,
-        keypair: Optional[
-            tuple[PaillierPublicKey, PaillierPrivateKey]
-        ] = None,
-        *,
-        n_workers: int = 0,
+        keypair: tuple[PaillierPublicKey, PaillierPrivateKey],
     ) -> None:
         if len(parties) < 2:
             raise ProtocolError("KS needs at least two parties")
@@ -242,23 +205,19 @@ class KSProtocol:
         if len(set(names)) != len(names):
             raise ProtocolError(f"duplicate party names: {names}")
         self.parties = list(parties)
-        self.n_workers = n_workers
-        self.network = network if network is not None else ProtocolNetwork()
+        self.network = ProtocolNetwork()
         self.network.register(names)
-        if keypair is None:
-            keypair = generate_keypair(key_bits, seed=seed)
         self.public, self.private = keypair
-        self._deal_key_shares(seed)
-        if seed is not None:
-            seeder = random.Random(seed + 0x5EED)
-            for party in self.parties:
-                derived = seeder.randrange(1 << 62)
-                if party.seed is None:
-                    party.reseed(derived)
+        self._deal_key_shares()
+        seeder = random.Random(SEED + 0x5EED)
+        for party in self.parties:
+            derived = seeder.randrange(1 << 62)
+            if party.seed is None:
+                party.reseed(derived)
 
-    def _deal_key_shares(self, seed: Optional[int]) -> None:
+    def _deal_key_shares(self) -> None:
         """Additively share the decryption exponent λ across parties."""
-        rng = random.Random(None if seed is None else seed + 99)
+        rng = random.Random(SEED + 99)
         modulus = self.public.n * self.private.lam  # shares need headroom
         total = 0
         for party in self.parties[:-1]:
@@ -284,13 +243,8 @@ class KSProtocol:
         aggregated-coefficient tables shares one squaring chain per
         element instead, and the same digit tables serve every element
         of every party.  Encryption noise and threshold-decryption
-        shares run as whole-dataset batches, over one pool shared by
-        all stages.
+        shares run as whole-dataset batches.
         """
-        with _open_pool(self.n_workers) as pool:
-            return self._run_batched(pool)
-
-    def _run_batched(self, pool) -> KSResult:
         public = self.public
         network = self.network
         parties = self.parties
@@ -308,7 +262,7 @@ class KSProtocol:
             coeffs = party.masked_polynomial(n)
             coeff_lists.append(coeffs)
             noises.extend(public.draw_noise(party._rng) for _ in coeffs)
-        noise_powers = _batched_pows(noises, n, nsq, pool)
+        noise_powers = [pow(r, n, nsq) for r in noises]
 
         aggregated: list[Optional[int]] = []
         position = 0
@@ -347,28 +301,19 @@ class KSProtocol:
             [party._rng.randrange(1, n) for _ in party.elements]
             for party in parties
         ]
-        if pool is not None and k > 1:
-            raw_evals = map_jobs(
-                _eval_party_job,
-                [(aggregated, xs[i], blinds[i], n, nsq) for i in range(k)],
-                pool,
-            )
-        else:
-            # Inline, one set of digit tables serves every party.
-            tables = [digit_table(c, nsq) for c in aggregated]
-            raw_evals = [
-                [
-                    pow(
-                        multi_exp(
-                            tables, _power_vector(x, len(tables), n), nsq
-                        ),
-                        blind,
-                        nsq,
-                    )
-                    for x, blind in zip(xs[i], blinds[i])
-                ]
-                for i in range(k)
+        # One set of digit tables serves every party.
+        tables = [digit_table(c, nsq) for c in aggregated]
+        raw_evals = [
+            [
+                pow(
+                    multi_exp(tables, _power_vector(x, len(tables), n), nsq),
+                    blind,
+                    nsq,
+                )
+                for x, blind in zip(xs[i], blinds[i])
             ]
+            for i in range(k)
+        ]
         batches: list[list[int]] = []
         for party, evals in zip(parties, raw_evals):
             shuffled = party.permuter.shuffle(evals)
@@ -387,7 +332,7 @@ class KSProtocol:
         pairs = [
             (c, party._lam_share) for party in parties for c in all_ciphertexts
         ]
-        flat_partials = _batched_pow_pairs(pairs, nsq, pool)
+        flat_partials = [pow(c, share, nsq) for c, share in pairs]
         partials_by_party = []
         for i, party in enumerate(parties):
             partials = flat_partials[

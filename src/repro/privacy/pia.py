@@ -35,6 +35,9 @@ from repro.schema import envelope
 
 __all__ = ["PIAEntry", "PIAReport", "PIAAuditor"]
 
+#: MinHash signature length m of the ``psop-minhash`` protocol.
+MINHASH_SIZE = 256
+
 
 @dataclass(frozen=True)
 class PIAEntry:
@@ -131,7 +134,6 @@ class PIAAuditor:
         component_sets: ``{provider: component identifiers}``.
         protocol: ``"psop"``, ``"psop-minhash"`` or ``"plaintext"``.
         group_bits: Commutative-group modulus size (paper: 1024).
-        minhash_size: Signature length m for the MinHash variant.
         seed: Base seed for party keys/permutations (reproducibility).
         n_workers: Deployment fan-out (0/1 = inline); each report opens
             one pool for its sweep and closes it.
@@ -142,7 +144,6 @@ class PIAAuditor:
         component_sets: Mapping[str, Sequence[str]],
         protocol: str = "psop",
         group_bits: int = 1024,
-        minhash_size: int = 256,
         seed: Optional[int] = 0,
         n_workers: int = 0,
     ) -> None:
@@ -171,11 +172,13 @@ class PIAAuditor:
                 )
             self.sets[name] = frozenset(members)
         self.protocol = protocol
-        self.minhash_size = minhash_size
+        self.minhash_size = MINHASH_SIZE
         self.seed = seed
         self.n_workers = n_workers
         self._group_bits = group_bits
-        self._family = HashFamily(size=minhash_size, seed=0 if seed is None else seed)
+        self._family = HashFamily(
+            size=self.minhash_size, seed=0 if seed is None else seed
+        )
 
     @property
     def providers(self) -> list[str]:
@@ -288,7 +291,6 @@ class PIAAuditor:
         self,
         n: int,
         providers: Sequence[str],
-        title: Optional[str] = None,
     ) -> PIAReport:
         """Audit one *n-of-m* deployment (§4.2.5).
 
@@ -309,7 +311,7 @@ class PIAAuditor:
         return self._report(
             pool,
             subsets,
-            title or f"{n}-of-{len(pool)} redundancy deployment",
+            f"{n}-of-{len(pool)} redundancy deployment",
             {"n": n, "m": len(pool)},
         )
 

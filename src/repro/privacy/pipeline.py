@@ -1,16 +1,14 @@
 """Batched exponentiation for the PIA protocols.
 
-:meth:`repro.privacy.psop.PSOPProtocol.run` and
-:meth:`repro.privacy.ks.KSProtocol.run` restructure their rings into
-whole-dataset array batches; the helpers here run those batches, inline
-or fanned out through :func:`repro.engine.parallel.map_jobs` over one
+:meth:`repro.privacy.psop.PSOPProtocol.run` restructures its ring into
+one whole-dataset batch; the helpers here run that batch, inline or
+fanned out through :func:`repro.engine.parallel.map_jobs` over one
 :class:`~repro.engine.pool.PersistentPool` per protocol run (or per
 :meth:`repro.privacy.pia.PIAAuditor.audit` sweep).  Chunking is fixed
 (never a function of the worker count) and merging is positional, so
 any worker count — including zero — produces the same results.
 
-This module imports none of ``psop``, ``ks`` and ``pia``; they import
-it.
+This module imports none of ``psop`` and ``pia``; they import it.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import contextlib
 from typing import Optional, Sequence
 
-from repro.crypto.fastexp import batch_pow, chunked, pow_chunk, pow_pairs_chunk
+from repro.crypto.fastexp import batch_pow, chunked, pow_chunk
 from repro.engine.parallel import map_jobs, resolve_workers
 from repro.engine.pool import PersistentPool
 
@@ -42,56 +40,21 @@ def _batched_pows(
     exponent: int,
     modulus: int,
     pool: Optional[PersistentPool],
-    *,
-    dedupe: bool = False,
 ) -> list[int]:
     """``pow(b, exponent, modulus)`` for every base, fanning out chunks.
 
-    Accepts negative exponents when ``dedupe`` is off (Python's ``pow``
-    inverts modularly), which the dealt KS key shares rely on.  With
-    ``dedupe`` each distinct base is exponentiated once — inline via
+    Each distinct base is exponentiated once — inline via
     :func:`repro.crypto.fastexp.batch_pow`, or by extracting the
     distinct bases before chunking so workers never repeat work.
     """
     if pool is None or len(bases) <= POW_CHUNK:
-        if dedupe:
-            return batch_pow(bases, exponent, modulus)
-        return [pow(b, exponent, modulus) for b in bases]
-    targets = list(bases)
-    if dedupe:
-        seen: set[int] = set()
-        targets = []
-        for b in bases:
-            if b not in seen:
-                seen.add(b)
-                targets.append(b)
+        return batch_pow(bases, exponent, modulus)
+    targets = list(dict.fromkeys(bases))
     jobs = [
         (chunk, exponent, modulus) for chunk in chunked(targets, POW_CHUNK)
     ]
     flat: list[int] = []
     for chunk_result in map_jobs(pow_chunk, jobs, pool):
         flat.extend(chunk_result)
-    if not dedupe:
-        return flat
     memo = dict(zip(targets, flat))
     return [memo[b] for b in bases]
-
-
-def _batched_pow_pairs(
-    pairs: Sequence[tuple[int, int]],
-    modulus: int,
-    pool: Optional[PersistentPool],
-) -> list[int]:
-    """``pow(base, exp, modulus)`` per pair, fanning out chunks.
-
-    One call covers work with per-item exponents (the KS threshold-
-    decryption shares of every party), so the stage is one sweep
-    rather than one per party.
-    """
-    if pool is None or len(pairs) <= POW_CHUNK:
-        return pow_pairs_chunk(pairs, modulus)
-    jobs = [(chunk, modulus) for chunk in chunked(pairs, POW_CHUNK)]
-    flat: list[int] = []
-    for chunk_result in map_jobs(pow_pairs_chunk, jobs, pool):
-        flat.extend(chunk_result)
-    return flat

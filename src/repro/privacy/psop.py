@@ -40,6 +40,10 @@ from repro.privacy.pipeline import _batched_pows, _open_pool
 
 __all__ = ["PSOPParty", "PSOPResult", "PSOPProtocol"]
 
+#: Protocol seed: reseeds every party constructed without a seed of its
+#: own, so no run is silently nondeterministic.
+SEED = 0
+
 Dataset = Union[Iterable[str], Mapping[str, int]]
 
 
@@ -139,9 +143,6 @@ class PSOPProtocol:
         parties: The participating providers (ring order = list order).
         network: Optional shared byte-accounting fabric; a fresh one is
             created when omitted.
-        seed: Protocol seed used to deterministically reseed any party
-            constructed without one (``None`` opts out and leaves those
-            parties nondeterministic).
         n_workers: Process fan-out for :meth:`run`'s exponentiation
             batch (0/1 = inline; results are identical for any count).
     """
@@ -151,7 +152,6 @@ class PSOPProtocol:
         parties: Sequence[PSOPParty],
         network: Optional[ProtocolNetwork] = None,
         *,
-        seed: Optional[int] = 0,
         n_workers: int = 0,
     ) -> None:
         if len(parties) < 2:
@@ -163,12 +163,11 @@ class PSOPProtocol:
             raise ProtocolError("all parties must share one group")
         self.parties = list(parties)
         self.n_workers = n_workers
-        if seed is not None:
-            seeder = random.Random(seed)
-            for party in self.parties:
-                derived = seeder.randrange(1 << 62)
-                if party.seed is None:
-                    party.reseed(derived)
+        seeder = random.Random(SEED)
+        for party in self.parties:
+            derived = seeder.randrange(1 << 62)
+            if party.seed is None:
+                party.reseed(derived)
         self.network = network if network is not None else ProtocolNetwork()
         self.network.register(names)
 
@@ -228,9 +227,7 @@ class PSOPProtocol:
             exponent = exponent * party.key.exponent % q
         flat = [value for values in hashed for value in values]
         with _open_pool(self.n_workers) as pool:
-            powers = _batched_pows(
-                flat, exponent, group.prime, pool, dedupe=True
-            )
+            powers = _batched_pows(flat, exponent, group.prime, pool)
         counters = []
         position = 0
         for size in sizes:

@@ -103,15 +103,6 @@ class TestCompileGraph:
                     expected += 1
         assert count_failure_states(bdd) == expected
 
-    def test_custom_ordering(self, figure_4a):
-        bdd = compile_graph(figure_4a, ordering=["A3", "A2", "A1"])
-        assert bdd.evaluate({"A2"})
-        assert bdd.minimal_cut_sets() == minimal_risk_groups(figure_4a)
-
-    def test_bad_ordering_rejected(self, figure_4a):
-        with pytest.raises(AnalysisError, match="exactly"):
-            compile_graph(figure_4a, ordering=["A1"])
-
     def test_missing_probability(self, figure_4a):
         bdd = compile_graph(figure_4a)
         with pytest.raises(AnalysisError, match="no failure probability"):

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro import ComponentSets, GateType, component_sets_from_graph, minimal_risk_groups
+from repro import (
+    ComponentSets,
+    FaultSets,
+    GateType,
+    component_sets_from_graph,
+    minimal_risk_groups,
+)
 from repro.errors import FaultGraphError
 
 
@@ -20,6 +26,38 @@ class TestComponentSets:
             {"E1": ["A1", "A2"], "E2": ["A2", "A3"]}
         )
         assert sets.components() == frozenset({"A1", "A2", "A3"})
+
+
+#: One and two sources, as component-sets and as fault-sets.
+SOURCES = {
+    "component-sets/1": (ComponentSets, {"A": ["x"]}),
+    "component-sets/2": (ComponentSets, {"A": ["x"], "B": ["y"]}),
+    "fault-sets/1": (FaultSets, {"A": {"x": 0.1}}),
+    "fault-sets/2": (FaultSets, {"A": {"x": 0.1}, "B": {"y": 0.1}}),
+}
+
+
+@pytest.mark.parametrize("case", SOURCES)
+class TestRequired:
+    """``required`` counts live sources, so it lies in 1..sources,
+    whatever the number of sources (one source used to skip the check
+    and build a graph for any count)."""
+
+    @pytest.mark.parametrize("too_many", [False, True], ids=["0", "m+1"])
+    def test_outside_the_sources_rejected(self, case, too_many):
+        cls, mapping = SOURCES[case]
+        required = len(mapping) + 1 if too_many else 0
+        with pytest.raises(
+            FaultGraphError,
+            match=rf"required={required} outside 1\.\.{len(mapping)}",
+        ):
+            cls(dict(mapping), required=required)
+
+    def test_every_count_in_range_builds(self, case):
+        cls, mapping = SOURCES[case]
+        for required in (None, *range(1, len(mapping) + 1)):
+            graph = cls(dict(mapping), required=required).to_fault_graph()
+            assert graph.evaluate(["x", "y"][: len(mapping)])
 
 
 class TestToFaultGraph:
@@ -41,7 +79,7 @@ class TestToFaultGraph:
         assert graph.top == "only"
 
     def test_partial_redundancy_uses_k_of_n(self):
-        sets = ComponentSets.from_mapping(
+        sets = ComponentSets(
             {"E1": ["a"], "E2": ["b"], "E3": ["c"]}, required=2
         )
         graph = sets.to_fault_graph()
@@ -78,7 +116,7 @@ class TestDowngrade:
             assert flat.evaluate(cut)
 
     def test_downgrade_preserves_k_of_n_required(self):
-        sets = ComponentSets.from_mapping(
+        sets = ComponentSets(
             {"E1": ["a"], "E2": ["b"], "E3": ["c"]}, required=2
         )
         graph = sets.to_fault_graph()

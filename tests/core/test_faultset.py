@@ -44,7 +44,7 @@ class TestFaultSets:
         assert minimal_risk_groups(figure_4a) == minimal_risk_groups(figure_4b)
 
     def test_required_passes_through(self):
-        fs = FaultSets.from_mapping(
+        fs = FaultSets(
             {"E1": {"a": 0.1}, "E2": {"b": 0.1}, "E3": {"c": 0.1}},
             required=2,
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import FaultGraph, GateType, minimal_risk_groups
+from repro.core import minimal_rg
 from repro.core.bdd import compile_graph
 from repro.core.minimal_rg import (
     CutSetExplosion,
@@ -134,8 +135,8 @@ class TestMinimalRiskGroups:
         full = minimal_risk_groups(deep_graph)
         assert set(truncated) <= set(full)
 
-    def test_max_groups_explosion(self):
-        """A 2^n product blows past a tiny max_groups bound."""
+    def test_max_groups_explosion(self, monkeypatch):
+        """A 2^n product blows past a tiny cut-set family cap."""
         g = FaultGraph()
         branches = []
         for i in range(8):
@@ -143,10 +144,11 @@ class TestMinimalRiskGroups:
             right = g.add_basic_event(f"r{i}")
             branches.append(g.add_gate(f"or{i}", GateType.OR, [left, right]))
         g.add_gate("top", GateType.AND, branches, top=True)
-        with pytest.raises(CutSetExplosion):
-            minimal_risk_groups(g, max_groups=10)
-        # With a roomy bound it succeeds: 2^8 products.
+        # With the real cap it succeeds: 2^8 products.
         assert len(minimal_risk_groups(g)) == 256
+        monkeypatch.setattr(minimal_rg, "MAX_GROUPS", 10)
+        with pytest.raises(CutSetExplosion):
+            minimal_risk_groups(g)
 
     def test_explicit_subtop(self, deep_graph):
         groups = minimal_risk_groups(deep_graph, top="S1")
@@ -189,7 +191,7 @@ class TestMethodFrontDoor:
         )
         assert minimal_risk_groups(deep_graph, max_order=2) == reference
 
-    def test_bdd_route_honours_max_groups(self):
+    def test_bdd_route_honours_max_groups(self, monkeypatch):
         g = FaultGraph()
         branches = []
         for i in range(8):
@@ -197,10 +199,11 @@ class TestMethodFrontDoor:
             right = g.add_basic_event(f"r{i}")
             branches.append(g.add_gate(f"or{i}", GateType.OR, [left, right]))
         g.add_gate("top", GateType.AND, branches, top=True)
+        monkeypatch.setattr(minimal_rg, "MAX_GROUPS", 10)
         with pytest.raises(CutSetExplosion):
-            minimal_risk_groups(g, max_groups=10)
+            minimal_risk_groups(g)
 
-    def test_adversarial_ordering_raises_not_hangs(self):
+    def test_adversarial_ordering_raises_not_hangs(self, monkeypatch):
         """AND of ORs with all left leaves declared before all right
         leaves: the default topological leaf ordering interleaves
         nothing, so the diagram itself is exponential.  The safety
@@ -214,14 +217,15 @@ class TestMethodFrontDoor:
             for i in range(n)
         ]
         g.add_gate("top", GateType.AND, branches, top=True)
+        monkeypatch.setattr(minimal_rg, "MAX_GROUPS", 1000)
         with pytest.raises(CutSetExplosion):
-            minimal_risk_groups(g, max_groups=1000)  # default auto -> bdd
+            minimal_risk_groups(g)  # default auto -> bdd
         with pytest.raises(CutSetExplosion):
-            minimal_risk_groups(g, max_groups=1000, method="mocus")
+            minimal_risk_groups(g, method="mocus")
 
 
 class TestKOfNExplosionGuard:
-    """Regression: the K_OF_N branch must respect ``max_groups`` *during*
+    """Regression: the K_OF_N branch must respect ``MAX_GROUPS`` *during*
     accumulation — before the fix a hostile k-of-n graph ran the full
     exponential product sweep before the cap was ever consulted."""
 
@@ -238,14 +242,15 @@ class TestKOfNExplosionGuard:
         g.add_gate("top", GateType.K_OF_N, ors, k=branches // 2, top=True)
         return g
 
-    def test_hostile_k_of_n_raises_not_hangs(self):
+    def test_hostile_k_of_n_raises_not_hangs(self, monkeypatch):
         g = self.hostile_graph()
         # 12870 subsets x 2^8 products = ~3.3M raw sets; the cap must
         # trip inside the very first subset's accumulation.
+        monkeypatch.setattr(minimal_rg, "MAX_GROUPS", 50)
         with pytest.raises(CutSetExplosion):
-            minimal_risk_groups(g, max_groups=50, method="mocus")
+            minimal_risk_groups(g, method="mocus")
 
-    def test_product_cap_trips_inside_and_accumulation(self):
+    def test_product_cap_trips_inside_and_accumulation(self, monkeypatch):
         g = FaultGraph()
         branches = []
         for i in range(10):
@@ -253,13 +258,16 @@ class TestKOfNExplosionGuard:
             right = g.add_basic_event(f"r{i}")
             branches.append(g.add_gate(f"or{i}", GateType.OR, [left, right]))
         g.add_gate("top", GateType.AND, branches, top=True)
+        monkeypatch.setattr(minimal_rg, "MAX_GROUPS", 100)
         with pytest.raises(CutSetExplosion, match="exceeded|product"):
-            minimal_risk_groups(g, max_groups=100, method="mocus")
+            minimal_risk_groups(g, method="mocus")
 
-    def test_roomy_cap_still_succeeds(self):
+    def test_roomy_cap_still_succeeds(self, monkeypatch):
         g = self.hostile_graph(branches=4, fanout=2)
-        groups = minimal_risk_groups(g, max_groups=10_000, method="mocus")
-        assert groups == minimal_risk_groups(g)
+        reference = minimal_risk_groups(g)
+        monkeypatch.setattr(minimal_rg, "MAX_GROUPS", 10_000)
+        groups = minimal_risk_groups(g, method="mocus")
+        assert groups == reference
         assert all(is_minimal_risk_group(g, rg) for rg in groups)
 
 

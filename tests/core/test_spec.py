@@ -110,7 +110,3 @@ class TestWithServers:
         base = AuditSpec(deployment="b", servers=("a", "b", "c"), required=3)
         clone = base.with_servers(("x", "y"))
         assert clone.required == 2
-
-    def test_explicit_name(self):
-        base = AuditSpec(deployment="b", servers=("a",))
-        assert base.with_servers(("x",), deployment="D").deployment == "D"

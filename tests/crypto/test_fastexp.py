@@ -13,7 +13,6 @@ from repro.crypto.fastexp import (
     digit_table,
     multi_exp,
     pow_chunk,
-    pow_pairs_chunk,
 )
 from repro.errors import CryptoError
 
@@ -92,7 +91,6 @@ class TestBatchPow:
     def test_matches_builtin_pow(self, values, exponent, modulus):
         expected = [pow(v, exponent, modulus) for v in values]
         assert batch_pow(values, exponent, modulus) == expected
-        assert batch_pow(values, exponent, modulus, dedupe=False) == expected
 
     def test_duplicates_share_work(self):
         values = [5, 7, 5, 5, 7]
@@ -108,13 +106,6 @@ class TestBatchPow:
 class TestChunkKernels:
     def test_pow_chunk(self):
         assert pow_chunk([2, 3], 10, 1000) == [24, 49]
-
-    def test_pow_pairs_chunk(self):
-        assert pow_pairs_chunk([(2, 10), (3, 2)], 1000) == [24, 9]
-
-    def test_pow_pairs_negative_exponent_inverts(self):
-        # KS key shares can be negative; pow inverts modularly.
-        assert pow_pairs_chunk([(3, -1)], 97) == [pow(3, -1, 97)]
 
     def test_chunked_fixed_sizes(self):
         assert chunked(list(range(7)), 3) == [[0, 1, 2], [3, 4, 5], [6]]

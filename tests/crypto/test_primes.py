@@ -47,7 +47,7 @@ class TestGeneration:
             generate_prime(4)
 
     def test_generate_safe_prime(self):
-        p = generate_safe_prime(40, random.Random(2))
+        p = generate_safe_prime(40)
         assert is_probable_prime(p)
         assert is_probable_prime((p - 1) // 2)
 
@@ -66,5 +66,5 @@ class TestWellKnown:
 
     def test_safe_prime_dispatch(self):
         assert safe_prime(1024) == WELL_KNOWN_SAFE_PRIMES[1024]
-        small = safe_prime(48, random.Random(3))
+        small = safe_prime(48)
         assert is_probable_prime(small)

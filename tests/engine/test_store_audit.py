@@ -14,7 +14,6 @@ from repro.depdb import (
     SoftwareDependency,
 )
 from repro.engine import AuditEngine, SIAAuditor, structural_hash
-from repro.failures.models import uniform_weigher
 
 RECORDS = [
     NetworkDependency("S1", "Internet", ("ToR1", "Core1")),
@@ -163,20 +162,6 @@ class TestDriftDuringAudit:
         third = engine.audit_store(db, SPEC)
         assert (third.changed, third.cache_hit) == (False, True)
 
-    def test_ingest_from_inside_a_weigher(self, db):
-        late = HardwareDependency("S9", "Disk", "WD-1TB")  # not audited
-
-        def weigher(kind, identifier):
-            db.add(late)
-            return None
-
-        engine = AuditEngine()
-        first = engine.audit_store(db, SPEC, weigher=weigher)
-        assert first.snapshot is None
-        second = engine.audit_store(db, SPEC)
-        assert second.changed is True
-        assert second.previous is None
-
     def test_write_between_recheck_and_snapshot_is_not_marked_audited(
         self, db, write_after_hash
     ):
@@ -260,18 +245,15 @@ def make_store(request, tmp_path):
             ref().close()
 
 
-def cold(store, spec, weigher=None):
+def cold(store, spec):
     """A cold audit of ``store``'s records, in its record order."""
     return AuditEngine().audit_store(
-        DepDB(list(store.iter_records())),
-        spec,
-        weigher,
-        record_snapshot=False,
+        DepDB(list(store.iter_records())), spec, record_snapshot=False
     )
 
 
-def assert_cold(outcome, store, spec, weigher=None):
-    expected = cold(store, spec, weigher)
+def assert_cold(outcome, store, spec):
+    expected = cold(store, spec)
     assert outcome.structural_hash == expected.structural_hash
     assert outcome.audit.to_dict() == expected.audit.to_dict()
 
@@ -315,19 +297,6 @@ class TestStoreIndexSoundness:
             cold(store, every).structural_hash
             != cold(store, none).structural_hash
         )
-
-    def test_an_equal_but_distinct_weigher(self, make_store):
-        store = make_store(ORDERED)
-        engine = AuditEngine()
-        weigher = uniform_weigher(0.1)
-        assert_cold(engine.audit_store(store, SPEC, weigher), store, SPEC, weigher)
-        equal = uniform_weigher(0.1)
-        outcome = engine.audit_store(store, SPEC, equal)
-        assert_cold(outcome, store, SPEC, equal)
-        assert outcome.cache_hit  # the same graph, found by building it
-        other = uniform_weigher(0.2)
-        assert_cold(engine.audit_store(store, SPEC, other), store, SPEC, other)
-        assert_cold(engine.audit_store(store, SPEC), store, SPEC)
 
     def test_an_evicted_result_is_recomputed(self, make_store, monkeypatch):
         monkeypatch.setattr("repro.engine.facade.MAX_CACHED_AUDITS", 1)
@@ -391,59 +360,10 @@ class TestStoreIndexSoundness:
         del store
         gc.collect()
         assert alive() is None
-
-    def test_a_weigher_does_not_keep_its_store_alive(self, make_store):
-        store = make_store(ORDERED)
-
-        def weigher(kind, identifier, _db=store):
-            return 0.1
-
-        engine = AuditEngine()
-        engine.audit_store(store, SPEC, weigher)
-        assert len(engine._stores) == 1
-        alive = weakref.ref(store)
-        store.close()
-        del store, weigher
-        gc.collect()
-        assert alive() is None
         # The dead entry goes at the next store audit.
         other = make_store(ORDERED)
         engine.audit_store(other, SPEC)
         assert len(engine._stores) == 1
-
-    def test_a_dead_weigher_drops_its_entry(self, make_store):
-        store = make_store(ORDERED)
-        engine = AuditEngine()
-        weigher = uniform_weigher(0.1)
-        engine.audit_store(store, SPEC, weigher)
-        engine.audit_store(store, SPEC)
-        assert len(engine._stores) == 2
-        del weigher
-        gc.collect()
-        outcome = engine.audit_store(store, SPEC)
-        assert outcome.cache_hit
-        assert len(engine._stores) == 1
-
-    def test_a_weigher_without_weak_references_is_not_indexed(
-        self, make_store
-    ):
-        class Slotted:
-            __slots__ = ("p",)
-
-            def __init__(self, p):
-                self.p = p
-
-            def __call__(self, kind, identifier):
-                return self.p
-
-        store = make_store(ORDERED)
-        engine = AuditEngine()
-        weigher = Slotted(0.1)
-        first = engine.audit_store(store, SPEC, weigher)
-        second = engine.audit_store(store, SPEC, weigher)
-        assert len(engine._stores) == 0
-        assert (first.cache_hit, second.cache_hit) == (False, True)
-        assert_cold(second, store, SPEC, weigher)
 
     def test_an_evicted_result_counts_one_miss(self, make_store, monkeypatch):
         monkeypatch.setattr("repro.engine.facade.MAX_CACHED_AUDITS", 1)

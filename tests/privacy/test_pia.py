@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ProtocolError
-from repro.privacy import PIAAuditor
+from repro.privacy import PIAAuditor, pia
 from repro.swinventory import CLOUDS, all_stack_packages
 from tests.swinventory.oracles import expected_jaccard
 
@@ -87,14 +87,14 @@ class TestPSOPProtocol:
             assert measured.jaccard == pytest.approx(truth.jaccard)
         assert p_report.total_bytes > 0
 
-    def test_minhash_estimates(self):
+    def test_minhash_estimates(self, monkeypatch):
+        monkeypatch.setattr(pia, "MINHASH_SIZE", 128)
         sets = {
             "A": [f"s{i}" for i in range(60)] + [f"a{i}" for i in range(20)],
             "B": [f"s{i}" for i in range(60)] + [f"b{i}" for i in range(20)],
         }
         auditor = PIAAuditor(
-            sets, protocol="psop-minhash", group_bits=768,
-            minhash_size=128, seed=1,
+            sets, protocol="psop-minhash", group_bits=768, seed=1
         )
         value, estimated, _ = auditor.measure(("A", "B"))
         assert estimated

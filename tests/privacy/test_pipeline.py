@@ -2,8 +2,8 @@
 
 The contract (DESIGN.md "PIA fast path"): for the same seeds ``run()``
 produces results bit-identical to the ``run_serial()`` reference —
-same counts, same transfer log, same per-party RNG end states — for
-any worker count, and ``PIAAuditor`` reports are byte-identical for
+same counts, same transfer log, same per-party RNG end states — P-SOP
+for any worker count, and ``PIAAuditor`` reports are byte-identical for
 any worker count.
 """
 
@@ -21,6 +21,9 @@ from repro.privacy import (
     PIAAuditor,
     PSOPParty,
     PSOPProtocol,
+    ks,
+    pia,
+    psop,
 )
 from repro.privacy.network_sim import ProtocolNetwork
 
@@ -85,18 +88,19 @@ class TestPSOPFastPath:
         fanned = make_psop(group, n_workers=2)[0].run()
         assert_psop_equal(inline, fanned)
 
-    def test_unseeded_parties_are_reseeded_reproducibly(self, group):
-        """Satellite: no silent nondeterminism — a protocol seed pins
-        parties constructed without one."""
+    def test_unseeded_parties_are_reseeded_reproducibly(
+        self, group, monkeypatch
+    ):
+        """No silent nondeterminism — the protocol seed pins parties
+        constructed without one."""
+        monkeypatch.setattr(psop, "SEED", 7)
         results = []
         for _ in range(2):
             parties = [
                 PSOPParty(name, elements, group, seed=None)
                 for name, elements in DATASETS.items()
             ]
-            protocol = PSOPProtocol(
-                parties, network=ProtocolNetwork(), seed=7
-            )
+            protocol = PSOPProtocol(parties, network=ProtocolNetwork())
             results.append((protocol.run(), protocol.network.transfers))
         assert_psop_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
@@ -111,7 +115,7 @@ class TestPSOPFastPath:
         assert result.total_bytes == 4 * group.element_bytes
 
 
-def make_ks(keypair, n_workers=0, seeds=(3, 4, 5)):
+def make_ks(keypair, seeds=(3, 4, 5)):
     datasets = {
         "A": ["x", "y", "z", "common"],
         "B": ["common", "y", "q"],
@@ -121,13 +125,7 @@ def make_ks(keypair, n_workers=0, seeds=(3, 4, 5)):
         KSParty(name, elements, seed=seed)
         for (name, elements), seed in zip(datasets.items(), seeds)
     ]
-    protocol = KSProtocol(
-        parties,
-        keypair=keypair,
-        network=ProtocolNetwork(),
-        n_workers=n_workers,
-    )
-    return protocol, parties
+    return KSProtocol(parties, keypair=keypair), parties
 
 
 def assert_ks_equal(left, right):
@@ -155,23 +153,17 @@ class TestKSFastPath:
             assert a._rng.random() == b._rng.random()
             assert a.permuter.permutation(8) == b.permuter.permutation(8)
 
-    def test_worker_count_does_not_affect_results(self, keypair):
-        inline_protocol, _ = make_ks(keypair, n_workers=0)
-        fanned_protocol, _ = make_ks(keypair, n_workers=2)
-        inline, fanned = inline_protocol.run(), fanned_protocol.run()
-        assert_ks_equal(inline, fanned)
-        assert inline_protocol.network.transfers == fanned_protocol.network.transfers
-
-    def test_unseeded_parties_are_reseeded_reproducibly(self, keypair):
+    def test_unseeded_parties_are_reseeded_reproducibly(
+        self, keypair, monkeypatch
+    ):
+        monkeypatch.setattr(ks, "SEED", 11)
         results = []
         for _ in range(2):
             parties = [
                 KSParty("A", ["x", "y", "c"], seed=None),
                 KSParty("B", ["c", "z"], seed=None),
             ]
-            protocol = KSProtocol(
-                parties, keypair=keypair, network=ProtocolNetwork(), seed=11
-            )
+            protocol = KSProtocol(parties, keypair=keypair)
             results.append((protocol.run(), protocol.network.transfers))
         assert_ks_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
@@ -200,13 +192,13 @@ def report_bytes(report) -> str:
 @pytest.mark.parametrize("n_workers", [0, 2])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 class TestPIAGolden:
+    @pytest.fixture(autouse=True)
+    def _signature_size(self, monkeypatch):
+        monkeypatch.setattr(pia, "MINHASH_SIZE", 32)
+
     def auditor(self, protocol, n_workers):
         return PIAAuditor(
-            SETS,
-            protocol=protocol,
-            group_bits=768,
-            minhash_size=32,
-            n_workers=n_workers,
+            SETS, protocol=protocol, group_bits=768, n_workers=n_workers
         )
 
     def test_audit(self, protocol, n_workers):
