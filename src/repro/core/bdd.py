@@ -416,8 +416,9 @@ def compile_graph(
 ) -> BDD:
     """Compile a fault graph's structure function into a BDD.
 
-    The variable order is the graph's topological leaf order, which
-    keeps related components adjacent and the BDD small.
+    The variable order is the graph's leaf insertion order
+    (:meth:`FaultGraph.basic_events`), which keeps the components a
+    builder adds together adjacent and the BDD small.
 
     Args:
         graph: Any validated fault graph (shared nodes welcome).

@@ -103,6 +103,29 @@ class TestCompileGraph:
                     expected += 1
         assert count_failure_states(bdd) == expected
 
+    def test_variable_order_is_the_leaf_insertion_order(self):
+        g = FaultGraph()
+        for name in ("c", "a", "b"):
+            g.add_basic_event(name)
+        g.add_gate("top", GateType.AND, ["a", "b", "c"], top=True)
+        assert compile_graph(g).variables == ["c", "a", "b"]
+
+    def test_cut_sets_do_not_depend_on_the_leaf_order(self, figure_4a):
+        """Figure 4(a) with its leaves added last-first compiles under
+        the opposite variable order to the same risk groups."""
+        mirrored = FaultGraph()
+        for leaf in ("A3", "A2", "A1"):
+            mirrored.add_basic_event(leaf)
+        mirrored.add_gate("E2", GateType.OR, ["A2", "A3"])
+        mirrored.add_gate("E1", GateType.OR, ["A1", "A2"])
+        mirrored.add_gate("top", GateType.AND, ["E1", "E2"], top=True)
+        forward, backward = compile_graph(figure_4a), compile_graph(mirrored)
+        assert backward.variables == forward.variables[::-1]
+        assert backward.evaluate({"A2"})
+        assert not backward.evaluate({"A1"})
+        assert backward.minimal_cut_sets() == forward.minimal_cut_sets()
+        assert backward.minimal_cut_sets() == minimal_risk_groups(figure_4a)
+
     def test_missing_probability(self, figure_4a):
         bdd = compile_graph(figure_4a)
         with pytest.raises(AnalysisError, match="no failure probability"):

@@ -110,3 +110,10 @@ class TestWithServers:
         base = AuditSpec(deployment="b", servers=("a", "b", "c"), required=3)
         clone = base.with_servers(("x", "y"))
         assert clone.required == 2
+
+    def test_clone_has_its_own_metadata(self):
+        base = AuditSpec(deployment="b", servers=("a",), metadata={"k": 1})
+        clone = base.with_servers(("x",))
+        clone.metadata["k"] = 2
+        assert clone.metadata == {"k": 2}
+        assert base.metadata == {"k": 1}

@@ -29,6 +29,15 @@ class TestMillerRabin:
         # 2^127 - 1, Mersenne prime.
         assert is_probable_prime(2**127 - 1)
 
+    def test_witnesses_leave_the_global_stream_alone(self):
+        """The witnesses come from a stream seeded by ``n``: a verdict
+        draws nothing from ``random`` and is the same on every call."""
+        random.seed(5)
+        state = random.getstate()
+        verdicts = [is_probable_prime(n) for n in (561, 2**61 - 1) * 2]
+        assert verdicts == [False, True, False, True]
+        assert random.getstate() == state
+
 
 class TestGeneration:
     def test_generate_prime_bit_length(self):

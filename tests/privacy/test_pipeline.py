@@ -168,6 +168,25 @@ class TestKSFastPath:
         assert_ks_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
 
+    def test_the_module_seed_pins_unseeded_parties(self, keypair, monkeypatch):
+        def derived_seeds():
+            parties = [KSParty(name, ["c"], seed=None) for name in "AB"]
+            KSProtocol(parties, keypair=keypair)
+            return [party.seed for party in parties]
+
+        default = derived_seeds()
+        assert default == derived_seeds()
+        monkeypatch.setattr(ks, "SEED", ks.SEED + 1)
+        assert derived_seeds() != default
+
+    def test_dealt_key_shares_add_up_to_lambda(self, keypair):
+        protocol, parties = make_ks(keypair)
+        shares = [party._lam_share for party in parties]
+        assert sum(shares) == protocol.private.lam
+        # The balancing share is negative; each party still decrypts
+        # with ``pow(c, share, n^2)``, which inverts modularly.
+        assert shares[-1] < 0
+
 
 SETS = {
     "CloudA": ["a", "b", "s"],
